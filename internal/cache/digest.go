@@ -15,13 +15,15 @@ import (
 // value type (no pointers, maps or funcs) so its %+v rendering is
 // process-independent — every protocol's meta in this codebase is.
 func (a *Array[M]) DigestInto(w io.Writer) {
-	for i := range a.lines {
-		l := &a.lines[i]
-		if !l.Valid {
-			continue
+	for set, row := range a.rows {
+		for way := range row {
+			l := &row[way]
+			if !l.Valid {
+				continue
+			}
+			fmt.Fprintf(w, "ln %d %#x d=%t u=%d m=%+v %x\n",
+				set*a.ways+way, uint64(l.Addr), l.Dirty, l.LastUse, l.Meta, l.Data.Words)
 		}
-		fmt.Fprintf(w, "ln %d %#x d=%t u=%d m=%+v %x\n",
-			i, uint64(l.Addr), l.Dirty, l.LastUse, l.Meta, l.Data.Words)
 	}
 }
 

@@ -23,11 +23,15 @@ type Line[M any] struct {
 	Meta    M
 }
 
-// Array is a set-associative cache array.
+// Array is a set-associative cache array. Each set's ways are
+// allocated when the set first receives a line: an L2 bank selected by
+// the low block-address bits only ever indexes the sets those bits
+// allow (one in NumBanks), so most of a bank's rows would otherwise be
+// allocated, zeroed and never used.
 type Array[M any] struct {
-	sets  int
-	ways  int
-	lines []Line[M] // sets*ways, row-major by set
+	sets int
+	ways int
+	rows [][]Line[M] // per set, nil until the set's first Victim
 }
 
 // NewArray builds an array with the given geometry. Sets must be a
@@ -39,7 +43,7 @@ func NewArray[M any](sets, ways int) *Array[M] {
 	if ways <= 0 {
 		panic("cache: ways must be positive")
 	}
-	return &Array[M]{sets: sets, ways: ways, lines: make([]Line[M], sets*ways)}
+	return &Array[M]{sets: sets, ways: ways, rows: make([][]Line[M], sets)}
 }
 
 // Geometry returns (sets, ways).
@@ -51,10 +55,9 @@ func (a *Array[M]) SetIndex(b mem.BlockAddr) int { return int(uint64(b) & uint64
 // Lookup returns the line holding block b, or nil on a tag miss. It
 // does not touch LRU state; callers use Touch on a hit they consume.
 func (a *Array[M]) Lookup(b mem.BlockAddr) *Line[M] {
-	set := a.SetIndex(b)
-	base := set * a.ways
-	for i := 0; i < a.ways; i++ {
-		l := &a.lines[base+i]
+	row := a.rows[a.SetIndex(b)]
+	for i := range row {
+		l := &row[i]
 		if l.Valid && l.Addr == b {
 			return l
 		}
@@ -72,10 +75,14 @@ func (a *Array[M]) Touch(l *Line[M], now uint64) { l.LastUse = now }
 // inclusive L2.
 func (a *Array[M]) Victim(b mem.BlockAddr, evictable func(*Line[M]) bool) *Line[M] {
 	set := a.SetIndex(b)
-	base := set * a.ways
+	row := a.rows[set]
+	if row == nil {
+		row = make([]Line[M], a.ways)
+		a.rows[set] = row
+	}
 	var lru *Line[M]
-	for i := 0; i < a.ways; i++ {
-		l := &a.lines[base+i]
+	for i := range row {
+		l := &row[i]
 		if !l.Valid {
 			return l
 		}
@@ -118,9 +125,11 @@ func (a *Array[M]) Invalidate(l *Line[M]) {
 // Used by flushes and by TC/G-TSC bulk operations (kernel-boundary
 // flush, timestamp reset).
 func (a *Array[M]) ForEach(fn func(*Line[M])) {
-	for i := range a.lines {
-		if a.lines[i].Valid {
-			fn(&a.lines[i])
+	for _, row := range a.rows {
+		for i := range row {
+			if row[i].Valid {
+				fn(&row[i])
+			}
 		}
 	}
 }
@@ -128,10 +137,6 @@ func (a *Array[M]) ForEach(fn func(*Line[M])) {
 // CountValid returns the number of valid lines (test/debug helper).
 func (a *Array[M]) CountValid() int {
 	n := 0
-	for i := range a.lines {
-		if a.lines[i].Valid {
-			n++
-		}
-	}
+	a.ForEach(func(*Line[M]) { n++ })
 	return n
 }

@@ -79,6 +79,8 @@ type L1 interface {
 	// Access presents one coalesced access. See AccessResult.
 	Access(req *Request) AccessResult
 	// Deliver hands the controller a message that arrived from the NoC.
+	// The controller owns msg from then on and frees it to its pool
+	// once consumed (see mem.Pool); the caller must not touch it again.
 	Deliver(msg *mem.Msg)
 	// Tick advances internal state one cycle (retries, timeouts).
 	Tick(now uint64)
@@ -118,10 +120,16 @@ type L1 interface {
 
 // L2 is a shared cache bank controller.
 type L2 interface {
-	// Deliver hands the bank a request that arrived from the NoC.
+	// Deliver hands the bank a request that arrived from the NoC. As
+	// with L1.Deliver, the bank owns msg from then on: it may park it
+	// behind a miss or transaction, and frees it after its last use.
 	Deliver(msg *mem.Msg)
-	// DRAMFill hands the bank a completed memory read.
+	// DRAMFill hands the bank a completed memory read, under the same
+	// ownership rule.
 	DRAMFill(msg *mem.Msg)
+	// Pool is the bank's message pool. The memory system shares it with
+	// the bank's DRAM partition, so the L2<->DRAM loop recycles too.
+	Pool() *mem.Pool
 	// Tick advances internal state one cycle (TC write stalls,
 	// replayed fills, overflow resets).
 	Tick(now uint64)
@@ -131,7 +139,9 @@ type L2 interface {
 	// Pending reports in-flight work (stalled writes, DRAM waits).
 	Pending() int
 	// Peek returns the bank's current copy of a block, if cached —
-	// a zero-cost debug/verification hook, not a protocol action.
+	// a zero-cost debug/verification hook, not a protocol action. The
+	// block is the bank's live line: callers only read it, and only
+	// before the bank runs again.
 	Peek(b mem.BlockAddr) (*mem.Block, bool)
 	// Err reports the first protocol violation the bank hit, as a
 	// *diag.ProtocolError, or nil.
@@ -166,14 +176,13 @@ type StateDigester interface {
 	DigestState(w io.Writer)
 }
 
-// Sender abstracts the transport a controller injects messages into.
-// The memsys package wires L1 senders to the NoC's SM ports, L2
-// senders to bank ports and the DRAM channel.
-type Sender interface {
-	// TrySend attempts to inject msg; it returns false if the port's
-	// injection queue is full this cycle and the caller must retry.
-	TrySend(msg *mem.Msg) bool
-}
+// Sender abstracts the transport a controller injects messages into:
+// TrySend attempts to inject msg and returns false if the port's
+// injection queue is full this cycle and the caller must retry. The
+// memsys package wires L1 senders to the NoC's SM ports, L2 senders to
+// bank ports and the DRAM channel. A successful TrySend hands msg to
+// the transport (see mem.Pool for the ownership discipline).
+type Sender = mem.Sender
 
 // SenderFunc adapts a function to the Sender interface.
 type SenderFunc func(msg *mem.Msg) bool

@@ -28,10 +28,7 @@ type harness struct {
 	log []*mem.Msg
 }
 
-func (h *harness) logMsg(m *mem.Msg) {
-	c := *m
-	h.log = append(h.log, &c)
-}
+func (h *harness) logMsg(m *mem.Msg) { h.log = append(h.log, m.Clone()) }
 
 func newHarness(t *testing.T, nSM int, cfg Config, l2geo L2Geometry) *harness {
 	h := &harness{t: t, store: mem.NewStore()}

@@ -67,9 +67,11 @@ type L1 struct {
 
 	send  coherence.Sender
 	outQ  mem.MsgQueue // messages awaiting NoC injection (backpressure)
-	pool  mem.Pool     // recycles request msgs and data blocks
+	pool  mem.Pool     // recycles the requests it sends and responses it consumes
 	stats stats.L1Stats
 	obs   coherence.Observer
+
+	loadOut mem.Block // masked-word scratch handed to load completions
 
 	// stores in flight, by ReqID, plus per-block send-ordered lists so
 	// fills arriving under a locked line can be patched (see
@@ -77,6 +79,11 @@ type L1 struct {
 	storesByID    map[uint64]*pendingStore
 	storesByBlock map[mem.BlockAddr][]*pendingStore
 	nextReqID     uint64
+	// freeStores and freeStoreLists recycle acknowledged store records
+	// and emptied per-block lists, so the store path allocates nothing
+	// in steady state.
+	freeStores     mem.FreeList[pendingStore]
+	freeStoreLists [][]*pendingStore
 
 	// atomics in flight, by ReqID (performed wholly at the L2).
 	atomicsByID map[uint64]*coherence.Request
@@ -204,8 +211,6 @@ func (l *L1) accessAtomic(req *coherence.Request) coherence.AccessResult {
 	l.nextReqID++
 	l.atomicsByID[l.nextReqID] = req
 	l.pending++
-	data := l.pool.Block()
-	mem.Merge(data, req.Data, req.Mask)
 	msg := l.pool.Msg()
 	*msg = mem.Msg{
 		Type:   mem.BusAtom,
@@ -213,13 +218,13 @@ func (l *L1) accessAtomic(req *coherence.Request) coherence.AccessResult {
 		Src:    l.smID,
 		Dst:    bankOf(req.Block, l.nBanks),
 		WarpTS: l.warpTS[req.Warp],
-		Data:   data,
 		Mask:   req.Mask,
 		Atom:   req.Atom,
 		ReqID:  l.nextReqID,
 		Warp:   req.Warp,
 		Epoch:  l.cfg.wireEpoch(l.epoch),
 	}
+	mem.Merge(msg.Payload(), req.Data, req.Mask)
 	l.post(msg)
 	return coherence.Pending
 }
@@ -347,7 +352,8 @@ func (l *L1) accessStore(req *coherence.Request) coherence.AccessResult {
 	line := l.array.Lookup(req.Block)
 
 	l.nextReqID++
-	ps := &pendingStore{
+	ps := l.freeStores.Get()
+	*ps = pendingStore{
 		reqID: l.nextReqID,
 		block: req.Block,
 		warp:  req.Warp,
@@ -375,11 +381,14 @@ func (l *L1) accessStore(req *coherence.Request) coherence.AccessResult {
 	}
 
 	l.storesByID[ps.reqID] = ps
-	l.storesByBlock[req.Block] = append(l.storesByBlock[req.Block], ps)
+	list, ok := l.storesByBlock[req.Block]
+	if n := len(l.freeStoreLists); !ok && n > 0 {
+		list = l.freeStoreLists[n-1]
+		l.freeStoreLists = l.freeStoreLists[:n-1]
+	}
+	l.storesByBlock[req.Block] = append(list, ps)
 	l.pending++
 
-	data := l.pool.Block()
-	mem.Merge(data, req.Data, req.Mask)
 	msg := l.pool.Msg()
 	*msg = mem.Msg{
 		Type:   mem.BusWr,
@@ -388,28 +397,29 @@ func (l *L1) accessStore(req *coherence.Request) coherence.AccessResult {
 		Dst:    bankOf(req.Block, l.nBanks),
 		WTS:    baseWTS,
 		WarpTS: l.warpTS[req.Warp],
-		Data:   data,
 		Mask:   req.Mask,
 		ReqID:  ps.reqID,
 		Warp:   req.Warp,
 		Epoch:  l.cfg.wireEpoch(l.epoch),
 	}
+	mem.Merge(msg.Payload(), req.Data, req.Mask)
 	l.post(msg)
 	return coherence.Pending
 }
 
 // completeLoad binds a load's value and timestamp and fires Done.
 // The load's logical timestamp is max(warp_ts, wts) (Tardis rule);
-// warp_ts advances to it. The masked-word scratch block is recycled as
-// soon as Done returns — Completion.Data must not be retained past the
-// callback (see coherence.Completion).
+// warp_ts advances to it. The masked words go out in the controller's
+// scratch block, reused by the next completion — Completion.Data must
+// not be retained past the callback (see coherence.Completion).
 func (l *L1) completeLoad(req *coherence.Request, data *mem.Block, wts uint64) {
 	ts := maxu(l.warpTS[req.Warp], wts)
 	if ts != l.warpTS[req.Warp] {
 		l.stats.TSUpdates++
 	}
 	l.warpTS[req.Warp] = ts
-	out := l.pool.Block()
+	out := &l.loadOut
+	*out = mem.Block{}
 	mem.Merge(out, data, req.Mask)
 	if l.obs != nil {
 		l.obs.Observe(coherence.Op{
@@ -419,7 +429,6 @@ func (l *L1) completeLoad(req *coherence.Request, data *mem.Block, wts uint64) {
 	}
 	l.pending--
 	req.Done(coherence.Completion{Data: out, TS: ts})
-	l.pool.PutBlock(out)
 }
 
 // unrolled maps a wire timestamp into the monotonically increasing
@@ -467,8 +476,7 @@ func (l *L1) Deliver(msg *mem.Msg) {
 	// The response is fully consumed: fills install their payload into
 	// the array (or complete waiters synchronously on the bypass path)
 	// and acks complete their Done callbacks before returning, so the
-	// message and its block recycle here.
-	l.pool.PutBlock(msg.Data)
+	// message recycles here, payload included.
 	l.pool.PutMsg(msg)
 }
 
@@ -556,22 +564,25 @@ func (l *L1) onWriteAck(msg *mem.Msg, stale bool) {
 	}
 	delete(l.storesByID, msg.ReqID)
 	l.removeBlockStore(ps)
+	block, warp, lineHit, req := ps.block, ps.warp, ps.lineHit, ps.req
+	*ps = pendingStore{}
+	l.freeStores.Put(ps)
 
 	// The writing warp's timestamp jumps to the store's wts (§IV-D) —
 	// unless the ack's timestamps belong to a dead epoch: then the
 	// store is ordered before everything in the current epoch, which
 	// the post-reset warp_ts already is. (A stale ack also implies the
-	// reset flush cleared ps.lineHit, so no line update runs below.)
-	if !stale && msg.WTS > l.warpTS[ps.warp] {
-		l.warpTS[ps.warp] = msg.WTS
+	// reset flush cleared lineHit, so no line update runs below.)
+	if !stale && msg.WTS > l.warpTS[warp] {
+		l.warpTS[warp] = msg.WTS
 		l.stats.TSUpdates++
 	}
 
-	line := l.array.Lookup(ps.block)
-	if line != nil && ps.lineHit {
+	line := l.array.Lookup(block)
+	if line != nil && lineHit {
 		line.Meta.lockCount--
 		if line.Meta.lockCount < 0 {
-			l.failf("lock-underflow", "block %v lock count went negative", ps.block)
+			l.failf("lock-underflow", "block %v lock count went negative", block)
 			return
 		}
 		if msg.WTS >= line.Meta.wts {
@@ -584,25 +595,25 @@ func (l *L1) onWriteAck(msg *mem.Msg, stale bool) {
 			// the authoritative merged block; later local stores (not
 			// yet acked) are re-applied on top.
 			line.Data = *msg.Data
-			l.applyPendingStores(ps.block, line)
+			l.applyPendingStores(block, line)
 		}
 		if line.Meta.lockCount == 0 {
 			line.Meta.oldValid = false
 		}
 	}
 	l.pending--
-	ps.req.Done(coherence.Completion{TS: msg.WTS})
+	req.Done(coherence.Completion{TS: msg.WTS})
 
 	if line != nil {
 		if line.Meta.lockCount == 0 {
-			l.serviceWaiters(ps.block, line)
+			l.serviceWaiters(block, line)
 		}
 		return
 	}
 	// The line vanished while the store was in flight (overflow reset
 	// flush): readers parked behind the lock would strand without a
 	// line to service them from — refetch on their behalf.
-	if e := l.mshr.Lookup(ps.block); e != nil && len(e.Waiters) > 0 && e.InFlight == 0 {
+	if e := l.mshr.Lookup(block); e != nil && len(e.Waiters) > 0 && e.InFlight == 0 {
 		l.sendRead(e, nil, l.maxWaiterTS(e))
 	}
 }
@@ -644,6 +655,9 @@ func (l *L1) removeBlockStore(ps *pendingStore) {
 	}
 	if len(list) == 0 {
 		delete(l.storesByBlock, ps.block)
+		if list != nil { // nil when a reset flush dropped the block's list
+			l.freeStoreLists = append(l.freeStoreLists, list)
+		}
 	} else {
 		l.storesByBlock[ps.block] = list
 	}
@@ -756,10 +770,7 @@ func (l *L1) post(msg *mem.Msg) {
 		l.epochFloor = l.epoch
 	}
 	l.reqsOut++
-	if l.outQ.Empty() && l.send.TrySend(msg) {
-		return
-	}
-	l.outQ.Push(msg)
+	l.outQ.Post(l.send, msg)
 }
 
 // SyncClock implements coherence.L1: the local clock stamps array
@@ -770,12 +781,7 @@ func (l *L1) SyncClock(now uint64) { l.now = now }
 // Tick implements coherence.L1: drain backpressured sends in order.
 func (l *L1) Tick(now uint64) {
 	l.now = now
-	for !l.outQ.Empty() {
-		if !l.send.TrySend(l.outQ.Head()) {
-			return
-		}
-		l.outQ.Pop()
-	}
+	l.outQ.Drain(l.send)
 }
 
 // DebugString renders the controller's transient state (MSHR entries,

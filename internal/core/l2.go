@@ -42,6 +42,9 @@ type L2 struct {
 	array *cache.Array[l2Meta]
 	memTS uint64
 	miss  map[mem.BlockAddr]*l2Miss
+	// freeMisses recycles retired miss entries with their waiting
+	// lists' capacity; at most one entry per outstanding miss is live.
+	freeMisses mem.FreeList[l2Miss]
 
 	inQ      mem.MsgQueue
 	perCycle int
@@ -51,10 +54,9 @@ type L2 struct {
 	outNoC   mem.MsgQueue
 	outDRAM  mem.MsgQueue
 
-	// pool recycles the bank's response msgs and blocks plus the
-	// request msgs it consumes; it is shared with the bank's DRAM
-	// partition (both tick in the hierarchy phase) so the DRAM
-	// read/fill loop recycles too.
+	// pool recycles the bank's responses plus the requests it
+	// consumes; it is shared with the bank's DRAM partition (both tick
+	// in the hierarchy phase) so the DRAM read/fill loop recycles too.
 	pool *mem.Pool
 
 	stats stats.L2Stats
@@ -211,12 +213,11 @@ func (l *L2) DRAMFill(msg *mem.Msg) {
 		// replays within this call, so re-lookup is unnecessary. Each
 		// replayed request is consumed by process and recycles here.
 		l.process(waiting, line)
-		l.pool.PutBlock(waiting.Data)
 		l.pool.PutMsg(waiting)
 	}
+	l.freeMiss(m)
 	// installFill copied the payload into the array; the fill message
 	// returns to the pool it was drawn from (the partition shares ours).
-	l.pool.PutBlock(msg.Data)
 	l.pool.PutMsg(msg)
 }
 
@@ -244,14 +245,13 @@ func (l *L2) evict(victim *cache.Line[l2Meta]) {
 	l.memTS = maxu(l.memTS, victim.Meta.rts)
 	if victim.Dirty {
 		l.stats.WritebackDRAM++
-		data := l.pool.Block()
-		*data = victim.Data
 		msg := l.pool.Msg()
 		*msg = mem.Msg{
 			Type: mem.DRAMWr, Block: victim.Addr, Src: l.bankID, Dst: l.bankID,
-			Data: data, Mask: mem.MaskAll,
+			Mask: mem.MaskAll,
 		}
-		l.postDRAM(msg)
+		msg.SetData(&victim.Data)
+		l.outDRAM.Post(l.sendDRAM, msg)
 	}
 	l.array.Invalidate(victim)
 }
@@ -287,7 +287,16 @@ func (l *L2) processAtomic(msg *mem.Msg, line *cache.Line[l2Meta]) {
 	wts := l.checked(maxu(line.Meta.rts+1, warpTS+1))
 	rts := l.checked(wts + lease)
 
-	old := l.pool.Block()
+	// The pre-update values return to the requester in the ack's
+	// payload.
+	ack := l.pool.Msg()
+	*ack = mem.Msg{
+		Type: mem.BusAtomAck, Block: msg.Block, Src: l.bankID, Dst: msg.Src,
+		WTS: wts, RTS: rts, Mask: msg.Mask,
+		ReqID: msg.ReqID, Warp: msg.Warp, Epoch: l.cfg.wireEpoch(l.epoch),
+		Reset: l.staleReq(msg),
+	}
+	old := ack.Payload()
 	mem.Merge(old, &line.Data, msg.Mask)
 	for i := 0; i < mem.WordsPerBlock; i++ {
 		if msg.Mask.Has(i) {
@@ -316,14 +325,7 @@ func (l *L2) processAtomic(msg *mem.Msg, line *cache.Line[l2Meta]) {
 		})
 	}
 
-	ack := l.pool.Msg()
-	*ack = mem.Msg{
-		Type: mem.BusAtomAck, Block: msg.Block, Src: l.bankID, Dst: msg.Src,
-		WTS: wts, RTS: rts, Data: old, Mask: msg.Mask,
-		ReqID: msg.ReqID, Warp: msg.Warp, Epoch: l.cfg.wireEpoch(l.epoch),
-		Reset: l.staleReq(msg),
-	}
-	l.postNoC(ack)
+	l.outNoC.Post(l.sendNoC, ack)
 }
 
 // reqWarpTS interprets the request's warp timestamp, discarding
@@ -385,20 +387,19 @@ func (l *L2) processRead(msg *mem.Msg, line *cache.Line[l2Meta]) {
 			Type: mem.BusRnw, Block: msg.Block, Src: l.bankID, Dst: msg.Src,
 			RTS: newRTS, ReqID: msg.ReqID, Epoch: l.cfg.wireEpoch(l.epoch),
 		}
-		l.postNoC(rnw)
+		l.outNoC.Post(l.sendNoC, rnw)
 		return
 	}
 	l.stats.FillsSent++
 	l.stats.DataAccesses++
-	data := l.pool.Block()
-	*data = line.Data
 	fill := l.pool.Msg()
 	*fill = mem.Msg{
 		Type: mem.BusFill, Block: msg.Block, Src: l.bankID, Dst: msg.Src,
-		WTS: line.Meta.wts, RTS: newRTS, Data: data, ReqID: msg.ReqID,
+		WTS: line.Meta.wts, RTS: newRTS, ReqID: msg.ReqID,
 		Epoch: l.cfg.wireEpoch(l.epoch), Reset: stale,
 	}
-	l.postNoC(fill)
+	fill.SetData(&line.Data)
+	l.outNoC.Post(l.sendNoC, fill)
 }
 
 // processWrite implements Fig 5: the store is logically scheduled
@@ -446,11 +447,9 @@ func (l *L2) processWrite(msg *mem.Msg, line *cache.Line[l2Meta]) {
 	if msg.WTS != mem.NoWTS && (msg.WTS != prevWTS || l.staleReq(msg)) {
 		// The writer's cached base version was stale: return the
 		// authoritative merged block so its L1 copy is coherent.
-		data := l.pool.Block()
-		*data = line.Data
-		ack.Data = data
+		ack.SetData(&line.Data)
 	}
-	l.postNoC(ack)
+	l.outNoC.Post(l.sendNoC, ack)
 }
 
 func (l *L2) unrolled(ts uint64) uint64 { return l.epoch*(l.cfg.tsMax()+1) + ts }
@@ -512,7 +511,8 @@ func (l *L2) SyncClock(now uint64) { l.now = now }
 // service up to perCycle queued requests.
 func (l *L2) Tick(now uint64) {
 	l.now = now
-	l.drainOut()
+	l.outNoC.Drain(l.sendNoC)
+	l.outDRAM.Drain(l.sendDRAM)
 	if !l.outNoC.Empty() || !l.outDRAM.Empty() {
 		return // head-of-line: do not accept new work while blocked
 	}
@@ -544,47 +544,34 @@ func (l *L2) service(msg *mem.Msg) {
 	line := l.array.Lookup(msg.Block)
 	if line == nil {
 		l.stats.Misses++
-		m := &l2Miss{block: msg.Block, waiting: []*mem.Msg{msg}}
-		l.miss[msg.Block] = m
+		m := l.newMiss(msg.Block)
+		m.waiting = append(m.waiting, msg)
 		rd := l.pool.Msg()
 		*rd = mem.Msg{Type: mem.DRAMRd, Block: msg.Block, Src: l.bankID, Dst: l.bankID}
-		l.postDRAM(rd)
+		l.outDRAM.Post(l.sendDRAM, rd)
 		return
 	}
 	l.stats.Hits++
 	l.process(msg, line)
-	// The request was served synchronously; recycle it and its payload.
-	l.pool.PutBlock(msg.Data)
+	// The request was served synchronously; recycle it.
 	l.pool.PutMsg(msg)
 }
 
-func (l *L2) postNoC(msg *mem.Msg) {
-	if l.outNoC.Empty() && l.sendNoC.TrySend(msg) {
-		return
-	}
-	l.outNoC.Push(msg)
+// newMiss registers an outstanding DRAM read for b, reusing a retired
+// entry (and its waiting list's capacity) when one is free.
+func (l *L2) newMiss(b mem.BlockAddr) *l2Miss {
+	m := l.freeMisses.Get()
+	m.block = b
+	l.miss[b] = m
+	return m
 }
 
-func (l *L2) postDRAM(msg *mem.Msg) {
-	if l.outDRAM.Empty() && l.sendDRAM.TrySend(msg) {
-		return
-	}
-	l.outDRAM.Push(msg)
-}
-
-func (l *L2) drainOut() {
-	for !l.outNoC.Empty() {
-		if !l.sendNoC.TrySend(l.outNoC.Head()) {
-			break
-		}
-		l.outNoC.Pop()
-	}
-	for !l.outDRAM.Empty() {
-		if !l.sendDRAM.TrySend(l.outDRAM.Head()) {
-			break
-		}
-		l.outDRAM.Pop()
-	}
+// freeMiss retires a miss entry whose waiting requests have all been
+// replayed.
+func (l *L2) freeMiss(m *l2Miss) {
+	clear(m.waiting)
+	m.waiting = m.waiting[:0]
+	l.freeMisses.Put(m)
 }
 
 // ResetController coordinates the chip-wide timestamp overflow reset:
@@ -636,8 +623,7 @@ func (l *L2) Peek(b mem.BlockAddr) (*mem.Block, bool) {
 	if line == nil {
 		return nil, false
 	}
-	data := line.Data
-	return &data, true
+	return &line.Data, true
 }
 
 // DebugString renders the bank's transient state for deadlock

@@ -3,7 +3,6 @@ package dir
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"github.com/gtsc-sim/gtsc/internal/mem"
 )
@@ -13,7 +12,7 @@ func (l *L1) DigestState(w io.Writer) {
 	fmt.Fprintf(w, "dir-l1[%d] now=%d next=%d pend=%d\n", l.smID, l.now, l.nextReqID, l.pending)
 	l.array.DigestInto(w)
 	l.mshr.DigestInto(w)
-	mem.DigestMsgs(w, "outq", l.outQ)
+	mem.DigestMsgs(w, "outq", l.outQ.Items())
 	// Outstanding GetMs: the queued stores are callback carriers, so
 	// digest the block and the waiting-store count.
 	mem.DigestBlockMap(w, l.getm, func(w io.Writer, b mem.BlockAddr, p *pendingM) {
@@ -31,7 +30,7 @@ func (l *L2) DigestState(w io.Writer) {
 	l.array.DigestInto(w)
 	mem.DigestBlockMap(w, l.miss, func(w io.Writer, b mem.BlockAddr, m *l2Miss) {
 		fmt.Fprintf(w, "miss %#x", uint64(b))
-		if m.data != nil {
+		if m.filled {
 			fmt.Fprintf(w, " d%x", m.data.Words)
 		}
 		io.WriteString(w, "\n")
@@ -39,14 +38,10 @@ func (l *L2) DigestState(w io.Writer) {
 	})
 	mem.DigestBlockMap(w, l.busy, func(w io.Writer, b mem.BlockAddr, bs *busyState) {
 		fmt.Fprintf(w, "busy %#x", uint64(b))
-		sms := make([]int, 0, len(bs.targets))
-		for sm := range bs.targets {
-			sms = append(sms, sm)
-		}
-		sort.Ints(sms)
-		for _, sm := range sms {
-			t := bs.targets[sm]
-			fmt.Fprintf(w, " %d:%t/%t", sm, t.done, t.waitWB)
+		for sm := 0; sm < 64; sm++ {
+			if t := uint64(1) << uint(sm); bs.targets&t != 0 {
+				fmt.Fprintf(w, " %d:%t/%t", sm, bs.done&t != 0, bs.waitWB&t != 0)
+			}
 		}
 		io.WriteString(w, "\n")
 		if bs.grant != nil {
@@ -55,7 +50,7 @@ func (l *L2) DigestState(w io.Writer) {
 		}
 		mem.DigestMsgs(w, "wait", bs.waiting)
 	})
-	mem.DigestMsgs(w, "inq", l.inQ)
-	mem.DigestMsgs(w, "outnoc", l.outNoC)
-	mem.DigestMsgs(w, "outdram", l.outDRAM)
+	mem.DigestMsgs(w, "inq", l.inQ.Items())
+	mem.DigestMsgs(w, "outnoc", l.outNoC.Items())
+	mem.DigestMsgs(w, "outdram", l.outDRAM.Items())
 }

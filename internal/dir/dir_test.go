@@ -28,13 +28,13 @@ func newHarness(t *testing.T, nSM int, l2geo L2Geometry) *harness {
 		l2geo = L2Geometry{Sets: 64, Ways: 8}
 	}
 	h.l2 = NewL2(cfg, 0, l2geo,
-		coherence.SenderFunc(func(m *mem.Msg) bool { h.toL1 = append(h.toL1, m); h.log = append(h.log, m); return true }),
+		coherence.SenderFunc(func(m *mem.Msg) bool { h.toL1 = append(h.toL1, m); h.log = append(h.log, m.Clone()); return true }),
 		coherence.SenderFunc(func(m *mem.Msg) bool { h.dram = append(h.dram, m); return true }),
 		nil)
 	for i := 0; i < nSM; i++ {
 		h.l1s = append(h.l1s, NewL1(cfg, i, 1,
 			Geometry{Sets: 16, Ways: 4, MSHRs: 8},
-			coherence.SenderFunc(func(m *mem.Msg) bool { h.toL2 = append(h.toL2, m); h.log = append(h.log, m); return true }),
+			coherence.SenderFunc(func(m *mem.Msg) bool { h.toL2 = append(h.toL2, m); h.log = append(h.log, m.Clone()); return true }),
 			nil))
 	}
 	return h
@@ -94,11 +94,23 @@ type captured struct {
 	c    coherence.Completion
 }
 
+// capture records a completion. Completion.Data is only valid during
+// the Done callback (the controller reuses the block), so it is
+// deep-copied.
+func (out *captured) capture(c coherence.Completion) {
+	out.done = true
+	out.c = c
+	if c.Data != nil {
+		d := *c.Data
+		out.c.Data = &d
+	}
+}
+
 func (h *harness) load(sm, warp int, b mem.BlockAddr, word int) *captured {
 	out := &captured{}
 	out.res = h.l1s[sm].Access(&coherence.Request{
 		Block: b, Mask: mem.WordMask(0).Set(word), Warp: warp,
-		Done: func(c coherence.Completion) { out.done = true; out.c = c },
+		Done: out.capture,
 	})
 	return out
 }
@@ -109,7 +121,7 @@ func (h *harness) storeWord(sm, warp int, b mem.BlockAddr, word int, val uint32)
 	data.Words[word] = val
 	out.res = h.l1s[sm].Access(&coherence.Request{
 		Block: b, Store: true, Mask: mem.WordMask(0).Set(word), Data: data, Warp: warp,
-		Done: func(c coherence.Completion) { out.done = true; out.c = c },
+		Done: out.capture,
 	})
 	return out
 }
@@ -334,7 +346,7 @@ func TestAtomicRecallsAllCopies(t *testing.T) {
 	data.Words[0] = 5
 	h.l1s[2].Access(&coherence.Request{
 		Block: X, Atomic: true, Atom: mem.AtomAdd, Mask: 1, Data: data, Warp: 0,
-		Done: func(c coherence.Completion) { out.done = true; out.c = c },
+		Done: out.capture,
 	})
 	h.pump()
 	if !out.done || out.c.Data.Words[0] != 100 {

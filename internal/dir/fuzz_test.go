@@ -82,7 +82,7 @@ func (h *harness) atomic(sm, warp int, b mem.BlockAddr, word int, op mem.AtomicO
 	out.res = h.l1s[sm].Access(&coherence.Request{
 		Block: b, Atomic: true, Atom: op, Mask: mem.WordMask(0).Set(word),
 		Data: data, Warp: warp,
-		Done: func(c coherence.Completion) { out.done = true; out.c = c },
+		Done: out.capture,
 	})
 	return out
 }

@@ -34,11 +34,6 @@ type pendingM struct {
 	stores []*coherence.Request
 }
 
-// pendingAtomic tracks one atomic forwarded to the L2.
-type pendingAtomic struct {
-	req *coherence.Request
-}
-
 // L1 is the directory protocol's private cache: write-back,
 // write-allocate, invalidated on demand by the directory. It
 // implements coherence.L1.
@@ -51,20 +46,24 @@ type L1 struct {
 	array *cache.Array[l1Meta]
 	mshr  *cache.MSHR[waiter]
 
-	send  coherence.Sender
-	outQ  []*mem.Msg
-	stats stats.L1Stats
-	obs   coherence.Observer
+	send    coherence.Sender
+	outQ    mem.MsgQueue
+	pool    mem.Pool  // recycles the messages it sends and consumes
+	loadOut mem.Block // masked-word scratch handed to load completions
+	stats   stats.L1Stats
+	obs     coherence.Observer
 
-	// getm holds blocks with an outstanding GetM (at most one each).
-	getm map[mem.BlockAddr]*pendingM
+	// getm holds blocks with an outstanding GetM (at most one each);
+	// freeGetM recycles granted entries with their store lists.
+	getm     map[mem.BlockAddr]*pendingM
+	freeGetM mem.FreeList[pendingM]
 	// wbInFlight marks blocks whose dirty eviction writeback has been
 	// sent but (as far as this L1 knows) not yet consumed; an
 	// invalidation for such a block acknowledges with the flag so the
 	// directory waits for the writeback's data.
 	wbInFlight map[mem.BlockAddr]bool
 
-	atomics   map[uint64]*pendingAtomic
+	atomics   map[uint64]*coherence.Request // in flight, by ReqID
 	nextReqID uint64
 	pending   int
 	fail      *diag.ProtocolError
@@ -97,7 +96,7 @@ func NewL1(cfg Config, smID, nBanks int, geo Geometry, send coherence.Sender, ob
 		obs:        obs,
 		getm:       make(map[mem.BlockAddr]*pendingM),
 		wbInFlight: make(map[mem.BlockAddr]bool),
-		atomics:    make(map[uint64]*pendingAtomic),
+		atomics:    make(map[uint64]*coherence.Request),
 	}
 }
 
@@ -109,7 +108,7 @@ func (l *L1) Pending() int { return l.pending }
 
 // Quiescent implements coherence.L1: Tick only drains outQ, so an
 // empty output queue means ticking is a pure no-op until new input.
-func (l *L1) Quiescent() bool { return len(l.outQ) == 0 }
+func (l *L1) Quiescent() bool { return l.outQ.Empty() }
 
 // failf records the first protocol violation; the controller then
 // drops further input until the simulator surfaces the error.
@@ -131,7 +130,7 @@ func (l *L1) Err() error {
 func (l *L1) DumpState() diag.CacheState {
 	return diag.CacheState{
 		Name: "dir-l1", ID: l.smID, Pending: l.pending,
-		MSHRUsed: l.mshr.Len(), MSHRCap: l.mshr.Cap(), OutQ: len(l.outQ),
+		MSHRUsed: l.mshr.Len(), MSHRCap: l.mshr.Cap(), OutQ: l.outQ.Len(),
 		Blocked: len(l.getm),
 	}
 }
@@ -190,10 +189,12 @@ func (l *L1) accessLoad(req *coherence.Request) coherence.AccessResult {
 		// No request in flight yet: send GetS.
 		e.Issued = true
 		l.nextReqID++
-		l.post(&mem.Msg{
+		msg := l.pool.Msg()
+		*msg = mem.Msg{
 			Type: mem.BusRd, Block: req.Block, Src: l.smID,
 			Dst: bankOf(uint64(req.Block), l.nBanks), ReqID: l.nextReqID,
-		})
+		}
+		l.outQ.Post(l.send, msg)
 	}
 	return coherence.Pending
 }
@@ -217,13 +218,16 @@ func (l *L1) accessStore(req *coherence.Request) coherence.AccessResult {
 	// S or I (or M-grant already pending): needs M.
 	pm := l.getm[req.Block]
 	if pm == nil {
-		pm = &pendingM{block: req.Block}
+		pm = l.freeGetM.Get()
+		pm.block = req.Block
 		l.getm[req.Block] = pm
 		l.nextReqID++
-		l.post(&mem.Msg{
+		msg := l.pool.Msg()
+		*msg = mem.Msg{
 			Type: mem.BusGetM, Block: req.Block, Src: l.smID,
 			Dst: bankOf(uint64(req.Block), l.nBanks), ReqID: l.nextReqID,
-		})
+		}
+		l.outQ.Post(l.send, msg)
 	}
 	pm.stores = append(pm.stores, req)
 	l.pending++
@@ -233,20 +237,25 @@ func (l *L1) accessStore(req *coherence.Request) coherence.AccessResult {
 func (l *L1) accessAtomic(req *coherence.Request) coherence.AccessResult {
 	l.stats.Atomics++
 	l.nextReqID++
-	l.atomics[l.nextReqID] = &pendingAtomic{req: req}
+	l.atomics[l.nextReqID] = req
 	l.pending++
-	data := &mem.Block{}
-	mem.Merge(data, req.Data, req.Mask)
-	l.post(&mem.Msg{
+	msg := l.pool.Msg()
+	*msg = mem.Msg{
 		Type: mem.BusAtom, Block: req.Block, Src: l.smID,
-		Dst: bankOf(uint64(req.Block), l.nBanks), Data: data, Mask: req.Mask,
+		Dst: bankOf(uint64(req.Block), l.nBanks), Mask: req.Mask,
 		Atom: req.Atom, ReqID: l.nextReqID, Warp: req.Warp,
-	})
+	}
+	mem.Merge(msg.Payload(), req.Data, req.Mask)
+	l.outQ.Post(l.send, msg)
 	return coherence.Pending
 }
 
+// completeLoad fires a load's Done with the masked words in the
+// controller's scratch block, reused by the next completion (see
+// coherence.Completion).
 func (l *L1) completeLoad(req *coherence.Request, data *mem.Block) {
-	out := &mem.Block{}
+	out := &l.loadOut
+	*out = mem.Block{}
 	mem.Merge(out, data, req.Mask)
 	if l.obs != nil {
 		l.obs.Observe(coherence.Op{
@@ -270,7 +279,10 @@ func (l *L1) observeStore(req *coherence.Request) {
 	})
 }
 
-// Deliver implements coherence.L1.
+// Deliver implements coherence.L1. Every message is consumed before
+// its handler returns (grants install their payload, invalidations are
+// acknowledged, atomic acks complete their Done callbacks), so the
+// message recycles here.
 func (l *L1) Deliver(msg *mem.Msg) {
 	if l.fail != nil {
 		return
@@ -281,17 +293,22 @@ func (l *L1) Deliver(msg *mem.Msg) {
 	case mem.BusInv:
 		l.onInv(msg)
 	case mem.BusAtomAck:
-		pa, ok := l.atomics[msg.ReqID]
-		if !ok {
-			l.failf("unknown-atomic-ack", "atomic ack req=%d block=%v has no pending request", msg.ReqID, msg.Block)
-			return
-		}
-		delete(l.atomics, msg.ReqID)
-		l.pending--
-		pa.req.Done(coherence.Completion{Data: msg.Data})
+		l.onAtomAck(msg)
 	default:
 		l.failf("unexpected-message", "message %v for block %v from bank %d", msg.Type, msg.Block, msg.Src)
 	}
+	l.pool.PutMsg(msg)
+}
+
+func (l *L1) onAtomAck(msg *mem.Msg) {
+	req, ok := l.atomics[msg.ReqID]
+	if !ok {
+		l.failf("unknown-atomic-ack", "atomic ack req=%d block=%v has no pending request", msg.ReqID, msg.Block)
+		return
+	}
+	delete(l.atomics, msg.ReqID)
+	l.pending--
+	req.Done(coherence.Completion{Data: msg.Data})
 }
 
 // onGrant installs granted data. GetS grants carry S or E; GetM grants
@@ -337,6 +354,9 @@ func (l *L1) onGrant(msg *mem.Msg) {
 			l.pending--
 			st.Done(coherence.Completion{})
 		}
+		clear(pm.stores)
+		*pm = pendingM{stores: pm.stores[:0]}
+		l.freeGetM.Put(pm)
 	default:
 		l.failf("unknown-grant", "grant for %v carries unknown state %d", msg.Block, msg.WTS)
 		return
@@ -358,19 +378,18 @@ func (l *L1) onGrant(msg *mem.Msg) {
 func (l *L1) onInv(msg *mem.Msg) {
 	l.stats.InvsReceived++
 	line := l.array.Lookup(msg.Block)
-	ack := &mem.Msg{
+	ack := l.pool.Msg()
+	*ack = mem.Msg{
 		Type: mem.BusInvAck, Block: msg.Block, Src: l.smID,
 		Dst: bankOf(uint64(msg.Block), l.nBanks), ReqID: msg.ReqID,
 	}
 	if line != nil {
 		if line.Dirty {
-			data := &mem.Block{}
-			*data = line.Data
-			ack.Data = data
+			ack.SetData(&line.Data)
 			ack.Mask = mem.MaskAll
 		}
 		if l.MutAckWithoutInval {
-			l.post(ack)
+			l.outQ.Post(l.send, ack)
 			return
 		}
 		if msg.WTS == invDowngrade {
@@ -385,7 +404,7 @@ func (l *L1) onInv(msg *mem.Msg) {
 		// the directory to wait for it.
 		ack.Reset = true
 	}
-	l.post(ack)
+	l.outQ.Post(l.send, ack)
 }
 
 // ForEachLineState implements coherence.StateHolder, reporting each
@@ -415,12 +434,13 @@ func (l *L1) evict(victim *cache.Line[l1Meta]) {
 	if victim.Dirty {
 		l.stats.Writebacks++
 		l.wbInFlight[victim.Addr] = true
-		data := &mem.Block{}
-		*data = victim.Data
-		l.post(&mem.Msg{
+		msg := l.pool.Msg()
+		*msg = mem.Msg{
 			Type: mem.BusWB, Block: victim.Addr, Src: l.smID,
-			Dst: bankOf(uint64(victim.Addr), l.nBanks), Data: data, Mask: mem.MaskAll,
-		})
+			Dst: bankOf(uint64(victim.Addr), l.nBanks), Mask: mem.MaskAll,
+		}
+		msg.SetData(&victim.Data)
+		l.outQ.Post(l.send, msg)
 	}
 	l.array.Invalidate(victim)
 }
@@ -438,23 +458,11 @@ func (l *L1) Flush() {
 	})
 }
 
-func (l *L1) post(msg *mem.Msg) {
-	if len(l.outQ) == 0 && l.send.TrySend(msg) {
-		return
-	}
-	l.outQ = append(l.outQ, msg)
-}
-
 // SyncClock implements coherence.L1.
 func (l *L1) SyncClock(now uint64) { l.now = now }
 
 // Tick implements coherence.L1.
 func (l *L1) Tick(now uint64) {
 	l.now = now
-	for len(l.outQ) > 0 {
-		if !l.send.TrySend(l.outQ[0]) {
-			return
-		}
-		l.outQ = l.outQ[1:]
-	}
+	l.outQ.Drain(l.send)
 }

@@ -2,6 +2,7 @@ package dir
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"github.com/gtsc-sim/gtsc/internal/cache"
@@ -19,18 +20,14 @@ type dirMeta struct {
 
 func (d *dirMeta) clearOwner() { d.owner = -1 }
 
-// target tracks one pending invalidation acknowledgment.
-type target struct {
-	done   bool
-	waitWB bool // ack said a dirty writeback is in flight; wait for it
-}
-
 // busyState is an in-progress directory transaction on one block:
 // invalidations/downgrades are outstanding and other requests for the
-// block queue behind it.
+// block queue behind it. Targets are SM bitmaps, like the sharer map.
 type busyState struct {
 	block   mem.BlockAddr
-	targets map[int]*target
+	targets uint64 // SMs sent an invalidation or downgrade
+	done    uint64 // targets whose copy is gone (or downgraded)
+	waitWB  uint64 // targets whose ack said a dirty writeback is in flight
 	// grant, when non-nil, is the request to serve once all targets
 	// acknowledge (GetS with owner, GetM, or an atomic). When nil the
 	// busy is an eviction recall and completion frees the line.
@@ -38,21 +35,14 @@ type busyState struct {
 	waiting []*mem.Msg
 }
 
-func (b *busyState) remaining() int {
-	n := 0
-	for _, t := range b.targets {
-		if !t.done {
-			n++
-		}
-	}
-	return n
-}
+func (b *busyState) remaining() int { return bits.OnesCount64(b.targets &^ b.done) }
 
 // l2Miss tracks a DRAM fetch in progress.
 type l2Miss struct {
 	block   mem.BlockAddr
 	waiting []*mem.Msg
-	data    *mem.Block // non-nil once DRAM returned but install stalled
+	filled  bool      // DRAM returned data but the install stalled
+	data    mem.Block // the returned block, valid when filled
 }
 
 // L2 is one directory bank: an inclusive shared cache whose lines
@@ -66,13 +56,22 @@ type L2 struct {
 	miss  map[mem.BlockAddr]*l2Miss
 	busy  map[mem.BlockAddr]*busyState
 
-	inQ      []*mem.Msg
+	// freeMisses and freeBusy recycle retired entries together with
+	// their waiting lists' capacity.
+	freeMisses mem.FreeList[l2Miss]
+	freeBusy   mem.FreeList[busyState]
+	scratch    []mem.BlockAddr // reusable sorted-block buffer (stalled fills)
+
+	inQ      mem.MsgQueue
 	perCycle int
 
 	sendNoC  coherence.Sender
 	sendDRAM coherence.Sender
-	outNoC   []*mem.Msg
-	outDRAM  []*mem.Msg
+	outNoC   mem.MsgQueue
+	outDRAM  mem.MsgQueue
+	// pool recycles the bank's messages; the bank's DRAM partition
+	// shares it.
+	pool *mem.Pool
 
 	stats stats.L2Stats
 	obs   coherence.Observer
@@ -108,8 +107,12 @@ func NewL2(cfg Config, bankID int, geo L2Geometry, sendNoC, sendDRAM coherence.S
 		sendNoC:  sendNoC,
 		sendDRAM: sendDRAM,
 		obs:      obs,
+		pool:     &mem.Pool{},
 	}
 }
+
+// Pool implements coherence.L2.
+func (l *L2) Pool() *mem.Pool { return l.pool }
 
 // Stats implements coherence.L2.
 func (l *L2) Stats() *stats.L2Stats { return &l.stats }
@@ -125,7 +128,7 @@ func (l *L2) ForEachLineState(fn func(b mem.BlockAddr, state string)) {
 
 // Pending implements coherence.L2.
 func (l *L2) Pending() int {
-	n := len(l.inQ) + len(l.outNoC) + len(l.outDRAM)
+	n := l.inQ.Len() + l.outNoC.Len() + l.outDRAM.Len()
 	for _, m := range l.miss {
 		n += len(m.waiting) + 1
 	}
@@ -141,13 +144,13 @@ func (l *L2) Pending() int {
 // advance only when a message arrives, which the skip engine models
 // as scheduled NoC/DRAM events.
 func (l *L2) Quiescent() bool {
-	return len(l.inQ) == 0 && len(l.outNoC) == 0 && len(l.outDRAM) == 0 &&
+	return l.inQ.Empty() && l.outNoC.Empty() && l.outDRAM.Empty() &&
 		l.stalledFills == 0
 }
 
 // Drained implements coherence.L2: O(1) Pending() == 0.
 func (l *L2) Drained() bool {
-	return len(l.inQ) == 0 && len(l.outNoC) == 0 && len(l.outDRAM) == 0 &&
+	return l.inQ.Empty() && l.outNoC.Empty() && l.outDRAM.Empty() &&
 		len(l.miss) == 0 && len(l.busy) == 0
 }
 
@@ -175,8 +178,8 @@ func (l *L2) DumpState() diag.CacheState {
 	}
 	return diag.CacheState{
 		Name: "dir-l2", ID: l.bankID, Pending: l.Pending(),
-		MSHRUsed: len(l.miss), InQ: len(l.inQ),
-		OutQ:   len(l.outNoC) + len(l.outDRAM),
+		MSHRUsed: len(l.miss), InQ: l.inQ.Len(),
+		OutQ:   l.outNoC.Len() + l.outDRAM.Len(),
 		Misses: len(l.miss), Blocked: blocked,
 	}
 }
@@ -189,8 +192,7 @@ func (l *L2) Peek(b mem.BlockAddr) (*mem.Block, bool) {
 	if line == nil {
 		return nil, false
 	}
-	data := line.Data
-	return &data, true
+	return &line.Data, true
 }
 
 // Deliver implements coherence.L2.
@@ -198,7 +200,7 @@ func (l *L2) Deliver(msg *mem.Msg) {
 	if l.fail != nil {
 		return
 	}
-	l.inQ = append(l.inQ, msg)
+	l.inQ.Push(msg)
 }
 
 // DRAMFill implements coherence.L2.
@@ -211,7 +213,9 @@ func (l *L2) DRAMFill(msg *mem.Msg) {
 		l.failf("orphan-dram-fill", "DRAM fill for %v without outstanding miss", msg.Block)
 		return
 	}
-	m.data = msg.Data
+	m.data = *msg.Data
+	m.filled = true
+	l.pool.PutMsg(msg)
 	l.stalledFills++
 	l.tryInstall(m)
 }
@@ -231,13 +235,15 @@ func (l *L2) tryInstall(m *l2Miss) {
 	if victim.Valid {
 		l.evictClean(victim)
 	}
-	l.array.Install(victim, m.block, m.data, l.now)
+	l.array.Install(victim, m.block, &m.data, l.now)
 	victim.Meta.clearOwner()
 	l.stats.DataAccesses++
 	delete(l.miss, m.block)
 	l.stalledFills--
-	waiting := m.waiting
-	l.runQueue(m.block, waiting)
+	l.runQueue(m.block, m.waiting)
+	clear(m.waiting)
+	*m = l2Miss{waiting: m.waiting[:0]}
+	l.freeMisses.Put(m)
 }
 
 // startRecall begins invalidating the LRU victim's L1 copies so a
@@ -262,12 +268,13 @@ func (l *L2) evictClean(victim *cache.Line[dirMeta]) {
 	l.stats.Evictions++
 	if victim.Dirty {
 		l.stats.WritebackDRAM++
-		data := &mem.Block{}
-		*data = victim.Data
-		l.postDRAM(&mem.Msg{
+		msg := l.pool.Msg()
+		*msg = mem.Msg{
 			Type: mem.DRAMWr, Block: victim.Addr, Src: l.bankID, Dst: l.bankID,
-			Data: data, Mask: mem.MaskAll,
-		})
+			Mask: mem.MaskAll,
+		}
+		msg.SetData(&victim.Data)
+		l.outDRAM.Post(l.sendDRAM, msg)
 	}
 	l.array.Invalidate(victim)
 }
@@ -276,7 +283,8 @@ func (l *L2) evictClean(victim *cache.Line[dirMeta]) {
 // every live copy except exclude, and parks grant until all targets
 // acknowledge.
 func (l *L2) beginBusy(block mem.BlockAddr, meta *dirMeta, exclude int, grant *mem.Msg) {
-	b := &busyState{block: block, targets: map[int]*target{}, grant: grant}
+	b := l.freeBusy.Get()
+	b.block, b.grant = block, grant
 	downgrade := grant != nil && grant.Type == mem.BusRd
 	subtype := uint64(invInvalidate)
 	if downgrade {
@@ -290,17 +298,27 @@ func (l *L2) beginBusy(block mem.BlockAddr, meta *dirMeta, exclude int, grant *m
 		if !hasCopy {
 			continue
 		}
-		b.targets[sm] = &target{}
+		b.targets |= 1 << uint(sm)
 		l.stats.Invalidations++
-		l.postNoC(&mem.Msg{
+		inv := l.pool.Msg()
+		*inv = mem.Msg{
 			Type: mem.BusInv, Block: block, Src: l.bankID, Dst: sm, WTS: subtype,
-		})
+		}
+		l.outNoC.Post(l.sendNoC, inv)
 	}
-	if len(b.targets) == 0 {
+	if b.targets == 0 {
 		l.failf("busy-no-targets", "transaction on %v has no invalidation targets (sharers=%#x owner=%d)", block, meta.sharers, meta.owner)
 		return
 	}
 	l.busy[block] = b
+}
+
+// freeBusyState retires a completed transaction whose grant and
+// waiting requests have been served or handed on.
+func (l *L2) freeBusyState(b *busyState) {
+	clear(b.waiting)
+	*b = busyState{waiting: b.waiting[:0]}
+	l.freeBusy.Put(b)
 }
 
 // onInvAck processes one acknowledgment.
@@ -309,8 +327,8 @@ func (l *L2) onInvAck(msg *mem.Msg) {
 	if b == nil {
 		return // stale ack after a completed recall; harmless
 	}
-	t := b.targets[msg.Src]
-	if t == nil || t.done {
+	t := uint64(1) << uint(msg.Src)
+	if b.targets&t == 0 || b.done&t != 0 {
 		return
 	}
 	line := l.array.Lookup(msg.Block)
@@ -321,11 +339,11 @@ func (l *L2) onInvAck(msg *mem.Msg) {
 	if msg.Reset {
 		// The dirty copy's writeback is in flight; completion waits
 		// for the BusWB itself.
-		t.waitWB = true
+		b.waitWB |= t
 		l.maybeFinishBusy(b)
 		return
 	}
-	t.done = true
+	b.done |= t
 	l.maybeFinishBusy(b)
 }
 
@@ -345,8 +363,8 @@ func (l *L2) onWB(msg *mem.Msg) {
 		l.stats.DataAccesses++
 	}
 	if b := l.busy[msg.Block]; b != nil {
-		if t := b.targets[msg.Src]; t != nil && !t.done {
-			t.done = true
+		if t := uint64(1) << uint(msg.Src); b.targets&t != 0 && b.done&t == 0 {
+			b.done |= t
 			l.maybeFinishBusy(b)
 		}
 	}
@@ -372,9 +390,7 @@ func (l *L2) maybeFinishBusy(b *busyState) {
 			line.Meta.sharers |= 1 << uint(line.Meta.owner)
 		}
 	} else {
-		for sm := range b.targets {
-			line.Meta.sharers &^= 1 << uint(sm)
-		}
+		line.Meta.sharers &^= b.targets
 	}
 	if line.Meta.owner >= 0 {
 		line.Meta.clearOwner()
@@ -384,6 +400,7 @@ func (l *L2) maybeFinishBusy(b *busyState) {
 		l.serve(b.grant, line)
 	}
 	l.runQueue(b.block, b.waiting)
+	l.freeBusyState(b)
 }
 
 // runQueue replays parked requests in order; a request that starts a
@@ -405,7 +422,9 @@ func (l *L2) runQueue(block mem.BlockAddr, msgs []*mem.Msg) {
 	}
 }
 
-// serve handles one request against a present, non-busy line.
+// serve handles one request against a present, non-busy line. A
+// request that starts a transaction parks as its grant; every other
+// request is consumed and freed here (or by grant/performAtomic).
 func (l *L2) serve(msg *mem.Msg, line *cache.Line[dirMeta]) {
 	meta := &line.Meta
 	switch msg.Type {
@@ -446,6 +465,7 @@ func (l *L2) serve(msg *mem.Msg, line *cache.Line[dirMeta]) {
 		l.performAtomic(msg, line)
 	case mem.BusWB:
 		l.onWB(msg)
+		l.pool.PutMsg(msg)
 	default:
 		l.failf("unexpected-message", "message %v for block %v from SM %d", msg.Type, msg.Block, msg.Src)
 	}
@@ -466,17 +486,27 @@ func (l *L2) grant(msg *mem.Msg, line *cache.Line[dirMeta], state uint64) {
 	}
 	l.stats.FillsSent++
 	l.stats.DataAccesses++
-	data := &mem.Block{}
-	*data = line.Data
 	l.array.Touch(line, l.now)
-	l.postNoC(&mem.Msg{
+	fill := l.pool.Msg()
+	*fill = mem.Msg{
 		Type: mem.BusFill, Block: msg.Block, Src: l.bankID, Dst: msg.Src,
-		WTS: state, Data: data, ReqID: msg.ReqID,
-	})
+		WTS: state, ReqID: msg.ReqID,
+	}
+	fill.SetData(&line.Data)
+	l.outNoC.Post(l.sendNoC, fill)
+	l.pool.PutMsg(msg)
 }
 
+// performAtomic performs an atomic at the bank and frees the request.
 func (l *L2) performAtomic(msg *mem.Msg, line *cache.Line[dirMeta]) {
-	old := &mem.Block{}
+	// The pre-update values return to the requester in the ack's
+	// payload.
+	ack := l.pool.Msg()
+	*ack = mem.Msg{
+		Type: mem.BusAtomAck, Block: msg.Block, Src: l.bankID, Dst: msg.Src,
+		Mask: msg.Mask, ReqID: msg.ReqID, Warp: msg.Warp,
+	}
+	old := ack.Payload()
 	mem.Merge(old, &line.Data, msg.Mask)
 	for i := 0; i < mem.WordsPerBlock; i++ {
 		if msg.Mask.Has(i) {
@@ -498,32 +528,27 @@ func (l *L2) performAtomic(msg *mem.Msg, line *cache.Line[dirMeta]) {
 			Mask: msg.Mask, Data: stored, Cycle: l.now,
 		})
 	}
-	l.postNoC(&mem.Msg{
-		Type: mem.BusAtomAck, Block: msg.Block, Src: l.bankID, Dst: msg.Src,
-		Data: old, Mask: msg.Mask, ReqID: msg.ReqID, Warp: msg.Warp,
-	})
+	l.outNoC.Post(l.sendNoC, ack)
+	l.pool.PutMsg(msg)
 }
 
 // route dispatches a request when the line may be absent or busy.
+// Acknowledgments and writebacks are consumed at once, even while the
+// block is busy; other requests queue behind a busy transaction or an
+// in-flight fill.
 func (l *L2) route(msg *mem.Msg) {
-	if b, ok := l.busy[msg.Block]; ok {
-		if msg.Type == mem.BusInvAck {
-			l.onInvAck(msg)
-			return
-		}
-		if msg.Type == mem.BusWB {
-			l.onWB(msg)
-			return
-		}
-		b.waiting = append(b.waiting, msg)
-		return
-	}
 	switch msg.Type {
 	case mem.BusInvAck:
 		l.onInvAck(msg)
+		l.pool.PutMsg(msg)
 		return
 	case mem.BusWB:
 		l.onWB(msg)
+		l.pool.PutMsg(msg)
+		return
+	}
+	if b, ok := l.busy[msg.Block]; ok {
+		b.waiting = append(b.waiting, msg)
 		return
 	}
 	if m, ok := l.miss[msg.Block]; ok {
@@ -533,9 +558,13 @@ func (l *L2) route(msg *mem.Msg) {
 	line := l.array.Lookup(msg.Block)
 	if line == nil {
 		l.stats.Misses++
-		m := &l2Miss{block: msg.Block, waiting: []*mem.Msg{msg}}
+		m := l.freeMisses.Get()
+		m.block = msg.Block
+		m.waiting = append(m.waiting, msg)
 		l.miss[msg.Block] = m
-		l.postDRAM(&mem.Msg{Type: mem.DRAMRd, Block: msg.Block, Src: l.bankID, Dst: l.bankID})
+		rd := l.pool.Msg()
+		*rd = mem.Msg{Type: mem.DRAMRd, Block: msg.Block, Src: l.bankID, Dst: l.bankID}
+		l.outDRAM.Post(l.sendDRAM, rd)
 		return
 	}
 	l.stats.Hits++
@@ -548,31 +577,32 @@ func (l *L2) SyncClock(now uint64) { l.now = now }
 // Tick implements coherence.L2.
 func (l *L2) Tick(now uint64) {
 	l.now = now
-	l.drainOut()
+	l.outNoC.Drain(l.sendNoC)
+	l.outDRAM.Drain(l.sendDRAM)
 	// Retry stalled installs (their recalls may have completed). Sorted
 	// by block address so replay order is independent of map layout.
 	// The scan is gated on the O(1) stalled-fill count: with none
 	// stalled it built an empty slice anyway, so skipping it is exact.
-	var stalled []mem.BlockAddr
 	if l.stalledFills > 0 {
+		stalled := l.scratch[:0]
 		for b, m := range l.miss {
-			if m.data != nil && l.busy[b] == nil {
+			if m.filled && l.busy[b] == nil {
 				stalled = append(stalled, b)
 			}
 		}
-	}
-	slices.Sort(stalled)
-	for _, b := range stalled {
-		if m, ok := l.miss[b]; ok && m.data != nil && l.busy[b] == nil {
-			l.tryInstall(m)
+		l.scratch = stalled
+		slices.Sort(stalled)
+		for _, b := range stalled {
+			if m, ok := l.miss[b]; ok && m.filled && l.busy[b] == nil {
+				l.tryInstall(m)
+			}
 		}
 	}
-	if len(l.outNoC) > 0 || len(l.outDRAM) > 0 {
+	if !l.outNoC.Empty() || !l.outDRAM.Empty() {
 		return
 	}
-	for i := 0; i < l.perCycle && len(l.inQ) > 0; i++ {
-		msg := l.inQ[0]
-		l.inQ = l.inQ[1:]
+	for i := 0; i < l.perCycle && !l.inQ.Empty(); i++ {
+		msg := l.inQ.Pop()
 		switch msg.Type {
 		case mem.BusRd:
 			l.stats.Reads++
@@ -583,34 +613,5 @@ func (l *L2) Tick(now uint64) {
 		}
 		l.stats.TagProbes++
 		l.route(msg)
-	}
-}
-
-func (l *L2) postNoC(msg *mem.Msg) {
-	if len(l.outNoC) == 0 && l.sendNoC.TrySend(msg) {
-		return
-	}
-	l.outNoC = append(l.outNoC, msg)
-}
-
-func (l *L2) postDRAM(msg *mem.Msg) {
-	if len(l.outDRAM) == 0 && l.sendDRAM.TrySend(msg) {
-		return
-	}
-	l.outDRAM = append(l.outDRAM, msg)
-}
-
-func (l *L2) drainOut() {
-	for len(l.outNoC) > 0 {
-		if !l.sendNoC.TrySend(l.outNoC[0]) {
-			break
-		}
-		l.outNoC = l.outNoC[1:]
-	}
-	for len(l.outDRAM) > 0 {
-		if !l.sendDRAM.TrySend(l.outDRAM[0]) {
-			break
-		}
-		l.outDRAM = l.outDRAM[1:]
 	}
 }

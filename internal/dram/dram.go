@@ -71,12 +71,10 @@ type Partition struct {
 	Deliver func(msg *mem.Msg)
 }
 
-// SetPool shares a message pool with the partition (normally the
-// owning L2 bank's, so the DRAM read->fill->recycle loop is closed).
-// The partition then frees every request it consumes into the pool and
-// draws its fills from it. Without a pool it allocates fresh fills and
-// frees nothing — required for protocols whose L2s do not follow the
-// consume-and-free ownership discipline.
+// SetPool shares a message pool with the partition, normally the
+// owning L2 bank's, so the DRAM read->fill->recycle loop is closed. The
+// partition frees every request it consumes into its pool and draws its
+// fills from it; until SetPool it uses a pool of its own.
 func (p *Partition) SetPool(pool *mem.Pool) { p.pool = pool }
 
 // New builds a partition backed by store. The store is shared among
@@ -104,7 +102,7 @@ func New(cfg Config, id int, store *mem.Store) *Partition {
 	if cfg.RowMissLatency == 0 {
 		cfg.RowMissLatency = 280
 	}
-	p := &Partition{cfg: cfg, id: id, store: store}
+	p := &Partition{cfg: cfg, id: id, store: store, pool: &mem.Pool{}}
 	if cfg.Banked {
 		p.banked.banks = make([]bank, cfg.Banks)
 	}
@@ -170,28 +168,21 @@ func (p *Partition) serve(msg *mem.Msg, now, latency uint64) {
 	switch msg.Type {
 	case mem.DRAMRd:
 		p.stats.Reads++
-		var data *mem.Block
-		var fill *mem.Msg
-		if p.pool != nil {
-			data, fill = p.pool.Block(), p.pool.Msg()
-		} else {
-			data, fill = &mem.Block{}, &mem.Msg{}
-		}
-		p.store.ReadBlock(msg.Block, data)
+		fill := p.pool.Msg()
 		*fill = mem.Msg{
 			Type:  mem.DRAMFill,
 			Block: msg.Block,
 			Src:   p.id,
 			Dst:   msg.Src,
-			Data:  data,
 			ReqID: msg.ReqID,
 		}
+		p.store.ReadBlock(msg.Block, fill.Payload())
 		p.fills.push(fill2{at: now + latency, seq: p.fillSeq(), msg: fill})
-		p.recycle(msg)
+		p.pool.PutMsg(msg)
 	case mem.DRAMWr:
 		p.stats.Writes++
 		p.store.WriteBlock(msg.Block, msg.Data, msg.Mask)
-		p.recycle(msg)
+		p.pool.PutMsg(msg)
 	default:
 		if p.fail == nil {
 			p.fail = diag.Errf(fmt.Sprintf("dram[%d]", p.id), "unexpected-message",
@@ -211,16 +202,6 @@ func (p *Partition) deliverDue(now uint64) {
 // fillSeq is the FIFO tiebreak for fills due the same cycle, keeping
 // delivery order deterministic and independent of heap layout.
 func (p *Partition) fillSeq() uint64 { p.seqCtr++; return p.seqCtr }
-
-// recycle frees a consumed request (and its payload) into the shared
-// pool; a no-op without one.
-func (p *Partition) recycle(msg *mem.Msg) {
-	if p.pool == nil {
-		return
-	}
-	p.pool.PutBlock(msg.Data)
-	p.pool.PutMsg(msg)
-}
 
 type fill2 struct {
 	at  uint64

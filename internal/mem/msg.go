@@ -93,6 +93,12 @@ const NoWTS = ^uint64(0)
 // Timestamp fields are interpreted per protocol: under G-TSC they are
 // logical timestamps (wts/rts/warp_ts); under TC, RTS carries the
 // lease expiry in global cycles and GWCT the write completion time.
+//
+// A message owns its payload: Payload and SetData point Data at a
+// block stored inside the message itself, so a data-carrying message
+// is a single allocation and freeing the message (Pool.PutMsg) frees
+// its payload with it. Data may still point at an outside block (tests
+// build messages that way); the message never frees such a block.
 type Msg struct {
 	Type  MsgType
 	Block BlockAddr
@@ -113,6 +119,37 @@ type Msg struct {
 	Atom  AtomicOp // operation kind for BusAtom
 	Reset bool     // G-TSC timestamp-overflow reset indication
 	Epoch uint64   // G-TSC timestamp epoch (increments on overflow reset)
+
+	payload Block // the message's own data block (see Payload)
+	freed   bool  // set by Pool.PutMsg, cleared by Pool.Msg
+}
+
+// Payload points Data at the message's own payload block and returns
+// it, for the sender to fill in place. The block is zero on a message
+// fresh from a Pool or from a composite literal, so callers can merge
+// masked words into it directly.
+func (m *Msg) Payload() *Block {
+	m.Data = &m.payload
+	return m.Data
+}
+
+// SetData copies b into the message's own payload and points Data at
+// it.
+func (m *Msg) SetData(b *Block) {
+	m.payload = *b
+	m.Data = &m.payload
+}
+
+// Clone returns an unpooled copy of m that owns a copy of its data,
+// for observers (test logs, tracers) that keep a message past its
+// delivery, after which the receiver recycles the original.
+func (m *Msg) Clone() *Msg {
+	c := *m
+	c.freed = false
+	if m.Data != nil {
+		c.SetData(m.Data)
+	}
+	return &c
 }
 
 // Wire sizing. Control headers are 8 bytes; each timestamp adds 2 bytes

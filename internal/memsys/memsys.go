@@ -289,10 +289,6 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 				core.L2Geometry{Sets: cfg.L2Sets, Ways: cfg.L2Ways, PerCycle: cfg.L2PerCycle},
 				bankSend(i), s.dramSender(i), bankObs(i))
 			l2.AttachResets(s.Resets)
-			// The G-TSC controllers follow the consume-and-free
-			// message ownership discipline, so the bank's partition
-			// recycles through the bank's pool (see mem.Pool).
-			s.Parts[i].SetPool(l2.Pool())
 			s.L2s[i] = l2
 		}
 	case TC:
@@ -320,6 +316,12 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 		}
 	default:
 		panic(fmt.Sprintf("memsys: unknown protocol %d", cfg.Protocol))
+	}
+	// Every controller follows the consume-and-free message ownership
+	// discipline, so each bank's partition recycles through the bank's
+	// pool (see mem.Pool).
+	for i, l2 := range s.L2s {
+		s.Parts[i].SetPool(l2.Pool())
 	}
 
 	s.L1s = make([]coherence.L1, cfg.NumSMs)

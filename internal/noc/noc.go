@@ -292,8 +292,9 @@ type queued struct {
 
 // port is a bounded FIFO injection queue. Dequeue advances a head
 // index instead of reslicing so the backing array is reused once the
-// queue drains, keeping the per-message cost allocation-free in
-// steady state.
+// queue drains, and a full backing whose front half is consumed slides
+// its live tail down instead of growing (a busy port may never drain),
+// keeping the per-message cost allocation-free in steady state.
 type port struct {
 	q         []queued
 	head      int
@@ -306,6 +307,11 @@ func (p *port) len() int { return len(p.q) - p.head }
 func (p *port) push(m *mem.Msg, now uint64) bool {
 	if p.len() >= p.cap {
 		return false
+	}
+	if len(p.q) == cap(p.q) && 2*p.head >= len(p.q) && p.head > 0 {
+		n := copy(p.q, p.q[p.head:])
+		clear(p.q[n:])
+		p.q, p.head = p.q[:n], 0
 	}
 	p.q = append(p.q, queued{msg: m, enq: now})
 	return true

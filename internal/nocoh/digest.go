@@ -11,7 +11,7 @@ import (
 func (l *L1Bypass) DigestState(w io.Writer) {
 	fmt.Fprintf(w, "bl-l1[%d] now=%d next=%d pend=%d max=%d\n",
 		l.smID, l.now, l.nextID, l.pending, l.maxOutstanding)
-	mem.DigestMsgs(w, "outq", l.outQ)
+	mem.DigestMsgs(w, "outq", l.outQ.Items())
 	mem.DigestIDTable(w, "req", l.reqByID)
 }
 
@@ -21,7 +21,7 @@ func (l *L1Simple) DigestState(w io.Writer) {
 		l.smID, l.now, l.nextReqID, l.pending)
 	l.array.DigestInto(w)
 	l.mshr.DigestInto(w)
-	mem.DigestMsgs(w, "outq", l.outQ)
+	mem.DigestMsgs(w, "outq", l.outQ.Items())
 	mem.DigestIDTable(w, "st", l.storesByID)
 	mem.DigestIDTable(w, "atom", l.atomicsByID)
 }
@@ -34,7 +34,7 @@ func (l *L2Plain) DigestState(w io.Writer) {
 		fmt.Fprintf(w, "miss %#x\n", uint64(b))
 		mem.DigestMsgs(w, "wait", m.waiting)
 	})
-	mem.DigestMsgs(w, "inq", l.inQ)
-	mem.DigestMsgs(w, "outnoc", l.outNoC)
-	mem.DigestMsgs(w, "outdram", l.outDRAM)
+	mem.DigestMsgs(w, "inq", l.inQ.Items())
+	mem.DigestMsgs(w, "outnoc", l.outNoC.Items())
+	mem.DigestMsgs(w, "outdram", l.outDRAM.Items())
 }

@@ -24,10 +24,12 @@ type L1Simple struct {
 	array *cache.Array[struct{}]
 	mshr  *cache.MSHR[simpleWaiter]
 
-	send  coherence.Sender
-	outQ  []*mem.Msg
-	stats stats.L1Stats
-	obs   coherence.Observer
+	send    coherence.Sender
+	outQ    mem.MsgQueue
+	pool    mem.Pool  // recycles the requests it sends and responses it consumes
+	loadOut mem.Block // masked-word scratch handed to load completions
+	stats   stats.L1Stats
+	obs     coherence.Observer
 
 	storesByID  map[uint64]*coherence.Request
 	atomicsByID map[uint64]*coherence.Request
@@ -69,7 +71,7 @@ func (l *L1Simple) Pending() int { return l.pending }
 
 // Quiescent implements coherence.L1: Tick only drains outQ, so an
 // empty output queue means ticking is a pure no-op until new input.
-func (l *L1Simple) Quiescent() bool { return len(l.outQ) == 0 }
+func (l *L1Simple) Quiescent() bool { return l.outQ.Empty() }
 
 // failf records the first protocol violation; the controller then
 // drops further input until the simulator surfaces the error.
@@ -91,7 +93,7 @@ func (l *L1Simple) Err() error {
 func (l *L1Simple) DumpState() diag.CacheState {
 	return diag.CacheState{
 		Name: "nocoh-l1", ID: l.smID, Pending: l.pending,
-		MSHRUsed: l.mshr.Len(), MSHRCap: l.mshr.Cap(), OutQ: len(l.outQ),
+		MSHRUsed: l.mshr.Len(), MSHRCap: l.mshr.Cap(), OutQ: l.outQ.Len(),
 	}
 }
 
@@ -124,13 +126,11 @@ func (l *L1Simple) accessAtomic(req *coherence.Request) coherence.AccessResult {
 	l.nextReqID++
 	l.atomicsByID[l.nextReqID] = req
 	l.pending++
-	data := &mem.Block{}
-	mem.Merge(data, req.Data, req.Mask)
-	l.post(&mem.Msg{
+	l.post(mem.Msg{
 		Type: mem.BusAtom, Block: req.Block, Src: l.smID,
-		Dst: bankOf(req.Block, l.nBanks), Data: data, Mask: req.Mask,
+		Dst: bankOf(req.Block, l.nBanks), Mask: req.Mask,
 		Atom: req.Atom, ReqID: l.nextReqID, Warp: req.Warp,
-	})
+	}, req.Data)
 	return coherence.Pending
 }
 
@@ -165,10 +165,10 @@ func (l *L1Simple) accessLoad(req *coherence.Request) coherence.AccessResult {
 	e.Issued = true
 	l.pending++
 	l.nextReqID++
-	l.post(&mem.Msg{
+	l.post(mem.Msg{
 		Type: mem.BusRd, Block: req.Block, Src: l.smID,
 		Dst: bankOf(req.Block, l.nBanks), ReqID: l.nextReqID,
-	})
+	}, nil)
 	return coherence.Pending
 }
 
@@ -185,18 +185,20 @@ func (l *L1Simple) accessStore(req *coherence.Request) coherence.AccessResult {
 	l.nextReqID++
 	l.storesByID[l.nextReqID] = req
 	l.pending++
-	data := &mem.Block{}
-	mem.Merge(data, req.Data, req.Mask)
-	l.post(&mem.Msg{
+	l.post(mem.Msg{
 		Type: mem.BusWr, Block: req.Block, Src: l.smID,
-		Dst: bankOf(req.Block, l.nBanks), Data: data, Mask: req.Mask,
+		Dst: bankOf(req.Block, l.nBanks), Mask: req.Mask,
 		ReqID: l.nextReqID, Warp: req.Warp,
-	})
+	}, req.Data)
 	return coherence.Pending
 }
 
+// completeLoad fires a load's Done with the masked words in the
+// controller's scratch block, reused by the next completion (see
+// coherence.Completion).
 func (l *L1Simple) completeLoad(req *coherence.Request, data *mem.Block) {
-	out := &mem.Block{}
+	out := &l.loadOut
+	*out = mem.Block{}
 	mem.Merge(out, data, req.Mask)
 	if l.obs != nil {
 		l.obs.Observe(coherence.Op{
@@ -208,11 +210,17 @@ func (l *L1Simple) completeLoad(req *coherence.Request, data *mem.Block) {
 	req.Done(coherence.Completion{Data: out})
 }
 
-// Deliver implements coherence.L1.
+// Deliver implements coherence.L1. Every response is consumed before
+// the handler returns, so the message recycles here.
 func (l *L1Simple) Deliver(msg *mem.Msg) {
 	if l.fail != nil {
 		return
 	}
+	l.handle(msg)
+	l.pool.PutMsg(msg)
+}
+
+func (l *L1Simple) handle(msg *mem.Msg) {
 	switch msg.Type {
 	case mem.BusFill:
 		l.stats.Fills++
@@ -268,11 +276,15 @@ func (l *L1Simple) Flush() {
 	l.array.ForEach(func(c *cache.Line[struct{}]) { l.array.Invalidate(c) })
 }
 
-func (l *L1Simple) post(msg *mem.Msg) {
-	if len(l.outQ) == 0 && l.send.TrySend(msg) {
-		return
+// post sends a pooled copy of msg carrying the masked words of data
+// (nil for a dataless request).
+func (l *L1Simple) post(msg mem.Msg, data *mem.Block) {
+	m := l.pool.Msg()
+	*m = msg
+	if data != nil {
+		mem.Merge(m.Payload(), data, msg.Mask)
 	}
-	l.outQ = append(l.outQ, msg)
+	l.outQ.Post(l.send, m)
 }
 
 // SyncClock implements coherence.L1.
@@ -281,10 +293,5 @@ func (l *L1Simple) SyncClock(now uint64) { l.now = now }
 // Tick implements coherence.L1.
 func (l *L1Simple) Tick(now uint64) {
 	l.now = now
-	for len(l.outQ) > 0 {
-		if !l.send.TrySend(l.outQ[0]) {
-			return
-		}
-		l.outQ = l.outQ[1:]
-	}
+	l.outQ.Drain(l.send)
 }

@@ -18,16 +18,20 @@ type L2Plain struct {
 	bankID int
 	now    uint64
 
-	array *cache.Array[struct{}]
-	miss  map[mem.BlockAddr]*plainMiss
+	array      *cache.Array[struct{}]
+	miss       map[mem.BlockAddr]*plainMiss
+	freeMisses mem.FreeList[plainMiss] // retired entries, waiting capacity kept
 
-	inQ      []*mem.Msg
+	inQ      mem.MsgQueue
 	perCycle int
 
 	sendNoC  coherence.Sender
 	sendDRAM coherence.Sender
-	outNoC   []*mem.Msg
-	outDRAM  []*mem.Msg
+	outNoC   mem.MsgQueue
+	outDRAM  mem.MsgQueue
+	// pool recycles the bank's responses plus the requests it consumes;
+	// the bank's DRAM partition shares it.
+	pool *mem.Pool
 
 	stats stats.L2Stats
 	obs   coherence.Observer
@@ -63,15 +67,19 @@ func NewL2Plain(bankID int, geo L2Geometry, sendNoC, sendDRAM coherence.Sender, 
 		sendNoC:  sendNoC,
 		sendDRAM: sendDRAM,
 		obs:      obs,
+		pool:     &mem.Pool{},
 	}
 }
+
+// Pool implements coherence.L2.
+func (l *L2Plain) Pool() *mem.Pool { return l.pool }
 
 // Stats implements coherence.L2.
 func (l *L2Plain) Stats() *stats.L2Stats { return &l.stats }
 
 // Pending implements coherence.L2.
 func (l *L2Plain) Pending() int {
-	n := len(l.inQ) + len(l.outNoC) + len(l.outDRAM)
+	n := l.inQ.Len() + l.outNoC.Len() + l.outDRAM.Len()
 	for _, m := range l.miss {
 		n += len(m.waiting) + 1
 	}
@@ -82,12 +90,12 @@ func (l *L2Plain) Pending() int {
 // quiescence: fills install unconditionally, so a miss entry only
 // changes state when its DRAM fill arrives (a scheduled event).
 func (l *L2Plain) Quiescent() bool {
-	return len(l.inQ) == 0 && len(l.outNoC) == 0 && len(l.outDRAM) == 0
+	return l.inQ.Empty() && l.outNoC.Empty() && l.outDRAM.Empty()
 }
 
 // Drained implements coherence.L2: O(1) Pending() == 0.
 func (l *L2Plain) Drained() bool {
-	return len(l.inQ) == 0 && len(l.outNoC) == 0 && len(l.outDRAM) == 0 && len(l.miss) == 0
+	return l.inQ.Empty() && l.outNoC.Empty() && l.outDRAM.Empty() && len(l.miss) == 0
 }
 
 // failf records the first protocol violation; the bank then drops
@@ -110,8 +118,8 @@ func (l *L2Plain) Err() error {
 func (l *L2Plain) DumpState() diag.CacheState {
 	return diag.CacheState{
 		Name: "plain-l2", ID: l.bankID, Pending: l.Pending(),
-		MSHRUsed: len(l.miss), InQ: len(l.inQ),
-		OutQ: len(l.outNoC) + len(l.outDRAM), Misses: len(l.miss),
+		MSHRUsed: len(l.miss), InQ: l.inQ.Len(),
+		OutQ: l.outNoC.Len() + l.outDRAM.Len(), Misses: len(l.miss),
 	}
 }
 
@@ -120,7 +128,7 @@ func (l *L2Plain) Deliver(msg *mem.Msg) {
 	if l.fail != nil {
 		return
 	}
-	l.inQ = append(l.inQ, msg)
+	l.inQ.Push(msg)
 }
 
 // DRAMFill implements coherence.L2.
@@ -140,45 +148,54 @@ func (l *L2Plain) DRAMFill(msg *mem.Msg) {
 	}
 	l.array.Install(victim, msg.Block, msg.Data, l.now)
 	l.stats.DataAccesses++
+	l.pool.PutMsg(msg)
 	for _, w := range m.waiting {
 		l.process(w, victim)
 	}
+	clear(m.waiting)
+	*m = plainMiss{waiting: m.waiting[:0]}
+	l.freeMisses.Put(m)
 }
 
 func (l *L2Plain) evict(victim *cache.Line[struct{}]) {
 	l.stats.Evictions++
 	if victim.Dirty {
 		l.stats.WritebackDRAM++
-		data := &mem.Block{}
-		*data = victim.Data
-		l.postDRAM(&mem.Msg{
+		msg := l.pool.Msg()
+		*msg = mem.Msg{
 			Type: mem.DRAMWr, Block: victim.Addr, Src: l.bankID, Dst: l.bankID,
-			Data: data, Mask: mem.MaskAll,
-		})
+			Mask: mem.MaskAll,
+		}
+		msg.SetData(&victim.Data)
+		l.outDRAM.Post(l.sendDRAM, msg)
 	}
 	l.array.Invalidate(victim)
 }
 
+// process serves one request against a present line and frees it: the
+// request is fully consumed once its response is posted.
 func (l *L2Plain) process(msg *mem.Msg, line *cache.Line[struct{}]) {
+	defer l.pool.PutMsg(msg)
 	switch msg.Type {
 	case mem.BusRd:
 		l.array.Touch(line, l.now)
 		l.stats.FillsSent++
 		l.stats.DataAccesses++
-		data := &mem.Block{}
-		*data = line.Data
 		if l.observeLoads && l.obs != nil {
 			var loaded mem.Block
-			mem.Merge(&loaded, data, msg.Mask)
+			mem.Merge(&loaded, &line.Data, msg.Mask)
 			l.obs.Observe(coherence.Op{
 				SM: msg.Src, Warp: msg.Warp, Block: msg.Block,
 				Mask: msg.Mask, Data: loaded, Cycle: l.now,
 			})
 		}
-		l.postNoC(&mem.Msg{
+		fill := l.pool.Msg()
+		*fill = mem.Msg{
 			Type: mem.BusFill, Block: msg.Block, Src: l.bankID, Dst: msg.Src,
-			Data: data, ReqID: msg.ReqID,
-		})
+			ReqID: msg.ReqID,
+		}
+		fill.SetData(&line.Data)
+		l.outNoC.Post(l.sendNoC, fill)
 	case mem.BusWr:
 		mem.Merge(&line.Data, msg.Data, msg.Mask)
 		line.Dirty = true
@@ -192,12 +209,21 @@ func (l *L2Plain) process(msg *mem.Msg, line *cache.Line[struct{}]) {
 				Mask: msg.Mask, Data: stored, Cycle: l.now,
 			})
 		}
-		l.postNoC(&mem.Msg{
+		ack := l.pool.Msg()
+		*ack = mem.Msg{
 			Type: mem.BusWrAck, Block: msg.Block, Src: l.bankID, Dst: msg.Src,
 			ReqID: msg.ReqID, Warp: msg.Warp,
-		})
+		}
+		l.outNoC.Post(l.sendNoC, ack)
 	case mem.BusAtom:
-		old := &mem.Block{}
+		// The pre-update values return to the requester in the ack's
+		// payload.
+		ack := l.pool.Msg()
+		*ack = mem.Msg{
+			Type: mem.BusAtomAck, Block: msg.Block, Src: l.bankID, Dst: msg.Src,
+			Mask: msg.Mask, ReqID: msg.ReqID, Warp: msg.Warp,
+		}
+		old := ack.Payload()
 		mem.Merge(old, &line.Data, msg.Mask)
 		for i := 0; i < mem.WordsPerBlock; i++ {
 			if msg.Mask.Has(i) {
@@ -219,10 +245,7 @@ func (l *L2Plain) process(msg *mem.Msg, line *cache.Line[struct{}]) {
 				Mask: msg.Mask, Data: stored, Cycle: l.now,
 			})
 		}
-		l.postNoC(&mem.Msg{
-			Type: mem.BusAtomAck, Block: msg.Block, Src: l.bankID, Dst: msg.Src,
-			Data: old, Mask: msg.Mask, ReqID: msg.ReqID, Warp: msg.Warp,
-		})
+		l.outNoC.Post(l.sendNoC, ack)
 	default:
 		l.failf("unexpected-message", "message %v for block %v from SM %d", msg.Type, msg.Block, msg.Src)
 	}
@@ -234,14 +257,13 @@ func (l *L2Plain) SyncClock(now uint64) { l.now = now }
 // Tick implements coherence.L2.
 func (l *L2Plain) Tick(now uint64) {
 	l.now = now
-	l.drainOut()
-	if len(l.outNoC) > 0 || len(l.outDRAM) > 0 {
+	l.outNoC.Drain(l.sendNoC)
+	l.outDRAM.Drain(l.sendDRAM)
+	if !l.outNoC.Empty() || !l.outDRAM.Empty() {
 		return
 	}
-	for i := 0; i < l.perCycle && len(l.inQ) > 0; i++ {
-		msg := l.inQ[0]
-		l.inQ = l.inQ[1:]
-		l.service(msg)
+	for i := 0; i < l.perCycle && !l.inQ.Empty(); i++ {
+		l.service(l.inQ.Pop())
 	}
 }
 
@@ -265,42 +287,17 @@ func (l *L2Plain) service(msg *mem.Msg) {
 	line := l.array.Lookup(msg.Block)
 	if line == nil {
 		l.stats.Misses++
-		m := &plainMiss{block: msg.Block, waiting: []*mem.Msg{msg}}
+		m := l.freeMisses.Get()
+		m.block = msg.Block
+		m.waiting = append(m.waiting, msg)
 		l.miss[msg.Block] = m
-		l.postDRAM(&mem.Msg{Type: mem.DRAMRd, Block: msg.Block, Src: l.bankID, Dst: l.bankID})
+		rd := l.pool.Msg()
+		*rd = mem.Msg{Type: mem.DRAMRd, Block: msg.Block, Src: l.bankID, Dst: l.bankID}
+		l.outDRAM.Post(l.sendDRAM, rd)
 		return
 	}
 	l.stats.Hits++
 	l.process(msg, line)
-}
-
-func (l *L2Plain) postNoC(msg *mem.Msg) {
-	if len(l.outNoC) == 0 && l.sendNoC.TrySend(msg) {
-		return
-	}
-	l.outNoC = append(l.outNoC, msg)
-}
-
-func (l *L2Plain) postDRAM(msg *mem.Msg) {
-	if len(l.outDRAM) == 0 && l.sendDRAM.TrySend(msg) {
-		return
-	}
-	l.outDRAM = append(l.outDRAM, msg)
-}
-
-func (l *L2Plain) drainOut() {
-	for len(l.outNoC) > 0 {
-		if !l.sendNoC.TrySend(l.outNoC[0]) {
-			break
-		}
-		l.outNoC = l.outNoC[1:]
-	}
-	for len(l.outDRAM) > 0 {
-		if !l.sendDRAM.TrySend(l.outDRAM[0]) {
-			break
-		}
-		l.outDRAM = l.outDRAM[1:]
-	}
 }
 
 // SetObserveLoads makes the bank observe loads at processing time
@@ -313,6 +310,5 @@ func (l *L2Plain) Peek(b mem.BlockAddr) (*mem.Block, bool) {
 	if line == nil {
 		return nil, false
 	}
-	data := line.Data
-	return &data, true
+	return &line.Data, true
 }

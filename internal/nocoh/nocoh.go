@@ -32,7 +32,9 @@ type L1Bypass struct {
 	nBanks  int
 	now     uint64
 	send    coherence.Sender
-	outQ    []*mem.Msg
+	outQ    mem.MsgQueue
+	pool    mem.Pool  // recycles the requests it sends and responses it consumes
+	loadOut mem.Block // masked-word scratch handed to load completions
 	stats   stats.L1Stats
 	obs     coherence.Observer
 	reqByID map[uint64]*coherence.Request
@@ -60,7 +62,7 @@ func (l *L1Bypass) Pending() int { return l.pending }
 
 // Quiescent implements coherence.L1: Tick only drains outQ, so an
 // empty output queue means ticking is a pure no-op until new input.
-func (l *L1Bypass) Quiescent() bool { return len(l.outQ) == 0 }
+func (l *L1Bypass) Quiescent() bool { return l.outQ.Empty() }
 
 // Flush implements coherence.L1 (nothing cached, nothing to do).
 func (l *L1Bypass) Flush() {}
@@ -85,7 +87,7 @@ func (l *L1Bypass) Err() error {
 func (l *L1Bypass) DumpState() diag.CacheState {
 	return diag.CacheState{
 		Name: "bl-l1", ID: l.smID, Pending: l.pending,
-		MSHRUsed: len(l.reqByID), MSHRCap: l.maxOutstanding, OutQ: len(l.outQ),
+		MSHRUsed: len(l.reqByID), MSHRCap: l.maxOutstanding, OutQ: l.outQ.Len(),
 	}
 }
 
@@ -98,7 +100,8 @@ func (l *L1Bypass) Access(req *coherence.Request) coherence.AccessResult {
 	l.nextID++
 	l.reqByID[l.nextID] = req
 	l.pending++
-	msg := &mem.Msg{
+	msg := l.pool.Msg()
+	*msg = mem.Msg{
 		Block: req.Block, Src: l.smID, Dst: bankOf(req.Block, l.nBanks),
 		ReqID: l.nextID, Warp: req.Warp,
 	}
@@ -107,16 +110,12 @@ func (l *L1Bypass) Access(req *coherence.Request) coherence.AccessResult {
 		msg.Type = mem.BusAtom
 		msg.Mask = req.Mask
 		msg.Atom = req.Atom
-		data := &mem.Block{}
-		mem.Merge(data, req.Data, req.Mask)
-		msg.Data = data
+		mem.Merge(msg.Payload(), req.Data, req.Mask)
 	} else if req.Store {
 		l.stats.Stores++
 		msg.Type = mem.BusWr
 		msg.Mask = req.Mask
-		data := &mem.Block{}
-		mem.Merge(data, req.Data, req.Mask)
-		msg.Data = data
+		mem.Merge(msg.Payload(), req.Data, req.Mask)
 	} else {
 		l.stats.Loads++
 		l.stats.MissCold++ // every access crosses the NoC
@@ -125,15 +124,21 @@ func (l *L1Bypass) Access(req *coherence.Request) coherence.AccessResult {
 		// words it actually returns (value binds at the L2 under BL).
 		msg.Mask = req.Mask
 	}
-	l.post(msg)
+	l.outQ.Post(l.send, msg)
 	return coherence.Pending
 }
 
-// Deliver implements coherence.L1.
+// Deliver implements coherence.L1. The response is consumed once the
+// access's Done callback returns, so the message recycles here.
 func (l *L1Bypass) Deliver(msg *mem.Msg) {
 	if l.fail != nil {
 		return
 	}
+	l.complete(msg)
+	l.pool.PutMsg(msg)
+}
+
+func (l *L1Bypass) complete(msg *mem.Msg) {
 	req, ok := l.reqByID[msg.ReqID]
 	if !ok {
 		l.failf("unknown-response", "response %v req=%d block=%v has no pending request", msg.Type, msg.ReqID, msg.Block)
@@ -144,7 +149,8 @@ func (l *L1Bypass) Deliver(msg *mem.Msg) {
 	switch msg.Type {
 	case mem.BusFill:
 		l.stats.Fills++
-		out := &mem.Block{}
+		out := &l.loadOut
+		*out = mem.Block{}
 		mem.Merge(out, msg.Data, req.Mask)
 		// Loads are observed at the L2, where their value binds; the
 		// shim only delivers the completion.
@@ -159,23 +165,11 @@ func (l *L1Bypass) Deliver(msg *mem.Msg) {
 	}
 }
 
-func (l *L1Bypass) post(msg *mem.Msg) {
-	if len(l.outQ) == 0 && l.send.TrySend(msg) {
-		return
-	}
-	l.outQ = append(l.outQ, msg)
-}
-
 // SyncClock implements coherence.L1.
 func (l *L1Bypass) SyncClock(now uint64) { l.now = now }
 
 // Tick implements coherence.L1.
 func (l *L1Bypass) Tick(now uint64) {
 	l.now = now
-	for len(l.outQ) > 0 {
-		if !l.send.TrySend(l.outQ[0]) {
-			return
-		}
-		l.outQ = l.outQ[1:]
-	}
+	l.outQ.Drain(l.send)
 }

@@ -27,7 +27,7 @@ func newHarness(t *testing.T, simple bool) *harness {
 		coherence.SenderFunc(func(m *mem.Msg) bool { h.toL1 = append(h.toL1, m); return true }),
 		coherence.SenderFunc(func(m *mem.Msg) bool { h.dram = append(h.dram, m); return true }),
 		nil)
-	send := coherence.SenderFunc(func(m *mem.Msg) bool { h.toL2 = append(h.toL2, m); h.log = append(h.log, m); return true })
+	send := coherence.SenderFunc(func(m *mem.Msg) bool { h.toL2 = append(h.toL2, m); h.log = append(h.log, m.Clone()); return true })
 	if simple {
 		h.l1 = NewL1Simple(0, 1, Geometry{Sets: 8, Ways: 2, MSHRs: 4}, send, nil)
 	} else {

@@ -16,7 +16,7 @@ func (l *L1) DigestState(w io.Writer) {
 	fmt.Fprintf(w, "tc-l1[%d] now=%d next=%d pend=%d\n", l.smID, l.now, l.nextReqID, l.pending)
 	l.array.DigestInto(w)
 	l.mshr.DigestInto(w)
-	mem.DigestMsgs(w, "outq", l.outQ)
+	mem.DigestMsgs(w, "outq", l.outQ.Items())
 	mem.DigestIDTable(w, "st", l.storesByID)
 	mem.DigestIDTable(w, "atom", l.atomicsByID)
 }
@@ -27,7 +27,7 @@ func (l *L2) DigestState(w io.Writer) {
 	l.array.DigestInto(w)
 	mem.DigestBlockMap(w, l.miss, func(w io.Writer, b mem.BlockAddr, m *l2Miss) {
 		fmt.Fprintf(w, "miss %#x", uint64(b))
-		if m.data != nil {
+		if m.filled {
 			fmt.Fprintf(w, " d%x", m.data.Words)
 		}
 		io.WriteString(w, "\n")
@@ -37,7 +37,7 @@ func (l *L2) DigestState(w io.Writer) {
 		fmt.Fprintf(w, "blocked %#x\n", uint64(b))
 		mem.DigestMsgs(w, "q", msgs)
 	})
-	mem.DigestMsgs(w, "inq", l.inQ)
-	mem.DigestMsgs(w, "outnoc", l.outNoC)
-	mem.DigestMsgs(w, "outdram", l.outDRAM)
+	mem.DigestMsgs(w, "inq", l.inQ.Items())
+	mem.DigestMsgs(w, "outnoc", l.outNoC.Items())
+	mem.DigestMsgs(w, "outdram", l.outDRAM.Items())
 }

@@ -20,14 +20,6 @@ type waiter struct {
 	req *coherence.Request
 }
 
-type pendingStore struct {
-	req *coherence.Request
-}
-
-type pendingAtomic struct {
-	req *coherence.Request
-}
-
 // L1 is the TC private cache controller of one SM: write-through,
 // write-no-allocate, with time-based self-invalidation instead of
 // invalidation traffic. It implements coherence.L1.
@@ -41,12 +33,16 @@ type L1 struct {
 	mshr  *cache.MSHR[waiter]
 
 	send  coherence.Sender
-	outQ  []*mem.Msg
+	outQ  mem.MsgQueue
+	pool  mem.Pool // recycles the requests it sends and responses it consumes
 	stats stats.L1Stats
 	obs   coherence.Observer
 
-	storesByID  map[uint64]*pendingStore
-	atomicsByID map[uint64]*pendingAtomic
+	loadOut mem.Block // masked-word scratch handed to load completions
+
+	// stores and atomics in flight, by ReqID
+	storesByID  map[uint64]*coherence.Request
+	atomicsByID map[uint64]*coherence.Request
 	nextReqID   uint64
 	pending     int
 	fail        *diag.ProtocolError
@@ -71,8 +67,8 @@ func NewL1(cfg Config, smID, nBanks int, geo Geometry, send coherence.Sender, ob
 		mshr:        cache.NewMSHR[waiter](geo.MSHRs),
 		send:        send,
 		obs:         obs,
-		storesByID:  make(map[uint64]*pendingStore),
-		atomicsByID: make(map[uint64]*pendingAtomic),
+		storesByID:  make(map[uint64]*coherence.Request),
+		atomicsByID: make(map[uint64]*coherence.Request),
 	}
 }
 
@@ -84,7 +80,7 @@ func (l *L1) Pending() int { return l.pending }
 
 // Quiescent implements coherence.L1: Tick only drains outQ, so an
 // empty output queue means ticking is a pure no-op until new input.
-func (l *L1) Quiescent() bool { return len(l.outQ) == 0 }
+func (l *L1) Quiescent() bool { return l.outQ.Empty() }
 
 // failf records the first protocol violation; the controller then
 // drops further input until the simulator surfaces the error.
@@ -106,7 +102,7 @@ func (l *L1) Err() error {
 func (l *L1) DumpState() diag.CacheState {
 	return diag.CacheState{
 		Name: "tc-l1", ID: l.smID, Pending: l.pending,
-		MSHRUsed: l.mshr.Len(), MSHRCap: l.mshr.Cap(), OutQ: len(l.outQ),
+		MSHRUsed: l.mshr.Len(), MSHRCap: l.mshr.Cap(), OutQ: l.outQ.Len(),
 	}
 }
 
@@ -127,21 +123,21 @@ func (l *L1) Access(req *coherence.Request) coherence.AccessResult {
 func (l *L1) accessAtomic(req *coherence.Request) coherence.AccessResult {
 	l.stats.Atomics++
 	l.nextReqID++
-	l.atomicsByID[l.nextReqID] = &pendingAtomic{req: req}
+	l.atomicsByID[l.nextReqID] = req
 	l.pending++
-	data := &mem.Block{}
-	mem.Merge(data, req.Data, req.Mask)
-	l.post(&mem.Msg{
+	msg := l.pool.Msg()
+	*msg = mem.Msg{
 		Type:  mem.BusAtom,
 		Block: req.Block,
 		Src:   l.smID,
 		Dst:   bankOf(uint64(req.Block), l.nBanks),
-		Data:  data,
 		Mask:  req.Mask,
 		Atom:  req.Atom,
 		ReqID: l.nextReqID,
 		Warp:  req.Warp,
-	})
+	}
+	mem.Merge(msg.Payload(), req.Data, req.Mask)
+	l.outQ.Post(l.send, msg)
 	return coherence.Pending
 }
 
@@ -190,13 +186,15 @@ func (l *L1) accessLoad(req *coherence.Request) coherence.AccessResult {
 
 func (l *L1) sendBusRd(b mem.BlockAddr) {
 	l.nextReqID++
-	l.post(&mem.Msg{
+	msg := l.pool.Msg()
+	*msg = mem.Msg{
 		Type:  mem.BusRd,
 		Block: b,
 		Src:   l.smID,
 		Dst:   bankOf(uint64(b), l.nBanks),
 		ReqID: l.nextReqID,
-	})
+	}
+	l.outQ.Post(l.send, msg)
 }
 
 // accessStore sends the write through to L2. TC does not update the
@@ -208,25 +206,29 @@ func (l *L1) accessStore(req *coherence.Request) coherence.AccessResult {
 	l.stats.Stores++
 	l.stats.TagProbes++
 	l.nextReqID++
-	l.storesByID[l.nextReqID] = &pendingStore{req: req}
+	l.storesByID[l.nextReqID] = req
 	l.pending++
-	data := &mem.Block{}
-	mem.Merge(data, req.Data, req.Mask)
-	l.post(&mem.Msg{
+	msg := l.pool.Msg()
+	*msg = mem.Msg{
 		Type:  mem.BusWr,
 		Block: req.Block,
 		Src:   l.smID,
 		Dst:   bankOf(uint64(req.Block), l.nBanks),
-		Data:  data,
 		Mask:  req.Mask,
 		ReqID: l.nextReqID,
 		Warp:  req.Warp,
-	})
+	}
+	mem.Merge(msg.Payload(), req.Data, req.Mask)
+	l.outQ.Post(l.send, msg)
 	return coherence.Pending
 }
 
+// completeLoad fires a load's Done with the masked words in the
+// controller's scratch block, reused by the next completion (see
+// coherence.Completion).
 func (l *L1) completeLoad(req *coherence.Request, data *mem.Block) {
-	out := &mem.Block{}
+	out := &l.loadOut
+	*out = mem.Block{}
 	mem.Merge(out, data, req.Mask)
 	if l.obs != nil {
 		l.obs.Observe(coherence.Op{
@@ -238,7 +240,9 @@ func (l *L1) completeLoad(req *coherence.Request, data *mem.Block) {
 	req.Done(coherence.Completion{Data: out})
 }
 
-// Deliver implements coherence.L1.
+// Deliver implements coherence.L1. Every response is consumed before
+// the handler returns (fills install their payload, acks complete
+// their Done callbacks), so the message recycles here.
 func (l *L1) Deliver(msg *mem.Msg) {
 	if l.fail != nil {
 		return
@@ -249,17 +253,22 @@ func (l *L1) Deliver(msg *mem.Msg) {
 	case mem.BusWrAck:
 		l.onWriteAck(msg)
 	case mem.BusAtomAck:
-		pa, ok := l.atomicsByID[msg.ReqID]
-		if !ok {
-			l.failf("unknown-atomic-ack", "atomic ack req=%d block=%v has no pending request", msg.ReqID, msg.Block)
-			return
-		}
-		delete(l.atomicsByID, msg.ReqID)
-		l.pending--
-		pa.req.Done(coherence.Completion{Data: msg.Data, GWCT: msg.GWCT})
+		l.onAtomAck(msg)
 	default:
 		l.failf("unexpected-message", "message %v for block %v from bank %d", msg.Type, msg.Block, msg.Src)
 	}
+	l.pool.PutMsg(msg)
+}
+
+func (l *L1) onAtomAck(msg *mem.Msg) {
+	req, ok := l.atomicsByID[msg.ReqID]
+	if !ok {
+		l.failf("unknown-atomic-ack", "atomic ack req=%d block=%v has no pending request", msg.ReqID, msg.Block)
+		return
+	}
+	delete(l.atomicsByID, msg.ReqID)
+	l.pending--
+	req.Done(coherence.Completion{Data: msg.Data, GWCT: msg.GWCT})
 }
 
 func (l *L1) onFill(msg *mem.Msg) {
@@ -303,7 +312,7 @@ func (l *L1) onFill(msg *mem.Msg) {
 
 func (l *L1) onWriteAck(msg *mem.Msg) {
 	l.stats.WriteAcks++
-	ps, ok := l.storesByID[msg.ReqID]
+	req, ok := l.storesByID[msg.ReqID]
 	if !ok {
 		l.failf("unknown-write-ack", "write ack req=%d block=%v has no pending store", msg.ReqID, msg.Block)
 		return
@@ -311,7 +320,7 @@ func (l *L1) onWriteAck(msg *mem.Msg) {
 	delete(l.storesByID, msg.ReqID)
 	l.pending--
 	// GWCT rides back to the LDST unit; fences stall on it (TC-Weak).
-	ps.req.Done(coherence.Completion{GWCT: msg.GWCT})
+	req.Done(coherence.Completion{GWCT: msg.GWCT})
 }
 
 // Flush implements coherence.L1 (kernel boundary).
@@ -322,13 +331,6 @@ func (l *L1) Flush() {
 	}
 	l.stats.Flushes++
 	l.array.ForEach(func(c *cache.Line[l1Meta]) { l.array.Invalidate(c) })
-}
-
-func (l *L1) post(msg *mem.Msg) {
-	if len(l.outQ) == 0 && l.send.TrySend(msg) {
-		return
-	}
-	l.outQ = append(l.outQ, msg)
 }
 
 // ForEachLease implements coherence.LeaseHolder. TC leases are
@@ -362,10 +364,5 @@ func (l *L1) SyncClock(now uint64) { l.now = now }
 // Tick implements coherence.L1.
 func (l *L1) Tick(now uint64) {
 	l.now = now
-	for len(l.outQ) > 0 {
-		if !l.send.TrySend(l.outQ[0]) {
-			return
-		}
-		l.outQ = l.outQ[1:]
-	}
+	l.outQ.Drain(l.send)
 }

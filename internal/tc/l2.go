@@ -23,7 +23,8 @@ type l2Meta struct {
 type l2Miss struct {
 	block   mem.BlockAddr
 	waiting []*mem.Msg
-	data    *mem.Block // non-nil once DRAM returned but install stalled
+	filled  bool      // DRAM returned data but the install stalled
+	data    mem.Block // the returned block, valid when filled
 }
 
 // L2 is one TC shared cache bank. It implements coherence.L2.
@@ -39,13 +40,21 @@ type L2 struct {
 	// the block's leases expire.
 	blocked map[mem.BlockAddr][]*mem.Msg
 
-	inQ      []*mem.Msg
+	// freeMisses and freeQueues recycle retired miss entries and
+	// blocked queues together with their slices' capacity.
+	freeMisses mem.FreeList[l2Miss]
+	freeQueues [][]*mem.Msg
+
+	inQ      mem.MsgQueue
 	perCycle int
 
 	sendNoC  coherence.Sender
 	sendDRAM coherence.Sender
-	outNoC   []*mem.Msg
-	outDRAM  []*mem.Msg
+	outNoC   mem.MsgQueue
+	outDRAM  mem.MsgQueue
+	// pool recycles the bank's responses plus the requests it consumes;
+	// the bank's DRAM partition shares it.
+	pool *mem.Pool
 
 	stats   stats.L2Stats
 	obs     coherence.Observer
@@ -64,6 +73,9 @@ type L2 struct {
 	// every cycle, so the bank must not be treated as quiescent.
 	stalledFills int
 }
+
+// Pool implements coherence.L2.
+func (l *L2) Pool() *mem.Pool { return l.pool }
 
 // Geometry describes one bank's organization.
 type L2Geometry struct {
@@ -88,6 +100,7 @@ func NewL2(cfg Config, bankID int, geo L2Geometry, sendNoC, sendDRAM coherence.S
 		sendNoC:  sendNoC,
 		sendDRAM: sendDRAM,
 		obs:      obs,
+		pool:     &mem.Pool{},
 	}
 }
 
@@ -96,7 +109,7 @@ func (l *L2) Stats() *stats.L2Stats { return &l.stats }
 
 // Pending implements coherence.L2.
 func (l *L2) Pending() int {
-	n := len(l.inQ) + len(l.outNoC) + len(l.outDRAM)
+	n := l.inQ.Len() + l.outNoC.Len() + l.outDRAM.Len()
 	for _, m := range l.miss {
 		n += len(m.waiting) + 1
 	}
@@ -113,13 +126,13 @@ func (l *L2) Pending() int {
 // A plain outstanding miss is fine: it only changes state when its
 // DRAM fill message arrives.
 func (l *L2) Quiescent() bool {
-	return len(l.inQ) == 0 && len(l.outNoC) == 0 && len(l.outDRAM) == 0 &&
+	return l.inQ.Empty() && l.outNoC.Empty() && l.outDRAM.Empty() &&
 		len(l.blocked) == 0 && l.stalledFills == 0
 }
 
 // Drained implements coherence.L2: O(1) Pending() == 0.
 func (l *L2) Drained() bool {
-	return len(l.inQ) == 0 && len(l.outNoC) == 0 && len(l.outDRAM) == 0 &&
+	return l.inQ.Empty() && l.outNoC.Empty() && l.outDRAM.Empty() &&
 		len(l.miss) == 0 && len(l.blocked) == 0
 }
 
@@ -147,7 +160,7 @@ func (l *L2) DumpState() diag.CacheState {
 	}
 	return diag.CacheState{
 		Name: "tc-l2", ID: l.bankID, Pending: l.Pending(),
-		InQ: len(l.inQ), OutQ: len(l.outNoC) + len(l.outDRAM),
+		InQ: l.inQ.Len(), OutQ: l.outNoC.Len() + l.outDRAM.Len(),
 		Misses: len(l.miss), Blocked: blocked,
 	}
 }
@@ -157,7 +170,7 @@ func (l *L2) Deliver(msg *mem.Msg) {
 	if l.fail != nil {
 		return
 	}
-	l.inQ = append(l.inQ, msg)
+	l.inQ.Push(msg)
 }
 
 // DRAMFill implements coherence.L2.
@@ -170,7 +183,9 @@ func (l *L2) DRAMFill(msg *mem.Msg) {
 		l.failf("orphan-dram-fill", "DRAM fill for %v without outstanding miss", msg.Block)
 		return
 	}
-	m.data = msg.Data
+	m.data = *msg.Data
+	m.filled = true
+	l.pool.PutMsg(msg)
 	l.stalledFills++
 	l.tryInstall(m)
 }
@@ -190,23 +205,42 @@ func (l *L2) tryInstall(m *l2Miss) {
 	if victim.Valid {
 		l.evict(victim)
 	}
-	l.array.Install(victim, m.block, m.data, l.now)
+	l.array.Install(victim, m.block, &m.data, l.now)
 	l.stats.DataAccesses++
 	delete(l.miss, m.block)
 	l.stalledFills--
 	l.runQueue(m.block, victim, m.waiting)
+	l.freeMiss(m)
+}
+
+// newMiss registers an outstanding DRAM read for b, reusing a retired
+// entry (and its waiting list's capacity) when one is free.
+func (l *L2) newMiss(b mem.BlockAddr) *l2Miss {
+	m := l.freeMisses.Get()
+	m.block = b
+	l.miss[b] = m
+	return m
+}
+
+// freeMiss retires a miss entry whose waiting requests have all been
+// replayed or parked.
+func (l *L2) freeMiss(m *l2Miss) {
+	clear(m.waiting)
+	*m = l2Miss{waiting: m.waiting[:0]}
+	l.freeMisses.Put(m)
 }
 
 func (l *L2) evict(victim *cache.Line[l2Meta]) {
 	l.stats.Evictions++
 	if victim.Dirty {
 		l.stats.WritebackDRAM++
-		data := &mem.Block{}
-		*data = victim.Data
-		l.postDRAM(&mem.Msg{
+		msg := l.pool.Msg()
+		*msg = mem.Msg{
 			Type: mem.DRAMWr, Block: victim.Addr, Src: l.bankID, Dst: l.bankID,
-			Data: data, Mask: mem.MaskAll,
-		})
+			Mask: mem.MaskAll,
+		}
+		msg.SetData(&victim.Data)
+		l.outDRAM.Post(l.sendDRAM, msg)
 	}
 	l.array.Invalidate(victim)
 }
@@ -216,16 +250,38 @@ func (l *L2) evict(victim *cache.Line[l2Meta]) {
 // l.blocked for Tick to resume.
 func (l *L2) runQueue(block mem.BlockAddr, line *cache.Line[l2Meta], msgs []*mem.Msg) {
 	for i, msg := range msgs {
-		writesBack := msg.Type == mem.BusWr || msg.Type == mem.BusAtom
-		if writesBack && !l.cfg.Weak && line.Meta.expiry > l.now && !l.MutIgnoreWriteStall {
-			l.blocked[block] = append(l.blocked[block], msgs[i:]...)
+		if l.mustStall(msg, line) {
+			l.park(block, msgs[i:]...)
 			return
 		}
 		l.process(msg, line)
 	}
 }
 
+// mustStall reports whether msg is a TC-Strong write (or atomic) that
+// has to wait for the line's leases to expire.
+func (l *L2) mustStall(msg *mem.Msg, line *cache.Line[l2Meta]) bool {
+	writesBack := msg.Type == mem.BusWr || msg.Type == mem.BusAtom
+	return writesBack && !l.cfg.Weak && line.Meta.expiry > l.now && !l.MutIgnoreWriteStall
+}
+
+// park appends msgs to block's blocked queue, starting the queue on a
+// recycled slice.
+func (l *L2) park(block mem.BlockAddr, msgs ...*mem.Msg) {
+	q, ok := l.blocked[block]
+	if !ok {
+		if n := len(l.freeQueues); n > 0 {
+			q = l.freeQueues[n-1]
+			l.freeQueues = l.freeQueues[:n-1]
+		}
+	}
+	l.blocked[block] = append(q, msgs...)
+}
+
+// process serves one request against a present line and frees it: the
+// request is fully consumed once its response is posted.
 func (l *L2) process(msg *mem.Msg, line *cache.Line[l2Meta]) {
+	defer l.pool.PutMsg(msg)
 	switch msg.Type {
 	case mem.BusRd:
 		l.processRead(msg, line)
@@ -243,7 +299,14 @@ func (l *L2) process(msg *mem.Msg, line *cache.Line[l2Meta]) {
 // write); TC-Weak performs immediately and reports the GWCT.
 func (l *L2) performAtomic(msg *mem.Msg, line *cache.Line[l2Meta]) {
 	gwct := maxu(line.Meta.expiry, l.now)
-	old := &mem.Block{}
+	// The pre-update values return to the requester in the ack's
+	// payload.
+	ack := l.pool.Msg()
+	*ack = mem.Msg{
+		Type: mem.BusAtomAck, Block: msg.Block, Src: l.bankID, Dst: msg.Src,
+		Mask: msg.Mask, ReqID: msg.ReqID, Warp: msg.Warp,
+	}
+	old := ack.Payload()
 	mem.Merge(old, &line.Data, msg.Mask)
 	for i := 0; i < mem.WordsPerBlock; i++ {
 		if msg.Mask.Has(i) {
@@ -265,14 +328,10 @@ func (l *L2) performAtomic(msg *mem.Msg, line *cache.Line[l2Meta]) {
 			Mask: msg.Mask, Data: stored, Cycle: l.now,
 		})
 	}
-	ack := &mem.Msg{
-		Type: mem.BusAtomAck, Block: msg.Block, Src: l.bankID, Dst: msg.Src,
-		Data: old, Mask: msg.Mask, ReqID: msg.ReqID, Warp: msg.Warp,
-	}
 	if l.cfg.Weak {
 		ack.GWCT = gwct
 	}
-	l.postNoC(ack)
+	l.outNoC.Post(l.sendNoC, ack)
 }
 
 // processRead extends the block's lease and returns data — TC
@@ -283,12 +342,13 @@ func (l *L2) processRead(msg *mem.Msg, line *cache.Line[l2Meta]) {
 	l.array.Touch(line, l.now)
 	l.stats.FillsSent++
 	l.stats.DataAccesses++
-	data := &mem.Block{}
-	*data = line.Data
-	l.postNoC(&mem.Msg{
+	fill := l.pool.Msg()
+	*fill = mem.Msg{
 		Type: mem.BusFill, Block: msg.Block, Src: l.bankID, Dst: msg.Src,
-		RTS: line.Meta.expiry, Data: data, ReqID: msg.ReqID,
-	})
+		RTS: line.Meta.expiry, ReqID: msg.ReqID,
+	}
+	fill.SetData(&line.Data)
+	l.outNoC.Post(l.sendNoC, fill)
 }
 
 // performWrite commits a write at the L2. TC-Strong callers guarantee
@@ -309,14 +369,15 @@ func (l *L2) performWrite(msg *mem.Msg, line *cache.Line[l2Meta]) {
 			Mask: msg.Mask, Data: stored, Cycle: l.now,
 		})
 	}
-	ack := &mem.Msg{
+	ack := l.pool.Msg()
+	*ack = mem.Msg{
 		Type: mem.BusWrAck, Block: msg.Block, Src: l.bankID, Dst: msg.Src,
 		ReqID: msg.ReqID, Warp: msg.Warp,
 	}
 	if l.cfg.Weak {
 		ack.GWCT = gwct
 	}
-	l.postNoC(ack)
+	l.outNoC.Post(l.sendNoC, ack)
 }
 
 // SyncClock implements coherence.L2. The bank clock gates lease-expiry
@@ -327,16 +388,15 @@ func (l *L2) SyncClock(now uint64) { l.now = now }
 // Tick implements coherence.L2.
 func (l *L2) Tick(now uint64) {
 	l.now = now
-	l.drainOut()
+	l.outNoC.Drain(l.sendNoC)
+	l.outDRAM.Drain(l.sendDRAM)
 	l.resumeBlocked()
 	l.retryInstalls()
-	if len(l.outNoC) > 0 || len(l.outDRAM) > 0 {
+	if !l.outNoC.Empty() || !l.outDRAM.Empty() {
 		return
 	}
-	for i := 0; i < l.perCycle && len(l.inQ) > 0; i++ {
-		msg := l.inQ[0]
-		l.inQ = l.inQ[1:]
-		l.service(msg)
+	for i := 0; i < l.perCycle && !l.inQ.Empty(); i++ {
+		l.service(l.inQ.Pop())
 	}
 }
 
@@ -367,6 +427,8 @@ func (l *L2) resumeBlocked() {
 		}
 		delete(l.blocked, block)
 		l.runQueue(block, line, q)
+		clear(q)
+		l.freeQueues = append(l.freeQueues, q[:0])
 	}
 }
 
@@ -378,14 +440,14 @@ func (l *L2) retryInstalls() {
 	}
 	blocks := l.scratch[:0]
 	for block, m := range l.miss {
-		if m.data != nil {
+		if m.filled {
 			blocks = append(blocks, block)
 		}
 	}
 	l.scratch = blocks
 	slices.Sort(blocks)
 	for _, block := range blocks {
-		if m, ok := l.miss[block]; ok && m.data != nil {
+		if m, ok := l.miss[block]; ok && m.filled {
 			l.tryInstall(m)
 		}
 	}
@@ -405,9 +467,9 @@ func (l *L2) service(msg *mem.Msg) {
 	}
 	l.stats.TagProbes++
 
-	if q, ok := l.blocked[msg.Block]; ok {
+	if _, ok := l.blocked[msg.Block]; ok {
 		// Order behind the stalled write.
-		l.blocked[msg.Block] = append(q, msg)
+		l.park(msg.Block, msg)
 		return
 	}
 	if m, ok := l.miss[msg.Block]; ok {
@@ -417,42 +479,19 @@ func (l *L2) service(msg *mem.Msg) {
 	line := l.array.Lookup(msg.Block)
 	if line == nil {
 		l.stats.Misses++
-		m := &l2Miss{block: msg.Block, waiting: []*mem.Msg{msg}}
-		l.miss[msg.Block] = m
-		l.postDRAM(&mem.Msg{Type: mem.DRAMRd, Block: msg.Block, Src: l.bankID, Dst: l.bankID})
+		m := l.newMiss(msg.Block)
+		m.waiting = append(m.waiting, msg)
+		rd := l.pool.Msg()
+		*rd = mem.Msg{Type: mem.DRAMRd, Block: msg.Block, Src: l.bankID, Dst: l.bankID}
+		l.outDRAM.Post(l.sendDRAM, rd)
 		return
 	}
 	l.stats.Hits++
-	l.runQueue(msg.Block, line, []*mem.Msg{msg})
-}
-
-func (l *L2) postNoC(msg *mem.Msg) {
-	if len(l.outNoC) == 0 && l.sendNoC.TrySend(msg) {
+	if l.mustStall(msg, line) {
+		l.park(msg.Block, msg)
 		return
 	}
-	l.outNoC = append(l.outNoC, msg)
-}
-
-func (l *L2) postDRAM(msg *mem.Msg) {
-	if len(l.outDRAM) == 0 && l.sendDRAM.TrySend(msg) {
-		return
-	}
-	l.outDRAM = append(l.outDRAM, msg)
-}
-
-func (l *L2) drainOut() {
-	for len(l.outNoC) > 0 {
-		if !l.sendNoC.TrySend(l.outNoC[0]) {
-			break
-		}
-		l.outNoC = l.outNoC[1:]
-	}
-	for len(l.outDRAM) > 0 {
-		if !l.sendDRAM.TrySend(l.outDRAM[0]) {
-			break
-		}
-		l.outDRAM = l.outDRAM[1:]
-	}
+	l.process(msg, line)
 }
 
 // MsgPending reports message-driven work: queued input not yet
@@ -464,7 +503,7 @@ func (l *L2) drainOut() {
 // (e.g. a lease expiring in flight forever re-sending the same read)
 // while preserving the expiry-vs-access races.
 func (l *L2) MsgPending() bool {
-	return len(l.inQ) > 0 || len(l.outNoC) > 0 || len(l.outDRAM) > 0
+	return !l.inQ.Empty() || !l.outNoC.Empty() || !l.outDRAM.Empty()
 }
 
 // ForEachLease implements coherence.LeaseHolder: each resident line's
@@ -493,6 +532,5 @@ func (l *L2) Peek(b mem.BlockAddr) (*mem.Block, bool) {
 	if line == nil {
 		return nil, false
 	}
-	data := line.Data
-	return &data, true
+	return &line.Data, true
 }

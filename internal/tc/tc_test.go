@@ -32,13 +32,13 @@ func newHarness(t *testing.T, nSM int, cfg Config, l2geo L2Geometry) *harness {
 		l2geo = L2Geometry{Sets: 64, Ways: 8}
 	}
 	h.l2 = NewL2(cfg, 0, l2geo,
-		coherence.SenderFunc(func(m *mem.Msg) bool { h.toL1 = append(h.toL1, m); h.log = append(h.log, m); return true }),
+		coherence.SenderFunc(func(m *mem.Msg) bool { h.toL1 = append(h.toL1, m); h.log = append(h.log, m.Clone()); return true }),
 		coherence.SenderFunc(func(m *mem.Msg) bool { h.dram = append(h.dram, m); return true }),
 		nil)
 	for i := 0; i < nSM; i++ {
 		h.l1s = append(h.l1s, NewL1(cfg, i, 1,
 			Geometry{Sets: 16, Ways: 4, MSHRs: 8},
-			coherence.SenderFunc(func(m *mem.Msg) bool { h.toL2 = append(h.toL2, m); h.log = append(h.log, m); return true }),
+			coherence.SenderFunc(func(m *mem.Msg) bool { h.toL2 = append(h.toL2, m); h.log = append(h.log, m.Clone()); return true }),
 			nil))
 	}
 	return h
@@ -108,11 +108,24 @@ type captured struct {
 	c      coherence.Completion
 }
 
+// capture records a completion at cycle now. Completion.Data is only
+// valid during the Done callback (the controller reuses the block), so
+// it is deep-copied.
+func (out *captured) capture(c coherence.Completion, now uint64) {
+	out.done = true
+	out.c = c
+	out.doneAt = now
+	if c.Data != nil {
+		d := *c.Data
+		out.c.Data = &d
+	}
+}
+
 func (h *harness) load(sm, warp int, b mem.BlockAddr, word int) *captured {
 	out := &captured{}
 	req := &coherence.Request{
 		Block: b, Mask: mem.WordMask(0).Set(word), Warp: warp,
-		Done: func(c coherence.Completion) { out.done = true; out.c = c; out.doneAt = h.now },
+		Done: func(c coherence.Completion) { out.capture(c, h.now) },
 	}
 	out.res = h.l1s[sm].Access(req)
 	return out
@@ -124,7 +137,7 @@ func (h *harness) storeWord(sm, warp int, b mem.BlockAddr, word int, val uint32)
 	data.Words[word] = val
 	req := &coherence.Request{
 		Block: b, Store: true, Mask: mem.WordMask(0).Set(word), Data: data, Warp: warp,
-		Done: func(c coherence.Completion) { out.done = true; out.c = c; out.doneAt = h.now },
+		Done: func(c coherence.Completion) { out.capture(c, h.now) },
 	}
 	out.res = h.l1s[sm].Access(req)
 	return out
@@ -329,7 +342,7 @@ func (h *harness) atomic(sm, warp int, b mem.BlockAddr, word int, op mem.AtomicO
 	req := &coherence.Request{
 		Block: b, Atomic: true, Atom: op, Mask: mem.WordMask(0).Set(word),
 		Data: data, Warp: warp,
-		Done: func(c coherence.Completion) { out.done = true; out.c = c; out.doneAt = h.now },
+		Done: func(c coherence.Completion) { out.capture(c, h.now) },
 	}
 	out.res = h.l1s[sm].Access(req)
 	return out
