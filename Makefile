@@ -2,15 +2,18 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-sim vet fmt cover evaluate examples clean check smoke modelcheck
+.PHONY: all build test bench vet fmt cover evaluate examples clean check smoke modelcheck
 
 all: build test
 
-# Pre-merge gate: static checks, the race detector, and a fixed-seed
-# fault-injection smoke run on every protocol (see CONTRIBUTING.md).
+# Pre-merge gate: static checks, the race detector, a fixed-seed
+# fault-injection smoke run on every protocol, and the repo benchmark's
+# own module (its layer map pins engine file and function names; see
+# CONTRIBUTING.md).
 check: vet
 	$(GO) test -race ./...
 	$(GO) test -run 'TestLitmusUnderFaults|TestWorkloadsUnderFaults' ./internal/sim ./internal/harness
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Exhaustive small-state model check: enumerate every interleaving of
 # the 2-SM micro machine for all four protocols (G-TSC through §V-D
@@ -36,18 +39,6 @@ test:
 # One testing.B benchmark per paper table/figure (+ extensions).
 bench:
 	$(GO) test -bench=. -benchmem .
-
-# Simulator performance snapshot: single-sim ns/cycle and allocs at
-# simworkers 1 vs N (with the skipped-cycle and per-component dispatch
-# breakdowns), the same sim with per-component wakes on vs off
-# back-to-back, plus Fig-12 grid wall time serial vs parallel (see
-# EXPERIMENTS.md).
-# Half the paper machine (8 SMs / 8 banks at scale 2): large enough
-# that engine cost, not per-simulation construction, dominates the
-# wall time the snapshot tracks.
-bench-sim:
-	$(GO) run ./cmd/gtscbench -benchsim BENCH_sim.json -scale 2 -sms 8 -banks 8 -j 4 -simworkers 4
-	@cat BENCH_sim.json
 
 vet:
 	$(GO) vet ./...

@@ -54,7 +54,7 @@ type Checkpoint struct {
 	// replays to Cycle and verifies it reproduced this exact state.
 	Digest uint64
 	// PauseCycles is every stop cycle this execution has paused at, in
-	// order. Under the bit-exact engines a
+	// order. Under the exact engine a
 	// pause is pure suspension and replay could ignore these; under
 	// relaxed sync (SlackCycles > 0) a mid-window pause clamps the
 	// current epoch, inserting an extra exchange that perturbs the
@@ -68,14 +68,11 @@ type Checkpoint struct {
 // ConfigHash canonically hashes a simulator configuration. The
 // Observer is excluded: it receives events but never feeds state back
 // into the simulation, so it does not affect the run's trajectory.
-// SimWorkers, DisableCycleSkip, Engine, DisableComponentWakes and
-// ProfileLabels are excluded for the same reason — they schedule how
-// the engine evaluates cycles (or annotate profiles), never what the
-// machine computes, so a checkpoint taken at one worker count or under
-// one cycle engine restores under any other
-// (TestEngineCheckpointInterop pins both engine directions). Every
-// other field of sim.Config is a plain value, so the rendering is
-// process-independent.
+// SimWorkers and ProfileLabels are excluded for the same reason — they
+// schedule how the engine spreads its work (or annotate profiles),
+// never what the machine computes, so a checkpoint taken at one worker
+// count restores under any other. Every other field of sim.Config is a
+// plain value, so the rendering is process-independent.
 //
 // SlackCycles is excluded as a scheduling knob too, with one caveat:
 // unlike the other excluded knobs, a nonzero slack changes the
@@ -88,9 +85,6 @@ type Checkpoint struct {
 func ConfigHash(cfg sim.Config) uint64 {
 	cfg.Observer = nil
 	cfg.SimWorkers = 0
-	cfg.DisableCycleSkip = false
-	cfg.Engine = sim.EngineAuto
-	cfg.DisableComponentWakes = false
 	cfg.ProfileLabels = false
 	cfg.SlackCycles = 0
 	h := fnv.New64a()

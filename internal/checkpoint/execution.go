@@ -173,7 +173,7 @@ func ResumeExecution(ck *Checkpoint, cfg sim.Config, inst *workload.Instance, na
 	// cycle the original run paused at: under relaxed sync each pause
 	// clamps an epoch and perturbs the trajectory from there on, so the
 	// replay must take the same pause schedule to pass through the same
-	// machine states (under the bit-exact engines the extra pauses are
+	// machine states (under the exact engine the extra pauses are
 	// pure suspension — same trajectory either way). Replaying the
 	// schedule also re-records it, so a resumed execution's own future
 	// checkpoints carry the full history across repeated handoffs.

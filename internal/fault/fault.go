@@ -11,8 +11,10 @@
 //     wraparound (and shortens TC leases) so rollover/renewal paths
 //     run constantly instead of once per billion cycles.
 //
-// Every perturbation is drawn from one xorshift64* stream seeded by
-// Config.Seed, so a failing schedule replays exactly from its seed.
+// Every perturbation is drawn from xorshift64* streams seeded by
+// Config.Seed — one main stream for the draws made in hierarchy tick
+// order, plus one stream per L1 injection lane (see LaneReject) — so a
+// failing schedule replays exactly from its seed.
 package fault
 
 import (
@@ -152,8 +154,7 @@ func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 // DRAM spikes, rollovers, L2->L1 rejects) share the injector's main
 // RNG; the L1->L2 injection-reject path draws from per-lane streams
 // instead (see LaneReject), so the draw order is fixed by each lane's
-// own program order and the schedule replays identically whether SMs
-// tick serially or on the staged parallel pool.
+// own program order.
 type Injector struct {
 	cfg   Config
 	rng   *rng
@@ -193,9 +194,7 @@ func (in *Injector) WrapSender(s coherence.Sender) coherence.Sender {
 // xorshift64* stream, derived deterministically from the plan seed and
 // the lane index, so a lane's draw sequence depends only on how many
 // sends that lane has attempted — not on how SM ticks interleave with
-// other lanes. That makes the fault schedule identical between the
-// serial loop, the staged parallel tick, and any replay of either.
-// Returns nil when the plan never rejects, so hot paths can skip the
+// other lanes. Returns nil when the plan never rejects, so hot paths can skip the
 // draw entirely.
 func (in *Injector) LaneReject(lane int) func() bool {
 	if in.cfg.RejectProb <= 0 {

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"github.com/gtsc-sim/gtsc/internal/mem"
+	"github.com/gtsc-sim/gtsc/internal/sched"
 )
 
 // DelayShim interposes on a delivery callback (NoC→L1, NoC→L2 or
@@ -19,7 +20,8 @@ import (
 // The shim holds messages the underlying transport has already
 // retired, so the memory system must count Pending() toward its drain
 // check or the simulator could declare the machine idle while
-// messages sit here.
+// messages sit here, and must register NextDue as the shim's wake on
+// the event engine's agenda so no release cycle is skipped.
 type DelayShim struct {
 	name    string
 	in      *Injector
@@ -32,6 +34,7 @@ type DelayShim struct {
 	pairs map[uint64]*pairQueue
 	keys  []uint64 // sorted active pair keys, for deterministic iteration
 	count int
+	next  uint64 // earliest held due cycle; sched.Never when empty
 }
 
 type heldMsg struct {
@@ -51,7 +54,7 @@ func NewDelayShim(name string, in *Injector, prob float64, max uint64, reorder b
 	}
 	return &DelayShim{
 		name: name, in: in, prob: prob, max: max, reorder: reorder,
-		deliver: deliver, pairs: make(map[uint64]*pairQueue),
+		deliver: deliver, pairs: make(map[uint64]*pairQueue), next: sched.Never,
 	}
 }
 
@@ -79,6 +82,7 @@ func (d *DelayShim) Deliver(dst int, msg *mem.Msg) {
 	}
 	q.items = append(q.items, heldMsg{due: due, dst: dst, msg: msg})
 	d.count++
+	d.next = min(d.next, due)
 }
 
 // Sync sets the shim's clock. Call once per cycle before the wrapped
@@ -94,11 +98,15 @@ func (d *DelayShim) Release() {
 		return
 	}
 	var runs [][]heldMsg
+	d.next = sched.Never
 	for _, key := range d.keys {
 		q := d.pairs[key]
 		n := 0
 		for n < len(q.items) && q.items[n].due <= d.now {
 			n++
+		}
+		if n < len(q.items) {
+			d.next = min(d.next, q.items[n].due)
 		}
 		if n == 0 {
 			continue
@@ -119,6 +127,13 @@ func (d *DelayShim) Release() {
 		}
 	}
 }
+
+// NextDue returns the earliest cycle at which Release would deliver a
+// held message, or sched.Never when the shim holds nothing. Per-pair
+// due cycles never decrease, so after Release at cycle now it is
+// always > now; a Deliver can only lower it, to no earlier than the
+// shim's clock.
+func (d *DelayShim) NextDue() uint64 { return d.next }
 
 // Pending reports messages the shim is holding.
 func (d *DelayShim) Pending() int { return d.count }

@@ -19,11 +19,11 @@ import (
 // returns the group to the pool. Controllers never use a *Request or a
 // Completion.Data after Done returns (that is part of the coherence
 // contract), so nothing can observe a recycled group. The pool itself
-// is owned by the SM: it is touched during the SM compute phase (issue
-// and synchronous-hit completions, on the SM's tick goroutine) and
-// during the hierarchy phase (asynchronous completions, on the master
-// goroutine); the two-phase tick's barrier orders those accesses, so
-// no lock is needed.
+// is owned by the SM: under relaxed sync it is touched during the
+// epoch (issue and synchronous-hit completions, on the SM domain's
+// goroutine) and during the barrier exchange (asynchronous
+// completions, on the master goroutine); the epoch barrier orders
+// those accesses, so no lock is needed.
 type accGroup struct {
 	sm    *SM
 	job   memJob

@@ -126,9 +126,9 @@ type SM struct {
 	groupPool  []*accGroup // recycled LDST access groups (see pool.go)
 
 	// deferFills redirects CTA refills (which draw from the dispatcher
-	// shared by every SM) to CommitFill, so SMs ticking concurrently
-	// never race on CTA assignment: the simulator commits fills in SM
-	// index order after the parallel compute phase.
+	// shared by every SM) to CommitFill, so SM domains running
+	// concurrently never race on CTA assignment: the relaxed engine
+	// commits fills in SM index order at epoch barriers.
 	deferFills  bool
 	pendingFill bool
 
@@ -629,8 +629,8 @@ func (d *Dispatcher) next(s *SM) *CTA {
 	return cta
 }
 
-// SetDeferFills switches CTA refills between immediate (the serial
-// loop) and deferred-to-CommitFill (the parallel loop). See the
+// SetDeferFills switches CTA refills between immediate (the exact
+// engine) and deferred-to-CommitFill (relaxed sync). See the
 // deferFills field.
 func (s *SM) SetDeferFills(v bool) { s.deferFills = v }
 
@@ -639,10 +639,10 @@ func (s *SM) SetDeferFills(v bool) { s.deferFills = v }
 // gives a sleeping SM domain new work, invalidating its stall probe.
 func (s *SM) PendingFill() bool { return s.pendingFill }
 
-// CommitFill performs any CTA refill deferred during a parallel
-// compute phase. The simulator calls it in SM index order, which
-// reproduces the serial loop's dispatcher draw order exactly: within
-// one cycle each SM retires CTAs (and would refill) in SM order.
+// CommitFill performs any CTA refill deferred during a relaxed epoch.
+// The simulator calls it in SM index order, so the dispatcher's draw
+// order is a function of machine state, never of goroutine
+// interleaving.
 func (s *SM) CommitFill() {
 	if !s.pendingFill {
 		return

@@ -19,11 +19,11 @@ package mem
 // coherence.Completion). Nothing upstream may touch a message after
 // delivering it.
 //
-// Pools are NOT thread-safe. Each pool is owned by one component and
-// follows the simulator's two-phase tick ownership rule: an L1's pool
-// is touched by its SM's worker during the compute phase and by the
-// master goroutine during the hierarchy phase, with the phase barrier
-// ordering the two; L2/DRAM pools are hierarchy-phase only.
+// Pools are NOT thread-safe. Each pool is owned by one component: under
+// relaxed sync an L1's pool is touched by its SM domain's worker
+// during the epoch and by the master goroutine during the barrier
+// exchange, with the epoch barrier ordering the two; L2/DRAM pools are
+// master-only.
 type Pool struct {
 	msgs []*Msg
 }

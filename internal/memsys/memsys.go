@@ -160,10 +160,6 @@ type System struct {
 	inj   *fault.Injector
 	shims []*fault.DelayShim
 
-	// staged interposes each L1's NoC sender for the two-phase
-	// parallel tick (see parallel.go); index = SM id.
-	staged []*stagedSender
-
 	// Relaxed-sync state (see relaxed.go): the run observer and its
 	// per-component staging shims, per-domain outbound epoch buffers,
 	// and the per-port held queues for barrier injections that met a
@@ -186,19 +182,22 @@ type System struct {
 	relaxPartStale []bool
 
 	// Wakes is the scheduled-wake agenda for the event-driven engine
-	// (see wakes.go); slot layout is [net, partitions, L2s, L1s] in
-	// canonical tick order, with SM slots appended by the simulator.
+	// (see wakes.go); slot layout is [net, partitions, fault shims,
+	// L2s, L1s, rollover] in canonical tick order, with SM slots
+	// appended by the simulator.
 	Wakes *sched.Agenda
 
 	slotNet  int
 	slotPart int // first partition slot; partition i is slotPart+i
+	slotShim int // first fault-shim slot; shim k is slotShim+k
 	slotL2   int // first L2 slot
 	slotL1   int // first L1 slot
+	slotRoll int // the fault plan's forced-rollover schedule
 
 	// Per-component dispatch state (see wakes.go). compWakes gates the
-	// ingress hooks and the TickDue/RefreshDue pair; clock is the last
-	// cycle handed to Tick/TickDue/SyncClocks, which the hooks need to
-	// compute post-enqueue wakes; the ticked lists record which
+	// ingress hooks while the event engine drives the agenda; clock is
+	// the last cycle handed to Tick/TickDue/SyncClocks, which the hooks
+	// need to compute post-enqueue wakes; the ticked lists record which
 	// components TickDue dispatched this cycle so RefreshDue re-probes
 	// exactly those.
 	compWakes   bool
@@ -264,9 +263,8 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 	s.L2s = make([]coherence.L2, cfg.NumBanks)
 	sendToL1 := coherence.Sender(coherence.SenderFunc(s.Net.SendToL1))
 	if s.inj != nil {
-		// The L2->L1 path only sends from serial hierarchy phases, so
-		// the shared-stream reject shim stays deterministic at any
-		// worker count.
+		// Banks send only from the serial hierarchy tick, so the
+		// shared-stream reject shim is deterministic.
 		sendToL1 = s.inj.WrapSender(sendToL1)
 	}
 	// Per-bank relaxed interposer so epoch buffers can capture each
@@ -326,17 +324,16 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 
 	s.L1s = make([]coherence.L1, cfg.NumSMs)
 	sendToL2 := coherence.Sender(coherence.SenderFunc(s.Net.SendToL2))
-	s.staged = make([]*stagedSender, cfg.NumSMs)
 	for i := range s.L1s {
-		// The L1->L2 path sends from the SM compute phase, which may
-		// run staged and parallel; its fault draw therefore comes from
-		// a per-lane stream inside the staged sender (reject-at-stage)
-		// rather than a shared-stream wrapper. See stagedSender.
-		s.staged[i] = &stagedSender{real: sendToL2, relax: s.relaxL1[i]}
+		// The L1->L2 path sends from SM domains, which the relaxed
+		// engine runs concurrently; its fault draw therefore comes from
+		// a per-lane stream rather than a shared-stream wrapper. See
+		// l1Sender.
+		ls := &l1Sender{real: sendToL2, relax: s.relaxL1[i]}
 		if s.inj != nil {
-			s.staged[i].reject = s.inj.LaneReject(i)
+			ls.reject = s.inj.LaneReject(i)
 		}
-		send := coherence.Sender(s.staged[i])
+		send := coherence.Sender(ls)
 		var l1obs coherence.Observer
 		if obs != nil {
 			l1obs = shimObs(obs, &s.l1Obs[i])
@@ -365,69 +362,73 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 		}
 	}
 
-	s.Net.DeliverL2 = func(bank int, msg *mem.Msg) { s.L2s[bank].Deliver(msg) }
-	s.Net.DeliverL1 = func(sm int, msg *mem.Msg) { s.L1s[sm].Deliver(msg) }
+	// Deliveries into the controllers. Each marks its receiver Hot
+	// BEFORE the message lands, so a component whose tick was about to
+	// be skipped this cycle is dispatched instead the moment input
+	// reaches it: the NoC, the partitions and the fault shims all
+	// dispatch ahead of the controllers in canonical order, so the mark
+	// is always seen by this cycle's due-check. A DRAM fill is consumed
+	// synchronously by the L2 (DRAMFill), which can queue responses the
+	// bank's tick must drain this very cycle. The controllers are
+	// indexed at call time, so a caller may wrap them after New.
+	toL2 := func(bank int, msg *mem.Msg) {
+		s.wake(s.slotL2+bank, sched.Hot)
+		s.L2s[bank].Deliver(msg)
+	}
+	toL1 := func(sm int, msg *mem.Msg) {
+		s.wake(s.slotL1+sm, sched.Hot)
+		s.L1s[sm].Deliver(msg)
+	}
+	fillL2 := func(bank int, msg *mem.Msg) {
+		s.wake(s.slotL2+bank, sched.Hot)
+		s.L2s[bank].DRAMFill(msg)
+	}
+	s.Net.DeliverL2, s.Net.DeliverL1 = toL2, toL1
 	for i, p := range s.Parts {
 		bank := i
-		p.Deliver = func(msg *mem.Msg) { s.L2s[bank].DRAMFill(msg) }
+		p.Deliver = func(msg *mem.Msg) { fillL2(bank, msg) }
 	}
 
-	// Interpose the fault-injection delivery shims. Messages a shim
-	// holds count toward Pending, so drain checks see them.
+	// Interpose the fault-injection delivery shims between the
+	// transports and the controllers. Messages a shim holds count
+	// toward Pending, so drain checks see them, and each arrival
+	// re-registers the shim's earliest release cycle on the agenda.
 	if s.inj != nil && (cfg.Fault.DelayProb > 0 || cfg.Fault.Reorder) {
-		l2Shim := fault.NewDelayShim("noc-l2", s.inj, cfg.Fault.DelayProb, cfg.Fault.DelayMax,
-			cfg.Fault.Reorder, func(bank int, msg *mem.Msg) { s.L2s[bank].Deliver(msg) })
-		l1Shim := fault.NewDelayShim("noc-l1", s.inj, cfg.Fault.DelayProb, cfg.Fault.DelayMax,
-			cfg.Fault.Reorder, func(sm int, msg *mem.Msg) { s.L1s[sm].Deliver(msg) })
-		s.Net.DeliverL2 = l2Shim.Deliver
-		s.Net.DeliverL1 = l1Shim.Deliver
-		s.shims = append(s.shims, l2Shim, l1Shim)
+		s.Net.DeliverL2 = s.addShim(fault.NewDelayShim("noc-l2", s.inj, cfg.Fault.DelayProb, cfg.Fault.DelayMax,
+			cfg.Fault.Reorder, toL2))
+		s.Net.DeliverL1 = s.addShim(fault.NewDelayShim("noc-l1", s.inj, cfg.Fault.DelayProb, cfg.Fault.DelayMax,
+			cfg.Fault.Reorder, toL1))
 	}
 	if s.inj != nil && cfg.Fault.DRAMSpikeProb > 0 {
-		dShim := fault.NewDelayShim("dram", s.inj, cfg.Fault.DRAMSpikeProb, cfg.Fault.DRAMSpikeMax,
-			false, func(bank int, msg *mem.Msg) { s.L2s[bank].DRAMFill(msg) })
+		hold := s.addShim(fault.NewDelayShim("dram", s.inj, cfg.Fault.DRAMSpikeProb, cfg.Fault.DRAMSpikeMax,
+			false, fillL2))
 		for i, p := range s.Parts {
 			bank := i
-			p.Deliver = func(msg *mem.Msg) { dShim.Deliver(bank, msg) }
+			p.Deliver = func(msg *mem.Msg) { hold(bank, msg) }
 		}
-		s.shims = append(s.shims, dShim)
 	}
 	s.initWakes()
-
-	// Ingress hooks for per-component wake dispatch: a delivery marks
-	// its receiver Hot BEFORE the message lands, so a component whose
-	// tick was about to be skipped this cycle is dispatched instead the
-	// moment input reaches it (the NoC and partitions tick ahead of the
-	// controllers in canonical order, so the mark is always seen by this
-	// cycle's due-check). The hooks wrap whatever delivery path was
-	// wired above — including fault shims, though an active injector
-	// forces compWakes off, making the marks inert no-ops there.
-	deliverL2, deliverL1 := s.Net.DeliverL2, s.Net.DeliverL1
-	s.Net.DeliverL2 = func(bank int, msg *mem.Msg) {
-		if s.compWakes {
-			s.Wakes.Schedule(s.slotL2+bank, sched.Hot)
-		}
-		deliverL2(bank, msg)
-	}
-	s.Net.DeliverL1 = func(sm int, msg *mem.Msg) {
-		if s.compWakes {
-			s.Wakes.Schedule(s.slotL1+sm, sched.Hot)
-		}
-		deliverL1(sm, msg)
-	}
-	for i, p := range s.Parts {
-		bank, fill := i, p.Deliver
-		p.Deliver = func(msg *mem.Msg) {
-			if s.compWakes {
-				// A DRAM fill is consumed synchronously by the L2
-				// (DRAMFill), which can queue responses the bank's tick
-				// must drain this very cycle.
-				s.Wakes.Schedule(s.slotL2+bank, sched.Hot)
-			}
-			fill(msg)
-		}
-	}
 	return s
+}
+
+// addShim registers a fault shim and returns its input: hold the
+// message, then re-register the shim's wake (an arrival can only pull
+// it earlier).
+func (s *System) addShim(sh *fault.DelayShim) func(dst int, msg *mem.Msg) {
+	k := len(s.shims)
+	s.shims = append(s.shims, sh)
+	return func(dst int, msg *mem.Msg) {
+		sh.Deliver(dst, msg)
+		s.wake(s.slotShim+k, sh.NextDue())
+	}
+}
+
+// wake registers a slot's wake while the event engine drives the
+// agenda; outside it the ingress hooks are inert.
+func (s *System) wake(slot int, at uint64) {
+	if s.compWakes {
+		s.Wakes.Schedule(slot, at)
+	}
 }
 
 func (s *System) dramSender(bank int) coherence.Sender {
@@ -435,21 +436,21 @@ func (s *System) dramSender(bank int) coherence.Sender {
 		if !s.Parts[bank].Enqueue(msg) {
 			return false
 		}
-		if s.compWakes {
-			// The enqueue can pull the partition's wake earlier (an idle
-			// partition was parked at Never); its tick slot for this
-			// cycle has already passed, and NextEvent is always > clock,
-			// so the new wake is a valid future registration.
-			s.Wakes.Schedule(s.slotPart+bank, s.Parts[bank].NextEvent(s.clock))
-		}
+		// The enqueue can pull the partition's wake earlier (an idle
+		// partition was parked at Never); its tick slot for this cycle
+		// has already passed, and NextEvent is always > clock, so the
+		// new wake is a valid future registration.
+		s.wake(s.slotPart+bank, s.Parts[bank].NextEvent(s.clock))
 		return true
 	})
 }
 
-// Tick advances the hierarchy one cycle in back-to-front order so
-// responses race ahead of new requests deterministically. Fault shims
-// release due messages after the transports tick, so unperturbed
-// messages still deliver in their arrival cycle.
+// Tick advances the whole hierarchy one cycle in back-to-front order
+// so responses race ahead of new requests deterministically. Fault
+// shims release due messages after the transports tick, so unperturbed
+// messages still deliver in their arrival cycle. The event engine
+// dispatches the same order per component (TickDue); this wholesale
+// tick is the reference the wake property tests step against.
 func (s *System) Tick(now uint64) {
 	s.clock = now
 	for _, sh := range s.shims {
@@ -534,14 +535,26 @@ func (s *System) ArmRollover(now uint64) {
 }
 
 // TickRollover fires the fault plan's forced §V-D reset when its
-// schedule reaches cycle now, reporting whether one fired. Non-G-TSC
-// hierarchies consume the schedule draw but reset nothing, so a plan's
-// perturbation stream is protocol-independent.
+// schedule reaches cycle now, reporting whether one fired, and
+// registers the next firing cycle on the agenda. The cycle engine
+// calls it after the SM ticks of every executed run-phase cycle.
+// Non-G-TSC hierarchies consume the schedule draw but reset nothing,
+// so a plan's perturbation stream is protocol-independent.
 func (s *System) TickRollover(now uint64) bool {
 	if s.inj == nil || !s.inj.RolloverDue(now) {
 		return false
 	}
+	s.wake(s.slotRoll, s.nextRollover())
 	return s.ForceTimestampReset()
+}
+
+// nextRollover is the cycle at which the fault plan's next forced
+// rollover fires, or Never when the plan has no armed schedule.
+func (s *System) nextRollover() uint64 {
+	if s.inj == nil || s.inj.NextRollover() == 0 {
+		return sched.Never
+	}
+	return s.inj.NextRollover()
 }
 
 // Dump snapshots the hierarchy for failure diagnostics. The simulator

@@ -84,6 +84,31 @@ func (b *epochBuf) add(m *mem.Msg) {
 
 func (b *epochBuf) pending() int { return len(b.buf) - b.cur }
 
+// l1Sender interposes one L1's request path to the NoC. Fault
+// injection draws the transient-reject chance FIRST on every attempt,
+// from this lane's private RNG stream (fault.LaneReject), so the
+// perturbation schedule is a function of the lane's own send count and
+// cannot depend on how SM domains interleave. In relaxed mode the send
+// is captured in the SM domain's epoch buffer; otherwise it is a
+// passthrough.
+type l1Sender struct {
+	real   coherence.Sender
+	reject func() bool // per-lane fault draw; nil when not perturbed
+	relax  *epochBuf
+}
+
+// TrySend implements coherence.Sender.
+func (ls *l1Sender) TrySend(msg *mem.Msg) bool {
+	if ls.reject != nil && ls.reject() {
+		return false // transient fault: indistinguishable from a full port
+	}
+	if ls.relax.on {
+		ls.relax.add(msg)
+		return true
+	}
+	return ls.real.TrySend(msg)
+}
+
 // relaxSender interposes one L2 bank's response path to the NoC so the
 // bank's sends can be captured mid-epoch. Outside relaxed mode it is a
 // transparent passthrough (one branch).
@@ -101,11 +126,9 @@ func (rs *relaxSender) TrySend(msg *mem.Msg) bool {
 }
 
 // obsShim interposes one component's view of the run observer. While
-// staging, observations buffer instead of forwarding; the flush
-// re-emits them on the master goroutine in canonical order. Used by
-// both the staged parallel SM tick (flushed per cycle in SM-index
-// order) and relaxed mode (flushed per epoch, merged across
-// components sorted by cycle).
+// staging (relaxed mode), observations buffer instead of forwarding;
+// the flush re-emits them on the master goroutine, merged across
+// components in canonical cycle order, once per epoch.
 type obsShim struct {
 	real    coherence.Observer
 	staging bool

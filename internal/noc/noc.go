@@ -201,7 +201,7 @@ func (n *Network) Sync(now uint64) { n.now = now }
 // O(1): n.next is a lower bound on the first cycle at which any port
 // head could serialize or any wire arrival come due (maintained by
 // noteWork on injection and recomputed after real work below), so when
-// now < n.next the legacy body would scan every port and the wire top
+// now < n.next the full body would scan every port and the wire top
 // and do nothing — we return without the scan, leaving identical state.
 func (n *Network) Tick(now uint64) {
 	n.now = now
@@ -459,14 +459,4 @@ func (n *Network) NextL1Arrival(now uint64) uint64 {
 		}
 	}
 	return next
-}
-
-// InjectSpaceToL2 returns how many more messages SM sm's injection
-// port accepts before backpressuring. The port only drains inside
-// Tick, so during the SM compute phase (which runs after the network
-// tick) the vacancy is exact — the staged-commit machinery uses it to
-// admit precisely the sends that would have succeeded serially.
-func (n *Network) InjectSpaceToL2(sm int) int {
-	p := n.toL2[sm]
-	return p.cap - p.len()
 }

@@ -1,7 +1,7 @@
 // Package sched provides the shared event agenda behind the
 // simulator's scheduled-wake engine.
 //
-// The agenda inverts the legacy timing contract. Instead of the engine
+// The agenda inverts the per-cycle timing contract. Instead of the engine
 // probing every component every cycle ("tick me, I'll tell you if it
 // mattered"), each component owns a slot and registers the next cycle
 // at which ticking it could matter ("I'll tell you when to tick me").

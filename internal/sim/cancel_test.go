@@ -3,13 +3,10 @@ package sim_test
 import (
 	"context"
 	"errors"
-	"fmt"
-	"hash/fnv"
 	"testing"
 
 	"github.com/gtsc-sim/gtsc/internal/checkpoint"
 	"github.com/gtsc-sim/gtsc/internal/diag"
-	"github.com/gtsc-sim/gtsc/internal/workload"
 )
 
 // TestCancellationSuspendsAndResumes pins the graceful-shutdown
@@ -20,25 +17,13 @@ import (
 // uninterrupted fingerprint — cancellation is pure suspension, not a
 // different execution.
 func TestCancellationSuspendsAndResumes(t *testing.T) {
-	row := goldenRows[0]
-	wls := map[string]*workload.Workload{}
-	for _, wl := range workload.All() {
-		wls[wl.Name] = wl
-	}
-	wl, ok := wls[row.workload]
-	if !ok {
-		t.Fatalf("unknown workload %q", row.workload)
-	}
-	cfg, ok := goldenConfig(row.config)
-	if !ok {
-		t.Fatalf("unknown config label %q", row.config)
-	}
+	row := goldenTable(t)[0]
 
 	// Advance to somewhere inside the run, then hit it with an
 	// already-canceled context: the engine must suspend at its next
 	// poll point instead of completing.
 	pause := 1 + row.cycles/2
-	e := checkpoint.NewExecution(cfg, wl.Build(1), row.workload, 1)
+	e := checkpoint.NewExecution(row.cfg, row.wl.Build(1), row.wl.Name, 1)
 	if _, paused, err := e.RunUntil(context.Background(), pause); err != nil || !paused {
 		t.Fatalf("run to pause cycle %d: paused=%v err=%v", pause, paused, err)
 	}
@@ -73,9 +58,7 @@ func TestCancellationSuspendsAndResumes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume after cancellation: %v", err)
 	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", *run)
-	if got := h.Sum64(); got != row.hash {
+	if got := fingerprint(run); got != row.hash {
 		t.Errorf("post-cancellation fingerprint %#x != golden %#x", got, row.hash)
 	}
 }

@@ -3,26 +3,27 @@ package sim
 import (
 	"runtime"
 
-	"github.com/gtsc-sim/gtsc/internal/gpu"
 	"github.com/gtsc-sim/gtsc/internal/memsys"
 )
 
 // EngineStats counts what the cycle ENGINE did, as opposed to what the
 // simulated machine did: how many cycles were actually executed vs
-// fast-forwarded by quiescence skipping, and how many ran through the
-// parallel SM pool. These are scheduling observability counters — they
-// deliberately live outside stats.Run, whose exact rendering is pinned
-// by the 84 golden fingerprints, and outside the checkpoint digests,
-// because the same simulation reaches the same machine state with any
-// engine configuration.
+// fast-forwarded over provably quiet windows, and how the relaxed
+// engine's domains ran. These are scheduling observability counters —
+// they deliberately live outside stats.Run, whose exact rendering is
+// pinned by the golden fingerprints, and outside the checkpoint
+// digests, because the same simulation reaches the same machine state
+// however the engine schedules it.
 type EngineStats struct {
-	// Workers is the SM tick parallelism of the most recent run phase
-	// (1 = serial loop).
+	// Workers is the SM-domain parallelism of the most recent run phase:
+	// the effective SimWorkers under relaxed sync, 1 on the exact
+	// engine.
 	Workers int
 
 	// RunCycles / DrainCycles count cycles the engine executed with a
-	// real tick; RunSkipped / DrainSkipped count cycles bulk-applied by
-	// quiescence skipping. Executed + skipped = simulated cycles.
+	// real tick; RunSkipped / DrainSkipped count cycles jumped over
+	// because every component was provably quiet. Executed + skipped =
+	// simulated cycles.
 	RunCycles    uint64
 	RunSkipped   uint64
 	DrainCycles  uint64
@@ -31,24 +32,14 @@ type EngineStats struct {
 	// SkipWindows counts fast-forward events (each covers >= 1 cycle).
 	SkipWindows uint64
 
-	// ParallelCycles counts executed run-phase cycles whose SM compute
-	// phase ran on the worker pool.
-	ParallelCycles uint64
-
-	// SMTickCycles counts executed run-phase cycles on which at least
-	// one SM was actually ticked (the event engine skips cycles whose
-	// SMs all sleep) — the denominator of ParallelTickEfficiency: only
-	// cycles with SM work could have used the pool.
-	SMTickCycles uint64
-
 	// Relaxed counts what the bounded-slack engine did; all zero unless
 	// a phase ran relaxed (Config.SlackCycles > 0 and preconditions
 	// held).
 	Relaxed RelaxedStats
 
 	// EventCycles counts executed cycles dispatched by the
-	// scheduled-wake event engine (a subset of RunCycles+DrainCycles;
-	// zero means every phase ran on the legacy loop).
+	// scheduled-wake event engine (RunCycles+DrainCycles; relaxed
+	// phases count their work in Relaxed instead).
 	EventCycles uint64
 	// SMTicks counts individual SM tick dispatches under the event
 	// engine. Sleeping SMs are not ticked, so on stall-heavy workloads
@@ -63,12 +54,9 @@ type EngineStats struct {
 	SMWakes uint64
 
 	// Comp breaks the hierarchy side of executed event cycles down per
-	// component class under per-component wake dispatch: for the NoC,
-	// DRAM partitions, L2 banks, and L1s, how many per-cycle Ticks were
-	// dispatched vs slept through (the hierarchy analogue of
-	// SMTicks/SMSleepCycles). All zero when the dispatch mode is off
-	// (legacy engine, DisableComponentWakes, fault injection) — the
-	// hierarchy is then ticked wholesale and only EventCycles counts it.
+	// component class: for the NoC, DRAM partitions, L2 banks, and L1s,
+	// how many per-cycle Ticks were dispatched vs slept through (the
+	// hierarchy analogue of SMTicks/SMSleepCycles).
 	Comp memsys.DispatchStats
 }
 
@@ -105,19 +93,15 @@ type RelaxedStats struct {
 // per SM tick.
 func (e *EngineStats) Dispatches() uint64 { return e.EventCycles + e.SMTicks }
 
-// Mode names the engine that actually dispatched cycles — "relaxed"
-// if any phase ran bounded-slack epochs, "event" if any phase ran on
-// the scheduled-wake agenda, "legacy" otherwise. This is what the
-// CLIs' `engine:` line reports: the EFFECTIVE engine after
-// auto-selection and fallbacks, not the requested one.
+// Mode names the engine that actually dispatched cycles: "relaxed" if
+// any phase ran bounded-slack epochs, "event" otherwise. This is what
+// the CLIs' `engine:` line reports — the EFFECTIVE engine (fault
+// injection disengages relaxed sync), not the requested one.
 func (e *EngineStats) Mode() string {
 	if e.Relaxed.Epochs > 0 {
 		return "relaxed"
 	}
-	if e.EventCycles > 0 {
-		return "event"
-	}
-	return "legacy"
+	return "event"
 }
 
 // MeanSkipWidth is the average number of cycles a machine-level
@@ -134,32 +118,18 @@ func (e *EngineStats) MeanSkipWidth() float64 {
 // component was provably quiescent.
 func (e *EngineStats) SkippedCycles() uint64 { return e.RunSkipped + e.DrainSkipped }
 
-// ParallelTickEfficiency is the compute-phase pool utilization: of the
-// executed run-phase cycles that had SM work to do (SMTickCycles),
-// the fraction whose SM compute phase actually ran on the worker pool.
-// 0 on the serial loop (effective workers == 1); 1.0 when every
-// SM-work cycle used the pool. Cycles whose SMs all slept are excluded
-// from the denominator — they have no compute phase to parallelize.
-func (e *EngineStats) ParallelTickEfficiency() float64 {
-	if e.SMTickCycles == 0 {
-		return 0
-	}
-	return float64(e.ParallelCycles) / float64(e.SMTickCycles)
-}
-
 // Engine returns the engine's scheduling counters, accumulated across
 // every kernel this simulator has run.
 func (s *Simulator) Engine() *EngineStats { return &s.eng }
 
-// effectiveWorkers resolves Config.SimWorkers to the parallelism the
-// run phase actually uses. The request is clamped to GOMAXPROCS —
-// workers beyond the schedulable CPUs only add barrier spin, and on a
-// single-CPU host the barrier pool loses outright (BENCH_sim.json:
-// 0.51x at simworkers=4 on 1 CPU), so GOMAXPROCS==1 falls back to the
-// serial loop — and to one worker per SM, beyond which extra workers
-// can never have work. The resolved value lands in EngineStats.Workers,
-// which is what the CLIs report on their `engine:` line; results are
-// bit-identical at any setting, so the clamp is pure scheduling.
+// effectiveWorkers resolves Config.SimWorkers to the number of
+// goroutines the relaxed engine runs SM domains on. The request is
+// clamped to GOMAXPROCS — workers beyond the schedulable CPUs only add
+// barrier spin — and to one worker per SM, beyond which extra workers
+// can never have work. The resolved value lands in
+// EngineStats.Workers, which is what the CLIs report on their
+// `engine:` line; results are identical at any setting, so the clamp
+// is pure scheduling.
 func (s *Simulator) effectiveWorkers() int {
 	w := s.Cfg.SimWorkers
 	if w < 1 {
@@ -172,78 +142,4 @@ func (s *Simulator) effectiveWorkers() int {
 		w = n
 	}
 	return w
-}
-
-// trySkipRun attempts one quiescence fast-forward inside the run
-// phase. It succeeds only when the whole machine is provably inert:
-// the hierarchy's next event lies beyond the next cycle AND every SM
-// probes as a pure stall. It then advances the clock to j — capped at
-// the event horizon, the next watchdog/ctx-poll sampling boundary
-// (multiples of 64; ctx polls at multiples of 1024 are a subset), the
-// MaxCycles budget, and the pause point — bulk-applying the per-cycle
-// stall-counter deltas so the machine state at j is bit-identical to
-// having ticked every cycle. The single Sys.Tick(j) re-synchronizes
-// component-local clocks; it is provably a no-op because j is before
-// the event horizon.
-func (s *Simulator) trySkipRun(st *runState, stopAt uint64) bool {
-	horizon := s.Sys.NextEvent(s.now)
-	if horizon <= s.now+1 {
-		return false
-	}
-	if s.probes == nil {
-		s.probes = make([]gpu.StallProbe, len(s.SMs))
-	}
-	for i, sm := range s.SMs {
-		p, ok := sm.Quiesce()
-		if !ok {
-			return false
-		}
-		s.probes[i] = p
-		if p.Wake < horizon {
-			horizon = p.Wake
-		}
-	}
-	if horizon <= s.now+1 {
-		return false
-	}
-	j := min(horizon-1, (s.now|63)+1, st.start+s.Cfg.MaxCycles)
-	if stopAt != 0 {
-		j = min(j, stopAt)
-	}
-	if j <= s.now {
-		return false
-	}
-	k := j - s.now
-	s.now = j
-	s.Sys.Tick(j)
-	for i, sm := range s.SMs {
-		sm.SkipCycles(j, k, s.probes[i])
-	}
-	s.eng.RunSkipped += k
-	s.eng.SkipWindows++
-	return true
-}
-
-// trySkipDrain is trySkipRun for the drain phase: SMs are not ticked
-// there, so only the hierarchy's event horizon matters, and the budget
-// is the drain guard counter rather than cycles since phase start.
-func (s *Simulator) trySkipDrain(st *runState, stopAt uint64) bool {
-	horizon := s.Sys.NextEvent(s.now)
-	if horizon <= s.now+1 {
-		return false
-	}
-	j := min(horizon-1, (s.now|63)+1, s.now+(s.Cfg.MaxCycles-st.guard))
-	if stopAt != 0 {
-		j = min(j, stopAt)
-	}
-	if j <= s.now {
-		return false
-	}
-	k := j - s.now
-	s.now = j
-	s.Sys.Tick(j)
-	st.guard += k - 1 // the drain loop's post-statement adds the last one
-	s.eng.DrainSkipped += k
-	s.eng.SkipWindows++
-	return true
 }

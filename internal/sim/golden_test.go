@@ -3,8 +3,6 @@ package sim_test
 import (
 	"fmt"
 	"hash/fnv"
-	"os"
-	"strconv"
 	"testing"
 
 	"github.com/gtsc-sim/gtsc/internal/dram"
@@ -12,6 +10,7 @@ import (
 	"github.com/gtsc-sim/gtsc/internal/memsys"
 	"github.com/gtsc-sim/gtsc/internal/noc"
 	"github.com/gtsc-sim/gtsc/internal/sim"
+	"github.com/gtsc-sim/gtsc/internal/stats"
 	"github.com/gtsc-sim/gtsc/internal/workload"
 )
 
@@ -128,51 +127,11 @@ var goldenRows = []goldenRow{
 	{"SGM", "gtsc-rc-ts8", 4279, 528, 0x96060b3ff98eb391},
 }
 
-// goldenConfig builds the benchmark machine for one golden row. The
-// GTSC_ENGINE, GTSC_SIMWORKERS and GTSC_COMPONENT_WAKES environment
-// variables override the engine scheduling knobs so CI can re-run the
-// whole golden suite on every (engine, worker-count, dispatch-mode)
-// matrix leg without duplicating the table; fingerprints are
-// engine-independent by contract, so every leg asserts against the
-// same hashes.
+// goldenConfig builds the benchmark machine for one golden row.
 func goldenConfig(label string) (sim.Config, bool) {
 	cfg := sim.DefaultConfig()
 	cfg.Mem.NumSMs = 4
 	cfg.Mem.NumBanks = 4
-	if v := os.Getenv("GTSC_ENGINE"); v != "" {
-		mode, err := sim.ParseEngineMode(v)
-		if err != nil {
-			panic(err)
-		}
-		cfg.Engine = mode
-	}
-	if v := os.Getenv("GTSC_SIMWORKERS"); v != "" {
-		w, err := strconv.Atoi(v)
-		if err != nil {
-			panic(fmt.Sprintf("GTSC_SIMWORKERS: %v", err))
-		}
-		cfg.SimWorkers = w
-	}
-	switch v := os.Getenv("GTSC_COMPONENT_WAKES"); v {
-	case "", "on", "1":
-		// default: per-component dispatch stays enabled
-	case "off", "0":
-		cfg.DisableComponentWakes = true
-	default:
-		panic(fmt.Sprintf("GTSC_COMPONENT_WAKES: want on/1/off/0, got %q", v))
-	}
-	// GTSC_SLACK pins SlackCycles, so CI can assert that slack 0 stays
-	// bit-identical on every matrix leg. The golden hashes are only
-	// valid at slack 0: nonzero slack deviates in timing by design
-	// (functional equivalence is TestRelaxedSlackFunctionalEquivalence's
-	// job, not this suite's).
-	if v := os.Getenv("GTSC_SLACK"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			panic(fmt.Sprintf("GTSC_SLACK: %v", err))
-		}
-		cfg.SlackCycles = n
-	}
 	switch label {
 	case "gtsc-rc":
 		cfg.Mem.Protocol, cfg.SM.Consistency = memsys.GTSC, gpu.RC
@@ -201,42 +160,87 @@ func goldenConfig(label string) (sim.Config, bool) {
 	return cfg, true
 }
 
+// tableRow is one row of the golden or the chaos fingerprint table in
+// the form the table tests consume: the subtest name
+// (workload/config, plus /plan for chaos rows), the workload, its
+// machine (fault plan included) and the pinned outcome.
+type tableRow struct {
+	name                string
+	wl                  *workload.Workload
+	cfg                 sim.Config
+	cycles, flits, hash uint64
+}
+
+// goldenTable resolves every golden row.
+func goldenTable(t *testing.T) []tableRow {
+	t.Helper()
+	rows := make([]tableRow, 0, len(goldenRows))
+	for _, r := range goldenRows {
+		wl, ok := workload.ByName(r.workload)
+		if !ok {
+			t.Fatalf("unknown workload %q", r.workload)
+		}
+		cfg, ok := goldenConfig(r.config)
+		if !ok {
+			t.Fatalf("unknown config label %q", r.config)
+		}
+		rows = append(rows, tableRow{r.workload + "/" + r.config, wl, cfg, r.cycles, r.flits, r.hash})
+	}
+	return rows
+}
+
+// chaosTable resolves every chaos row.
+func chaosTable(t *testing.T) []tableRow {
+	t.Helper()
+	rows := make([]tableRow, 0, len(chaosRows))
+	for _, r := range chaosRows {
+		cfg, wl := chaosRowConfig(t, r)
+		rows = append(rows, tableRow{r.workload + "/" + r.config + "/" + r.plan, wl, cfg, r.cycles, r.flits, r.hash})
+	}
+	return rows
+}
+
+// tableRows is both tables: every golden row, then every chaos row.
+func tableRows(t *testing.T) []tableRow {
+	return append(goldenTable(t), chaosTable(t)...)
+}
+
+// fingerprint is the FNV-1a hash over the full formatted stats.Run
+// that both tables pin.
+func fingerprint(run *stats.Run) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v", *run)
+	return h.Sum64()
+}
+
+// checkRun compares a finished run with its table row.
+func checkRun(t *testing.T, run *stats.Run, row tableRow) {
+	t.Helper()
+	if run.Cycles != row.cycles {
+		t.Errorf("cycles = %d, table %d", run.Cycles, row.cycles)
+	}
+	if got := run.NoC.TotalFlits(); got != row.flits {
+		t.Errorf("total flits = %d, table %d", got, row.flits)
+	}
+	if got := fingerprint(run); got != row.hash {
+		t.Errorf("stats.Run fingerprint = %#x, table %#x (full stats diverged)", got, row.hash)
+	}
+}
+
 // TestOptimizedCycleLoopBitIdentical proves the hot-path optimizations
 // are deterministically equivalent: every workload under every
 // protocol/consistency/topology combination must reproduce, bit for
 // bit, the stats.Run recorded before the optimizations landed.
 func TestOptimizedCycleLoopBitIdentical(t *testing.T) {
-	wls := map[string]*workload.Workload{}
-	for _, wl := range workload.All() {
-		wls[wl.Name] = wl
-	}
-	for _, row := range goldenRows {
+	for _, row := range goldenTable(t) {
 		row := row
-		t.Run(row.workload+"/"+row.config, func(t *testing.T) {
+		t.Run(row.name, func(t *testing.T) {
 			t.Parallel()
-			wl, ok := wls[row.workload]
-			if !ok {
-				t.Fatalf("unknown workload %q", row.workload)
-			}
-			cfg, ok := goldenConfig(row.config)
-			if !ok {
-				t.Fatalf("unknown config label %q", row.config)
-			}
-			run, err := wl.Build(1).Run(cfg)
+			run, err := row.wl.Build(1).Run(row.cfg)
 			if err != nil {
 				t.Fatalf("run failed: %v", err)
 			}
-			if run.Cycles != row.cycles {
-				t.Errorf("cycles = %d, golden %d", run.Cycles, row.cycles)
-			}
-			if got := run.NoC.TotalFlits(); got != row.flits {
-				t.Errorf("total flits = %d, golden %d", got, row.flits)
-			}
-			h := fnv.New64a()
-			fmt.Fprintf(h, "%+v", *run)
-			if got := h.Sum64(); got != row.hash {
-				t.Errorf("stats.Run fingerprint = %#x, golden %#x (full stats diverged)", got, row.hash)
-			}
+			checkRun(t, run, row)
 		})
 	}
 }

@@ -2,8 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"context"
-	"fmt"
 	"hash/fnv"
 	"regexp"
 	"testing"
@@ -12,47 +10,64 @@ import (
 	"github.com/gtsc-sim/gtsc/internal/fault"
 	"github.com/gtsc-sim/gtsc/internal/gpu"
 	"github.com/gtsc-sim/gtsc/internal/memsys"
-	"github.com/gtsc-sim/gtsc/internal/noc"
 )
 
-// TestHorizonClaimsSound is the property test behind every fast-forward
-// the engines perform: a wake claim must never be early. Stepping a
-// simulation one executed cycle at a time (skipping disabled, legacy
-// loop), it records each cycle's claims — the hierarchy's NextEvent
-// horizon and, when every SM probes quiescent, the machine-wide wake —
-// and then asserts that nothing observable happened strictly before the
-// claimed cycle: the progress signature (instructions, warp
-// retirements, NoC and DRAM traffic) is frozen and the hierarchy's
-// canonical state digest is bit-identical across the window. Both
-// engines build their skip windows and agenda wakes from exactly these
-// claims, so an overclaiming component would surface here as a state
-// change inside a window it promised was inert.
-func TestHorizonClaimsSound(t *testing.T) {
-	cases := []struct {
-		name   string
-		proto  memsys.Protocol
-		kernel *gpu.Kernel
-	}{
-		{"gtsc-conflict", memsys.GTSC, conflictKernel(0x60000, 4, 8)},
-		{"gtsc-writeread", memsys.GTSC, writeReadKernel(0x50000)},
-		{"dir-conflict", memsys.DIR, conflictKernel(0x61000, 4, 8)},
-		{"tc-writeread", memsys.TC, writeReadKernel(0x52000)},
+// stepSerial executes one cycle in serial tick order (serialStep) and
+// reports whether the kernel is still in flight afterwards. The wake
+// property tests inspect the machine between any two cycles of it, so
+// every component ticks inside every window some claim called quiet.
+func stepSerial(t *testing.T, s *Simulator) bool {
+	t.Helper()
+	if err := s.serialStep(); err != nil {
+		t.Fatalf("cycle %d: %v", s.now, err)
 	}
-	for _, tc := range cases {
+	return s.cur.phase == phaseRun || !s.Sys.Drained()
+}
+
+// wakeCases are the workloads both wake property tests step through:
+// conflict and write-read kernels on three protocols, and a G-TSC run
+// under a chaos plan with forced rollovers, whose fault shims and
+// rollover schedule are agenda components too.
+var wakeCases = []struct {
+	name   string
+	proto  memsys.Protocol
+	kernel *gpu.Kernel
+	plan   fault.Config
+}{
+	{"gtsc-conflict", memsys.GTSC, conflictKernel(0x60000, 4, 8), fault.Config{}},
+	{"gtsc-writeread", memsys.GTSC, writeReadKernel(0x50000), fault.Config{}},
+	{"dir-conflict", memsys.DIR, conflictKernel(0x61000, 4, 8), fault.Config{}},
+	{"tc-writeread", memsys.TC, writeReadKernel(0x52000), fault.Config{}},
+	{"gtsc-chaos-rollover", memsys.GTSC, conflictKernel(0x60000, 16, 8), fault.ChaosRollover(1)},
+}
+
+// TestHorizonClaimsSound is the property test behind every fast-forward
+// the engine performs: a wake claim must never be early. Stepping a
+// simulation in serial tick order, it records each cycle's claims —
+// the hierarchy's NextEvent horizon and, when every SM probes
+// quiescent, the machine-wide wake — and then asserts that nothing
+// observable happened strictly before the claimed cycle: the progress
+// signature (instructions, warp retirements, NoC and DRAM traffic) is
+// frozen and the hierarchy's canonical state digest (fault RNG
+// position and held messages included) is bit-identical across the
+// window. The engine builds its skip windows and agenda wakes from
+// exactly these claims, so an overclaiming component would surface
+// here as a state change inside a window it promised was inert.
+func TestHorizonClaimsSound(t *testing.T) {
+	for _, tc := range wakeCases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			cfg := smallConfig(tc.proto, gpu.RC)
-			cfg.DisableCycleSkip = true // execute every cycle; claims are recorded, never acted on
-			cfg.Engine = EngineLegacy
+			cfg.Mem.Fault = tc.plan
 			s := New(cfg)
-			ctx := context.Background()
+			s.beginKernel(tc.kernel)
 
-			// The state digest includes each controller's local clock,
+			// The state digest includes each component's local clock,
 			// which advances on every Tick — including the provably
 			// inert ticks inside a quiet window (a real skip re-syncs
-			// those clocks with the same Sys.Tick call). Clocks are
-			// schedule, not state; strip them before comparing.
+			// those clocks with SyncClocks). Clocks are schedule, not
+			// state; strip them before comparing.
 			clocks := regexp.MustCompile(` now=\d+`)
 			digest := func() uint64 {
 				var buf bytes.Buffer
@@ -70,25 +85,11 @@ func TestHorizonClaimsSound(t *testing.T) {
 			var c *claim
 			windows := 0
 
-			step := func(first bool) bool {
-				var paused bool
-				var err error
-				if first {
-					_, paused, err = s.RunUntil(ctx, tc.kernel, s.now+1)
-				} else {
-					_, paused, err = s.Resume(ctx, s.now+1)
-				}
-				if err != nil {
-					t.Fatalf("step to cycle %d: %v", s.now+1, err)
-				}
-				return paused
-			}
-
 			for i := 0; ; i++ {
 				if i > 100_000 {
 					t.Fatal("step budget exhausted")
 				}
-				if !step(i == 0) {
+				if !stepSerial(t, s) {
 					break // kernel completed
 				}
 				// Verify the outstanding claim before anything else: we
@@ -108,7 +109,7 @@ func TestHorizonClaimsSound(t *testing.T) {
 				c = nil
 				horizon := s.Sys.NextEvent(s.now)
 				m := horizon
-				if s.cur != nil && s.cur.phase == phaseRun {
+				if s.cur.phase == phaseRun {
 					// SMs tick in this phase, so a machine-wide claim also
 					// needs every SM provably stalled until the window ends.
 					for _, sm := range s.SMs {
@@ -134,8 +135,8 @@ func TestHorizonClaimsSound(t *testing.T) {
 
 // TestComponentWakeClaimsSound is the per-component refinement of
 // TestHorizonClaimsSound: the property behind TickDue's dispatch
-// decisions. The wholesale horizon test proves the MACHINE-wide claim;
-// this one probes each component's LOCAL claim — the exact contract the
+// decisions. The horizon test proves the MACHINE-wide claim; this one
+// probes each component's LOCAL claim — the exact contract the
 // per-component dispatcher sleeps on:
 //
 //   - an L1/L2 reporting Quiescent() promises Tick at any future cycle
@@ -145,34 +146,22 @@ func TestHorizonClaimsSound(t *testing.T) {
 //   - a DRAM partition's NextEvent(now) promises the same with no clock
 //     at all.
 //
-// Stepping a simulation one executed cycle at a time (legacy loop,
-// skipping disabled), every component currently claiming quiet is
-// given an EXTRA Tick one cycle in the future, its clock is restored
-// with SyncClock/Sync, and its canonical state digest must be
-// bit-identical — so each probe is also provably invisible to the
-// ongoing run, and the run doubles as millions of adversarial inputs.
-// An overclaiming component fails here with its name and cycle rather
-// than as a fingerprint mismatch 80 tests later.
+// Stepping a simulation in serial tick order, every component
+// currently claiming quiet is given an EXTRA Tick one cycle in the
+// future, its clock is restored with SyncClock/Sync, and its canonical
+// state digest must be bit-identical — so each probe is also provably
+// invisible to the ongoing run, and the run doubles as millions of
+// adversarial inputs. An overclaiming component fails here with its
+// name and cycle rather than as a fingerprint mismatch 80 tests later.
 func TestComponentWakeClaimsSound(t *testing.T) {
-	cases := []struct {
-		name   string
-		proto  memsys.Protocol
-		kernel *gpu.Kernel
-	}{
-		{"gtsc-conflict", memsys.GTSC, conflictKernel(0x60000, 4, 8)},
-		{"gtsc-writeread", memsys.GTSC, writeReadKernel(0x50000)},
-		{"dir-conflict", memsys.DIR, conflictKernel(0x61000, 4, 8)},
-		{"tc-writeread", memsys.TC, writeReadKernel(0x52000)},
-	}
-	for _, tc := range cases {
+	for _, tc := range wakeCases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			cfg := smallConfig(tc.proto, gpu.RC)
-			cfg.DisableCycleSkip = true
-			cfg.Engine = EngineLegacy
+			cfg.Mem.Fault = tc.plan
 			s := New(cfg)
-			ctx := context.Background()
+			s.beginKernel(tc.kernel)
 
 			// Component clocks advance on the probe tick by design;
 			// SyncClock restores them, and the comparison strips them
@@ -187,24 +176,11 @@ func TestComponentWakeClaimsSound(t *testing.T) {
 			}
 
 			covered := map[string]int{}
-			step := func(first bool) bool {
-				var paused bool
-				var err error
-				if first {
-					_, paused, err = s.RunUntil(ctx, tc.kernel, s.now+1)
-				} else {
-					_, paused, err = s.Resume(ctx, s.now+1)
-				}
-				if err != nil {
-					t.Fatalf("step to cycle %d: %v", s.now+1, err)
-				}
-				return paused
-			}
 			for i := 0; ; i++ {
 				if i > 100_000 {
 					t.Fatal("step budget exhausted")
 				}
-				if !step(i == 0) {
+				if !stepSerial(t, s) {
 					break // kernel completed
 				}
 				// Every component ticked at s.now; probe one cycle ahead.
@@ -261,64 +237,6 @@ func TestComponentWakeClaimsSound(t *testing.T) {
 				if covered[class] == 0 {
 					t.Errorf("component class %q never claimed a quiet cycle; its half of the property test is vacuous", class)
 				}
-			}
-		})
-	}
-}
-
-// TestChaosNeverTrustsHorizons pins the soundness story under fault
-// injection: delay shims hold messages on release schedules the
-// next-event query does not model, so under an active injector the
-// hierarchy must bound every horizon claim at now+1 and the engines
-// must never fast-forward or use the agenda — even with cycle skipping
-// nominally enabled and the event engine requested. The perturbed run
-// must then be bit-identical to the same seed executed on the legacy
-// loop with skipping disabled outright, proving the fallback is a pure
-// scheduling decision.
-func TestChaosNeverTrustsHorizons(t *testing.T) {
-	for _, seed := range faultSeeds {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			t.Parallel()
-			newCfg := func() Config {
-				cfg := smallConfig(memsys.GTSC, gpu.RC)
-				cfg.Mem.NoC = noc.Config{Latency: 4, InjectQueue: 8}
-				cfg.Mem.Fault = fault.Chaos(seed)
-				return cfg
-			}
-
-			cfg := newCfg()
-			cfg.Engine = EngineEvent // request it; the engine must refuse
-			s := New(cfg)
-			if got := s.Sys.NextEvent(123); got != 124 {
-				t.Fatalf("faulted hierarchy claimed horizon %d from cycle 123, want 124", got)
-			}
-			run, err := s.Run(conflictKernel(0x60000, 4, 8))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if s.eng.EventCycles != 0 {
-				t.Errorf("event engine dispatched %d cycles under fault injection", s.eng.EventCycles)
-			}
-			if skipped := s.eng.SkippedCycles(); skipped != 0 {
-				t.Errorf("engine skipped %d cycles under fault injection", skipped)
-			}
-			if ticks, sleeps := s.eng.Comp.HierarchyTicks(), s.eng.Comp.HierarchySleeps(); ticks != 0 || sleeps != 0 {
-				t.Errorf("per-component dispatch ran under fault injection (%d ticks, %d sleeps); perturbed runs must tick the hierarchy wholesale", ticks, sleeps)
-			}
-
-			refCfg := newCfg()
-			refCfg.Engine = EngineLegacy
-			refCfg.DisableCycleSkip = true
-			ref, err := New(refCfg).Run(conflictKernel(0x60000, 4, 8))
-			if err != nil {
-				t.Fatal(err)
-			}
-			h1, h2 := fnv.New64a(), fnv.New64a()
-			fmt.Fprintf(h1, "%+v", *run)
-			fmt.Fprintf(h2, "%+v", *ref)
-			if h1.Sum64() != h2.Sum64() {
-				t.Error("chaos run under the refused event engine diverged from the explicit legacy run")
 			}
 		})
 	}

@@ -4,41 +4,29 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"github.com/gtsc-sim/gtsc/internal/gpu"
 )
 
-// tickPool is the persistent worker pool behind the parallel SM
-// compute phase. One pool lives for the duration of a run phase; each
-// cycle the master publishes the cycle number and a fresh work cursor,
-// bumps the epoch, and every participant (the master included) claims
-// SM indices off the cursor until it is exhausted. The master then
-// waits for every worker's acknowledgement, which is the cycle
-// barrier: a worker acks only after its claimed SM ticks returned, and
-// it re-enters the claiming loop only after the next epoch is
-// published, so no worker can ever touch a stale cursor or cycle
-// number. All coordination is sync/atomic (sequentially consistent in
-// Go), making the pool race-detector clean, and the acks give the
-// happens-before edge from worker SM writes to the master's commit
-// phase. No channels or locks on the hot path.
+// tickPool is the persistent worker pool behind the relaxed engine's
+// SM domains. One pool lives for the duration of a run phase; each
+// epoch the master publishes the epoch end cycle and a fresh work
+// cursor, bumps the epoch counter, and every participant (the master
+// included) claims domain indices off the cursor until it is
+// exhausted. The master then waits for every worker's
+// acknowledgement, which is the epoch barrier: a worker acks only
+// after its claimed domains returned, and it re-enters the claiming
+// loop only after the next epoch is published, so no worker can ever
+// touch a stale cursor or cycle number. All coordination is
+// sync/atomic (sequentially consistent in Go), making the pool
+// race-detector clean, and the acks give the happens-before edge from
+// worker writes to the master's barrier exchange. No channels or
+// locks on the hot path.
 type tickPool struct {
-	sms     []*gpu.SM
 	workers int // pool goroutines, excluding the master
 
-	// fn is the per-item work function. The default ticks one SM at the
-	// published cycle; the relaxed engine substitutes a function that
-	// runs one whole domain through an epoch window (see relaxed.go).
-	// Written only between cycles (before the epoch bump), like due.
+	// fn is the per-item work function: it runs one domain through the
+	// epoch window ending at now (see relaxed.go).
 	fn func(i int, now uint64)
-
-	// due lists the SM indices to tick this cycle. The master writes it
-	// before the epoch bump; workers read it only after observing the
-	// new epoch, so the atomic store/load pair gives the happens-before
-	// edge and the plain field stays race-detector clean. The event
-	// engine passes only awake SMs; the legacy loop passes all (the
-	// prebuilt identity list).
-	due []int
-	all []int
+	n  int // work items per epoch
 
 	now    atomic.Uint64
 	epoch  atomic.Uint64
@@ -49,31 +37,11 @@ type tickPool struct {
 	wg   sync.WaitGroup
 }
 
-// newTickPool spawns workers-1 goroutines (the master is the final
-// participant). workers must be >= 2; the serial loop needs no pool.
-func newTickPool(sms []*gpu.SM, workers int) *tickPool {
-	p := &tickPool{sms: sms, workers: workers - 1}
-	p.fn = func(i int, now uint64) { p.sms[i].Tick(now) }
-	p.all = make([]int, len(sms))
-	for i := range p.all {
-		p.all[i] = i
-	}
-	for i := 0; i < p.workers; i++ {
-		p.wg.Add(1)
-		go p.worker()
-	}
-	return p
-}
-
-// newWorkPool builds a pool over n abstract work items with a custom
-// work function — the relaxed engine's domain pool. Same barrier
-// discipline as the SM tick pool.
+// newWorkPool builds a pool over n work items, spawning workers-1
+// goroutines (the master is the final participant); workers must be
+// >= 2.
 func newWorkPool(n, workers int, fn func(i int, now uint64)) *tickPool {
-	p := &tickPool{workers: workers - 1, fn: fn}
-	p.all = make([]int, n)
-	for i := range p.all {
-		p.all[i] = i
-	}
+	p := &tickPool{workers: workers - 1, fn: fn, n: n}
 	for i := 0; i < p.workers; i++ {
 		p.wg.Add(1)
 		go p.worker()
@@ -81,15 +49,10 @@ func newWorkPool(n, workers int, fn func(i int, now uint64)) *tickPool {
 	return p
 }
 
-// tick runs one parallel compute phase: the SMs listed in due (nil =
-// all of them) tick at cycle now, partitioned dynamically over the
-// pool. It returns only after every listed SM tick has completed and
-// every worker has acknowledged the cycle.
-func (p *tickPool) tick(now uint64, due []int) {
-	if due == nil {
-		due = p.all
-	}
-	p.due = due
+// tick runs one parallel phase: every item runs fn at now, partitioned
+// dynamically over the pool. It returns only after every item has
+// completed and every worker has acknowledged the epoch.
+func (p *tickPool) tick(now uint64) {
 	p.now.Store(now)
 	p.cursor.Store(0)
 	p.acks.Store(0)
@@ -100,16 +63,14 @@ func (p *tickPool) tick(now uint64, due []int) {
 	}
 }
 
-// work claims and runs due items until the cursor runs out.
+// work claims and runs items until the cursor runs out.
 func (p *tickPool) work(now uint64) {
-	due := p.due
-	n := int64(len(due))
 	for {
-		i := p.cursor.Add(1) - 1
-		if i >= n {
+		i := int(p.cursor.Add(1) - 1)
+		if i >= p.n {
 			return
 		}
-		p.fn(due[i], now)
+		p.fn(i, now)
 	}
 }
 

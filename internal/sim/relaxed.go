@@ -1,7 +1,7 @@
 // The relaxed-synchronization (bounded-slack) cycle engine.
 //
-// The bit-exact engines synchronize every component every cycle (or
-// prove whole windows inert before skipping them). This engine — the
+// The exact event engine synchronizes every component every cycle (or
+// proves whole windows inert before skipping them). This engine — the
 // structure of "Parallelizing a modern GPU simulator" (arXiv
 // 2502.14691) — instead partitions the machine into domains that
 // share no mutable state mid-epoch:
@@ -41,7 +41,7 @@
 // memory state, workload verification, and coherence invariants are
 // preserved exactly while cycle counts drift boundedly. At
 // SlackCycles=0 this engine never engages and the golden-pinned
-// bit-exact engines run unchanged.
+// exact engine runs unchanged.
 package sim
 
 import (
@@ -85,16 +85,11 @@ type relaxedState struct {
 }
 
 // useRelaxed reports whether the next run phase executes bounded-slack
-// epochs. Fault injection forces SlackCycles=0 semantics (SkipSafe is
-// false under an injector): perturbation schedules are defined in
-// terms of exact per-cycle interleaving, and the chaos harness pins
-// bit-exact replay from a seed. Legacy-engine requests and
-// DisableCycleSkip also disengage it — both demand per-cycle ticking.
+// epochs. Fault injection forces SlackCycles=0 semantics: perturbation
+// schedules are defined in terms of exact per-cycle interleaving, and
+// the chaos fingerprint table pins bit-exact replay from a seed.
 func (s *Simulator) useRelaxed() bool {
-	return s.Cfg.SlackCycles > 0 &&
-		s.Cfg.Engine != EngineLegacy &&
-		!s.Cfg.DisableCycleSkip &&
-		s.Sys.SkipSafe()
+	return s.Cfg.SlackCycles > 0 && !s.Cfg.Mem.Fault.Enabled()
 }
 
 func (s *Simulator) ensureRelaxed() *relaxedState {
@@ -128,7 +123,7 @@ func (s *Simulator) runPhaseRelaxed(ctx context.Context, stopAt uint64) (bool, e
 	slack := s.Cfg.SlackCycles
 
 	// Relaxed phases never drain the wake agenda, so the ingress hooks
-	// must be inert (same contract as the legacy loop).
+	// must be inert.
 	s.Sys.SetComponentWakes(false)
 	s.Sys.RelaxedBegin()
 	defer s.Sys.RelaxedEnd()
@@ -215,7 +210,7 @@ func (s *Simulator) runPhaseRelaxed(ctx context.Context, stopAt uint64) (bool, e
 		rx.from = from
 		rx.pl.set(rx.pl.domainRun)
 		if rx.pool != nil {
-			rx.pool.tick(to, nil)
+			rx.pool.tick(to)
 		} else {
 			for d := 0; d < domains; d++ {
 				s.relaxedDomain(d, to)

@@ -175,145 +175,47 @@ func TestRelaxedChaosForcesBitExact(t *testing.T) {
 // ANY worker count — the epoch buffers capture each domain's sends
 // against its own clock and the barrier replays them in canonical
 // port order, so goroutine interleaving cannot reach the machine.
-// GOMAXPROCS is forced to 4 so the domain pool actually engages even
-// on a 1-CPU host (and under -race this doubles as the race gate for
-// the relaxed pool).
+// SimWorkers sizes only this domain pool, so this is its determinism
+// gate on every golden row: the stats and the final architected memory
+// at simworkers=4 must equal simworkers=1. GOMAXPROCS is forced to 4
+// so the domain pool actually engages even on a 1-CPU host (and under
+// -race this doubles as the race gate for the relaxed pool).
 func TestRelaxedWorkerCountInvariant(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	if prev < 4 {
 		runtime.GOMAXPROCS(4)
-		defer runtime.GOMAXPROCS(prev)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	}
-	wl, ok := workload.ByName("CC")
-	if !ok {
-		t.Fatal("workload CC missing")
-	}
-	for _, label := range []string{"gtsc-rc", "dir-rc"} {
-		cfg, _ := goldenConfig(label)
-		cfg.SlackCycles = 8
-
-		run := func(workers int) (*stats.Run, *sim.Simulator) {
-			c := cfg
-			c.SimWorkers = workers
-			s := sim.New(c)
-			r, err := wl.Build(1).RunOn(s)
-			if err != nil {
-				t.Fatalf("%s simworkers=%d: %v", label, workers, err)
-			}
-			if eng := s.Engine(); eng.Relaxed.Epochs == 0 {
-				t.Fatalf("%s simworkers=%d: relaxed engine never engaged", label, workers)
-			}
-			return r, s
-		}
-		serialRun, serialSim := run(1)
-		parRun, parSim := run(4)
-		if !reflect.DeepEqual(serialRun, parRun) {
-			t.Errorf("%s: relaxed run at simworkers=4 diverged from simworkers=1", label)
-		}
-		blocks := touchedBlocks(serialSim, parSim)
-		if got, want := architectedImage(parSim, blocks), architectedImage(serialSim, blocks); got != want {
-			t.Errorf("%s: architected memory diverged across worker counts (%s vs %s)", label, got, want)
-		}
-	}
-}
-
-// TestObserverParallelTickBitIdentical is the regression gate for the
-// PR that lifted the observer restriction on the parallel SM tick:
-// with an observer attached and SimWorkers=4, the staged tick must
-// reproduce the golden fingerprint bit for bit AND deliver the exact
-// operation sequence the serial tick delivers (per-component staging
-// shims flush in canonical SM order at commit). Before the lift,
-// attaching any observer silently forced SimWorkers back to 1.
-func TestObserverParallelTickBitIdentical(t *testing.T) {
-	prev := runtime.GOMAXPROCS(0)
-	if prev < 4 {
-		runtime.GOMAXPROCS(4)
-		defer runtime.GOMAXPROCS(prev)
-	}
-	wls := map[string]*workload.Workload{}
-	for _, wl := range workload.All() {
-		wls[wl.Name] = wl
-	}
-	for _, row := range goldenRows {
+	for _, row := range goldenTable(t) {
 		row := row
-		if row.workload != "CC" && row.workload != "BFS" {
-			continue // two contended workloads across all configs keep this O(seconds)
-		}
-		t.Run(row.workload+"/"+row.config, func(t *testing.T) {
+		t.Run(row.name, func(t *testing.T) {
 			t.Parallel()
-			cfg, ok := goldenConfig(row.config)
-			if !ok {
-				t.Fatalf("unknown config label %q", row.config)
-			}
-			run := func(workers int) (*stats.Run, *check.Recorder) {
+			cfg := row.cfg
+			cfg.SlackCycles = 8
+
+			run := func(workers int) (*stats.Run, *sim.Simulator) {
 				c := cfg
 				c.SimWorkers = workers
-				rec := check.NewRecorder()
-				c.Observer = rec
-				r, err := wls[row.workload].Build(1).Run(c)
+				s := sim.New(c)
+				r, err := row.wl.Build(1).RunOn(s)
 				if err != nil {
 					t.Fatalf("simworkers=%d: %v", workers, err)
 				}
-				return r, rec
-			}
-			serial, serialRec := run(1)
-			staged, stagedRec := run(4)
-
-			for workers, run := range map[int]*stats.Run{1: serial, 4: staged} {
-				h := fnv.New64a()
-				fmt.Fprintf(h, "%+v", *run)
-				if got := h.Sum64(); got != row.hash {
-					t.Errorf("observed simworkers=%d fingerprint = %#x, golden %#x", workers, got, row.hash)
+				if eng := s.Engine(); eng.Relaxed.Epochs == 0 {
+					t.Fatalf("simworkers=%d: relaxed engine never engaged", workers)
 				}
+				return r, s
 			}
-			if a, b := serialRec.Ops(), stagedRec.Ops(); !reflect.DeepEqual(a, b) {
-				n := min(len(a), len(b))
-				at := n
-				for i := 0; i < n; i++ {
-					if a[i] != b[i] {
-						at = i
-						break
-					}
-				}
-				t.Errorf("operation sequences diverge at index %d of %d/%d", at, len(a), len(b))
+			serialRun, serialSim := run(1)
+			parRun, parSim := run(4)
+			if !reflect.DeepEqual(serialRun, parRun) {
+				t.Error("relaxed run at simworkers=4 diverged from simworkers=1")
+			}
+			blocks := touchedBlocks(serialSim, parSim)
+			if got, want := architectedImage(parSim, blocks), architectedImage(serialSim, blocks); got != want {
+				t.Errorf("architected memory diverged across worker counts (%s vs %s)", got, want)
 			}
 		})
-	}
-}
-
-// TestFaultParallelTickBitIdentical is the companion regression for
-// the fault-injection restriction: a chaos-plan run must be
-// bit-identical at SimWorkers=1 and SimWorkers=4. Injection rejects
-// draw from per-lane RNG streams keyed by L1 index (not from the
-// shared per-phase stream), so the draw sequence each lane sees is
-// independent of tick interleaving; before the lift, an active
-// injector silently forced the serial tick.
-func TestFaultParallelTickBitIdentical(t *testing.T) {
-	prev := runtime.GOMAXPROCS(0)
-	if prev < 4 {
-		runtime.GOMAXPROCS(4)
-		defer runtime.GOMAXPROCS(prev)
-	}
-	wl, ok := workload.ByName("CC")
-	if !ok {
-		t.Fatal("workload CC missing")
-	}
-	for _, seed := range []int64{1, 2, 3} {
-		cfg, _ := goldenConfig("gtsc-rc")
-		cfg.Mem.Fault = fault.Chaos(seed)
-
-		run := func(workers int) *stats.Run {
-			c := cfg
-			c.SimWorkers = workers
-			r, err := wl.Build(1).Run(c)
-			if err != nil {
-				t.Fatalf("seed=%d simworkers=%d: %v", seed, workers, err)
-			}
-			return r
-		}
-		if serial, staged := run(1), run(4); !reflect.DeepEqual(serial, staged) {
-			t.Errorf("seed=%d: fault-injected run diverged between simworkers 1 and 4", seed)
-		}
 	}
 }
 

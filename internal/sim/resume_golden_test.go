@@ -3,12 +3,9 @@ package sim_test
 import (
 	"bytes"
 	"context"
-	"fmt"
-	"hash/fnv"
 	"testing"
 
 	"github.com/gtsc-sim/gtsc/internal/checkpoint"
-	"github.com/gtsc-sim/gtsc/internal/workload"
 )
 
 // TestKillResumeGoldenEquivalence is the kill-anywhere/resume
@@ -19,24 +16,15 @@ import (
 // stats fingerprint must be bit-identical to the uninterrupted golden
 // — restore is the same run, not approximately the same run.
 func TestKillResumeGoldenEquivalence(t *testing.T) {
-	wls := map[string]*workload.Workload{}
-	for _, wl := range workload.All() {
-		wls[wl.Name] = wl
-	}
-	for _, row := range goldenRows {
+	for _, row := range goldenTable(t) {
 		row := row
-		t.Run(row.workload+"/"+row.config, func(t *testing.T) {
+		t.Run(row.name, func(t *testing.T) {
 			t.Parallel()
-			wl := wls[row.workload]
-			cfg, ok := goldenConfig(row.config)
-			if !ok {
-				t.Fatalf("unknown config label %q", row.config)
-			}
 			// Fuzzed but reproducible pause cycle: derived from the
 			// golden hash, somewhere inside the run.
 			pause := 1 + row.hash%row.cycles
 
-			e1 := checkpoint.NewExecution(cfg, wl.Build(1), row.workload, 1)
+			e1 := checkpoint.NewExecution(row.cfg, row.wl.Build(1), row.wl.Name, 1)
 			_, paused, err := e1.RunUntil(context.Background(), pause)
 			if err != nil {
 				t.Fatalf("run to pause cycle %d failed: %v", pause, err)
@@ -57,7 +45,7 @@ func TestKillResumeGoldenEquivalence(t *testing.T) {
 			}
 
 			// Fresh process-like state: new instance, new machine.
-			e2, err := checkpoint.ResumeExecution(ck, cfg, wl.Build(1), row.workload, 1)
+			e2, err := checkpoint.ResumeExecution(ck, row.cfg, row.wl.Build(1), row.wl.Name, 1)
 			if err != nil {
 				t.Fatalf("resume (verified replay to cycle %d): %v", ck.Cycle, err)
 			}
@@ -65,9 +53,7 @@ func TestKillResumeGoldenEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("post-resume run failed: %v", err)
 			}
-			h := fnv.New64a()
-			fmt.Fprintf(h, "%+v", *run)
-			if got := h.Sum64(); got != row.hash {
+			if got := fingerprint(run); got != row.hash {
 				t.Errorf("resumed-run fingerprint = %#x, golden %#x (pause at %d diverged)", got, row.hash, pause)
 			}
 		})

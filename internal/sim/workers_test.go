@@ -10,10 +10,9 @@ import (
 
 // TestEffectiveWorkersClamp pins the resolution chain of
 // Config.SimWorkers: floor 1, clamped to GOMAXPROCS (oversubscribing a
-// small host makes the parallel tick SLOWER than serial — the clamp
-// turns a pessimization into a no-op), then to the SM count (idle
-// workers can never have work). BENCH_sim.json documented the failure
-// mode this prevents: simworkers=4 at 0.51x on a 1-CPU host.
+// small host makes the relaxed domain pool SLOWER than inline — the
+// clamp turns a pessimization into a no-op), then to the SM count
+// (idle workers can never have work).
 func TestEffectiveWorkersClamp(t *testing.T) {
 	maxprocs := runtime.GOMAXPROCS(0)
 	cfg := DefaultConfig()
@@ -44,10 +43,11 @@ func TestEffectiveWorkersClamp(t *testing.T) {
 // reads EngineStats.Workers after a run, which must be the EFFECTIVE
 // value, not the requested one — a 1-CPU host asking for -simworkers
 // 64 must see simworkers=1 reported, and no host may report more than
-// GOMAXPROCS.
+// GOMAXPROCS. The exact engine ticks serially and reports 1.
 func TestEngineReportsEffectiveWorkers(t *testing.T) {
 	cfg := smallConfig(memsys.GTSC, gpu.RC)
 	cfg.SimWorkers = 64 // far beyond any host
+	cfg.SlackCycles = 8
 	s := New(cfg)
 	want := s.effectiveWorkers()
 	if want > runtime.GOMAXPROCS(0) {
@@ -56,13 +56,16 @@ func TestEngineReportsEffectiveWorkers(t *testing.T) {
 	if _, err := s.Run(writeReadKernel(0)); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	got := s.Engine().Workers
-	if got > runtime.GOMAXPROCS(0) {
-		t.Errorf("EngineStats.Workers = %d exceeds GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
+	if got := s.Engine().Workers; got != want {
+		t.Errorf("relaxed EngineStats.Workers = %d, want effective %d", got, want)
 	}
-	// The effective clamp value must surface verbatim (observers and
-	// fault shims no longer force a serial fallback).
-	if got != want {
-		t.Errorf("EngineStats.Workers = %d, want effective %d", got, want)
+
+	cfg.SlackCycles = 0
+	s = New(cfg)
+	if _, err := s.Run(writeReadKernel(0)); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if got := s.Engine().Workers; got != 1 {
+		t.Errorf("exact-engine EngineStats.Workers = %d, want 1", got)
 	}
 }
