@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench vet fmt cover evaluate examples clean check smoke modelcheck
+.PHONY: all build test bench vet fmt cover evaluate examples clean check smoke modelcheck loc
 
 all: build test
 
@@ -29,6 +29,21 @@ modelcheck:
 smoke:
 	bash scripts/kill_resume_smoke.sh
 	bash scripts/sweep_smoke.sh
+
+# Net Go line counts per package since BASE (default: the previous
+# commit), code and tests apart, as every change reports them. Counts
+# come from git diff, so stage new files before running it on an
+# uncommitted tree: make loc BASE=HEAD.
+BASE ?= HEAD~1
+loc:
+	@git diff --numstat --no-renames $(BASE) -- '*.go' | awk '\
+	{ n = split($$3, p, "/"); pkg = (n == 1) ? "." : p[1]; \
+	  for (i = 2; i < n; i++) pkg = pkg "/" p[i]; \
+	  kind = ($$3 ~ /_test\.go$$/) ? "tests" : "code"; \
+	  net[pkg, kind] += $$1 - $$2; pkgs[pkg] = 1; total[kind] += $$1 - $$2 } \
+	END { printf "%-32s %7s %7s\n", "package", "code", "tests"; \
+	  for (pkg in pkgs) printf "%-32s %+7d %+7d\n", pkg, net[pkg, "code"], net[pkg, "tests"] | "sort"; \
+	  close("sort"); printf "%-32s %+7d %+7d\n", "total", total["code"], total["tests"] }'
 
 build:
 	$(GO) build ./...

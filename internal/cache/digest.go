@@ -3,9 +3,6 @@ package cache
 import (
 	"fmt"
 	"io"
-	"sort"
-
-	"github.com/gtsc-sim/gtsc/internal/mem"
 )
 
 // DigestInto writes a canonical rendering of every valid line: way
@@ -35,17 +32,8 @@ func (a *Array[M]) DigestInto(w io.Writer) {
 // digested through the SM state, and replay reproduces the callbacks
 // themselves.
 func (m *MSHR[W]) DigestInto(w io.Writer) {
-	if len(m.entries) == 0 {
-		return
-	}
-	keys := make([]mem.BlockAddr, 0, len(m.entries))
-	for b := range m.entries {
-		keys = append(keys, b)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, b := range keys {
-		e := m.entries[b]
+	m.ForEach(func(e *MSHREntry[W]) {
 		fmt.Fprintf(w, "mshr %#x w=%d iss=%t inf=%d id=%d\n",
-			uint64(b), len(e.Waiters), e.Issued, e.InFlight, e.ReqID)
-	}
+			uint64(e.Block), len(e.Waiters), e.Issued, e.InFlight, e.ReqID)
+	})
 }

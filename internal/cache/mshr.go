@@ -1,6 +1,10 @@
 package cache
 
-import "github.com/gtsc-sim/gtsc/internal/mem"
+import (
+	"slices"
+
+	"github.com/gtsc-sim/gtsc/internal/mem"
+)
 
 // MSHR is a miss-status holding register table. It tracks outstanding
 // misses by block address and merges subsequent requests to the same
@@ -93,9 +97,15 @@ func (m *MSHR[W]) Len() int { return len(m.entries) }
 // Cap returns the table capacity.
 func (m *MSHR[W]) Cap() int { return m.max }
 
-// ForEach visits every live entry.
+// ForEach visits every live entry in ascending block order, so
+// diagnostics built from it are byte-stable across runs.
 func (m *MSHR[W]) ForEach(fn func(*MSHREntry[W])) {
-	for _, e := range m.entries {
-		fn(e)
+	keys := make([]mem.BlockAddr, 0, len(m.entries))
+	for b := range m.entries {
+		keys = append(keys, b)
+	}
+	slices.Sort(keys)
+	for _, b := range keys {
+		fn(m.entries[b])
 	}
 }

@@ -5,9 +5,20 @@
 //
 // Four protocol families implement these interfaces:
 //
-//   - internal/core: G-TSC, the paper's contribution (timestamp ordering)
-//   - internal/tc:   Temporal Coherence (TC-Strong and TC-Weak leases)
+//   - internal/core:  G-TSC, the paper's contribution (timestamp ordering)
+//   - internal/tc:    Temporal Coherence (TC-Strong and TC-Weak leases)
+//   - internal/dir:   a MESI full-map directory (invalidation-based)
 //   - internal/nocoh: the no-L1 baseline (BL) and the non-coherent L1
+//
+// They share one controller chassis, so everything that is not a
+// coherence decision is one code path for all of them: every L1 embeds
+// a Port (request IDs and bank interleaving, the backpressured output
+// queue, the message pool, the MSHR, the ack table, load completion,
+// the clock, the observer and the first-failure latch), and every L2
+// bank embeds a Bank, generic over its line metadata (the tag array,
+// the input and output queues, the pool its DRAM partition shares, the
+// miss table with its sorted stalled-fill retry list, the L2 atomic
+// and store observation). L1Geometry and BankGeometry size them.
 //
 // The GPU core is protocol-agnostic: it presents coalesced accesses and
 // receives completions; consistency (SC vs RC) is enforced above this

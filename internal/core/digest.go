@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"github.com/gtsc-sim/gtsc/internal/mem"
 )
@@ -15,18 +15,10 @@ import (
 // architectural field of the record (data, mask, lock accounting) is
 // rendered by value — replay reproduces the callbacks.
 func (l *L1) DigestState(w io.Writer) {
-	fmt.Fprintf(w, "gtsc-l1[%d] now=%d epoch=%d next=%d pend=%d out=%d floor=%d\n",
-		l.smID, l.now, l.epoch, l.nextReqID, l.pending, l.reqsOut, l.epochFloor)
-	fmt.Fprintf(w, "warpts %d\n", l.warpTS)
+	l.Port.DigestState(w)
+	fmt.Fprintf(w, "epoch=%d out=%d floor=%d\nwarpts %d\n", l.epoch, l.reqsOut, l.epochFloor, l.warpTS)
 	l.array.DigestInto(w)
-	l.mshr.DigestInto(w)
-	mem.DigestMsgs(w, "outq", l.outQ.Items())
-	ids := make([]uint64, 0, len(l.storesByID))
-	for id := range l.storesByID {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range l.storeIDs() {
 		ps := l.storesByID[id]
 		fmt.Fprintf(w, "st %d %#x wp=%d m=%#x hit=%t %x\n",
 			ps.reqID, uint64(ps.block), ps.warp, uint32(ps.mask), ps.lineHit, ps.data.Words)
@@ -40,19 +32,21 @@ func (l *L1) DigestState(w io.Writer) {
 		}
 		io.WriteString(w, "\n")
 	})
-	mem.DigestIDTable(w, "atom", l.atomicsByID)
+}
+
+// storeIDs lists the in-flight stores' request IDs in ascending order.
+func (l *L1) storeIDs() []uint64 {
+	ids := make([]uint64, 0, len(l.storesByID))
+	for id := range l.storesByID {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // DigestState implements coherence.StateDigester for a G-TSC L2 bank.
 func (l *L2) DigestState(w io.Writer) {
-	fmt.Fprintf(w, "gtsc-l2[%d] now=%d memts=%d epoch=%d\n", l.bankID, l.now, l.memTS, l.epoch)
-	l.array.DigestInto(w)
-	mem.DigestBlockMap(w, l.miss, func(w io.Writer, b mem.BlockAddr, m *l2Miss) {
-		fmt.Fprintf(w, "miss %#x\n", uint64(b))
-		mem.DigestMsgs(w, "wait", m.waiting)
-	})
-	mem.DigestMsgs(w, "inq", l.inQ.Items())
-	mem.DigestMsgs(w, "outnoc", l.outNoC.Items())
-	mem.DigestMsgs(w, "outdram", l.outDRAM.Items())
+	l.Bank.DigestState(w)
+	fmt.Fprintf(w, "memts=%d epoch=%d\n", l.memTS, l.epoch)
 	l.renewDist.DigestInto(w)
 }

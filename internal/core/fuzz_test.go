@@ -14,14 +14,14 @@ import (
 func newHarnessObs(t *testing.T, nSM int, cfg Config, obs coherence.Observer) *harness {
 	h := &harness{t: t, store: mem.NewStore()}
 	h.rc = NewResetController()
-	h.l2 = NewL2(cfg, 0, L2Geometry{Sets: 8, Ways: 2},
+	h.l2 = NewL2(cfg, 0, coherence.BankGeometry{Sets: 8, Ways: 2},
 		coherence.SenderFunc(func(m *mem.Msg) bool { h.toL1 = append(h.toL1, m); return true }),
 		coherence.SenderFunc(func(m *mem.Msg) bool { h.dram = append(h.dram, m); return true }),
 		obs)
 	h.l2.AttachResets(h.rc)
 	for i := 0; i < nSM; i++ {
 		h.l1s = append(h.l1s, NewL1(cfg, i, 1,
-			L1Geometry{Sets: 4, Ways: 2, MSHRs: 4, Warps: 4},
+			coherence.L1Geometry{Sets: 4, Ways: 2, MSHRs: 4, Warps: 4},
 			coherence.SenderFunc(func(m *mem.Msg) bool { h.toL2 = append(h.toL2, m); return true }),
 			obs))
 	}

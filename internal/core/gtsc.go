@@ -27,10 +27,7 @@
 //     default) with the paper's L2-driven epoch reset protocol.
 package core
 
-import (
-	"github.com/gtsc-sim/gtsc/internal/diag"
-	"github.com/gtsc-sim/gtsc/internal/mem"
-)
+import "github.com/gtsc-sim/gtsc/internal/diag"
 
 // Config holds G-TSC protocol parameters.
 type Config struct {
@@ -191,10 +188,6 @@ func (c *Config) tsMax() uint64 { return (uint64(1) << uint(c.TSBits)) - 1 }
 // initialTS is the power-on value of warp_ts and mem_ts (paper §III-B:
 // "All mem_ts and warp_ts are initially set to 1").
 const initialTS = 1
-
-// bankOf maps a block to its L2 bank / memory partition by low-order
-// block address interleaving.
-func bankOf(b mem.BlockAddr, nBanks int) int { return int(uint64(b) % uint64(nBanks)) }
 
 func maxu(a, b uint64) uint64 {
 	if a > b {

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/gtsc-sim/gtsc/internal/coherence"
@@ -30,11 +33,11 @@ type harness struct {
 
 func (h *harness) logMsg(m *mem.Msg) { h.log = append(h.log, m.Clone()) }
 
-func newHarness(t *testing.T, nSM int, cfg Config, l2geo L2Geometry) *harness {
+func newHarness(t *testing.T, nSM int, cfg Config, l2geo coherence.BankGeometry) *harness {
 	h := &harness{t: t, store: mem.NewStore()}
 	h.rc = NewResetController()
 	if l2geo.Sets == 0 {
-		l2geo = L2Geometry{Sets: 64, Ways: 8}
+		l2geo = coherence.BankGeometry{Sets: 64, Ways: 8}
 	}
 	h.l2 = NewL2(cfg, 0, l2geo,
 		coherence.SenderFunc(func(m *mem.Msg) bool { h.toL1 = append(h.toL1, m); h.logMsg(m); return true }),
@@ -43,7 +46,7 @@ func newHarness(t *testing.T, nSM int, cfg Config, l2geo L2Geometry) *harness {
 	h.l2.AttachResets(h.rc)
 	for i := 0; i < nSM; i++ {
 		h.l1s = append(h.l1s, NewL1(cfg, i, 1,
-			L1Geometry{Sets: 16, Ways: 4, MSHRs: 8, Warps: 8},
+			coherence.L1Geometry{Sets: 16, Ways: 4, MSHRs: 8, Warps: 8},
 			coherence.SenderFunc(func(m *mem.Msg) bool { h.toL2 = append(h.toL2, m); h.logMsg(m); return true }),
 			nil))
 	}
@@ -151,7 +154,7 @@ func (h *harness) countMsgs(ty mem.MsgType, b mem.BlockAddr) int {
 }
 
 func TestLoadMissFillThenHit(t *testing.T) {
-	h := newHarness(t, 1, DefaultConfig(), L2Geometry{})
+	h := newHarness(t, 1, DefaultConfig(), coherence.BankGeometry{})
 	h.store.WriteWord(mem.BlockAddr(5).WordAddr(3), 42)
 
 	ld := h.load(0, 0, 5, 3)
@@ -185,7 +188,7 @@ func TestLoadMissFillThenHit(t *testing.T) {
 // wts=12 (= Y.rts+1), the writer's warp_ts jumping to 12, and the
 // subsequent re-read of X renewing its lease past 12.
 func TestFig9Walkthrough(t *testing.T) {
-	h := newHarness(t, 2, DefaultConfig(), L2Geometry{})
+	h := newHarness(t, 2, DefaultConfig(), coherence.BankGeometry{})
 	X, Y := mem.BlockAddr(0x10), mem.BlockAddr(0x20)
 
 	// A1: SM0/warp0 reads X; B1: SM1/warp1 reads Y.
@@ -243,7 +246,7 @@ func TestFig9Walkthrough(t *testing.T) {
 // TestRenewalIsDataless verifies an expired lease over unchanged data
 // renews without a data payload (the Fig 15 bandwidth saving).
 func TestRenewalIsDataless(t *testing.T) {
-	h := newHarness(t, 1, DefaultConfig(), L2Geometry{})
+	h := newHarness(t, 1, DefaultConfig(), coherence.BankGeometry{})
 	X, Z := mem.BlockAddr(1), mem.BlockAddr(2)
 	h.load(0, 0, X, 0)
 	h.pump()
@@ -275,7 +278,7 @@ func TestRenewalIsDataless(t *testing.T) {
 // line with a pending store must wait for the acknowledgment and then
 // read the new value at a timestamp no earlier than the store's.
 func TestUpdateVisibilityOption1(t *testing.T) {
-	h := newHarness(t, 1, DefaultConfig(), L2Geometry{})
+	h := newHarness(t, 1, DefaultConfig(), coherence.BankGeometry{})
 	X := mem.BlockAddr(4)
 	h.load(0, 0, X, 0)
 	h.pump()
@@ -309,7 +312,7 @@ func TestUpdateVisibilityOption1(t *testing.T) {
 func TestUpdateVisibilityOption2(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.KeepOldCopy = true
-	h := newHarness(t, 1, cfg, L2Geometry{})
+	h := newHarness(t, 1, cfg, coherence.BankGeometry{})
 	X := mem.BlockAddr(4)
 	h.store.WriteWord(X.WordAddr(0), 0xAA)
 	h.load(0, 0, X, 0)
@@ -342,7 +345,7 @@ func TestUpdateVisibilityOption2(t *testing.T) {
 // BusRd; a waiter whose warp_ts exceeds the granted lease triggers one
 // renewal when the fill lands (§V-B).
 func TestRequestCombining(t *testing.T) {
-	h := newHarness(t, 1, DefaultConfig(), L2Geometry{})
+	h := newHarness(t, 1, DefaultConfig(), coherence.BankGeometry{})
 	X, Z := mem.BlockAddr(6), mem.BlockAddr(7)
 	// Advance warp 1 beyond the initial lease window.
 	h.storeWord(0, 1, Z, 0, 1)
@@ -375,7 +378,7 @@ func TestRequestCombining(t *testing.T) {
 func TestForwardAllAblation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ForwardAll = true
-	h := newHarness(t, 1, cfg, L2Geometry{})
+	h := newHarness(t, 1, cfg, coherence.BankGeometry{})
 	X := mem.BlockAddr(6)
 	h.load(0, 0, X, 0)
 	h.load(0, 1, X, 0)
@@ -390,7 +393,7 @@ func TestForwardAllAblation(t *testing.T) {
 // is stale (another SM wrote meanwhile), the acknowledgment returns
 // the authoritative merged block so the L1 copy ends up coherent.
 func TestStaleBaseStore(t *testing.T) {
-	h := newHarness(t, 2, DefaultConfig(), L2Geometry{})
+	h := newHarness(t, 2, DefaultConfig(), coherence.BankGeometry{})
 	X := mem.BlockAddr(9)
 	h.store.WriteWord(X.WordAddr(0), 1)
 	h.store.WriteWord(X.WordAddr(1), 2)
@@ -424,7 +427,7 @@ func TestStaleBaseStore(t *testing.T) {
 // TestWriteNoAllocate: a store to an uncached block does not install a
 // line (GPU L1s are write-no-allocate).
 func TestWriteNoAllocate(t *testing.T) {
-	h := newHarness(t, 1, DefaultConfig(), L2Geometry{})
+	h := newHarness(t, 1, DefaultConfig(), coherence.BankGeometry{})
 	X := mem.BlockAddr(3)
 	st := h.storeWord(0, 0, X, 0, 5)
 	h.pump()
@@ -446,7 +449,7 @@ func TestWriteNoAllocate(t *testing.T) {
 // mem_ts; a store to the refetched block is scheduled after it without
 // any stall (§V-C).
 func TestNonInclusiveEviction(t *testing.T) {
-	h := newHarness(t, 1, DefaultConfig(), L2Geometry{Sets: 1, Ways: 1})
+	h := newHarness(t, 1, DefaultConfig(), coherence.BankGeometry{Sets: 1, Ways: 1})
 	A, B := mem.BlockAddr(1), mem.BlockAddr(2)
 
 	h.load(0, 0, A, 0) // A lease [1,11]
@@ -478,7 +481,7 @@ func TestNonInclusiveEviction(t *testing.T) {
 func TestTimestampOverflowReset(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TSBits = 6 // tsMax = 63
-	h := newHarness(t, 1, cfg, L2Geometry{})
+	h := newHarness(t, 1, cfg, coherence.BankGeometry{})
 	X := mem.BlockAddr(11)
 
 	// Each store advances the block's wts by lease+1; a handful of
@@ -524,7 +527,7 @@ func TestLeaseTooLargeRejected(t *testing.T) {
 // TestWarpTimestampMonotone: a warp's timestamp never regresses within
 // an epoch, across loads, stores and renewals.
 func TestWarpTimestampMonotone(t *testing.T) {
-	h := newHarness(t, 1, DefaultConfig(), L2Geometry{})
+	h := newHarness(t, 1, DefaultConfig(), coherence.BankGeometry{})
 	var last uint64
 	blocks := []mem.BlockAddr{1, 2, 3}
 	for i := 0; i < 12; i++ {
@@ -560,7 +563,7 @@ func (h *harness) atomic(sm, warp int, b mem.BlockAddr, word int, op mem.AtomicO
 // both land, and each observes a pre-update value consistent with an
 // indivisible read-modify-write.
 func TestAtomicAddSerializesAtL2(t *testing.T) {
-	h := newHarness(t, 2, DefaultConfig(), L2Geometry{})
+	h := newHarness(t, 2, DefaultConfig(), coherence.BankGeometry{})
 	X := mem.BlockAddr(7)
 	h.store.WriteWord(X.WordAddr(0), 100)
 
@@ -589,7 +592,7 @@ func TestAtomicAddSerializesAtL2(t *testing.T) {
 // TestAtomicAdvancesWarpTS: the atomic's write half gives the issuing
 // warp a timestamp after every outstanding lease, like a store.
 func TestAtomicAdvancesWarpTS(t *testing.T) {
-	h := newHarness(t, 1, DefaultConfig(), L2Geometry{})
+	h := newHarness(t, 1, DefaultConfig(), coherence.BankGeometry{})
 	X := mem.BlockAddr(7)
 	h.load(0, 0, X, 0) // lease [1,11]
 	h.pump()
@@ -605,7 +608,7 @@ func TestAtomicAdvancesWarpTS(t *testing.T) {
 
 // TestAtomicMinMax: the value semantics of the other two kinds.
 func TestAtomicMinMax(t *testing.T) {
-	h := newHarness(t, 1, DefaultConfig(), L2Geometry{})
+	h := newHarness(t, 1, DefaultConfig(), coherence.BankGeometry{})
 	X := mem.BlockAddr(8)
 	h.store.WriteWord(X.WordAddr(2), 50)
 
@@ -627,7 +630,7 @@ func TestAtomicMinMax(t *testing.T) {
 }
 
 func TestDebugStrings(t *testing.T) {
-	h := newHarness(t, 1, DefaultConfig(), L2Geometry{})
+	h := newHarness(t, 1, DefaultConfig(), coherence.BankGeometry{})
 	// Park a load behind a pending store so the MSHR has content.
 	h.load(0, 0, 3, 0)
 	h.pump()
@@ -640,10 +643,49 @@ func TestDebugStrings(t *testing.T) {
 	h.pump()
 }
 
+// TestDumpDetailSorted: the failure-dump detail of an L1 and a bank
+// lists outstanding misses in block order and in-flight stores in
+// request order, so the same failing run prints the same dump.
+func TestDumpDetailSorted(t *testing.T) {
+	h := newHarness(t, 1, DefaultConfig(), coherence.BankGeometry{})
+	blocks := []mem.BlockAddr{40, 8, 24, 16}
+	for i, b := range blocks {
+		h.load(0, i, b, 0)           // request IDs 1, 3, 5, 7
+		h.storeWord(0, i, b+1, 0, 1) // request IDs 2, 4, 6, 8
+		h.l2.Deliver(&mem.Msg{Type: mem.BusRd, Block: b, ReqID: uint64(i)})
+	}
+	for range blocks {
+		h.now++
+		h.l2.Tick(h.now)
+	}
+	slices.Sort(blocks)
+	var mshrs, stores, misses []string
+	for i, b := range blocks {
+		mshrs = append(mshrs, fmt.Sprintf("mshr %v ", b))
+		stores = append(stores, fmt.Sprintf("store req=%d ", 2*i+2))
+		misses = append(misses, fmt.Sprintf("miss %v ", b))
+	}
+	inOrder := func(detail string, keys []string) {
+		t.Helper()
+		last := -1
+		for _, k := range keys {
+			i := strings.Index(detail, k)
+			if i <= last {
+				t.Fatalf("detail does not list %q in order:\n%s", k, detail)
+			}
+			last = i
+		}
+	}
+	l1 := h.l1s[0].DumpState().Detail
+	inOrder(l1, mshrs)
+	inOrder(l1, stores)
+	inOrder(h.l2.DumpState().Detail, misses)
+}
+
 func TestAdaptiveLeaseGrowsAndShrinks(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AdaptiveLease = true
-	h := newHarness(t, 1, cfg, L2Geometry{})
+	h := newHarness(t, 1, cfg, coherence.BankGeometry{})
 	X, Z := mem.BlockAddr(1), mem.BlockAddr(2)
 
 	// Read X, then advance the warp past its lease via stores to Z and
@@ -677,7 +719,7 @@ func TestAdaptiveLeaseGrowsAndShrinks(t *testing.T) {
 }
 
 func TestRenewalDistanceHistogram(t *testing.T) {
-	h := newHarness(t, 1, DefaultConfig(), L2Geometry{})
+	h := newHarness(t, 1, DefaultConfig(), coherence.BankGeometry{})
 	X, Z := mem.BlockAddr(1), mem.BlockAddr(2)
 	h.load(0, 0, X, 0)
 	h.pump()
@@ -703,7 +745,7 @@ func TestRenewalDistanceHistogram(t *testing.T) {
 // TestMSHRFullRejects: when every MSHR entry is taken, further misses
 // are rejected and the LDST unit must retry.
 func TestMSHRFullRejects(t *testing.T) {
-	h := newHarness(t, 1, DefaultConfig(), L2Geometry{})
+	h := newHarness(t, 1, DefaultConfig(), coherence.BankGeometry{})
 	// Geometry gives 8 MSHRs; occupy them with distinct block misses.
 	for i := 0; i < 8; i++ {
 		if res := h.load(0, 0, mem.BlockAddr(0x100+i), 0).res; res != coherence.Pending {
@@ -732,7 +774,7 @@ func TestMSHRFullRejects(t *testing.T) {
 // TestWriteAckStaleDataMask: a store ack with data only appears when
 // the base version was stale; a clean single store gets a dataless ack.
 func TestWriteAckStaleDataMask(t *testing.T) {
-	h := newHarness(t, 1, DefaultConfig(), L2Geometry{})
+	h := newHarness(t, 1, DefaultConfig(), coherence.BankGeometry{})
 	X := mem.BlockAddr(4)
 	h.load(0, 0, X, 0)
 	h.pump()
@@ -752,7 +794,7 @@ func TestWriteAckStaleDataMask(t *testing.T) {
 func TestOldEpochRequestGetsReset(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TSBits = 6 // tsMax = 63
-	h := newHarness(t, 2, cfg, L2Geometry{})
+	h := newHarness(t, 2, cfg, coherence.BankGeometry{})
 	X, Z := mem.BlockAddr(1), mem.BlockAddr(2)
 
 	// SM1 touches X so it is resident at L2.
@@ -791,7 +833,7 @@ func TestOldEpochRequestGetsReset(t *testing.T) {
 // its set is locked by pending stores completes waiters directly from
 // the message payload without caching.
 func TestBypassFillWhenAllWaysLocked(t *testing.T) {
-	h := newHarness(t, 1, DefaultConfig(), L2Geometry{})
+	h := newHarness(t, 1, DefaultConfig(), coherence.BankGeometry{})
 	// L1 geometry: 16 sets x 4 ways. Occupy all 4 ways of set 0 with
 	// locked lines: load then store (ack withheld by not pumping).
 	setStride := mem.BlockAddr(16)

@@ -7,7 +7,6 @@ import (
 	"github.com/gtsc-sim/gtsc/internal/coherence"
 	"github.com/gtsc-sim/gtsc/internal/diag"
 	"github.com/gtsc-sim/gtsc/internal/mem"
-	"github.com/gtsc-sim/gtsc/internal/stats"
 )
 
 // l1Meta is the per-line G-TSC metadata in the private cache.
@@ -25,13 +24,6 @@ type l1Meta struct {
 	oldData  mem.Block
 	oldWTS   uint64
 	oldRTS   uint64
-}
-
-// waiter is a load parked in the MSHR: either merged behind an
-// outstanding read (request combining, §V-B) or blocked on a locked
-// line (update visibility, §V-A).
-type waiter struct {
-	req *coherence.Request
 }
 
 // pendingStore tracks one write-through store between BusWr and
@@ -54,43 +46,28 @@ type pendingStore struct {
 // It is a write-through, write-no-allocate cache. Loads hit when the
 // tag matches, the line is not locked by a pending store, and the
 // issuing warp's warp_ts lies within the line's lease (warp_ts <= rts).
+//
+// Loads parked in the MSHR are either merged behind an outstanding
+// read (request combining, §V-B) or blocked on a locked line (update
+// visibility, §V-A).
 type L1 struct {
+	coherence.Port
 	cfg    Config
-	smID   int
-	nBanks int
-	now    uint64
-
-	array *cache.Array[l1Meta]
-	mshr  *cache.MSHR[waiter]
-
+	array  *cache.Array[l1Meta]
 	warpTS []uint64
-
-	send  coherence.Sender
-	outQ  mem.MsgQueue // messages awaiting NoC injection (backpressure)
-	pool  mem.Pool     // recycles the requests it sends and responses it consumes
-	stats stats.L1Stats
-	obs   coherence.Observer
-
-	loadOut mem.Block // masked-word scratch handed to load completions
 
 	// stores in flight, by ReqID, plus per-block send-ordered lists so
 	// fills arriving under a locked line can be patched (see
 	// applyPendingStores).
 	storesByID    map[uint64]*pendingStore
 	storesByBlock map[mem.BlockAddr][]*pendingStore
-	nextReqID     uint64
 	// freeStores and freeStoreLists recycle acknowledged store records
 	// and emptied per-block lists, so the store path allocates nothing
 	// in steady state.
 	freeStores     mem.FreeList[pendingStore]
 	freeStoreLists [][]*pendingStore
 
-	// atomics in flight, by ReqID (performed wholly at the L2).
-	atomicsByID map[uint64]*coherence.Request
-
-	epoch   uint64 // timestamp overflow epoch learned from L2 responses
-	pending int    // outstanding Done callbacks
-	fail    *diag.ProtocolError
+	epoch uint64 // timestamp overflow epoch learned from L2 responses
 
 	// reqsOut counts posted requests whose response has not yet been
 	// delivered; epochFloor is this L1's epoch when the oldest of them
@@ -109,30 +86,17 @@ type L1 struct {
 	MutDropLeaseCheck bool
 }
 
-// L1Geometry describes the cache organization.
-type L1Geometry struct {
-	Sets  int
-	Ways  int
-	MSHRs int
-	Warps int // warps per SM, sizing the warp_ts table
-}
-
 // NewL1 builds the controller for SM smID, sending through send to
 // nBanks L2 banks. obs may be nil.
-func NewL1(cfg Config, smID, nBanks int, geo L1Geometry, send coherence.Sender, obs coherence.Observer) *L1 {
+func NewL1(cfg Config, smID, nBanks int, geo coherence.L1Geometry, send coherence.Sender, obs coherence.Observer) *L1 {
 	cfg.fillDefaults()
 	l := &L1{
+		Port:          coherence.NewPort("gtsc-l1", smID, nBanks, geo.MSHRs, send, obs),
 		cfg:           cfg,
-		smID:          smID,
-		nBanks:        nBanks,
 		array:         cache.NewArray[l1Meta](geo.Sets, geo.Ways),
-		mshr:          cache.NewMSHR[waiter](geo.MSHRs),
 		warpTS:        make([]uint64, geo.Warps),
-		send:          send,
-		obs:           obs,
 		storesByID:    make(map[uint64]*pendingStore),
 		storesByBlock: make(map[mem.BlockAddr][]*pendingStore),
-		atomicsByID:   make(map[uint64]*coherence.Request),
 	}
 	for i := range l.warpTS {
 		l.warpTS[i] = cfg.startTS()
@@ -140,39 +104,10 @@ func NewL1(cfg Config, smID, nBanks int, geo L1Geometry, send coherence.Sender, 
 	return l
 }
 
-// Stats implements coherence.L1.
-func (l *L1) Stats() *stats.L1Stats { return &l.stats }
-
-// Pending implements coherence.L1.
-func (l *L1) Pending() int { return l.pending }
-
-// Quiescent implements coherence.L1: Tick only drains outQ, so an
-// empty output queue means ticking is a pure no-op until new input.
-func (l *L1) Quiescent() bool { return l.outQ.Empty() }
-
-// failf records the first protocol violation; the controller then
-// drops further input until the simulator surfaces the error.
-func (l *L1) failf(event, format string, args ...any) {
-	if l.fail == nil {
-		l.fail = diag.Errf(fmt.Sprintf("gtsc-l1[%d]", l.smID), event, format, args...)
-	}
-}
-
-// Err implements coherence.L1.
-func (l *L1) Err() error {
-	if l.fail == nil {
-		return nil
-	}
-	return l.fail
-}
-
 // DumpState implements coherence.L1.
 func (l *L1) DumpState() diag.CacheState {
-	st := diag.CacheState{
-		Name: "gtsc-l1", ID: l.smID, Pending: l.pending,
-		MSHRUsed: l.mshr.Len(), MSHRCap: l.mshr.Cap(), OutQ: l.outQ.Len(),
-	}
-	if l.pending > 0 || l.mshr.Len() > 0 {
+	st := l.Port.DumpState()
+	if st.Pending > 0 || st.MSHRUsed > 0 {
 		st.Detail = l.DebugString()
 	}
 	return st
@@ -207,31 +142,17 @@ func (l *L1) Access(req *coherence.Request) coherence.AccessResult {
 // under timestamp ordering, readable by warps whose warp_ts its lease
 // still covers.
 func (l *L1) accessAtomic(req *coherence.Request) coherence.AccessResult {
-	l.stats.Atomics++
-	l.nextReqID++
-	l.atomicsByID[l.nextReqID] = req
-	l.pending++
-	msg := l.pool.Msg()
-	*msg = mem.Msg{
-		Type:   mem.BusAtom,
-		Block:  req.Block,
-		Src:    l.smID,
-		Dst:    bankOf(req.Block, l.nBanks),
-		WarpTS: l.warpTS[req.Warp],
-		Mask:   req.Mask,
-		Atom:   req.Atom,
-		ReqID:  l.nextReqID,
-		Warp:   req.Warp,
-		Epoch:  l.cfg.wireEpoch(l.epoch),
-	}
-	mem.Merge(msg.Payload(), req.Data, req.Mask)
-	l.post(msg)
+	l.Counters.Atomics++
+	msg := l.Forward(mem.BusAtom, req)
+	msg.WarpTS, msg.Epoch = l.warpTS[req.Warp], l.cfg.wireEpoch(l.epoch)
+	l.Await(msg, req)
+	l.postRequest(msg)
 	return coherence.Pending
 }
 
 func (l *L1) accessLoad(req *coherence.Request) coherence.AccessResult {
-	l.stats.Loads++
-	l.stats.TagProbes++
+	l.Counters.Loads++
+	l.Counters.TagProbes++
 	line := l.array.Lookup(req.Block)
 	wts := l.warpTS[req.Warp]
 
@@ -240,76 +161,51 @@ func (l *L1) accessLoad(req *coherence.Request) coherence.AccessResult {
 		if l.cfg.KeepOldCopy && line.Meta.oldValid && wts <= line.Meta.oldRTS {
 			// Option 2: serve the preserved old version; the load is
 			// logically ordered before the pending store.
-			l.stats.Hits++
-			l.stats.DataAccesses++
-			l.pending++ // completeLoad decrements
+			l.Counters.Hits++
+			l.Counters.DataAccesses++
+			l.Owe()
 			l.completeLoad(req, &line.Meta.oldData, line.Meta.oldWTS)
 			return coherence.Hit
 		}
 		// Option 1 (default): park the load until the BusWrAck.
-		if l.mshr.Lookup(req.Block) == nil && l.mshr.Full() {
-			l.stats.MSHRStalls++
+		if e, _ := l.Park(req); e == nil {
 			return coherence.Reject
 		}
-		l.stats.MissLocked++
-		e := l.mshr.Lookup(req.Block)
-		if e == nil {
-			if e = l.mshr.Allocate(req.Block); e == nil {
-				l.failf("mshr-allocate", "allocate for %v failed despite capacity check", req.Block)
-				return coherence.Reject
-			}
-		} else {
-			l.stats.MSHRMerges++
-		}
-		e.Waiters = append(e.Waiters, waiter{req: req})
-		l.pending++
+		l.Counters.MissLocked++
 		return coherence.Pending
 	}
 
 	if line != nil && (wts <= line.Meta.rts || l.MutDropLeaseCheck) {
 		// L1 hit: tag match and warp_ts within the lease (§IV-A-1).
-		l.stats.Hits++
-		l.stats.DataAccesses++
-		l.array.Touch(line, l.now)
-		l.pending++ // completeLoad decrements
+		l.Counters.Hits++
+		l.Counters.DataAccesses++
+		l.array.Touch(line, l.Now)
+		l.Owe()
 		l.completeLoad(req, &line.Data, line.Meta.wts)
 		return coherence.Hit
 	}
 
 	// Miss: cold (no tag) or expired (lease behind warp_ts).
-	e := l.mshr.Lookup(req.Block)
-	if e == nil && l.mshr.Full() {
-		l.stats.MSHRStalls++
+	e, fresh := l.Park(req)
+	if e == nil {
 		return coherence.Reject
 	}
 	if line != nil {
-		l.stats.MissExpired++
+		l.Counters.MissExpired++
 	} else {
-		l.stats.MissCold++
+		l.Counters.MissCold++
 	}
-	if e != nil {
-		// Request combining (§V-B): merge behind the in-flight read.
-		l.stats.MSHRMerges++
-		e.Waiters = append(e.Waiters, waiter{req: req})
-		l.pending++
-		if l.cfg.ForwardAll {
-			l.sendRead(e, line, wts)
-		}
-		return coherence.Pending
+	// Request combining (§V-B): a merged load waits for the in-flight
+	// read, unless the ablation forwards every reader.
+	if fresh || l.cfg.ForwardAll {
+		l.sendRead(e, line, wts)
 	}
-	if e = l.mshr.Allocate(req.Block); e == nil {
-		l.failf("mshr-allocate", "allocate for %v failed despite capacity check", req.Block)
-		return coherence.Reject
-	}
-	e.Waiters = append(e.Waiters, waiter{req: req})
-	l.pending++
-	l.sendRead(e, line, wts)
 	return coherence.Pending
 }
 
 // sendRead issues a read/renewal on behalf of an MSHR entry, tracking
 // it so later events know whether a response is still owed.
-func (l *L1) sendRead(e *cache.MSHREntry[waiter], line *cache.Line[l1Meta], warpTS uint64) {
+func (l *L1) sendRead(e *cache.MSHREntry[*coherence.Request], line *cache.Line[l1Meta], warpTS uint64) {
 	e.Issued = true
 	e.InFlight++
 	l.sendBusRd(e.Block, line, warpTS)
@@ -317,7 +213,7 @@ func (l *L1) sendRead(e *cache.MSHREntry[waiter], line *cache.Line[l1Meta], warp
 
 // noteResponse records that one in-flight read for the block answered.
 func (l *L1) noteResponse(b mem.BlockAddr) {
-	if e := l.mshr.Lookup(b); e != nil && e.InFlight > 0 {
+	if e := l.MSHR.Lookup(b); e != nil && e.InFlight > 0 {
 		e.InFlight--
 	}
 }
@@ -329,32 +225,22 @@ func (l *L1) sendBusRd(b mem.BlockAddr, line *cache.Line[l1Meta], warpTS uint64)
 	var wts uint64
 	if line != nil {
 		wts = line.Meta.wts
-		l.stats.Renewals++
+		l.Counters.Renewals++
 	}
-	l.nextReqID++
-	msg := l.pool.Msg()
-	*msg = mem.Msg{
-		Type:   mem.BusRd,
-		Block:  b,
-		Src:    l.smID,
-		Dst:    bankOf(b, l.nBanks),
-		WTS:    wts,
-		WarpTS: warpTS,
-		ReqID:  l.nextReqID,
-		Epoch:  l.cfg.wireEpoch(l.epoch),
-	}
-	l.post(msg)
+	msg := l.Request(mem.BusRd, b)
+	msg.WTS, msg.WarpTS, msg.Epoch = wts, warpTS, l.cfg.wireEpoch(l.epoch)
+	l.postRequest(msg)
 }
 
 func (l *L1) accessStore(req *coherence.Request) coherence.AccessResult {
-	l.stats.Stores++
-	l.stats.TagProbes++
+	l.Counters.Stores++
+	l.Counters.TagProbes++
 	line := l.array.Lookup(req.Block)
-
-	l.nextReqID++
+	msg := l.Forward(mem.BusWr, req)
+	msg.WTS, msg.WarpTS, msg.Epoch = mem.NoWTS, l.warpTS[req.Warp], l.cfg.wireEpoch(l.epoch)
 	ps := l.freeStores.Get()
 	*ps = pendingStore{
-		reqID: l.nextReqID,
+		reqID: msg.ReqID,
 		block: req.Block,
 		warp:  req.Warp,
 		mask:  req.Mask,
@@ -362,7 +248,6 @@ func (l *L1) accessStore(req *coherence.Request) coherence.AccessResult {
 	}
 	mem.Merge(&ps.data, req.Data, req.Mask)
 
-	baseWTS := mem.NoWTS
 	if line != nil {
 		// Write-through with local update: the line's data is updated
 		// now but locked until the ack returns (§IV-A-2, §V-A).
@@ -372,12 +257,12 @@ func (l *L1) accessStore(req *coherence.Request) coherence.AccessResult {
 			line.Meta.oldWTS = line.Meta.wts
 			line.Meta.oldRTS = line.Meta.rts
 		}
-		baseWTS = line.Meta.wts
+		msg.WTS = line.Meta.wts
 		mem.Merge(&line.Data, req.Data, req.Mask)
 		line.Meta.lockCount++
 		ps.lineHit = true
-		l.stats.DataAccesses++
-		l.array.Touch(line, l.now)
+		l.Counters.DataAccesses++
+		l.array.Touch(line, l.Now)
 	}
 
 	l.storesByID[ps.reqID] = ps
@@ -387,48 +272,21 @@ func (l *L1) accessStore(req *coherence.Request) coherence.AccessResult {
 		l.freeStoreLists = l.freeStoreLists[:n-1]
 	}
 	l.storesByBlock[req.Block] = append(list, ps)
-	l.pending++
-
-	msg := l.pool.Msg()
-	*msg = mem.Msg{
-		Type:   mem.BusWr,
-		Block:  req.Block,
-		Src:    l.smID,
-		Dst:    bankOf(req.Block, l.nBanks),
-		WTS:    baseWTS,
-		WarpTS: l.warpTS[req.Warp],
-		Mask:   req.Mask,
-		ReqID:  ps.reqID,
-		Warp:   req.Warp,
-		Epoch:  l.cfg.wireEpoch(l.epoch),
-	}
-	mem.Merge(msg.Payload(), req.Data, req.Mask)
-	l.post(msg)
+	l.Owe()
+	l.postRequest(msg)
 	return coherence.Pending
 }
 
 // completeLoad binds a load's value and timestamp and fires Done.
 // The load's logical timestamp is max(warp_ts, wts) (Tardis rule);
-// warp_ts advances to it. The masked words go out in the controller's
-// scratch block, reused by the next completion — Completion.Data must
-// not be retained past the callback (see coherence.Completion).
+// warp_ts advances to it.
 func (l *L1) completeLoad(req *coherence.Request, data *mem.Block, wts uint64) {
 	ts := maxu(l.warpTS[req.Warp], wts)
 	if ts != l.warpTS[req.Warp] {
-		l.stats.TSUpdates++
+		l.Counters.TSUpdates++
 	}
 	l.warpTS[req.Warp] = ts
-	out := &l.loadOut
-	*out = mem.Block{}
-	mem.Merge(out, data, req.Mask)
-	if l.obs != nil {
-		l.obs.Observe(coherence.Op{
-			SM: l.smID, Warp: req.Warp, Block: req.Block, Mask: req.Mask,
-			Data: *out, TS: l.unrolled(ts), Cycle: l.now,
-		})
-	}
-	l.pending--
-	req.Done(coherence.Completion{Data: out, TS: ts})
+	l.CompleteLoad(req, data, ts, l.unrolled(ts))
 }
 
 // unrolled maps a wire timestamp into the monotonically increasing
@@ -437,7 +295,7 @@ func (l *L1) unrolled(ts uint64) uint64 { return l.epoch*(l.cfg.tsMax()+1) + ts 
 
 // Deliver implements coherence.L1.
 func (l *L1) Deliver(msg *mem.Msg) {
-	if l.fail != nil {
+	if l.Failed() {
 		return
 	}
 	// Decode the response's epoch tag against the epoch this L1 held
@@ -471,26 +329,26 @@ func (l *L1) Deliver(msg *mem.Msg) {
 	case mem.BusAtomAck:
 		l.onAtomAck(msg, stale)
 	default:
-		l.failf("unexpected-message", "message %v for block %v from bank %d", msg.Type, msg.Block, msg.Src)
+		l.Failf("unexpected-message", "message %v for block %v from bank %d", msg.Type, msg.Block, msg.Src)
 	}
 	// The response is fully consumed: fills install their payload into
 	// the array (or complete waiters synchronously on the bypass path)
 	// and acks complete their Done callbacks before returning, so the
 	// message recycles here, payload included.
-	l.pool.PutMsg(msg)
+	l.Free(msg)
 }
 
 // onFill installs new data + lease and completes eligible waiters
 // (Fig 8).
 func (l *L1) onFill(msg *mem.Msg, stale bool) {
-	l.stats.Fills++
+	l.Counters.Fills++
 	l.noteResponse(msg.Block)
 	if stale {
 		// The fill's lease belongs to the epoch a reset just retired;
 		// drop it and refetch in the current epoch for whoever still
 		// waits (the retry carries new-epoch tags, so the L2 answers
 		// with a current lease).
-		if e := l.mshr.Lookup(msg.Block); e != nil && len(e.Waiters) > 0 && e.InFlight == 0 {
+		if e := l.MSHR.Lookup(msg.Block); e != nil && len(e.Waiters) > 0 && e.InFlight == 0 {
 			l.sendRead(e, l.array.Lookup(msg.Block), l.maxWaiterTS(e))
 		}
 		return
@@ -505,24 +363,24 @@ func (l *L1) onFill(msg *mem.Msg, stale bool) {
 		})
 		if victim != nil {
 			if victim.Valid {
-				l.stats.SelfInval++
+				l.Counters.SelfInval++
 			}
-			l.array.Install(victim, msg.Block, msg.Data, l.now)
+			l.array.Install(victim, msg.Block, msg.Data, l.Now)
 			line = victim
 		}
 	} else {
 		line.Data = *msg.Data
-		l.array.Touch(line, l.now)
+		l.array.Touch(line, l.Now)
 	}
 	if line != nil {
 		line.Meta.wts = msg.WTS
 		line.Meta.rts = msg.RTS
-		l.stats.TSUpdates++
+		l.Counters.TSUpdates++
 		// If stores to this block are still in flight, their words
 		// must stay visible in the local copy (they are ordered after
 		// this fill's version at L2); re-apply them in send order.
 		l.applyPendingStores(msg.Block, line)
-		l.stats.DataAccesses++
+		l.Counters.DataAccesses++
 		l.serviceWaiters(msg.Block, line)
 		return
 	}
@@ -533,7 +391,7 @@ func (l *L1) onFill(msg *mem.Msg, stale bool) {
 
 // onRenew extends the lease of data the L1 already holds (Fig 7a).
 func (l *L1) onRenew(msg *mem.Msg, stale bool) {
-	l.stats.RenewalHits++
+	l.Counters.RenewalHits++
 	l.noteResponse(msg.Block)
 	line := l.array.Lookup(msg.Block)
 	if stale || line == nil {
@@ -541,14 +399,14 @@ func (l *L1) onRenew(msg *mem.Msg, stale bool) {
 		// flight — or the renewal's rts belongs to a dead epoch — so the
 		// dataless response cannot complete the waiters. Refetch on
 		// their behalf.
-		if e := l.mshr.Lookup(msg.Block); e != nil && len(e.Waiters) > 0 && e.InFlight == 0 {
+		if e := l.MSHR.Lookup(msg.Block); e != nil && len(e.Waiters) > 0 && e.InFlight == 0 {
 			l.sendRead(e, line, l.maxWaiterTS(e))
 		}
 		return
 	}
 	if msg.RTS > line.Meta.rts {
 		line.Meta.rts = msg.RTS
-		l.stats.TSUpdates++
+		l.Counters.TSUpdates++
 	}
 	l.serviceWaiters(msg.Block, line)
 }
@@ -556,10 +414,10 @@ func (l *L1) onRenew(msg *mem.Msg, stale bool) {
 // onWriteAck finishes a store: adopt the assigned timestamps, unlock
 // the line, and wake parked readers (Fig 7b).
 func (l *L1) onWriteAck(msg *mem.Msg, stale bool) {
-	l.stats.WriteAcks++
+	l.Counters.WriteAcks++
 	ps, ok := l.storesByID[msg.ReqID]
 	if !ok {
-		l.failf("unknown-write-ack", "write ack req=%d block=%v has no pending store", msg.ReqID, msg.Block)
+		l.Failf("unknown-write-ack", "write ack req=%d block=%v has no pending store", msg.ReqID, msg.Block)
 		return
 	}
 	delete(l.storesByID, msg.ReqID)
@@ -575,20 +433,20 @@ func (l *L1) onWriteAck(msg *mem.Msg, stale bool) {
 	// reset flush cleared lineHit, so no line update runs below.)
 	if !stale && msg.WTS > l.warpTS[warp] {
 		l.warpTS[warp] = msg.WTS
-		l.stats.TSUpdates++
+		l.Counters.TSUpdates++
 	}
 
 	line := l.array.Lookup(block)
 	if line != nil && lineHit {
 		line.Meta.lockCount--
 		if line.Meta.lockCount < 0 {
-			l.failf("lock-underflow", "block %v lock count went negative", block)
+			l.Failf("lock-underflow", "block %v lock count went negative", block)
 			return
 		}
 		if msg.WTS >= line.Meta.wts {
 			line.Meta.wts = msg.WTS
 			line.Meta.rts = msg.RTS
-			l.stats.TSUpdates++
+			l.Counters.TSUpdates++
 		}
 		if msg.Data != nil {
 			// The L2 detected our base version was stale and returned
@@ -601,8 +459,7 @@ func (l *L1) onWriteAck(msg *mem.Msg, stale bool) {
 			line.Meta.oldValid = false
 		}
 	}
-	l.pending--
-	req.Done(coherence.Completion{TS: msg.WTS})
+	l.Complete(req, coherence.Completion{TS: msg.WTS})
 
 	if line != nil {
 		if line.Meta.lockCount == 0 {
@@ -613,7 +470,7 @@ func (l *L1) onWriteAck(msg *mem.Msg, stale bool) {
 	// The line vanished while the store was in flight (overflow reset
 	// flush): readers parked behind the lock would strand without a
 	// line to service them from — refetch on their behalf.
-	if e := l.mshr.Lookup(block); e != nil && len(e.Waiters) > 0 && e.InFlight == 0 {
+	if e := l.MSHR.Lookup(block); e != nil && len(e.Waiters) > 0 && e.InFlight == 0 {
 		l.sendRead(e, nil, l.maxWaiterTS(e))
 	}
 }
@@ -621,18 +478,15 @@ func (l *L1) onWriteAck(msg *mem.Msg, stale bool) {
 // onAtomAck completes an atomic: the warp's timestamp jumps to the
 // operation's wts and the pre-update values return to the lanes.
 func (l *L1) onAtomAck(msg *mem.Msg, stale bool) {
-	req, ok := l.atomicsByID[msg.ReqID]
-	if !ok {
-		l.failf("unknown-atomic-ack", "atomic ack req=%d block=%v has no pending request", msg.ReqID, msg.Block)
+	req := l.Take(msg, "unknown-atomic-ack")
+	if req == nil {
 		return
 	}
-	delete(l.atomicsByID, msg.ReqID)
 	if !stale && msg.WTS > l.warpTS[req.Warp] {
 		l.warpTS[req.Warp] = msg.WTS
-		l.stats.TSUpdates++
+		l.Counters.TSUpdates++
 	}
-	l.pending--
-	req.Done(coherence.Completion{Data: msg.Data, TS: msg.WTS})
+	l.Complete(req, coherence.Completion{Data: msg.Data, TS: msg.WTS})
 }
 
 // applyPendingStores merges the words of this SM's in-flight stores to
@@ -668,7 +522,7 @@ func (l *L1) removeBlockStore(ps *pendingStore) {
 // carrying the maximum outstanding warp_ts (§V-B). A locked line
 // services nobody; the pending ack will retry.
 func (l *L1) serviceWaiters(block mem.BlockAddr, line *cache.Line[l1Meta]) {
-	e := l.mshr.Lookup(block)
+	e := l.MSHR.Lookup(block)
 	if e == nil {
 		return
 	}
@@ -677,16 +531,16 @@ func (l *L1) serviceWaiters(block mem.BlockAddr, line *cache.Line[l1Meta]) {
 	}
 	kept := e.Waiters[:0]
 	for _, w := range e.Waiters {
-		if l.warpTS[w.req.Warp] <= line.Meta.rts {
-			l.stats.DataAccesses++
-			l.completeLoad(w.req, &line.Data, line.Meta.wts)
+		if l.warpTS[w.Warp] <= line.Meta.rts {
+			l.Counters.DataAccesses++
+			l.completeLoad(w, &line.Data, line.Meta.wts)
 		} else {
 			kept = append(kept, w)
 		}
 	}
 	e.Waiters = kept
 	if len(e.Waiters) == 0 {
-		l.mshr.Release(block)
+		l.MSHR.Release(block)
 		return
 	}
 	if e.InFlight == 0 {
@@ -697,21 +551,21 @@ func (l *L1) serviceWaiters(block mem.BlockAddr, line *cache.Line[l1Meta]) {
 // serviceWaitersBypass handles the rare fill that found no allocatable
 // way: complete covered waiters from the message payload.
 func (l *L1) serviceWaitersBypass(msg *mem.Msg) {
-	e := l.mshr.Lookup(msg.Block)
+	e := l.MSHR.Lookup(msg.Block)
 	if e == nil {
 		return
 	}
 	kept := e.Waiters[:0]
 	for _, w := range e.Waiters {
-		if l.warpTS[w.req.Warp] <= msg.RTS {
-			l.completeLoad(w.req, msg.Data, msg.WTS)
+		if l.warpTS[w.Warp] <= msg.RTS {
+			l.completeLoad(w, msg.Data, msg.WTS)
 		} else {
 			kept = append(kept, w)
 		}
 	}
 	e.Waiters = kept
 	if len(e.Waiters) == 0 {
-		l.mshr.Release(msg.Block)
+		l.MSHR.Release(msg.Block)
 		return
 	}
 	if e.InFlight == 0 {
@@ -719,10 +573,10 @@ func (l *L1) serviceWaitersBypass(msg *mem.Msg) {
 	}
 }
 
-func (l *L1) maxWaiterTS(e *cache.MSHREntry[waiter]) uint64 {
+func (l *L1) maxWaiterTS(e *cache.MSHREntry[*coherence.Request]) uint64 {
 	var ts uint64
 	for _, w := range e.Waiters {
-		ts = maxu(ts, l.warpTS[w.req.Warp])
+		ts = maxu(ts, l.warpTS[w.Warp])
 	}
 	return ts
 }
@@ -732,9 +586,9 @@ func (l *L1) maxWaiterTS(e *cache.MSHREntry[waiter]) uint64 {
 // requests will be answered with reset-flagged fills by the L2.
 func (l *L1) timestampReset(epoch uint64) {
 	l.epoch = epoch
-	l.stats.Flushes++
+	l.Counters.Flushes++
 	l.array.ForEach(func(c *cache.Line[l1Meta]) {
-		l.stats.SelfInval++
+		l.Counters.SelfInval++
 		l.array.Invalidate(c)
 	})
 	for i := range l.warpTS {
@@ -753,46 +607,34 @@ func (l *L1) timestampReset(epoch uint64) {
 // ("the L1 cache is flushed after each kernel and all timestamps are
 // reset", §V-D). The simulator drains outstanding accesses first.
 func (l *L1) Flush() {
-	if l.pending != 0 {
-		l.failf("flush-outstanding", "flush with %d outstanding accesses", l.pending)
+	if !l.FlushReady() {
 		return
 	}
-	l.stats.Flushes++
 	l.array.ForEach(func(c *cache.Line[l1Meta]) { l.array.Invalidate(c) })
 	for i := range l.warpTS {
 		l.warpTS[i] = l.cfg.startTS()
 	}
 }
 
-// post sends a message, queueing it when the NoC port is full.
-func (l *L1) post(msg *mem.Msg) {
+// postRequest posts a request whose response this L1 is owed, keeping
+// the epoch floor that decodes the response's epoch tag.
+func (l *L1) postRequest(msg *mem.Msg) {
 	if l.reqsOut == 0 {
 		l.epochFloor = l.epoch
 	}
 	l.reqsOut++
-	l.outQ.Post(l.send, msg)
+	l.Post(msg)
 }
 
-// SyncClock implements coherence.L1: the local clock stamps array
-// Touch/Install recency and completion cycles, so it must track the
-// machine clock even across skipped ticks.
-func (l *L1) SyncClock(now uint64) { l.now = now }
-
-// Tick implements coherence.L1: drain backpressured sends in order.
-func (l *L1) Tick(now uint64) {
-	l.now = now
-	l.outQ.Drain(l.send)
-}
-
-// DebugString renders the controller's transient state (MSHR entries,
-// pending stores, warp timestamps of interest) for deadlock diagnosis
-// and the gtsctrace tool.
+// DebugString renders the controller's transient state (MSHR entries
+// in block order, pending stores in request order, warp timestamps of
+// interest) for deadlock diagnosis.
 func (l *L1) DebugString() string {
-	s := fmt.Sprintf("L1[sm%d] epoch=%d pending=%d outQ=%d\n", l.smID, l.epoch, l.pending, l.outQ.Len())
-	l.mshr.ForEach(func(e *cache.MSHREntry[waiter]) {
+	s := fmt.Sprintf("L1[sm%d] epoch=%d pending=%d\n", l.ID, l.epoch, l.Pending())
+	l.MSHR.ForEach(func(e *cache.MSHREntry[*coherence.Request]) {
 		s += fmt.Sprintf("  mshr %v issued=%t waiters=%d:", e.Block, e.Issued, len(e.Waiters))
 		for _, w := range e.Waiters {
-			s += fmt.Sprintf(" (warp %d ts %d)", w.req.Warp, l.warpTS[w.req.Warp])
+			s += fmt.Sprintf(" (warp %d ts %d)", w.Warp, l.warpTS[w.Warp])
 		}
 		line := l.array.Lookup(e.Block)
 		if line != nil {
@@ -802,7 +644,8 @@ func (l *L1) DebugString() string {
 		}
 		s += "\n"
 	})
-	for id, ps := range l.storesByID {
+	for _, id := range l.storeIDs() {
+		ps := l.storesByID[id]
 		s += fmt.Sprintf("  store req=%d block=%v warp=%d lineHit=%t\n", id, ps.block, ps.warp, ps.lineHit)
 	}
 	return s

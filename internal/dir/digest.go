@@ -9,10 +9,8 @@ import (
 
 // DigestState implements coherence.StateDigester for a directory L1.
 func (l *L1) DigestState(w io.Writer) {
-	fmt.Fprintf(w, "dir-l1[%d] now=%d next=%d pend=%d\n", l.smID, l.now, l.nextReqID, l.pending)
+	l.Port.DigestState(w)
 	l.array.DigestInto(w)
-	l.mshr.DigestInto(w)
-	mem.DigestMsgs(w, "outq", l.outQ.Items())
 	// Outstanding GetMs: the queued stores are callback carriers, so
 	// digest the block and the waiting-store count.
 	mem.DigestBlockMap(w, l.getm, func(w io.Writer, b mem.BlockAddr, p *pendingM) {
@@ -21,21 +19,11 @@ func (l *L1) DigestState(w io.Writer) {
 	mem.DigestBlockMap(w, l.wbInFlight, func(w io.Writer, b mem.BlockAddr, v bool) {
 		fmt.Fprintf(w, "wb %#x %t\n", uint64(b), v)
 	})
-	mem.DigestIDTable(w, "atom", l.atomics)
 }
 
 // DigestState implements coherence.StateDigester for a directory bank.
 func (l *L2) DigestState(w io.Writer) {
-	fmt.Fprintf(w, "dir-l2[%d] now=%d\n", l.bankID, l.now)
-	l.array.DigestInto(w)
-	mem.DigestBlockMap(w, l.miss, func(w io.Writer, b mem.BlockAddr, m *l2Miss) {
-		fmt.Fprintf(w, "miss %#x", uint64(b))
-		if m.filled {
-			fmt.Fprintf(w, " d%x", m.data.Words)
-		}
-		io.WriteString(w, "\n")
-		mem.DigestMsgs(w, "wait", m.waiting)
-	})
+	l.Bank.DigestState(w)
 	mem.DigestBlockMap(w, l.busy, func(w io.Writer, b mem.BlockAddr, bs *busyState) {
 		fmt.Fprintf(w, "busy %#x", uint64(b))
 		for sm := 0; sm < 64; sm++ {
@@ -50,7 +38,4 @@ func (l *L2) DigestState(w io.Writer) {
 		}
 		mem.DigestMsgs(w, "wait", bs.waiting)
 	})
-	mem.DigestMsgs(w, "inq", l.inQ.Items())
-	mem.DigestMsgs(w, "outnoc", l.outNoC.Items())
-	mem.DigestMsgs(w, "outdram", l.outDRAM.Items())
 }

@@ -57,5 +57,3 @@ const (
 	invInvalidate = 0 // drop the copy
 	invDowngrade  = 1 // keep a shared copy, surrender exclusivity
 )
-
-func bankOf(b uint64, nBanks int) int { return int(b % uint64(nBanks)) }

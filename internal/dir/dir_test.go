@@ -21,19 +21,19 @@ type harness struct {
 	log   []*mem.Msg
 }
 
-func newHarness(t *testing.T, nSM int, l2geo L2Geometry) *harness {
+func newHarness(t *testing.T, nSM int, l2geo coherence.BankGeometry) *harness {
 	h := &harness{t: t, store: mem.NewStore()}
 	cfg := Config{MaxSharers: nSM}
 	if l2geo.Sets == 0 {
-		l2geo = L2Geometry{Sets: 64, Ways: 8}
+		l2geo = coherence.BankGeometry{Sets: 64, Ways: 8}
 	}
 	h.l2 = NewL2(cfg, 0, l2geo,
 		coherence.SenderFunc(func(m *mem.Msg) bool { h.toL1 = append(h.toL1, m); h.log = append(h.log, m.Clone()); return true }),
 		coherence.SenderFunc(func(m *mem.Msg) bool { h.dram = append(h.dram, m); return true }),
 		nil)
 	for i := 0; i < nSM; i++ {
-		h.l1s = append(h.l1s, NewL1(cfg, i, 1,
-			Geometry{Sets: 16, Ways: 4, MSHRs: 8},
+		h.l1s = append(h.l1s, NewL1(i, 1,
+			coherence.L1Geometry{Sets: 16, Ways: 4, MSHRs: 8},
 			coherence.SenderFunc(func(m *mem.Msg) bool { h.toL2 = append(h.toL2, m); h.log = append(h.log, m.Clone()); return true }),
 			nil))
 	}
@@ -137,7 +137,7 @@ func (h *harness) count(ty mem.MsgType) int {
 }
 
 func TestExclusiveGrantAndSilentUpgrade(t *testing.T) {
-	h := newHarness(t, 2, L2Geometry{})
+	h := newHarness(t, 2, coherence.BankGeometry{})
 	X := mem.BlockAddr(5)
 	h.store.WriteWord(X.WordAddr(0), 9)
 
@@ -163,7 +163,7 @@ func TestExclusiveGrantAndSilentUpgrade(t *testing.T) {
 }
 
 func TestSharersThenInvalidation(t *testing.T) {
-	h := newHarness(t, 3, L2Geometry{})
+	h := newHarness(t, 3, coherence.BankGeometry{})
 	X := mem.BlockAddr(5)
 	h.store.WriteWord(X.WordAddr(0), 1)
 
@@ -196,7 +196,7 @@ func TestSharersThenInvalidation(t *testing.T) {
 }
 
 func TestOwnerDowngradeOnRead(t *testing.T) {
-	h := newHarness(t, 2, L2Geometry{})
+	h := newHarness(t, 2, coherence.BankGeometry{})
 	X := mem.BlockAddr(7)
 
 	// SM0 writes (M).
@@ -222,7 +222,7 @@ func TestOwnerDowngradeOnRead(t *testing.T) {
 func TestWritebackRace(t *testing.T) {
 	// SM0 dirties a block, evicts it (WB in flight pattern), then SM1
 	// writes: the directory must not lose SM0's data.
-	h := newHarness(t, 2, L2Geometry{})
+	h := newHarness(t, 2, coherence.BankGeometry{})
 	X := mem.BlockAddr(3)
 	h.storeWord(0, 0, X, 1, 0x11) // word 1 dirty at SM0
 	h.pump()
@@ -257,7 +257,7 @@ func TestWritebackRace(t *testing.T) {
 // must complete the invalidation target, or the transaction waits
 // forever for data it already consumed.
 func TestInvalidationVsWritebackRace(t *testing.T) {
-	h := newHarness(t, 2, L2Geometry{})
+	h := newHarness(t, 2, coherence.BankGeometry{})
 	X := mem.BlockAddr(3)
 	h.storeWord(0, 0, X, 1, 0x11)
 	h.pump() // SM0 owns X in M, word 1 dirty
@@ -312,7 +312,7 @@ func TestInvalidationVsWritebackRace(t *testing.T) {
 func TestInclusionRecall(t *testing.T) {
 	// A 1-set/1-way L2: installing a second block must recall the
 	// first block's L1 copy.
-	h := newHarness(t, 1, L2Geometry{Sets: 1, Ways: 1})
+	h := newHarness(t, 1, coherence.BankGeometry{Sets: 1, Ways: 1})
 	A, B := mem.BlockAddr(1), mem.BlockAddr(2)
 	h.load(0, 0, A, 0)
 	h.pump()
@@ -333,7 +333,7 @@ func TestInclusionRecall(t *testing.T) {
 }
 
 func TestAtomicRecallsAllCopies(t *testing.T) {
-	h := newHarness(t, 3, L2Geometry{})
+	h := newHarness(t, 3, coherence.BankGeometry{})
 	X := mem.BlockAddr(9)
 	h.store.WriteWord(X.WordAddr(0), 100)
 	h.load(0, 0, X, 0)
@@ -364,7 +364,7 @@ func TestAtomicRecallsAllCopies(t *testing.T) {
 }
 
 func TestFlushWritesBackDirty(t *testing.T) {
-	h := newHarness(t, 1, L2Geometry{})
+	h := newHarness(t, 1, coherence.BankGeometry{})
 	X := mem.BlockAddr(4)
 	h.storeWord(0, 0, X, 0, 77)
 	h.pump()
@@ -375,5 +375,52 @@ func TestFlushWritesBackDirty(t *testing.T) {
 	}
 	if h.l1s[0].Stats().Writebacks == 0 {
 		t.Fatal("writeback not counted")
+	}
+}
+
+// TestRetriedFillBlocksServiceSameTick pins the bank's tick order: a
+// stalled fill retried at the top of Tick can evict a dirty victim,
+// and when the DRAM port refuses that writeback, a request already
+// queued must wait for the next cycle.
+func TestRetriedFillBlocksServiceSameTick(t *testing.T) {
+	refuseDRAM := false
+	l2 := NewL2(Config{MaxSharers: 2}, 0, coherence.BankGeometry{Sets: 1, Ways: 1},
+		coherence.SenderFunc(func(*mem.Msg) bool { return true }),
+		coherence.SenderFunc(func(*mem.Msg) bool { return !refuseDRAM }), nil)
+	A, B, C := mem.BlockAddr(0), mem.BlockAddr(1), mem.BlockAddr(2)
+	now := uint64(0)
+	tick := func() { now++; l2.Tick(now) }
+	fill := func(b mem.BlockAddr) { l2.DRAMFill(&mem.Msg{Type: mem.DRAMFill, Block: b, Data: &mem.Block{}}) }
+
+	// SM0 takes A exclusive; SM1's read of B needs A's only way, so
+	// B's fill stalls and recalls SM0's copy.
+	l2.Deliver(&mem.Msg{Type: mem.BusRd, Block: A, Src: 0, ReqID: 1})
+	tick()
+	fill(A)
+	l2.Deliver(&mem.Msg{Type: mem.BusRd, Block: B, Src: 1, ReqID: 1})
+	tick()
+	fill(B)
+	if l2.Quiescent() {
+		t.Fatal("B's fill must stall on A's live copy")
+	}
+	// SM0 answers the recall with its dirty copy: A becomes a dirty
+	// victim with no copies.
+	l2.Deliver(&mem.Msg{Type: mem.BusWB, Block: A, Src: 0, Mask: mem.MaskAll, Data: &mem.Block{}})
+	tick()
+
+	reads := l2.Stats().Reads
+	l2.Deliver(&mem.Msg{Type: mem.BusRd, Block: C, Src: 1, ReqID: 2})
+	refuseDRAM = true
+	tick() // the retry installs B over A; the port refuses A's writeback
+	if _, ok := l2.Peek(B); !ok || !l2.Blocked() {
+		t.Fatal("the retried fill must install and its refused writeback stay queued")
+	}
+	if got := l2.Stats().Reads; got != reads {
+		t.Fatalf("a queued read was serviced behind a refused writeback (reads %d -> %d)", reads, got)
+	}
+	refuseDRAM = false
+	tick()
+	if got := l2.Stats().Reads; got != reads+1 {
+		t.Fatalf("the queued read must be serviced once the port accepts (reads %d -> %d)", reads, got)
 	}
 }

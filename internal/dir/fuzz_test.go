@@ -15,13 +15,13 @@ import (
 func newHarnessObs(t *testing.T, nSM int, obs coherence.Observer) *harness {
 	h := &harness{t: t, store: mem.NewStore()}
 	cfg := Config{MaxSharers: nSM}
-	h.l2 = NewL2(cfg, 0, L2Geometry{Sets: 2, Ways: 2},
+	h.l2 = NewL2(cfg, 0, coherence.BankGeometry{Sets: 2, Ways: 2},
 		coherence.SenderFunc(func(m *mem.Msg) bool { h.toL1 = append(h.toL1, m); return true }),
 		coherence.SenderFunc(func(m *mem.Msg) bool { h.dram = append(h.dram, m); return true }),
 		obs)
 	for i := 0; i < nSM; i++ {
-		h.l1s = append(h.l1s, NewL1(cfg, i, 1,
-			Geometry{Sets: 2, Ways: 2, MSHRs: 4},
+		h.l1s = append(h.l1s, NewL1(i, 1,
+			coherence.L1Geometry{Sets: 2, Ways: 2, MSHRs: 4},
 			coherence.SenderFunc(func(m *mem.Msg) bool { h.toL2 = append(h.toL2, m); return true }),
 			obs))
 	}

@@ -1,13 +1,10 @@
 package dir
 
 import (
-	"fmt"
-
 	"github.com/gtsc-sim/gtsc/internal/cache"
 	"github.com/gtsc-sim/gtsc/internal/coherence"
 	"github.com/gtsc-sim/gtsc/internal/diag"
 	"github.com/gtsc-sim/gtsc/internal/mem"
-	"github.com/gtsc-sim/gtsc/internal/stats"
 )
 
 // l1State is an L1 line's MESI-style state (I is an invalid line).
@@ -23,10 +20,6 @@ type l1Meta struct {
 	state l1State
 }
 
-type waiter struct {
-	req *coherence.Request
-}
-
 // pendingM tracks a block's outstanding GetM and the stores waiting on
 // the grant.
 type pendingM struct {
@@ -38,20 +31,8 @@ type pendingM struct {
 // write-allocate, invalidated on demand by the directory. It
 // implements coherence.L1.
 type L1 struct {
-	cfg    Config
-	smID   int
-	nBanks int
-	now    uint64
-
+	coherence.Port
 	array *cache.Array[l1Meta]
-	mshr  *cache.MSHR[waiter]
-
-	send    coherence.Sender
-	outQ    mem.MsgQueue
-	pool    mem.Pool  // recycles the messages it sends and consumes
-	loadOut mem.Block // masked-word scratch handed to load completions
-	stats   stats.L1Stats
-	obs     coherence.Observer
 
 	// getm holds blocks with an outstanding GetM (at most one each);
 	// freeGetM recycles granted entries with their store lists.
@@ -63,11 +44,6 @@ type L1 struct {
 	// directory waits for the writeback's data.
 	wbInFlight map[mem.BlockAddr]bool
 
-	atomics   map[uint64]*coherence.Request // in flight, by ReqID
-	nextReqID uint64
-	pending   int
-	fail      *diag.ProtocolError
-
 	// MutAckWithoutInval is a test-only mutation hook for the model
 	// checker's teeth: when set, onInv acknowledges the directory's
 	// invalidation without actually invalidating (or downgrading) the
@@ -76,70 +52,30 @@ type L1 struct {
 	MutAckWithoutInval bool
 }
 
-// Geometry describes the cache organization.
-type Geometry struct {
-	Sets  int
-	Ways  int
-	MSHRs int
-}
-
 // NewL1 builds the directory-protocol L1 for SM smID.
-func NewL1(cfg Config, smID, nBanks int, geo Geometry, send coherence.Sender, obs coherence.Observer) *L1 {
-	cfg.fillDefaults()
+func NewL1(smID, nBanks int, geo coherence.L1Geometry, send coherence.Sender, obs coherence.Observer) *L1 {
 	return &L1{
-		cfg:        cfg,
-		smID:       smID,
-		nBanks:     nBanks,
+		Port:       coherence.NewPort("dir-l1", smID, nBanks, geo.MSHRs, send, obs),
 		array:      cache.NewArray[l1Meta](geo.Sets, geo.Ways),
-		mshr:       cache.NewMSHR[waiter](geo.MSHRs),
-		send:       send,
-		obs:        obs,
 		getm:       make(map[mem.BlockAddr]*pendingM),
 		wbInFlight: make(map[mem.BlockAddr]bool),
-		atomics:    make(map[uint64]*coherence.Request),
 	}
-}
-
-// Stats implements coherence.L1.
-func (l *L1) Stats() *stats.L1Stats { return &l.stats }
-
-// Pending implements coherence.L1.
-func (l *L1) Pending() int { return l.pending }
-
-// Quiescent implements coherence.L1: Tick only drains outQ, so an
-// empty output queue means ticking is a pure no-op until new input.
-func (l *L1) Quiescent() bool { return l.outQ.Empty() }
-
-// failf records the first protocol violation; the controller then
-// drops further input until the simulator surfaces the error.
-func (l *L1) failf(event, format string, args ...any) {
-	if l.fail == nil {
-		l.fail = diag.Errf(fmt.Sprintf("dir-l1[%d]", l.smID), event, format, args...)
-	}
-}
-
-// Err implements coherence.L1.
-func (l *L1) Err() error {
-	if l.fail == nil {
-		return nil
-	}
-	return l.fail
 }
 
 // DumpState implements coherence.L1.
 func (l *L1) DumpState() diag.CacheState {
-	return diag.CacheState{
-		Name: "dir-l1", ID: l.smID, Pending: l.pending,
-		MSHRUsed: l.mshr.Len(), MSHRCap: l.mshr.Cap(), OutQ: l.outQ.Len(),
-		Blocked: len(l.getm),
-	}
+	st := l.Port.DumpState()
+	st.Blocked = len(l.getm)
+	return st
 }
 
 // Access implements coherence.L1.
 func (l *L1) Access(req *coherence.Request) coherence.AccessResult {
 	switch {
 	case req.Atomic:
-		return l.accessAtomic(req)
+		l.Counters.Atomics++
+		l.Issue(mem.BusAtom, req)
+		return coherence.Pending
 	case req.Store:
 		return l.accessStore(req)
 	default:
@@ -148,60 +84,41 @@ func (l *L1) Access(req *coherence.Request) coherence.AccessResult {
 }
 
 func (l *L1) accessLoad(req *coherence.Request) coherence.AccessResult {
-	l.stats.Loads++
-	l.stats.TagProbes++
+	l.Counters.Loads++
+	l.Counters.TagProbes++
 	line := l.array.Lookup(req.Block)
 	if line != nil && l.getm[req.Block] == nil {
 		// Any valid state serves loads (single-writer holds: if some
 		// other SM had M, this line would have been invalidated).
-		l.stats.Hits++
-		l.stats.DataAccesses++
-		l.array.Touch(line, l.now)
-		l.pending++ // completeLoad decrements
-		l.completeLoad(req, &line.Data)
+		l.Counters.Hits++
+		l.Counters.DataAccesses++
+		l.array.Touch(line, l.Now)
+		l.Owe()
+		l.CompleteLoad(req, &line.Data, 0, 0)
 		return coherence.Hit
 	}
 	if line != nil {
 		// A GetM for this block is outstanding: the load is ordered
 		// after the store and waits for the grant.
-		l.stats.MissLocked++
+		l.Counters.MissLocked++
 	} else {
-		l.stats.MissCold++
+		l.Counters.MissCold++
 	}
-	e := l.mshr.Lookup(req.Block)
-	if e == nil && l.mshr.Full() {
-		l.stats.MSHRStalls++
+	e, fresh := l.Park(req)
+	if e == nil {
 		return coherence.Reject
 	}
-	if e != nil {
-		l.stats.MSHRMerges++
-		e.Waiters = append(e.Waiters, waiter{req: req})
-		l.pending++
-		return coherence.Pending
-	}
-	if e = l.mshr.Allocate(req.Block); e == nil {
-		l.failf("mshr-allocate", "allocate for %v failed despite capacity check", req.Block)
-		return coherence.Reject
-	}
-	e.Waiters = append(e.Waiters, waiter{req: req})
-	l.pending++
-	if l.getm[req.Block] == nil {
+	if fresh && l.getm[req.Block] == nil {
 		// No request in flight yet: send GetS.
 		e.Issued = true
-		l.nextReqID++
-		msg := l.pool.Msg()
-		*msg = mem.Msg{
-			Type: mem.BusRd, Block: req.Block, Src: l.smID,
-			Dst: bankOf(uint64(req.Block), l.nBanks), ReqID: l.nextReqID,
-		}
-		l.outQ.Post(l.send, msg)
+		l.Post(l.Request(mem.BusRd, req.Block))
 	}
 	return coherence.Pending
 }
 
 func (l *L1) accessStore(req *coherence.Request) coherence.AccessResult {
-	l.stats.Stores++
-	l.stats.TagProbes++
+	l.Counters.Stores++
+	l.Counters.TagProbes++
 	line := l.array.Lookup(req.Block)
 	if line != nil && l.getm[req.Block] == nil &&
 		(line.Meta.state == stateM || line.Meta.state == stateE) {
@@ -209,8 +126,8 @@ func (l *L1) accessStore(req *coherence.Request) coherence.AccessResult {
 		mem.Merge(&line.Data, req.Data, req.Mask)
 		line.Meta.state = stateM
 		line.Dirty = true
-		l.stats.DataAccesses++
-		l.array.Touch(line, l.now)
+		l.Counters.DataAccesses++
+		l.array.Touch(line, l.Now)
 		l.observeStore(req)
 		req.Done(coherence.Completion{})
 		return coherence.Hit
@@ -221,61 +138,22 @@ func (l *L1) accessStore(req *coherence.Request) coherence.AccessResult {
 		pm = l.freeGetM.Get()
 		pm.block = req.Block
 		l.getm[req.Block] = pm
-		l.nextReqID++
-		msg := l.pool.Msg()
-		*msg = mem.Msg{
-			Type: mem.BusGetM, Block: req.Block, Src: l.smID,
-			Dst: bankOf(uint64(req.Block), l.nBanks), ReqID: l.nextReqID,
-		}
-		l.outQ.Post(l.send, msg)
+		l.Post(l.Request(mem.BusGetM, req.Block))
 	}
 	pm.stores = append(pm.stores, req)
-	l.pending++
+	l.Owe()
 	return coherence.Pending
-}
-
-func (l *L1) accessAtomic(req *coherence.Request) coherence.AccessResult {
-	l.stats.Atomics++
-	l.nextReqID++
-	l.atomics[l.nextReqID] = req
-	l.pending++
-	msg := l.pool.Msg()
-	*msg = mem.Msg{
-		Type: mem.BusAtom, Block: req.Block, Src: l.smID,
-		Dst: bankOf(uint64(req.Block), l.nBanks), Mask: req.Mask,
-		Atom: req.Atom, ReqID: l.nextReqID, Warp: req.Warp,
-	}
-	mem.Merge(msg.Payload(), req.Data, req.Mask)
-	l.outQ.Post(l.send, msg)
-	return coherence.Pending
-}
-
-// completeLoad fires a load's Done with the masked words in the
-// controller's scratch block, reused by the next completion (see
-// coherence.Completion).
-func (l *L1) completeLoad(req *coherence.Request, data *mem.Block) {
-	out := &l.loadOut
-	*out = mem.Block{}
-	mem.Merge(out, data, req.Mask)
-	if l.obs != nil {
-		l.obs.Observe(coherence.Op{
-			SM: l.smID, Warp: req.Warp, Block: req.Block, Mask: req.Mask,
-			Data: *out, Cycle: l.now,
-		})
-	}
-	l.pending--
-	req.Done(coherence.Completion{Data: out})
 }
 
 func (l *L1) observeStore(req *coherence.Request) {
-	if l.obs == nil {
+	if l.Obs == nil {
 		return
 	}
 	var stored mem.Block
 	mem.Merge(&stored, req.Data, req.Mask)
-	l.obs.Observe(coherence.Op{
-		SM: l.smID, Warp: req.Warp, Store: true, Block: req.Block,
-		Mask: req.Mask, Data: stored, Cycle: l.now,
+	l.Obs.Observe(coherence.Op{
+		SM: l.ID, Warp: req.Warp, Store: true, Block: req.Block,
+		Mask: req.Mask, Data: stored, Cycle: l.Now,
 	})
 }
 
@@ -284,7 +162,7 @@ func (l *L1) observeStore(req *coherence.Request) {
 // acknowledged, atomic acks complete their Done callbacks), so the
 // message recycles here.
 func (l *L1) Deliver(msg *mem.Msg) {
-	if l.fail != nil {
+	if l.Failed() {
 		return
 	}
 	switch msg.Type {
@@ -293,28 +171,17 @@ func (l *L1) Deliver(msg *mem.Msg) {
 	case mem.BusInv:
 		l.onInv(msg)
 	case mem.BusAtomAck:
-		l.onAtomAck(msg)
+		l.Ack(msg, "unknown-atomic-ack", coherence.Completion{Data: msg.Data})
 	default:
-		l.failf("unexpected-message", "message %v for block %v from bank %d", msg.Type, msg.Block, msg.Src)
+		l.Failf("unexpected-message", "message %v for block %v from bank %d", msg.Type, msg.Block, msg.Src)
 	}
-	l.pool.PutMsg(msg)
-}
-
-func (l *L1) onAtomAck(msg *mem.Msg) {
-	req, ok := l.atomics[msg.ReqID]
-	if !ok {
-		l.failf("unknown-atomic-ack", "atomic ack req=%d block=%v has no pending request", msg.ReqID, msg.Block)
-		return
-	}
-	delete(l.atomics, msg.ReqID)
-	l.pending--
-	req.Done(coherence.Completion{Data: msg.Data})
+	l.Free(msg)
 }
 
 // onGrant installs granted data. GetS grants carry S or E; GetM grants
 // carry M, and the block's pending stores apply on top.
 func (l *L1) onGrant(msg *mem.Msg) {
-	l.stats.Fills++
+	l.Counters.Fills++
 	// A fill means every message this L1 sent for the block earlier
 	// (including a writeback) has been consumed by the bank.
 	delete(l.wbInFlight, msg.Block)
@@ -325,13 +192,13 @@ func (l *L1) onGrant(msg *mem.Msg) {
 		if victim.Valid {
 			l.evict(victim)
 		}
-		l.array.Install(victim, msg.Block, msg.Data, l.now)
+		l.array.Install(victim, msg.Block, msg.Data, l.Now)
 		line = victim
 	} else {
 		line.Data = *msg.Data
-		l.array.Touch(line, l.now)
+		l.array.Touch(line, l.Now)
 	}
-	l.stats.DataAccesses++
+	l.Counters.DataAccesses++
 
 	switch msg.WTS {
 	case grantS:
@@ -343,32 +210,31 @@ func (l *L1) onGrant(msg *mem.Msg) {
 		line.Dirty = true
 		pm := l.getm[msg.Block]
 		if pm == nil {
-			l.failf("orphan-m-grant", "M grant for %v without pending GetM", msg.Block)
+			l.Failf("orphan-m-grant", "M grant for %v without pending GetM", msg.Block)
 			return
 		}
 		delete(l.getm, msg.Block)
 		for _, st := range pm.stores {
 			mem.Merge(&line.Data, st.Data, st.Mask)
-			l.stats.DataAccesses++
+			l.Counters.DataAccesses++
 			l.observeStore(st)
-			l.pending--
-			st.Done(coherence.Completion{})
+			l.Complete(st, coherence.Completion{})
 		}
 		clear(pm.stores)
 		*pm = pendingM{stores: pm.stores[:0]}
 		l.freeGetM.Put(pm)
 	default:
-		l.failf("unknown-grant", "grant for %v carries unknown state %d", msg.Block, msg.WTS)
+		l.Failf("unknown-grant", "grant for %v carries unknown state %d", msg.Block, msg.WTS)
 		return
 	}
 
 	// Wake loads parked on this block.
-	if e := l.mshr.Lookup(msg.Block); e != nil {
+	if e := l.MSHR.Lookup(msg.Block); e != nil {
 		for _, w := range e.Waiters {
-			l.stats.DataAccesses++
-			l.completeLoad(w.req, &line.Data)
+			l.Counters.DataAccesses++
+			l.CompleteLoad(w, &line.Data, 0, 0)
 		}
-		l.mshr.Release(msg.Block)
+		l.MSHR.Release(msg.Block)
 	}
 }
 
@@ -376,27 +242,24 @@ func (l *L1) onGrant(msg *mem.Msg) {
 // carrying data when our copy is dirty, or the wb-in-flight flag when
 // the dirty copy was already evicted toward the bank.
 func (l *L1) onInv(msg *mem.Msg) {
-	l.stats.InvsReceived++
+	l.Counters.InvsReceived++
 	line := l.array.Lookup(msg.Block)
-	ack := l.pool.Msg()
-	*ack = mem.Msg{
-		Type: mem.BusInvAck, Block: msg.Block, Src: l.smID,
-		Dst: bankOf(uint64(msg.Block), l.nBanks), ReqID: msg.ReqID,
-	}
+	ack := l.Msg(mem.BusInvAck, msg.Block)
+	ack.ReqID = msg.ReqID
 	if line != nil {
 		if line.Dirty {
 			ack.SetData(&line.Data)
 			ack.Mask = mem.MaskAll
 		}
 		if l.MutAckWithoutInval {
-			l.outQ.Post(l.send, ack)
+			l.Post(ack)
 			return
 		}
 		if msg.WTS == invDowngrade {
 			line.Meta.state = stateS
 			line.Dirty = false
 		} else {
-			l.stats.SelfInval++
+			l.Counters.SelfInval++
 			l.array.Invalidate(line)
 		}
 	} else if l.wbInFlight[msg.Block] {
@@ -404,7 +267,7 @@ func (l *L1) onInv(msg *mem.Msg) {
 		// the directory to wait for it.
 		ack.Reset = true
 	}
-	l.outQ.Post(l.send, ack)
+	l.Post(ack)
 }
 
 // ForEachLineState implements coherence.StateHolder, reporting each
@@ -432,15 +295,12 @@ func (l *L1) ForEachLineState(fn func(b mem.BlockAddr, state string)) {
 // tolerate).
 func (l *L1) evict(victim *cache.Line[l1Meta]) {
 	if victim.Dirty {
-		l.stats.Writebacks++
+		l.Counters.Writebacks++
 		l.wbInFlight[victim.Addr] = true
-		msg := l.pool.Msg()
-		*msg = mem.Msg{
-			Type: mem.BusWB, Block: victim.Addr, Src: l.smID,
-			Dst: bankOf(uint64(victim.Addr), l.nBanks), Mask: mem.MaskAll,
-		}
-		msg.SetData(&victim.Data)
-		l.outQ.Post(l.send, msg)
+		wb := l.Msg(mem.BusWB, victim.Addr)
+		wb.Mask = mem.MaskAll
+		wb.SetData(&victim.Data)
+		l.Post(wb)
 	}
 	l.array.Invalidate(victim)
 }
@@ -448,21 +308,7 @@ func (l *L1) evict(victim *cache.Line[l1Meta]) {
 // Flush implements coherence.L1: write back every dirty line and drop
 // the rest (kernel boundary).
 func (l *L1) Flush() {
-	if l.pending != 0 {
-		l.failf("flush-outstanding", "flush with %d outstanding accesses", l.pending)
-		return
+	if l.FlushReady() {
+		l.array.ForEach(l.evict)
 	}
-	l.stats.Flushes++
-	l.array.ForEach(func(c *cache.Line[l1Meta]) {
-		l.evict(c)
-	})
-}
-
-// SyncClock implements coherence.L1.
-func (l *L1) SyncClock(now uint64) { l.now = now }
-
-// Tick implements coherence.L1.
-func (l *L1) Tick(now uint64) {
-	l.now = now
-	l.outQ.Drain(l.send)
 }

@@ -3,13 +3,11 @@ package dir
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"github.com/gtsc-sim/gtsc/internal/cache"
 	"github.com/gtsc-sim/gtsc/internal/coherence"
 	"github.com/gtsc-sim/gtsc/internal/diag"
 	"github.com/gtsc-sim/gtsc/internal/mem"
-	"github.com/gtsc-sim/gtsc/internal/stats"
 )
 
 // dirMeta is the full-map directory entry of one L2 line.
@@ -37,219 +35,103 @@ type busyState struct {
 
 func (b *busyState) remaining() int { return bits.OnesCount64(b.targets &^ b.done) }
 
-// l2Miss tracks a DRAM fetch in progress.
-type l2Miss struct {
-	block   mem.BlockAddr
-	waiting []*mem.Msg
-	filled  bool      // DRAM returned data but the install stalled
-	data    mem.Block // the returned block, valid when filled
-}
-
 // L2 is one directory bank: an inclusive shared cache whose lines
-// carry a full sharer map. It implements coherence.L2.
+// carry a full sharer map. It implements coherence.L2. The
+// architecturally current data of a block may live in an owner's L1
+// until the kernel-boundary flush writes it back, so Peek (a
+// verification hook) sees the bank's copy only.
+//
+// A fill whose set holds only lines with live L1 copies stalls while a
+// recall invalidates the LRU victim's copies; Tick retries it every
+// cycle, counting EvictStalls and issuing recalls. Plain misses and
+// busy directory transactions do not bar quiescence: both advance only
+// when a message arrives.
 type L2 struct {
-	cfg    Config
-	bankID int
-	now    uint64
-
-	array *cache.Array[dirMeta]
-	miss  map[mem.BlockAddr]*l2Miss
-	busy  map[mem.BlockAddr]*busyState
-
-	// freeMisses and freeBusy recycle retired entries together with
-	// their waiting lists' capacity.
-	freeMisses mem.FreeList[l2Miss]
-	freeBusy   mem.FreeList[busyState]
-	scratch    []mem.BlockAddr // reusable sorted-block buffer (stalled fills)
-
-	inQ      mem.MsgQueue
-	perCycle int
-
-	sendNoC  coherence.Sender
-	sendDRAM coherence.Sender
-	outNoC   mem.MsgQueue
-	outDRAM  mem.MsgQueue
-	// pool recycles the bank's messages; the bank's DRAM partition
-	// shares it.
-	pool *mem.Pool
-
-	stats stats.L2Stats
-	obs   coherence.Observer
-	fail  *diag.ProtocolError
-
-	// stalledFills counts misses whose DRAM data has returned but whose
-	// install stalled on a protected victim (m.data != nil). While any
-	// fill is stalled, Tick retries installs (counting EvictStalls and
-	// issuing recalls) every cycle, so the bank is not quiescent.
-	stalledFills int
-}
-
-// L2Geometry describes one bank's organization.
-type L2Geometry struct {
-	Sets     int
-	Ways     int
-	PerCycle int
+	coherence.Bank[dirMeta]
+	cfg  Config
+	busy map[mem.BlockAddr]*busyState
+	// freeBusy recycles retired transactions with their waiting lists'
+	// capacity.
+	freeBusy mem.FreeList[busyState]
 }
 
 // NewL2 builds directory bank bankID.
-func NewL2(cfg Config, bankID int, geo L2Geometry, sendNoC, sendDRAM coherence.Sender, obs coherence.Observer) *L2 {
+func NewL2(cfg Config, bankID int, geo coherence.BankGeometry, sendNoC, sendDRAM coherence.Sender, obs coherence.Observer) *L2 {
 	cfg.fillDefaults()
-	if geo.PerCycle == 0 {
-		geo.PerCycle = 1
-	}
 	return &L2{
-		cfg:      cfg,
-		bankID:   bankID,
-		array:    cache.NewArray[dirMeta](geo.Sets, geo.Ways),
-		miss:     make(map[mem.BlockAddr]*l2Miss),
-		busy:     make(map[mem.BlockAddr]*busyState),
-		perCycle: geo.PerCycle,
-		sendNoC:  sendNoC,
-		sendDRAM: sendDRAM,
-		obs:      obs,
-		pool:     &mem.Pool{},
+		Bank: coherence.NewBank[dirMeta]("dir-l2", bankID, geo, sendNoC, sendDRAM, obs),
+		cfg:  cfg,
+		busy: make(map[mem.BlockAddr]*busyState),
 	}
 }
-
-// Pool implements coherence.L2.
-func (l *L2) Pool() *mem.Pool { return l.pool }
-
-// Stats implements coherence.L2.
-func (l *L2) Stats() *stats.L2Stats { return &l.stats }
 
 // ForEachLineState implements coherence.StateHolder, reporting each
 // directory entry as "owner=<sm> sharers=<bitmap>" so checker
 // counterexamples can show the directory's view next to the L1s'.
 func (l *L2) ForEachLineState(fn func(b mem.BlockAddr, state string)) {
-	l.array.ForEach(func(c *cache.Line[dirMeta]) {
+	l.Array.ForEach(func(c *cache.Line[dirMeta]) {
 		fn(c.Addr, fmt.Sprintf("owner=%d sharers=%#x", c.Meta.owner, c.Meta.sharers))
 	})
 }
 
 // Pending implements coherence.L2.
 func (l *L2) Pending() int {
-	n := l.inQ.Len() + l.outNoC.Len() + l.outDRAM.Len()
-	for _, m := range l.miss {
-		n += len(m.waiting) + 1
-	}
+	n := l.Bank.Pending()
 	for _, b := range l.busy {
 		n += len(b.waiting) + b.remaining() + 1
 	}
 	return n
 }
 
-// Quiescent implements coherence.L2. Stalled fills bar quiescence
-// (Tick retries them, counting EvictStalls and issuing recalls, every
-// cycle). Plain misses and busy directory transactions do not: both
-// advance only when a message arrives, which the skip engine models
-// as scheduled NoC/DRAM events.
-func (l *L2) Quiescent() bool {
-	return l.inQ.Empty() && l.outNoC.Empty() && l.outDRAM.Empty() &&
-		l.stalledFills == 0
-}
-
 // Drained implements coherence.L2: O(1) Pending() == 0.
-func (l *L2) Drained() bool {
-	return l.inQ.Empty() && l.outNoC.Empty() && l.outDRAM.Empty() &&
-		len(l.miss) == 0 && len(l.busy) == 0
-}
-
-// failf records the first protocol violation; the bank then drops
-// further input until the simulator surfaces the error.
-func (l *L2) failf(event, format string, args ...any) {
-	if l.fail == nil {
-		l.fail = diag.Errf(fmt.Sprintf("dir-l2[%d]", l.bankID), event, format, args...)
-	}
-}
-
-// Err implements coherence.L2.
-func (l *L2) Err() error {
-	if l.fail == nil {
-		return nil
-	}
-	return l.fail
-}
+func (l *L2) Drained() bool { return l.Bank.Drained() && len(l.busy) == 0 }
 
 // DumpState implements coherence.L2.
 func (l *L2) DumpState() diag.CacheState {
-	blocked := 0
+	st := l.Bank.DumpState()
+	st.Pending = l.Pending()
 	for _, b := range l.busy {
-		blocked += len(b.waiting) + b.remaining()
+		st.Blocked += len(b.waiting) + b.remaining()
 	}
-	return diag.CacheState{
-		Name: "dir-l2", ID: l.bankID, Pending: l.Pending(),
-		MSHRUsed: len(l.miss), InQ: l.inQ.Len(),
-		OutQ:   l.outNoC.Len() + l.outDRAM.Len(),
-		Misses: len(l.miss), Blocked: blocked,
-	}
-}
-
-// Peek implements coherence.L2 (verification hook). Note the
-// architecturally current data may live in an owner's L1 until the
-// kernel-boundary flush writes it back.
-func (l *L2) Peek(b mem.BlockAddr) (*mem.Block, bool) {
-	line := l.array.Lookup(b)
-	if line == nil {
-		return nil, false
-	}
-	return &line.Data, true
+	return st
 }
 
 // Deliver implements coherence.L2.
-func (l *L2) Deliver(msg *mem.Msg) {
-	if l.fail != nil {
-		return
-	}
-	l.inQ.Push(msg)
-}
+func (l *L2) Deliver(msg *mem.Msg) { l.Enqueue(msg) }
 
 // DRAMFill implements coherence.L2.
 func (l *L2) DRAMFill(msg *mem.Msg) {
-	if l.fail != nil {
-		return
+	if m := l.Landed(msg); m != nil {
+		l.tryInstall(m)
 	}
-	m, ok := l.miss[msg.Block]
-	if !ok {
-		l.failf("orphan-dram-fill", "DRAM fill for %v without outstanding miss", msg.Block)
-		return
-	}
-	m.data = *msg.Data
-	m.filled = true
-	l.pool.PutMsg(msg)
-	l.stalledFills++
-	l.tryInstall(m)
 }
 
 // tryInstall places a fetched block. Inclusion: the victim must have
 // no live L1 copies; otherwise a recall (invalidation round) runs
 // first and the install retries.
-func (l *L2) tryInstall(m *l2Miss) {
-	victim := l.array.Victim(m.block, func(c *cache.Line[dirMeta]) bool {
+func (l *L2) tryInstall(m *coherence.Miss) {
+	victim := l.Array.Victim(m.Block, func(c *cache.Line[dirMeta]) bool {
 		return c.Meta.sharers == 0 && c.Meta.owner < 0 && l.busy[c.Addr] == nil
 	})
 	if victim == nil {
-		l.stats.EvictStalls++
-		l.startRecall(m.block)
+		l.Counters.EvictStalls++
+		l.Stall(m)
+		l.startRecall(m.Block)
 		return
 	}
 	if victim.Valid {
-		l.evictClean(victim)
+		l.Evict(victim)
 	}
-	l.array.Install(victim, m.block, &m.data, l.now)
+	l.Install(m, victim)
 	victim.Meta.clearOwner()
-	l.stats.DataAccesses++
-	delete(l.miss, m.block)
-	l.stalledFills--
-	l.runQueue(m.block, m.waiting)
-	clear(m.waiting)
-	*m = l2Miss{waiting: m.waiting[:0]}
-	l.freeMisses.Put(m)
+	l.runQueue(m.Block, m.Waiting)
+	l.Retire(m)
 }
 
 // startRecall begins invalidating the LRU victim's L1 copies so a
 // stalled install can proceed — the §II-C recall traffic.
 func (l *L2) startRecall(forBlock mem.BlockAddr) {
-	victim := l.array.Victim(forBlock, func(c *cache.Line[dirMeta]) bool {
+	victim := l.Array.Victim(forBlock, func(c *cache.Line[dirMeta]) bool {
 		return l.busy[c.Addr] == nil
 	})
 	if victim == nil {
@@ -258,25 +140,8 @@ func (l *L2) startRecall(forBlock mem.BlockAddr) {
 	if victim.Meta.sharers == 0 && victim.Meta.owner < 0 {
 		return // became clean meanwhile; the retry will install over it
 	}
-	l.stats.Recalls++
+	l.Counters.Recalls++
 	l.beginBusy(victim.Addr, &victim.Meta, -1, nil)
-}
-
-// evictClean evicts a line with no L1 copies, writing dirty data back
-// to memory.
-func (l *L2) evictClean(victim *cache.Line[dirMeta]) {
-	l.stats.Evictions++
-	if victim.Dirty {
-		l.stats.WritebackDRAM++
-		msg := l.pool.Msg()
-		*msg = mem.Msg{
-			Type: mem.DRAMWr, Block: victim.Addr, Src: l.bankID, Dst: l.bankID,
-			Mask: mem.MaskAll,
-		}
-		msg.SetData(&victim.Data)
-		l.outDRAM.Post(l.sendDRAM, msg)
-	}
-	l.array.Invalidate(victim)
 }
 
 // beginBusy sends invalidations (or a downgrade, for GetS-vs-owner) to
@@ -299,15 +164,13 @@ func (l *L2) beginBusy(block mem.BlockAddr, meta *dirMeta, exclude int, grant *m
 			continue
 		}
 		b.targets |= 1 << uint(sm)
-		l.stats.Invalidations++
-		inv := l.pool.Msg()
-		*inv = mem.Msg{
-			Type: mem.BusInv, Block: block, Src: l.bankID, Dst: sm, WTS: subtype,
-		}
-		l.outNoC.Post(l.sendNoC, inv)
+		l.Counters.Invalidations++
+		inv := l.Pool().Msg()
+		inv.Type, inv.Block, inv.Src, inv.Dst, inv.WTS = mem.BusInv, block, l.ID, sm, subtype
+		l.Respond(inv)
 	}
 	if b.targets == 0 {
-		l.failf("busy-no-targets", "transaction on %v has no invalidation targets (sharers=%#x owner=%d)", block, meta.sharers, meta.owner)
+		l.Failf("busy-no-targets", "transaction on %v has no invalidation targets (sharers=%#x owner=%d)", block, meta.sharers, meta.owner)
 		return
 	}
 	l.busy[block] = b
@@ -331,7 +194,7 @@ func (l *L2) onInvAck(msg *mem.Msg) {
 	if b.targets&t == 0 || b.done&t != 0 {
 		return
 	}
-	line := l.array.Lookup(msg.Block)
+	line := l.Array.Lookup(msg.Block)
 	if msg.Data != nil && line != nil {
 		mem.Merge(&line.Data, msg.Data, msg.Mask)
 		line.Dirty = true
@@ -353,14 +216,14 @@ func (l *L2) onInvAck(msg *mem.Msg) {
 // follows the writeback on the same FIFO pair, so waiting for t.waitWB
 // before honoring the writeback would deadlock the transaction.)
 func (l *L2) onWB(msg *mem.Msg) {
-	line := l.array.Lookup(msg.Block)
+	line := l.Array.Lookup(msg.Block)
 	if line != nil {
 		mem.Merge(&line.Data, msg.Data, msg.Mask)
 		line.Dirty = true
 		if line.Meta.owner == msg.Src {
 			line.Meta.clearOwner()
 		}
-		l.stats.DataAccesses++
+		l.Counters.DataAccesses++
 	}
 	if b := l.busy[msg.Block]; b != nil {
 		if t := uint64(1) << uint(msg.Src); b.targets&t != 0 && b.done&t == 0 {
@@ -378,9 +241,9 @@ func (l *L2) maybeFinishBusy(b *busyState) {
 		return
 	}
 	delete(l.busy, b.block)
-	line := l.array.Lookup(b.block)
+	line := l.Array.Lookup(b.block)
 	if line == nil {
-		l.failf("busy-line-vanished", "completed transaction on %v but the line is gone", b.block)
+		l.Failf("busy-line-vanished", "completed transaction on %v but the line is gone", b.block)
 		return
 	}
 	// All targeted copies are gone (or downgraded).
@@ -407,7 +270,7 @@ func (l *L2) maybeFinishBusy(b *busyState) {
 // new transaction absorbs the rest of the queue.
 func (l *L2) runQueue(block mem.BlockAddr, msgs []*mem.Msg) {
 	for i, msg := range msgs {
-		line := l.array.Lookup(block)
+		line := l.Array.Lookup(block)
 		if line == nil {
 			// The line was evicted between replays (recall-for-install
 			// completed): refetch through the miss path.
@@ -465,9 +328,9 @@ func (l *L2) serve(msg *mem.Msg, line *cache.Line[dirMeta]) {
 		l.performAtomic(msg, line)
 	case mem.BusWB:
 		l.onWB(msg)
-		l.pool.PutMsg(msg)
+		l.Free(msg)
 	default:
-		l.failf("unexpected-message", "message %v for block %v from SM %d", msg.Type, msg.Block, msg.Src)
+		l.Failf("unexpected-message", "message %v for block %v from SM %d", msg.Type, msg.Block, msg.Src)
 	}
 }
 
@@ -484,52 +347,20 @@ func (l *L2) grant(msg *mem.Msg, line *cache.Line[dirMeta], state uint64) {
 		l.performAtomic(msg, line)
 		return
 	}
-	l.stats.FillsSent++
-	l.stats.DataAccesses++
-	l.array.Touch(line, l.now)
-	fill := l.pool.Msg()
-	*fill = mem.Msg{
-		Type: mem.BusFill, Block: msg.Block, Src: l.bankID, Dst: msg.Src,
-		WTS: state, ReqID: msg.ReqID,
-	}
+	l.Counters.FillsSent++
+	l.Counters.DataAccesses++
+	l.Array.Touch(line, l.Now)
+	fill := l.Reply(mem.BusFill, msg)
+	fill.WTS = state
 	fill.SetData(&line.Data)
-	l.outNoC.Post(l.sendNoC, fill)
-	l.pool.PutMsg(msg)
+	l.Respond(fill)
+	l.Free(msg)
 }
 
 // performAtomic performs an atomic at the bank and frees the request.
 func (l *L2) performAtomic(msg *mem.Msg, line *cache.Line[dirMeta]) {
-	// The pre-update values return to the requester in the ack's
-	// payload.
-	ack := l.pool.Msg()
-	*ack = mem.Msg{
-		Type: mem.BusAtomAck, Block: msg.Block, Src: l.bankID, Dst: msg.Src,
-		Mask: msg.Mask, ReqID: msg.ReqID, Warp: msg.Warp,
-	}
-	old := ack.Payload()
-	mem.Merge(old, &line.Data, msg.Mask)
-	for i := 0; i < mem.WordsPerBlock; i++ {
-		if msg.Mask.Has(i) {
-			line.Data.Words[i] = msg.Atom.Apply(line.Data.Words[i], msg.Data.Words[i])
-		}
-	}
-	line.Dirty = true
-	l.array.Touch(line, l.now)
-	l.stats.DataAccesses++
-	if l.obs != nil {
-		l.obs.Observe(coherence.Op{
-			SM: msg.Src, Warp: msg.Warp, Block: msg.Block,
-			Mask: msg.Mask, Data: *old, Cycle: l.now,
-		})
-		var stored mem.Block
-		mem.Merge(&stored, &line.Data, msg.Mask)
-		l.obs.Observe(coherence.Op{
-			SM: msg.Src, Warp: msg.Warp, Store: true, Block: msg.Block,
-			Mask: msg.Mask, Data: stored, Cycle: l.now,
-		})
-	}
-	l.outNoC.Post(l.sendNoC, ack)
-	l.pool.PutMsg(msg)
+	l.Respond(l.Atomic(msg, line, 0))
+	l.Free(msg)
 }
 
 // route dispatches a request when the line may be absent or busy.
@@ -540,78 +371,46 @@ func (l *L2) route(msg *mem.Msg) {
 	switch msg.Type {
 	case mem.BusInvAck:
 		l.onInvAck(msg)
-		l.pool.PutMsg(msg)
+		l.Free(msg)
 		return
 	case mem.BusWB:
 		l.onWB(msg)
-		l.pool.PutMsg(msg)
+		l.Free(msg)
 		return
 	}
 	if b, ok := l.busy[msg.Block]; ok {
 		b.waiting = append(b.waiting, msg)
 		return
 	}
-	if m, ok := l.miss[msg.Block]; ok {
-		m.waiting = append(m.waiting, msg)
-		return
-	}
-	line := l.array.Lookup(msg.Block)
+	line := l.Array.Lookup(msg.Block)
 	if line == nil {
-		l.stats.Misses++
-		m := l.freeMisses.Get()
-		m.block = msg.Block
-		m.waiting = append(m.waiting, msg)
-		l.miss[msg.Block] = m
-		rd := l.pool.Msg()
-		*rd = mem.Msg{Type: mem.DRAMRd, Block: msg.Block, Src: l.bankID, Dst: l.bankID}
-		l.outDRAM.Post(l.sendDRAM, rd)
+		l.Fetch(msg)
 		return
 	}
-	l.stats.Hits++
+	l.Counters.Hits++
 	l.serve(msg, line)
 }
 
-// SyncClock implements coherence.L2.
-func (l *L2) SyncClock(now uint64) { l.now = now }
-
-// Tick implements coherence.L2.
+// Tick implements coherence.L2. Stalled installs retry (their
+// recalls may have completed) before the head-of-line check: a retry
+// can post output, which must block new requests this very cycle.
 func (l *L2) Tick(now uint64) {
-	l.now = now
-	l.outNoC.Drain(l.sendNoC)
-	l.outDRAM.Drain(l.sendDRAM)
-	// Retry stalled installs (their recalls may have completed). Sorted
-	// by block address so replay order is independent of map layout.
-	// The scan is gated on the O(1) stalled-fill count: with none
-	// stalled it built an empty slice anyway, so skipping it is exact.
-	if l.stalledFills > 0 {
-		stalled := l.scratch[:0]
-		for b, m := range l.miss {
-			if m.filled && l.busy[b] == nil {
-				stalled = append(stalled, b)
-			}
-		}
-		l.scratch = stalled
-		slices.Sort(stalled)
-		for _, b := range stalled {
-			if m, ok := l.miss[b]; ok && m.filled && l.busy[b] == nil {
-				l.tryInstall(m)
-			}
-		}
+	l.Drain(now)
+	l.RetryStalled(l.tryInstall)
+	if !l.Blocked() {
+		l.Service(l.service)
 	}
-	if !l.outNoC.Empty() || !l.outDRAM.Empty() {
-		return
+}
+
+func (l *L2) service(msg *mem.Msg) {
+	switch msg.Type {
+	case mem.BusRd:
+		l.Counters.Reads++
+	case mem.BusGetM:
+		l.Counters.Writes++
+	case mem.BusAtom:
+		l.Counters.Atomics++
 	}
-	for i := 0; i < l.perCycle && !l.inQ.Empty(); i++ {
-		msg := l.inQ.Pop()
-		switch msg.Type {
-		case mem.BusRd:
-			l.stats.Reads++
-		case mem.BusGetM:
-			l.stats.Writes++
-		case mem.BusAtom:
-			l.stats.Atomics++
-		}
-		l.stats.TagProbes++
-		l.route(msg)
-	}
+	l.Counters.TagProbes++
+	l.route(msg)
 }

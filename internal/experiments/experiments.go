@@ -351,18 +351,28 @@ func (s *Session) prewarmGrid(wls []*workload.Workload, vs ...variant) error {
 }
 
 // run simulates workload wl under variant v (cached, single-flight).
-// Transient fault-injected failures are retried up to
-// Cfg.RetryTransient times with exponential backoff; each attempt
-// derives a fresh fault seed, because the deterministic engine would
-// otherwise reproduce the identical failure.
 func (s *Session) run(wl *workload.Workload, v variant) (*stats.Run, error) {
-	return s.do(s.key(wl.Name, v), func() (*stats.Run, error) {
+	return s.runWith(s.key(wl.Name, v), wl, s.Cfg.Scale, v, nil)
+}
+
+// runWith simulates wl at scale under variant v, cached under key, with
+// adjust (when non-nil) applying a sweep's machine change to the
+// session's simulator config. Transient fault-injected failures are
+// retried up to Cfg.RetryTransient times with exponential backoff; each
+// attempt derives a fresh fault seed, because the deterministic engine
+// would otherwise reproduce the identical failure.
+func (s *Session) runWith(key string, wl *workload.Workload, scale int, v variant, adjust func(*sim.Config)) (*stats.Run, error) {
+	return s.do(key, func() (*stats.Run, error) {
 		var lastErr error
 		for attempt := 0; attempt <= s.Cfg.RetryTransient; attempt++ {
 			if attempt > 0 {
 				s.sleep(RetryBackoff(attempt))
 			}
-			run, err := s.runSim(s.context(), wl.Build(s.Cfg.Scale), s.simConfig(v, attempt))
+			cfg := s.simConfig(v, attempt)
+			if adjust != nil {
+				adjust(&cfg)
+			}
+			run, err := s.runSim(s.context(), wl.Build(scale), cfg)
 			if err == nil {
 				return run, nil
 			}

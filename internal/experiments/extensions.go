@@ -220,22 +220,10 @@ func (s *Session) RunScalability() (*Scalability, error) {
 // SMs/2, min 2), growing the workload with the machine so every size
 // is fully occupied. Cached separately from the session's main machine.
 func (s *Session) runAt(wl *workload.Workload, v variant, sms int) (*stats.Run, error) {
-	return s.do(fmt.Sprintf("%s@%d", s.key(wl.Name, v), sms), func() (*stats.Run, error) {
-		cfg := sim.DefaultConfig()
-		cfg.Mem.Protocol = v.proto
+	key := fmt.Sprintf("%s@%d", s.key(wl.Name, v), sms)
+	return s.runWith(key, wl, maxi(s.Cfg.Scale, sms/8), v, func(cfg *sim.Config) {
 		cfg.Mem.NumSMs = sms
 		cfg.Mem.NumBanks = maxi(sms/2, 2)
-		cfg.SM.Consistency = v.cons
-		cfg.MaxCycles = s.Cfg.MaxCycles
-		cfg.Mem.GTSC.Lease = s.Cfg.GTSCLease
-		cfg.Mem.GTSC.TSBits = s.Cfg.GTSCTSBits
-		cfg.Mem.TC.Lease = s.Cfg.TCLease
-		scale := maxi(s.Cfg.Scale, sms/8)
-		run, err := wl.Build(scale).Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("%s at %d SMs: %w", wl.Name, sms, err)
-		}
-		return run, nil
 	})
 }
 
@@ -309,19 +297,7 @@ func (s *Session) RunMicroTable() (*MicroTable, error) {
 }
 
 func (s *Session) runMicro(m *workload.Workload, v variant) (*stats.Run, error) {
-	return s.do("micro/"+s.key(m.Name, v), func() (*stats.Run, error) {
-		cfg := sim.DefaultConfig()
-		cfg.Mem.Protocol = v.proto
-		cfg.Mem.NumSMs = s.Cfg.NumSMs
-		cfg.Mem.NumBanks = s.Cfg.NumBanks
-		cfg.SM.Consistency = v.cons
-		cfg.MaxCycles = s.Cfg.MaxCycles
-		run, err := m.Build(s.Cfg.Scale).Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("micro %s: %w", m.Name, err)
-		}
-		return run, nil
-	})
+	return s.runWith("micro/"+s.key(m.Name, v), m, s.Cfg.Scale, v, nil)
 }
 
 // Print renders the characterization.
@@ -405,27 +381,14 @@ func (s *Session) RunPlatform() (*Platform, error) {
 }
 
 func (s *Session) runPlatform(wl *workload.Workload, v variant, mesh, banked bool) (*stats.Run, error) {
-	return s.do(fmt.Sprintf("%s/plat/%t/%t", s.key(wl.Name, v), mesh, banked), func() (*stats.Run, error) {
-		cfg := sim.DefaultConfig()
-		cfg.Mem.Protocol = v.proto
-		cfg.Mem.NumSMs = s.Cfg.NumSMs
-		cfg.Mem.NumBanks = s.Cfg.NumBanks
-		cfg.SM.Consistency = v.cons
-		cfg.MaxCycles = s.Cfg.MaxCycles
-		cfg.Mem.GTSC.Lease = s.Cfg.GTSCLease
-		cfg.Mem.GTSC.TSBits = s.Cfg.GTSCTSBits
-		cfg.Mem.TC.Lease = s.Cfg.TCLease
+	key := fmt.Sprintf("%s/plat/%t/%t", s.key(wl.Name, v), mesh, banked)
+	return s.runWith(key, wl, s.Cfg.Scale, v, func(cfg *sim.Config) {
 		if mesh {
 			cfg.Mem.NoC = noc.DefaultMeshConfig()
 		}
 		if banked {
 			cfg.Mem.DRAM = dram.DefaultBankedConfig()
 		}
-		run, err := wl.Build(s.Cfg.Scale).Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("%s on %t/%t: %w", wl.Name, mesh, banked, err)
-		}
-		return run, nil
 	})
 }
 
@@ -499,23 +462,10 @@ func (s *Session) RunCacheSweep() (*CacheSweep, error) {
 }
 
 func (s *Session) runCache(wl *workload.Workload, v variant, sets, mshrs int) (*stats.Run, error) {
-	return s.do(fmt.Sprintf("%s/cache/%d/%d", s.key(wl.Name, v), sets, mshrs), func() (*stats.Run, error) {
-		cfg := sim.DefaultConfig()
-		cfg.Mem.Protocol = v.proto
-		cfg.Mem.NumSMs = s.Cfg.NumSMs
-		cfg.Mem.NumBanks = s.Cfg.NumBanks
+	key := fmt.Sprintf("%s/cache/%d/%d", s.key(wl.Name, v), sets, mshrs)
+	return s.runWith(key, wl, s.Cfg.Scale, v, func(cfg *sim.Config) {
 		cfg.Mem.L1Sets = sets
 		cfg.Mem.L1MSHRs = mshrs
-		cfg.SM.Consistency = v.cons
-		cfg.MaxCycles = s.Cfg.MaxCycles
-		cfg.Mem.GTSC.Lease = s.Cfg.GTSCLease
-		cfg.Mem.GTSC.TSBits = s.Cfg.GTSCTSBits
-		cfg.Mem.TC.Lease = s.Cfg.TCLease
-		run, err := wl.Build(s.Cfg.Scale).Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("%s at %d sets: %w", wl.Name, sets, err)
-		}
-		return run, nil
 	})
 }
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/gtsc-sim/gtsc/internal/diag"
+	"github.com/gtsc-sim/gtsc/internal/fault"
 	"github.com/gtsc-sim/gtsc/internal/sim"
 	"github.com/gtsc-sim/gtsc/internal/stats"
 	"github.com/gtsc-sim/gtsc/internal/workload"
@@ -320,5 +321,46 @@ func TestWatchdogOversubscribed(t *testing.T) {
 	}
 	if !reflect.DeepEqual(s.CachedRuns(), ref.CachedRuns()) {
 		t.Error("oversubscribed results differ from serial reference")
+	}
+}
+
+// TestExtensionSweepsUseSessionConfig: the extension drivers run their
+// machine sweeps through the session's run path, so every simulation
+// carries the session's slack, fault plan, watchdog, leases and
+// timestamp width on top of the sweep's own machine change.
+func TestExtensionSweepsUseSessionConfig(t *testing.T) {
+	cfg := Config{Scale: 1, NumSMs: 4, NumBanks: 2, Workers: 1, Slack: 8, FaultSeed: 7,
+		WatchdogWindow: 12345, GTSCLease: 12, TCLease: 300, GTSCTSBits: 12}
+	drivers := []struct {
+		name string
+		run  func(s *Session) error
+	}{
+		{"scalability", func(s *Session) error { _, err := s.RunScalability(); return err }},
+		{"directory", func(s *Session) error { _, err := s.RunDirectoryCompare(); return err }},
+		{"micro", func(s *Session) error { _, err := s.RunMicroTable(); return err }},
+		{"platform", func(s *Session) error { _, err := s.RunPlatform(); return err }},
+		{"cache", func(s *Session) error { _, err := s.RunCacheSweep(); return err }},
+	}
+	wantFault := fault.Chaos(DeriveFaultSeed(cfg.FaultSeed, 0))
+	for _, d := range drivers {
+		s := NewSession(cfg)
+		var got []sim.Config
+		s.runSim = func(ctx context.Context, inst *workload.Instance, c sim.Config) (*stats.Run, error) {
+			got = append(got, c)
+			return &stats.Run{Cycles: 1}, nil
+		}
+		if err := d.run(s); err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		if len(got) == 0 {
+			t.Fatalf("%s ran no simulations", d.name)
+		}
+		for _, c := range got {
+			if c.SlackCycles != cfg.Slack || c.Mem.Fault != wantFault || c.WatchdogWindow != cfg.WatchdogWindow ||
+				c.Mem.GTSC.Lease != cfg.GTSCLease || c.Mem.TC.Lease != cfg.TCLease || c.Mem.GTSC.TSBits != cfg.GTSCTSBits {
+				t.Fatalf("%s: a run lost the session config: slack=%d fault=%+v watchdog=%d leases=%d/%d tsbits=%d",
+					d.name, c.SlackCycles, c.Mem.Fault, c.WatchdogWindow, c.Mem.GTSC.Lease, c.Mem.TC.Lease, c.Mem.GTSC.TSBits)
+			}
+		}
 	}
 }

@@ -279,35 +279,28 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 		}
 		return shimObs(obs, &s.l2Obs[i])
 	}
+	bankGeo := coherence.BankGeometry{Sets: cfg.L2Sets, Ways: cfg.L2Ways, PerCycle: cfg.L2PerCycle}
 	switch cfg.Protocol {
 	case GTSC:
 		s.Resets = core.NewResetController()
 		for i := range s.L2s {
-			l2 := core.NewL2(cfg.GTSC, i,
-				core.L2Geometry{Sets: cfg.L2Sets, Ways: cfg.L2Ways, PerCycle: cfg.L2PerCycle},
-				bankSend(i), s.dramSender(i), bankObs(i))
+			l2 := core.NewL2(cfg.GTSC, i, bankGeo, bankSend(i), s.dramSender(i), bankObs(i))
 			l2.AttachResets(s.Resets)
 			s.L2s[i] = l2
 		}
 	case TC:
 		for i := range s.L2s {
-			s.L2s[i] = tc.NewL2(cfg.TC, i,
-				tc.L2Geometry{Sets: cfg.L2Sets, Ways: cfg.L2Ways, PerCycle: cfg.L2PerCycle},
-				bankSend(i), s.dramSender(i), bankObs(i))
+			s.L2s[i] = tc.NewL2(cfg.TC, i, bankGeo, bankSend(i), s.dramSender(i), bankObs(i))
 		}
 	case DIR:
 		dcfg := cfg.DIR
 		dcfg.MaxSharers = cfg.NumSMs
 		for i := range s.L2s {
-			s.L2s[i] = dir.NewL2(dcfg, i,
-				dir.L2Geometry{Sets: cfg.L2Sets, Ways: cfg.L2Ways, PerCycle: cfg.L2PerCycle},
-				bankSend(i), s.dramSender(i), bankObs(i))
+			s.L2s[i] = dir.NewL2(dcfg, i, bankGeo, bankSend(i), s.dramSender(i), bankObs(i))
 		}
 	case BL, L1NC:
 		for i := range s.L2s {
-			l2 := nocoh.NewL2Plain(i,
-				nocoh.L2Geometry{Sets: cfg.L2Sets, Ways: cfg.L2Ways, PerCycle: cfg.L2PerCycle},
-				bankSend(i), s.dramSender(i), bankObs(i))
+			l2 := nocoh.NewL2Plain(i, bankGeo, bankSend(i), s.dramSender(i), bankObs(i))
 			// Under BL load values bind at the L2 (there is no L1).
 			l2.SetObserveLoads(cfg.Protocol == BL)
 			s.L2s[i] = l2
@@ -323,6 +316,7 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 	}
 
 	s.L1s = make([]coherence.L1, cfg.NumSMs)
+	l1Geo := coherence.L1Geometry{Sets: cfg.L1Sets, Ways: cfg.L1Ways, MSHRs: cfg.L1MSHRs, Warps: cfg.MaxWarps}
 	sendToL2 := coherence.Sender(coherence.SenderFunc(s.Net.SendToL2))
 	for i := range s.L1s {
 		// The L1->L2 path sends from SM domains, which the relaxed
@@ -340,25 +334,15 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 		}
 		switch cfg.Protocol {
 		case GTSC:
-			s.L1s[i] = core.NewL1(cfg.GTSC, i, cfg.NumBanks,
-				core.L1Geometry{Sets: cfg.L1Sets, Ways: cfg.L1Ways, MSHRs: cfg.L1MSHRs, Warps: cfg.MaxWarps},
-				send, l1obs)
+			s.L1s[i] = core.NewL1(cfg.GTSC, i, cfg.NumBanks, l1Geo, send, l1obs)
 		case TC:
-			s.L1s[i] = tc.NewL1(cfg.TC, i, cfg.NumBanks,
-				tc.Geometry{Sets: cfg.L1Sets, Ways: cfg.L1Ways, MSHRs: cfg.L1MSHRs},
-				send, l1obs)
+			s.L1s[i] = tc.NewL1(cfg.TC, i, cfg.NumBanks, l1Geo, send, l1obs)
 		case BL:
-			s.L1s[i] = nocoh.NewL1Bypass(i, cfg.NumBanks, send, l1obs)
+			s.L1s[i] = nocoh.NewL1Bypass(i, cfg.NumBanks, send)
 		case L1NC:
-			s.L1s[i] = nocoh.NewL1Simple(i, cfg.NumBanks,
-				nocoh.Geometry{Sets: cfg.L1Sets, Ways: cfg.L1Ways, MSHRs: cfg.L1MSHRs},
-				send, l1obs)
+			s.L1s[i] = nocoh.NewL1Simple(i, cfg.NumBanks, l1Geo, send, l1obs)
 		case DIR:
-			dcfg := cfg.DIR
-			dcfg.MaxSharers = cfg.NumSMs
-			s.L1s[i] = dir.NewL1(dcfg, i, cfg.NumBanks,
-				dir.Geometry{Sets: cfg.L1Sets, Ways: cfg.L1Ways, MSHRs: cfg.L1MSHRs},
-				send, l1obs)
+			s.L1s[i] = dir.NewL1(i, cfg.NumBanks, l1Geo, send, l1obs)
 		}
 	}
 

@@ -257,20 +257,19 @@ func build(cfg *Config) *machine {
 		return alwaysSender(func(msg *mem.Msg) { m.toL2[sm][msg.Dst] = append(m.toL2[sm][msg.Dst], msg) })
 	}
 
+	l1Geo := coherence.L1Geometry{Sets: l1Sets, Ways: l1Ways, MSHRs: l1MSHRs, Warps: maxWarps}
+	bankGeo := coherence.BankGeometry{Sets: l2Sets, Ways: l2Ways, PerCycle: 1}
 	switch cfg.Protocol {
 	case GTSC:
 		m.resets = core.NewResetController()
 		m.resets.MutSkipBroadcast = cfg.MutSkipBroadcast
 		for b := 0; b < nBank; b++ {
-			l2 := core.NewL2(cfg.GTSC, b, core.L2Geometry{Sets: l2Sets, Ways: l2Ways, PerCycle: 1},
-				l2NoC(b), l2DRAM(b), obs)
+			l2 := core.NewL2(cfg.GTSC, b, bankGeo, l2NoC(b), l2DRAM(b), obs)
 			l2.AttachResets(m.resets)
 			m.l2s[b] = l2
 		}
 		for i := 0; i < nSM; i++ {
-			l1 := core.NewL1(cfg.GTSC, i, nBank,
-				core.L1Geometry{Sets: l1Sets, Ways: l1Ways, MSHRs: l1MSHRs, Warps: maxWarps},
-				l1NoC(i), obs)
+			l1 := core.NewL1(cfg.GTSC, i, nBank, l1Geo, l1NoC(i), obs)
 			l1.MutDropLeaseCheck = cfg.MutDropLeaseCheck
 			m.l1s[i] = l1
 		}
@@ -278,37 +277,32 @@ func build(cfg *Config) *machine {
 		tcfg := cfg.TC
 		tcfg.Weak = false
 		for b := 0; b < nBank; b++ {
-			l2 := tc.NewL2(tcfg, b, tc.L2Geometry{Sets: l2Sets, Ways: l2Ways, PerCycle: 1},
-				l2NoC(b), l2DRAM(b), obs)
+			l2 := tc.NewL2(tcfg, b, bankGeo, l2NoC(b), l2DRAM(b), obs)
 			l2.MutIgnoreWriteStall = cfg.MutIgnoreWriteStall
 			m.l2s[b] = l2
 		}
 		for i := 0; i < nSM; i++ {
-			m.l1s[i] = tc.NewL1(tcfg, i, nBank,
-				tc.Geometry{Sets: l1Sets, Ways: l1Ways, MSHRs: l1MSHRs}, l1NoC(i), obs)
+			m.l1s[i] = tc.NewL1(tcfg, i, nBank, l1Geo, l1NoC(i), obs)
 		}
 	case DIR:
 		dcfg := cfg.DIR
 		dcfg.MaxSharers = nSM
 		for b := 0; b < nBank; b++ {
-			m.l2s[b] = dir.NewL2(dcfg, b, dir.L2Geometry{Sets: l2Sets, Ways: l2Ways, PerCycle: 1},
-				l2NoC(b), l2DRAM(b), obs)
+			m.l2s[b] = dir.NewL2(dcfg, b, bankGeo, l2NoC(b), l2DRAM(b), obs)
 		}
 		for i := 0; i < nSM; i++ {
-			l1 := dir.NewL1(dcfg, i, nBank,
-				dir.Geometry{Sets: l1Sets, Ways: l1Ways, MSHRs: l1MSHRs}, l1NoC(i), obs)
+			l1 := dir.NewL1(i, nBank, l1Geo, l1NoC(i), obs)
 			l1.MutAckWithoutInval = cfg.MutAckWithoutInval
 			m.l1s[i] = l1
 		}
 	case BL:
 		for b := 0; b < nBank; b++ {
-			l2 := nocoh.NewL2Plain(b, nocoh.L2Geometry{Sets: l2Sets, Ways: l2Ways, PerCycle: 1},
-				l2NoC(b), l2DRAM(b), obs)
+			l2 := nocoh.NewL2Plain(b, bankGeo, l2NoC(b), l2DRAM(b), obs)
 			l2.SetObserveLoads(true) // no L1: load values bind at the bank
 			m.l2s[b] = l2
 		}
 		for i := 0; i < nSM; i++ {
-			m.l1s[i] = nocoh.NewL1Bypass(i, nBank, l1NoC(i), obs)
+			m.l1s[i] = nocoh.NewL1Bypass(i, nBank, l1NoC(i))
 		}
 	default:
 		panic(fmt.Sprintf("model: unknown protocol %d", cfg.Protocol))

@@ -38,36 +38,42 @@ func mp22Program() [][][]Op {
 // (mp22-natural), and repeatedly against a 2-bit wire epoch tag
 // (narrow-epoch, which exercises the bound-decode in
 // core/tswrap.go through three back-to-back resets).
+//
+// Each case pins its exact state, edge and final-state counts, so a
+// change that alters any reachable micro-state fails by name. A change
+// that deliberately alters the explored space updates them, with the
+// reason, as golden rows are regenerated.
 func TestExhaustive(t *testing.T) {
 	cases := []struct {
 		name      string
 		cfg       Config
 		minResets uint64 // require at least this many §V-D resets observed
 		minEpoch  uint64 // require the epoch counter to get this far
-		maxStates int    // regression bound: fail if the space grows past this
-		minFinal  int    // at least this many distinct completed-run states
+		states    int    // exact distinct canonical states
+		edges     int    // exact productive transitions
+		final     int    // exact distinct completed-run states
 	}{
 		{"gtsc-mp-forced", Config{Protocol: GTSC, NumBanks: 2, Program: mpProgram(),
 			GTSC: core.Config{TSBits: 6, Lease: 4, InitTS: ^uint64(0)}, ForcedResets: 2},
-			2, 2, 20_000, 1},
+			2, 2, 1520, 2876, 76},
 		{"gtsc-mp22-natural", Config{Protocol: GTSC, NumBanks: 2, Program: mp22Program(),
 			GTSC: core.Config{TSBits: 6, Lease: 6, InitTS: ^uint64(0)}, MaxStates: 2_000_000},
-			1, 1, 200_000, 1},
+			1, 1, 13465, 37256, 54},
 		{"gtsc-narrow-epoch", Config{Protocol: GTSC, NumBanks: 2, Program: mpProgram(),
 			GTSC: core.Config{TSBits: 6, Lease: 4, EpochBits: 2}, ForcedResets: 3,
 			GateResets: true, MaxStates: 2_000_000},
-			3, 3, 30_000, 1},
+			3, 3, 2200, 3279, 140},
 		{"tc-mp", Config{Protocol: TCStrong, NumBanks: 2, Program: mpProgram(),
 			TC: tc.Config{Lease: 30}},
-			0, 0, 10_000, 1},
+			0, 0, 229, 367, 7},
 		{"tc-mp22", Config{Protocol: TCStrong, NumBanks: 2, Program: mp22Program(),
 			TC: tc.Config{Lease: 30}, MaxStates: 2_000_000},
-			0, 0, 200_000, 1},
+			0, 0, 13725, 35222, 70},
 		{"dir-mp22", Config{Protocol: DIR, NumBanks: 2, Program: mp22Program(),
 			MaxStates: 2_000_000},
-			0, 0, 200_000, 1},
+			0, 0, 6657, 17509, 19},
 		{"bl-mp22", Config{Protocol: BL, NumBanks: 2, Program: mp22Program()},
-			0, 0, 200_000, 1},
+			0, 0, 10770, 31917, 6},
 	}
 	for _, c := range cases {
 		c := c
@@ -85,13 +91,9 @@ func TestExhaustive(t *testing.T) {
 			if res.MaxEpoch < c.minEpoch {
 				t.Errorf("reached epoch %d, want >= %d", res.MaxEpoch, c.minEpoch)
 			}
-			if res.States > c.maxStates {
-				t.Errorf("%d states explored, regression bound is %d (did a change inflate the state space?)",
-					res.States, c.maxStates)
-			}
-			if res.FinalStates < c.minFinal {
-				t.Errorf("%d final states, want >= %d (no interleaving ran to completion?)",
-					res.FinalStates, c.minFinal)
+			if res.States != c.states || res.Edges != c.edges || res.FinalStates != c.final {
+				t.Errorf("explored %d states, %d edges, %d final; want exactly %d/%d/%d (a reachable micro-state changed)",
+					res.States, res.Edges, res.FinalStates, c.states, c.edges, c.final)
 			}
 		})
 	}

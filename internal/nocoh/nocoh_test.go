@@ -23,15 +23,15 @@ type harness struct {
 
 func newHarness(t *testing.T, simple bool) *harness {
 	h := &harness{t: t, store: mem.NewStore()}
-	h.l2 = NewL2Plain(0, L2Geometry{Sets: 16, Ways: 4},
+	h.l2 = NewL2Plain(0, coherence.BankGeometry{Sets: 16, Ways: 4},
 		coherence.SenderFunc(func(m *mem.Msg) bool { h.toL1 = append(h.toL1, m); return true }),
 		coherence.SenderFunc(func(m *mem.Msg) bool { h.dram = append(h.dram, m); return true }),
 		nil)
 	send := coherence.SenderFunc(func(m *mem.Msg) bool { h.toL2 = append(h.toL2, m); h.log = append(h.log, m.Clone()); return true })
 	if simple {
-		h.l1 = NewL1Simple(0, 1, Geometry{Sets: 8, Ways: 2, MSHRs: 4}, send, nil)
+		h.l1 = NewL1Simple(0, 1, coherence.L1Geometry{Sets: 8, Ways: 2, MSHRs: 4}, send, nil)
 	} else {
-		h.l1 = NewL1Bypass(0, 1, send, nil)
+		h.l1 = NewL1Bypass(0, 1, send)
 	}
 	return h
 }
@@ -285,12 +285,12 @@ func TestBackpressureRetry(t *testing.T) {
 	rejects := 3
 	var sentLater []*mem.Msg
 	store := mem.NewStore()
-	l2 := NewL2Plain(0, L2Geometry{Sets: 8, Ways: 2},
+	l2 := NewL2Plain(0, coherence.BankGeometry{Sets: 8, Ways: 2},
 		coherence.SenderFunc(func(m *mem.Msg) bool { return true }),
 		coherence.SenderFunc(func(m *mem.Msg) bool { return true }),
 		nil)
 	_ = store
-	l1 := NewL1Simple(0, 1, Geometry{Sets: 8, Ways: 2, MSHRs: 4},
+	l1 := NewL1Simple(0, 1, coherence.L1Geometry{Sets: 8, Ways: 2, MSHRs: 4},
 		coherence.SenderFunc(func(m *mem.Msg) bool {
 			if rejects > 0 {
 				rejects--

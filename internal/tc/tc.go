@@ -24,6 +24,11 @@
 // lease-induced contention the paper measures.
 package tc
 
+import (
+	"github.com/gtsc-sim/gtsc/internal/cache"
+	"github.com/gtsc-sim/gtsc/internal/mem"
+)
+
 // Config holds TC protocol parameters.
 type Config struct {
 	// Lease is the lease length in cycles granted to L1 readers
@@ -50,7 +55,25 @@ func maxu(a, b uint64) uint64 {
 	return b
 }
 
-// bankOf maps a block to its L2 bank by block-address interleaving
-// (identical to G-TSC's mapping so traffic distributions are
-// comparable).
-func bankOf(b uint64, nBanks int) int { return int(b % uint64(nBanks)) }
+// lease is a TC line's metadata at either level, in global cycles: at
+// an L1 the self-invalidation deadline, at the L2 the latest expiry
+// granted to any L1.
+type lease struct {
+	expiry uint64
+}
+
+// forEachLease reports every line's lease as the physical-time
+// interval (0, expiry).
+func forEachLease(a *cache.Array[lease], fn func(b mem.BlockAddr, wts, rts uint64)) {
+	a.ForEach(func(c *cache.Line[lease]) { fn(c.Addr, 0, c.Meta.expiry) })
+}
+
+// nextExpiry is the earliest lease expiry in a after now.
+func nextExpiry(a *cache.Array[lease], now uint64) (at uint64, ok bool) {
+	a.ForEach(func(c *cache.Line[lease]) {
+		if e := c.Meta.expiry; e > now && (!ok || e < at) {
+			at, ok = e, true
+		}
+	})
+	return at, ok
+}

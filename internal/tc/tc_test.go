@@ -26,10 +26,10 @@ type harness struct {
 	log []*mem.Msg
 }
 
-func newHarness(t *testing.T, nSM int, cfg Config, l2geo L2Geometry) *harness {
+func newHarness(t *testing.T, nSM int, cfg Config, l2geo coherence.BankGeometry) *harness {
 	h := &harness{t: t, store: mem.NewStore()}
 	if l2geo.Sets == 0 {
-		l2geo = L2Geometry{Sets: 64, Ways: 8}
+		l2geo = coherence.BankGeometry{Sets: 64, Ways: 8}
 	}
 	h.l2 = NewL2(cfg, 0, l2geo,
 		coherence.SenderFunc(func(m *mem.Msg) bool { h.toL1 = append(h.toL1, m); h.log = append(h.log, m.Clone()); return true }),
@@ -37,7 +37,7 @@ func newHarness(t *testing.T, nSM int, cfg Config, l2geo L2Geometry) *harness {
 		nil)
 	for i := 0; i < nSM; i++ {
 		h.l1s = append(h.l1s, NewL1(cfg, i, 1,
-			Geometry{Sets: 16, Ways: 4, MSHRs: 8},
+			coherence.L1Geometry{Sets: 16, Ways: 4, MSHRs: 8},
 			coherence.SenderFunc(func(m *mem.Msg) bool { h.toL2 = append(h.toL2, m); h.log = append(h.log, m.Clone()); return true }),
 			nil))
 	}
@@ -145,7 +145,7 @@ func (h *harness) storeWord(sm, warp int, b mem.BlockAddr, word int, val uint32)
 
 func TestLeaseExpirySelfInvalidation(t *testing.T) {
 	cfg := Config{Lease: 100}
-	h := newHarness(t, 1, cfg, L2Geometry{})
+	h := newHarness(t, 1, cfg, coherence.BankGeometry{})
 	X := mem.BlockAddr(5)
 	h.store.WriteWord(X.WordAddr(0), 7)
 
@@ -178,7 +178,7 @@ func TestLeaseExpirySelfInvalidation(t *testing.T) {
 // reads arriving meanwhile queue behind it (§II-D3).
 func TestStrongWriteStallsUntilExpiry(t *testing.T) {
 	cfg := Config{Lease: 100, Weak: false}
-	h := newHarness(t, 2, cfg, L2Geometry{})
+	h := newHarness(t, 2, cfg, coherence.BankGeometry{})
 	X := mem.BlockAddr(5)
 
 	// SM0 takes a lease on X.
@@ -218,7 +218,7 @@ func TestStrongWriteStallsUntilExpiry(t *testing.T) {
 // and reports the lease expiry as the GWCT for fence accounting.
 func TestWeakWriteReturnsGWCT(t *testing.T) {
 	cfg := Config{Lease: 100, Weak: true}
-	h := newHarness(t, 2, cfg, L2Geometry{})
+	h := newHarness(t, 2, cfg, coherence.BankGeometry{})
 	X := mem.BlockAddr(5)
 
 	h.load(0, 0, X, 0) // SM0 lease
@@ -245,7 +245,7 @@ func TestWeakWriteReturnsGWCT(t *testing.T) {
 // self-invalidation, then fetches the new value.
 func TestWeakStaleReadWithinLease(t *testing.T) {
 	cfg := Config{Lease: 200, Weak: true}
-	h := newHarness(t, 2, cfg, L2Geometry{})
+	h := newHarness(t, 2, cfg, coherence.BankGeometry{})
 	X := mem.BlockAddr(5)
 	h.store.WriteWord(X.WordAddr(0), 1)
 
@@ -271,7 +271,7 @@ func TestWeakStaleReadWithinLease(t *testing.T) {
 // inclusion).
 func TestInclusionReplacementStall(t *testing.T) {
 	cfg := Config{Lease: 100}
-	h := newHarness(t, 1, cfg, L2Geometry{Sets: 1, Ways: 1})
+	h := newHarness(t, 1, cfg, coherence.BankGeometry{Sets: 1, Ways: 1})
 	A, B := mem.BlockAddr(1), mem.BlockAddr(2)
 
 	h.load(0, 0, A, 0)
@@ -296,7 +296,7 @@ func TestInclusionReplacementStall(t *testing.T) {
 // read response is a full fill (one reason G-TSC saves traffic).
 func TestResponsesAlwaysCarryData(t *testing.T) {
 	cfg := Config{Lease: 50}
-	h := newHarness(t, 1, cfg, L2Geometry{})
+	h := newHarness(t, 1, cfg, coherence.BankGeometry{})
 	X := mem.BlockAddr(5)
 	for i := 0; i < 3; i++ {
 		h.load(0, 0, X, 0)
@@ -324,7 +324,7 @@ func TestResponsesAlwaysCarryData(t *testing.T) {
 // lease is live.
 func TestWriteToUnleasedBlockIsImmediate(t *testing.T) {
 	cfg := Config{Lease: 100, Weak: false}
-	h := newHarness(t, 1, cfg, L2Geometry{})
+	h := newHarness(t, 1, cfg, coherence.BankGeometry{})
 	st := h.storeWord(0, 0, mem.BlockAddr(9), 0, 1)
 	h.settle()
 	if !st.done {
@@ -352,7 +352,7 @@ func (h *harness) atomic(sm, warp int, b mem.BlockAddr, word int, op mem.AtomicO
 // leased block waits for every private copy to self-invalidate.
 func TestStrongAtomicStallsLikeWrite(t *testing.T) {
 	cfg := Config{Lease: 100, Weak: false}
-	h := newHarness(t, 2, cfg, L2Geometry{})
+	h := newHarness(t, 2, cfg, coherence.BankGeometry{})
 	X := mem.BlockAddr(5)
 	h.load(0, 0, X, 0)
 	h.settle()
@@ -372,7 +372,7 @@ func TestStrongAtomicStallsLikeWrite(t *testing.T) {
 // immediately and carries a GWCT for fence accounting.
 func TestWeakAtomicImmediateWithGWCT(t *testing.T) {
 	cfg := Config{Lease: 100, Weak: true}
-	h := newHarness(t, 2, cfg, L2Geometry{})
+	h := newHarness(t, 2, cfg, coherence.BankGeometry{})
 	X := mem.BlockAddr(5)
 	h.load(0, 0, X, 0)
 	h.settle()
@@ -385,7 +385,7 @@ func TestWeakAtomicImmediateWithGWCT(t *testing.T) {
 
 func TestTCFlushAndDebug(t *testing.T) {
 	cfg := Config{Lease: 100}
-	h := newHarness(t, 1, cfg, L2Geometry{})
+	h := newHarness(t, 1, cfg, coherence.BankGeometry{})
 	h.load(0, 0, 5, 0)
 	h.settle()
 	h.l1s[0].Flush()
@@ -402,7 +402,7 @@ func TestTCFlushAndDebug(t *testing.T) {
 func TestTCAtomicAggregation(t *testing.T) {
 	// Two atomics to the same word from the same SM: both applied.
 	cfg := Config{Lease: 50, Weak: true}
-	h := newHarness(t, 1, cfg, L2Geometry{})
+	h := newHarness(t, 1, cfg, coherence.BankGeometry{})
 	h.atomic(0, 0, 9, 0, mem.AtomAdd, 4)
 	h.atomic(0, 1, 9, 0, mem.AtomAdd, 6)
 	h.settle()
@@ -463,15 +463,59 @@ func TestFuzzStrongLinearizability(t *testing.T) {
 // newHarnessObs builds a TC harness with an observer attached.
 func newHarnessObs(t *testing.T, nSM int, cfg Config, obs coherence.Observer) *harness {
 	h := &harness{t: t, store: mem.NewStore()}
-	h.l2 = NewL2(cfg, 0, L2Geometry{Sets: 8, Ways: 2},
+	h.l2 = NewL2(cfg, 0, coherence.BankGeometry{Sets: 8, Ways: 2},
 		coherence.SenderFunc(func(m *mem.Msg) bool { h.toL1 = append(h.toL1, m); return true }),
 		coherence.SenderFunc(func(m *mem.Msg) bool { h.dram = append(h.dram, m); return true }),
 		obs)
 	for i := 0; i < nSM; i++ {
 		h.l1s = append(h.l1s, NewL1(cfg, i, 1,
-			Geometry{Sets: 4, Ways: 2, MSHRs: 4},
+			coherence.L1Geometry{Sets: 4, Ways: 2, MSHRs: 4},
 			coherence.SenderFunc(func(m *mem.Msg) bool { h.toL2 = append(h.toL2, m); return true }),
 			obs))
 	}
 	return h
+}
+
+// TestResumedWriteBlocksServiceSameTick pins the bank's tick order: a
+// TC-Strong write resumed at lease expiry posts its ack before the
+// head-of-line check, so when the port refuses that ack, a request
+// already queued must wait for the next cycle.
+func TestResumedWriteBlocksServiceSameTick(t *testing.T) {
+	refuse := false
+	l2 := NewL2(Config{Lease: 10}, 0, coherence.BankGeometry{Sets: 4, Ways: 2},
+		coherence.SenderFunc(func(*mem.Msg) bool { return !refuse }),
+		coherence.SenderFunc(func(*mem.Msg) bool { return true }), nil)
+	X, Y := mem.BlockAddr(1), mem.BlockAddr(2)
+	now := uint64(0)
+	tick := func() { now++; l2.Tick(now) }
+
+	// SM0 reads X and is granted a lease; SM1's write to X stalls on it.
+	l2.Deliver(&mem.Msg{Type: mem.BusRd, Block: X, Src: 0, ReqID: 1})
+	tick()
+	l2.DRAMFill(&mem.Msg{Type: mem.DRAMFill, Block: X, Data: &mem.Block{}})
+	l2.Deliver(&mem.Msg{Type: mem.BusWr, Block: X, Src: 1, ReqID: 1, Mask: 1, Data: &mem.Block{}})
+	tick()
+	expiry := l2.Array.Lookup(X).Meta.expiry
+	for now+1 < expiry {
+		tick()
+	}
+	if len(l2.blocked) != 1 {
+		t.Fatal("the write must stall until the lease expires")
+	}
+
+	reads := l2.Stats().Reads
+	l2.Deliver(&mem.Msg{Type: mem.BusRd, Block: Y, Src: 0, ReqID: 2})
+	refuse = true
+	tick() // the write resumes; the port refuses its ack
+	if len(l2.blocked) != 0 || !l2.Blocked() {
+		t.Fatal("the resumed write's refused ack must stay queued")
+	}
+	if got := l2.Stats().Reads; got != reads {
+		t.Fatalf("a queued read was serviced behind a refused ack (reads %d -> %d)", reads, got)
+	}
+	refuse = false
+	tick()
+	if got := l2.Stats().Reads; got != reads+1 {
+		t.Fatalf("the queued read must be serviced once the port accepts (reads %d -> %d)", reads, got)
+	}
 }
