@@ -8,12 +8,14 @@ all: build test
 
 # Pre-merge gate: static checks, the race detector, a fixed-seed
 # fault-injection smoke run on every protocol, and the repo benchmark's
-# own module (its layer map pins engine file and function names; see
-# CONTRIBUTING.md).
+# own module under the race detector (its layer map pins engine file
+# and function names, see CONTRIBUTING.md; its tracing test runs a
+# two-worker relaxed cell, so the instructions warps share and the
+# warp contexts SMs recycle are raced there).
 check: vet
 	$(GO) test -race ./...
 	$(GO) test -run 'TestLitmusUnderFaults|TestWorkloadsUnderFaults' ./internal/sim ./internal/harness
-	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+	cd benchmark && $(GO) vet ./... && $(GO) test -race ./...
 
 # Exhaustive small-state model check: enumerate every interleaving of
 # the 2-SM micro machine for all four protocols (G-TSC through §V-D

@@ -115,7 +115,8 @@ func coalesce(g *accGroup, w *Warp, instr *Instr) []*coalesced {
 
 // grow returns (*s)[:n], enlarging the backing array only when n
 // exceeds its capacity — the group-pool arrays stabilize at each SM's
-// worst-case warp divergence after a few instructions.
+// worst-case warp divergence after a few instructions, and a recycled
+// warp context keeps its register arrays.
 func grow[T any](s *[]T, n int) []T {
 	if cap(*s) < n {
 		*s = make([]T, n)

@@ -538,3 +538,109 @@ func TestLDSTRetriesRejectedAccesses(t *testing.T) {
 		t.Fatal("rejections not consumed")
 	}
 }
+
+// storeHoldL1 completes every access at once, except that while hold
+// is set it withholds store acknowledgements until release.
+type storeHoldL1 struct {
+	fakeL1
+	hold bool
+}
+
+func (l *storeHoldL1) Access(req *coherence.Request) coherence.AccessResult {
+	if req.Store && l.hold {
+		l.parked = append(l.parked, req)
+		return coherence.Pending
+	}
+	l.complete(req)
+	return coherence.Hit
+}
+
+// TestRecycledContextWaitsForInFlightStores: an RC warp retires with a
+// store unacknowledged. Its context must not serve another CTA until
+// the ack lands, the late ack must leave the CTA then resident alone,
+// and once acknowledged the context is reused, reset to a fresh one.
+func TestRecycledContextWaitsForInFlightStores(t *testing.T) {
+	l1 := &storeHoldL1{hold: true}
+	k := &Kernel{
+		Name: "recycle", CTAs: 4, WarpsPerCTA: 1, Regs: 2,
+		ProgramFor: func(*Warp) Program {
+			return Seq(
+				ALU(func(t *Thread) { t.Regs[0] = uint32(t.GTID + 1) }),
+				Store(addrGTID(0x1000), func(t *Thread) uint32 { return t.Regs[0] }, 0),
+			)
+		},
+	}
+	// One warp context: each CTA runs alone, filling the slot its
+	// predecessor frees.
+	sm := NewSM(0, SMConfig{Consistency: RC, MaxWarps: 1}, l1)
+	sm.Launch(k, NewDispatcher(k))
+	sm.FillOne()
+	first := sm.warps[0]
+	now := uint64(0)
+	tickUntil := func(what string, cond func() bool) {
+		t.Helper()
+		for i := 0; i < 100 && !cond(); i++ {
+			now++
+			sm.Tick(now)
+		}
+		if !cond() {
+			t.Fatalf("never reached: %s", what)
+		}
+	}
+	retired := func(n uint64) func() bool {
+		return func() bool { return sm.Stats().CTAsRetired == n }
+	}
+
+	tickUntil("CTA 0 retires", retired(1))
+	if first.pendingStores != 1 || len(l1.parked) != 1 {
+		t.Fatalf("CTA 0 retired with %d stores pending (%d parked), want 1", first.pendingStores, len(l1.parked))
+	}
+	// CTA 1 retires with its store acknowledged at once and CTA 2
+	// takes the slot while CTA 0's store is still in flight.
+	l1.hold = false
+	tickUntil("CTA 1 retires", retired(2))
+	cur := sm.warps[0]
+	if len(sm.warps) != 1 || cur.CTA.ID != 2 {
+		t.Fatalf("resident warps %d, CTA %d; want CTA 2 alone", len(sm.warps), cur.CTA.ID)
+	}
+	if cur == first {
+		t.Fatal("CTA 2 got CTA 0's warp context while CTA 0's store was unacknowledged")
+	}
+
+	// The late ack, carrying a GWCT, lands on CTA 0's context only.
+	l1.gwct = 77
+	l1.release()
+	if cur.pendingStores != 0 || cur.pendingAcc != 0 || cur.gwct != 0 {
+		t.Fatalf("late ack touched CTA 2's warp: stores %d, accesses %d, gwct %d",
+			cur.pendingStores, cur.pendingAcc, cur.gwct)
+	}
+	for _, th := range cur.Threads {
+		if th.Regs[0] != 0 || th.Regs[1] != 0 {
+			t.Fatalf("late ack touched CTA 2's registers: lane %d %v", th.Lane, th.Regs)
+		}
+	}
+	if first.pendingStores != 0 {
+		t.Fatalf("CTA 0's context has %d stores pending after the ack", first.pendingStores)
+	}
+
+	// Once acknowledged, CTA 0's context serves CTA 3, as fresh.
+	l1.gwct = 0
+	tickUntil("CTA 2 retires", retired(3))
+	if w := sm.warps[0]; w != first || w.CTA.ID != 3 {
+		t.Fatalf("CTA 3 runs on %p (CTA %d), want CTA 0's acknowledged context %p", w, w.CTA.ID, first)
+	}
+	if first.finished || first.reclaim || first.gwct != 0 || first.pendingStores != 0 ||
+		first.cur != nil || first.InCTA != 0 || len(first.pendingRegs) != k.Regs {
+		t.Fatalf("recycled context not reset: %+v", first)
+	}
+	for lane, th := range first.Threads {
+		if th.CTA != 3 || th.Lane != lane || th.GTID != 3*WarpWidth+lane || len(th.Regs) != k.Regs ||
+			th.Regs[0] != 0 || th.Regs[1] != 0 {
+			t.Fatalf("recycled thread %d not reset: %+v", lane, *th)
+		}
+	}
+	tickUntil("kernel drains", sm.Done)
+	if got := sm.Stats().WarpsRetired; got != 4 {
+		t.Fatalf("retired %d warps, want 4", got)
+	}
+}

@@ -43,6 +43,16 @@ const (
 // Instr is one kernel instruction, executed by all active lanes of a
 // warp. Address and value functions receive the per-lane thread
 // context; a nil Addr for OpLoad/OpStore panics at issue.
+//
+// Instructions are immutable once built. Most kernels' instructions
+// are also warp-invariant (only the Thread each function receives
+// differs), so the kernel builds them once and every warp's Program
+// hands out the same *Instr values (see Kernel.ProgramFor). Under
+// relaxed sync SM domains run on concurrent goroutines, so one
+// instruction is read, and its Addr, Val and Exec called, from several
+// goroutines at once: the functions must depend only on their Thread
+// and on values fixed before the kernel runs, and write nothing but
+// the Thread's registers (Exec).
 type Instr struct {
 	Op     Op
 	Cycles int // OpComp: busy cycles
@@ -122,7 +132,9 @@ type Thread struct {
 // cycle-skipping bit-identity.
 //
 // Programs may keep per-warp state (loop counters, traversal
-// frontiers); each warp receives its own Program instance.
+// frontiers); each warp receives its own Program instance. That state
+// is all a Program should own: the instructions it returns are the
+// kernel's shared ones (see Instr), so Next allocates nothing.
 type Program interface {
 	Next(w *Warp) (instr *Instr, ready bool)
 }
@@ -145,7 +157,15 @@ type Kernel struct {
 	// Init populates the backing store with the kernel's input data.
 	Init func(store *mem.Store)
 
-	// ProgramFor builds the instruction stream of one warp.
+	// ProgramFor returns the Program of one warp. The SM calls it on
+	// the single-threaded CTA fill path inside Simulator.Run (under
+	// relaxed sync, at the epoch barrier). A kernel builds its
+	// instructions on its first call, for example behind a sync.Once,
+	// which also covers a kernel run by several simulators at once,
+	// and returns only a small per-warp cursor over them (see Instr).
+	// Rebuilding them per warp or per loop iteration is correct but
+	// allocates on every CTA dispatch; the repository's workloads
+	// never do.
 	ProgramFor func(w *Warp) Program
 }
 
@@ -155,7 +175,9 @@ type seqProgram struct {
 	pc     int
 }
 
-// Seq returns a Program that executes instrs once, in order.
+// Seq returns a Program that executes instrs once, in order. It keeps
+// instrs without copying or writing it, so the warps of a kernel can
+// share one slice.
 func Seq(instrs ...*Instr) Program { return &seqProgram{instrs: instrs} }
 
 // Next implements Program.
@@ -176,6 +198,13 @@ func (f FuncProgram) Next(w *Warp) (*Instr, bool) { return f(w) }
 
 // LoopProgram runs Iters iterations, asking Body for the instruction
 // slice of each iteration (data-independent loop bounds).
+//
+// Body must be pure: a function of iter alone that returns a slice
+// built before the kernel runs, such as a row of a per-iteration table
+// built on the kernel's first ProgramFor call, and does not build
+// instructions per call. The warps of a kernel may share one Body, and
+// under relaxed sync warps on different goroutines call it at once, so
+// a Body that fills a memo lazily is a data race.
 type LoopProgram struct {
 	Iters int
 	Body  func(iter int) []*Instr

@@ -131,5 +131,10 @@ func (r *reqRec) complete(c coherence.Completion) {
 		w.addPendingReg(r.dst, -1)
 	}
 	s.noteCompletion(w)
+	if w.reclaim {
+		// A retired context waiting out its accesses (see SM.retire).
+		w.reclaim = false
+		s.retire(w)
+	}
 	r.group.release()
 }

@@ -124,6 +124,7 @@ type SM struct {
 	lastIssued *Warp       // GTO greediness
 	scanBuf    []*Warp     // reusable scheduler scan order (hot path)
 	groupPool  []*accGroup // recycled LDST access groups (see pool.go)
+	spare      []*Warp     // retired warp contexts for the next CTAs (see retire)
 
 	// deferFills redirects CTA refills (which draw from the dispatcher
 	// shared by every SM) to CommitFill, so SM domains running
@@ -146,9 +147,9 @@ type SM struct {
 // NewSM builds SM id over the given L1 controller.
 func NewSM(id int, cfg SMConfig, l1 coherence.L1) *SM {
 	cfg.fillDefaults()
-	s := &SM{id: id, cfg: cfg, l1: l1}
-	for i := 0; i < cfg.MaxWarps; i++ {
-		s.freeIDs = append(s.freeIDs, i)
+	s := &SM{id: id, cfg: cfg, l1: l1, freeIDs: make([]int, cfg.MaxWarps)}
+	for i := range s.freeIDs {
+		s.freeIDs[i] = i
 	}
 	return s
 }
@@ -564,12 +565,17 @@ func (s *SM) finishWarp(w *Warp) {
 	}
 }
 
-// reapFinished compacts the resident warp list.
+// reapFinished compacts the resident warp list, retiring the contexts
+// of fully retired CTAs. It runs after the issue scan, so a context
+// never rejoins the SM in the cycle its warp left it: the scan order
+// and the resident list see each context at most once.
 func (s *SM) reapFinished() {
 	kept := s.warps[:0]
 	for _, w := range s.warps {
 		if !w.finished || w.CTA.finished != len(w.CTA.Warps) {
 			kept = append(kept, w)
+		} else {
+			s.retire(w)
 		}
 	}
 	if len(kept) != len(s.warps) {
@@ -579,6 +585,43 @@ func (s *SM) reapFinished() {
 		s.lastIssued = nil
 	}
 	s.warps = kept
+}
+
+// retire hands a context that has left the SM to the spare list, once
+// nothing it issued is still in flight: an RC warp can retire with
+// stores unacknowledged (a load whose register is never read, too),
+// and their completions write into the context they were issued from.
+// Until then it is only marked, and each completion retires it again.
+func (s *SM) retire(w *Warp) {
+	if w.pendingAcc > 0 || w.pendingStores > 0 {
+		w.reclaim = true
+		return
+	}
+	s.spare = append(s.spare, w)
+}
+
+// warpContext returns a context reset to exactly a freshly built one
+// with regs zeroed registers per thread: a retired context from the
+// spare list when there is one, otherwise a new allocation. The
+// caller sets the identity fields.
+func (s *SM) warpContext(regs int) *Warp {
+	var w *Warp
+	if n := len(s.spare); n > 0 {
+		w = s.spare[n-1]
+		s.spare[n-1] = nil
+		s.spare = s.spare[:n-1]
+		*w = Warp{regs: w.regs, pendingRegs: w.pendingRegs}
+	} else {
+		w = &Warp{}
+	}
+	clear(grow(&w.regs, WarpWidth*regs))
+	clear(grow(&w.pendingRegs, regs))
+	for lane := range w.lanes {
+		t := &w.lanes[lane]
+		t.Regs = w.regs[lane*regs : (lane+1)*regs : (lane+1)*regs]
+		w.Threads[lane] = t
+	}
+	return w
 }
 
 func maxi(a, b int) int {
@@ -599,7 +642,8 @@ func NewDispatcher(kernel *Kernel) *Dispatcher { return &Dispatcher{kernel: kern
 
 func (d *Dispatcher) exhausted() bool { return d.nextCTA >= d.kernel.CTAs }
 
-// next constructs the next CTA's warps, threads and programs for SM s.
+// next sets up the next CTA's warps, threads and programs for SM s, on
+// warp contexts SM s has retired where it has any.
 func (d *Dispatcher) next(s *SM) *CTA {
 	if d.exhausted() {
 		return nil
@@ -611,20 +655,18 @@ func (d *Dispatcher) next(s *SM) *CTA {
 	if regs == 0 {
 		regs = 8
 	}
-	cta := &CTA{ID: id}
+	cta := &CTA{ID: id, Warps: make([]*Warp, k.WarpsPerCTA)}
 	ctaSize := k.WarpsPerCTA * WarpWidth
-	for wi := 0; wi < k.WarpsPerCTA; wi++ {
-		w := &Warp{CTA: cta, InCTA: wi, pendingRegs: make([]int, regs)}
-		for lane := 0; lane < WarpWidth; lane++ {
+	for wi := range cta.Warps {
+		w := s.warpContext(regs)
+		w.CTA, w.InCTA = cta, wi
+		for lane, t := range w.Threads {
 			tid := wi*WarpWidth + lane
-			w.Threads[lane] = &Thread{
-				CTA: id, Warp: wi, Lane: lane, TIDInCTA: tid,
-				GTID: id*ctaSize + tid,
-				Regs: make([]uint32, regs),
-			}
+			t.CTA, t.Warp, t.Lane, t.TIDInCTA = id, wi, lane, tid
+			t.GTID = id*ctaSize + tid
 		}
 		w.prog = k.ProgramFor(w)
-		cta.Warps = append(cta.Warps, w)
+		cta.Warps[wi] = w
 	}
 	return cta
 }

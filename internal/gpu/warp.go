@@ -8,6 +8,12 @@ type Warp struct {
 
 	Threads [WarpWidth]*Thread
 
+	// lanes and regs back Threads and their registers for the contexts
+	// an SM builds, so one warp is three allocations (itself, regs,
+	// pendingRegs) and a recycled one none (see SM.warpContext).
+	lanes [WarpWidth]Thread
+	regs  []uint32
+
 	prog Program
 	cur  *Instr // fetched, not yet completed/consumed
 
@@ -31,6 +37,11 @@ type Warp struct {
 	// dispatching marks a memory instruction currently streaming its
 	// coalesced accesses through the LDST unit.
 	dispatching bool
+
+	// reclaim marks a context whose CTA has left the SM while some of
+	// its accesses are still in flight; the last completion hands it to
+	// the SM's spare list (see SM.retire).
+	reclaim bool
 }
 
 // Reg returns lane's register idx (helper for data-dependent programs).

@@ -74,7 +74,9 @@ func (d *DispatchStats) HierarchySleeps() uint64 {
 }
 
 func (s *System) initWakes() {
-	s.Wakes = sched.NewAgenda()
+	// Room for every slot below plus the one per SM the simulator
+	// adds (AddSlot).
+	s.Wakes = sched.NewAgenda(2 + len(s.Parts) + len(s.shims) + len(s.L2s) + 2*len(s.L1s))
 	s.slotNet = s.Wakes.AddSlot()
 	s.slotPart = s.Wakes.Slots()
 	for range s.Parts {

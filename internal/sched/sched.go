@@ -20,12 +20,13 @@
 //     c (a port finishes serializing, a DRAM fill lands, a warp's
 //     busy-until expires).
 //
-// Hot and Never transitions are O(1) and touch no heap state: only
-// concrete future cycles enter the min-heap, which is keyed by
+// Only concrete future cycles enter the min-heap, which is keyed by
 // (cycle, slot index) so that ties resolve in canonical component
 // order and the agenda is deterministic regardless of insertion order.
-// Reschedules use lazy deletion: the wake slice is authoritative and
-// stale heap entries are discarded when they surface at the top.
+// The heap is indexed: a slot has at most one entry, which a
+// reschedule moves in place and a Hot or Never transition removes, so
+// the heap never holds more entries than slots and Horizon reads its
+// top without discarding anything.
 //
 // Note the horizon only bounds how far time may jump; on every executed
 // cycle the engine still dispatches components in their fixed canonical
@@ -44,25 +45,31 @@ const Never = ^uint64(0)
 // the future (>= now+1 >= 1).
 const Hot = uint64(0)
 
-// entry is a scheduled (cycle, slot) pair in the min-heap. An entry is
-// valid iff wake[idx] still equals at; anything else is a stale
-// leftover from a reschedule, discarded lazily.
+// entry is a slot's concrete wake (cycle, slot) in the min-heap;
+// at always equals wake[idx].
 type entry struct {
 	at  uint64
 	idx int
 }
+
+// notQueued is pos's value for a slot with no heap entry.
+const notQueued = -1
 
 // Agenda is a deterministic wake-up agenda over a fixed set of slots.
 // It is not safe for concurrent use; the engine drives it from the
 // serial section of the cycle loop.
 type Agenda struct {
 	wake []uint64 // authoritative wake per slot: Hot, Never, or a future cycle
-	heap []entry  // min-heap on (at, idx) of possibly-stale concrete wakes
+	pos  []int    // heap index of each slot's entry, or notQueued
+	heap []entry  // min-heap on (at, idx), one entry per concrete wake
 	hot  int      // number of slots currently Hot
 }
 
-// NewAgenda returns an empty agenda; add slots with AddSlot.
-func NewAgenda() *Agenda { return &Agenda{} }
+// NewAgenda returns an empty agenda with room for slots AddSlot calls
+// before its per-slot slices grow; add slots with AddSlot.
+func NewAgenda(slots int) *Agenda {
+	return &Agenda{wake: make([]uint64, 0, slots), pos: make([]int, 0, slots)}
+}
 
 // AddSlot registers a new component slot and returns its index. Slots
 // are allocated in canonical component order once at machine
@@ -70,6 +77,7 @@ func NewAgenda() *Agenda { return &Agenda{} }
 // same-cycle events. New slots start at Never.
 func (a *Agenda) AddSlot() int {
 	a.wake = append(a.wake, Never)
+	a.pos = append(a.pos, notQueued)
 	return len(a.wake) - 1
 }
 
@@ -82,9 +90,9 @@ func (a *Agenda) Wake(idx int) uint64 { return a.wake[idx] }
 
 // Schedule sets a slot's wake to at (Hot, Never, or a concrete future
 // cycle). Rescheduling to the current value is a no-op, so callers may
-// re-register unconditionally on every state change without flooding
-// the heap with duplicates. Old concrete entries are invalidated
-// implicitly (lazy deletion).
+// re-register unconditionally on every state change. The slot's heap
+// entry follows: a concrete wake inserts or moves it, Hot or Never
+// removes it.
 func (a *Agenda) Schedule(idx int, at uint64) {
 	old := a.wake[idx]
 	if old == at {
@@ -97,8 +105,18 @@ func (a *Agenda) Schedule(idx int, at uint64) {
 		a.hot++
 	}
 	a.wake[idx] = at
-	if at != Hot && at != Never {
-		a.push(entry{at: at, idx: idx})
+	switch i := a.pos[idx]; {
+	case at == Hot || at == Never:
+		if i != notQueued {
+			a.remove(i)
+		}
+	case i == notQueued:
+		a.pos[idx] = len(a.heap)
+		a.heap = append(a.heap, entry{at: at, idx: idx})
+		a.fix(len(a.heap) - 1)
+	default:
+		a.heap[i].at = at
+		a.fix(i)
 	}
 }
 
@@ -110,25 +128,17 @@ func (a *Agenda) Schedule(idx int, at uint64) {
 //     it, but an overdue wake must never be jumped past);
 //   - the smallest concrete future wake otherwise;
 //   - Never if every slot is inert.
-//
-// Stale heap entries surfacing at the top are discarded here; the call
-// is amortized O(log n).
 func (a *Agenda) Horizon(now uint64) uint64 {
 	if a.hot > 0 {
 		return now + 1
 	}
-	for len(a.heap) > 0 {
-		top := a.heap[0]
-		if a.wake[top.idx] != top.at {
-			a.pop() // stale: slot was rescheduled since this was pushed
-			continue
-		}
-		if top.at <= now {
-			return now + 1
-		}
-		return top.at
+	if len(a.heap) == 0 {
+		return Never
 	}
-	return Never
+	if at := a.heap[0].at; at > now {
+		return at
+	}
+	return now + 1
 }
 
 // less orders heap entries by (cycle, slot index): time first, then
@@ -141,24 +151,31 @@ func (a *Agenda) less(i, j int) bool {
 	return a.heap[i].idx < a.heap[j].idx
 }
 
-func (a *Agenda) push(e entry) {
-	a.heap = append(a.heap, e)
-	i := len(a.heap) - 1
+// swap exchanges heap entries i and j and their slots' positions.
+func (a *Agenda) swap(i, j int) {
+	a.heap[i], a.heap[j] = a.heap[j], a.heap[i]
+	a.pos[a.heap[i].idx] = i
+	a.pos[a.heap[j].idx] = j
+}
+
+// up sifts entry i toward the root and reports whether it moved.
+func (a *Agenda) up(i int) bool {
+	moved := false
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !a.less(i, parent) {
 			break
 		}
-		a.heap[i], a.heap[parent] = a.heap[parent], a.heap[i]
+		a.swap(i, parent)
 		i = parent
+		moved = true
 	}
+	return moved
 }
 
-func (a *Agenda) pop() {
-	n := len(a.heap) - 1
-	a.heap[0] = a.heap[n]
-	a.heap = a.heap[:n]
-	i := 0
+// down sifts entry i toward the leaves.
+func (a *Agenda) down(i int) {
+	n := len(a.heap)
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
@@ -171,7 +188,25 @@ func (a *Agenda) pop() {
 		if small == i {
 			return
 		}
-		a.heap[i], a.heap[small] = a.heap[small], a.heap[i]
+		a.swap(i, small)
 		i = small
+	}
+}
+
+// fix restores the heap order after entry i's key changed.
+func (a *Agenda) fix(i int) {
+	if !a.up(i) {
+		a.down(i)
+	}
+}
+
+// remove deletes entry i, moving the last entry into its place.
+func (a *Agenda) remove(i int) {
+	last := len(a.heap) - 1
+	a.swap(i, last)
+	a.pos[a.heap[last].idx] = notQueued
+	a.heap = a.heap[:last]
+	if i < last {
+		a.fix(i)
 	}
 }

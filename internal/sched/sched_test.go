@@ -6,7 +6,7 @@ import (
 )
 
 func TestHorizonEmpty(t *testing.T) {
-	a := NewAgenda()
+	a := NewAgenda(0)
 	if got := a.Horizon(5); got != Never {
 		t.Fatalf("empty agenda horizon = %d, want Never", got)
 	}
@@ -20,7 +20,7 @@ func TestHorizonEmpty(t *testing.T) {
 }
 
 func TestHotPinsHorizon(t *testing.T) {
-	a := NewAgenda()
+	a := NewAgenda(0)
 	s0, s1 := a.AddSlot(), a.AddSlot()
 	a.Schedule(s0, 100)
 	a.Schedule(s1, Hot)
@@ -34,7 +34,7 @@ func TestHotPinsHorizon(t *testing.T) {
 }
 
 func TestRescheduleLazyDeletion(t *testing.T) {
-	a := NewAgenda()
+	a := NewAgenda(0)
 	s := a.AddSlot()
 	a.Schedule(s, 50)
 	a.Schedule(s, 200) // the 50 entry is now stale
@@ -52,7 +52,7 @@ func TestRescheduleLazyDeletion(t *testing.T) {
 }
 
 func TestScheduleSameValueIsNoOp(t *testing.T) {
-	a := NewAgenda()
+	a := NewAgenda(0)
 	s := a.AddSlot()
 	for i := 0; i < 1000; i++ {
 		a.Schedule(s, 77)
@@ -73,7 +73,7 @@ func TestScheduleSameValueIsNoOp(t *testing.T) {
 }
 
 func TestOverdueWakeIsNotJumpedPast(t *testing.T) {
-	a := NewAgenda()
+	a := NewAgenda(0)
 	s := a.AddSlot()
 	a.Schedule(s, 8)
 	// The engine is at cycle 20 but the slot still claims 8: the
@@ -87,7 +87,7 @@ func TestDeterministicTiebreak(t *testing.T) {
 	// Same-cycle wakes must surface lowest slot index first regardless
 	// of insertion order.
 	for trial := 0; trial < 8; trial++ {
-		a := NewAgenda()
+		a := NewAgenda(0)
 		idxs := make([]int, 16)
 		for i := range idxs {
 			idxs[i] = a.AddSlot()
@@ -111,7 +111,7 @@ func TestDeterministicTiebreak(t *testing.T) {
 // authoritative wake slice.
 func TestAgendaMatchesNaiveScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	a := NewAgenda()
+	a := NewAgenda(0)
 	const slots = 24
 	for i := 0; i < slots; i++ {
 		a.AddSlot()
@@ -148,11 +148,59 @@ func TestAgendaMatchesNaiveScan(t *testing.T) {
 			t.Fatalf("step %d now %d: Horizon = %d, naive scan = %d", step, now, got, want)
 		}
 	}
-	// The heap must not retain unbounded garbage: lazy deletion pops
-	// stale entries as they surface, so size stays bounded by total
-	// pushes minus surfaced stales. Just sanity-check it's not empty
-	// logic-free.
-	if len(a.heap) > 20000 {
-		t.Fatalf("heap retained %d entries", len(a.heap))
+	// The heap holds one entry per concrete wake, never stale ones.
+	if len(a.heap) > slots {
+		t.Fatalf("heap retained %d entries for %d slots", len(a.heap), slots)
+	}
+}
+
+// TestAgendaHeapBounded drives a long randomized schedule shaped like
+// a busy machine's: most reschedules move a slot's concrete wake (a
+// port's next free cycle, a fill's landing) while one early wake pins
+// the horizon, so superseded wakes never surface at the top. At every
+// step the heap must stay within twice the slot count and Horizon must
+// equal a brute-force minimum over the wakes.
+func TestAgendaHeapBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	a := NewAgenda(0)
+	const slots = 50
+	for i := 0; i < slots; i++ {
+		a.AddSlot()
+	}
+	naive := func(now uint64) uint64 {
+		horizon := uint64(Never)
+		for i := 0; i < a.Slots(); i++ {
+			switch w := a.Wake(i); {
+			case w == Never:
+			case w <= now:
+				return now + 1
+			case w < horizon:
+				horizon = w
+			}
+		}
+		return horizon
+	}
+	now := uint64(0)
+	for step := 0; step < 50000; step++ {
+		idx := rng.Intn(slots)
+		switch r := rng.Intn(20); {
+		case r == 0:
+			a.Schedule(idx, Hot)
+		case r == 1:
+			a.Schedule(idx, Never)
+		case r < 4:
+			a.Schedule(idx, now+1+uint64(rng.Intn(8)))
+		default:
+			a.Schedule(idx, now+100+uint64(rng.Intn(10000)))
+		}
+		if rng.Intn(8) == 0 {
+			now++
+		}
+		if got, limit := len(a.heap), 2*a.Slots(); got > limit {
+			t.Fatalf("step %d: heap holds %d entries for %d slots, want <= %d", step, got, a.Slots(), limit)
+		}
+		if got, want := a.Horizon(now), naive(now); got != want {
+			t.Fatalf("step %d now %d: Horizon = %d, brute force = %d", step, now, got, want)
+		}
 	}
 }

@@ -171,10 +171,11 @@ func New(cfg Config) *Simulator {
 	store := mem.NewStore()
 	sys := memsys.New(cfg.Mem, store, cfg.Observer)
 	s := &Simulator{Cfg: cfg, Store: store, Sys: sys, cfgErr: cfg.Mem.Validate()}
+	s.SMs = make([]*gpu.SM, len(sys.L1s))
 	for i, l1 := range sys.L1s {
 		smCfg := cfg.SM
 		smCfg.MaxWarps = cfg.Mem.MaxWarps
-		s.SMs = append(s.SMs, gpu.NewSM(i, smCfg, l1))
+		s.SMs[i] = gpu.NewSM(i, smCfg, l1)
 	}
 	return s
 }

@@ -61,19 +61,14 @@ func HIST() *Workload {
 
 			kernel := &gpu.Kernel{
 				Name: "HIST", CTAs: ctas, WarpsPerCTA: warps, Regs: 2,
-				ProgramFor: func(w *gpu.Warp) gpu.Program {
-					return &gpu.LoopProgram{
-						Iters: itemsPerThread,
-						Body: func(i int) []*gpu.Instr {
-							return []*gpu.Instr{
-								gpu.Atomic(mem.AtomAdd, 0, always(func(t *gpu.Thread) mem.Addr {
-									return wordAddr(bucketBase, item(t.GTID, i))
-								}), func(t *gpu.Thread) uint32 { return 1 }),
-								gpu.Comp(2),
-							}
-						},
+				ProgramFor: loop(itemsPerThread, func(i int) []*gpu.Instr {
+					return []*gpu.Instr{
+						gpu.Atomic(mem.AtomAdd, 0, always(func(t *gpu.Thread) mem.Addr {
+							return wordAddr(bucketBase, item(t.GTID, i))
+						}), func(t *gpu.Thread) uint32 { return 1 }),
+						gpu.Comp(2),
 					}
-				},
+				}),
 			}
 			return &Instance{
 				Kernels: []*gpu.Kernel{kernel},
@@ -113,25 +108,20 @@ func FS() *Workload {
 				want[slot(t)] = uint32(iters)
 			}
 
+			own := always(func(t *gpu.Thread) mem.Addr {
+				return wordAddr(base, slot(t.GTID))
+			})
 			kernel := &gpu.Kernel{
 				Name: "FS", CTAs: ctas, WarpsPerCTA: warps, Regs: 2,
 				NeedsCoherence: true,
-				ProgramFor: func(w *gpu.Warp) gpu.Program {
-					own := always(func(t *gpu.Thread) mem.Addr {
-						return wordAddr(base, slot(t.GTID))
-					})
-					return &gpu.LoopProgram{
-						Iters: iters,
-						Body: func(i int) []*gpu.Instr {
-							return []*gpu.Instr{
-								gpu.Load(0, own),
-								gpu.ALU(func(t *gpu.Thread) { t.Regs[0]++ }, 0),
-								gpu.Store(own, func(t *gpu.Thread) uint32 { return t.Regs[0] }, 0),
-								gpu.Fence(),
-							}
-						},
+				ProgramFor: loop(iters, func(int) []*gpu.Instr {
+					return []*gpu.Instr{
+						gpu.Load(0, own),
+						gpu.ALU(func(t *gpu.Thread) { t.Regs[0]++ }, 0),
+						gpu.Store(own, func(t *gpu.Thread) uint32 { return t.Regs[0] }, 0),
+						gpu.Fence(),
 					}
-				},
+				}),
 			}
 			return &Instance{
 				Kernels: []*gpu.Kernel{kernel},
@@ -177,24 +167,19 @@ func BCAST() *Workload {
 			kernel := &gpu.Kernel{
 				Name: "BCAST", CTAs: ctas, WarpsPerCTA: warps, Regs: 2,
 				Init: func(store *mem.Store) { writeArray(store, tabBase, tab) },
-				ProgramFor: func(w *gpu.Warp) gpu.Program {
-					return &gpu.LoopProgram{
-						Iters: iters,
-						Body: func(i int) []*gpu.Instr {
-							return []*gpu.Instr{
-								gpu.Load(1, always(func(t *gpu.Thread) mem.Addr {
-									return wordAddr(tabBase, (t.GTID+i)%tableWords)
-								})),
-								gpu.ALU(func(t *gpu.Thread) {
-									if i == 0 {
-										t.Regs[0] = 0
-									}
-									t.Regs[0] += t.Regs[1]
-								}, 0, 1),
+				ProgramFor: loop(iters, func(i int) []*gpu.Instr {
+					return []*gpu.Instr{
+						gpu.Load(1, always(func(t *gpu.Thread) mem.Addr {
+							return wordAddr(tabBase, (t.GTID+i)%tableWords)
+						})),
+						gpu.ALU(func(t *gpu.Thread) {
+							if i == 0 {
+								t.Regs[0] = 0
 							}
-						},
+							t.Regs[0] += t.Regs[1]
+						}, 0, 1),
 					}
-				},
+				}),
 			}
 			kernel.ProgramFor = withEpilogue(kernel.ProgramFor,
 				gpu.Store(always(func(t *gpu.Thread) mem.Addr {
@@ -227,20 +212,15 @@ func STRM() *Workload {
 
 			kernel := &gpu.Kernel{
 				Name: "STRM", CTAs: ctas, WarpsPerCTA: warps, Regs: 1,
-				ProgramFor: func(w *gpu.Warp) gpu.Program {
-					return &gpu.LoopProgram{
-						Iters: wordsPerThread,
-						Body: func(i int) []*gpu.Instr {
-							return []*gpu.Instr{
-								gpu.Store(always(func(t *gpu.Thread) mem.Addr {
-									return wordAddr(outBase, i*total+t.GTID)
-								}), func(t *gpu.Thread) uint32 {
-									return uint32(t.GTID*1000 + i)
-								}),
-							}
-						},
+				ProgramFor: loop(wordsPerThread, func(i int) []*gpu.Instr {
+					return []*gpu.Instr{
+						gpu.Store(always(func(t *gpu.Thread) mem.Addr {
+							return wordAddr(outBase, i*total+t.GTID)
+						}), func(t *gpu.Thread) uint32 {
+							return uint32(t.GTID*1000 + i)
+						}),
 					}
-				},
+				}),
 			}
 			return &Instance{
 				Kernels: []*gpu.Kernel{kernel},
@@ -290,7 +270,7 @@ func PING() *Workload {
 			kernel := &gpu.Kernel{
 				Name: "PING", CTAs: ctas, WarpsPerCTA: warps, Regs: 2,
 				NeedsCoherence: true,
-				ProgramFor: func(w *gpu.Warp) gpu.Program {
+				ProgramFor: seq(func() []*gpu.Instr {
 					var body []*gpu.Instr
 					for r := 0; r < rounds; r++ {
 						r := r
@@ -304,8 +284,8 @@ func PING() *Workload {
 					body = append(body, gpu.Store(always(func(t *gpu.Thread) mem.Addr {
 						return wordAddr(outBase, t.GTID)
 					}), func(t *gpu.Thread) uint32 { return t.Regs[0] }, 0))
-					return gpu.Seq(body...)
-				},
+					return body
+				}),
 			}
 			return &Instance{
 				Kernels: []*gpu.Kernel{kernel},
@@ -355,16 +335,16 @@ func PIPE() *Workload {
 
 			producer := &gpu.Kernel{
 				Name: "PIPE-produce", CTAs: ctas, WarpsPerCTA: warps, Regs: 2,
-				ProgramFor: func(w *gpu.Warp) gpu.Program {
-					return gpu.Seq(gpu.Store(always(func(t *gpu.Thread) mem.Addr {
+				ProgramFor: seq(func() []*gpu.Instr {
+					return []*gpu.Instr{gpu.Store(always(func(t *gpu.Thread) mem.Addr {
 						return wordAddr(bufBase, t.GTID)
-					}), func(t *gpu.Thread) uint32 { return uint32(t.GTID) * 3 }))
-				},
+					}), func(t *gpu.Thread) uint32 { return uint32(t.GTID) * 3 })}
+				}),
 			}
 			consumer := &gpu.Kernel{
 				Name: "PIPE-consume", CTAs: ctas, WarpsPerCTA: warps, Regs: 2,
-				ProgramFor: func(w *gpu.Warp) gpu.Program {
-					return gpu.Seq(
+				ProgramFor: seq(func() []*gpu.Instr {
+					return []*gpu.Instr{
 						gpu.Load(0, always(func(t *gpu.Thread) mem.Addr {
 							return wordAddr(bufBase, t.GTID)
 						})),
@@ -372,8 +352,8 @@ func PIPE() *Workload {
 						gpu.Store(always(func(t *gpu.Thread) mem.Addr {
 							return wordAddr(outBase, t.GTID)
 						}), func(t *gpu.Thread) uint32 { return t.Regs[0] }, 0),
-					)
-				},
+					}
+				}),
 			}
 			return &Instance{
 				Kernels: []*gpu.Kernel{producer, consumer},

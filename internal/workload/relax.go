@@ -78,12 +78,11 @@ func relaxInstance(spec relaxSpec) *Instance {
 				writeArray(store, wBase, spec.weights)
 			}
 		},
-		ProgramFor: func(w *gpu.Warp) gpu.Program {
-			body := relaxBody(spec, g, valBase, adjBase, wBase, totalThreads, maxOwned)
-			// The grid-wide barrier makes every iteration one
-			// synchronous relaxation round (see globalSyncProgram).
-			return newGlobalSync(body, iters, spec.ctas, ctrAddr)
-		},
+		// The grid-wide barrier makes every iteration one synchronous
+		// relaxation round (see globalSync).
+		ProgramFor: globalLoop(iters, spec.ctas, ctrAddr, func() []*gpu.Instr {
+			return relaxBody(spec, g, valBase, adjBase, wBase, totalThreads, maxOwned)
+		}),
 	}
 
 	return &Instance{

@@ -240,7 +240,7 @@ func stencilInstance(h, w, ctas, warpsPerCTA int) *Instance {
 		Regs:           5,
 		NeedsCoherence: true,
 		Init:           func(store *mem.Store) { writeArray(store, valBase, init) },
-		ProgramFor: func(warp *gpu.Warp) gpu.Program {
+		ProgramFor: globalLoop(iters, ctas, ctrAddr, func() []*gpu.Instr {
 			var body []*gpu.Instr
 			for k := 0; k < maxOwned; k++ {
 				k := k
@@ -290,8 +290,8 @@ func stencilInstance(h, w, ctas, warpsPerCTA int) *Instance {
 				}
 				body = append(body, gpu.Store(own, func(t *gpu.Thread) uint32 { return t.Regs[0] }, 0))
 			}
-			return newGlobalSync(body, iters, ctas, ctrAddr)
-		},
+			return body
+		}),
 	}
 
 	return &Instance{

@@ -44,25 +44,20 @@ func CCP() *Workload {
 			kernel := &gpu.Kernel{
 				Name: "CCP", CTAs: ctas, WarpsPerCTA: warps, Regs: 3,
 				Init: func(store *mem.Store) { writeArray(store, latBase, lattice) },
-				ProgramFor: func(w *gpu.Warp) gpu.Program {
-					return &gpu.LoopProgram{
-						Iters: loadsPerThread * scale,
-						Body: func(i int) []*gpu.Instr {
-							return []*gpu.Instr{
-								gpu.Load(1, always(func(t *gpu.Thread) mem.Addr {
-									return wordAddr(latBase, (t.GTID*7+i*13)%latticeWords)
-								})),
-								gpu.Comp(12), // the "cutoff kernel" arithmetic
-								gpu.ALU(func(t *gpu.Thread) {
-									if i == 0 {
-										t.Regs[0] = 0
-									}
-									t.Regs[0] += t.Regs[1] * uint32(i+1)
-								}, 0, 1),
+				ProgramFor: loop(loadsPerThread*scale, func(i int) []*gpu.Instr {
+					return []*gpu.Instr{
+						gpu.Load(1, always(func(t *gpu.Thread) mem.Addr {
+							return wordAddr(latBase, (t.GTID*7+i*13)%latticeWords)
+						})),
+						gpu.Comp(12), // the "cutoff kernel" arithmetic
+						gpu.ALU(func(t *gpu.Thread) {
+							if i == 0 {
+								t.Regs[0] = 0
 							}
-						},
+							t.Regs[0] += t.Regs[1] * uint32(i+1)
+						}, 0, 1),
 					}
-				},
+				}),
 			}
 			kernel.ProgramFor = withEpilogue(kernel.ProgramFor,
 				gpu.Store(always(func(t *gpu.Thread) mem.Addr {
@@ -121,7 +116,7 @@ func GE() *Workload {
 			kernel := &gpu.Kernel{
 				Name: "GE", CTAs: ctas, WarpsPerCTA: warps, Regs: 4,
 				Init: func(store *mem.Store) { writeArray(store, aBase, a) },
-				ProgramFor: func(w *gpu.Warp) gpu.Program {
+				ProgramFor: seq(func() []*gpu.Instr {
 					var body []*gpu.Instr
 					for k := 0; k < rows-1; k++ {
 						k := k
@@ -151,8 +146,8 @@ func GE() *Workload {
 						// Order step k's stores before step k+1's reads.
 						body = append(body, gpu.Fence(), gpu.Barrier())
 					}
-					return gpu.Seq(body...)
-				},
+					return body
+				}),
 			}
 
 			return &Instance{
@@ -216,7 +211,7 @@ func HS() *Workload {
 			kernel := &gpu.Kernel{
 				Name: "HS", CTAs: ctas, WarpsPerCTA: warps, Regs: 4,
 				Init: func(store *mem.Store) { writeArray(store, aBase, a) },
-				ProgramFor: func(w *gpu.Warp) gpu.Program {
+				ProgramFor: seq(func() []*gpu.Instr {
 					cellOf := func(t *gpu.Thread) (int, bool) {
 						i, j := t.Warp, t.Lane
 						return i*tw + j, i > 0 && i < th-1 && j > 0 && j < tw-1
@@ -293,8 +288,8 @@ func HS() *Workload {
 							}, func(t *gpu.Thread) uint32 { return t.Regs[0] }, 0),
 						)
 					}
-					return gpu.Seq(body...)
-				},
+					return body
+				}),
 			}
 
 			return &Instance{
@@ -345,25 +340,20 @@ func KM() *Workload {
 			kernel := &gpu.Kernel{
 				Name: "KM", CTAs: ctas, WarpsPerCTA: warps, Regs: 3,
 				Init: func(store *mem.Store) { writeArray(store, ptBase, pts) },
-				ProgramFor: func(w *gpu.Warp) gpu.Program {
-					return &gpu.LoopProgram{
-						Iters: pointsPerThread * features,
-						Body: func(i int) []*gpu.Instr {
-							p, f := i/features, i%features
-							return []*gpu.Instr{
-								gpu.Load(1, always(func(t *gpu.Thread) mem.Addr {
-									return wordAddr(ptBase, ((p*total+t.GTID)*features)+f)
-								})),
-								gpu.ALU(func(t *gpu.Thread) {
-									if i == 0 {
-										t.Regs[0] = 0
-									}
-									t.Regs[0] += t.Regs[1] * uint32(f+1)
-								}, 0, 1),
+				ProgramFor: loop(pointsPerThread*features, func(i int) []*gpu.Instr {
+					p, f := i/features, i%features
+					return []*gpu.Instr{
+						gpu.Load(1, always(func(t *gpu.Thread) mem.Addr {
+							return wordAddr(ptBase, ((p*total+t.GTID)*features)+f)
+						})),
+						gpu.ALU(func(t *gpu.Thread) {
+							if i == 0 {
+								t.Regs[0] = 0
 							}
-						},
+							t.Regs[0] += t.Regs[1] * uint32(f+1)
+						}, 0, 1),
 					}
-				},
+				}),
 			}
 			kernel.ProgramFor = withEpilogue(kernel.ProgramFor,
 				gpu.Store(always(func(t *gpu.Thread) mem.Addr {
@@ -438,7 +428,7 @@ func BP() *Workload {
 					writeArray(store, w1Base, w1)
 					writeArray(store, w2Base, w2)
 				},
-				ProgramFor: func(w *gpu.Warp) gpu.Program {
+				ProgramFor: seq(func() []*gpu.Instr {
 					var body []*gpu.Instr
 					for i := 0; i < in; i++ {
 						i := i
@@ -481,8 +471,8 @@ func BP() *Workload {
 					body = append(body, gpu.Store(always(func(t *gpu.Thread) mem.Addr {
 						return wordAddr(outBase, t.GTID)
 					}), func(t *gpu.Thread) uint32 { return t.Regs[3] }, 3))
-					return gpu.Seq(body...)
-				},
+					return body
+				}),
 			}
 
 			return &Instance{
@@ -540,28 +530,23 @@ func SGM() *Workload {
 					writeArray(store, aBase, a)
 					writeArray(store, bBase, b)
 				},
-				ProgramFor: func(w *gpu.Warp) gpu.Program {
-					return &gpu.LoopProgram{
-						Iters: k,
-						Body: func(kk int) []*gpu.Instr {
-							return []*gpu.Instr{
-								gpu.Load(1, always(func(t *gpu.Thread) mem.Addr {
-									return wordAddr(aBase, rowOf(t)*k+kk)
-								})),
-								gpu.Load(2, always(func(t *gpu.Thread) mem.Addr {
-									return wordAddr(bBase, kk*n+t.Lane)
-								})),
-								gpu.Comp(4),
-								gpu.ALU(func(t *gpu.Thread) {
-									if kk == 0 {
-										t.Regs[0] = 0
-									}
-									t.Regs[0] += t.Regs[1] * t.Regs[2]
-								}, 0, 1, 2),
+				ProgramFor: loop(k, func(kk int) []*gpu.Instr {
+					return []*gpu.Instr{
+						gpu.Load(1, always(func(t *gpu.Thread) mem.Addr {
+							return wordAddr(aBase, rowOf(t)*k+kk)
+						})),
+						gpu.Load(2, always(func(t *gpu.Thread) mem.Addr {
+							return wordAddr(bBase, kk*n+t.Lane)
+						})),
+						gpu.Comp(4),
+						gpu.ALU(func(t *gpu.Thread) {
+							if kk == 0 {
+								t.Regs[0] = 0
 							}
-						},
+							t.Regs[0] += t.Regs[1] * t.Regs[2]
+						}, 0, 1, 2),
 					}
-				},
+				}),
 			}
 			kernel.ProgramFor = withEpilogue(kernel.ProgramFor,
 				gpu.Store(always(func(t *gpu.Thread) mem.Addr {
@@ -578,27 +563,34 @@ func SGM() *Workload {
 	}
 }
 
-// withEpilogue appends trailing instructions to every warp's program.
+// withEpilogue appends trailing instructions, shared by every warp, to
+// every warp's program.
 func withEpilogue(inner func(w *gpu.Warp) gpu.Program, tail ...*gpu.Instr) func(w *gpu.Warp) gpu.Program {
-	return func(w *gpu.Warp) gpu.Program {
-		p := inner(w)
-		i := 0
-		return gpu.FuncProgram(func(w *gpu.Warp) (*gpu.Instr, bool) {
-			if p != nil {
-				instr, ready := p.Next(w)
-				if !ready {
-					return nil, false
-				}
-				if instr != nil {
-					return instr, true
-				}
-				p = nil
-			}
-			if i < len(tail) {
-				i++
-				return tail[i-1], true
-			}
-			return nil, true
-		})
+	return func(w *gpu.Warp) gpu.Program { return &epilogueProgram{inner: inner(w), tail: tail} }
+}
+
+// epilogueProgram runs inner to its end, then tail.
+type epilogueProgram struct {
+	inner gpu.Program
+	tail  []*gpu.Instr
+	i     int
+}
+
+// Next implements gpu.Program.
+func (p *epilogueProgram) Next(w *gpu.Warp) (*gpu.Instr, bool) {
+	if p.inner != nil {
+		instr, ready := p.inner.Next(w)
+		if !ready {
+			return nil, false
+		}
+		if instr != nil {
+			return instr, true
+		}
+		p.inner = nil
 	}
+	if p.i < len(p.tail) {
+		p.i++
+		return p.tail[p.i-1], true
+	}
+	return nil, true
 }

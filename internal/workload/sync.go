@@ -1,11 +1,22 @@
 package workload
 
 import (
+	"sync"
+
 	"github.com/gtsc-sim/gtsc/internal/gpu"
 	"github.com/gtsc-sim/gtsc/internal/mem"
 )
 
-// globalSyncProgram runs an iteration body and then a grid-wide
+// globalLoop returns a ProgramFor running iters iterations of body,
+// each but the last followed by a grid-wide barrier on the counter at
+// ctrAddr. Like seq and loop, it builds the instructions on the first
+// call and every warp walks the shared globalSync.
+func globalLoop(iters, ctas int, ctrAddr mem.Addr, body func() []*gpu.Instr) func(*gpu.Warp) gpu.Program {
+	g := sync.OnceValue(func() *globalSync { return newGlobalSync(body(), iters, ctas, ctrAddr) })
+	return func(*gpu.Warp) gpu.Program { return &globalSyncProgram{globalSync: g()} }
+}
+
+// globalSync is a kernel's iteration body followed by a grid-wide
 // barrier, the classic GPU software global barrier (Xiao & Feng):
 // every warp fences and joins a CTA barrier; warp 0 of each CTA then
 // bumps a global atomic counter and polls it (atomics serialize at the
@@ -17,11 +28,50 @@ import (
 // relaxation round for coherent protocols, so fixpoint convergence is
 // timing-independent; under the non-coherent L1 the *data* reads still
 // go stale, preserving the workloads' "requires coherence" property.
+//
+// A globalSync holds the kernel's warp-invariant instructions, built
+// once and shared read-only by every warp's globalSyncProgram.
+type globalSync struct {
+	body  []*gpu.Instr
+	iters int
+	ctas  int
+
+	// lead is warp 0's epilogue (fence, CTA barrier, arrive, spin,
+	// CTA barrier); rest is every other warp's (fence and the two CTA
+	// barriers).
+	lead, rest []*gpu.Instr
+	// backoff and poll alternate while warp 0 spins on the counter.
+	backoff, poll *gpu.Instr
+}
+
+// barrier register: the relax bodies use r0..r3; the counter poll
+// lands in r4 (kernels must declare Regs >= 5).
+const barReg = 4
+
+func newGlobalSync(body []*gpu.Instr, iters, ctas int, ctrAddr mem.Addr) *globalSync {
+	ctr := func(t *gpu.Thread) (mem.Addr, bool) { return ctrAddr, t.Lane == 0 }
+	return &globalSync{
+		body: body, iters: iters, ctas: ctas,
+		lead: []*gpu.Instr{
+			gpu.Fence(),
+			gpu.Barrier(),
+			// Arrive: announce this CTA and read the count so far.
+			gpu.Atomic(mem.AtomAdd, barReg, ctr, func(*gpu.Thread) uint32 { return 1 }),
+			gpu.ALU(func(t *gpu.Thread) { t.Regs[barReg]++ }, barReg), // old+1 = count incl. us
+			nil, // spin marker: re-polls until the count reaches the target
+			gpu.Barrier(),
+		},
+		rest:    []*gpu.Instr{gpu.Fence(), gpu.Barrier(), gpu.Barrier()},
+		backoff: gpu.Comp(24),
+		// An atomic +0 re-read of the counter (uncached; serializes at
+		// the L2).
+		poll: gpu.Atomic(mem.AtomAdd, barReg, ctr, func(*gpu.Thread) uint32 { return 0 }),
+	}
+}
+
+// globalSyncProgram is one warp's walk over its kernel's globalSync.
 type globalSyncProgram struct {
-	body    []*gpu.Instr
-	iters   int
-	ctas    int
-	ctrAddr mem.Addr
+	*globalSync
 
 	iter        int
 	phase       int // 0 body, 1 epilogue
@@ -29,14 +79,6 @@ type globalSyncProgram struct {
 	queue       []*gpu.Instr
 	qi          int
 	backoffNext bool
-}
-
-// barrier register: the relax bodies use r0..r3; the counter poll
-// lands in r4 (kernels must declare Regs >= 5).
-const barReg = 4
-
-func newGlobalSync(body []*gpu.Instr, iters, ctas int, ctrAddr mem.Addr) *globalSyncProgram {
-	return &globalSyncProgram{body: body, iters: iters, ctas: ctas, ctrAddr: ctrAddr}
 }
 
 // Next implements gpu.Program.
@@ -59,7 +101,12 @@ func (p *globalSyncProgram) Next(w *gpu.Warp) (*gpu.Instr, bool) {
 				continue
 			}
 			p.phase = 1
-			p.queue = p.epilogue(w)
+			// Warp 0 of the CTA arrives at the counter and spins; the
+			// rest just meet the two CTA barriers.
+			p.queue = p.rest
+			if w.InCTA == 0 {
+				p.queue = p.lead
+			}
 			p.qi = 0
 		case 1: // fence + global barrier
 			if p.qi < len(p.queue) {
@@ -87,36 +134,14 @@ func (p *globalSyncProgram) Next(w *gpu.Warp) (*gpu.Instr, bool) {
 	}
 }
 
-// epilogue builds this warp's barrier sequence for the current
-// iteration. Warp 0 of the CTA arrives at the counter and spins; the
-// rest just meet the two CTA barriers.
-func (p *globalSyncProgram) epilogue(w *gpu.Warp) []*gpu.Instr {
-	ctr := func(t *gpu.Thread) (mem.Addr, bool) { return p.ctrAddr, t.Lane == 0 }
-	if w.InCTA != 0 {
-		return []*gpu.Instr{gpu.Fence(), gpu.Barrier(), gpu.Barrier()}
-	}
-	return []*gpu.Instr{
-		gpu.Fence(),
-		gpu.Barrier(),
-		// Arrive: announce this CTA and read the count so far.
-		gpu.Atomic(mem.AtomAdd, barReg, ctr, func(*gpu.Thread) uint32 { return 1 }),
-		gpu.ALU(func(t *gpu.Thread) { t.Regs[barReg]++ }, barReg), // old+1 = count incl. us
-		nil, // spin marker: re-polls until the count reaches the target
-		gpu.Barrier(),
-	}
-}
-
-// pollInstr alternates a short backoff with an atomic +0 re-read of
-// the counter (uncached; serializes at the L2). The program counter
-// stays on the spin marker, so Next re-evaluates the loaded count
-// after every read.
+// pollInstr alternates a short backoff with the counter re-read. The
+// program counter stays on the spin marker, so Next re-evaluates the
+// loaded count after every read.
 func (p *globalSyncProgram) pollInstr() *gpu.Instr {
 	if p.backoffNext {
 		p.backoffNext = false
-		return gpu.Atomic(mem.AtomAdd, barReg, func(t *gpu.Thread) (mem.Addr, bool) {
-			return p.ctrAddr, t.Lane == 0
-		}, func(*gpu.Thread) uint32 { return 0 })
+		return p.poll
 	}
 	p.backoffNext = true
-	return gpu.Comp(24)
+	return p.backoff
 }

@@ -2,10 +2,39 @@ package workload
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/gtsc-sim/gtsc/internal/gpu"
 	"github.com/gtsc-sim/gtsc/internal/mem"
 )
+
+// A kernel's instructions are warp-invariant (only the per-thread
+// registers they read differ), so every kernel builds them once, on
+// its first ProgramFor call, and every warp shares them read-only (the
+// contract on gpu.Kernel). That call runs inside Simulator.Run, on the
+// single-threaded CTA fill path, so an instance that is never run
+// never pays for its instructions. seq, loop and globalLoop (sync.go)
+// are the three shapes.
+
+// seq returns a ProgramFor replaying build's instructions once, in
+// order.
+func seq(build func() []*gpu.Instr) func(*gpu.Warp) gpu.Program {
+	body := sync.OnceValue(build)
+	return func(*gpu.Warp) gpu.Program { return gpu.Seq(body()...) }
+}
+
+// loop returns a ProgramFor running iters iterations of a LoopProgram
+// whose Body replays a table of build(i), one entry per iteration.
+func loop(iters int, build func(i int) []*gpu.Instr) func(*gpu.Warp) gpu.Program {
+	body := sync.OnceValue(func() func(int) []*gpu.Instr {
+		table := make([][]*gpu.Instr, iters)
+		for i := range table {
+			table[i] = build(i)
+		}
+		return func(i int) []*gpu.Instr { return table[i] }
+	})
+	return func(*gpu.Warp) gpu.Program { return &gpu.LoopProgram{Iters: iters, Body: body()} }
+}
 
 // rng is a small deterministic xorshift64* generator so workload
 // construction is reproducible without math/rand.
@@ -25,8 +54,16 @@ func (r *rng) next() uint64 {
 	return r.s * 0x2545F4914F6CDD1D
 }
 
-// intn returns a value in [0, n).
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
+// intn returns a value in [0, n). A power-of-two n, what the
+// generators mostly draw, takes the low bits instead of a division:
+// the same value, at a fraction of the cost of set-up's hottest call.
+func (r *rng) intn(n int) int {
+	x := r.next()
+	if n > 0 && n&(n-1) == 0 {
+		return int(x & uint64(n-1))
+	}
+	return int(x % uint64(n))
+}
 
 // layout is a bump allocator over the simulated address space,
 // block-aligning each array so workloads' regions do not false-share.

@@ -117,3 +117,59 @@ func TestWorkloadRegistry(t *testing.T) {
 		t.Fatal("ByName(nope) should fail")
 	}
 }
+
+// testWarp returns warp inCTA of CTA cta with its thread contexts, as
+// the dispatcher lays them out, for fetching a kernel's instructions
+// without a simulator.
+func testWarp(k *gpu.Kernel, cta, inCTA int) *gpu.Warp {
+	w := &gpu.Warp{CTA: &gpu.CTA{ID: cta}, InCTA: inCTA}
+	for lane := range w.Threads {
+		tid := inCTA*gpu.WarpWidth + lane
+		w.Threads[lane] = &gpu.Thread{
+			CTA: cta, Warp: inCTA, Lane: lane, TIDInCTA: tid,
+			GTID: cta*k.WarpsPerCTA*gpu.WarpWidth + tid, Regs: make([]uint32, k.Regs),
+		}
+	}
+	return w
+}
+
+// TestInstructionsBuiltOncePerKernel: a kernel's instructions are
+// warp-invariant, so every kernel of the suite and the microbenchmarks
+// builds them once and its warps share them. Warps of different CTAs
+// fetch pointer-identical instructions, and a warmed program's Next
+// allocates nothing over the whole stream. Streams are cut at fetches
+// instructions: alone, warp 0 of a relaxation kernel spins at the
+// first global barrier for ever.
+func TestInstructionsBuiltOncePerKernel(t *testing.T) {
+	const fetches = 256
+	for _, wl := range append(All(), Micro()...) {
+		for _, k := range wl.Build(1).Kernels {
+			length := 0
+			for _, inCTA := range []int{k.WarpsPerCTA - 1, 0} {
+				wa, wb := testWarp(k, 0, inCTA), testWarp(k, k.CTAs-1, inCTA)
+				a, b := k.ProgramFor(wa), k.ProgramFor(wb)
+				for length = 0; length < fetches; length++ {
+					ia, _ := a.Next(wa)
+					ib, _ := b.Next(wb)
+					if ia != ib {
+						t.Fatalf("%s warp %d: instruction %d of CTA 0 (%p) and CTA %d (%p) differ",
+							k.Name, inCTA, length, ia, k.CTAs-1, ib)
+					}
+					if ia == nil {
+						break
+					}
+				}
+			}
+
+			// One fetch here and AllocsPerRun's own first call warm the
+			// program; the measured calls take the rest of warp 0's
+			// stream.
+			w := testWarp(k, 0, 0)
+			p := k.ProgramFor(w)
+			p.Next(w)
+			if allocs := testing.AllocsPerRun(max(length-2, 1), func() { p.Next(w) }); allocs != 0 {
+				t.Errorf("%s: Program.Next allocates %.0f objects per call", k.Name, allocs)
+			}
+		}
+	}
+}
