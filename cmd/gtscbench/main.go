@@ -28,34 +28,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"github.com/gtsc-sim/gtsc/internal/cli"
 	"github.com/gtsc-sim/gtsc/internal/diag"
 	"github.com/gtsc-sim/gtsc/internal/experiments"
 )
-
-// clampSimWorkers resolves -simworkers against -j: each of the j
-// session workers drives its own simulation, so the goroutine budget
-// is j*simworkers. The product is clamped to 2*GOMAXPROCS — results
-// are identical at any setting, so the clamp only bounds scheduler
-// oversubscription, never changes output.
-func clampSimWorkers(jobs, simw int) int {
-	maxprocs := runtime.GOMAXPROCS(0)
-	if jobs <= 0 {
-		jobs = maxprocs
-	}
-	if simw <= 0 {
-		simw = maxprocs
-	}
-	if budget := 2 * maxprocs; jobs*simw > budget {
-		simw = budget / jobs
-	}
-	if simw < 1 {
-		simw = 1
-	}
-	return simw
-}
 
 // Exit codes (shared across binaries; see internal/cli).
 const (
@@ -95,7 +72,7 @@ func realMain() int {
 	cfg.GTSCTSBits = *tsbits
 	cfg.TCLease = *tcl
 	cfg.Workers = *jobs
-	cfg.SimWorkers = clampSimWorkers(*jobs, *simw)
+	cfg.SimWorkers = cli.ClampSimWorkers(*jobs, *simw)
 	cfg.FaultSeed = *faultSeed
 	cfg.RetryTransient = *retry
 	cfg.Slack = *slack

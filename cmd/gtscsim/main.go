@@ -61,28 +61,6 @@ const (
 
 func main() { os.Exit(realMain()) }
 
-// clampSimWorkers resolves -simworkers against the multi-workload
-// worker count: each worker drives its own simulation, so the
-// goroutine budget is jobs*simworkers. The product is clamped to
-// 2*GOMAXPROCS — results are identical at any setting, so the clamp
-// only bounds scheduler oversubscription, never changes output.
-func clampSimWorkers(jobs, simw int) int {
-	maxprocs := runtime.GOMAXPROCS(0)
-	if jobs <= 0 {
-		jobs = maxprocs
-	}
-	if simw <= 0 {
-		simw = maxprocs
-	}
-	if budget := 2 * maxprocs; jobs*simw > budget {
-		simw = budget / jobs
-	}
-	if simw < 1 {
-		simw = 1
-	}
-	return simw
-}
-
 func realMain() int {
 	var (
 		name     = flag.String("workload", "CC", "workload name, comma-separated list, or \"all\" (see -list)")
@@ -141,10 +119,7 @@ func realMain() int {
 	} else {
 		for _, n := range strings.Split(*name, ",") {
 			n = strings.TrimSpace(n)
-			wl, ok := workload.ByName(n)
-			if !ok {
-				wl, ok = workload.MicroByName(n)
-			}
+			wl, ok := workload.Lookup(n)
 			if !ok {
 				fatalf("unknown workload %q; try -list", n)
 			}
@@ -157,48 +132,30 @@ func realMain() int {
 	cfg.Mem.NumBanks = *banks
 	cfg.Mem.GTSC.TSBits = *tsBits
 	cfg.Mem.GTSC.AdaptiveLease = *adaptive
-	switch *sched {
-	case "lrr":
-		cfg.SM.Scheduler = gpu.LRR
-	case "gto":
-		cfg.SM.Scheduler = gpu.GTO
-	default:
-		fatalf("unknown scheduler %q", *sched)
+	var err error
+	if cfg.SM.Scheduler, err = gpu.ParseScheduler(*sched); err != nil {
+		fatalf("%v", err)
 	}
-	switch *proto {
-	case "gtsc":
-		cfg.Mem.Protocol = memsys.GTSC
+	if cfg.Mem.Protocol, err = memsys.ParseProtocol(*proto); err != nil {
+		fatalf("%v", err)
+	}
+	switch cfg.Mem.Protocol {
+	case memsys.GTSC:
 		if *lease != 0 {
 			cfg.Mem.GTSC.Lease = *lease
 		}
-	case "tc":
-		cfg.Mem.Protocol = memsys.TC
+	case memsys.TC:
 		if *lease != 0 {
 			cfg.Mem.TC.Lease = *lease
 		}
-	case "bl":
-		cfg.Mem.Protocol = memsys.BL
-	case "l1nc":
-		cfg.Mem.Protocol = memsys.L1NC
-		for _, wl := range wls {
-			if wl.NeedsCoherence {
-				fatalf("workload %s requires coherence and is not runnable under l1nc", wl.Name)
-			}
-		}
-	case "dir":
-		cfg.Mem.Protocol = memsys.DIR
-	default:
-		fatalf("unknown protocol %q", *proto)
 	}
-	switch *cons {
-	case "rc":
-		cfg.SM.Consistency = gpu.RC
-	case "sc":
-		cfg.SM.Consistency = gpu.SC
-	case "tso":
-		cfg.SM.Consistency = gpu.TSO
-	default:
-		fatalf("unknown consistency %q", *cons)
+	for _, wl := range wls {
+		if err := wl.CheckProtocol(cfg.Mem.Protocol); err != nil {
+			fatalf("%v", err)
+		}
+	}
+	if cfg.SM.Consistency, err = gpu.ParseConsistency(*cons); err != nil {
+		fatalf("%v", err)
 	}
 
 	cfg.MaxCycles = *maxCycles
@@ -243,7 +200,7 @@ func realMain() int {
 		if len(wls) != 1 {
 			fatalf("-checkpoint tracks a single execution; run one workload (got %d)", len(wls))
 		}
-		cfg.SimWorkers = clampSimWorkers(1, *simw)
+		cfg.SimWorkers = cli.ClampSimWorkers(1, *simw)
 		return runCheckpointed(ctx, wls[0], cfg, *scale, *ckpt, *resume)
 	}
 
@@ -266,7 +223,7 @@ func realMain() int {
 	if workers > len(wls) {
 		workers = len(wls)
 	}
-	cfg.SimWorkers = clampSimWorkers(workers, *simw)
+	cfg.SimWorkers = cli.ClampSimWorkers(workers, *simw)
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for i, wl := range wls {
@@ -451,17 +408,11 @@ func reportChecker(cfg sim.Config, rec *check.Recorder) bool {
 	loads, stores := check.Summary(rec.Ops())
 	fmt.Printf("checker: %d loads, %d stores observed\n", loads, stores)
 	var violations []check.Violation
-	switch cfg.Mem.Protocol {
-	case memsys.GTSC:
-		violations = check.CheckTimestampOrder(rec.Ops(), 10)
-	case memsys.BL, memsys.DIR:
-		violations = check.CheckPhysical(rec.Ops(), 10)
-	case memsys.TC:
-		if cfg.SM.Consistency == gpu.SC {
-			violations = check.CheckPhysical(rec.Ops(), 10)
-		} else {
-			fmt.Println("checker: TC-Weak permits bounded staleness; only functional verification applies")
-		}
+	switch order := cfg.Ordering(); {
+	case order != nil:
+		violations = order(rec.Ops(), 10)
+	case cfg.Mem.Protocol == memsys.TC:
+		fmt.Println("checker: TC-Weak permits bounded staleness; only functional verification applies")
 	default:
 		fmt.Println("checker: no ordering invariant applies to this configuration")
 	}

@@ -30,7 +30,7 @@ import (
 
 func main() {
 	var (
-		proto  = flag.String("protocol", "gtsc", "coherence protocol: gtsc, tc, bl")
+		proto  = flag.String("protocol", "gtsc", "coherence protocol: gtsc, tc, bl, l1nc, dir")
 		wlName = flag.String("workload", "", "trace a benchmark instead of the Fig 9 scenario")
 		limit  = flag.Int("limit", 60, "max events to print in workload mode")
 		typ    = flag.String("type", "", "only trace one message type (BusRd, BusWr, BusFill, BusRnw, BusWrAck, BusAtom, BusAtomAck)")
@@ -39,15 +39,9 @@ func main() {
 
 	cfg := sim.DefaultConfig()
 	cfg.SM.Consistency = gpu.SC
-	switch *proto {
-	case "gtsc":
-		cfg.Mem.Protocol = memsys.GTSC
-	case "tc":
-		cfg.Mem.Protocol = memsys.TC
-	case "bl":
-		cfg.Mem.Protocol = memsys.BL
-	default:
-		fatalf("unknown protocol %q", *proto)
+	var err error
+	if cfg.Mem.Protocol, err = memsys.ParseProtocol(*proto); err != nil {
+		fatalf("%v", err)
 	}
 
 	var opts []trace.Option
@@ -79,12 +73,12 @@ func msgTypeByName(name string) (mem.MsgType, bool) {
 }
 
 func traceWorkload(cfg sim.Config, name string, limit int, opts []trace.Option) {
-	wl, ok := workload.ByName(name)
-	if !ok {
-		wl, ok = workload.MicroByName(name)
-	}
+	wl, ok := workload.Lookup(name)
 	if !ok {
 		fatalf("unknown workload %q", name)
+	}
+	if err := wl.CheckProtocol(cfg.Mem.Protocol); err != nil {
+		fatalf("%v", err)
 	}
 	cfg.Mem.NumSMs = 4
 	cfg.Mem.NumBanks = 2

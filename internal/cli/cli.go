@@ -8,7 +8,9 @@
 //     signal;
 //   - SIGINT/SIGTERM handling: the first signal cancels the returned
 //     context (in-flight work suspends at its next poll point), the
-//     second exits immediately with ExitSecondSignal.
+//     second exits immediately with ExitSecondSignal;
+//   - the goroutine budget of -j simulation workers times -simworkers
+//     domain workers each (ClampSimWorkers).
 package cli
 
 import (
@@ -16,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 )
 
@@ -57,4 +60,26 @@ func WithSignals(ctx context.Context, name string) (context.Context, func()) {
 		close(done)
 		cancel(nil)
 	}
+}
+
+// ClampSimWorkers resolves -simworkers against -j: each of the jobs
+// workers drives its own simulation, so the goroutine budget is
+// jobs*simw (0 means GOMAXPROCS for either). The product is clamped to
+// 2*GOMAXPROCS — results are identical at any setting, so the clamp
+// only bounds scheduler oversubscription, never changes output.
+func ClampSimWorkers(jobs, simw int) int {
+	maxprocs := runtime.GOMAXPROCS(0)
+	if jobs <= 0 {
+		jobs = maxprocs
+	}
+	if simw <= 0 {
+		simw = maxprocs
+	}
+	if budget := 2 * maxprocs; jobs*simw > budget {
+		simw = budget / jobs
+	}
+	if simw < 1 {
+		simw = 1
+	}
+	return simw
 }

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"io"
 
+	"github.com/gtsc-sim/gtsc/internal/gpu"
+	"github.com/gtsc-sim/gtsc/internal/memsys"
+	"github.com/gtsc-sim/gtsc/internal/stats"
 	"github.com/gtsc-sim/gtsc/internal/workload"
 )
 
@@ -24,29 +27,19 @@ type AblationVisibility struct {
 // RunAblationVisibility executes the comparison over the coherence set
 // under G-TSC-RC.
 func (s *Session) RunAblationVisibility() (*AblationVisibility, error) {
-	out := &AblationVisibility{
-		Workloads: names(workload.CoherenceSet()),
-		Option1:   map[string]uint64{},
-		Option2:   map[string]uint64{},
-	}
-	if err := s.prewarmGrid(workload.CoherenceSet(), vGTSCRC,
-		variant{proto: vGTSCRC.proto, cons: vGTSCRC.cons, oldCopy: true}); err != nil {
+	vOldCopy := variant{proto: memsys.GTSC, cons: gpu.RC, oldCopy: true}
+	g, err := s.grid(cells(workload.CoherenceSet(), vGTSCRC, vOldCopy))
+	if err != nil {
 		return nil, err
 	}
+	out := &AblationVisibility{Option1: map[string]uint64{}, Option2: map[string]uint64{}}
 	var ratios []float64
-	for _, wl := range workload.CoherenceSet() {
-		o1, err := s.run(wl, vGTSCRC)
-		if err != nil {
-			return nil, err
-		}
-		o2, err := s.run(wl, variant{proto: vGTSCRC.proto, cons: vGTSCRC.cons, oldCopy: true})
-		if err != nil {
-			return nil, err
-		}
+	g.pairs(point{}, workload.CoherenceSet(), vGTSCRC, vOldCopy, func(wl *workload.Workload, o1, o2 *stats.Run) {
+		out.Workloads = append(out.Workloads, wl.Name)
 		out.Option1[wl.Name] = o1.Cycles
 		out.Option2[wl.Name] = o2.Cycles
-		ratios = append(ratios, float64(o1.Cycles)/float64(o2.Cycles))
-	}
+		ratios = append(ratios, cycleRatio(o1, o2))
+	})
 	out.Option2Speedup = geomean(ratios)
 	return out, nil
 }
@@ -85,33 +78,26 @@ type AblationCombining struct {
 // RunAblationCombining executes the comparison over the coherence set
 // under G-TSC-RC.
 func (s *Session) RunAblationCombining() (*AblationCombining, error) {
+	vForward := variant{proto: memsys.GTSC, cons: gpu.RC, forwardAll: true}
+	g, err := s.grid(cells(workload.CoherenceSet(), vGTSCRC, vForward))
+	if err != nil {
+		return nil, err
+	}
 	out := &AblationCombining{
-		Workloads:    names(workload.CoherenceSet()),
 		CombineMsgs:  map[string]uint64{},
 		ForwardMsgs:  map[string]uint64{},
 		CombineFlits: map[string]uint64{},
 		ForwardFlits: map[string]uint64{},
 	}
-	if err := s.prewarmGrid(workload.CoherenceSet(), vGTSCRC,
-		variant{proto: vGTSCRC.proto, cons: vGTSCRC.cons, forwardAll: true}); err != nil {
-		return nil, err
-	}
 	var ratios []float64
-	for _, wl := range workload.CoherenceSet() {
-		c, err := s.run(wl, vGTSCRC)
-		if err != nil {
-			return nil, err
-		}
-		f, err := s.run(wl, variant{proto: vGTSCRC.proto, cons: vGTSCRC.cons, forwardAll: true})
-		if err != nil {
-			return nil, err
-		}
+	g.pairs(point{}, workload.CoherenceSet(), vGTSCRC, vForward, func(wl *workload.Workload, c, f *stats.Run) {
+		out.Workloads = append(out.Workloads, wl.Name)
 		out.CombineMsgs[wl.Name] = c.NoC.MsgsToL2
 		out.ForwardMsgs[wl.Name] = f.NoC.MsgsToL2
 		out.CombineFlits[wl.Name] = c.NoC.TotalFlits()
 		out.ForwardFlits[wl.Name] = f.NoC.TotalFlits()
 		ratios = append(ratios, float64(f.NoC.MsgsToL2)/float64(c.NoC.MsgsToL2))
-	}
+	})
 	out.MsgIncrease = geomean(ratios) - 1
 	return out, nil
 }
@@ -132,93 +118,4 @@ func (r *AblationCombining) Print(w io.Writer) {
 	}
 	t.flush()
 	fmt.Fprintf(w, "geomean request increase from forward-all: %.0f%% (paper: 12-35%%)\n", 100*r.MsgIncrease)
-}
-
-// RunAll executes every experiment and prints each in order — the
-// cmd/gtscbench entry point.
-func (s *Session) RunAll(w io.Writer) error {
-	fmt.Fprintf(w, "G-TSC experiment suite (scale %d, %d SMs, %d L2 banks, G-TSC lease %d, TC lease %d)\n\n",
-		s.Cfg.Scale, s.Cfg.NumSMs, s.Cfg.NumBanks, s.Cfg.GTSCLease, s.Cfg.TCLease)
-	type exp struct {
-		name string
-		run  func() (interface{ Print(io.Writer) }, error)
-	}
-	exps := []exp{
-		{"table2", func() (interface{ Print(io.Writer) }, error) { return s.RunTableII() }},
-		{"fig12", func() (interface{ Print(io.Writer) }, error) { return s.RunFig12() }},
-		{"fig13", func() (interface{ Print(io.Writer) }, error) { return s.RunFig13() }},
-		{"fig14", func() (interface{ Print(io.Writer) }, error) { return s.RunFig14() }},
-		{"fig15", func() (interface{ Print(io.Writer) }, error) { return s.RunFig15() }},
-		{"fig16", func() (interface{ Print(io.Writer) }, error) { return s.RunFig16() }},
-		{"fig17", func() (interface{ Print(io.Writer) }, error) { return s.RunFig17() }},
-		{"expiry", func() (interface{ Print(io.Writer) }, error) { return s.RunExpiryMiss() }},
-		{"vis", func() (interface{ Print(io.Writer) }, error) { return s.RunAblationVisibility() }},
-		{"combine", func() (interface{ Print(io.Writer) }, error) { return s.RunAblationCombining() }},
-		{"lease", func() (interface{ Print(io.Writer) }, error) { return s.RunAblationLease() }},
-		{"tso", func() (interface{ Print(io.Writer) }, error) { return s.RunConsistencySpectrum() }},
-		{"scale", func() (interface{ Print(io.Writer) }, error) { return s.RunScalability() }},
-		{"micro", func() (interface{ Print(io.Writer) }, error) { return s.RunMicroTable() }},
-		{"platform", func() (interface{ Print(io.Writer) }, error) { return s.RunPlatform() }},
-		{"cache", func() (interface{ Print(io.Writer) }, error) { return s.RunCacheSweep() }},
-		{"dir", func() (interface{ Print(io.Writer) }, error) { return s.RunDirectoryCompare() }},
-	}
-	for _, e := range exps {
-		res, err := e.run()
-		if err != nil {
-			return fmt.Errorf("%s: %w", e.name, err)
-		}
-		res.Print(w)
-		fmt.Fprintln(w)
-	}
-	return nil
-}
-
-// RunOne executes a single named experiment ("table2", "fig12" ...
-// "combine") and prints it.
-func (s *Session) RunOne(name string, w io.Writer) error {
-	var res interface{ Print(io.Writer) }
-	var err error
-	switch name {
-	case "table2":
-		res, err = s.RunTableII()
-	case "fig12":
-		res, err = s.RunFig12()
-	case "fig13":
-		res, err = s.RunFig13()
-	case "fig14":
-		res, err = s.RunFig14()
-	case "fig15":
-		res, err = s.RunFig15()
-	case "fig16":
-		res, err = s.RunFig16()
-	case "fig17":
-		res, err = s.RunFig17()
-	case "expiry":
-		res, err = s.RunExpiryMiss()
-	case "vis":
-		res, err = s.RunAblationVisibility()
-	case "combine":
-		res, err = s.RunAblationCombining()
-	case "lease":
-		res, err = s.RunAblationLease()
-	case "tso":
-		res, err = s.RunConsistencySpectrum()
-	case "scale":
-		res, err = s.RunScalability()
-	case "micro":
-		res, err = s.RunMicroTable()
-	case "platform":
-		res, err = s.RunPlatform()
-	case "cache":
-		res, err = s.RunCacheSweep()
-	case "dir":
-		res, err = s.RunDirectoryCompare()
-	default:
-		return fmt.Errorf("unknown experiment %q (want table2, fig12..fig17, expiry, vis, combine, lease, tso, scale, micro, platform, cache, dir)", name)
-	}
-	if err != nil {
-		return err
-	}
-	res.Print(w)
-	return nil
 }

@@ -4,9 +4,12 @@
 // ablations. Each driver returns structured results and can print the
 // same rows/series the paper reports.
 //
-// Runs are cached per (workload, protocol, consistency, option)
-// within a Session, since most figures share the same underlying
-// simulations.
+// Every driver reads its simulations through one path: it names the
+// workloads × variants it needs at one or more machine points
+// (Session.grid), the session runs them across its worker pool, and
+// the driver assembles its result from the returned runs. Runs are
+// cached per (workload, variant, machine point) within a Session,
+// since most figures share the same underlying simulations.
 package experiments
 
 import (
@@ -16,6 +19,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"text/tabwriter"
@@ -86,9 +90,10 @@ type Config struct {
 	// 0 disables retry.
 	RetryTransient int
 	// KeepGoing makes a sweep survive individual run failures: a
-	// failed (workload, variant) cell no longer aborts the driver;
-	// figure/table assembly skips the missing cells and reports them
-	// in the result's Missing manifest (see also Session.Missing).
+	// failed (workload, variant) cell no longer aborts its experiment;
+	// assembly leaves the cell out, and RunAll/RunOne print the
+	// experiment's manifest of the failed cells it read (see also
+	// Session.Missing).
 	KeepGoing bool
 	// WatchdogWindow overrides each simulation's forward-progress
 	// window in simulated cycles (0 = simulator default). The window
@@ -149,9 +154,20 @@ var (
 // concurrent use: the result cache is single-flight per cache key, so
 // a variant requested by several figures (or several workers) at once
 // is simulated exactly once and every caller shares the result.
+//
+// A Session is a handle on shared state: the handles RunAll and RunOne
+// give each experiment share the session's cache, journal and counters
+// and additionally record the failed cells their driver reads.
 type Session struct {
 	Cfg Config
+	*state
+	// failed, when set, collects the keys of the failed cells this
+	// handle's grids read: one experiment's missing-runs manifest.
+	failed *[]string
+}
 
+// state is what every handle on one session shares.
+type state struct {
 	mu    sync.Mutex
 	cache map[string]*cacheEntry
 
@@ -189,11 +205,11 @@ type cacheEntry struct {
 // NewSession builds a session.
 func NewSession(cfg Config) *Session {
 	cfg.fillDefaults()
-	s := &Session{Cfg: cfg, cache: make(map[string]*cacheEntry), sleep: time.Sleep}
-	s.runSim = func(ctx context.Context, inst *workload.Instance, cfg sim.Config) (*stats.Run, error) {
+	st := &state{cache: make(map[string]*cacheEntry), sleep: time.Sleep}
+	st.runSim = func(ctx context.Context, inst *workload.Instance, cfg sim.Config) (*stats.Run, error) {
 		return inst.RunContext(ctx, cfg)
 	}
-	return s
+	return &Session{Cfg: cfg, state: st}
 }
 
 // WithContext makes ctx govern every simulation the session runs:
@@ -283,9 +299,6 @@ func (s *Session) workers() int {
 // in which case every job is attempted, failures stay cached per-key
 // (surfacing in Missing()), and only session-context cancellation
 // aborts the fan-out. With Workers=1 the jobs run inline in order.
-// Jobs route results through do(), so this is only ever a prewarm:
-// drivers re-read the cache serially afterwards, which makes result
-// assembly independent of completion order.
 func (s *Session) parallel(jobs []func() error) error {
 	workers := s.workers()
 	if workers > len(jobs) {
@@ -331,52 +344,145 @@ func (s *Session) parallel(jobs []func() error) error {
 	return context.Cause(ctx)
 }
 
-// gridJobs builds one prewarm job per (workload, variant) pair.
-func (s *Session) gridJobs(wls []*workload.Workload, vs ...variant) []func() error {
-	jobs := make([]func() error, 0, len(wls)*len(vs))
+// point is one machine the grid simulates cells on: the session's own
+// machine (the zero point) or a sweep's variation of it. It renames
+// the cache key (prefix and suffix around the session key) so its runs
+// never alias the session machine's, sets a floor on the workload
+// scale (the session's scale applies when larger), and edits the
+// simulator config the session assembles.
+type point struct {
+	prefix, suffix string
+	scale          int
+	edit           func(*sim.Config)
+}
+
+// block names cells a driver reads: every workload of wls under every
+// variant of vs, at one machine point.
+type block struct {
+	at  point
+	wls []*workload.Workload
+	vs  []variant
+}
+
+// cells is the block of wls under vs on the session machine.
+func cells(wls []*workload.Workload, vs ...variant) block {
+	return block{wls: wls, vs: vs}
+}
+
+// cell is one simulation: workload wl under variant v at point at.
+type cell struct {
+	at point
+	wl *workload.Workload
+	v  variant
+}
+
+func (s *Session) cellKey(c cell) string {
+	return c.at.prefix + s.key(c.wl.Name, c.v) + c.at.suffix
+}
+
+// grid holds the runs of the cells a driver named, by cache key.
+type grid struct {
+	s    *Session
+	runs map[string]*stats.Run
+}
+
+// at returns the run of wl under v at point p, or nil when the cell
+// failed or was not run.
+func (g *grid) at(p point, wl *workload.Workload, v variant) *stats.Run {
+	return g.runs[g.s.cellKey(cell{p, wl, v})]
+}
+
+// run returns the run of wl under v on the session machine, or nil.
+func (g *grid) run(wl *workload.Workload, v variant) *stats.Run {
+	return g.at(point{}, wl, v)
+}
+
+// pairs calls f, in workload order, for every workload of wls whose
+// runs under a and b at point p both completed.
+func (g *grid) pairs(p point, wls []*workload.Workload, a, b variant, f func(wl *workload.Workload, a, b *stats.Run)) {
 	for _, wl := range wls {
-		for _, v := range vs {
-			wl, v := wl, v
-			jobs = append(jobs, func() error { _, err := s.run(wl, v); return err })
+		if ra, rb := g.at(p, wl, a), g.at(p, wl, b); ra != nil && rb != nil {
+			f(wl, ra, rb)
 		}
 	}
-	return jobs
 }
 
-// prewarmGrid simulates every (workload, variant) pair across the
-// worker pool so the driver's serial assembly loop below it only takes
-// cache hits.
-func (s *Session) prewarmGrid(wls []*workload.Workload, vs ...variant) error {
-	return s.parallel(s.gridJobs(wls, vs...))
+// geoRatio is the geomean of f(a run, b run) over the workloads of wls
+// whose two runs on the session machine both completed.
+func (g *grid) geoRatio(wls []*workload.Workload, a, b variant, f func(a, b *stats.Run) float64) float64 {
+	var xs []float64
+	g.pairs(point{}, wls, a, b, func(_ *workload.Workload, ra, rb *stats.Run) { xs = append(xs, f(ra, rb)) })
+	return geomean(xs)
 }
 
-// run simulates workload wl under variant v (cached, single-flight).
-func (s *Session) run(wl *workload.Workload, v variant) (*stats.Run, error) {
-	return s.runWith(s.key(wl.Name, v), wl, s.Cfg.Scale, v, nil)
+// cycleRatio is a's cycle count over b's.
+func cycleRatio(a, b *stats.Run) float64 { return float64(a.Cycles) / float64(b.Cycles) }
+
+// grid simulates every cell the blocks name across the worker pool and
+// hands the runs back for serial assembly, which therefore never
+// depends on completion order or touches a per-cell error: a partial
+// figure is assembled by the same code as a full one. Each cell runs
+// once per session, however many blocks or drivers name it. Without
+// KeepGoing the first failure is returned before any assembly starts;
+// under KeepGoing a failed cell reads back nil and its key joins this
+// handle's manifest. A workload that needs coherence never runs under
+// the non-coherent L1: that cell is absent, not missing, and also
+// reads back nil.
+func (s *Session) grid(blocks ...block) (*grid, error) {
+	var cs []cell
+	for _, b := range blocks {
+		for _, wl := range b.wls {
+			for _, v := range b.vs {
+				if wl.CheckProtocol(v.proto) == nil {
+					cs = append(cs, cell{b.at, wl, v})
+				}
+			}
+		}
+	}
+	jobs := make([]func() error, len(cs))
+	for i, c := range cs {
+		jobs[i] = func() error { _, err := s.runCell(c); return err }
+	}
+	if err := s.parallel(jobs); err != nil {
+		return nil, err
+	}
+	g := &grid{s: s, runs: make(map[string]*stats.Run, len(cs))}
+	for _, c := range cs {
+		run, err := s.runCell(c)
+		if err != nil {
+			if !s.Cfg.KeepGoing {
+				return nil, err
+			}
+			if s.failed != nil {
+				*s.failed = append(*s.failed, s.cellKey(c))
+			}
+		}
+		g.runs[s.cellKey(c)] = run
+	}
+	return g, nil
 }
 
-// runWith simulates wl at scale under variant v, cached under key, with
-// adjust (when non-nil) applying a sweep's machine change to the
-// session's simulator config. Transient fault-injected failures are
-// retried up to Cfg.RetryTransient times with exponential backoff; each
-// attempt derives a fresh fault seed, because the deterministic engine
-// would otherwise reproduce the identical failure.
-func (s *Session) runWith(key string, wl *workload.Workload, scale int, v variant, adjust func(*sim.Config)) (*stats.Run, error) {
-	return s.do(key, func() (*stats.Run, error) {
+// runCell simulates one cell (cached, single-flight). Transient
+// fault-injected failures are retried up to Cfg.RetryTransient times
+// with exponential backoff; each attempt derives a fresh fault seed,
+// because the deterministic engine would otherwise reproduce the
+// identical failure.
+func (s *Session) runCell(c cell) (*stats.Run, error) {
+	return s.do(s.cellKey(c), func() (*stats.Run, error) {
 		var lastErr error
 		for attempt := 0; attempt <= s.Cfg.RetryTransient; attempt++ {
 			if attempt > 0 {
 				s.sleep(RetryBackoff(attempt))
 			}
-			cfg := s.simConfig(v, attempt)
-			if adjust != nil {
-				adjust(&cfg)
+			cfg := s.simConfig(c.v, attempt)
+			if c.at.edit != nil {
+				c.at.edit(&cfg)
 			}
-			run, err := s.runSim(s.context(), wl.Build(scale), cfg)
+			run, err := s.runSim(s.context(), c.wl.Build(max(s.Cfg.Scale, c.at.scale)), cfg)
 			if err == nil {
 				return run, nil
 			}
-			lastErr = fmt.Errorf("%s under %s/%s (attempt %d): %w", wl.Name, v.proto, v.cons, attempt+1, err)
+			lastErr = fmt.Errorf("%s under %s/%s (attempt %d): %w", c.wl.Name, c.v.proto, c.v.cons, attempt+1, err)
 			if !s.transient(err) {
 				break
 			}
@@ -412,6 +518,95 @@ func (s *Session) simConfig(v variant, attempt int) sim.Config {
 		cfg.Mem.Fault = fault.Chaos(DeriveFaultSeed(s.Cfg.FaultSeed, attempt))
 	}
 	return cfg
+}
+
+// printer is an experiment's result, which renders the paper's rows or
+// series.
+type printer interface{ Print(io.Writer) }
+
+// experiment is one entry of the suite.
+type experiment struct {
+	name string
+	run  func(*Session) (printer, error)
+}
+
+// exp makes a suite entry of a driver method.
+func exp[R printer](name string, run func(*Session) (R, error)) experiment {
+	return experiment{name, func(s *Session) (printer, error) { return run(s) }}
+}
+
+// suite is every experiment, in the order RunAll prints them.
+var suite = []experiment{
+	exp("table2", (*Session).RunTableII),
+	exp("fig12", (*Session).RunFig12),
+	exp("fig13", (*Session).RunFig13),
+	exp("fig14", (*Session).RunFig14),
+	exp("fig15", (*Session).RunFig15),
+	exp("fig16", (*Session).RunFig16),
+	exp("fig17", (*Session).RunFig17),
+	exp("expiry", (*Session).RunExpiryMiss),
+	exp("vis", (*Session).RunAblationVisibility),
+	exp("combine", (*Session).RunAblationCombining),
+	exp("lease", (*Session).RunAblationLease),
+	exp("tso", (*Session).RunConsistencySpectrum),
+	exp("scale", (*Session).RunScalability),
+	exp("micro", (*Session).RunMicroTable),
+	exp("platform", (*Session).RunPlatform),
+	exp("cache", (*Session).RunCacheSweep),
+	exp("dir", (*Session).RunDirectoryCompare),
+}
+
+// RunAll executes every experiment and prints each in order — the
+// cmd/gtscbench entry point.
+func (s *Session) RunAll(w io.Writer) error {
+	fmt.Fprintf(w, "G-TSC experiment suite (scale %d, %d SMs, %d L2 banks, G-TSC lease %d, TC lease %d)\n\n",
+		s.Cfg.Scale, s.Cfg.NumSMs, s.Cfg.NumBanks, s.Cfg.GTSCLease, s.Cfg.TCLease)
+	for _, e := range suite {
+		if err := s.runExperiment(e, w); err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
+		}
+		fmt.Fprintln(w)
+	}
+	return nil
+}
+
+// RunOne executes a single named experiment ("table2", "fig12" ...
+// "dir") and prints it.
+func (s *Session) RunOne(name string, w io.Writer) error {
+	names := make([]string, len(suite))
+	for i, e := range suite {
+		if e.name == name {
+			return s.runExperiment(e, w)
+		}
+		names[i] = e.name
+	}
+	return fmt.Errorf("unknown experiment %q (want %s)", name, strings.Join(names, ", "))
+}
+
+// runExperiment runs one experiment on a handle that records the
+// failed cells its driver reads, prints the result, then the manifest
+// of those cells (KeepGoing partial output).
+func (s *Session) runExperiment(e experiment, w io.Writer) error {
+	var failed []string
+	res, err := e.run(&Session{Cfg: s.Cfg, state: s.state, failed: &failed})
+	if err != nil {
+		return err
+	}
+	res.Print(w)
+	printMissing(w, sortedStrings(failed))
+	return nil
+}
+
+// printMissing renders the missing-runs manifest of a partial figure
+// or table (no output when nothing is missing).
+func printMissing(w io.Writer, missing []string) {
+	if len(missing) == 0 {
+		return
+	}
+	fmt.Fprintf(w, "PARTIAL OUTPUT: %d run(s) failed and are omitted above:\n", len(missing))
+	for _, k := range missing {
+		fmt.Fprintf(w, "  missing %s\n", k)
+	}
 }
 
 // geomean returns the geometric mean of xs (1.0 for empty input).

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"github.com/gtsc-sim/gtsc/internal/dram"
 	"github.com/gtsc-sim/gtsc/internal/gpu"
@@ -38,8 +39,12 @@ type AblationLease struct {
 // RunAblationLease executes the comparison over the coherence set
 // under G-TSC-RC.
 func (s *Session) RunAblationLease() (*AblationLease, error) {
+	vAdaptive := variant{proto: memsys.GTSC, cons: gpu.RC, adaptive: true}
+	g, err := s.grid(cells(workload.CoherenceSet(), vGTSCRC, vAdaptive))
+	if err != nil {
+		return nil, err
+	}
 	out := &AblationLease{
-		Workloads:        names(workload.CoherenceSet()),
 		FixedRenewals:    map[string]uint64{},
 		AdaptiveRenewals: map[string]uint64{},
 		FixedFlits:       map[string]uint64{},
@@ -47,20 +52,9 @@ func (s *Session) RunAblationLease() (*AblationLease, error) {
 		FixedCycles:      map[string]uint64{},
 		AdaptiveCycles:   map[string]uint64{},
 	}
-	if err := s.prewarmGrid(workload.CoherenceSet(), vGTSCRC,
-		variant{proto: memsys.GTSC, cons: gpu.RC, adaptive: true}); err != nil {
-		return nil, err
-	}
 	var ratios []float64
-	for _, wl := range workload.CoherenceSet() {
-		fixed, err := s.run(wl, vGTSCRC)
-		if err != nil {
-			return nil, err
-		}
-		adaptive, err := s.run(wl, variant{proto: memsys.GTSC, cons: gpu.RC, adaptive: true})
-		if err != nil {
-			return nil, err
-		}
+	g.pairs(point{}, workload.CoherenceSet(), vGTSCRC, vAdaptive, func(wl *workload.Workload, fixed, adaptive *stats.Run) {
+		out.Workloads = append(out.Workloads, wl.Name)
 		out.FixedRenewals[wl.Name] = fixed.L1.Renewals
 		out.AdaptiveRenewals[wl.Name] = adaptive.L1.Renewals
 		out.FixedFlits[wl.Name] = fixed.NoC.TotalFlits()
@@ -68,7 +62,7 @@ func (s *Session) RunAblationLease() (*AblationLease, error) {
 		out.FixedCycles[wl.Name] = fixed.Cycles
 		out.AdaptiveCycles[wl.Name] = adaptive.Cycles
 		ratios = append(ratios, float64(adaptive.L1.Renewals+1)/float64(fixed.L1.Renewals+1))
-	}
+	})
 	out.RenewalCut = 1 - geomean(ratios)
 	return out, nil
 }
@@ -106,33 +100,20 @@ type ConsistencySpectrum struct {
 // RunConsistencySpectrum executes the comparison over the coherence
 // set under G-TSC.
 func (s *Session) RunConsistencySpectrum() (*ConsistencySpectrum, error) {
-	out := &ConsistencySpectrum{
-		Workloads: names(workload.CoherenceSet()),
-		Norm:      map[string]map[string]float64{},
-	}
-	if err := s.prewarmGrid(workload.CoherenceSet(), vGTSCSC, vGTSCRC,
-		variant{proto: memsys.GTSC, cons: gpu.TSO}); err != nil {
+	vTSO := variant{proto: memsys.GTSC, cons: gpu.TSO}
+	g, err := s.grid(cells(workload.CoherenceSet(), vGTSCSC, vGTSCRC, vTSO))
+	if err != nil {
 		return nil, err
 	}
+	out := &ConsistencySpectrum{Norm: map[string]map[string]float64{}}
 	var tso, rc []float64
 	for _, wl := range workload.CoherenceSet() {
-		sc, err := s.run(wl, vGTSCSC)
-		if err != nil {
-			return nil, err
+		sc, tsoRun, rcRun := g.run(wl, vGTSCSC), g.run(wl, vTSO), g.run(wl, vGTSCRC)
+		if sc == nil || tsoRun == nil || rcRun == nil {
+			continue
 		}
-		tsoRun, err := s.run(wl, variant{proto: memsys.GTSC, cons: gpu.TSO})
-		if err != nil {
-			return nil, err
-		}
-		rcRun, err := s.run(wl, vGTSCRC)
-		if err != nil {
-			return nil, err
-		}
-		row := map[string]float64{
-			"SC":  1.0,
-			"TSO": float64(sc.Cycles) / float64(tsoRun.Cycles),
-			"RC":  float64(sc.Cycles) / float64(rcRun.Cycles),
-		}
+		out.Workloads = append(out.Workloads, wl.Name)
+		row := map[string]float64{"SC": 1.0, "TSO": cycleRatio(sc, tsoRun), "RC": cycleRatio(sc, rcRun)}
 		out.Norm[wl.Name] = row
 		tso = append(tso, row["TSO"])
 		rc = append(rc, row["RC"])
@@ -181,34 +162,18 @@ func (s *Session) RunScalability() (*Scalability, error) {
 		GTSCFlits: map[int]uint64{},
 		TCFlits:   map[int]uint64{},
 	}
-	var jobs []func() error
-	for _, sms := range out.SMCounts {
-		for _, wl := range workload.CoherenceSet() {
-			sms, wl := sms, wl
-			jobs = append(jobs,
-				func() error { _, err := s.runAt(wl, vGTSCRC, sms); return err },
-				func() error { _, err := s.runAt(wl, vTCRC, sms); return err })
-		}
-	}
-	if err := s.parallel(jobs); err != nil {
+	g, err := s.grid(sweep(smPoints(out.SMCounts), vGTSCRC, vTCRC)...)
+	if err != nil {
 		return nil, err
 	}
 	for _, sms := range out.SMCounts {
 		var ratios []float64
 		var gFlits, tFlits uint64
-		for _, wl := range workload.CoherenceSet() {
-			g, err := s.runAt(wl, vGTSCRC, sms)
-			if err != nil {
-				return nil, err
-			}
-			tc, err := s.runAt(wl, vTCRC, sms)
-			if err != nil {
-				return nil, err
-			}
-			ratios = append(ratios, float64(tc.Cycles)/float64(g.Cycles))
-			gFlits += g.NoC.TotalFlits()
+		g.pairs(smPoint(sms), workload.CoherenceSet(), vGTSCRC, vTCRC, func(_ *workload.Workload, gr, tc *stats.Run) {
+			ratios = append(ratios, cycleRatio(tc, gr))
+			gFlits += gr.NoC.TotalFlits()
 			tFlits += tc.NoC.TotalFlits()
-		}
+		})
 		out.Speedup[sms] = geomean(ratios)
 		out.GTSCFlits[sms] = gFlits
 		out.TCFlits[sms] = tFlits
@@ -216,15 +181,31 @@ func (s *Session) RunScalability() (*Scalability, error) {
 	return out, nil
 }
 
-// runAt runs a variant on a machine with the given SM count (banks =
-// SMs/2, min 2), growing the workload with the machine so every size
-// is fully occupied. Cached separately from the session's main machine.
-func (s *Session) runAt(wl *workload.Workload, v variant, sms int) (*stats.Run, error) {
-	key := fmt.Sprintf("%s@%d", s.key(wl.Name, v), sms)
-	return s.runWith(key, wl, maxi(s.Cfg.Scale, sms/8), v, func(cfg *sim.Config) {
+// smPoint is a machine with sms SMs and half as many banks (min 2),
+// growing the workload with the machine so every size is fully
+// occupied.
+func smPoint(sms int) point {
+	return point{suffix: fmt.Sprintf("@%d", sms), scale: sms / 8, edit: func(cfg *sim.Config) {
 		cfg.Mem.NumSMs = sms
-		cfg.Mem.NumBanks = maxi(sms/2, 2)
-	})
+		cfg.Mem.NumBanks = max(sms/2, 2)
+	}}
+}
+
+func smPoints(counts []int) []point {
+	ps := make([]point, len(counts))
+	for i, sms := range counts {
+		ps[i] = smPoint(sms)
+	}
+	return ps
+}
+
+// sweep names the coherence set under vs at every machine point of ps.
+func sweep(ps []point, vs ...variant) []block {
+	bs := make([]block, len(ps))
+	for i, p := range ps {
+		bs[i] = block{p, workload.CoherenceSet(), vs}
+	}
+	return bs
 }
 
 // Print renders the sweep.
@@ -256,49 +237,32 @@ type MicroTable struct {
 
 // RunMicroTable executes the characterization.
 func (s *Session) RunMicroTable() (*MicroTable, error) {
+	g, err := s.grid(block{microPoint, workload.Micro(), []variant{vGTSCRC, vTCRC, vBL}})
+	if err != nil {
+		return nil, err
+	}
 	out := &MicroTable{
 		Cycles:    map[string]map[string]uint64{},
 		Renewals:  map[string]uint64{},
 		SelfInval: map[string]uint64{},
 		Atomics:   map[string]uint64{},
 	}
-	var jobs []func() error
 	for _, m := range workload.Micro() {
-		for _, v := range []variant{vGTSCRC, vTCRC, vBL} {
-			m, v := m, v
-			jobs = append(jobs, func() error { _, err := s.runMicro(m, v); return err })
+		gr, tc, bl := g.at(microPoint, m, vGTSCRC), g.at(microPoint, m, vTCRC), g.at(microPoint, m, vBL)
+		if gr == nil || tc == nil || bl == nil {
+			continue
 		}
-	}
-	if err := s.parallel(jobs); err != nil {
-		return nil, err
-	}
-	for _, m := range workload.Micro() {
 		out.Micros = append(out.Micros, m.Name)
-		row := map[string]uint64{}
-		for label, v := range map[string]variant{
-			"G-TSC-RC": vGTSCRC, "TC-RC": vTCRC, "BL": vBL,
-		} {
-			run, err := s.runMicro(m, v)
-			if err != nil {
-				return nil, err
-			}
-			row[label] = run.Cycles
-			switch label {
-			case "G-TSC-RC":
-				out.Renewals[m.Name] = run.L1.Renewals
-				out.Atomics[m.Name] = run.L2.Atomics
-			case "TC-RC":
-				out.SelfInval[m.Name] = run.L1.SelfInval
-			}
-		}
-		out.Cycles[m.Name] = row
+		out.Cycles[m.Name] = map[string]uint64{"G-TSC-RC": gr.Cycles, "TC-RC": tc.Cycles, "BL": bl.Cycles}
+		out.Renewals[m.Name] = gr.L1.Renewals
+		out.Atomics[m.Name] = gr.L2.Atomics
+		out.SelfInval[m.Name] = tc.L1.SelfInval
 	}
 	return out, nil
 }
 
-func (s *Session) runMicro(m *workload.Workload, v variant) (*stats.Run, error) {
-	return s.runWith("micro/"+s.key(m.Name, v), m, s.Cfg.Scale, v, nil)
-}
+// microPoint keys the microbenchmarks apart on the session machine.
+var microPoint = point{prefix: "micro/"}
 
 // Print renders the characterization.
 func (r *MicroTable) Print(w io.Writer) {
@@ -315,13 +279,6 @@ func (r *MicroTable) Print(w io.Writer) {
 			fmt.Sprintf("%d", r.Atomics[n]))
 	}
 	t.flush()
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Platform sweeps substrate fidelity knobs: crossbar vs 2D mesh NoC,
@@ -343,53 +300,33 @@ func (s *Session) RunPlatform() (*Platform, error) {
 		Speedup: map[string]float64{},
 		Cycles:  map[string]uint64{},
 	}
-	var jobs []func() error
-	for _, pc := range out.Configs {
-		mesh := pc == "mesh+flat" || pc == "mesh+banked"
-		banked := pc == "xbar+banked" || pc == "mesh+banked"
-		for _, wl := range workload.CoherenceSet() {
-			wl, mesh, banked := wl, mesh, banked
-			jobs = append(jobs,
-				func() error { _, err := s.runPlatform(wl, vGTSCRC, mesh, banked); return err },
-				func() error { _, err := s.runPlatform(wl, vTCRC, mesh, banked); return err })
-		}
+	ps := make([]point, len(out.Configs))
+	for i, pc := range out.Configs {
+		mesh, banked := strings.HasPrefix(pc, "mesh"), strings.HasSuffix(pc, "banked")
+		ps[i] = point{suffix: fmt.Sprintf("/plat/%t/%t", mesh, banked), edit: func(cfg *sim.Config) {
+			if mesh {
+				cfg.Mem.NoC = noc.DefaultMeshConfig()
+			}
+			if banked {
+				cfg.Mem.DRAM = dram.DefaultBankedConfig()
+			}
+		}}
 	}
-	if err := s.parallel(jobs); err != nil {
+	g, err := s.grid(sweep(ps, vGTSCRC, vTCRC)...)
+	if err != nil {
 		return nil, err
 	}
-	for _, pc := range out.Configs {
-		mesh := pc == "mesh+flat" || pc == "mesh+banked"
-		banked := pc == "xbar+banked" || pc == "mesh+banked"
+	for i, pc := range out.Configs {
 		var ratios []float64
 		var cyc uint64
-		for _, wl := range workload.CoherenceSet() {
-			g, err := s.runPlatform(wl, vGTSCRC, mesh, banked)
-			if err != nil {
-				return nil, err
-			}
-			tc, err := s.runPlatform(wl, vTCRC, mesh, banked)
-			if err != nil {
-				return nil, err
-			}
-			ratios = append(ratios, float64(tc.Cycles)/float64(g.Cycles))
-			cyc += g.Cycles
-		}
+		g.pairs(ps[i], workload.CoherenceSet(), vGTSCRC, vTCRC, func(_ *workload.Workload, gr, tc *stats.Run) {
+			ratios = append(ratios, cycleRatio(tc, gr))
+			cyc += gr.Cycles
+		})
 		out.Speedup[pc] = geomean(ratios)
 		out.Cycles[pc] = cyc
 	}
 	return out, nil
-}
-
-func (s *Session) runPlatform(wl *workload.Workload, v variant, mesh, banked bool) (*stats.Run, error) {
-	key := fmt.Sprintf("%s/plat/%t/%t", s.key(wl.Name, v), mesh, banked)
-	return s.runWith(key, wl, s.Cfg.Scale, v, func(cfg *sim.Config) {
-		if mesh {
-			cfg.Mem.NoC = noc.DefaultMeshConfig()
-		}
-		if banked {
-			cfg.Mem.DRAM = dram.DefaultBankedConfig()
-		}
-	})
 }
 
 // Print renders the sweep.
@@ -415,7 +352,7 @@ type CacheSweep struct {
 
 // RunCacheSweep executes the sweep over the coherence set.
 func (s *Session) RunCacheSweep() (*CacheSweep, error) {
-	points := []struct {
+	geometries := []struct {
 		name  string
 		sets  int
 		mshrs int
@@ -425,48 +362,31 @@ func (s *Session) RunCacheSweep() (*CacheSweep, error) {
 		{"32KB/32mshr", 64, 32},
 		{"64KB/64mshr", 128, 64},
 	}
-	out := &CacheSweep{Speedup: map[string]float64{}, HitRate: map[string]float64{}}
-	var jobs []func() error
-	for _, pt := range points {
-		for _, wl := range workload.CoherenceSet() {
-			pt, wl := pt, wl
-			jobs = append(jobs,
-				func() error { _, err := s.runCache(wl, vGTSCRC, pt.sets, pt.mshrs); return err },
-				func() error { _, err := s.runCache(wl, vTCRC, pt.sets, pt.mshrs); return err })
-		}
+	ps := make([]point, len(geometries))
+	for i, geo := range geometries {
+		ps[i] = point{suffix: fmt.Sprintf("/cache/%d/%d", geo.sets, geo.mshrs), edit: func(cfg *sim.Config) {
+			cfg.Mem.L1Sets = geo.sets
+			cfg.Mem.L1MSHRs = geo.mshrs
+		}}
 	}
-	if err := s.parallel(jobs); err != nil {
+	g, err := s.grid(sweep(ps, vGTSCRC, vTCRC)...)
+	if err != nil {
 		return nil, err
 	}
-	for _, pt := range points {
-		out.Points = append(out.Points, pt.name)
+	out := &CacheSweep{Speedup: map[string]float64{}, HitRate: map[string]float64{}}
+	for i, geo := range geometries {
+		out.Points = append(out.Points, geo.name)
 		var ratios []float64
 		var hits, loads uint64
-		for _, wl := range workload.CoherenceSet() {
-			g, err := s.runCache(wl, vGTSCRC, pt.sets, pt.mshrs)
-			if err != nil {
-				return nil, err
-			}
-			tc, err := s.runCache(wl, vTCRC, pt.sets, pt.mshrs)
-			if err != nil {
-				return nil, err
-			}
-			ratios = append(ratios, float64(tc.Cycles)/float64(g.Cycles))
-			hits += g.L1.Hits
-			loads += g.L1.Loads
-		}
-		out.Speedup[pt.name] = geomean(ratios)
-		out.HitRate[pt.name] = float64(hits) / float64(loads)
+		g.pairs(ps[i], workload.CoherenceSet(), vGTSCRC, vTCRC, func(_ *workload.Workload, gr, tc *stats.Run) {
+			ratios = append(ratios, cycleRatio(tc, gr))
+			hits += gr.L1.Hits
+			loads += gr.L1.Loads
+		})
+		out.Speedup[geo.name] = geomean(ratios)
+		out.HitRate[geo.name] = float64(hits) / float64(loads)
 	}
 	return out, nil
-}
-
-func (s *Session) runCache(wl *workload.Workload, v variant, sets, mshrs int) (*stats.Run, error) {
-	key := fmt.Sprintf("%s/cache/%d/%d", s.key(wl.Name, v), sets, mshrs)
-	return s.runWith(key, wl, s.Cfg.Scale, v, func(cfg *sim.Config) {
-		cfg.Mem.L1Sets = sets
-		cfg.Mem.L1MSHRs = mshrs
-	})
 }
 
 // Print renders the sweep.
@@ -511,8 +431,13 @@ type DirectoryCompare struct {
 
 // RunDirectoryCompare executes the comparison (RC both sides).
 func (s *Session) RunDirectoryCompare() (*DirectoryCompare, error) {
+	vDIR := variant{proto: memsys.DIR, cons: gpu.RC}
+	smCounts := []int{4, 8, 16, 32}
+	g, err := s.grid(sweep(append([]point{{}}, smPoints(smCounts)...), vDIR, vGTSCRC)...)
+	if err != nil {
+		return nil, err
+	}
 	out := &DirectoryCompare{
-		Workloads:     names(workload.CoherenceSet()),
 		DirCycles:     map[string]uint64{},
 		GTSCCycles:    map[string]uint64{},
 		DirFlits:      map[string]uint64{},
@@ -521,39 +446,18 @@ func (s *Session) RunDirectoryCompare() (*DirectoryCompare, error) {
 		Recalls:       map[string]uint64{},
 		Writebacks:    map[string]uint64{},
 	}
-	vDIR := variant{proto: memsys.DIR, cons: gpu.RC}
-	smCounts := []int{4, 8, 16, 32}
-	jobs := s.gridJobs(workload.CoherenceSet(), vDIR, vGTSCRC)
-	for _, sms := range smCounts {
-		for _, wl := range workload.CoherenceSet() {
-			sms, wl := sms, wl
-			jobs = append(jobs,
-				func() error { _, err := s.runAt(wl, vDIR, sms); return err },
-				func() error { _, err := s.runAt(wl, vGTSCRC, sms); return err })
-		}
-	}
-	if err := s.parallel(jobs); err != nil {
-		return nil, err
-	}
 	var ratios []float64
-	for _, wl := range workload.CoherenceSet() {
-		d, err := s.run(wl, variant{proto: memsys.DIR, cons: gpu.RC})
-		if err != nil {
-			return nil, err
-		}
-		g, err := s.run(wl, vGTSCRC)
-		if err != nil {
-			return nil, err
-		}
+	g.pairs(point{}, workload.CoherenceSet(), vDIR, vGTSCRC, func(wl *workload.Workload, d, gr *stats.Run) {
+		out.Workloads = append(out.Workloads, wl.Name)
 		out.DirCycles[wl.Name] = d.Cycles
-		out.GTSCCycles[wl.Name] = g.Cycles
+		out.GTSCCycles[wl.Name] = gr.Cycles
 		out.DirFlits[wl.Name] = d.NoC.TotalFlits()
-		out.GTSCFlits[wl.Name] = g.NoC.TotalFlits()
+		out.GTSCFlits[wl.Name] = gr.NoC.TotalFlits()
 		out.Invalidations[wl.Name] = d.L2.Invalidations
 		out.Recalls[wl.Name] = d.L2.Recalls
 		out.Writebacks[wl.Name] = d.L1.Writebacks
-		ratios = append(ratios, float64(d.Cycles)/float64(g.Cycles))
-	}
+		ratios = append(ratios, cycleRatio(d, gr))
+	})
 	out.GTSCSpeedup = geomean(ratios)
 	// Full-map directory: one sharer bit per SM plus an owner id and a
 	// valid bit. G-TSC: two 16-bit timestamps per line, independent of
@@ -577,18 +481,10 @@ func (s *Session) RunDirectoryCompare() (*DirectoryCompare, error) {
 	for _, sms := range out.SMCounts {
 		var sweep []float64
 		var invs uint64
-		for _, wl := range workload.CoherenceSet() {
-			d, err := s.runAt(wl, variant{proto: memsys.DIR, cons: gpu.RC}, sms)
-			if err != nil {
-				return nil, err
-			}
-			g, err := s.runAt(wl, vGTSCRC, sms)
-			if err != nil {
-				return nil, err
-			}
-			sweep = append(sweep, float64(d.Cycles)/float64(g.Cycles))
+		g.pairs(smPoint(sms), workload.CoherenceSet(), vDIR, vGTSCRC, func(_ *workload.Workload, d, gr *stats.Run) {
+			sweep = append(sweep, cycleRatio(d, gr))
 			invs += d.L2.Invalidations
-		}
+		})
 		out.SpeedupAt[sms] = geomean(sweep)
 		out.InvsAt[sms] = invs
 		out.DirBitsAt[sms] = dirBits(sms)

@@ -3,7 +3,11 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 
+	"github.com/gtsc-sim/gtsc/internal/gpu"
+	"github.com/gtsc-sim/gtsc/internal/memsys"
+	"github.com/gtsc-sim/gtsc/internal/stats"
 	"github.com/gtsc-sim/gtsc/internal/workload"
 )
 
@@ -16,47 +20,30 @@ type TableII struct {
 	Workloads []string
 	BLCycles  map[string]uint64
 	TCCycles  map[string]uint64
-	// Missing lists failed runs the table omits (KeepGoing sessions);
-	// empty when every cell completed.
-	Missing []string
 }
 
 // RunTableII executes the Table II matrix.
 func (s *Session) RunTableII() (*TableII, error) {
+	g, err := s.grid(cells(workload.All(), vBL, vTCRC))
+	if err != nil {
+		return nil, err
+	}
 	out := &TableII{
 		Workloads: names(workload.All()),
 		BLCycles:  map[string]uint64{},
 		TCCycles:  map[string]uint64{},
 	}
-	if err := s.prewarmGrid(workload.All(), vBL, vTCRC); err != nil {
-		return nil, err
-	}
-	for _, wl := range workload.All() {
-		bl, err := s.run(wl, vBL)
-		if err != nil {
-			if s.Cfg.KeepGoing {
-				continue // row omitted; Missing records why
-			}
-			return nil, err
-		}
-		// The paper pairs plain TC with each model; its Table II column
-		// is TC under the protocol's natural (RC/TC-Weak) setting.
-		tc, err := s.run(wl, vTCRC)
-		if err != nil {
-			if s.Cfg.KeepGoing {
-				continue
-			}
-			return nil, err
-		}
+	// The paper pairs plain TC with each model; its Table II column is
+	// TC under the protocol's natural (RC/TC-Weak) setting.
+	g.pairs(point{}, workload.All(), vBL, vTCRC, func(wl *workload.Workload, bl, tc *stats.Run) {
 		out.BLCycles[wl.Name] = bl.Cycles
 		out.TCCycles[wl.Name] = tc.Cycles
-	}
-	out.Missing = s.Missing()
+	})
 	return out, nil
 }
 
 // Print renders the table. Rows whose runs failed (KeepGoing partial
-// output) are skipped and the missing-runs manifest printed instead.
+// output) are skipped.
 func (r *TableII) Print(w io.Writer) {
 	fmt.Fprintln(w, "Table II: absolute execution cycles of BL and TC (this simulator)")
 	t := newTable(w)
@@ -71,19 +58,97 @@ func (r *TableII) Print(w io.Writer) {
 			fmt.Sprintf("%.2f", float64(r.TCCycles[n])/float64(r.BLCycles[n])))
 	}
 	t.flush()
-	printMissing(w, r.Missing)
 }
 
-// printMissing renders the missing-runs manifest of a partial figure
-// or table (no output when nothing is missing).
-func printMissing(w io.Writer, missing []string) {
-	if len(missing) == 0 {
-		return
+// A bar is one series of Figs 12–17: its label and the variant it
+// plots.
+type bar struct {
+	label string
+	v     variant
+}
+
+// fig13Bars are the series of Figs 13–17; Fig 12 adds the
+// non-coherent L1, which only the second set can run.
+var (
+	fig13Bars = []bar{{"G-TSC-RC", vGTSCRC}, {"G-TSC-SC", vGTSCSC}, {"TC-RC", vTCRC}, {"TC-SC", vTCSC}}
+	fig12Bars = append([]bar{{"Baseline-w/L1", vL1NC}}, fig13Bars...)
+)
+
+// Fig12Series lists the bar order of Fig 12; Fig13Series the series of
+// Figs 13, 15, 16 and 17.
+var (
+	Fig12Series = labels(fig12Bars)
+	Fig13Series = labels(fig13Bars)
+)
+
+func labels(bars []bar) []string {
+	out := make([]string, len(bars))
+	for i, b := range bars {
+		out[i] = b.label
 	}
-	fmt.Fprintf(w, "PARTIAL OUTPUT: %d run(s) failed and are omitted above:\n", len(missing))
-	for _, k := range missing {
-		fmt.Fprintf(w, "  missing %s\n", k)
+	return out
+}
+
+// variants lists the variants the bars plot.
+func variants(bars []bar) []variant {
+	vs := make([]variant, len(bars))
+	for i, b := range bars {
+		vs[i] = b.v
 	}
+	return vs
+}
+
+// barCells is the block of a figure normalized to BL: every benchmark
+// under the baseline and each bar's variant.
+func barCells(bars []bar) block {
+	return cells(workload.All(), append([]variant{vBL}, variants(bars)...)...)
+}
+
+// overBL evaluates one metric per series over the BL baseline:
+// norm(bar run, BL run) for every benchmark whose BL run completed,
+// keyed by workload and bar label. A bar that was not measured, or
+// whose run failed, is absent.
+func (g *grid) overBL(bars []bar, norm func(r, bl *stats.Run) float64) map[string]map[string]float64 {
+	out := map[string]map[string]float64{}
+	for _, wl := range workload.All() {
+		bl := g.run(wl, vBL)
+		if bl == nil {
+			continue
+		}
+		row := map[string]float64{}
+		for _, b := range bars {
+			if r := g.run(wl, b.v); r != nil {
+				row[b.label] = norm(r, bl)
+			}
+		}
+		out[wl.Name] = row
+	}
+	return out
+}
+
+// printBars renders a per-benchmark series table: the coherence set, a
+// "--" separator, then the second set, one column per series; "-"
+// marks a bar that was not measured.
+func printBars(w io.Writer, coherent, nonCoherent, series []string, vals map[string]map[string]float64, format string) {
+	t := newTable(w)
+	t.row(append([]string{"Benchmark"}, series...)...)
+	rows := func(group []string) {
+		for _, n := range group {
+			cells := []string{n}
+			for _, sr := range series {
+				if v, ok := vals[n][sr]; ok {
+					cells = append(cells, fmt.Sprintf(format, v))
+				} else {
+					cells = append(cells, "-")
+				}
+			}
+			t.row(cells...)
+		}
+	}
+	rows(coherent)
+	t.row("--")
+	rows(nonCoherent)
+	t.flush()
 }
 
 // Fig12 reproduces Figure 12: performance of G-TSC and TC under RC and
@@ -104,115 +169,39 @@ type Fig12 struct {
 	GTSCvsL1NCOverhead float64
 	// RC/SC speedup for G-TSC on the coherence set (paper: ~12%).
 	GTSCRCoverSC float64
-
-	// Missing lists failed runs (KeepGoing sessions): the bars they
-	// would have fed are absent from Norm and the geomeans above are
-	// taken over the workloads that completed. Empty when every cell
-	// completed.
-	Missing []string
 }
 
-// Fig12Series lists the bar order of the figure.
-var Fig12Series = []string{"Baseline-w/L1", "G-TSC-RC", "G-TSC-SC", "TC-RC", "TC-SC"}
-
-// RunFig12 executes the Fig 12 matrix.
+// RunFig12 executes the Fig 12 matrix. Each headline ratio is a
+// geomean over the workloads where both of its operands completed.
 func (s *Session) RunFig12() (*Fig12, error) {
-	out := &Fig12{
-		Coherent:    names(workload.CoherenceSet()),
-		NonCoherent: names(workload.NonCoherenceSet()),
-		Norm:        map[string]map[string]float64{},
-	}
-	jobs := s.gridJobs(workload.All(), vBL, vGTSCRC, vGTSCSC, vTCRC, vTCSC)
-	jobs = append(jobs, s.gridJobs(workload.NonCoherenceSet(), vL1NC)...)
-	if err := s.parallel(jobs); err != nil {
+	g, err := s.grid(barCells(fig12Bars))
+	if err != nil {
 		return nil, err
 	}
-	var rcOverTCRC, scOverTCRC, rcOverTCSC, rcOverSC, overhead []float64
-	for _, wl := range workload.All() {
-		bl, err := s.run(wl, vBL)
-		if err != nil {
-			if s.Cfg.KeepGoing {
-				continue // no baseline, no row; Missing records why
-			}
-			return nil, err
-		}
-		row := map[string]float64{}
-		runs := map[string]variant{
-			"G-TSC-RC": vGTSCRC, "G-TSC-SC": vGTSCSC,
-			"TC-RC": vTCRC, "TC-SC": vTCSC,
-		}
-		if !wl.NeedsCoherence {
-			runs["Baseline-w/L1"] = vL1NC
-		}
-		res := map[string]float64{}
-		for label, v := range runs {
-			r, err := s.run(wl, v)
-			if err != nil {
-				if s.Cfg.KeepGoing {
-					continue // bar omitted; ratios below skip it
-				}
-				return nil, err
-			}
-			res[label] = float64(r.Cycles)
-			row[label] = float64(bl.Cycles) / float64(r.Cycles)
-		}
-		out.Norm[wl.Name] = row
-		// Each headline ratio is taken only when both of its operands
-		// completed, so a partial row degrades the geomeans gracefully
-		// instead of poisoning them.
-		ratio := func(dst *[]float64, num, den string) {
-			n, okN := res[num]
-			d, okD := res[den]
-			if okN && okD {
-				*dst = append(*dst, n/d)
-			}
-		}
-		if wl.NeedsCoherence {
-			ratio(&rcOverTCRC, "TC-RC", "G-TSC-RC")
-			ratio(&scOverTCRC, "TC-RC", "G-TSC-SC")
-			ratio(&rcOverTCSC, "TC-SC", "G-TSC-RC")
-			ratio(&rcOverSC, "G-TSC-SC", "G-TSC-RC")
-		} else {
-			ratio(&overhead, "G-TSC-RC", "Baseline-w/L1")
-		}
-	}
-	out.GTSCRCoverTCRC = geomean(rcOverTCRC)
-	out.GTSCSCoverTCRC = geomean(scOverTCRC)
-	out.GTSCRCoverTCSC = geomean(rcOverTCSC)
-	out.GTSCRCoverSC = geomean(rcOverSC)
-	out.GTSCvsL1NCOverhead = geomean(overhead) - 1
-	out.Missing = s.Missing()
-	return out, nil
+	coh := workload.CoherenceSet()
+	return &Fig12{
+		Coherent:    names(coh),
+		NonCoherent: names(workload.NonCoherenceSet()),
+		Norm: g.overBL(fig12Bars, func(r, bl *stats.Run) float64 {
+			return float64(bl.Cycles) / float64(r.Cycles)
+		}),
+		GTSCRCoverTCRC:     g.geoRatio(coh, vTCRC, vGTSCRC, cycleRatio),
+		GTSCSCoverTCRC:     g.geoRatio(coh, vTCRC, vGTSCSC, cycleRatio),
+		GTSCRCoverTCSC:     g.geoRatio(coh, vTCSC, vGTSCRC, cycleRatio),
+		GTSCvsL1NCOverhead: g.geoRatio(workload.NonCoherenceSet(), vGTSCRC, vL1NC, cycleRatio) - 1,
+		GTSCRCoverSC:       g.geoRatio(coh, vGTSCSC, vGTSCRC, cycleRatio),
+	}, nil
 }
 
 // Print renders the figure as a table of normalized bars.
 func (r *Fig12) Print(w io.Writer) {
 	fmt.Fprintln(w, "Fig 12: performance normalized to no-L1 baseline (higher is better)")
-	t := newTable(w)
-	t.row(append([]string{"Benchmark"}, Fig12Series...)...)
-	rows := func(group []string) {
-		for _, n := range group {
-			cells := []string{n}
-			for _, series := range Fig12Series {
-				if v, ok := r.Norm[n][series]; ok {
-					cells = append(cells, fmt.Sprintf("%.2f", v))
-				} else {
-					cells = append(cells, "-")
-				}
-			}
-			t.row(cells...)
-		}
-	}
-	rows(r.Coherent)
-	t.row("--")
-	rows(r.NonCoherent)
-	t.flush()
+	printBars(w, r.Coherent, r.NonCoherent, Fig12Series, r.Norm, "%.2f")
 	fmt.Fprintf(w, "geomean over coherence set: G-TSC-RC/TC-RC = %.2fx (paper ~1.38x)\n", r.GTSCRCoverTCRC)
 	fmt.Fprintf(w, "geomean over coherence set: G-TSC-SC/TC-RC = %.2fx (paper ~1.26x)\n", r.GTSCSCoverTCRC)
 	fmt.Fprintf(w, "geomean over coherence set: G-TSC-RC/TC-SC = %.2fx (paper ~1.84x)\n", r.GTSCRCoverTCSC)
 	fmt.Fprintf(w, "geomean G-TSC RC-over-SC speedup = %.2fx (paper ~1.12x)\n", r.GTSCRCoverSC)
 	fmt.Fprintf(w, "G-TSC overhead vs non-coherent L1 (second set) = %.0f%% (paper ~11%%)\n", 100*r.GTSCvsL1NCOverhead)
-	printMissing(w, r.Missing)
 }
 
 // Fig13 reproduces Figure 13: pipeline stalls due to memory delay,
@@ -227,74 +216,30 @@ type Fig13 struct {
 	TCOverGTSCSet2 float64
 }
 
-// Fig13Series lists the series of the figure.
-var Fig13Series = []string{"G-TSC-RC", "G-TSC-SC", "TC-RC", "TC-SC"}
-
-// RunFig13 executes the Fig 13 matrix.
+// RunFig13 executes the Fig 13 matrix. Stall counts are floored at one
+// cycle on the BL baseline and on the G-TSC denominator.
 func (s *Session) RunFig13() (*Fig13, error) {
-	out := &Fig13{
-		Coherent:    names(workload.CoherenceSet()),
-		NonCoherent: names(workload.NonCoherenceSet()),
-		Norm:        map[string]map[string]float64{},
-	}
-	if err := s.prewarmGrid(workload.All(), vBL, vGTSCRC, vGTSCSC, vTCRC, vTCSC); err != nil {
+	g, err := s.grid(barCells(fig13Bars))
+	if err != nil {
 		return nil, err
 	}
-	var set1, set2 []float64
-	for _, wl := range workload.All() {
-		bl, err := s.run(wl, vBL)
-		if err != nil {
-			return nil, err
-		}
-		blStalls := float64(bl.SM.MemStallCycles)
-		if blStalls == 0 {
-			blStalls = 1
-		}
-		row := map[string]float64{}
-		stalls := map[string]float64{}
-		for label, v := range map[string]variant{
-			"G-TSC-RC": vGTSCRC, "G-TSC-SC": vGTSCSC,
-			"TC-RC": vTCRC, "TC-SC": vTCSC,
-		} {
-			r, err := s.run(wl, v)
-			if err != nil {
-				return nil, err
-			}
-			st := float64(r.SM.MemStallCycles)
-			stalls[label] = st
-			row[label] = st / blStalls
-		}
-		out.Norm[wl.Name] = row
-		ratio := stalls["TC-RC"] / maxf(stalls["G-TSC-RC"], 1)
-		if wl.NeedsCoherence {
-			set1 = append(set1, ratio)
-		} else {
-			set2 = append(set2, ratio)
-		}
-	}
-	out.TCOverGTSCSet1 = geomean(set1)
-	out.TCOverGTSCSet2 = geomean(set2)
-	return out, nil
+	stalls := func(r *stats.Run) float64 { return float64(r.SM.MemStallCycles) }
+	tcOverGTSC := func(tc, gtsc *stats.Run) float64 { return stalls(tc) / max(stalls(gtsc), 1) }
+	return &Fig13{
+		Coherent:    names(workload.CoherenceSet()),
+		NonCoherent: names(workload.NonCoherenceSet()),
+		Norm: g.overBL(fig13Bars, func(r, bl *stats.Run) float64 {
+			return stalls(r) / max(stalls(bl), 1)
+		}),
+		TCOverGTSCSet1: g.geoRatio(workload.CoherenceSet(), vTCRC, vGTSCRC, tcOverGTSC),
+		TCOverGTSCSet2: g.geoRatio(workload.NonCoherenceSet(), vTCRC, vGTSCRC, tcOverGTSC),
+	}, nil
 }
 
 // Print renders the figure.
 func (r *Fig13) Print(w io.Writer) {
 	fmt.Fprintln(w, "Fig 13: pipeline stalls due to memory delay, normalized to no-L1 baseline")
-	t := newTable(w)
-	t.row(append([]string{"Benchmark"}, Fig13Series...)...)
-	rows := func(group []string) {
-		for _, n := range group {
-			cells := []string{n}
-			for _, series := range Fig13Series {
-				cells = append(cells, fmt.Sprintf("%.2f", r.Norm[n][series]))
-			}
-			t.row(cells...)
-		}
-	}
-	rows(r.Coherent)
-	t.row("--")
-	rows(r.NonCoherent)
-	t.flush()
+	printBars(w, r.Coherent, r.NonCoherent, Fig13Series, r.Norm, "%.2f")
 	fmt.Fprintf(w, "TC-RC/G-TSC-RC stalls: set1 %.2fx (paper ~1.45x), set2 %.2fx (paper >1.4x)\n",
 		r.TCOverGTSCSet1, r.TCOverGTSCSet2)
 }
@@ -314,33 +259,32 @@ type Fig14 struct {
 // RunFig14 executes the lease sweep over the coherence set.
 func (s *Session) RunFig14() (*Fig14, error) {
 	out := &Fig14{
-		Leases:    []uint64{8, 10, 12, 14, 16, 18, 20},
-		Workloads: names(workload.CoherenceSet()),
-		Norm:      map[string]map[uint64]float64{},
+		Leases: []uint64{8, 10, 12, 14, 16, 18, 20},
+		Norm:   map[string]map[uint64]float64{},
 	}
-	leaseVariants := make([]variant, 0, len(out.Leases)+1)
-	leaseVariants = append(leaseVariants, variant{proto: vGTSCRC.proto, cons: vGTSCRC.cons, lease: 10})
+	leased := func(lease uint64) variant { return variant{proto: memsys.GTSC, cons: gpu.RC, lease: lease} }
+	var vs []variant
 	for _, lease := range out.Leases {
-		leaseVariants = append(leaseVariants, variant{proto: vGTSCRC.proto, cons: vGTSCRC.cons, lease: lease})
+		vs = append(vs, leased(lease))
 	}
-	if err := s.prewarmGrid(workload.CoherenceSet(), leaseVariants...); err != nil {
+	g, err := s.grid(cells(workload.CoherenceSet(), vs...))
+	if err != nil {
 		return nil, err
 	}
 	for _, wl := range workload.CoherenceSet() {
-		base, err := s.run(wl, variant{proto: vGTSCRC.proto, cons: vGTSCRC.cons, lease: 10})
-		if err != nil {
-			return nil, err
+		base := g.run(wl, leased(10))
+		if base == nil {
+			continue
 		}
+		out.Workloads = append(out.Workloads, wl.Name)
 		row := map[uint64]float64{}
 		for _, lease := range out.Leases {
-			r, err := s.run(wl, variant{proto: vGTSCRC.proto, cons: vGTSCRC.cons, lease: lease})
-			if err != nil {
-				return nil, err
-			}
-			v := float64(base.Cycles) / float64(r.Cycles)
-			row[lease] = v
-			if d := absf(v - 1); d > out.MaxSpread {
-				out.MaxSpread = d
+			if r := g.run(wl, leased(lease)); r != nil {
+				v := cycleRatio(base, r)
+				row[lease] = v
+				if d := math.Abs(v - 1); d > out.MaxSpread {
+					out.MaxSpread = d
+				}
 			}
 		}
 		out.Norm[wl.Name] = row
@@ -382,64 +326,24 @@ type Fig15 struct {
 
 // RunFig15 executes the Fig 15 matrix.
 func (s *Session) RunFig15() (*Fig15, error) {
-	out := &Fig15{
-		Coherent:    names(workload.CoherenceSet()),
-		NonCoherent: names(workload.NonCoherenceSet()),
-		Norm:        map[string]map[string]float64{},
-	}
-	if err := s.prewarmGrid(workload.All(), vBL, vGTSCRC, vGTSCSC, vTCRC, vTCSC); err != nil {
+	g, err := s.grid(barCells(fig13Bars))
+	if err != nil {
 		return nil, err
 	}
-	var redRC, redSC []float64
-	for _, wl := range workload.All() {
-		bl, err := s.run(wl, vBL)
-		if err != nil {
-			return nil, err
-		}
-		blFlits := float64(bl.NoC.TotalFlits())
-		row := map[string]float64{}
-		flits := map[string]float64{}
-		for label, v := range map[string]variant{
-			"G-TSC-RC": vGTSCRC, "G-TSC-SC": vGTSCSC,
-			"TC-RC": vTCRC, "TC-SC": vTCSC,
-		} {
-			r, err := s.run(wl, v)
-			if err != nil {
-				return nil, err
-			}
-			f := float64(r.NoC.TotalFlits())
-			flits[label] = f
-			row[label] = f / blFlits
-		}
-		out.Norm[wl.Name] = row
-		if wl.NeedsCoherence {
-			redRC = append(redRC, flits["G-TSC-RC"]/flits["TC-RC"])
-			redSC = append(redSC, flits["G-TSC-SC"]/flits["TC-SC"])
-		}
-	}
-	out.ReductionRC = 1 - geomean(redRC)
-	out.ReductionSC = 1 - geomean(redSC)
-	return out, nil
+	flits := func(a, b *stats.Run) float64 { return float64(a.NoC.TotalFlits()) / float64(b.NoC.TotalFlits()) }
+	return &Fig15{
+		Coherent:    names(workload.CoherenceSet()),
+		NonCoherent: names(workload.NonCoherenceSet()),
+		Norm:        g.overBL(fig13Bars, flits),
+		ReductionRC: 1 - g.geoRatio(workload.CoherenceSet(), vGTSCRC, vTCRC, flits),
+		ReductionSC: 1 - g.geoRatio(workload.CoherenceSet(), vGTSCSC, vTCSC, flits),
+	}, nil
 }
 
 // Print renders the figure.
 func (r *Fig15) Print(w io.Writer) {
 	fmt.Fprintln(w, "Fig 15: NoC traffic (flits) normalized to no-L1 baseline (lower is better)")
-	t := newTable(w)
-	t.row(append([]string{"Benchmark"}, Fig13Series...)...)
-	rows := func(group []string) {
-		for _, n := range group {
-			cells := []string{n}
-			for _, series := range Fig13Series {
-				cells = append(cells, fmt.Sprintf("%.2f", r.Norm[n][series]))
-			}
-			t.row(cells...)
-		}
-	}
-	rows(r.Coherent)
-	t.row("--")
-	rows(r.NonCoherent)
-	t.flush()
+	printBars(w, r.Coherent, r.NonCoherent, Fig13Series, r.Norm, "%.2f")
 	fmt.Fprintf(w, "G-TSC traffic reduction vs TC (coherence set): RC %.0f%% (paper ~20%%), SC %.0f%% (paper ~15.7%%)\n",
 		100*r.ReductionRC, 100*r.ReductionSC)
 }
@@ -459,64 +363,24 @@ type Fig16 struct {
 
 // RunFig16 executes the Fig 16 matrix.
 func (s *Session) RunFig16() (*Fig16, error) {
-	out := &Fig16{
-		Coherent:    names(workload.CoherenceSet()),
-		NonCoherent: names(workload.NonCoherenceSet()),
-		Norm:        map[string]map[string]float64{},
-	}
-	if err := s.prewarmGrid(workload.All(), vBL, vGTSCRC, vGTSCSC, vTCRC, vTCSC); err != nil {
+	g, err := s.grid(barCells(fig13Bars))
+	if err != nil {
 		return nil, err
 	}
-	var vsTC, vsBL []float64
-	for _, wl := range workload.All() {
-		bl, err := s.run(wl, vBL)
-		if err != nil {
-			return nil, err
-		}
-		blE := bl.EnergyJ.Total()
-		row := map[string]float64{}
-		energy := map[string]float64{}
-		for label, v := range map[string]variant{
-			"G-TSC-RC": vGTSCRC, "G-TSC-SC": vGTSCSC,
-			"TC-RC": vTCRC, "TC-SC": vTCSC,
-		} {
-			r, err := s.run(wl, v)
-			if err != nil {
-				return nil, err
-			}
-			e := r.EnergyJ.Total()
-			energy[label] = e
-			row[label] = e / blE
-		}
-		out.Norm[wl.Name] = row
-		if wl.NeedsCoherence {
-			vsTC = append(vsTC, energy["G-TSC-RC"]/energy["TC-RC"])
-			vsBL = append(vsBL, energy["G-TSC-RC"]/blE)
-		}
-	}
-	out.GTSCSavingVsTC = 1 - geomean(vsTC)
-	out.GTSCSavingVsBL = 1 - geomean(vsBL)
-	return out, nil
+	energy := func(a, b *stats.Run) float64 { return a.EnergyJ.Total() / b.EnergyJ.Total() }
+	return &Fig16{
+		Coherent:       names(workload.CoherenceSet()),
+		NonCoherent:    names(workload.NonCoherenceSet()),
+		Norm:           g.overBL(fig13Bars, energy),
+		GTSCSavingVsTC: 1 - g.geoRatio(workload.CoherenceSet(), vGTSCRC, vTCRC, energy),
+		GTSCSavingVsBL: 1 - g.geoRatio(workload.CoherenceSet(), vGTSCRC, vBL, energy),
+	}, nil
 }
 
 // Print renders the figure.
 func (r *Fig16) Print(w io.Writer) {
 	fmt.Fprintln(w, "Fig 16: total energy normalized to no-L1 baseline (lower is better)")
-	t := newTable(w)
-	t.row(append([]string{"Benchmark"}, Fig13Series...)...)
-	rows := func(group []string) {
-		for _, n := range group {
-			cells := []string{n}
-			for _, series := range Fig13Series {
-				cells = append(cells, fmt.Sprintf("%.2f", r.Norm[n][series]))
-			}
-			t.row(cells...)
-		}
-	}
-	rows(r.Coherent)
-	t.row("--")
-	rows(r.NonCoherent)
-	t.flush()
+	printBars(w, r.Coherent, r.NonCoherent, Fig13Series, r.Norm, "%.2f")
 	fmt.Fprintf(w, "G-TSC-RC energy saving (coherence set): vs TC-RC %.0f%% (paper ~9-11%%), vs BL %.0f%% (paper ~11%%)\n",
 		100*r.GTSCSavingVsTC, 100*r.GTSCSavingVsBL)
 }
@@ -535,26 +399,22 @@ type Fig17 struct {
 
 // RunFig17 executes the Fig 17 matrix.
 func (s *Session) RunFig17() (*Fig17, error) {
+	g, err := s.grid(cells(workload.All(), variants(fig13Bars)...))
+	if err != nil {
+		return nil, err
+	}
 	out := &Fig17{
 		Coherent:    names(workload.CoherenceSet()),
 		NonCoherent: names(workload.NonCoherenceSet()),
 		Joules:      map[string]map[string]float64{},
 	}
-	if err := s.prewarmGrid(workload.All(), vGTSCRC, vGTSCSC, vTCRC, vTCSC); err != nil {
-		return nil, err
-	}
 	var gtscSum, tcSum float64
 	for _, wl := range workload.All() {
 		row := map[string]float64{}
-		for label, v := range map[string]variant{
-			"G-TSC-RC": vGTSCRC, "G-TSC-SC": vGTSCSC,
-			"TC-RC": vTCRC, "TC-SC": vTCSC,
-		} {
-			r, err := s.run(wl, v)
-			if err != nil {
-				return nil, err
+		for _, b := range fig13Bars {
+			if r := g.run(wl, b.v); r != nil {
+				row[b.label] = r.EnergyJ.L1
 			}
-			row[label] = r.EnergyJ.L1
 		}
 		out.Joules[wl.Name] = row
 		gtscSum += row["G-TSC-RC"]
@@ -567,21 +427,7 @@ func (s *Session) RunFig17() (*Fig17, error) {
 // Print renders the figure.
 func (r *Fig17) Print(w io.Writer) {
 	fmt.Fprintln(w, "Fig 17: L1 cache energy (joules)")
-	t := newTable(w)
-	t.row(append([]string{"Benchmark"}, Fig13Series...)...)
-	rows := func(group []string) {
-		for _, n := range group {
-			cells := []string{n}
-			for _, series := range Fig13Series {
-				cells = append(cells, fmt.Sprintf("%.3g", r.Joules[n][series]))
-			}
-			t.row(cells...)
-		}
-	}
-	rows(r.Coherent)
-	t.row("--")
-	rows(r.NonCoherent)
-	t.flush()
+	printBars(w, r.Coherent, r.NonCoherent, Fig13Series, r.Joules, "%.3g")
 	fmt.Fprintf(w, "TC L1 energy slightly below G-TSC (paper's observation): %v\n", r.TCUnderGTSC)
 }
 
@@ -606,34 +452,28 @@ type ExpiryMiss struct {
 
 // RunExpiryMiss executes the comparison over the coherence set.
 func (s *Session) RunExpiryMiss() (*ExpiryMiss, error) {
+	g, err := s.grid(cells(workload.CoherenceSet(), vGTSCRC, vTCRC))
+	if err != nil {
+		return nil, err
+	}
 	out := &ExpiryMiss{
-		Workloads:   names(workload.CoherenceSet()),
 		GTSCExpired: map[string]uint64{},
 		GTSCRefetch: map[string]uint64{},
 		TC:          map[string]uint64{},
 	}
-	if err := s.prewarmGrid(workload.CoherenceSet(), vGTSCRC, vTCRC); err != nil {
-		return nil, err
-	}
 	var ratios []float64
-	for _, wl := range workload.CoherenceSet() {
-		g, err := s.run(wl, vGTSCRC)
-		if err != nil {
-			return nil, err
-		}
-		tc, err := s.run(wl, vTCRC)
-		if err != nil {
-			return nil, err
-		}
-		out.GTSCExpired[wl.Name] = g.L1.MissExpired
+	g.pairs(point{}, workload.CoherenceSet(), vGTSCRC, vTCRC, func(wl *workload.Workload, gr, tc *stats.Run) {
+		n := wl.Name
+		out.Workloads = append(out.Workloads, n)
+		out.GTSCExpired[n] = gr.L1.MissExpired
 		refetch := uint64(0)
-		if g.L1.MissExpired > g.L1.RenewalHits {
-			refetch = g.L1.MissExpired - g.L1.RenewalHits
+		if gr.L1.MissExpired > gr.L1.RenewalHits {
+			refetch = gr.L1.MissExpired - gr.L1.RenewalHits
 		}
-		out.GTSCRefetch[wl.Name] = refetch
-		out.TC[wl.Name] = tc.L1.MissExpired
+		out.GTSCRefetch[n] = refetch
+		out.TC[n] = tc.L1.MissExpired
 		ratios = append(ratios, float64(refetch+1)/float64(tc.L1.MissExpired+1))
-	}
+	})
 	out.Reduction = 1 - geomean(ratios)
 	return out, nil
 }
@@ -649,18 +489,4 @@ func (r *ExpiryMiss) Print(w io.Writer) {
 	}
 	t.flush()
 	fmt.Fprintf(w, "expiry-miss (data refetch) reduction vs TC: %.0f%% (paper ~48%%)\n", 100*r.Reduction)
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func absf(a float64) float64 {
-	if a < 0 {
-		return -a
-	}
-	return a
 }

@@ -80,7 +80,7 @@ func TestCacheKeyingNoCollision(t *testing.T) {
 	// And the runs must actually execute separately.
 	wl := workload.CoherenceSet()[0]
 	for _, v := range variants {
-		if _, err := s.run(wl, v); err != nil {
+		if _, err := s.runCell(cell{wl: wl, v: v}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -95,7 +95,7 @@ func TestCacheKeyingNoCollision(t *testing.T) {
 func TestCacheHitDoesNotRerun(t *testing.T) {
 	s := NewSession(tinyConfig())
 	wl := workload.CoherenceSet()[0]
-	first, err := s.run(wl, vGTSCRC)
+	first, err := s.runCell(cell{wl: wl, v: vGTSCRC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestCacheHitDoesNotRerun(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r, err := s.run(wl, vGTSCRC)
+			r, err := s.runCell(cell{wl: wl, v: vGTSCRC})
 			if err != nil {
 				t.Error(err)
 			}

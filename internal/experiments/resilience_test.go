@@ -23,10 +23,14 @@ func smallCfg() Config {
 	return Config{Scale: 1, NumSMs: 2, NumBanks: 2, Workers: 1}
 }
 
-// smallGrid prewarms a 2-workload x 2-variant grid and returns an
-// error only if the session reports one.
-func smallGrid(s *Session) error {
-	return s.prewarmGrid(workload.All()[:2], vGTSCRC, vTCRC)
+// smallGrid runs a 2-workload x 2-variant grid and returns an error
+// only if the session reports one.
+func smallGrid(s *Session) error { return prewarm(s, workload.All()[:2], vGTSCRC, vTCRC) }
+
+// prewarm runs every cell of wls x vs on the session machine.
+func prewarm(s *Session, wls []*workload.Workload, vs ...variant) error {
+	_, err := s.grid(cells(wls, vs...))
+	return err
 }
 
 // TestJournalReplayNoReexec is the resume acceptance gate at the
@@ -171,14 +175,14 @@ func TestPanicIsolation(t *testing.T) {
 	}
 
 	wl := workload.All()[0]
-	if err := s.parallel(s.gridJobs([]*workload.Workload{wl}, vGTSCRC, vTCRC)); err != nil {
+	if err := prewarm(s, []*workload.Workload{wl}, vGTSCRC, vTCRC); err != nil {
 		t.Fatalf("KeepGoing fan-out returned an error: %v", err)
 	}
 
-	if run, err := s.run(wl, vGTSCRC); err != nil || run.Cycles != 42 {
+	if run, err := s.runCell(cell{wl: wl, v: vGTSCRC}); err != nil || run.Cycles != 42 {
 		t.Errorf("sibling run damaged by the panic: run=%v err=%v", run, err)
 	}
-	_, err := s.run(wl, vTCRC)
+	_, err := s.runCell(cell{wl: wl, v: vTCRC})
 	var wp *diag.WorkerPanicError
 	if !errors.As(err, &wp) {
 		t.Fatalf("panicking cell error = %v, want *diag.WorkerPanicError", err)
@@ -214,7 +218,7 @@ func TestRetryTransient(t *testing.T) {
 	}
 
 	wl := workload.All()[0]
-	run, err := s.run(wl, vGTSCRC)
+	run, err := s.runCell(cell{wl: wl, v: vGTSCRC})
 	if err != nil || run.Cycles != 7 {
 		t.Fatalf("run after transient failures: run=%v err=%v", run, err)
 	}
@@ -237,7 +241,7 @@ func TestRetryTransient(t *testing.T) {
 		attempts++
 		return nil, &diag.DeadlockError{Kernel: "k", Cycle: 1, Reason: "stuck"}
 	}
-	if _, err := s2.run(wl, vGTSCRC); err == nil {
+	if _, err := s2.runCell(cell{wl: wl, v: vGTSCRC}); err == nil {
 		t.Fatal("exhausted retries still reported success")
 	}
 	if attempts != 4 {
@@ -261,7 +265,7 @@ func TestRetryOnlyTransient(t *testing.T) {
 		attempts++
 		return nil, &diag.DeadlockError{Kernel: "k", Cycle: 1, Reason: "real"}
 	}
-	if _, err := s.run(wl, vGTSCRC); err == nil || attempts != 1 {
+	if _, err := s.runCell(cell{wl: wl, v: vGTSCRC}); err == nil || attempts != 1 {
 		t.Errorf("deadlock without fault plan: attempts=%d err=%v, want 1 attempt + error", attempts, err)
 	}
 
@@ -276,7 +280,7 @@ func TestRetryOnlyTransient(t *testing.T) {
 		attempts2++
 		return nil, &diag.ProtocolError{Component: "l1[0]", Event: "stale-value", Detail: "injected"}
 	}
-	if _, err := s2.run(wl, vGTSCRC); err == nil || attempts2 != 1 {
+	if _, err := s2.runCell(cell{wl: wl, v: vGTSCRC}); err == nil || attempts2 != 1 {
 		t.Errorf("protocol error under fault plan: attempts=%d err=%v, want 1 attempt + error", attempts2, err)
 	}
 }
@@ -306,7 +310,7 @@ func TestWatchdogOversubscribed(t *testing.T) {
 	cfg.Workers = 8 // 8 workers on 1 OS thread: heavy descheduling
 	cfg.WatchdogWindow = 10_000
 	s := NewSession(cfg)
-	if err := s.prewarmGrid(workload.All()[:4], vGTSCRC, vTCRC); err != nil {
+	if err := prewarm(s, workload.All()[:4], vGTSCRC, vTCRC); err != nil {
 		t.Fatalf("oversubscribed sweep tripped: %v", err)
 	}
 	if got := s.Executed(); got != 8 {
@@ -316,7 +320,7 @@ func TestWatchdogOversubscribed(t *testing.T) {
 	// Same machine, serial: bit-identical results prove the watchdog
 	// (and the oversubscription) fed nothing back into the simulations.
 	ref := NewSession(Config{Scale: 1, NumSMs: 2, NumBanks: 2, Workers: 1, WatchdogWindow: 10_000})
-	if err := ref.prewarmGrid(workload.All()[:4], vGTSCRC, vTCRC); err != nil {
+	if err := prewarm(ref, workload.All()[:4], vGTSCRC, vTCRC); err != nil {
 		t.Fatalf("serial reference sweep failed: %v", err)
 	}
 	if !reflect.DeepEqual(s.CachedRuns(), ref.CachedRuns()) {

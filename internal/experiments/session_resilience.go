@@ -12,11 +12,12 @@ package experiments
 //     "a completed run is never re-executed" is directly testable.
 //   - do() converts worker panics into *diag.WorkerPanicError, cached
 //     for the panicking key: one blown-up run fails its own cell.
-//   - run() retries transient fault-injected failures (deadlocks
+//   - runCell() retries transient fault-injected failures (deadlocks
 //     while a fault plan is active) with exponential backoff and a
 //     per-attempt derived fault seed.
 //   - Missing() is the explicit manifest of requested-but-failed runs
-//     that KeepGoing figure assembly leaves out.
+//     that KeepGoing figure assembly leaves out, session-wide; each
+//     experiment's own manifest is printed by runExperiment.
 
 import (
 	"bytes"

@@ -41,6 +41,20 @@ func (c Consistency) String() string {
 	}
 }
 
+// ParseConsistency resolves a consistency model's command-line name:
+// rc, sc or tso.
+func ParseConsistency(name string) (Consistency, error) {
+	switch name {
+	case "rc":
+		return RC, nil
+	case "sc":
+		return SC, nil
+	case "tso":
+		return TSO, nil
+	}
+	return 0, fmt.Errorf("unknown consistency %q", name)
+}
+
 // Scheduler selects the warp scheduling policy.
 type Scheduler uint8
 
@@ -60,6 +74,17 @@ func (s Scheduler) String() string {
 		return "GTO"
 	}
 	return "LRR"
+}
+
+// ParseScheduler resolves a scheduler's command-line name: lrr or gto.
+func ParseScheduler(name string) (Scheduler, error) {
+	switch name {
+	case "lrr":
+		return LRR, nil
+	case "gto":
+		return GTO, nil
+	}
+	return 0, fmt.Errorf("unknown scheduler %q", name)
 }
 
 // SMConfig sets per-SM pipeline parameters.

@@ -88,16 +88,10 @@ func Run(v Variant, plan fault.Config, wl *workload.Workload, scale int) error {
 	if rec.Len() == 0 {
 		return fmt.Errorf("%s on %s under [%s]: no operations observed", wl.Name, v.Name, plan)
 	}
-	var vio []check.Violation
-	switch {
-	case v.Protocol == memsys.GTSC:
-		vio = check.CheckTimestampOrder(rec.Ops(), 3)
-	case v.Protocol == memsys.BL || v.Protocol == memsys.DIR ||
-		(v.Protocol == memsys.TC && v.Consistency == gpu.SC):
-		vio = check.CheckPhysical(rec.Ops(), 3)
-	}
-	if len(vio) > 0 {
-		return fmt.Errorf("%s on %s under [%s]: %s", wl.Name, v.Name, plan, vio[0].Error())
+	if order := cfg.Ordering(); order != nil {
+		if vio := order(rec.Ops(), 3); len(vio) > 0 {
+			return fmt.Errorf("%s on %s under [%s]: %s", wl.Name, v.Name, plan, vio[0].Error())
+		}
 	}
 	return nil
 }

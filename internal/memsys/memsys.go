@@ -60,6 +60,17 @@ func (p Protocol) String() string {
 	}
 }
 
+var protocolNames = map[string]Protocol{"gtsc": GTSC, "tc": TC, "bl": BL, "l1nc": L1NC, "dir": DIR}
+
+// ParseProtocol resolves a protocol's command-line name: gtsc, tc, bl,
+// l1nc or dir.
+func ParseProtocol(name string) (Protocol, error) {
+	if p, ok := protocolNames[name]; ok {
+		return p, nil
+	}
+	return 0, fmt.Errorf("unknown protocol %q", name)
+}
+
 // Config describes the hierarchy geometry and protocol parameters.
 type Config struct {
 	Protocol Protocol
@@ -161,19 +172,15 @@ type System struct {
 	shims []*fault.DelayShim
 
 	// Relaxed-sync state (see relaxed.go): the run observer and its
-	// per-component staging shims, per-domain outbound epoch buffers,
-	// and the per-port held queues for barrier injections that met a
-	// full port. l1Obs/l2Obs are nil when no observer is attached.
+	// per-component staging shims, the SM domains' outbound epoch
+	// buffers, and the per-port held queues for barrier injections that
+	// met a full port. l1Obs/l2Obs are nil when no observer is attached.
 	obs       coherence.Observer
 	l1Obs     []*obsShim
 	l2Obs     []*obsShim
 	relaxL1   []*epochBuf  // SM domain i -> toL2 port i
-	relaxL2   []*epochBuf  // mem domain b -> toL1 port b
 	heldL2    [][]*mem.Msg // backpressured barrier injections, toL2 port i
-	heldL1    [][]*mem.Msg // backpressured barrier injections, toL1 port b
-	relaxHeld int
-	relaxToL2 relaxDir // aggregate injection state, L1->L2 direction
-	relaxToL1 relaxDir // aggregate injection state, L2->L1 direction
+	relaxToL2 relaxDir     // aggregate injection state of the SM domains
 	// relaxPartNext caches each DRAM partition's next scheduled event
 	// so the exchange can skip quiescent mem domains per replay cycle;
 	// relaxPartStale marks entries invalidated by a tick, recomputed
@@ -194,13 +201,12 @@ type System struct {
 	slotL1   int // first L1 slot
 	slotRoll int // the fault plan's forced-rollover schedule
 
-	// Per-component dispatch state (see wakes.go). compWakes gates the
-	// ingress hooks while the event engine drives the agenda; clock is
-	// the last cycle handed to Tick/TickDue/SyncClocks, which the hooks
-	// need to compute post-enqueue wakes; the ticked lists record which
-	// components TickDue dispatched this cycle so RefreshDue re-probes
-	// exactly those.
-	compWakes   bool
+	// Per-component dispatch state (see wakes.go). clock is the last
+	// cycle handed to Tick/TickDue/SyncClocks (or replayed by the
+	// relaxed exchange), which the ingress hooks need to compute
+	// post-enqueue wakes; the ticked lists record which components
+	// TickDue dispatched this cycle so RefreshDue re-probes exactly
+	// those.
 	clock       uint64
 	tickedParts []int
 	tickedL2s   []int
@@ -241,17 +247,11 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 		s.l2Obs = make([]*obsShim, cfg.NumBanks)
 	}
 	s.relaxToL2.due = noc.Never
-	s.relaxToL1.due = noc.Never
 	s.relaxL1 = make([]*epochBuf, cfg.NumSMs)
 	for i := range s.relaxL1 {
 		s.relaxL1[i] = &epochBuf{} // live wired by each exchange
 	}
-	s.relaxL2 = make([]*epochBuf, cfg.NumBanks)
-	for i := range s.relaxL2 {
-		s.relaxL2[i] = &epochBuf{live: &s.relaxToL1}
-	}
 	s.heldL2 = make([][]*mem.Msg, cfg.NumSMs)
-	s.heldL1 = make([][]*mem.Msg, cfg.NumBanks)
 	s.relaxPartNext = make([]uint64, cfg.NumBanks)
 	s.relaxPartStale = make([]bool, cfg.NumBanks)
 
@@ -261,16 +261,13 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 	}
 
 	s.L2s = make([]coherence.L2, cfg.NumBanks)
+	// Banks send straight into the NoC: they tick only on the master —
+	// the serial hierarchy tick, or the relaxed exchange at their true
+	// cycle — so they always meet real port backpressure, and the
+	// shared-stream reject shim is deterministic.
 	sendToL1 := coherence.Sender(coherence.SenderFunc(s.Net.SendToL1))
 	if s.inj != nil {
-		// Banks send only from the serial hierarchy tick, so the
-		// shared-stream reject shim is deterministic.
 		sendToL1 = s.inj.WrapSender(sendToL1)
-	}
-	// Per-bank relaxed interposer so epoch buffers can capture each
-	// bank's sends; a transparent passthrough outside relaxed mode.
-	bankSend := func(i int) coherence.Sender {
-		return &relaxSender{real: sendToL1, relax: s.relaxL2[i]}
 	}
 	// Per-bank observer shim; nil passthrough without an observer.
 	bankObs := func(i int) coherence.Observer {
@@ -284,23 +281,23 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 	case GTSC:
 		s.Resets = core.NewResetController()
 		for i := range s.L2s {
-			l2 := core.NewL2(cfg.GTSC, i, bankGeo, bankSend(i), s.dramSender(i), bankObs(i))
+			l2 := core.NewL2(cfg.GTSC, i, bankGeo, sendToL1, s.dramSender(i), bankObs(i))
 			l2.AttachResets(s.Resets)
 			s.L2s[i] = l2
 		}
 	case TC:
 		for i := range s.L2s {
-			s.L2s[i] = tc.NewL2(cfg.TC, i, bankGeo, bankSend(i), s.dramSender(i), bankObs(i))
+			s.L2s[i] = tc.NewL2(cfg.TC, i, bankGeo, sendToL1, s.dramSender(i), bankObs(i))
 		}
 	case DIR:
 		dcfg := cfg.DIR
 		dcfg.MaxSharers = cfg.NumSMs
 		for i := range s.L2s {
-			s.L2s[i] = dir.NewL2(dcfg, i, bankGeo, bankSend(i), s.dramSender(i), bankObs(i))
+			s.L2s[i] = dir.NewL2(dcfg, i, bankGeo, sendToL1, s.dramSender(i), bankObs(i))
 		}
 	case BL, L1NC:
 		for i := range s.L2s {
-			l2 := nocoh.NewL2Plain(i, bankGeo, bankSend(i), s.dramSender(i), bankObs(i))
+			l2 := nocoh.NewL2Plain(i, bankGeo, sendToL1, s.dramSender(i), bankObs(i))
 			// Under BL load values bind at the L2 (there is no L1).
 			l2.SetObserveLoads(cfg.Protocol == BL)
 			s.L2s[i] = l2
@@ -407,13 +404,12 @@ func (s *System) addShim(sh *fault.DelayShim) func(dst int, msg *mem.Msg) {
 	}
 }
 
-// wake registers a slot's wake while the event engine drives the
-// agenda; outside it the ingress hooks are inert.
-func (s *System) wake(slot int, at uint64) {
-	if s.compWakes {
-		s.Wakes.Schedule(slot, at)
-	}
-}
+// wake registers a slot's wake. The relaxed exchange fires the same
+// hooks, always on the master, and nothing reads those registrations;
+// they cannot accumulate because the agenda keeps one entry per slot,
+// and the event engine re-registers every slot from live state on
+// phase entry.
+func (s *System) wake(slot int, at uint64) { s.Wakes.Schedule(slot, at) }
 
 func (s *System) dramSender(bank int) coherence.Sender {
 	return coherence.SenderFunc(func(msg *mem.Msg) bool {

@@ -122,3 +122,39 @@ func TestUnknownProtocolPanics(t *testing.T) {
 	cfg.Protocol = Protocol(42)
 	New(cfg, mem.NewStore(), nil)
 }
+
+// TestRelaxedBankSendMeetsBackpressure: under relaxed sync a bank ticks
+// on the master at its true cycle and sends straight into the NoC, so a
+// full toL1 port refuses its response, which waits in the bank — the
+// same backpressure the exact engine applies — instead of being
+// captured in an epoch buffer the port never limits.
+func TestRelaxedBankSendMeetsBackpressure(t *testing.T) {
+	s := New(smallConfig(BL), mem.NewStore(), nil)
+	blk := mem.Addr(0x100).Block()
+	bank := int(uint64(blk) % uint64(s.Cfg.NumBanks))
+	// A first load makes the block resident, so the bank answers the
+	// next read on its first tick.
+	done := false
+	s.L1s[0].Access(&coherence.Request{Block: blk, Mask: mem.WordMask(0).Set(0),
+		Done: func(coherence.Completion) { done = true }})
+	cyc := uint64(1)
+	for ; cyc < 5000 && !done; cyc++ {
+		s.Tick(cyc)
+	}
+	if !done || s.Pending() != 0 {
+		t.Fatal("warm-up load did not complete")
+	}
+
+	s.RelaxedBegin()
+	for s.Net.SendToL1(&mem.Msg{Type: mem.BusFill, Src: bank}) {
+	}
+	l2 := s.L2s[bank]
+	req := l2.Pool().Msg()
+	req.Type, req.Block, req.Src, req.Mask = mem.BusRd, blk, 0, mem.WordMask(0).Set(0)
+	l2.Deliver(req)
+	l2.Tick(cyc)
+	if s.relaxPending() != 0 || l2.Quiescent() {
+		t.Fatalf("bank send accepted past a full toL1 port: %d relaxed message(s) pending, bank quiescent %v",
+			s.relaxPending(), l2.Quiescent())
+	}
+}

@@ -1,25 +1,27 @@
 // Relaxed-synchronization (bounded-slack) execution support: epoch
 // buffers, barrier-time NoC exchange, and staged observation shims.
 //
-// In relaxed mode the simulator partitions the machine into domains —
-// one per SM (the SM plus its private L1), one per L2 bank (the bank
-// plus its DRAM partition) — and lets each domain free-run up to a
-// slack bound of N cycles between epoch barriers. Everything a domain
-// touches mid-epoch is domain-private; the only cross-domain channel
-// is the NoC, and every NoC injection a domain attempts is captured in
-// that domain's epochBuf tagged with the domain-local cycle. At the
-// barrier the master replays the NoC cycle by cycle over the epoch
-// window, injecting each buffered message at its tagged cycle in
-// canonical port order, so the wire-level event sequence depends only
-// on what the domains did — never on how their execution interleaved.
+// In relaxed mode each SM domain — the SM plus its private L1 —
+// free-runs up to a slack bound of N cycles between epoch barriers.
+// Everything an SM domain touches mid-epoch is domain-private; its only
+// cross-domain channel is the NoC, and every NoC injection it attempts
+// is captured in the domain's epochBuf tagged with the domain-local
+// cycle. The shared side — the NoC, the L2 banks and the DRAM
+// partitions — never runs inside an epoch: at the barrier the master
+// replays it cycle by cycle over the epoch window, injecting each
+// buffered message at its tagged cycle in canonical port order and
+// ticking the banks at their true cycles, so the wire-level event
+// sequence depends only on what the domains did — never on how their
+// execution interleaved.
 //
-// Injections always "succeed" from the sending controller's point of
-// view (the buffer is unbounded); when the replay meets a full port
-// the message is parked in a per-port held queue and injected on a
-// later replay cycle, preserving FIFO order. That is the one place
-// relaxed timing deviates from the bit-exact engine beyond delivery
-// crossing a barrier: backpressure a controller would have seen as a
-// failed TrySend is absorbed as extra port latency instead. Both
+// An SM domain's injections always "succeed" from the sending L1's
+// point of view (the buffer is unbounded); when the replay meets a
+// full port the message is parked in a per-port held queue and
+// injected on a later replay cycle, preserving FIFO order. That is the
+// one place relaxed timing deviates from the bit-exact engine beyond
+// delivery crossing a barrier: backpressure an L1 would have seen as a
+// failed TrySend is absorbed as extra port latency instead. The banks
+// send straight into the NoC and meet real backpressure. Both
 // perturbations are latency-only, which every protocol here already
 // tolerates (the chaos harness injects far worse), so functional
 // results are preserved while cycle counts drift by a bounded amount.
@@ -41,12 +43,12 @@ type taggedMsg struct {
 	msg *mem.Msg
 }
 
-// relaxDir aggregates one NoC direction's (toL2 or toL1) relaxed
-// injection state across all of its ports, so the exchange can decide
-// in O(1) per cycle whether the direction needs a port scan at all:
-// pend counts un-injected messages (buffered + held), held counts the
-// parked subset (always due), and due is a lower bound on the
-// earliest buffered tag (exact after each scan; adds only lower it).
+// relaxDir aggregates the SM domains' relaxed injection state across
+// all of their toL2 ports, so the exchange can decide in O(1) per cycle
+// whether it needs a port scan at all: pend counts un-injected messages
+// (buffered + held), held counts the parked subset (always due), and
+// due is a lower bound on the earliest buffered tag (exact after each
+// scan; adds only lower it).
 type relaxDir struct {
 	pend int
 	held int
@@ -56,14 +58,12 @@ type relaxDir struct {
 // epochBuf collects one component's outbound NoC messages during a
 // relaxed epoch. now is maintained by the domain runner as it ticks.
 //
-// live points at the direction aggregate while the MASTER owns the
-// buffer, and is nil while a domain worker does: SM-domain adds run
-// concurrently across workers and must not touch shared state, so the
-// exchange instead reconciles the toL2 aggregate from a buffer scan
-// at its start, then takes ownership (deliveries during the exchange
-// can trigger further L1 sends, which the gate must see). Bank
-// buffers are master-owned always — banks only tick inside the
-// exchange — so their live stays set permanently.
+// live points at the aggregate while the MASTER owns the buffer, and
+// is nil while a domain worker does: SM-domain adds run concurrently
+// across workers and must not touch shared state, so the exchange
+// instead reconciles the aggregate from a buffer scan at its start,
+// then takes ownership (deliveries during the exchange can trigger
+// further L1 sends, which the gate must see).
 type epochBuf struct {
 	on   bool
 	now  uint64
@@ -107,22 +107,6 @@ func (ls *l1Sender) TrySend(msg *mem.Msg) bool {
 		return true
 	}
 	return ls.real.TrySend(msg)
-}
-
-// relaxSender interposes one L2 bank's response path to the NoC so the
-// bank's sends can be captured mid-epoch. Outside relaxed mode it is a
-// transparent passthrough (one branch).
-type relaxSender struct {
-	real  coherence.Sender
-	relax *epochBuf
-}
-
-func (rs *relaxSender) TrySend(msg *mem.Msg) bool {
-	if rs.relax.on {
-		rs.relax.add(msg)
-		return true
-	}
-	return rs.real.TrySend(msg)
 }
 
 // obsShim interposes one component's view of the run observer. While
@@ -172,9 +156,6 @@ func (s *System) RelaxedBegin() {
 	for _, b := range s.relaxL1 {
 		b.on = true
 	}
-	for _, b := range s.relaxL2 {
-		b.on = true
-	}
 	for _, sh := range s.l1Obs {
 		if sh != nil {
 			sh.staging = true
@@ -197,12 +178,6 @@ func (s *System) RelaxedEnd() {
 	for i, b := range s.relaxL1 {
 		if b.pending() != 0 {
 			panic(fmt.Sprintf("memsys: relaxed L1 buffer %d not drained at phase end", i))
-		}
-		b.on = false
-	}
-	for i, b := range s.relaxL2 {
-		if b.pending() != 0 {
-			panic(fmt.Sprintf("memsys: relaxed L2 buffer %d not drained at phase end", i))
 		}
 		b.on = false
 	}
@@ -233,26 +208,27 @@ func (s *System) RelaxedTickL1(i int, c uint64) {
 // the DRAM partitions — cycle-exactly over (from, to] on the master.
 // Each replay cycle ticks the network (delivering wire arrivals at
 // their true cycles), injects due L1->L2 buffered messages in
-// canonical SM order, ticks every non-quiescent mem domain (DRAM
-// partition, then its L2 bank — the canonical intra-cycle order), and
-// immediately injects the responses those banks produced, so a
-// request that arrives mid-window is serviced at its arrival cycle
-// and its response rides the wire within the same barrier. Only the
-// receiving SM domain's *observation* of a response waits for the
-// epoch boundary — the whole round trip no longer pays an epoch per
-// hop, which is what keeps relaxed cycle counts close to bit-exact.
+// canonical SM order, and ticks every non-quiescent mem domain (DRAM
+// partition, then its L2 bank — the canonical intra-cycle order),
+// whose responses go straight onto the wire, so a request that
+// arrives mid-window is serviced at its arrival cycle and its response
+// rides the wire within the same barrier. Only the receiving SM
+// domain's *observation* of a response waits for the epoch boundary —
+// the whole round trip no longer pays an epoch per hop, which is what
+// keeps relaxed cycle counts close to bit-exact.
 //
-// Port backpressure parks messages in per-port held queues,
-// preserving FIFO order across cycles and epochs. Quiescent banks
-// with no scheduled DRAM event are skipped per cycle (clock-synced
-// only); a delivery makes a bank non-quiescent and re-engages it the
-// same cycle. When the whole shared side is provably inert — nothing
-// held, no buffered injection due, an idle wire (NextWork is exact
-// after a tick and injections maintain it), and every bank quiescent
-// with no scheduled DRAM event — the replay jumps straight to the
-// next event, exactly the skip the scheduled-wake engine performs.
-// Returns the messages injected into the NoC, the number parked
-// behind a full port, and the mem-domain cycles executed vs skipped.
+// Port backpressure on a replayed L1 send parks it in its port's held
+// queue, preserving FIFO order across cycles and epochs. Quiescent
+// banks with no scheduled DRAM event are skipped per cycle
+// (clock-synced only); a delivery makes a bank non-quiescent and
+// re-engages it the same cycle. When the whole shared side is provably
+// inert — nothing held, no buffered injection due, an idle wire
+// (NextWork is exact after a tick and injections maintain it), and
+// every bank quiescent with no scheduled DRAM event — the replay jumps
+// straight to the next event, exactly the skip the scheduled-wake
+// engine performs. Returns the SM-domain messages replayed into the
+// NoC, the number parked behind a full port, and the mem-domain cycles
+// executed vs skipped.
 func (s *System) RelaxedExchange(from, to uint64) (injected, held int, memTicks, memSkipped uint64) {
 	banks := uint64(len(s.L2s))
 	// Reconcile the toL2 aggregate from the domain phase's buffered
@@ -294,7 +270,7 @@ func (s *System) RelaxedExchange(from, to uint64) (injected, held int, memTicks,
 					}
 					continue
 				}
-				inj, h := s.relaxInjectPort(c, b, &s.heldL2[i], d, true)
+				inj, h := s.relaxInjectPort(c, b, &s.heldL2[i])
 				injected, held = injected+inj, held+h
 			}
 		}
@@ -317,7 +293,6 @@ func (s *System) RelaxedExchange(from, to uint64) (injected, held int, memTicks,
 						continue
 					}
 				}
-				s.relaxL2[b].now = c
 				s.Parts[b].Tick(c)
 				l2.Tick(c)
 				s.relaxPartStale[b] = true
@@ -327,20 +302,7 @@ func (s *System) RelaxedExchange(from, to uint64) (injected, held int, memTicks,
 		} else {
 			memSkipped += banks
 		}
-		if d := &s.relaxToL1; d.pend != 0 && (d.held != 0 || d.due <= c) {
-			d.due = noc.Never
-			for i, b := range s.relaxL2 {
-				if len(s.heldL1[i]) == 0 && (b.cur >= len(b.buf) || b.buf[b.cur].at > c) {
-					if b.cur < len(b.buf) && b.buf[b.cur].at < d.due {
-						d.due = b.buf[b.cur].at
-					}
-					continue
-				}
-				inj, h := s.relaxInjectPort(c, b, &s.heldL1[i], d, false)
-				injected, held = injected+inj, held+h
-			}
-		}
-		if c >= to || s.relaxHeld != 0 {
+		if c >= to || s.relaxToL2.held != 0 {
 			continue
 		}
 		// Event-skip: after injection, every remaining buffered message
@@ -355,9 +317,6 @@ func (s *System) RelaxedExchange(from, to uint64) (injected, held int, memTicks,
 		next = min(next, memNext)
 		if s.relaxToL2.pend != 0 {
 			next = min(next, s.relaxToL2.due)
-		}
-		if s.relaxToL1.pend != 0 {
-			next = min(next, s.relaxToL1.due)
 		}
 		if next > c+1 {
 			j := min(next-1, to)
@@ -375,44 +334,31 @@ func (s *System) RelaxedExchange(from, to uint64) (injected, held int, memTicks,
 			b.buf, b.cur = b.buf[:0], 0
 		}
 	}
-	for _, b := range s.relaxL2 {
-		if b.cur == len(b.buf) {
-			b.buf, b.cur = b.buf[:0], 0
-		}
-	}
 	return injected, held, memTicks, memSkipped
 }
 
 // RelaxedDeliveryHorizon returns a sound lower bound on the earliest
-// cycle at which an L1 could receive a delivery, given the traffic in
-// flight right now: NoC wire and port state, plus any parked or
-// still-buffered L2->L1 messages (those could inject on the next
-// exchange cycle, so they clamp the horizon to now+1). Never when no
-// L1-bound traffic exists. The relaxed engine pulls the next epoch
-// barrier in to this cycle (rounded up to its fine grid) so response
-// latency is not stretched to the full slack bound.
+// cycle at which an L1 could receive a delivery, given the NoC wire
+// and port state right now (banks send straight into the NoC, so it
+// holds every L1-bound message). Never when no L1-bound traffic
+// exists. The relaxed engine pulls the next epoch barrier in to this
+// cycle (rounded up to its fine grid) so response latency is not
+// stretched to the full slack bound.
 func (s *System) RelaxedDeliveryHorizon(now uint64) uint64 {
-	if s.relaxToL1.pend != 0 {
-		return now + 1
-	}
 	return s.Net.NextL1Arrival(now)
 }
 
-// relaxInjectPort injects one port's due traffic at replay cycle c:
-// held messages first (oldest first), then newly due buffered
+// relaxInjectPort injects one SM domain's due traffic at replay cycle
+// c: held messages first (oldest first), then newly due buffered
 // messages. Once one message is held, everything younger on the same
-// port holds too — ports are FIFO. The direction aggregate d is kept
-// exact: pend drops per injection, held tracks parked messages, and
-// the port's next buffered tag (if any) is folded into due.
-func (s *System) relaxInjectPort(c uint64, b *epochBuf, heldQ *[]*mem.Msg, d *relaxDir, toL2 bool) (injected, held int) {
-	send := s.Net.SendToL1
-	if toL2 {
-		send = s.Net.SendToL2
-	}
-	for len(*heldQ) > 0 && send((*heldQ)[0]) {
+// port holds too — ports are FIFO. The aggregate is kept exact: pend
+// drops per injection, held tracks parked messages, and the port's
+// next buffered tag (if any) is folded into due.
+func (s *System) relaxInjectPort(c uint64, b *epochBuf, heldQ *[]*mem.Msg) (injected, held int) {
+	d := &s.relaxToL2
+	for len(*heldQ) > 0 && s.Net.SendToL2((*heldQ)[0]) {
 		(*heldQ)[0] = nil
 		*heldQ = (*heldQ)[1:]
-		s.relaxHeld--
 		d.held--
 		d.pend--
 		injected++
@@ -421,13 +367,12 @@ func (s *System) relaxInjectPort(c uint64, b *epochBuf, heldQ *[]*mem.Msg, d *re
 		msg := b.buf[b.cur].msg
 		b.buf[b.cur].msg = nil
 		b.cur++
-		if len(*heldQ) == 0 && send(msg) {
+		if len(*heldQ) == 0 && s.Net.SendToL2(msg) {
 			d.pend--
 			injected++
 			continue
 		}
 		*heldQ = append(*heldQ, msg)
-		s.relaxHeld++
 		d.held++
 		held++
 	}
@@ -437,19 +382,12 @@ func (s *System) relaxInjectPort(c uint64, b *epochBuf, heldQ *[]*mem.Msg, d *re
 	return injected, held
 }
 
-// RelaxedHeld reports how many barrier injections are currently parked
-// behind full ports.
-func (s *System) RelaxedHeld() int { return s.relaxHeld }
-
 // relaxPending counts relaxed-mode in-flight work: buffered epoch
 // sends not yet replayed plus held-queue messages. Zero whenever
 // relaxed mode is off.
 func (s *System) relaxPending() int {
-	n := s.relaxHeld
+	n := s.relaxToL2.held
 	for _, b := range s.relaxL1 {
-		n += b.pending()
-	}
-	for _, b := range s.relaxL2 {
 		n += b.pending()
 	}
 	return n

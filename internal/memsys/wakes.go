@@ -104,12 +104,6 @@ func (s *System) initWakes() {
 // here) so every timed component shares a single deterministic agenda.
 func (s *System) AddSlot() int { return s.Wakes.AddSlot() }
 
-// SetComponentWakes arms or disarms the ingress hooks. The event
-// engine arms them for its phases; the relaxed engine, which never
-// drains the agenda, disarms them so their registrations do not
-// accumulate unread.
-func (s *System) SetComponentWakes(on bool) { s.compWakes = on }
-
 // due reports whether a slot's wake means "tick this cycle": Hot (0)
 // always, Never never, a concrete wake when it has arrived. Overdue
 // concrete wakes (< now) can only arise from the Horizon clamp; they

@@ -76,16 +76,13 @@ type RelaxedStats struct {
 	SMDomainSkipped  uint64
 	MemDomainCycles  uint64
 	MemDomainSkipped uint64
-	// ExchangedMsgs counts NoC injections replayed at epoch barriers;
-	// HeldMsgs counts the subset that met a full port on their tagged
-	// cycle and were deferred (the one relaxed-mode timing perturbation
-	// beyond barrier-crossing delivery).
+	// ExchangedMsgs counts SM-domain NoC injections replayed at epoch
+	// barriers; HeldMsgs counts the subset that met a full port on
+	// their tagged cycle and were deferred (the one relaxed-mode timing
+	// perturbation beyond barrier-crossing delivery). Banks send
+	// straight into the NoC and count in neither.
 	ExchangedMsgs uint64
 	HeldMsgs      uint64
-	// DomainEpochs[i] counts epochs in which domain i executed at least
-	// one real cycle (domains 0..numSMs-1 are SM domains; the final
-	// entry is the serialized mem-domain chain).
-	DomainEpochs []uint64
 }
 
 // Dispatches is the total number of event dispatches the event engine

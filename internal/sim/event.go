@@ -125,7 +125,6 @@ func (s *Simulator) runPhaseEvent(ctx context.Context, stopAt uint64) (bool, err
 	// flush, a checkpoint restore — mutates components outside any
 	// dispatch.
 	s.flushSMs()
-	s.Sys.SetComponentWakes(true)
 	for i := range s.SMs {
 		ev.clocks[i] = s.now
 		s.Sys.Wakes.Schedule(ev.smBase+i, sched.Hot)
@@ -278,7 +277,6 @@ func (s *Simulator) drainPhaseEvent(ctx context.Context, stopAt uint64) (bool, e
 	st := s.cur
 	ev := s.ensureEventState()
 	s.flushSMs()
-	s.Sys.SetComponentWakes(true)
 	for i := range s.SMs {
 		s.Sys.Wakes.Schedule(ev.smBase+i, sched.Never)
 	}

@@ -33,18 +33,14 @@ var faultProtocols = []struct {
 	{"dir", memsys.DIR},
 }
 
-// checkFaultInvariants applies the ordering rule that holds for the
-// protocol under SC to a recorded log.
-func checkFaultInvariants(t *testing.T, p memsys.Protocol, ops []check.Record) {
+// checkOrdering applies the ordering invariant of the run's
+// configuration (Config.Ordering) to its operation log.
+func checkOrdering(t *testing.T, cfg Config, ops []check.Record) {
 	t.Helper()
-	var vio []check.Violation
-	if p == memsys.GTSC {
-		vio = check.CheckTimestampOrder(ops, 3)
-	} else {
-		vio = check.CheckPhysical(ops, 3)
-	}
-	if len(vio) > 0 {
-		t.Fatalf("ordering invariant violated: %v", vio[0].Error())
+	if order := cfg.Ordering(); order != nil {
+		if vio := order(ops, 3); len(vio) > 0 {
+			t.Fatalf("ordering invariant violated: %v", vio[0].Error())
+		}
 	}
 }
 
@@ -104,14 +100,14 @@ func TestLitmusUnderFaults(t *testing.T) {
 					if flag, data := r[1][0], r[1][1]; flag == 1 && data == 0 {
 						t.Fatalf("forbidden MP outcome flag=1,data=0 under [%s]", cfg.Mem.Fault)
 					}
-					checkFaultInvariants(t, pc.p, rec.Ops())
+					checkOrdering(t, cfg, rec.Ops())
 
 					cfg, rec = newCfg()
 					r = runLitmus(t, cfg, sb)
 					if r[0][0] == 0 && r[1][0] == 0 {
 						t.Fatalf("forbidden SB outcome 0/0 under [%s]", cfg.Mem.Fault)
 					}
-					checkFaultInvariants(t, pc.p, rec.Ops())
+					checkOrdering(t, cfg, rec.Ops())
 				})
 			}
 		}
@@ -171,7 +167,7 @@ func TestInjectQueueOne(t *testing.T) {
 			if rec.Len() == 0 {
 				t.Fatal("no operations observed")
 			}
-			checkFaultInvariants(t, pc.p, rec.Ops())
+			checkOrdering(t, cfg, rec.Ops())
 		})
 	}
 }

@@ -20,7 +20,8 @@
 // barrier the master replays the whole shared side over the window —
 // injecting buffered requests at their tagged cycles, ticking the
 // banks so those requests are serviced at their true arrival cycles,
-// and putting the responses on the wire within the same window — then
+// and letting the banks put their responses straight on the wire
+// within the same window — then
 // commits deferred CTA refills in SM order and merges staged
 // observations in canonical cycle order. The schedule of every domain
 // therefore depends only on its own state and the barrier-delivered
@@ -34,7 +35,8 @@
 // cycle and its response comes back cycle-exactly, but the SM only
 // *observes* the response at the next barrier, so each dependent
 // round trip stretches by at most one epoch-boundary rounding;
-// barrier replay into a full port adds queueing the sender never saw.
+// barrier replay of an SM-domain send into a full port adds queueing
+// the sending L1 never saw.
 // Both are pure added latency on coherence traffic — the same
 // perturbation class the chaos fault plans inject deliberately — and
 // every protocol here is latency-tolerant by construction, so final
@@ -122,9 +124,6 @@ func (s *Simulator) runPhaseRelaxed(ctx context.Context, stopAt uint64) (bool, e
 	rx := s.ensureRelaxed()
 	slack := s.Cfg.SlackCycles
 
-	// Relaxed phases never drain the wake agenda, so the ingress hooks
-	// must be inert.
-	s.Sys.SetComponentWakes(false)
 	s.Sys.RelaxedBegin()
 	defer s.Sys.RelaxedEnd()
 	for _, sm := range s.SMs {
@@ -157,11 +156,6 @@ func (s *Simulator) runPhaseRelaxed(ctx context.Context, stopAt uint64) (bool, e
 	}
 	s.eng.Workers = workers
 	s.eng.Relaxed.SlackCycles = slack
-	if s.eng.Relaxed.DomainEpochs == nil {
-		// +1: the final entry counts barrier exchanges that ticked the
-		// shared mem side at least once.
-		s.eng.Relaxed.DomainEpochs = make([]uint64, domains+1)
-	}
 	rx.pl = s.newPhaseLabels()
 	defer rx.pl.clear()
 
@@ -230,9 +224,6 @@ func (s *Simulator) runPhaseRelaxed(ctx context.Context, stopAt uint64) (bool, e
 		s.eng.Relaxed.HeldMsgs += uint64(held)
 		rx.memTicks += mticks
 		rx.memSkipped += mskipped
-		if mticks > 0 {
-			s.eng.Relaxed.DomainEpochs[len(s.SMs)]++
-		}
 		if grid {
 			for i, sm := range s.SMs {
 				if sm.PendingFill() {
@@ -304,7 +295,6 @@ func (s *Simulator) relaxedRunSM(i int, from, to uint64) {
 			}
 		}
 	}
-	s.eng.Relaxed.DomainEpochs[i]++
 	st := sm.Stats()
 	for c < to {
 		c++

@@ -12,9 +12,7 @@ import (
 	"github.com/gtsc-sim/gtsc/internal/check"
 	"github.com/gtsc-sim/gtsc/internal/checkpoint"
 	"github.com/gtsc-sim/gtsc/internal/fault"
-	"github.com/gtsc-sim/gtsc/internal/gpu"
 	"github.com/gtsc-sim/gtsc/internal/mem"
-	"github.com/gtsc-sim/gtsc/internal/memsys"
 	"github.com/gtsc-sim/gtsc/internal/sim"
 	"github.com/gtsc-sim/gtsc/internal/stats"
 	"github.com/gtsc-sim/gtsc/internal/workload"
@@ -55,25 +53,14 @@ func touchedBlocks(a, b *sim.Simulator) []mem.BlockAddr {
 	return out
 }
 
-// checkOrdering applies the protocol's ordering invariant to a
-// recorded operation log (mirrors the gtscsim -check dispatch; TC
-// under RC is TC-Weak, whose bounded staleness has no log-level
-// invariant — functional verification still applies).
-func checkOrdering(t *testing.T, p memsys.Protocol, cons gpu.Consistency, ops []check.Record) {
+// checkOrdering applies the ordering invariant of the run's
+// configuration (sim.Config.Ordering) to its operation log.
+func checkOrdering(t *testing.T, cfg sim.Config, ops []check.Record) {
 	t.Helper()
-	var vio []check.Violation
-	switch p {
-	case memsys.GTSC:
-		vio = check.CheckTimestampOrder(ops, 3)
-	case memsys.BL, memsys.DIR:
-		vio = check.CheckPhysical(ops, 3)
-	case memsys.TC:
-		if cons == gpu.SC {
-			vio = check.CheckPhysical(ops, 3)
+	if order := cfg.Ordering(); order != nil {
+		if vio := order(ops, 3); len(vio) > 0 {
+			t.Fatalf("ordering invariant violated: %v", vio[0].Error())
 		}
-	}
-	if len(vio) > 0 {
-		t.Fatalf("ordering invariant violated: %v", vio[0].Error())
 	}
 }
 
@@ -111,7 +98,7 @@ func TestRelaxedSlackFunctionalEquivalence(t *testing.T) {
 					if _, err := wl.Build(1).RunOn(s); err != nil {
 						t.Fatalf("slack=%d: %v", slack, err)
 					}
-					checkOrdering(t, c.Mem.Protocol, c.SM.Consistency, rec.Ops())
+					checkOrdering(t, c, rec.Ops())
 					return s, rec
 				}
 

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 
+	"github.com/gtsc-sim/gtsc/internal/check"
 	"github.com/gtsc-sim/gtsc/internal/coherence"
 	"github.com/gtsc-sim/gtsc/internal/diag"
 	"github.com/gtsc-sim/gtsc/internal/energy"
@@ -97,6 +98,22 @@ func DefaultConfig() Config {
 		Mem: memsys.DefaultConfig(),
 		SM:  gpu.SMConfig{Consistency: gpu.RC},
 	}
+}
+
+// Ordering returns the ordering invariant a run under c must satisfy
+// over its recorded operation log: timestamp order for G-TSC under
+// every model, physical linearizability for BL, the directory and
+// TC-Strong (TC under SC). It returns nil where only functional
+// verification applies — TC-Weak permits bounded staleness, and the
+// non-coherent L1 promises no ordering at all.
+func (c Config) Ordering() func(ops []check.Record, limit int) []check.Violation {
+	switch p := c.Mem.Protocol; {
+	case p == memsys.GTSC:
+		return check.CheckTimestampOrder
+	case p == memsys.BL, p == memsys.DIR, p == memsys.TC && c.SM.Consistency == gpu.SC:
+		return check.CheckPhysical
+	}
+	return nil
 }
 
 // run phases of one kernel execution.

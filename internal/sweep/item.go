@@ -86,21 +86,24 @@ func (it Item) withDefaults() Item {
 	if it.Scale == 0 {
 		it.Scale = 1
 	}
+	if it.Consistency == "" {
+		it.Consistency = "rc"
+	}
 	return it
 }
 
 // Instance resolves and builds the workload at the item's scale.
 func (it Item) Instance() (*workload.Instance, error) {
 	it = it.withDefaults()
-	wl, ok := workload.ByName(it.Workload)
-	if !ok {
-		wl, ok = workload.MicroByName(it.Workload)
-	}
+	wl, ok := workload.Lookup(it.Workload)
 	if !ok {
 		return nil, fmt.Errorf("sweep: unknown workload %q", it.Workload)
 	}
-	if it.Protocol == "l1nc" && wl.NeedsCoherence {
-		return nil, fmt.Errorf("sweep: workload %s requires coherence and is not runnable under l1nc", wl.Name)
+	// An unknown protocol is SimConfig's error to report.
+	if p, err := memsys.ParseProtocol(it.Protocol); err == nil {
+		if err := wl.CheckProtocol(p); err != nil {
+			return nil, fmt.Errorf("sweep: %w", err)
+		}
 	}
 	return wl.Build(it.Scale), nil
 }
@@ -124,35 +127,22 @@ func (it Item) SimConfig(attempt int) (sim.Config, error) {
 	if it.MaxCycles > 0 {
 		cfg.MaxCycles = it.MaxCycles
 	}
-	switch it.Protocol {
-	case "gtsc":
-		cfg.Mem.Protocol = memsys.GTSC
+	var err error
+	if cfg.Mem.Protocol, err = memsys.ParseProtocol(it.Protocol); err != nil {
+		return cfg, fmt.Errorf("sweep: %w", err)
+	}
+	switch cfg.Mem.Protocol {
+	case memsys.GTSC:
 		if it.Lease != 0 {
 			cfg.Mem.GTSC.Lease = it.Lease
 		}
-	case "tc":
-		cfg.Mem.Protocol = memsys.TC
+	case memsys.TC:
 		if it.Lease != 0 {
 			cfg.Mem.TC.Lease = it.Lease
 		}
-	case "bl":
-		cfg.Mem.Protocol = memsys.BL
-	case "l1nc":
-		cfg.Mem.Protocol = memsys.L1NC
-	case "dir":
-		cfg.Mem.Protocol = memsys.DIR
-	default:
-		return cfg, fmt.Errorf("sweep: unknown protocol %q", it.Protocol)
 	}
-	switch it.Consistency {
-	case "rc", "":
-		cfg.SM.Consistency = gpu.RC
-	case "sc":
-		cfg.SM.Consistency = gpu.SC
-	case "tso":
-		cfg.SM.Consistency = gpu.TSO
-	default:
-		return cfg, fmt.Errorf("sweep: unknown consistency %q", it.Consistency)
+	if cfg.SM.Consistency, err = gpu.ParseConsistency(it.Consistency); err != nil {
+		return cfg, fmt.Errorf("sweep: %w", err)
 	}
 	if it.FaultSeed != 0 {
 		cfg.Mem.Fault = fault.Chaos(experiments.DeriveFaultSeed(it.FaultSeed, attempt))

@@ -25,6 +25,7 @@ import (
 
 	"github.com/gtsc-sim/gtsc/internal/gpu"
 	"github.com/gtsc-sim/gtsc/internal/mem"
+	"github.com/gtsc-sim/gtsc/internal/memsys"
 	"github.com/gtsc-sim/gtsc/internal/sim"
 	"github.com/gtsc-sim/gtsc/internal/stats"
 )
@@ -107,6 +108,24 @@ func CoherenceSet() []*Workload {
 // NonCoherenceSet returns the six benchmarks that do not.
 func NonCoherenceSet() []*Workload {
 	return []*Workload{CCP(), GE(), HS(), KM(), BP(), SGM()}
+}
+
+// Lookup finds a benchmark or, failing that, a microbenchmark by its
+// (case-sensitive) name.
+func Lookup(name string) (*Workload, bool) {
+	if w, ok := ByName(name); ok {
+		return w, true
+	}
+	return MicroByName(name)
+}
+
+// CheckProtocol reports whether w can run under protocol p: a workload
+// that needs coherence reaches the wrong result on the non-coherent L1.
+func (w *Workload) CheckProtocol(p memsys.Protocol) error {
+	if p == memsys.L1NC && w.NeedsCoherence {
+		return fmt.Errorf("workload %s requires coherence and is not runnable under l1nc", w.Name)
+	}
+	return nil
 }
 
 // ByName looks a workload up by its (case-sensitive) name.
