@@ -381,16 +381,16 @@ func printEngineLine(eng *sim.EngineStats) {
 	fmt.Printf("engine: mode=%s simworkers=%d executed=%d skipped=%d (windows %d, mean width %.1f) dispatches=%d (hierarchy %d + sm %d) sm_sleep_cycles=%d sm_wakes=%d\n",
 		eng.Mode(), eng.Workers, executed, eng.SkippedCycles(), eng.SkipWindows, eng.MeanSkipWidth(),
 		eng.Dispatches(), eng.EventCycles, eng.SMTicks, eng.SMSleepCycles, eng.SMWakes)
-	// Per-component dispatch breakdown: of the hierarchy dispatches
-	// above, which component Ticks actually ran vs slept.
+	// Per-component dispatch breakdown: which component Ticks actually
+	// ran vs slept, on event cycles and in relaxed barrier replays.
 	// Relaxed-sync breakdown (only when -slack engaged): epoch count,
-	// how the domains spent the windows (executed vs skipped domain
-	// cycles), and the barrier NoC replay's traffic.
+	// how the SM domains spent the windows (executed vs skipped domain
+	// cycles), and the barrier NoC replay's traffic; the replay's
+	// shared-side dispatch is in the hierarchy line below.
 	if r := &eng.Relaxed; r.Epochs > 0 {
-		fmt.Printf("engine: relaxed slack=%d epochs=%d sm_domain_cycles=%d/%d skipped mem_domain_cycles=%d/%d skipped exchanged=%d held=%d\n",
+		fmt.Printf("engine: relaxed slack=%d epochs=%d sm_domain_cycles=%d/%d skipped exchanged=%d held=%d\n",
 			r.SlackCycles, r.Epochs,
 			r.SMDomainCycles, r.SMDomainSkipped,
-			r.MemDomainCycles, r.MemDomainSkipped,
 			r.ExchangedMsgs, r.HeldMsgs)
 	}
 	c := &eng.Comp

@@ -7,7 +7,7 @@
 // disk literally. What CAN be relied on is the engine's determinism:
 // the same configuration and workload replayed in a fresh process
 // passes through bit-identical machine states at every cycle (the
-// property the 84-row golden-fingerprint table pins). A checkpoint
+// property the 96-row golden-fingerprint table pins). A checkpoint
 // therefore records a *coordinate* — workload identity, configuration
 // hash, completed-kernel count and the global cycle — plus an FNV-1a
 // digest of the complete machine state at that coordinate. Restore
@@ -53,16 +53,6 @@ type Checkpoint struct {
 	// Digest is the machine-state digest at the coordinate; restore
 	// replays to Cycle and verifies it reproduced this exact state.
 	Digest uint64
-	// PauseCycles is every stop cycle this execution has paused at, in
-	// order. Under the exact engine a
-	// pause is pure suspension and replay could ignore these; under
-	// relaxed sync (SlackCycles > 0) a mid-window pause clamps the
-	// current epoch, inserting an extra exchange that perturbs the
-	// trajectory from that point on, so the replay must pause at every
-	// cycle the original run paused at to pass through the same machine
-	// states. Recording them unconditionally keeps restore one code
-	// path for both.
-	PauseCycles []uint64
 }
 
 // ConfigHash canonically hashes a simulator configuration. The
@@ -97,7 +87,7 @@ func ConfigHash(cfg sim.Config) uint64 {
 // binaries reject new files loudly instead of misreading them.
 const (
 	ckptMagic    = "GTSCCKPT"
-	codecVersion = 2        // v2: appended PauseCycles (pause-schedule replay)
+	codecVersion = 3        // v3: dropped v2's pause schedule (pausing is pure suspension)
 	maxFrame     = 64 << 20 // sanity bound on a frame length field
 )
 
@@ -130,12 +120,7 @@ func (ck *Checkpoint) marshal() []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, ck.Cycle)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ck.Phase)))
 	buf = append(buf, ck.Phase...)
-	buf = binary.LittleEndian.AppendUint64(buf, ck.Digest)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ck.PauseCycles)))
-	for _, p := range ck.PauseCycles {
-		buf = binary.LittleEndian.AppendUint64(buf, p)
-	}
-	return buf
+	return binary.LittleEndian.AppendUint64(buf, ck.Digest)
 }
 
 func (ck *Checkpoint) unmarshal(buf []byte) error {
@@ -185,20 +170,6 @@ func (ck *Checkpoint) unmarshal(buf []byte) error {
 	}
 	if ck.Digest, ok = u64(); !ok {
 		return ErrCorrupt
-	}
-	if len(buf) < 4 {
-		return ErrCorrupt
-	}
-	n := binary.LittleEndian.Uint32(buf)
-	buf = buf[4:]
-	if uint64(len(buf)) < uint64(n)*8 {
-		return ErrCorrupt
-	}
-	if n > 0 {
-		ck.PauseCycles = make([]uint64, n)
-		for i := range ck.PauseCycles {
-			ck.PauseCycles[i], _ = u64()
-		}
 	}
 	return nil
 }

@@ -18,7 +18,6 @@ func testCheckpoint() *Checkpoint {
 		Cycle:       123456789,
 		Phase:       "drain",
 		Digest:      0x0123456789ABCDEF,
-		PauseCycles: []uint64{1000, 65537, 123456789},
 	}
 }
 
@@ -74,7 +73,7 @@ func TestCheckpointDecodeCorruption(t *testing.T) {
 	})
 	t.Run("bad version", func(t *testing.T) {
 		b := append([]byte(nil), good...)
-		b[len(ckptMagic)] = 99
+		b[len(ckptMagic)] = 2 // the previous layout, with a pause schedule
 		_, err := Decode(bytes.NewReader(b))
 		if err == nil || errors.Is(err, ErrCorrupt) {
 			t.Errorf("err = %v, want a distinct unsupported-version error", err)

@@ -32,7 +32,6 @@ type Execution struct {
 	sim      *sim.Simulator
 	agg      *stats.Run
 	finished bool
-	pauses   []uint64 // every stop cycle paused at (Checkpoint.PauseCycles)
 }
 
 // NewExecution builds a fresh execution (cycle 0, nothing run).
@@ -58,15 +57,12 @@ func (e *Execution) Run(ctx context.Context) (*stats.Run, error) {
 }
 
 // RunUntil advances the execution until it completes or the global
-// clock reaches stopAt (0 = run to completion). Resuming a pause — in
-// this process, or in another one via Checkpoint/ResumeExecution —
-// continues the exact suspended trajectory. Under the bit-exact
-// engines that trajectory is also identical to an unpaused run's;
-// under relaxed sync (SlackCycles > 0) a mid-window pause clamps the
-// current epoch, which perturbs cycle counts the same bounded,
-// functionally-invisible way slack itself does
-// (TestRelaxedPauseFunctionalEquivalence), so every pause is recorded
-// for ResumeExecution's replay to reproduce.
+// clock reaches stopAt (0 = run to completion); under relaxed sync
+// (SlackCycles > 0) the pause lands on the first epoch barrier at or
+// after stopAt (see sim.Simulator.RunUntil). Pausing is pure
+// suspension on either engine: resuming — in this process, or in
+// another one via Checkpoint/ResumeExecution — continues a trajectory
+// identical to an unpaused run's.
 func (e *Execution) RunUntil(ctx context.Context, stopAt uint64) (*stats.Run, bool, error) {
 	if e.finished {
 		return e.agg, false, nil
@@ -82,7 +78,6 @@ func (e *Execution) RunUntil(ctx context.Context, stopAt uint64) (*stats.Run, bo
 			return e.agg, false, nil
 		}
 		if stopAt != 0 && e.sim.Now() >= stopAt {
-			e.notePause(stopAt)
 			return nil, true, nil // suspended at a kernel boundary
 		}
 		if !e.sim.Paused() && ctx.Err() != nil {
@@ -110,7 +105,6 @@ func (e *Execution) RunUntil(ctx context.Context, stopAt uint64) (*stats.Run, bo
 			return nil, false, err
 		}
 		if paused {
-			e.notePause(stopAt)
 			return nil, true, nil
 		}
 		if e.agg == nil {
@@ -119,17 +113,6 @@ func (e *Execution) RunUntil(ctx context.Context, stopAt uint64) (*stats.Run, bo
 			e.agg.Accumulate(run)
 		}
 	}
-}
-
-// notePause records a stop cycle the execution paused at, so a
-// cross-process resume can replay the identical pause schedule
-// (consecutive duplicate stop cycles collapse — re-pausing at a cycle
-// already reached advances nothing).
-func (e *Execution) notePause(stopAt uint64) {
-	if n := len(e.pauses); n > 0 && e.pauses[n-1] == stopAt {
-		return
-	}
-	e.pauses = append(e.pauses, stopAt)
 }
 
 // Checkpoint captures the execution's current coordinate and state
@@ -145,7 +128,6 @@ func (e *Execution) Checkpoint() *Checkpoint {
 		Cycle:       snap.Cycle,
 		Phase:       snap.Phase,
 		Digest:      snap.Digest,
-		PauseCycles: append([]uint64(nil), e.pauses...),
 	}
 }
 
@@ -169,22 +151,11 @@ func ResumeExecution(ck *Checkpoint, cfg sim.Config, inst *workload.Instance, na
 	if ck.Cycle == 0 && ck.KernelIndex == 0 && ck.Phase == "idle" {
 		return e, nil // checkpointed before anything ran
 	}
-	// Deterministic replay to the recorded coordinate, pausing at every
-	// cycle the original run paused at: under relaxed sync each pause
-	// clamps an epoch and perturbs the trajectory from there on, so the
-	// replay must take the same pause schedule to pass through the same
-	// machine states (under the exact engine the extra pauses are
-	// pure suspension — same trajectory either way). Replaying the
-	// schedule also re-records it, so a resumed execution's own future
-	// checkpoints carry the full history across repeated handoffs.
-	for _, p := range ck.PauseCycles {
-		if p >= ck.Cycle {
-			break
-		}
-		if _, _, err := e.RunUntil(context.Background(), p); err != nil {
-			return nil, fmt.Errorf("checkpoint: replay failed at pause %d: %w", p, err)
-		}
-	}
+	// Deterministic replay to the recorded coordinate. However often the
+	// original run paused on its way there, its trajectory is the
+	// unpaused one, so a single pause reaches the same machine state
+	// (under relaxed sync the checkpointed cycle is an epoch barrier,
+	// which is where the replay's pause lands).
 	_, _, err := e.RunUntil(context.Background(), ck.Cycle)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: replay failed: %w", err)

@@ -12,12 +12,11 @@ import (
 	"github.com/gtsc-sim/gtsc/internal/stats"
 )
 
-// BankGeometry is the organization of one shared L2 bank.
+// BankGeometry is the organization of one shared L2 bank. A bank
+// services one request per cycle.
 type BankGeometry struct {
 	Sets int
 	Ways int
-	// PerCycle is the bank's request service rate (default 1).
-	PerCycle int
 }
 
 // Miss is one outstanding DRAM read of a bank and the requests that
@@ -34,10 +33,11 @@ type Miss struct {
 
 // Bank is the protocol-independent half of a shared L2 bank,
 // generic over the per-line protocol metadata M: the tag array, the
-// input queue and its service rate, the NoC and DRAM output queues
-// with their backpressure, the message pool the bank's DRAM partition
-// shares, the miss table with its free list and the sorted list of
-// stalled fills, the clock, the observer and the first-failure latch.
+// input queue it services one request per cycle, the NoC and DRAM
+// output queues with their backpressure, the message pool the bank's
+// DRAM partition shares, the miss table with its free list and the
+// sorted list of stalled fills, the clock, the observer and the
+// first-failure latch.
 //
 // Every bank embeds one and keeps only its coherence decisions. Bank
 // supplies the accessors of the L2 interface (Pool, Stats, SyncClock,
@@ -51,7 +51,6 @@ type Bank[M any] struct {
 	Array    *cache.Array[M]
 
 	name     string // component name, e.g. "gtsc-l2"
-	perCycle int
 	inQ      mem.MsgQueue
 	sendNoC  Sender
 	sendDRAM Sender
@@ -73,12 +72,9 @@ type Bank[M any] struct {
 // responses toward SMs; sendDRAM feeds the bank's memory partition.
 // obs may be nil.
 func NewBank[M any](name string, id int, geo BankGeometry, sendNoC, sendDRAM Sender, obs Observer) Bank[M] {
-	if geo.PerCycle == 0 {
-		geo.PerCycle = 1
-	}
 	return Bank[M]{
 		ID: id, Obs: obs, Array: cache.NewArray[M](geo.Sets, geo.Ways),
-		name: name, perCycle: geo.PerCycle, sendNoC: sendNoC, sendDRAM: sendDRAM,
+		name: name, sendNoC: sendNoC, sendDRAM: sendDRAM,
 		pool: &mem.Pool{}, miss: make(map[mem.BlockAddr]*Miss),
 	}
 }
@@ -197,10 +193,10 @@ func (b *Bank[M]) Drain(now uint64) {
 // is still queued, so the bank accepts no new request this cycle.
 func (b *Bank[M]) Blocked() bool { return !b.outNoC.Empty() || !b.outDRAM.Empty() }
 
-// Service hands up to the bank's per-cycle rate of queued requests to
-// serve, oldest first.
+// Service hands the oldest queued request, if any, to serve: a bank
+// services one request per cycle.
 func (b *Bank[M]) Service(serve func(msg *mem.Msg)) {
-	for i := 0; i < b.perCycle && !b.inQ.Empty(); i++ {
+	if !b.inQ.Empty() {
 		serve(b.inQ.Pop())
 	}
 }

@@ -121,7 +121,7 @@ func (s *SM) Quiesce() (StallProbe, bool) {
 			// LDST queue is empty here (checked above), so only the
 			// RC in-flight-load bound can block without side effects.
 			if s.cfg.Consistency == RC && instr.Op != OpStore &&
-				w.pendingAcc >= s.cfg.MaxPendingLoads {
+				w.pendingAcc >= maxPendingLoads {
 				p.Mem = true
 				continue
 			}

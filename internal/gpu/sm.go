@@ -87,32 +87,26 @@ func ParseScheduler(name string) (Scheduler, error) {
 	return 0, fmt.Errorf("unknown scheduler %q", name)
 }
 
-// SMConfig sets per-SM pipeline parameters.
+// SMConfig sets per-SM pipeline parameters. An SM issues at most one
+// instruction per cycle.
 type SMConfig struct {
-	MaxWarps   int // resident warp contexts (paper: 48)
-	IssueWidth int // instructions issued per cycle (default 1)
-	// MaxPendingLoads bounds a warp's in-flight load accesses under RC
-	// (default 8; SC is inherently 1).
-	MaxPendingLoads int
-	// LDSTQueue is the depth of the memory-instruction queue feeding
-	// the coalescer/L1, one access dispatched per cycle (default 4).
-	LDSTQueue   int
+	MaxWarps    int // resident warp contexts (paper: 48)
 	Consistency Consistency
 	Scheduler   Scheduler
 }
 
+const (
+	// maxPendingLoads bounds a warp's in-flight load accesses under RC
+	// (SC is inherently 1).
+	maxPendingLoads = 8
+	// ldstQueueDepth is the depth of the memory-instruction queue
+	// feeding the coalescer/L1, one access dispatched per cycle.
+	ldstQueueDepth = 4
+)
+
 func (c *SMConfig) fillDefaults() {
 	if c.MaxWarps == 0 {
 		c.MaxWarps = 48
-	}
-	if c.IssueWidth == 0 {
-		c.IssueWidth = 1
-	}
-	if c.MaxPendingLoads == 0 {
-		c.MaxPendingLoads = 8
-	}
-	if c.LDSTQueue == 0 {
-		c.LDSTQueue = 4
 	}
 }
 
@@ -282,8 +276,8 @@ func (s *SM) pumpLDST() {
 	job.next++
 	if job.next == len(job.accs) {
 		job.warp.dispatching = false
-		// Shift-down dequeue: the queue is bounded (LDSTQueue, default
-		// 4), so copying the tail reuses the backing array forever where
+		// Shift-down dequeue: the queue is bounded (ldstQueueDepth),
+		// so copying the tail reuses the backing array forever where
 		// re-slicing would leak capacity and re-allocate on every append.
 		copy(s.ldst, s.ldst[1:])
 		s.ldst = s.ldst[:len(s.ldst)-1]
@@ -351,42 +345,39 @@ const (
 	blockedComp
 )
 
-// issue scans warps in loose round-robin order and issues up to
-// IssueWidth instructions; if nothing issues while live warps remain,
-// the cycle is a stall, classified by the strongest reason seen.
+// issue scans warps in scheduler order and issues the first ready
+// instruction; if nothing issues while live warps remain, the cycle is
+// a stall, classified by the strongest reason seen.
 func (s *SM) issue() {
 	if s.liveWarps == 0 {
 		return
 	}
-	issued := 0
+	issued := false
 	sawMem, sawBarrier := false, false
 	for _, w := range s.scanOrder() {
-		if issued >= s.cfg.IssueWidth {
-			break
-		}
 		if w.finished {
 			continue
 		}
 		ok, reason := s.tryIssue(w)
 		if ok {
-			issued++
+			issued = true
 			s.lastIssued = w
 			if s.cfg.Scheduler == LRR {
 				s.advanceRR(w)
 			}
-		} else {
-			switch reason {
-			case blockedMem:
-				sawMem = true
-			case blockedBarrier:
-				sawBarrier = true
-			}
+			break
+		}
+		switch reason {
+		case blockedMem:
+			sawMem = true
+		case blockedBarrier:
+			sawBarrier = true
 		}
 	}
 	s.reapFinished()
-	if issued > 0 {
+	if issued {
 		s.stats.ActiveCycles++
-		s.stats.InstrIssued += uint64(issued)
+		s.stats.InstrIssued++
 		return
 	}
 	if s.liveWarps == 0 {
@@ -528,10 +519,10 @@ func (s *SM) tryIssue(w *Warp) (bool, blockReason) {
 }
 
 func (s *SM) issueMem(w *Warp, instr *Instr) (bool, blockReason) {
-	if len(s.ldst) >= s.cfg.LDSTQueue {
+	if len(s.ldst) >= ldstQueueDepth {
 		return false, blockedMem
 	}
-	if s.cfg.Consistency == RC && instr.Op != OpStore && w.pendingAcc >= s.cfg.MaxPendingLoads {
+	if s.cfg.Consistency == RC && instr.Op != OpStore && w.pendingAcc >= maxPendingLoads {
 		return false, blockedMem
 	}
 	g := s.getGroup()

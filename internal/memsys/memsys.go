@@ -85,10 +85,10 @@ type Config struct {
 	// MaxWarps sizes the per-warp timestamp table (paper: 48).
 	MaxWarps int
 
-	// L2 per bank: 128KB, 128B lines, 8-way -> 128 sets.
-	L2Sets     int
-	L2Ways     int
-	L2PerCycle int
+	// L2 per bank: 128KB, 128B lines, 8-way -> 128 sets; each bank
+	// services one request per cycle.
+	L2Sets int
+	L2Ways int
 
 	NoC  noc.Config
 	DRAM dram.Config
@@ -108,7 +108,7 @@ func DefaultConfig() Config {
 		NumSMs:   16,
 		NumBanks: 8,
 		L1Sets:   32, L1Ways: 4, L1MSHRs: 32, MaxWarps: 48,
-		L2Sets: 128, L2Ways: 8, L2PerCycle: 1,
+		L2Sets: 128, L2Ways: 8,
 		NoC:  noc.DefaultConfig(),
 		DRAM: dram.DefaultConfig(),
 		GTSC: core.DefaultConfig(),
@@ -141,9 +141,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.L2Ways == 0 {
 		c.L2Ways = d.L2Ways
-	}
-	if c.L2PerCycle == 0 {
-		c.L2PerCycle = d.L2PerCycle
 	}
 }
 
@@ -181,12 +178,6 @@ type System struct {
 	relaxL1   []*epochBuf  // SM domain i -> toL2 port i
 	heldL2    [][]*mem.Msg // backpressured barrier injections, toL2 port i
 	relaxToL2 relaxDir     // aggregate injection state of the SM domains
-	// relaxPartNext caches each DRAM partition's next scheduled event
-	// so the exchange can skip quiescent mem domains per replay cycle;
-	// relaxPartStale marks entries invalidated by a tick, recomputed
-	// lazily on the next quiescent cycle. Reset each RelaxedBegin.
-	relaxPartNext  []uint64
-	relaxPartStale []bool
 
 	// Wakes is the scheduled-wake agenda for the event-driven engine
 	// (see wakes.go); slot layout is [net, partitions, fault shims,
@@ -202,11 +193,10 @@ type System struct {
 	slotRoll int // the fault plan's forced-rollover schedule
 
 	// Per-component dispatch state (see wakes.go). clock is the last
-	// cycle handed to Tick/TickDue/SyncClocks (or replayed by the
-	// relaxed exchange), which the ingress hooks need to compute
-	// post-enqueue wakes; the ticked lists record which components
-	// TickDue dispatched this cycle so RefreshDue re-probes exactly
-	// those.
+	// cycle handed to Tick/TickDue/SyncClocks or the relaxed exchange's
+	// shared part, which the ingress hooks need to compute post-enqueue
+	// wakes; the ticked lists record which components were dispatched
+	// this cycle so RefreshDue re-probes exactly those.
 	clock       uint64
 	tickedParts []int
 	tickedL2s   []int
@@ -252,8 +242,6 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 		s.relaxL1[i] = &epochBuf{} // live wired by each exchange
 	}
 	s.heldL2 = make([][]*mem.Msg, cfg.NumSMs)
-	s.relaxPartNext = make([]uint64, cfg.NumBanks)
-	s.relaxPartStale = make([]bool, cfg.NumBanks)
 
 	s.Parts = make([]*dram.Partition, cfg.NumBanks)
 	for i := range s.Parts {
@@ -276,7 +264,7 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 		}
 		return shimObs(obs, &s.l2Obs[i])
 	}
-	bankGeo := coherence.BankGeometry{Sets: cfg.L2Sets, Ways: cfg.L2Ways, PerCycle: cfg.L2PerCycle}
+	bankGeo := coherence.BankGeometry{Sets: cfg.L2Sets, Ways: cfg.L2Ways}
 	switch cfg.Protocol {
 	case GTSC:
 		s.Resets = core.NewResetController()
@@ -405,10 +393,10 @@ func (s *System) addShim(sh *fault.DelayShim) func(dst int, msg *mem.Msg) {
 }
 
 // wake registers a slot's wake. The relaxed exchange fires the same
-// hooks, always on the master, and nothing reads those registrations;
-// they cannot accumulate because the agenda keeps one entry per slot,
-// and the event engine re-registers every slot from live state on
-// phase entry.
+// hooks, always on the master, and reads the shared side's slots; the
+// L1 slots it marks are never read there (SM domains tick their L1s
+// themselves), and every phase re-registers all slots from live state
+// on entry.
 func (s *System) wake(slot int, at uint64) { s.Wakes.Schedule(slot, at) }
 
 func (s *System) dramSender(bank int) coherence.Sender {

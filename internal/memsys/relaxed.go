@@ -1,18 +1,19 @@
 // Relaxed-synchronization (bounded-slack) execution support: epoch
-// buffers, barrier-time NoC exchange, and staged observation shims.
+// buffers, the barrier-time replay of the shared side, and staged
+// observation shims.
 //
 // In relaxed mode each SM domain — the SM plus its private L1 —
 // free-runs up to a slack bound of N cycles between epoch barriers.
 // Everything an SM domain touches mid-epoch is domain-private; its only
 // cross-domain channel is the NoC, and every NoC injection it attempts
 // is captured in the domain's epochBuf tagged with the domain-local
-// cycle. The shared side — the NoC, the L2 banks and the DRAM
-// partitions — never runs inside an epoch: at the barrier the master
-// replays it cycle by cycle over the epoch window, injecting each
-// buffered message at its tagged cycle in canonical port order and
-// ticking the banks at their true cycles, so the wire-level event
-// sequence depends only on what the domains did — never on how their
-// execution interleaved.
+// cycle. The shared side — the NoC, the DRAM partitions and the L2
+// banks — never runs inside an epoch: at the barrier the master
+// replays it over the epoch window through the exact engine's own
+// shared-side dispatch and wake slots (wakes.go), injecting each
+// buffered message at its tagged cycle in canonical port order, so the
+// wire-level event sequence depends only on what the domains did —
+// never on how their execution interleaved.
 //
 // An SM domain's injections always "succeed" from the sending L1's
 // point of view (the buffer is unbounded); when the replay meets a
@@ -149,10 +150,6 @@ func shimObs(obs coherence.Observer, slot **obsShim) coherence.Observer {
 // RelaxedBegin arms the epoch buffers and observer shims for one
 // relaxed run phase.
 func (s *System) RelaxedBegin() {
-	for b := range s.relaxPartNext {
-		s.relaxPartNext[b] = 0 // forces a tick on the first exchange cycle
-		s.relaxPartStale[b] = false
-	}
 	for _, b := range s.relaxL1 {
 		b.on = true
 	}
@@ -204,33 +201,27 @@ func (s *System) RelaxedTickL1(i int, c uint64) {
 }
 
 // RelaxedExchange is the epoch barrier's coupling phase: it simulates
-// the entire shared side of the machine — the NoC, the L2 banks, and
-// the DRAM partitions — cycle-exactly over (from, to] on the master.
-// Each replay cycle ticks the network (delivering wire arrivals at
-// their true cycles), injects due L1->L2 buffered messages in
-// canonical SM order, and ticks every non-quiescent mem domain (DRAM
-// partition, then its L2 bank — the canonical intra-cycle order),
-// whose responses go straight onto the wire, so a request that
-// arrives mid-window is serviced at its arrival cycle and its response
-// rides the wire within the same barrier. Only the receiving SM
-// domain's *observation* of a response waits for the epoch boundary —
-// the whole round trip no longer pays an epoch per hop, which is what
-// keeps relaxed cycle counts close to bit-exact.
+// the entire shared side of the machine — the NoC, the DRAM partitions
+// and the L2 banks — over (from, to] on the master, through the exact
+// engine's shared-side dispatch. Each executed replay cycle ticks the
+// due shared components in canonical order (wire arrivals deliver at
+// their true cycles; banks send straight onto the wire), then injects
+// the due L1->L2 buffered messages in canonical SM order — where the
+// exact engine's L1 and SM ticks send within a cycle — then
+// re-registers the shared slots' wakes. The replay then jumps to the
+// earliest shared-slot wake or buffered tag, syncing the shared
+// clocks, exactly as the event engine skips a quiet window. A request
+// that arrives mid-window is therefore serviced at its arrival cycle
+// and its response rides the wire within the same barrier; only the
+// receiving SM domain's *observation* of a response waits for the
+// epoch boundary. d accumulates the dispatch decisions.
 //
 // Port backpressure on a replayed L1 send parks it in its port's held
-// queue, preserving FIFO order across cycles and epochs. Quiescent
-// banks with no scheduled DRAM event are skipped per cycle
-// (clock-synced only); a delivery makes a bank non-quiescent and
-// re-engages it the same cycle. When the whole shared side is provably
-// inert — nothing held, no buffered injection due, an idle wire
-// (NextWork is exact after a tick and injections maintain it), and
-// every bank quiescent with no scheduled DRAM event — the replay jumps
-// straight to the next event, exactly the skip the scheduled-wake
-// engine performs. Returns the SM-domain messages replayed into the
-// NoC, the number parked behind a full port, and the mem-domain cycles
-// executed vs skipped.
-func (s *System) RelaxedExchange(from, to uint64) (injected, held int, memTicks, memSkipped uint64) {
-	banks := uint64(len(s.L2s))
+// queue, preserving FIFO order across cycles and epochs; while any
+// message is held the replay executes every cycle. Returns the
+// SM-domain messages replayed into the NoC and the number parked
+// behind a full port.
+func (s *System) RelaxedExchange(from, to uint64, d *DispatchStats) (injected, held int) {
 	// Reconcile the toL2 aggregate from the domain phase's buffered
 	// sends (workers could not maintain it race-free), then take
 	// master ownership so Deliver-triggered L1 sends during the
@@ -250,23 +241,17 @@ func (s *System) RelaxedExchange(from, to uint64) (injected, held int, memTicks,
 			b.live = nil
 		}
 	}()
-	// memNext: cycle at which the bank loop must next run while every
-	// bank is quiescent (min of their partitions' next events); any L2
-	// delivery re-engages the loop regardless, detected in O(1) via the
-	// network's delivery counter.
-	memNext := uint64(0)
-	delivered := s.Net.DeliveredL2()
-	for c := from + 1; c <= to; c++ {
-		s.clock = c
-		s.Net.Tick(c)
-		if d := &s.relaxToL2; d.pend != 0 && (d.held != 0 || d.due <= c) {
-			d.due = noc.Never
+	for c := from; c < to; {
+		c++
+		s.tickShared(c, d)
+		if dl2.pend != 0 && (dl2.held != 0 || dl2.due <= c) {
+			dl2.due = noc.Never
 			for i, b := range s.relaxL1 {
 				// Idle-port fast path: nothing held, nothing due — just
 				// fold the head tag (if any) back into the watermark.
 				if len(s.heldL2[i]) == 0 && (b.cur >= len(b.buf) || b.buf[b.cur].at > c) {
-					if b.cur < len(b.buf) && b.buf[b.cur].at < d.due {
-						d.due = b.buf[b.cur].at
+					if b.cur < len(b.buf) && b.buf[b.cur].at < dl2.due {
+						dl2.due = b.buf[b.cur].at
 					}
 					continue
 				}
@@ -274,78 +259,28 @@ func (s *System) RelaxedExchange(from, to uint64) (injected, held int, memTicks,
 				injected, held = injected+inj, held+h
 			}
 		}
-		if d2 := s.Net.DeliveredL2(); d2 != delivered || memNext <= c {
-			delivered = d2
-			memNext = noc.Never
-			for b, l2 := range s.L2s {
-				if l2.Quiescent() {
-					// Lazily recompute the partition's next event: only
-					// on the busy->quiescent transition, not per busy
-					// cycle.
-					if s.relaxPartStale[b] {
-						s.relaxPartNext[b] = s.Parts[b].NextEvent(c)
-						s.relaxPartStale[b] = false
-					}
-					if s.relaxPartNext[b] > c {
-						l2.SyncClock(c)
-						memSkipped++
-						memNext = min(memNext, s.relaxPartNext[b])
-						continue
-					}
-				}
-				s.Parts[b].Tick(c)
-				l2.Tick(c)
-				s.relaxPartStale[b] = true
-				memTicks++
-				memNext = c + 1 // still (possibly) busy: come back next cycle
-			}
-		} else {
-			memSkipped += banks
-		}
-		if c >= to || s.relaxToL2.held != 0 {
+		s.refreshShared(c)
+		if dl2.held != 0 {
 			continue
 		}
-		// Event-skip: after injection, every remaining buffered message
-		// is tagged > c, so the earliest future event is the min of the
-		// wire's next work, the next due injection, and the bank loop's
-		// next engagement. NextWork is the cheapest bound, so check it
-		// before the rest.
-		next := s.Net.NextWork(c)
-		if next <= c+1 {
-			continue
+		// After injection every remaining buffered message is tagged
+		// > c, so the next cycle that can act is the earlier of the
+		// shared side's horizon and the next due injection.
+		next := s.sharedHorizon(c)
+		if dl2.pend != 0 {
+			next = min(next, dl2.due)
 		}
-		next = min(next, memNext)
-		if s.relaxToL2.pend != 0 {
-			next = min(next, s.relaxToL2.due)
-		}
-		if next > c+1 {
-			j := min(next-1, to)
-			memSkipped += (j - c) * banks
+		if j := min(next-1, to); j > c {
 			c = j
+			s.syncShared(j)
 		}
-	}
-	s.clock = to
-	s.Net.Sync(to)
-	for _, l2 := range s.L2s {
-		l2.SyncClock(to)
 	}
 	for _, b := range s.relaxL1 {
 		if b.cur == len(b.buf) {
 			b.buf, b.cur = b.buf[:0], 0
 		}
 	}
-	return injected, held, memTicks, memSkipped
-}
-
-// RelaxedDeliveryHorizon returns a sound lower bound on the earliest
-// cycle at which an L1 could receive a delivery, given the NoC wire
-// and port state right now (banks send straight into the NoC, so it
-// holds every L1-bound message). Never when no L1-bound traffic
-// exists. The relaxed engine pulls the next epoch barrier in to this
-// cycle (rounded up to its fine grid) so response latency is not
-// stretched to the full slack bound.
-func (s *System) RelaxedDeliveryHorizon(now uint64) uint64 {
-	return s.Net.NextL1Arrival(now)
+	return injected, held
 }
 
 // relaxInjectPort injects one SM domain's due traffic at replay cycle

@@ -9,8 +9,10 @@
 // (how far the clock may jump over fully-idle windows), and they drive
 // DISPATCH: TickDue walks the components in canonical order and ticks
 // only those whose wake is due, so a quiet L2 bank sleeps through
-// cycles on which the rest of the machine is busy. Soundness rests on
-// each component's local contract:
+// cycles on which the rest of the machine is busy. The relaxed
+// exchange (relaxed.go) replays the shared side with the shared parts
+// of TickDue, RefreshDue and SyncClocks on the same slots. Soundness
+// rests on each component's local contract:
 //
 //   - NoC: NextWork is a sound lower bound maintained on every
 //     injection (noc.noteWork) and recomputed after every real tick;
@@ -48,9 +50,11 @@ import "github.com/gtsc-sim/gtsc/internal/sched"
 // DispatchStats counts per-component dispatch decisions made by
 // TickDue: for each component class, how many per-cycle ticks were
 // performed vs skipped because the component's wake was not due
-// (sleep-cycles). All zero for phases the relaxed engine ran. Like the
-// rest of EngineStats these are pure scheduling observability: they
-// never feed back into the simulated machine.
+// (sleep-cycles). The relaxed exchange dispatches the shared side
+// through the same path, so the NoC, DRAM and L2 counts cover relaxed
+// phases too; an SM domain's L1 ticks count as its domain cycles
+// instead. Like the rest of EngineStats these are pure scheduling
+// observability: they never feed back into the simulated machine.
 type DispatchStats struct {
 	NoCTicks   uint64
 	NoCSleeps  uint64
@@ -124,6 +128,24 @@ func due(wake, now uint64) bool { return wake <= now }
 // dispatch first), so a message delivered this cycle is consumed this
 // cycle, exactly as under the wholesale tick.
 func (s *System) TickDue(now uint64, d *DispatchStats) {
+	s.tickShared(now, d)
+	s.tickedL1s = s.tickedL1s[:0]
+	for i, l1 := range s.L1s {
+		if due(s.Wakes.Wake(s.slotL1+i), now) {
+			l1.Tick(now)
+			d.L1Ticks++
+			s.tickedL1s = append(s.tickedL1s, i)
+		} else {
+			l1.SyncClock(now)
+			d.L1Sleeps++
+		}
+	}
+}
+
+// tickShared is TickDue's shared part — the NoC, the partitions, the
+// fault-shim releases and the L2 banks — which the relaxed exchange
+// also runs on its own at each epoch barrier.
+func (s *System) tickShared(now uint64, d *DispatchStats) {
 	s.clock = now
 	for _, sh := range s.shims {
 		sh.Sync(now)
@@ -162,17 +184,6 @@ func (s *System) TickDue(now uint64, d *DispatchStats) {
 			d.L2Sleeps++
 		}
 	}
-	s.tickedL1s = s.tickedL1s[:0]
-	for i, l1 := range s.L1s {
-		if due(s.Wakes.Wake(s.slotL1+i), now) {
-			l1.Tick(now)
-			d.L1Ticks++
-			s.tickedL1s = append(s.tickedL1s, i)
-		} else {
-			l1.SyncClock(now)
-			d.L1Sleeps++
-		}
-	}
 }
 
 // SyncClocks advances component-local clocks across a proven-quiet
@@ -184,6 +195,14 @@ func (s *System) TickDue(now uint64, d *DispatchStats) {
 // stamps arrivals from its clock; DRAM partitions keep no local clock
 // (all their timing state is absolute).
 func (s *System) SyncClocks(now uint64) {
+	s.syncShared(now)
+	for _, l1 := range s.L1s {
+		l1.SyncClock(now)
+	}
+}
+
+// syncShared is SyncClocks' shared part.
+func (s *System) syncShared(now uint64) {
 	s.clock = now
 	for _, sh := range s.shims {
 		sh.Sync(now)
@@ -191,9 +210,6 @@ func (s *System) SyncClocks(now uint64) {
 	s.Net.Sync(now)
 	for _, l2 := range s.L2s {
 		l2.SyncClock(now)
-	}
-	for _, l1 := range s.L1s {
-		l1.SyncClock(now)
 	}
 }
 
@@ -207,6 +223,17 @@ func (s *System) SyncClocks(now uint64) {
 // changed. Schedule dedups same-value writes, so double-refreshing an
 // index is free.
 func (s *System) RefreshDue(now uint64, smsTicked []int) {
+	s.refreshShared(now)
+	for _, i := range s.tickedL1s {
+		s.refreshL1(i)
+	}
+	for _, i := range smsTicked {
+		s.refreshL1(i)
+	}
+}
+
+// refreshShared is RefreshDue's shared part.
+func (s *System) refreshShared(now uint64) {
 	s.Wakes.Schedule(s.slotNet, s.Net.NextWork(now))
 	for _, i := range s.tickedParts {
 		s.Wakes.Schedule(s.slotPart+i, s.Parts[i].NextEvent(now))
@@ -214,12 +241,17 @@ func (s *System) RefreshDue(now uint64, smsTicked []int) {
 	for _, i := range s.tickedL2s {
 		s.refreshL2(i)
 	}
-	for _, i := range s.tickedL1s {
-		s.refreshL1(i)
+}
+
+// sharedHorizon is the agenda horizon over the shared side's slots
+// alone, which precede every L1 slot: the earliest cycle after now at
+// which the NoC, a partition, a fault shim or an L2 bank needs a tick.
+func (s *System) sharedHorizon(now uint64) uint64 {
+	next := uint64(sched.Never)
+	for i := s.slotNet; i < s.slotL1; i++ {
+		next = min(next, s.Wakes.Wake(i))
 	}
-	for _, i := range smsTicked {
-		s.refreshL1(i)
-	}
+	return max(next, now+1)
 }
 
 func (s *System) refreshL2(i int) {

@@ -258,7 +258,7 @@ func build(cfg *Config) *machine {
 	}
 
 	l1Geo := coherence.L1Geometry{Sets: l1Sets, Ways: l1Ways, MSHRs: l1MSHRs, Warps: maxWarps}
-	bankGeo := coherence.BankGeometry{Sets: l2Sets, Ways: l2Ways, PerCycle: 1}
+	bankGeo := coherence.BankGeometry{Sets: l2Sets, Ways: l2Ways}
 	switch cfg.Protocol {
 	case GTSC:
 		m.resets = core.NewResetController()

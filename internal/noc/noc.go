@@ -59,14 +59,8 @@ type Network struct {
 	// DeliverL1 receives messages addressed to SM Dst.
 	DeliverL1 func(sm int, msg *mem.Msg)
 
-	inFlight    int
-	deliveredL2 uint64 // lifetime count of wire deliveries into L2 banks
+	inFlight int
 }
-
-// DeliveredL2 returns the lifetime count of messages delivered into L2
-// banks. The relaxed exchange compares successive values to learn,
-// in O(1), whether a tick handed any bank new work.
-func (n *Network) DeliveredL2() uint64 { return n.deliveredL2 }
 
 // New builds a crossbar with nSM SM-side ports and nBank bank-side ports.
 func New(cfg Config, nSM, nBank int) *Network {
@@ -231,7 +225,6 @@ func (n *Network) Tick(now uint64) {
 		a := n.wire.pop()
 		n.inFlight--
 		if a.toL2 {
-			n.deliveredL2++
 			n.DeliverL2(a.msg.Dst, a.msg)
 		} else {
 			n.DeliverL1(a.msg.Dst, a.msg)

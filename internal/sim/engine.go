@@ -53,10 +53,12 @@ type EngineStats struct {
 	// flushes at phase boundaries and pause points).
 	SMWakes uint64
 
-	// Comp breaks the hierarchy side of executed event cycles down per
+	// Comp breaks the hierarchy side of executed cycles down per
 	// component class: for the NoC, DRAM partitions, L2 banks, and L1s,
 	// how many per-cycle Ticks were dispatched vs slept through (the
-	// hierarchy analogue of SMTicks/SMSleepCycles).
+	// hierarchy analogue of SMTicks/SMSleepCycles). Relaxed phases
+	// count the shared side's replay at each epoch barrier here too;
+	// their L1 ticks count in Relaxed.SMDomainCycles instead.
 	Comp memsys.DispatchStats
 }
 
@@ -65,17 +67,15 @@ type EngineStats struct {
 type RelaxedStats struct {
 	// SlackCycles is the slack bound of the most recent relaxed phase.
 	SlackCycles uint64
-	// Epochs counts epoch barriers executed (grid barriers and forced
-	// pause barriers alike).
+	// Epochs counts epoch barriers executed (grid barriers and those
+	// pulled in to a response's arrival or clamped to the budget).
 	Epochs uint64
 	// SMDomainCycles / SMDomainSkipped count SM-domain cycles executed
 	// vs bulk-applied by intra-epoch quiescence skipping, summed over
-	// all SM domains. MemDomainCycles / MemDomainSkipped are the same
-	// for the L2-bank+DRAM domains.
-	SMDomainCycles   uint64
-	SMDomainSkipped  uint64
-	MemDomainCycles  uint64
-	MemDomainSkipped uint64
+	// all SM domains. The shared side's replay counts in
+	// EngineStats.Comp.
+	SMDomainCycles  uint64
+	SMDomainSkipped uint64
 	// ExchangedMsgs counts SM-domain NoC injections replayed at epoch
 	// barriers; HeldMsgs counts the subset that met a full port on
 	// their tagged cycle and were deferred (the one relaxed-mode timing
@@ -121,9 +121,10 @@ func (s *Simulator) Engine() *EngineStats { return &s.eng }
 
 // effectiveWorkers resolves Config.SimWorkers to the number of
 // goroutines the relaxed engine runs SM domains on. The request is
-// clamped to GOMAXPROCS — workers beyond the schedulable CPUs only add
-// barrier spin — and to one worker per SM, beyond which extra workers
-// can never have work. The resolved value lands in
+// clamped to GOMAXPROCS — workers beyond the schedulable CPUs cannot
+// run at once, so they only add a wake-up and a hand-off to every
+// epoch — and to one worker per SM, beyond which extra workers can
+// never have work. The resolved value lands in
 // EngineStats.Workers, which is what the CLIs report on their
 // `engine:` line; results are identical at any setting, so the clamp
 // is pure scheduling.

@@ -7,13 +7,15 @@
 // share no mutable state mid-epoch:
 //
 //   - one domain per SM: the SM plus its private L1 (SM domains run
-//     concurrently on the worker pool when GOMAXPROCS allows);
+//     concurrently on the blocking worker pool when GOMAXPROCS
+//     allows);
 //   - the shared side — the NoC, every L2 bank, and every DRAM
-//     partition — which never runs inside an epoch at all: it is
-//     simulated cycle-exactly by the master during the barrier's
-//     coupling phase (memsys.RelaxedExchange), in canonical order,
-//     which keeps the shared G-TSC reset controller and the
-//     functional backing store deterministic without locks.
+//     partition — which never runs inside an epoch at all: the master
+//     replays it during the barrier's coupling phase
+//     (memsys.RelaxedExchange) through the exact engine's own
+//     shared-side dispatch and wake slots, in canonical order, which
+//     keeps the shared G-TSC reset controller and the functional
+//     backing store deterministic without locks.
 //
 // Each SM domain free-runs up to SlackCycles cycles, capturing every
 // outbound NoC injection in a cycle-tagged epoch buffer. At the epoch
@@ -78,11 +80,6 @@ type relaxedState struct {
 	probes    []gpu.StallProbe // ...justified by this probe...
 	comps     []uint64         // ...taken at this sm.Completions() count
 
-	// Shared-side (mem) cycle accounting from the barrier exchange
-	// (master-owned).
-	memTicks   uint64
-	memSkipped uint64
-
 	pl phaseLabels
 }
 
@@ -110,15 +107,13 @@ func (s *Simulator) ensureRelaxed() *relaxedState {
 }
 
 // runPhaseRelaxed is the epoch loop. Epoch barriers sit on a fixed
-// grid — multiples of SlackCycles from the phase start — so barrier
-// positions are a function of machine state, never of scheduling.
-// A pause (RunUntil stopAt) that lands mid-window clamps the current
-// epoch to the stop cycle, inserting an extra exchange — an extra
-// observation point — which perturbs the trajectory from there on in
-// the same bounded, functionally-invisible way slack itself does
-// (TestRelaxedPauseFunctionalEquivalence). Resuming continues the
-// suspended trajectory exactly; checkpoint restore reproduces it by
-// replaying the recorded pause schedule (Checkpoint.PauseCycles).
+// grid — multiples of SlackCycles from the kernel's start — pulled in
+// to the delivery horizon, so barrier positions are a function of
+// machine state, never of scheduling. A pause (RunUntil stopAt, or a
+// canceled context) never cuts an epoch short: it takes effect at the
+// first barrier at or after stopAt, so pausing is pure suspension and
+// a resumed run follows the uninterrupted trajectory exactly
+// (TestRelaxedPauseBitIdentical).
 func (s *Simulator) runPhaseRelaxed(ctx context.Context, stopAt uint64) (bool, error) {
 	st := s.cur
 	rx := s.ensureRelaxed()
@@ -140,10 +135,12 @@ func (s *Simulator) runPhaseRelaxed(ctx context.Context, stopAt uint64) (bool, e
 			s.eng.Relaxed.SMDomainSkipped += rx.smSkipped[i]
 			rx.smTicks[i], rx.smSkipped[i] = 0, 0
 		}
-		s.eng.Relaxed.MemDomainCycles += rx.memTicks
-		s.eng.Relaxed.MemDomainSkipped += rx.memSkipped
-		rx.memTicks, rx.memSkipped = 0, 0
 	}()
+	// Phase entry, as in the event engine: between-phase work — the
+	// kernel-boundary L1 flush, a checkpoint restore — mutates
+	// components outside any dispatch, so every wake is re-registered
+	// from live state before the first exchange reads the shared slots.
+	s.Sys.RefreshWakes(s.now, true)
 
 	domains := len(s.SMs) // the shared side runs at the barrier, not in the pool
 	workers := s.effectiveWorkers()
@@ -171,8 +168,8 @@ func (s *Simulator) runPhaseRelaxed(ctx context.Context, stopAt uint64) (bool, e
 		}
 
 		// This epoch ends at the next grid barrier, clamped to the
-		// budget and the pause point (clamped barriers are not grid
-		// barriers: they exchange traffic but commit nothing).
+		// budget (clamped and pulled-in barriers are not grid barriers:
+		// they exchange traffic but commit nothing).
 		from := s.now
 		to := st.start + ((from-st.start)/slack+1)*slack
 		grid := true
@@ -185,9 +182,10 @@ func (s *Simulator) runPhaseRelaxed(ctx context.Context, stopAt uint64) (bool, e
 		// SlackCycles, which is what keeps cycle deviation flat as
 		// slack grows. The horizon is a function of barrier-time
 		// machine state only, so the pulled barrier is as
-		// deterministic as the grid itself.
+		// deterministic as the grid itself. Banks send straight into
+		// the NoC, so it holds every L1-bound message.
 		if slack > relaxFine {
-			if d := s.Sys.RelaxedDeliveryHorizon(from); d < to {
+			if d := s.Sys.Net.NextL1Arrival(from); d < to {
 				if t := st.start + ((max(d, from+1)-1-st.start)/relaxFine+1)*relaxFine; t < to {
 					to, grid = t, false
 				}
@@ -195,9 +193,6 @@ func (s *Simulator) runPhaseRelaxed(ctx context.Context, stopAt uint64) (bool, e
 		}
 		if budget := st.start + s.Cfg.MaxCycles; to > budget {
 			to, grid = budget, false
-		}
-		if stopAt != 0 && to > stopAt {
-			to, grid = stopAt, false
 		}
 
 		// Domain-run phase: every domain free-runs (from, to].
@@ -216,14 +211,12 @@ func (s *Simulator) runPhaseRelaxed(ctx context.Context, stopAt uint64) (bool, e
 		// then (grid barriers only) commit deferred CTA refills in
 		// canonical SM order.
 		rx.pl.set(rx.pl.exchange)
-		injected, held, mticks, mskipped := s.Sys.RelaxedExchange(from, to)
+		injected, held := s.Sys.RelaxedExchange(from, to, &s.eng.Comp)
 		rx.pl.set(rx.pl.barrier)
 		s.now = to
 		s.eng.Relaxed.Epochs++
 		s.eng.Relaxed.ExchangedMsgs += uint64(injected)
 		s.eng.Relaxed.HeldMsgs += uint64(held)
-		rx.memTicks += mticks
-		rx.memSkipped += mskipped
 		if grid {
 			for i, sm := range s.SMs {
 				if sm.PendingFill() {

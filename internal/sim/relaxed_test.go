@@ -206,72 +206,66 @@ func TestRelaxedWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// TestRelaxedPauseFunctionalEquivalence: pausing a relaxed run at an
-// arbitrary mid-window cycle clamps the current epoch to the pause
-// point, inserting an extra exchange — an extra observation point —
-// so the paused run's cycle counts may drift from the uninterrupted
-// run's (pauses landing exactly on grid barriers are trajectory-
-// neutral; arbitrary ones are the same bounded added-latency
-// perturbation slack itself introduces, and checkpoint restore
-// replays the same pause coordinate so resumes stay self-consistent).
-// What must hold is functional identity: the workload's word-for-word
-// verification passes and the final architected memory matches the
-// uninterrupted run over every block either run touched.
-func TestRelaxedPauseFunctionalEquivalence(t *testing.T) {
-	cfg, _ := goldenConfig("gtsc-rc")
-	cfg.SlackCycles = 8
-	wl, ok := workload.ByName("CC")
-	if !ok {
-		t.Fatal("workload CC missing")
-	}
+// TestRelaxedPauseBitIdentical: a pause under relaxed sync lands on
+// the first epoch barrier at or after its stop cycle and never cuts an
+// epoch short, so pausing is pure suspension, as on the exact engine.
+// Pausing every 37 cycles — off the slack-8 grid, so most stops fall
+// mid-epoch — through checkpoint.Execution must finish with stats and
+// architected memory bit-identical to the uninterrupted run, for the
+// coherence six under G-TSC-RC and TC-RC.
+func TestRelaxedPauseBitIdentical(t *testing.T) {
+	for _, wl := range workload.CoherenceSet() {
+		for _, label := range []string{"gtsc-rc", "tc-rc"} {
+			wl, label := wl, label
+			t.Run(wl.Name+"/"+label, func(t *testing.T) {
+				t.Parallel()
+				cfg, _ := goldenConfig(label)
+				cfg.SlackCycles = 8
+				ctx := context.Background()
+				base := checkpoint.NewExecution(cfg, wl.Build(1), wl.Name, 1)
+				want, err := base.Run(ctx)
+				if err != nil {
+					t.Fatalf("uninterrupted: %v", err)
+				}
 
-	base := sim.New(cfg)
-	baseRun, err := wl.Build(1).RunOn(base)
-	if err != nil {
-		t.Fatalf("uninterrupted: %v", err)
-	}
-
-	// Grid-misaligned pause points scattered through the run.
-	pauses := []uint64{
-		baseRun.Cycles/4 + 1,
-		baseRun.Cycles/2 + 3,
-		3*baseRun.Cycles/4 + 5,
-	}
-	e := checkpoint.NewExecution(cfg, wl.Build(1), "CC", 1)
-	ctx := context.Background()
-	for _, p := range pauses {
-		if _, paused, err := e.RunUntil(ctx, p); err != nil {
-			t.Fatalf("pause at %d: %v", p, err)
-		} else if !paused {
-			t.Fatalf("run completed before pause cycle %d", p)
+				e := checkpoint.NewExecution(cfg, wl.Build(1), wl.Name, 1)
+				pauses := 0
+				for stop := uint64(37); ; stop += 37 {
+					got, paused, err := e.RunUntil(ctx, stop)
+					if err != nil {
+						t.Fatalf("pause at %d: %v", stop, err)
+					}
+					if paused {
+						pauses++
+						continue
+					}
+					if pauses == 0 {
+						t.Fatal("run completed before its first pause")
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("run paused %d times diverged from uninterrupted:\npaused        %+v\nuninterrupted %+v", pauses, got, want)
+					}
+					break
+				}
+				if eng := e.Sim().Engine(); eng.Relaxed.Epochs == 0 {
+					t.Fatal("relaxed engine never engaged")
+				}
+				blocks := touchedBlocks(base.Sim(), e.Sim())
+				if got, want := architectedImage(e.Sim(), blocks), architectedImage(base.Sim(), blocks); got != want {
+					t.Errorf("paused run's architected memory diverged (%s vs %s)", got, want)
+				}
+			})
 		}
-	}
-	pausedRun, err := e.Run(ctx)
-	if err != nil {
-		t.Fatalf("run to completion (verification included): %v", err)
-	}
-	s := e.Sim()
-	if eng := s.Engine(); eng.Relaxed.Epochs == 0 {
-		t.Fatal("relaxed engine never engaged")
-	}
-	t.Logf("cycles: uninterrupted=%d paused=%d identical=%t",
-		baseRun.Cycles, pausedRun.Cycles, reflect.DeepEqual(baseRun, pausedRun))
-	blocks := touchedBlocks(base, s)
-	if got, want := architectedImage(s, blocks), architectedImage(base, blocks); got != want {
-		t.Errorf("paused relaxed run diverged functionally from uninterrupted (%s vs %s)", got, want)
 	}
 }
 
 // TestRelaxedCheckpointHandoff: a checkpoint taken mid-run under
 // relaxed sync must survive a cross-process-style handoff — encode,
 // decode, ResumeExecution in a fresh machine — with the digest
-// verification PASSING. This is only possible because the checkpoint
-// records the pause schedule (Checkpoint.PauseCycles): each mid-window
-// pause perturbs the relaxed trajectory, so a replay that ran straight
-// to the checkpoint cycle would land in a different machine state and
-// be rejected. The resumed execution and the original must then finish
-// with bit-identical stats — after a verified resume they are the same
-// machine.
+// verification PASSING: the checkpoint sits on an epoch barrier, and a
+// replay straight to its cycle pauses on the same barrier. The resumed
+// execution and the original must then both finish with stats
+// bit-identical to an uninterrupted run — pauses are pure suspension.
 func TestRelaxedCheckpointHandoff(t *testing.T) {
 	cfg, _ := goldenConfig("gtsc-rc")
 	cfg.SlackCycles = 8
@@ -281,8 +275,12 @@ func TestRelaxedCheckpointHandoff(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	// Dense grid-misaligned pauses: each clamps an epoch mid-window,
-	// accumulating trajectory perturbation the replay must reproduce.
+	want, err := checkpoint.NewExecution(cfg, wl.Build(1), "CC", 1).Run(ctx)
+	if err != nil {
+		t.Fatalf("uninterrupted: %v", err)
+	}
+
+	// Dense grid-misaligned pauses, each landing on a later barrier.
 	var pauses []uint64
 	for p := uint64(37); p <= 37*13; p += 37 {
 		pauses = append(pauses, p)
@@ -305,9 +303,6 @@ func TestRelaxedCheckpointHandoff(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if len(ck.PauseCycles) == 0 {
-		t.Fatal("checkpoint carries no pause schedule")
-	}
 	resumed, err := checkpoint.ResumeExecution(ck, cfg, wl.Build(1), "CC", 1)
 	if err != nil {
 		t.Fatalf("resume (digest-verified replay): %v", err)
@@ -321,8 +316,11 @@ func TestRelaxedCheckpointHandoff(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resumed completion: %v", err)
 	}
-	if !reflect.DeepEqual(origRun, resumedRun) {
-		t.Errorf("resumed run diverged from original:\norig    %+v\nresumed %+v", origRun, resumedRun)
+	if !reflect.DeepEqual(origRun, want) {
+		t.Errorf("paused run diverged from uninterrupted:\norig          %+v\nuninterrupted %+v", origRun, want)
+	}
+	if !reflect.DeepEqual(resumedRun, want) {
+		t.Errorf("resumed run diverged from uninterrupted:\nresumed       %+v\nuninterrupted %+v", resumedRun, want)
 	}
 	if eng := resumed.Sim().Engine(); eng.Relaxed.Epochs == 0 {
 		t.Fatal("relaxed engine never engaged in resumed run")

@@ -64,21 +64,20 @@ type Config struct {
 	SimWorkers int
 
 	// SlackCycles enables relaxed-synchronization (bounded-slack)
-	// execution: the machine is partitioned into domains (each SM with
-	// its L1; each L2 bank with its DRAM partition) that free-run up
-	// to SlackCycles cycles between epoch barriers, where cross-domain
-	// NoC traffic is exchanged in canonical order. 0 (the default)
-	// keeps the exact event engine. N > 0 is an opt-in fast mode: final
-	// memory state, workload verification, and coherence invariants
-	// are preserved exactly, but cycle counts and timing-derived stats
-	// deviate boundedly (deliveries cross at barriers, so a message
-	// can land up to N cycles later than exact execution; see
-	// DESIGN.md §7). Fault injection disengages relaxed mode: its
-	// perturbation schedules are defined over the exact per-cycle
-	// interleaving. EngineStats.Relaxed reports what the mode did;
-	// checkpoint ConfigHash excludes the knob (checkpoints pause at
-	// epoch barriers, and a digest only matches a replay run at the
-	// same slack).
+	// execution: each SM with its L1 is a domain that free-runs up to
+	// SlackCycles cycles between epoch barriers, where the shared side
+	// (NoC, L2 banks, DRAM) is replayed over the window and the
+	// domains' NoC traffic is exchanged in canonical order. 0 (the
+	// default) keeps the exact event engine. N > 0 is an opt-in fast
+	// mode: final memory state, workload verification, and coherence
+	// invariants are preserved exactly, but cycle counts and
+	// timing-derived stats deviate boundedly (an SM observes a response
+	// only at the next barrier; see DESIGN.md §7). Fault injection
+	// disengages relaxed mode: its perturbation schedules are defined
+	// over the exact per-cycle interleaving. EngineStats.Relaxed
+	// reports what the mode did; checkpoint ConfigHash excludes the
+	// knob (checkpoints pause at epoch barriers, and a digest only
+	// matches a replay run at the same slack).
 	SlackCycles uint64
 
 	// ProfileLabels annotates the engine's hot phases with pprof
@@ -239,8 +238,11 @@ func (s *Simulator) RunContext(ctx context.Context, kernel *gpu.Kernel) (*stats.
 
 // RunUntil executes kernel but pauses the machine once the global
 // clock reaches stopAt (0 = never): it returns paused=true with all
-// state retained, and Resume continues the same kernel. A pause is a
-// pure suspension — the eventual stats.Run of the kernel is
+// state retained, and Resume continues the same kernel. Under relaxed
+// sync (SlackCycles > 0) an epoch is never cut short: the pause lands
+// on the first epoch barrier at or after stopAt, at most one epoch
+// later, so Now() may exceed stopAt. A pause is a pure suspension on
+// either engine — the eventual stats.Run of the kernel is
 // bit-identical however many times the execution is paused and
 // resumed, which is what makes checkpoint/restore exact.
 func (s *Simulator) RunUntil(ctx context.Context, kernel *gpu.Kernel, stopAt uint64) (*stats.Run, bool, error) {

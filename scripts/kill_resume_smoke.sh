@@ -6,7 +6,9 @@
 #
 #   1. gtscsim: a single run is interrupted (-timeout), must exit 3
 #      and write a checkpoint; -resume must complete it with output
-#      bit-identical to an uninterrupted reference run.
+#      bit-identical to an uninterrupted reference run. This runs once
+#      on the exact engine and once under -slack 32, where the
+#      interrupt lands on an epoch barrier.
 #   2. gtscbench: a sweep with a journal is killed by SIGTERM, must
 #      exit 3; rerunning with the same journal must replay the
 #      completed simulations, finish the rest, and print the same
@@ -22,31 +24,45 @@ go build -o "$workdir/gtscbench" ./cmd/gtscbench
 
 fail() { echo "kill_resume_smoke: FAIL: $*" >&2; exit 1; }
 
+# sim_smoke NAME TIMEOUT FLAGS...: interrupt a gtscsim run after
+# TIMEOUT, resume it from its checkpoint, and diff its stats against an
+# uninterrupted run with the same flags.
+sim_smoke() {
+  local name=$1 timeout=$2
+  shift 2
+  local ckpt="$workdir/$name.ckpt" out="$workdir/sim_$name"
+
+  set +e
+  "$workdir/gtscsim" "$@" -checkpoint "$ckpt" -timeout "$timeout" >"$out.interrupted" 2>&1
+  rc=$?
+  set -e
+  [ "$rc" -eq 3 ] || fail "$name: interrupted gtscsim exited $rc, want 3 (output: $(cat "$out.interrupted"))"
+  [ -f "$ckpt" ] || fail "$name: no checkpoint written on interrupt"
+
+  "$workdir/gtscsim" "$@" -checkpoint "$ckpt" -resume >"$out.resumed" 2>&1 \
+    || fail "$name: resume failed: $(cat "$out.resumed")"
+  grep -q "replay digest verified" "$out.resumed" || fail "$name: resume did not verify the replay digest"
+  [ ! -f "$ckpt" ] || fail "$name: checkpoint not cleaned up after completion"
+
+  "$workdir/gtscsim" "$@" >"$out.reference" 2>&1
+  # Drop the resume banner and the engine scheduling counters (a resumed
+  # run legitimately splits a cycle-skip window at the pause cycle);
+  # everything else (all stats) must match the uninterrupted run exactly.
+  grep -v "^resumed \|^engine: " "$out.resumed" >"$out.resumed_stats"
+  grep -v "^engine: " "$out.reference" >"$out.reference_stats"
+  diff -u "$out.reference_stats" "$out.resumed_stats" \
+    || fail "$name: resumed run differs from uninterrupted reference"
+  echo "   OK: exit 3 on interrupt, verified resume, bit-identical stats"
+}
+
 echo "== gtscsim: interrupt, checkpoint, resume =="
-sim_flags=(-workload CC -scale 64)
+sim_smoke exact 400ms -workload CC -scale 64
 
-set +e
-"$workdir/gtscsim" "${sim_flags[@]}" -checkpoint "$workdir/cc.ckpt" -timeout 400ms \
-  >"$workdir/sim_interrupted.out" 2>&1
-rc=$?
-set -e
-[ "$rc" -eq 3 ] || fail "interrupted gtscsim exited $rc, want 3 (output: $(cat "$workdir/sim_interrupted.out"))"
-[ -f "$workdir/cc.ckpt" ] || fail "no checkpoint written on interrupt"
-
-"$workdir/gtscsim" "${sim_flags[@]}" -checkpoint "$workdir/cc.ckpt" -resume \
-  >"$workdir/sim_resumed.out" 2>&1 || fail "resume failed: $(cat "$workdir/sim_resumed.out")"
-grep -q "replay digest verified" "$workdir/sim_resumed.out" || fail "resume did not verify the replay digest"
-[ ! -f "$workdir/cc.ckpt" ] || fail "checkpoint not cleaned up after completion"
-
-"$workdir/gtscsim" "${sim_flags[@]}" >"$workdir/sim_reference.out" 2>&1
-# Drop the resume banner and the engine scheduling counters (a resumed
-# run legitimately splits a cycle-skip window at the pause cycle);
-# everything else (all stats) must match the uninterrupted run exactly.
-grep -v "^resumed \|^engine: " "$workdir/sim_resumed.out" >"$workdir/sim_resumed_stats.out"
-grep -v "^engine: " "$workdir/sim_reference.out" >"$workdir/sim_reference_stats.out"
-diff -u "$workdir/sim_reference_stats.out" "$workdir/sim_resumed_stats.out" \
-  || fail "resumed run differs from uninterrupted reference"
-echo "   OK: exit 3 on interrupt, verified resume, bit-identical stats"
+# Under relaxed sync the interrupt takes effect at the next epoch
+# barrier; the run takes several seconds, so one second lands it
+# mid-run.
+echo "== gtscsim -slack 32: interrupt at an epoch barrier, checkpoint, resume =="
+sim_smoke relaxed 1s -workload CC -scale 64 -slack 32 -simworkers 2
 
 echo "== gtscbench: SIGTERM mid-sweep, journal resume =="
 bench_flags=(-exp table2 -scale 4 -sms 8 -banks 4 -j 4)
