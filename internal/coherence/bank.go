@@ -5,6 +5,7 @@ import (
 	"io"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"github.com/gtsc-sim/gtsc/internal/cache"
 	"github.com/gtsc-sim/gtsc/internal/diag"
@@ -66,6 +67,7 @@ type Bank[M any] struct {
 	stalled []mem.BlockAddr
 	retry   []mem.BlockAddr // RetryStalled's snapshot of stalled
 	fail    *diag.ProtocolError
+	failed  *atomic.Bool // raised with fail; see SetFailFlag
 }
 
 // NewBank builds bank id, named name in diagnostics. sendNoC injects
@@ -93,8 +95,15 @@ func (b *Bank[M]) SyncClock(now uint64) { b.Now = now }
 func (b *Bank[M]) Failf(event, format string, args ...any) {
 	if b.fail == nil {
 		b.fail = diag.Errf(fmt.Sprintf("%s[%d]", b.name, b.ID), event, format, args...)
+		if b.failed != nil {
+			b.failed.Store(true)
+		}
 	}
 }
+
+// SetFailFlag makes the first protocol violation also raise flag (see
+// Port.SetFailFlag).
+func (b *Bank[M]) SetFailFlag(flag *atomic.Bool) { b.failed = flag }
 
 // Err implements L2.
 func (b *Bank[M]) Err() error {

@@ -97,14 +97,18 @@ type L1 interface {
 	Tick(now uint64)
 	// SyncClock advances the controller's local clock to now without
 	// performing any work — exactly the effect Tick(now) has on a
-	// quiescent controller. The per-component dispatcher calls it on
-	// cycles it skips the controller's Tick, because the local clock
-	// feeds decisions on the Access and Deliver paths even while the
-	// controller is otherwise inert: TC's lease-validity check compares
-	// expiry against it on every SM access, fill handlers compare
-	// in-flight lease timestamps against it on arrival, and completions
-	// stamp it into reply messages. A controller with no clock
-	// implements this as a no-op.
+	// quiescent controller. The local clock feeds decisions on the
+	// Access and Deliver paths even while the controller is otherwise
+	// inert: TC's lease-validity check compares expiry against it on
+	// every SM access, fill handlers compare in-flight lease timestamps
+	// against it on arrival, and completions stamp it into reply
+	// messages. So while the per-component dispatcher skips a
+	// controller's Tick, the hierarchy calls SyncClock just before
+	// anything reads that clock, with the value the serial tick order
+	// would show there: the previous cycle ahead of a delivery or DRAM
+	// fill, the current cycle ahead of the SM's accesses, and the
+	// current cycle on every controller when an engine phase exits. A
+	// controller with no clock implements this as a no-op.
 	SyncClock(now uint64)
 	// Flush invalidates the whole cache, e.g. at a kernel boundary.
 	// Outstanding misses are allowed to complete normally.

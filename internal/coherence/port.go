@@ -3,6 +3,7 @@ package coherence
 import (
 	"fmt"
 	"io"
+	"sync/atomic"
 
 	"github.com/gtsc-sim/gtsc/internal/cache"
 	"github.com/gtsc-sim/gtsc/internal/diag"
@@ -50,6 +51,7 @@ type Port struct {
 	acks    map[uint64]*Request // accesses awaiting an ack, by request ID
 	loadOut mem.Block           // masked-word scratch handed to load completions
 	fail    *diag.ProtocolError
+	failed  *atomic.Bool // raised with fail; see SetFailFlag
 }
 
 // NewPort builds the port of SM sm's L1, named name in diagnostics,
@@ -86,8 +88,17 @@ func (p *Port) Tick(now uint64) {
 func (p *Port) Failf(event, format string, args ...any) {
 	if p.fail == nil {
 		p.fail = diag.Errf(fmt.Sprintf("%s[%d]", p.name, p.ID), event, format, args...)
+		if p.failed != nil {
+			p.failed.Store(true)
+		}
 	}
 }
+
+// SetFailFlag makes the first protocol violation also raise flag, so
+// the owner of many controllers can poll one flag instead of every
+// controller's Err. The flag is atomic because an SM-domain L1 can
+// latch on a relaxed-engine worker goroutine.
+func (p *Port) SetFailFlag(flag *atomic.Bool) { p.failed = flag }
 
 // Failed reports whether a protocol violation has been recorded.
 func (p *Port) Failed() bool { return p.fail != nil }

@@ -8,6 +8,7 @@ package dram
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"github.com/gtsc-sim/gtsc/internal/diag"
 	"github.com/gtsc-sim/gtsc/internal/mem"
@@ -65,6 +66,7 @@ type Partition struct {
 	stats     stats.DRAMStats
 	banked    bankedState
 	fail      *diag.ProtocolError
+	failed    *atomic.Bool // raised with fail; see SetFailFlag
 	pool      *mem.Pool
 
 	// Deliver hands a completed DRAMFill back to the owning L2 bank.
@@ -114,6 +116,10 @@ func (p *Partition) Stats() *stats.DRAMStats { return &p.stats }
 
 // Pending reports queued plus in-flight requests.
 func (p *Partition) Pending() int { return len(p.queue) + len(p.fills) }
+
+// SetFailFlag makes the partition's first protocol violation also
+// raise flag, so the owner can poll one flag instead of every Err.
+func (p *Partition) SetFailFlag(flag *atomic.Bool) { p.failed = flag }
 
 // Err reports the first protocol violation seen by the partition, or
 // nil.
@@ -187,6 +193,9 @@ func (p *Partition) serve(msg *mem.Msg, now, latency uint64) {
 		if p.fail == nil {
 			p.fail = diag.Errf(fmt.Sprintf("dram[%d]", p.id), "unexpected-message",
 				"message %v for block %v from bank %d", msg.Type, msg.Block, msg.Src)
+			if p.failed != nil {
+				p.failed.Store(true)
+			}
 		}
 	}
 }

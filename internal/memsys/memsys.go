@@ -6,6 +6,7 @@ package memsys
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"github.com/gtsc-sim/gtsc/internal/coherence"
 	"github.com/gtsc-sim/gtsc/internal/core"
@@ -195,13 +196,25 @@ type System struct {
 	// Per-component dispatch state (see wakes.go). clock is the last
 	// cycle handed to Tick/TickDue/SyncClocks or the relaxed exchange's
 	// shared part, which the ingress hooks need to compute post-enqueue
-	// wakes; the ticked lists record which components were dispatched
-	// this cycle so RefreshDue re-probes exactly those.
+	// wakes and receiver clocks; hotL1/hotL2 hold the controllers whose
+	// slot is Hot (their slots are only ever Hot or Never); the ticked
+	// lists record which components were dispatched this cycle so
+	// RefreshDue re-probes exactly those.
 	clock       uint64
+	hotL1       sched.Set
+	hotL2       sched.Set
 	tickedParts []int
 	tickedL2s   []int
 	tickedL1s   []int
+
+	// failed is raised by every controller's and partition's
+	// first-failure latch, so Err is one load while nothing failed.
+	failed atomic.Bool
 }
+
+// failLatch is the first-failure latch of every controller chassis
+// (coherence.Port, coherence.Bank) and of a DRAM partition.
+type failLatch interface{ SetFailFlag(*atomic.Bool) }
 
 // New builds the hierarchy. obs may be nil.
 func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
@@ -331,25 +344,45 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 		}
 	}
 
+	for _, l1 := range s.L1s {
+		l1.(failLatch).SetFailFlag(&s.failed)
+	}
+	for _, l2 := range s.L2s {
+		l2.(failLatch).SetFailFlag(&s.failed)
+	}
+	for _, p := range s.Parts {
+		p.SetFailFlag(&s.failed)
+	}
+
 	// Deliveries into the controllers. Each marks its receiver Hot
 	// BEFORE the message lands, so a component whose tick was about to
 	// be skipped this cycle is dispatched instead the moment input
 	// reaches it: the NoC, the partitions and the fault shims all
 	// dispatch ahead of the controllers in canonical order, so the mark
-	// is always seen by this cycle's due-check. A DRAM fill is consumed
-	// synchronously by the L2 (DRAMFill), which can queue responses the
-	// bank's tick must drain this very cycle. The controllers are
-	// indexed at call time, so a caller may wrap them after New.
+	// is always seen by this cycle's due-check. Each also brings the
+	// receiver's clock to the previous cycle, which is what it reads
+	// when cycle clock's transports deliver to it in serial tick order
+	// (sleeping controllers are not synced every cycle, see wakes.go);
+	// an SM domain's L1 keeps its own clock under relaxed sync. A DRAM
+	// fill is consumed synchronously by the L2 (DRAMFill), which can
+	// queue responses the bank's tick must drain this very cycle. The
+	// controllers are indexed at call time, so a caller may wrap them
+	// after New.
 	toL2 := func(bank int, msg *mem.Msg) {
-		s.wake(s.slotL2+bank, sched.Hot)
+		s.markL2(bank, true)
+		s.L2s[bank].SyncClock(s.clock - 1)
 		s.L2s[bank].Deliver(msg)
 	}
 	toL1 := func(sm int, msg *mem.Msg) {
-		s.wake(s.slotL1+sm, sched.Hot)
+		s.markL1(sm, true)
+		if !s.relaxL1[sm].on {
+			s.L1s[sm].SyncClock(s.clock - 1)
+		}
 		s.L1s[sm].Deliver(msg)
 	}
 	fillL2 := func(bank int, msg *mem.Msg) {
-		s.wake(s.slotL2+bank, sched.Hot)
+		s.markL2(bank, true)
+		s.L2s[bank].SyncClock(s.clock - 1)
 		s.L2s[bank].DRAMFill(msg)
 	}
 	s.Net.DeliverL2, s.Net.DeliverL1 = toL2, toL1
@@ -392,11 +425,7 @@ func (s *System) addShim(sh *fault.DelayShim) func(dst int, msg *mem.Msg) {
 	}
 }
 
-// wake registers a slot's wake. The relaxed exchange fires the same
-// hooks, always on the master, and reads the shared side's slots; the
-// L1 slots it marks are never read there (SM domains tick their L1s
-// themselves), and every phase re-registers all slots from live state
-// on entry.
+// wake registers a slot's wake.
 func (s *System) wake(slot int, at uint64) { s.Wakes.Schedule(slot, at) }
 
 func (s *System) dramSender(bank int) coherence.Sender {
@@ -458,8 +487,14 @@ func (s *System) Pending() int {
 }
 
 // Err reports the first protocol error recorded anywhere in the
-// hierarchy, or nil.
+// hierarchy, or nil. Every first-failure latch also raises s.failed,
+// so while it is down Err is one atomic load; once it is up, the scan
+// below visits the controllers in the same order as always, so the
+// same error surfaces on the same cycle.
 func (s *System) Err() error {
+	if !s.failed.Load() {
+		return nil
+	}
 	for _, l1 := range s.L1s {
 		if err := l1.Err(); err != nil {
 			return err

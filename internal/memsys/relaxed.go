@@ -272,8 +272,14 @@ func (s *System) RelaxedExchange(from, to uint64, d *DispatchStats) (injected, h
 		}
 		if j := min(next-1, to); j > c {
 			c = j
-			s.syncShared(j)
+			s.SyncClocks(j)
 		}
+	}
+	// The window ends with every bank's clock at its end, as the exact
+	// per-cycle order leaves it (the replay brings a sleeping bank's
+	// clock current only when a delivery reads it).
+	for _, l2 := range s.L2s {
+		l2.SyncClock(to)
 	}
 	for _, b := range s.relaxL1 {
 		if b.cur == len(b.buf) {

@@ -9,10 +9,13 @@
 // (how far the clock may jump over fully-idle windows), and they drive
 // DISPATCH: TickDue walks the components in canonical order and ticks
 // only those whose wake is due, so a quiet L2 bank sleeps through
-// cycles on which the rest of the machine is busy. The relaxed
-// exchange (relaxed.go) replays the shared side with the shared parts
-// of TickDue, RefreshDue and SyncClocks on the same slots. Soundness
-// rests on each component's local contract:
+// cycles on which the rest of the machine is busy. An L1 or L2 slot is
+// only ever Hot or Never, so the System mirrors those slots in two
+// bitsets (hotL1, hotL2) and TickDue walks only their members: an
+// executed cycle costs the controllers that act, not the machine size.
+// The relaxed exchange (relaxed.go) replays the shared side with the
+// shared parts of TickDue and RefreshDue and with SyncClocks on the
+// same slots. Soundness rests on each component's local contract:
 //
 //   - NoC: NextWork is a sound lower bound maintained on every
 //     injection (noc.noteWork) and recomputed after every real tick;
@@ -28,7 +31,14 @@
 //     at any future cycle until a new message or access arrives"
 //     (coherence.L1 contract), so a quiescent controller parks at
 //     Never and is re-armed by the ingress hooks the moment a delivery
-//     or enqueue targets it; a non-quiescent one is Hot.
+//     or enqueue targets it; a non-quiescent one is Hot. A sleeping
+//     controller's clock is not advanced every cycle: it is brought
+//     current just before something reads it, to the value the serial
+//     tick order would show — the cycle before, by the ingress hooks
+//     ahead of a delivery or DRAM fill; the cycle itself, by the event
+//     engine ahead of the SM's tick (its accesses); and everywhere, by
+//     SyncControllers when a phase exits and, for the banks, at the
+//     end of each relaxed exchange window.
 //   - Rollover: the forced-reset schedule fires at its armed cycle, and
 //     only in the run phase, where the simulator calls TickRollover
 //     after the SM ticks; the slot is parked at Never while draining.
@@ -50,11 +60,12 @@ import "github.com/gtsc-sim/gtsc/internal/sched"
 // DispatchStats counts per-component dispatch decisions made by
 // TickDue: for each component class, how many per-cycle ticks were
 // performed vs skipped because the component's wake was not due
-// (sleep-cycles). The relaxed exchange dispatches the shared side
-// through the same path, so the NoC, DRAM and L2 counts cover relaxed
-// phases too; an SM domain's L1 ticks count as its domain cycles
-// instead. Like the rest of EngineStats these are pure scheduling
-// observability: they never feed back into the simulated machine.
+// (sleep-cycles; for the controllers, the class size less the ticks).
+// The relaxed exchange dispatches the shared side through the same
+// path, so the NoC, DRAM and L2 counts cover relaxed phases too; an
+// SM domain's L1 ticks count as its domain cycles instead. Like the
+// rest of EngineStats these are pure scheduling observability: they
+// never feed back into the simulated machine.
 type DispatchStats struct {
 	NoCTicks   uint64
 	NoCSleeps  uint64
@@ -99,6 +110,8 @@ func (s *System) initWakes() {
 		s.Wakes.AddSlot()
 	}
 	s.slotRoll = s.Wakes.AddSlot()
+	s.hotL1 = sched.NewSet(len(s.L1s))
+	s.hotL2 = sched.NewSet(len(s.L2s))
 	s.tickedParts = make([]int, 0, len(s.Parts))
 	s.tickedL2s = make([]int, 0, len(s.L2s))
 	s.tickedL1s = make([]int, 0, len(s.L1s))
@@ -126,20 +139,18 @@ func due(wake, now uint64) bool { return wake <= now }
 // Deliveries mark their receiver Hot via the ingress hooks BEFORE the
 // receiver's own slot is inspected (the NoC, partitions and shims
 // dispatch first), so a message delivered this cycle is consumed this
-// cycle, exactly as under the wholesale tick.
+// cycle, exactly as under the wholesale tick. The controller loops walk
+// the Hot sets in index order, re-reading the set after every tick, so
+// they tick exactly the controllers a scan of every slot would.
 func (s *System) TickDue(now uint64, d *DispatchStats) {
 	s.tickShared(now, d)
 	s.tickedL1s = s.tickedL1s[:0]
-	for i, l1 := range s.L1s {
-		if due(s.Wakes.Wake(s.slotL1+i), now) {
-			l1.Tick(now)
-			d.L1Ticks++
-			s.tickedL1s = append(s.tickedL1s, i)
-		} else {
-			l1.SyncClock(now)
-			d.L1Sleeps++
-		}
+	for i := s.hotL1.Next(0); i >= 0; i = s.hotL1.Next(i + 1) {
+		s.L1s[i].Tick(now)
+		s.tickedL1s = append(s.tickedL1s, i)
 	}
+	d.L1Ticks += uint64(len(s.tickedL1s))
+	d.L1Sleeps += uint64(len(s.L1s) - len(s.tickedL1s))
 }
 
 // tickShared is TickDue's shared part — the NoC, the partitions, the
@@ -174,42 +185,40 @@ func (s *System) tickShared(now uint64, d *DispatchStats) {
 		}
 	}
 	s.tickedL2s = s.tickedL2s[:0]
-	for i, l2 := range s.L2s {
-		if due(s.Wakes.Wake(s.slotL2+i), now) {
-			l2.Tick(now)
-			d.L2Ticks++
-			s.tickedL2s = append(s.tickedL2s, i)
-		} else {
-			l2.SyncClock(now)
-			d.L2Sleeps++
-		}
+	for i := s.hotL2.Next(0); i >= 0; i = s.hotL2.Next(i + 1) {
+		s.L2s[i].Tick(now)
+		s.tickedL2s = append(s.tickedL2s, i)
 	}
+	d.L2Ticks += uint64(len(s.tickedL2s))
+	d.L2Sleeps += uint64(len(s.L2s) - len(s.tickedL2s))
 }
 
-// SyncClocks advances component-local clocks across a proven-quiet
+// SyncClocks advances the hierarchy's clock across a proven-quiet
 // window without ticking anything: every slot's wake lies beyond now
 // (that is what made the window skippable), so a wholesale Tick(now)
-// would be a no-op except for the clock assignments it opens with,
-// which is exactly what Sync/SyncClock perform. Controller clocks
-// matter even while inert (see coherence.L1.SyncClock), and a shim
-// stamps arrivals from its clock; DRAM partitions keep no local clock
-// (all their timing state is absolute).
+// would be a no-op except for the clock assignments it opens with. The
+// NoC stamps enqueues and a shim stamps arrivals from its clock, so
+// theirs advance here; a controller's clock is brought current only
+// when something reads it (see the file comment and SyncControllers),
+// and DRAM partitions keep no local clock (all their timing state is
+// absolute).
 func (s *System) SyncClocks(now uint64) {
-	s.syncShared(now)
-	for _, l1 := range s.L1s {
-		l1.SyncClock(now)
-	}
-}
-
-// syncShared is SyncClocks' shared part.
-func (s *System) syncShared(now uint64) {
 	s.clock = now
 	for _, sh := range s.shims {
 		sh.Sync(now)
 	}
 	s.Net.Sync(now)
+}
+
+// SyncControllers brings every L1 and L2 clock to now. The simulator
+// calls it whenever a phase exits, so pauses, digests and dumps see the
+// clocks the serial tick order would (see coherence.L1.SyncClock).
+func (s *System) SyncControllers(now uint64) {
 	for _, l2 := range s.L2s {
 		l2.SyncClock(now)
+	}
+	for _, l1 := range s.L1s {
+		l1.SyncClock(now)
 	}
 }
 
@@ -225,10 +234,10 @@ func (s *System) syncShared(now uint64) {
 func (s *System) RefreshDue(now uint64, smsTicked []int) {
 	s.refreshShared(now)
 	for _, i := range s.tickedL1s {
-		s.refreshL1(i)
+		s.markL1(i, !s.L1s[i].Quiescent())
 	}
 	for _, i := range smsTicked {
-		s.refreshL1(i)
+		s.markL1(i, !s.L1s[i].Quiescent())
 	}
 }
 
@@ -239,7 +248,7 @@ func (s *System) refreshShared(now uint64) {
 		s.Wakes.Schedule(s.slotPart+i, s.Parts[i].NextEvent(now))
 	}
 	for _, i := range s.tickedL2s {
-		s.refreshL2(i)
+		s.markL2(i, !s.L2s[i].Quiescent())
 	}
 }
 
@@ -254,19 +263,23 @@ func (s *System) sharedHorizon(now uint64) uint64 {
 	return max(next, now+1)
 }
 
-func (s *System) refreshL2(i int) {
-	if s.L2s[i].Quiescent() {
-		s.Wakes.Schedule(s.slotL2+i, sched.Never)
-	} else {
-		s.Wakes.Schedule(s.slotL2+i, sched.Hot)
-	}
-}
+// markL2 schedules bank i's slot Hot or Never and mirrors it in hotL2.
+func (s *System) markL2(i int, hot bool) { s.mark(s.hotL2, s.slotL2, i, hot) }
 
-func (s *System) refreshL1(i int) {
-	if s.L1s[i].Quiescent() {
-		s.Wakes.Schedule(s.slotL1+i, sched.Never)
+// markL1 schedules L1 i's slot Hot or Never and mirrors it in hotL1.
+// The relaxed exchange fires the same ingress hooks, always on the
+// master; the L1 marks they make are never read there (SM domains tick
+// their L1s themselves), and every phase re-registers all slots from
+// live state on entry.
+func (s *System) markL1(i int, hot bool) { s.mark(s.hotL1, s.slotL1, i, hot) }
+
+func (s *System) mark(set sched.Set, base, i int, hot bool) {
+	if hot {
+		set.Add(i)
+		s.Wakes.Schedule(base+i, sched.Hot)
 	} else {
-		s.Wakes.Schedule(s.slotL1+i, sched.Hot)
+		set.Remove(i)
+		s.Wakes.Schedule(base+i, sched.Never)
 	}
 }
 
@@ -295,11 +308,11 @@ func (s *System) RefreshWakes(now uint64, run bool) {
 	for k, sh := range s.shims {
 		s.Wakes.Schedule(s.slotShim+k, sh.NextDue())
 	}
-	for i := range s.L2s {
-		s.refreshL2(i)
+	for i, l2 := range s.L2s {
+		s.markL2(i, !l2.Quiescent())
 	}
-	for i := range s.L1s {
-		s.refreshL1(i)
+	for i, l1 := range s.L1s {
+		s.markL1(i, !l1.Quiescent())
 	}
 	roll := uint64(sched.Never)
 	if run {

@@ -3,7 +3,6 @@ package noc
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // DigestState writes a canonical, process-independent rendering of the
@@ -16,18 +15,11 @@ func (n *Network) DigestState(w io.Writer) {
 		n.now, n.seqCtr, n.inFlight, n.mesh.bisFree)
 	digestPorts(w, "toL2", n.toL2)
 	digestPorts(w, "toL1", n.toL1)
-	wire := make([]arrival, len(n.wire))
-	copy(wire, n.wire)
-	sort.Slice(wire, func(i, j int) bool {
-		if wire[i].at != wire[j].at {
-			return wire[i].at < wire[j].at
-		}
-		return wire[i].seq < wire[j].seq
-	})
-	for _, a := range wire {
+	n.wire.each(func(a *arrival) bool {
 		fmt.Fprintf(w, "wire %d %d %t ", a.at, a.seq, a.toL2)
 		a.msg.DigestInto(w)
-	}
+		return true
+	})
 }
 
 func digestPorts(w io.Writer, label string, ports []*port) {

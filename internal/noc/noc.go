@@ -8,8 +8,6 @@
 package noc
 
 import (
-	"sort"
-
 	"github.com/gtsc-sim/gtsc/internal/diag"
 	"github.com/gtsc-sim/gtsc/internal/mem"
 	"github.com/gtsc-sim/gtsc/internal/sched"
@@ -49,7 +47,9 @@ type Network struct {
 	next   uint64  // cached earliest cycle ticking could change state (lower bound; Never when empty)
 	toL2   []*port // one per SM
 	toL1   []*port // one per L2 bank
-	wire   arrivalHeap
+	liveL2 sched.Set
+	liveL1 sched.Set // the non-empty ports of toL2 and toL1
+	wire   calendar
 	seqCtr uint64
 	stats  stats.NoCStats
 	mesh   meshState
@@ -85,6 +85,17 @@ func New(cfg Config, nSM, nBank int) *Network {
 	for i := range n.toL1 {
 		n.toL1[i] = &port{cap: n.cfg.InjectQueue}
 	}
+	n.liveL2, n.liveL1 = sched.NewSet(nSM), sched.NewSet(nBank)
+	// A crossbar arrival lands at most Latency plus a fill's five flits
+	// after the cycle it was sent, so twice the latency spans every
+	// queued arrival; the calendar grows when mesh bisection queueing
+	// stretches the wire further.
+	span := uint64(1)
+	for span < 2*n.cfg.Latency {
+		span *= 2
+	}
+	n.wire = calendar{free: -1}
+	n.wire.init(span)
 	return n
 }
 
@@ -98,7 +109,7 @@ func (n *Network) Pending() int { return n.inFlight }
 // queue depths and the oldest in-flight wire transactions (capped at
 // diag.WireCap).
 func (n *Network) DumpState() diag.NoCState {
-	s := diag.NoCState{InFlight: n.inFlight, WireTotal: len(n.wire)}
+	s := diag.NoCState{InFlight: n.inFlight, WireTotal: n.wire.n}
 	for i, p := range n.toL2 {
 		if p.len() > 0 || p.busyUntil > n.now {
 			s.ToL2 = append(s.ToL2, diag.PortState{ID: i, Queue: p.len(), BusyUntil: p.busyUntil})
@@ -109,23 +120,13 @@ func (n *Network) DumpState() diag.NoCState {
 			s.ToL1 = append(s.ToL1, diag.PortState{ID: i, Queue: p.len(), BusyUntil: p.busyUntil})
 		}
 	}
-	wire := make([]arrival, len(n.wire))
-	copy(wire, n.wire)
-	sort.Slice(wire, func(i, j int) bool {
-		if wire[i].at != wire[j].at {
-			return wire[i].at < wire[j].at
-		}
-		return wire[i].seq < wire[j].seq
-	})
-	for _, a := range wire {
-		if len(s.Wire) >= diag.WireCap {
-			break
-		}
+	n.wire.each(func(a *arrival) bool {
 		s.Wire = append(s.Wire, diag.TxnState{
 			Due: a.at, Type: a.msg.Type.String(), Block: a.msg.Block.String(),
 			Src: a.msg.Src, Dst: a.msg.Dst, ToL2: a.toL2,
 		})
-	}
+		return len(s.Wire) < diag.WireCap
+	})
 	return s
 }
 
@@ -135,6 +136,7 @@ func (n *Network) SendToL2(msg *mem.Msg) bool {
 	if !p.push(msg, n.now) {
 		return false
 	}
+	n.liveL2.Add(msg.Src)
 	n.inFlight++
 	n.noteWork(p)
 	return true
@@ -146,6 +148,7 @@ func (n *Network) SendToL1(msg *mem.Msg) bool {
 	if !p.push(msg, n.now) {
 		return false
 	}
+	n.liveL1.Add(msg.Src)
 	n.inFlight++
 	n.noteWork(p)
 	return true
@@ -163,8 +166,8 @@ func (n *Network) SendToL1(msg *mem.Msg) bool {
 //   - Port credit return (busyUntil expiry): busyUntil only ever moves
 //     inside drainPort, which runs inside Tick, and Tick rebuilds the
 //     cache from its drain results — already covered.
-//   - Wire arrivals: pushed only by drainPort; Tick's post-drain wire
-//     top check covers them.
+//   - Wire arrivals: pushed only by drainPort; Tick's post-drain
+//     earliest-arrival check covers them.
 //
 // The one remaining hazard is the clock itself: the clamp below reads
 // n.now, so if the network's clock lags the machine's (its tick was
@@ -195,8 +198,10 @@ func (n *Network) Sync(now uint64) { n.now = now }
 // O(1): n.next is a lower bound on the first cycle at which any port
 // head could serialize or any wire arrival come due (maintained by
 // noteWork on injection and recomputed after real work below), so when
-// now < n.next the full body would scan every port and the wire top
-// and do nothing — we return without the scan, leaving identical state.
+// now < n.next the full body would drain nothing and deliver nothing —
+// we return at once, leaving identical state. A real tick visits only
+// the non-empty ports, in index order, and only the wire's due
+// arrivals.
 func (n *Network) Tick(now uint64) {
 	n.now = now
 	if now < n.next {
@@ -205,23 +210,13 @@ func (n *Network) Tick(now uint64) {
 	// The cache is rebuilt incrementally during the drains below rather
 	// than by a trailing NextEvent rescan: each port's head-serialize
 	// cycle is known the moment its drain stops, and the wire's earliest
-	// arrival is its heap top once the due deliveries pop. Delivery
-	// callbacks can inject new messages mid-tick; resetting the cache to
-	// Never first lets noteWork fold those in, and the final min keeps
-	// the result identical to the full rescan.
+	// arrival is known once the due deliveries pop. Delivery callbacks
+	// can inject new messages mid-tick; resetting the cache to Never
+	// first lets noteWork fold those in, and the final min keeps the
+	// result identical to the full rescan.
 	n.next = Never
-	next := uint64(Never)
-	for _, p := range n.toL2 {
-		if c := n.drainPort(p, true, now); c < next {
-			next = c
-		}
-	}
-	for _, p := range n.toL1 {
-		if c := n.drainPort(p, false, now); c < next {
-			next = c
-		}
-	}
-	for len(n.wire) > 0 && n.wire[0].at <= now {
+	next := min(n.drainPorts(n.toL2, n.liveL2, true, now), n.drainPorts(n.toL1, n.liveL1, false, now))
+	for n.wire.n > 0 && n.wire.lo <= now {
 		a := n.wire.pop()
 		n.inFlight--
 		if a.toL2 {
@@ -230,14 +225,27 @@ func (n *Network) Tick(now uint64) {
 			n.DeliverL1(a.msg.Dst, a.msg)
 		}
 	}
-	if len(n.wire) > 0 {
-		if c := max(n.wire[0].at, now+1); c < next {
-			next = c
-		}
+	if n.wire.n > 0 {
+		next = min(next, max(n.wire.lo, now+1))
 	}
 	if next < n.next {
 		n.next = next
 	}
+}
+
+// drainPorts drains the non-empty ports of one direction in index
+// order, dropping each port that empties from live, and returns the
+// earliest cycle a remaining head can serialize.
+func (n *Network) drainPorts(ports []*port, live sched.Set, toL2 bool, now uint64) uint64 {
+	next := uint64(Never)
+	for i := live.Next(0); i >= 0; i = live.Next(i + 1) {
+		c := n.drainPort(ports[i], toL2, now)
+		if c == Never {
+			live.Remove(i)
+		}
+		next = min(next, c)
+	}
+	return next
 }
 
 // drainPort serializes the port's due heads onto the wire and returns
@@ -325,60 +333,128 @@ type arrival struct {
 	at   uint64
 	seq  uint64 // FIFO tiebreak for same-cycle arrivals
 	msg  *mem.Msg
+	next int32 // the next entry in its calendar bucket or the free list; -1 ends it
 	toL2 bool
 }
 
-// arrivalHeap is a hand-rolled binary min-heap ordered by (at, seq).
-// It replaces container/heap to avoid the interface boxing that
-// allocated on every wire push/pop; (at, seq) is a total order (seq is
-// unique per network), so pop order is identical.
-type arrivalHeap []arrival
-
-func (h arrivalHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// calendar is the wire: a calendar queue of in-flight messages,
+// bucketed by arrival cycle modulo a power-of-two span. Every queued
+// arrival lies in [lo, hi], the earliest and latest queued cycles, and
+// hi-lo stays below the span, so a bucket only ever holds one arrival
+// cycle. Messages are pushed in seq order, so a bucket kept FIFO pops
+// them in (at, seq) order. An arrival that would stretch [lo, hi] past
+// the span (mesh bisection queueing) doubles the span and re-buckets
+// everything. Entries live on one slice, recycled through a free list,
+// so a warmed-up wire allocates nothing.
+type calendar struct {
+	ents    []arrival
+	free    int32 // first free entry, or -1
+	buckets []bucket
+	lo, hi  uint64 // earliest and latest queued arrival cycles, while n > 0
+	n       int
 }
 
-func (h *arrivalHeap) push(a arrival) {
-	*h = append(*h, a)
-	s := *h
-	for i := len(s) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
+// bucket is the FIFO of one arrival cycle's entries, -1 when empty.
+type bucket struct{ head, tail int32 }
+
+// init empties the buckets at a span of size, a power of two; the
+// entries and the free list are left to the caller.
+func (w *calendar) init(size uint64) {
+	w.buckets = make([]bucket, size)
+	for i := range w.buckets {
+		w.buckets[i] = bucket{-1, -1}
 	}
 }
 
-func (h *arrivalHeap) pop() arrival {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s[last] = arrival{} // drop the msg reference for the GC
-	s = s[:last]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= len(s) {
-			break
+func (w *calendar) bucket(at uint64) *bucket {
+	return &w.buckets[at&uint64(len(w.buckets)-1)]
+}
+
+// push queues a behind every queued arrival of its cycle.
+func (w *calendar) push(a arrival) {
+	if w.n == 0 {
+		w.lo, w.hi = a.at, a.at
+	} else {
+		w.lo, w.hi = min(w.lo, a.at), max(w.hi, a.at)
+		if w.hi-w.lo >= uint64(len(w.buckets)) {
+			w.grow()
 		}
-		c := l
-		if r < len(s) && s.less(r, l) {
-			c = r
-		}
-		if !s.less(c, i) {
-			break
-		}
-		s[i], s[c] = s[c], s[i]
-		i = c
 	}
-	return top
+	e := w.free
+	a.next = -1
+	if e < 0 {
+		e = int32(len(w.ents))
+		w.ents = append(w.ents, a)
+	} else {
+		w.free = w.ents[e].next
+		w.ents[e] = a
+	}
+	w.link(e)
+	w.n++
+}
+
+// link appends entry e to the tail of its arrival cycle's bucket.
+func (w *calendar) link(e int32) {
+	b := w.bucket(w.ents[e].at)
+	if b.head < 0 {
+		b.head = e
+	} else {
+		w.ents[b.tail].next = e
+	}
+	b.tail = e
+}
+
+// grow doubles the span until [lo, hi] fits and re-buckets every queued
+// entry (the free list is untouched). Each old bucket holds one arrival
+// cycle and its entries move in order, so every bucket stays FIFO.
+func (w *calendar) grow() {
+	old, size := w.buckets, 2*uint64(len(w.buckets))
+	for w.hi-w.lo >= size {
+		size *= 2
+	}
+	w.init(size)
+	for _, b := range old {
+		for e := b.head; e >= 0; {
+			next := w.ents[e].next
+			w.ents[e].next = -1
+			w.link(e)
+			e = next
+		}
+	}
+}
+
+// pop removes and returns the earliest arrival (n > 0).
+func (w *calendar) pop() arrival {
+	b := w.bucket(w.lo)
+	e := b.head
+	a := w.ents[e]
+	b.head = a.next
+	if b.head < 0 {
+		b.tail = -1
+	}
+	w.ents[e] = arrival{next: w.free} // drop the msg reference for the GC
+	w.free = e
+	w.n--
+	if b.head < 0 && w.n > 0 {
+		for w.lo++; w.bucket(w.lo).head < 0; w.lo++ {
+		}
+	}
+	return a
+}
+
+// each visits the queued arrivals in (at, seq) order until fn returns
+// false.
+func (w *calendar) each(fn func(a *arrival) bool) {
+	if w.n == 0 {
+		return
+	}
+	for c := w.lo; c <= w.hi; c++ {
+		for e := w.bucket(c).head; e >= 0; e = w.ents[e].next {
+			if !fn(&w.ents[e]) {
+				return
+			}
+		}
+	}
 }
 
 // Never is the NextEvent result when no event is scheduled at all
@@ -403,8 +479,8 @@ func (n *Network) NextEvent(now uint64) uint64 {
 			next = min(next, max(p.busyUntil, now+1))
 		}
 	}
-	if len(n.wire) > 0 {
-		next = min(next, max(n.wire[0].at, now+1))
+	if n.wire.n > 0 {
+		next = min(next, max(n.wire.lo, now+1))
 	}
 	return next
 }
@@ -433,15 +509,15 @@ func (n *Network) NextWork(now uint64) uint64 {
 // a stalled SM observes its data without waiting out the full slack.
 func (n *Network) NextL1Arrival(now uint64) uint64 {
 	next := uint64(Never)
-	for _, a := range n.wire {
-		if !a.toL2 && a.at < next {
-			next = a.at
+	n.wire.each(func(a *arrival) bool {
+		if a.toL2 {
+			return true
 		}
-	}
-	for _, p := range n.toL1 {
-		if p.len() == 0 {
-			continue
-		}
+		next = a.at
+		return false
+	})
+	for i := n.liveL1.Next(0); i >= 0; i = n.liveL1.Next(i + 1) {
+		p := n.toL1[i]
 		msg := p.q[p.head].msg
 		lat := n.cfg.Latency
 		if n.cfg.Topology == Mesh {

@@ -190,9 +190,11 @@ func (s *Simulator) runPhaseEvent(ctx context.Context, stopAt uint64) (bool, err
 // horizon is now+1 whenever any slot is Hot (an awake SM, a
 // non-quiescent controller), so a jump proves the machine fully inert
 // for the window: every slot's wake lies beyond j, so the only state a
-// tick at j would touch is the component-local clocks, which
-// SyncClocks advances directly. Sleeping SMs' stall stats stay
-// deferred: the skipped window lies inside their sleep.
+// tick at j would touch is the component-local clocks. SyncClocks
+// advances the NoC's and the fault shims'; a controller's clock is
+// brought current when something next reads it (memsys/wakes.go).
+// Sleeping SMs' stall stats stay deferred: the skipped window lies
+// inside their sleep.
 func (s *Simulator) trySkipEvent(budgetCap, stopAt uint64, run bool) bool {
 	horizon := s.Sys.Wakes.Horizon(s.now)
 	if horizon <= s.now+1 {
@@ -247,6 +249,9 @@ func (s *Simulator) tickSMsEvent() {
 	}
 	ev.due = due
 	for _, i := range due {
+		// The hierarchy brings a sleeping L1's clock current only when
+		// something reads it; the SM's accesses read cycle now.
+		s.Sys.L1s[i].SyncClock(now)
 		s.SMs[i].Tick(now)
 	}
 	s.eng.SMTicks += uint64(len(due))

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -214,33 +215,70 @@ func TestWedgedRunProducesDeadlock(t *testing.T) {
 	}
 }
 
-// TestProtocolErrorCarriesDump injects a message outside the G-TSC
-// state machine (a directory-only invalidation) and asserts the run
-// fails with a typed ProtocolError naming the component and event, and
-// carrying the machine-state dump — instead of panicking.
+// TestProtocolErrorCarriesDump poisons each kind of first-failure latch
+// mid-run — an L2 bank fed a message outside its state machine (a
+// directory-only invalidation), an L1 handed an ack no access awaits,
+// a DRAM partition handed a non-DRAM request — and asserts the run
+// fails with a typed ProtocolError naming the component and event and
+// carrying the machine-state dump, instead of panicking. The component,
+// event and dump cycle are pinned, so a failure check that runs late
+// fails; the last case latches all three before the same check, so one
+// that scans the controllers in another order fails too.
 func TestProtocolErrorCarriesDump(t *testing.T) {
-	cfg := smallConfig(memsys.GTSC, gpu.RC)
-	s := New(cfg)
-	s.Sys.L2s[0].Deliver(&mem.Msg{Type: mem.BusInv, Block: mem.Addr(0x70000).Block(), Src: 1})
-	_, err := s.Run(writeReadKernel(0x70000))
-	if err == nil {
-		t.Fatal("run with poisoned L2 succeeded")
+	const pauseAt = 100
+	block := mem.Addr(0x70000).Block()
+	viaNoCToL2 := func(s *Simulator) {
+		s.Sys.Net.SendToL2(&mem.Msg{Type: mem.BusInv, Block: block, Src: 1, Dst: 0})
 	}
-	var pe *diag.ProtocolError
-	if !errors.As(err, &pe) {
-		t.Fatalf("want ProtocolError, got %T: %v", err, err)
+	viaNoCToL1 := func(s *Simulator) {
+		s.Sys.Net.SendToL1(&mem.Msg{Type: mem.BusAtomAck, Block: block, Src: 0, Dst: 1, ReqID: 1 << 40})
 	}
-	if pe.Event != "unexpected-message" {
-		t.Fatalf("event = %q, want unexpected-message", pe.Event)
+	toPartition := func(s *Simulator) {
+		s.Sys.Parts[2].Enqueue(&mem.Msg{Type: mem.BusRd, Block: block, Src: 2})
 	}
-	if !strings.Contains(pe.Component, "l2") {
-		t.Fatalf("component = %q, want an L2 bank", pe.Component)
+	allAtOnce := func(s *Simulator) {
+		s.Sys.L2s[0].Deliver(&mem.Msg{Type: mem.BusInv, Block: block, Src: 1})
+		s.Sys.L1s[1].Deliver(&mem.Msg{Type: mem.BusAtomAck, Block: block, Src: 0, Dst: 1, ReqID: 1 << 40})
+		toPartition(s)
 	}
-	if pe.Dump == nil {
-		t.Fatal("no machine-state dump attached")
+	cases := []struct {
+		name             string
+		poison           func(*Simulator)
+		component, event string
+		cycle            uint64
+	}{
+		{"l2", viaNoCToL2, "gtsc-l2[0]", "unexpected-message", 118},
+		{"l1-ack", viaNoCToL1, "gtsc-l1[1]", "unknown-atomic-ack", 118},
+		{"dram", toPartition, "dram[2]", "unexpected-message", 101},
+		{"all-three", allAtOnce, "gtsc-l1[1]", "unknown-atomic-ack", 101},
 	}
-	if !strings.Contains(err.Error(), "protocol error") {
-		t.Fatalf("error summary %q", err.Error())
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(smallConfig(memsys.GTSC, gpu.RC))
+			_, paused, err := s.RunUntil(context.Background(), writeReadKernel(0x70000), pauseAt)
+			if err != nil || !paused {
+				t.Fatalf("pause at %d: paused=%v err=%v", pauseAt, paused, err)
+			}
+			tc.poison(s)
+			_, _, err = s.Resume(context.Background(), 0)
+			if err == nil {
+				t.Fatal("poisoned run succeeded")
+			}
+			var pe *diag.ProtocolError
+			if !errors.As(err, &pe) {
+				t.Fatalf("want ProtocolError, got %T: %v", err, err)
+			}
+			if pe.Dump == nil {
+				t.Fatal("no machine-state dump attached")
+			}
+			if pe.Component != tc.component || pe.Event != tc.event || pe.Dump.Cycle != tc.cycle {
+				t.Errorf("failure %s/%s at cycle %d, want %s/%s at cycle %d",
+					pe.Component, pe.Event, pe.Dump.Cycle, tc.component, tc.event, tc.cycle)
+			}
+			if !strings.Contains(err.Error(), "protocol error") {
+				t.Fatalf("error summary %q", err.Error())
+			}
+		})
 	}
 }
 

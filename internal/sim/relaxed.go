@@ -29,8 +29,7 @@
 // therefore depends only on its own state and the barrier-delivered
 // inputs — never on goroutine interleaving — so a relaxed run is
 // deterministic at any worker count, including serial (GOMAXPROCS=1),
-// where the same epoch structure is executed inline and still wins by
-// amortizing per-cycle engine bookkeeping over whole epochs.
+// where the same epoch structure is executed inline.
 //
 // What slack perturbs, and what it cannot (DESIGN.md §7 carries the
 // full argument): an SM's outbound request is replayed at its true

@@ -313,6 +313,9 @@ func (s *Simulator) advance(ctx context.Context, stopAt uint64) (*stats.Run, boo
 			run = s.runPhaseRelaxed
 		}
 		paused, err := run(ctx, stopAt)
+		// The exact engine brings sleeping controllers' clocks current
+		// only when read; whatever reads them next reads s.now.
+		s.Sys.SyncControllers(s.now)
 		if err != nil {
 			return nil, false, err
 		}
@@ -324,6 +327,7 @@ func (s *Simulator) advance(ctx context.Context, stopAt uint64) (*stats.Run, boo
 		}
 	}
 	paused, err := s.drainPhaseEvent(ctx, stopAt)
+	s.Sys.SyncControllers(s.now)
 	if err != nil {
 		return nil, false, err
 	}

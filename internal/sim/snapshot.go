@@ -53,7 +53,7 @@ func (s *Simulator) phaseName() string {
 // FNV-1a. Equal digests (given equal configurations) mean equal
 // machine state: every architectural and microarchitectural bit that
 // influences future behavior — warp registers, cache lines with
-// timestamp/lease metadata, MSHRs, queues, event heaps, RNG position —
+// timestamp/lease metadata, MSHRs, queues, event queues, RNG position —
 // feeds the hash through a rendering that contains no pointer or
 // func values and no unordered map iteration.
 func (s *Simulator) StateDigest() uint64 {

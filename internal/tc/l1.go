@@ -12,8 +12,9 @@ import (
 //
 // The local clock is load-bearing outside Tick: accessLoad compares it
 // against lease expiries on every SM access, and the fill path detects
-// leases that died in flight, so the per-component dispatcher's
-// SyncClock must advance it across skipped ticks.
+// leases that died in flight, so while the per-component dispatcher
+// skips its ticks, SyncClock must bring it current before each access
+// and each delivery (see coherence.L1.SyncClock).
 type L1 struct {
 	coherence.Port
 	cfg   Config
