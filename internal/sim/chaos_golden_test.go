@@ -58,6 +58,9 @@ var chaosRows = []chaosRow{
 	{"BH", "tc-rc", "chaos1", 10204, 7318, 0xa01f4168bb27bc89},
 	{"BH", "tc-rc", "chaos2", 10483, 7354, 0x6b614dd0da9ccf59},
 	{"BH", "tc-rc", "rollover3", 10220, 7312, 0x5a5a995f8d9b1bd7},
+	{"BH", "tc-sc", "chaos1", 12712, 7518, 0x2e51c32648bd1ff6},
+	{"BH", "tc-sc", "chaos2", 12989, 7576, 0xcf25440912226e48},
+	{"BH", "tc-sc", "rollover3", 13055, 7552, 0xfceed8c742486d87},
 	{"BH", "bl-rc", "chaos1", 8484, 8732, 0xa15ae123b8671a71},
 	{"BH", "bl-rc", "chaos2", 8546, 8696, 0xa262dfd089a3f83d},
 	{"BH", "bl-rc", "rollover3", 8853, 8794, 0xe0bd0d259800e123},
@@ -73,6 +76,9 @@ var chaosRows = []chaosRow{
 	{"CC", "tc-rc", "chaos1", 11730, 14696, 0x99500c35b7820316},
 	{"CC", "tc-rc", "chaos2", 11715, 14654, 0xb167a12029be589b},
 	{"CC", "tc-rc", "rollover3", 11746, 14628, 0xf48f3b4b1301f7b6},
+	{"CC", "tc-sc", "chaos1", 13958, 15716, 0xfb677716fa7541cf},
+	{"CC", "tc-sc", "chaos2", 14159, 15596, 0x1a5dc403748759dc},
+	{"CC", "tc-sc", "rollover3", 14300, 15888, 0xc85a081ab7cbf7c2},
 	{"CC", "bl-rc", "chaos1", 14731, 38126, 0xfa2774595d7790ad},
 	{"CC", "bl-rc", "chaos2", 14887, 38156, 0xabc2a00bca72633b},
 	{"CC", "bl-rc", "rollover3", 14911, 38140, 0x4396c79f335815d9},
@@ -88,6 +94,9 @@ var chaosRows = []chaosRow{
 	{"DLP", "tc-rc", "chaos1", 17629, 20086, 0x44eb7fb9f8e274fd},
 	{"DLP", "tc-rc", "chaos2", 17791, 20394, 0x6f37999f7b632806},
 	{"DLP", "tc-rc", "rollover3", 18383, 20648, 0x41e19ea7ed3a860e},
+	{"DLP", "tc-sc", "chaos1", 23625, 27250, 0xd6449dca5dc96fa7},
+	{"DLP", "tc-sc", "chaos2", 23507, 26944, 0x9d6761801fd0057b},
+	{"DLP", "tc-sc", "rollover3", 23173, 26982, 0xbe119b161f712767},
 	{"DLP", "bl-rc", "chaos1", 20037, 43998, 0xc11e0644d00dbdb0},
 	{"DLP", "bl-rc", "chaos2", 19797, 44016, 0xd6a67b8c9d8c3450},
 	{"DLP", "bl-rc", "rollover3", 19787, 43980, 0x7987047331865df9},
@@ -103,6 +112,9 @@ var chaosRows = []chaosRow{
 	{"VPR", "tc-rc", "chaos1", 9492, 9674, 0xa3d57d6876e7b477},
 	{"VPR", "tc-rc", "chaos2", 9479, 9718, 0xb4b944af095de038},
 	{"VPR", "tc-rc", "rollover3", 9534, 9802, 0x6fccbad879093da7},
+	{"VPR", "tc-sc", "chaos1", 13070, 11024, 0xc9bda2e553eb7e9e},
+	{"VPR", "tc-sc", "chaos2", 12507, 10756, 0x28bb0480b199f486},
+	{"VPR", "tc-sc", "rollover3", 12284, 10780, 0xfb4e4bf139b5bf95},
 	{"VPR", "bl-rc", "chaos1", 14049, 27488, 0xa03ac8db4486d66c},
 	{"VPR", "bl-rc", "chaos2", 14029, 27504, 0xce8103a6799c6bff},
 	{"VPR", "bl-rc", "rollover3", 13854, 27432, 0xf0137d22248eb6a6},
@@ -118,6 +130,9 @@ var chaosRows = []chaosRow{
 	{"STN", "tc-rc", "chaos1", 12357, 11104, 0x93284922d88bfe3a},
 	{"STN", "tc-rc", "chaos2", 12525, 11116, 0x65a8aeda0f1f18a4},
 	{"STN", "tc-rc", "rollover3", 12423, 11142, 0x4a153d279c1ab6db},
+	{"STN", "tc-sc", "chaos1", 14595, 11224, 0xe0462daa153aa12c},
+	{"STN", "tc-sc", "chaos2", 14452, 11170, 0xd75bb1f9327642c3},
+	{"STN", "tc-sc", "rollover3", 14211, 11088, 0xb5179952fdf1a22c},
 	{"STN", "bl-rc", "chaos1", 15099, 21962, 0x8c4c941200f5e331},
 	{"STN", "bl-rc", "chaos2", 15056, 21944, 0x6cac2d97f33401c0},
 	{"STN", "bl-rc", "rollover3", 15401, 21942, 0x16a75b42cbe60e64},
@@ -133,6 +148,9 @@ var chaosRows = []chaosRow{
 	{"BFS", "tc-rc", "chaos1", 12156, 23368, 0xb4dc4df6614158c1},
 	{"BFS", "tc-rc", "chaos2", 12112, 23234, 0xe77942a4ccfa06f0},
 	{"BFS", "tc-rc", "rollover3", 12035, 23176, 0xaaf699ca8ac8b24e},
+	{"BFS", "tc-sc", "chaos1", 17447, 30420, 0x8b067f20282588aa},
+	{"BFS", "tc-sc", "chaos2", 16751, 30114, 0x7d81a5dd3bd0adf1},
+	{"BFS", "tc-sc", "rollover3", 17845, 30652, 0x4dfa02d712f4e65e},
 	{"BFS", "bl-rc", "chaos1", 15949, 50280, 0xd75597a75033f0d2},
 	{"BFS", "bl-rc", "chaos2", 15933, 50270, 0x5822d499cec01e6e},
 	{"BFS", "bl-rc", "rollover3", 16126, 50326, 0xe3edfbcc1ba28c32},
@@ -163,8 +181,8 @@ func chaosRowConfig(t *testing.T, row chaosRow) (sim.Config, *workload.Workload)
 // TestChaosFingerprintsBitIdentical runs every chaos row and compares
 // its cycles, flits and full stats fingerprint with the table.
 func TestChaosFingerprintsBitIdentical(t *testing.T) {
-	if len(chaosRows) != 90 {
-		t.Fatalf("chaos table has %d rows, want 90 (coherence six x 5 configs x 3 plans)", len(chaosRows))
+	if len(chaosRows) != 108 {
+		t.Fatalf("chaos table has %d rows, want 108 (coherence six x 6 configs x 3 plans)", len(chaosRows))
 	}
 	for _, row := range chaosRows {
 		row := row

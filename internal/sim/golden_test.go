@@ -33,6 +33,7 @@ var goldenRows = []goldenRow{
 	{"BH", "gtsc-sc", 8831, 5386, 0x3a29b989a1aa8b45},
 	{"BH", "gtsc-tso", 8831, 5386, 0x8f92698ad955576},
 	{"BH", "tc-rc", 15502, 7654, 0xc260e8d8ec002698},
+	{"BH", "tc-sc", 18533, 7642, 0x88ad4f7023feddc0},
 	{"BH", "bl-rc", 6878, 8612, 0x8f08490c5c876f1c},
 	{"BH", "dir-rc", 7401, 5048, 0x6305156f7f0f0f6e},
 	{"BH", "gtsc-rc-mesh-banked", 5809, 5306, 0x6da0a333f429a1c3},
@@ -41,6 +42,7 @@ var goldenRows = []goldenRow{
 	{"CC", "gtsc-sc", 9483, 8716, 0x94abb28b87adfd74},
 	{"CC", "gtsc-tso", 9483, 8716, 0x305b4b1790ee6f9f},
 	{"CC", "tc-rc", 12675, 10426, 0xf736afa70de75070},
+	{"CC", "tc-sc", 16486, 11566, 0xe964c965ea0183b8},
 	{"CC", "bl-rc", 11585, 37860, 0x2703b8ee13c7a818},
 	{"CC", "dir-rc", 8370, 7332, 0x1fabaf9cd68cd46b},
 	{"CC", "gtsc-rc-mesh-banked", 7249, 8300, 0x98df71c459bf5e48},
@@ -49,6 +51,7 @@ var goldenRows = []goldenRow{
 	{"DLP", "gtsc-sc", 14352, 11930, 0x30c93daee2acf2c1},
 	{"DLP", "gtsc-tso", 14352, 11930, 0x3a4e61a88cc157c9},
 	{"DLP", "tc-rc", 21099, 17856, 0x33c0059f27c84db},
+	{"DLP", "tc-sc", 25802, 18500, 0x8f96819c0e8c9380},
 	{"DLP", "bl-rc", 15427, 43628, 0xc2b61a5354f25d87},
 	{"DLP", "dir-rc", 13082, 10098, 0x477fddb453c28542},
 	{"DLP", "gtsc-rc-mesh-banked", 10264, 11222, 0xb9430ac7a33e1979},
@@ -57,6 +60,7 @@ var goldenRows = []goldenRow{
 	{"VPR", "gtsc-sc", 8644, 6978, 0x3cfae48369f860be},
 	{"VPR", "gtsc-tso", 8644, 6978, 0xb2ab0f26fe84dff3},
 	{"VPR", "tc-rc", 13680, 10216, 0x7b41dbf1b163940d},
+	{"VPR", "tc-sc", 15525, 10410, 0x7b2bc77e95ad3bf8},
 	{"VPR", "bl-rc", 10549, 27200, 0x9318f8f4f452eaab},
 	{"VPR", "dir-rc", 8971, 6252, 0x52fb3d6722bf2016},
 	{"VPR", "gtsc-rc-mesh-banked", 6946, 7176, 0xa970bf8051046253},
@@ -65,6 +69,7 @@ var goldenRows = []goldenRow{
 	{"STN", "gtsc-sc", 11168, 9624, 0xaffde62c14468f89},
 	{"STN", "gtsc-tso", 11168, 9624, 0x98a43cad3a2d4e70},
 	{"STN", "tc-rc", 19815, 11062, 0x1153cbe12f4a96a6},
+	{"STN", "tc-sc", 22165, 11120, 0x55b697d23876382},
 	{"STN", "bl-rc", 12112, 21842, 0x6fb01a18f25c5fe5},
 	{"STN", "dir-rc", 10238, 10674, 0xb373f23c69254fa0},
 	{"STN", "gtsc-rc-mesh-banked", 8226, 9502, 0x283855ae09d6fdec},
@@ -73,6 +78,7 @@ var goldenRows = []goldenRow{
 	{"BFS", "gtsc-sc", 9672, 9736, 0xacdb07e9f2b79f0},
 	{"BFS", "gtsc-tso", 9672, 9736, 0x8e1e71f9b4de2f71},
 	{"BFS", "tc-rc", 10910, 12522, 0x6ea08c1a06f36183},
+	{"BFS", "tc-sc", 12426, 12874, 0xf9ad25453c1b37f5},
 	{"BFS", "bl-rc", 14308, 50240, 0x12a3a7045aa146d2},
 	{"BFS", "dir-rc", 7306, 6592, 0xe9515e7f0a69dc87},
 	{"BFS", "gtsc-rc-mesh-banked", 8207, 9966, 0x81a18f276ce85076},
@@ -81,6 +87,7 @@ var goldenRows = []goldenRow{
 	{"CCP", "gtsc-sc", 790, 480, 0x6d39919ae8a042e6},
 	{"CCP", "gtsc-tso", 790, 480, 0x2e7afad54b0b4e22},
 	{"CCP", "tc-rc", 778, 480, 0xa85b0ee1b7c51239},
+	{"CCP", "tc-sc", 790, 480, 0x228b80721b16a357},
 	{"CCP", "bl-rc", 1722, 6048, 0x1ad6c2384152cac1},
 	{"CCP", "dir-rc", 804, 512, 0x86ef910648b2d3d4},
 	{"CCP", "gtsc-rc-mesh-banked", 1407, 480, 0xfb360e015d0bf480},
@@ -89,6 +96,7 @@ var goldenRows = []goldenRow{
 	{"GE", "gtsc-sc", 4930, 2480, 0x40aa047658e62c7},
 	{"GE", "gtsc-tso", 4819, 2752, 0x43f149a6b54aab79},
 	{"GE", "tc-rc", 5383, 3120, 0xab46f564d5dca640},
+	{"GE", "tc-sc", 13679, 4032, 0xd2be5a3da6e9a328},
 	{"GE", "bl-rc", 3436, 5376, 0x3f606d26adce9448},
 	{"GE", "dir-rc", 1966, 384, 0x9546be059a1897c5},
 	{"GE", "gtsc-rc-mesh-banked", 2953, 2412, 0xefdc2c4e1e757afe},
@@ -97,6 +105,7 @@ var goldenRows = []goldenRow{
 	{"HS", "gtsc-sc", 1064, 1024, 0x31c9254073469ee4},
 	{"HS", "gtsc-tso", 1064, 1024, 0xf8a2f9c86c02908c},
 	{"HS", "tc-rc", 1233, 1280, 0x2d3b632564198569},
+	{"HS", "tc-sc", 1251, 1280, 0xe43c3b8542a91e1d},
 	{"HS", "bl-rc", 1611, 2624, 0x3bf93eb7eec69716},
 	{"HS", "dir-rc", 932, 384, 0xa45a9f19b52aa508},
 	{"HS", "gtsc-rc-mesh-banked", 1545, 1024, 0x623b63c0efe4be83},
@@ -105,6 +114,7 @@ var goldenRows = []goldenRow{
 	{"KM", "gtsc-sc", 4578, 9312, 0x48a06eda7d74629c},
 	{"KM", "gtsc-tso", 4578, 9312, 0xdec1d2ffbe93ef4c},
 	{"KM", "tc-rc", 4578, 9312, 0x332f608ce1444ffd},
+	{"KM", "tc-sc", 4578, 9312, 0x61f221730fd15d82},
 	{"KM", "bl-rc", 16741, 73824, 0x8b7b1db8a3db5023},
 	{"KM", "dir-rc", 4909, 11360, 0x247b4f6f6cdd72f9},
 	{"KM", "gtsc-rc-mesh-banked", 8489, 9312, 0x80130c3a252ebeb7},
@@ -113,6 +123,7 @@ var goldenRows = []goldenRow{
 	{"BP", "gtsc-sc", 3960, 2472, 0xe3180b4283e4036d},
 	{"BP", "gtsc-tso", 3960, 2472, 0x74df5c3d779aa738},
 	{"BP", "tc-rc", 4235, 10320, 0x6a039ca9d1c7f6c5},
+	{"BP", "tc-sc", 4928, 12018, 0x344979e0193dce71},
 	{"BP", "bl-rc", 14542, 63840, 0xa51fa276e851fc3},
 	{"BP", "dir-rc", 3656, 2426, 0xcca0bb32968253a0},
 	{"BP", "gtsc-rc-mesh-banked", 4797, 2472, 0x5524cdeea69a9bc},
@@ -121,6 +132,7 @@ var goldenRows = []goldenRow{
 	{"SGM", "gtsc-sc", 4575, 528, 0xbe8b893c7d9fd1e},
 	{"SGM", "gtsc-tso", 4575, 528, 0x906c12ae91774b7a},
 	{"SGM", "tc-rc", 4279, 864, 0x630a43e4c5eceada},
+	{"SGM", "tc-sc", 4834, 864, 0x65a8bfbed2373218},
 	{"SGM", "bl-rc", 4241, 3168, 0xc9f168e7ca2e5385},
 	{"SGM", "dir-rc", 4306, 560, 0x3efea784ffaf36d1},
 	{"SGM", "gtsc-rc-mesh-banked", 3793, 528, 0x788fa2aaaae58fd6},
@@ -141,6 +153,8 @@ func goldenConfig(label string) (sim.Config, bool) {
 		cfg.Mem.Protocol, cfg.SM.Consistency = memsys.GTSC, gpu.TSO
 	case "tc-rc":
 		cfg.Mem.Protocol, cfg.SM.Consistency = memsys.TC, gpu.RC
+	case "tc-sc":
+		cfg.Mem.Protocol, cfg.SM.Consistency = memsys.TC, gpu.SC
 	case "bl-rc":
 		cfg.Mem.Protocol, cfg.SM.Consistency = memsys.BL, gpu.RC
 	case "dir-rc":

@@ -34,6 +34,9 @@ var cfgs = []cfgT{
 	{"gtsc-sc", memsys.GTSC, gpu.SC, false, false, 0},
 	{"gtsc-tso", memsys.GTSC, gpu.TSO, false, false, 0},
 	{"tc-rc", memsys.TC, gpu.RC, false, false, 0},
+	// TC under SC is TC-Strong: writes wait at the L2 for leases to
+	// expire, so the lease-wait path is pinned too.
+	{"tc-sc", memsys.TC, gpu.SC, false, false, 0},
 	{"bl-rc", memsys.BL, gpu.RC, false, false, 0},
 	{"dir-rc", memsys.DIR, gpu.RC, false, false, 0},
 	{"gtsc-rc-mesh-banked", memsys.GTSC, gpu.RC, true, true, 0},
@@ -43,8 +46,8 @@ var cfgs = []cfgT{
 }
 
 // chaosConfigs are the golden configs the chaos table sweeps: one per
-// coherent protocol, plus G-TSC under SC.
-var chaosConfigs = []string{"gtsc-rc", "gtsc-sc", "tc-rc", "bl-rc", "dir-rc"}
+// coherent protocol, plus G-TSC and TC under SC.
+var chaosConfigs = []string{"gtsc-rc", "gtsc-sc", "tc-rc", "tc-sc", "bl-rc", "dir-rc"}
 
 // chaosPlans are the chaos table's fault plans, by row label.
 var chaosPlans = []struct {
