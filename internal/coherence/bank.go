@@ -10,6 +10,7 @@ import (
 	"github.com/gtsc-sim/gtsc/internal/cache"
 	"github.com/gtsc-sim/gtsc/internal/diag"
 	"github.com/gtsc-sim/gtsc/internal/mem"
+	"github.com/gtsc-sim/gtsc/internal/sched"
 	"github.com/gtsc-sim/gtsc/internal/stats"
 )
 
@@ -42,8 +43,8 @@ type Miss struct {
 //
 // Every bank embeds one and keeps only its coherence decisions. Bank
 // supplies the accessors of the L2 interface (Pool, Stats, SyncClock,
-// Err, Peek), and base Pending, Quiescent, Drained and DumpState that
-// a protocol with further transient state wraps.
+// Err, Peek), and base Pending, Quiescent, Wake, Drained and DumpState
+// that a protocol with further transient state wraps.
 type Bank[M any] struct {
 	ID       int    // bank index
 	Now      uint64 // local clock; see L2.SyncClock
@@ -140,6 +141,15 @@ func (b *Bank[M]) Busy() bool { return !b.inQ.Empty() || b.Blocked() }
 // nothing queued and no stalled fill to retry. A plain outstanding
 // miss does not count: it only changes state when its fill arrives.
 func (b *Bank[M]) Quiescent() bool { return !b.Busy() && len(b.stalled) == 0 }
+
+// Wake implements L2 for a bank with no timed work: Hot until it is
+// Quiescent, then Never.
+func (b *Bank[M]) Wake(uint64) uint64 {
+	if b.Quiescent() {
+		return sched.Never
+	}
+	return sched.Hot
+}
 
 // Drained is the O(1) form of Pending() == 0.
 func (b *Bank[M]) Drained() bool { return !b.Busy() && len(b.miss) == 0 }

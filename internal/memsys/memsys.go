@@ -197,12 +197,14 @@ type System struct {
 	// cycle handed to Tick/TickDue/SyncClocks or the relaxed exchange's
 	// shared part, which the ingress hooks need to compute post-enqueue
 	// wakes and receiver clocks; hotL1/hotL2 hold the controllers whose
-	// slot is Hot (their slots are only ever Hot or Never); the ticked
-	// lists record which components were dispatched this cycle so
-	// RefreshDue re-probes exactly those.
+	// slot is Hot and timedL2 the banks whose slot holds a cycle (an L1
+	// slot is only ever Hot or Never); the ticked lists record which
+	// components were dispatched this cycle so RefreshDue re-probes
+	// exactly those.
 	clock       uint64
 	hotL1       sched.Set
 	hotL2       sched.Set
+	timedL2     sched.Set
 	tickedParts []int
 	tickedL2s   []int
 	tickedL1s   []int
@@ -369,7 +371,7 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 	// controllers are indexed at call time, so a caller may wrap them
 	// after New.
 	toL2 := func(bank int, msg *mem.Msg) {
-		s.markL2(bank, true)
+		s.markL2(bank, sched.Hot)
 		s.L2s[bank].SyncClock(s.clock - 1)
 		s.L2s[bank].Deliver(msg)
 	}
@@ -381,7 +383,7 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 		s.L1s[sm].Deliver(msg)
 	}
 	fillL2 := func(bank int, msg *mem.Msg) {
-		s.markL2(bank, true)
+		s.markL2(bank, sched.Hot)
 		s.L2s[bank].SyncClock(s.clock - 1)
 		s.L2s[bank].DRAMFill(msg)
 	}

@@ -2,11 +2,13 @@ package sim_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/gtsc-sim/gtsc/internal/coherence"
 	"github.com/gtsc-sim/gtsc/internal/gpu"
 	"github.com/gtsc-sim/gtsc/internal/mem"
+	"github.com/gtsc-sim/gtsc/internal/sched"
 	"github.com/gtsc-sim/gtsc/internal/sim"
 )
 
@@ -65,9 +67,13 @@ func TestComponentDispatchAccounting(t *testing.T) {
 	}
 }
 
-// ctrlCalls counts the calls one controller class receives.
+// ctrlCalls counts the calls one controller class receives, and for
+// the banks the ticks that came before the wake the bank named at its
+// last tick with no delivery or DRAM fill in between (early) and those
+// that came exactly on a timed wake (timed).
 type ctrlCalls struct {
 	ticks, syncs, delivers, fills, errs uint64
+	early, timed                        uint64
 }
 
 // countingL1 and countingL2 count the calls the engine, the transports
@@ -84,13 +90,26 @@ func (w *countingL1) Err() error           { w.c.errs++; return w.L1.Err() }
 
 type countingL2 struct {
 	coherence.L2
-	c *ctrlCalls
+	c    *ctrlCalls
+	wake uint64 // the bank's Wake after its last tick
+	fed  bool   // a delivery or DRAM fill reached it since
 }
 
-func (w *countingL2) Tick(now uint64)      { w.c.ticks++; w.L2.Tick(now) }
+func (w *countingL2) Tick(now uint64) {
+	w.c.ticks++
+	if !w.fed && w.wake != sched.Hot {
+		if now < w.wake {
+			w.c.early++
+		} else if now == w.wake {
+			w.c.timed++
+		}
+	}
+	w.L2.Tick(now)
+	w.wake, w.fed = w.L2.Wake(now), false
+}
 func (w *countingL2) SyncClock(now uint64) { w.c.syncs++; w.L2.SyncClock(now) }
-func (w *countingL2) Deliver(m *mem.Msg)   { w.c.delivers++; w.L2.Deliver(m) }
-func (w *countingL2) DRAMFill(m *mem.Msg)  { w.c.fills++; w.L2.DRAMFill(m) }
+func (w *countingL2) Deliver(m *mem.Msg)   { w.c.delivers++; w.fed = true; w.L2.Deliver(m) }
+func (w *countingL2) DRAMFill(m *mem.Msg)  { w.c.fills++; w.fed = true; w.L2.DRAMFill(m) }
 func (w *countingL2) Err() error           { w.c.errs++; return w.L2.Err() }
 
 // TestEngineCallsOnlyActingControllers pins the cost model of an
@@ -98,12 +117,15 @@ func (w *countingL2) Err() error           { w.c.errs++; return w.L2.Err() }
 // dispatch counts say it ticks, polls no controller's Err while nothing
 // failed, and brings a sleeping controller's clock current only when
 // something reads it — a delivery or DRAM fill, its SM's tick, or a
-// phase exit — instead of on every executed cycle. Wrapping every
-// controller must not change the simulated run.
+// phase exit — instead of on every executed cycle. No bank ticks
+// before the wake it named at its last tick unless a delivery or DRAM
+// fill reached it: a TC-Strong bank waiting out leases sleeps until the
+// earliest expiry. Wrapping every controller must not change the
+// simulated run.
 func TestEngineCallsOnlyActingControllers(t *testing.T) {
 	want := map[string]bool{}
 	for _, wl := range []string{"CC", "BH"} {
-		for _, c := range []string{"gtsc-rc", "tc-rc", "bl-rc", "gtsc-rc-mesh-banked"} {
+		for _, c := range []string{"gtsc-rc", "tc-rc", "tc-sc", "bl-rc", "gtsc-rc-mesh-banked"} {
 			want[wl+"/"+c] = true
 		}
 	}
@@ -132,7 +154,7 @@ func TestEngineCallsOnlyActingControllers(t *testing.T) {
 				s.Sys.L1s[i] = &countingL1{c, &l1}
 			}
 			for i, c := range s.Sys.L2s {
-				s.Sys.L2s[i] = &countingL2{c, &l2}
+				s.Sys.L2s[i] = &countingL2{L2: c, c: &l2}
 			}
 			// The same SM config sim.New derives, over the wrapped L1s.
 			smCfg := s.Cfg.SM
@@ -156,6 +178,12 @@ func TestEngineCallsOnlyActingControllers(t *testing.T) {
 			if l1.ticks != eng.Comp.L1Ticks || l2.ticks != eng.Comp.L2Ticks {
 				t.Errorf("Tick calls L1 %d, L2 %d; dispatch counted L1 %d, L2 %d",
 					l1.ticks, l2.ticks, eng.Comp.L1Ticks, eng.Comp.L2Ticks)
+			}
+			if l2.early != 0 {
+				t.Errorf("%d bank ticks came before the bank's wake with no input", l2.early)
+			}
+			if strings.HasSuffix(row.name, "/tc-sc") && l2.timed == 0 {
+				t.Error("no TC-Strong bank ever slept until a lease expiry")
 			}
 			// Each kernel exits a run phase and a drain phase.
 			exits := 2 * uint64(len(inst.Kernels))

@@ -64,9 +64,11 @@ func checkOrdering(t *testing.T, cfg sim.Config, ops []check.Record) {
 	}
 }
 
-// relaxedProtocols are the four coherent protocol configurations the
-// relaxed-sync equivalence suite sweeps (golden config labels).
-var relaxedProtocols = []string{"gtsc-rc", "tc-rc", "bl-rc", "dir-rc"}
+// relaxedProtocols are the coherent protocol configurations the
+// relaxed-sync equivalence suite sweeps (golden config labels): the
+// four protocols, plus TC-Strong, whose banks sleep through lease waits
+// on the exchange's timed wakes.
+var relaxedProtocols = []string{"gtsc-rc", "tc-rc", "tc-sc", "bl-rc", "dir-rc"}
 
 // TestRelaxedSlackFunctionalEquivalence is the correctness gate for
 // bounded-slack execution: for every coherence-requiring workload

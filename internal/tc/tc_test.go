@@ -1,12 +1,16 @@
 package tc
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"github.com/gtsc-sim/gtsc/internal/check"
 	"github.com/gtsc-sim/gtsc/internal/coherence"
+	"github.com/gtsc-sim/gtsc/internal/diag"
 	"github.com/gtsc-sim/gtsc/internal/mem"
+	"github.com/gtsc-sim/gtsc/internal/sched"
 )
 
 // harness wires TC L1s to one TC L2 bank through explicit queues with
@@ -211,6 +215,156 @@ func TestStrongWriteStallsUntilExpiry(t *testing.T) {
 	}
 	if h.l2.Stats().WriteStalls == 0 {
 		t.Fatal("write stall cycles not counted")
+	}
+}
+
+// bankRig drives one TC-Strong bank by hand: lines are installed with
+// chosen leases, requests are delivered at the start of their cycle,
+// and every response the bank sends is logged with its cycle.
+type bankRig struct {
+	l2  *L2
+	now uint64
+	log []rigEvent
+}
+
+type rigEvent struct {
+	at    uint64
+	typ   mem.MsgType
+	block mem.BlockAddr
+}
+
+func newBankRig(t *testing.T, leases map[mem.BlockAddr]uint64) *bankRig {
+	r := &bankRig{}
+	r.l2 = NewL2(Config{Lease: 100}, 0, coherence.BankGeometry{Sets: 16, Ways: 4},
+		coherence.SenderFunc(func(m *mem.Msg) bool {
+			r.log = append(r.log, rigEvent{r.now, m.Type, m.Block})
+			return true
+		}),
+		coherence.SenderFunc(func(m *mem.Msg) bool {
+			t.Fatalf("unexpected DRAM traffic: %v for %v", m.Type, m.Block)
+			return true
+		}),
+		nil)
+	for b, expiry := range leases {
+		line := r.l2.Array.Victim(b, nil)
+		r.l2.Array.Install(line, b, nil, 0)
+		line.Meta.expiry = expiry
+	}
+	return r
+}
+
+func (r *bankRig) request(typ mem.MsgType, b mem.BlockAddr) {
+	m := &mem.Msg{Type: typ, Block: b, Mask: mem.MaskAll}
+	if typ == mem.BusWr {
+		m.SetData(&mem.Block{})
+	}
+	r.l2.Deliver(m)
+}
+
+// TestBlockedWritesResumeByExpiry pins the expiry-ordered list of a
+// TC-Strong bank's blocked writes. Blocks 3 and 7 hold leases to cycle
+// 150 and block 5 to cycle 120. A write to each parks (block 7's
+// first), and a read and a second write queue behind block 3's write.
+// Block 5 resumes at 120 while the others wait; at 150 blocks 3 and 7
+// resume in block order, and block 3's queued read extends its lease to
+// 250, so its second write parks again under that expiry instead of
+// resuming twice in one pass. The scenario runs twice: with the bank
+// ticked every cycle, and with it ticked only when a request reaches it
+// or its Wake comes due, SyncClock standing in for the skipped ticks.
+// Both must send the same responses on the same cycles and count one
+// WriteStalls per waiting block per cycle, at every cycle.
+func TestBlockedWritesResumeByExpiry(t *testing.T) {
+	leases := map[mem.BlockAddr]uint64{3: 150, 7: 150, 5: 120}
+	reqs := []rigEvent{
+		{1, mem.BusWr, 7}, {2, mem.BusWr, 3}, {3, mem.BusRd, 3}, {4, mem.BusWr, 3}, {5, mem.BusWr, 5},
+	}
+	// Blocks waiting through each cycle's tick: 7 from the tick after it
+	// parks (2) through 149, 3 through 149 and again, re-parked, from
+	// 151 through 249, and 5 from 6 through 119.
+	waiting := func(c uint64) (n uint64) {
+		for _, w := range [][2]uint64{{2, 149}, {3, 149}, {151, 249}, {6, 119}} {
+			if c >= w[0] && c <= w[1] {
+				n++
+			}
+		}
+		return n
+	}
+	want := []rigEvent{
+		{120, mem.BusWrAck, 5},
+		{150, mem.BusWrAck, 3}, {150, mem.BusFill, 3}, {150, mem.BusWrAck, 7},
+		{250, mem.BusWrAck, 3},
+	}
+	const end = 300
+
+	for _, sleep := range []bool{false, true} {
+		r := newBankRig(t, leases)
+		l2 := r.l2
+		var stalls uint64
+		ticks := 0
+		wake := uint64(sched.Hot)
+		for r.now < end {
+			r.now++
+			input := false
+			for _, q := range reqs {
+				if q.at == r.now {
+					if sleep {
+						l2.SyncClock(r.now - 1)
+					}
+					r.request(q.typ, q.block)
+					input = true
+				}
+			}
+			current := true
+			switch {
+			case !sleep || input || wake <= r.now:
+				l2.Tick(r.now)
+				ticks++
+				wake = l2.Wake(r.now)
+			case r.now%7 == 0:
+				// A sync mid-sleep credits the cycles slept so far.
+				l2.SyncClock(r.now)
+			default:
+				current = false // credited by the next tick or sync
+			}
+			stalls += waiting(r.now)
+			if got := l2.Stats().WriteStalls; current && got != stalls {
+				t.Fatalf("sleep=%v: WriteStalls %d after cycle %d, want %d", sleep, got, r.now, stalls)
+			}
+		}
+		l2.SyncClock(end)
+		if got := l2.Stats().WriteStalls; got != stalls {
+			t.Fatalf("sleep=%v: WriteStalls %d at cycle %d, want %d", sleep, got, end, stalls)
+		}
+		if !reflect.DeepEqual(r.log, want) {
+			t.Fatalf("sleep=%v: responses %v, want %v", sleep, r.log, want)
+		}
+		if sleep && ticks != len(reqs)+3 {
+			t.Errorf("sleeping bank ticked %d times, want %d (one per request and one per due expiry: 120, 150, 250)", ticks, len(reqs)+3)
+		}
+		if l2.Wake(end) != sched.Never || !l2.Drained() {
+			t.Errorf("sleep=%v: bank not drained at cycle %d", sleep, end)
+		}
+	}
+}
+
+// TestBlockedLineVanishedLatches: a blocked queue whose line is gone
+// when its lease comes due latches blocked-line-vanished.
+func TestBlockedLineVanishedLatches(t *testing.T) {
+	r := newBankRig(t, map[mem.BlockAddr]uint64{3: 50})
+	r.now = 1
+	r.request(mem.BusWr, 3)
+	r.l2.Tick(r.now)
+	if w := r.l2.Wake(r.now); w != 50 {
+		t.Fatalf("blocked write wakes at %d, want its lease expiry 50", w)
+	}
+	r.l2.Array.Invalidate(r.l2.Array.Lookup(3))
+	for r.now < 50 {
+		r.now++
+		r.l2.Tick(r.now)
+	}
+	var pe *diag.ProtocolError
+	if err := r.l2.Err(); !errors.As(err, &pe) || pe.Event != "blocked-line-vanished" {
+		t.Fatalf("Err = %v, want a blocked-line-vanished protocol error", err)
 	}
 }
 
