@@ -1,15 +1,10 @@
 package sim_test
 
 import (
-	"bytes"
-	"context"
 	"fmt"
-	"hash/fnv"
 	"testing"
 
-	"github.com/gtsc-sim/gtsc/internal/checkpoint"
 	"github.com/gtsc-sim/gtsc/internal/fault"
-	"github.com/gtsc-sim/gtsc/internal/sim"
 	"github.com/gtsc-sim/gtsc/internal/workload"
 )
 
@@ -21,31 +16,34 @@ import (
 // fault shims as agenda components, so reproducing this table
 // bit-for-bit is the test that agenda dispatch equals serial tick
 // order under delivery jitter, reordering, rejects, DRAM spikes and
-// forced rollovers (DESIGN.md §7). Regenerate with
-// `go run ./internal/sim/goldengen` ONLY when the simulated machine's
-// intended behaviour changes.
+// forced rollovers (DESIGN.md §7). The table lists every coherence
+// workload under every chaos config (chaosConfigs) and plan
+// (chaosPlans), in that order. Replace it ONLY when the simulated
+// machine's intended behaviour changes, with the table that a failing
+// TestChaosFingerprintsBitIdentical logs.
 type chaosRow struct {
 	workload string
 	config   string // goldenConfig label
-	plan     string // chaosPlan label
+	plan     string // chaosPlans label
 	cycles   uint64
 	flits    uint64
 	hash     uint64
 }
 
-// chaosPlan returns the fault plan a chaos row names: fault.Chaos at
-// seeds 1 and 2, and fault.ChaosRollover (forced §V-D resets on top)
-// at seed 3.
-func chaosPlan(label string) (fault.Config, bool) {
-	switch label {
-	case "chaos1":
-		return fault.Chaos(1), true
-	case "chaos2":
-		return fault.Chaos(2), true
-	case "rollover3":
-		return fault.ChaosRollover(3), true
-	}
-	return fault.Config{}, false
+// chaosConfigs are the golden configs the chaos table sweeps: one per
+// coherent protocol, plus G-TSC and TC under SC.
+var chaosConfigs = []string{"gtsc-rc", "gtsc-sc", "tc-rc", "tc-sc", "bl-rc", "dir-rc"}
+
+// chaosPlans are the chaos table's fault plans, by row label:
+// fault.Chaos at seeds 1 and 2, and fault.ChaosRollover (forced §V-D
+// resets on top) at seed 3.
+var chaosPlans = []struct {
+	label string
+	plan  fault.Config
+}{
+	{"chaos1", fault.Chaos(1)},
+	{"chaos2", fault.Chaos(2)},
+	{"rollover3", fault.ChaosRollover(3)},
 }
 
 var chaosRows = []chaosRow{
@@ -159,100 +157,37 @@ var chaosRows = []chaosRow{
 	{"BFS", "dir-rc", "rollover3", 9486, 6764, 0x69f68e987ea2ec6c},
 }
 
-// chaosRowConfig builds the machine for one chaos row.
-func chaosRowConfig(t *testing.T, row chaosRow) (sim.Config, *workload.Workload) {
+// chaosTable walks the chaos machine list — every coherence workload
+// under every chaos config and plan — and pins each machine to the
+// chaos row at its position.
+func chaosTable(t *testing.T) []tableRow {
 	t.Helper()
-	wl, ok := workload.ByName(row.workload)
-	if !ok {
-		t.Fatalf("unknown workload %q", row.workload)
+	var rows []tableRow
+	for _, wl := range workload.CoherenceSet() {
+		for _, label := range chaosConfigs {
+			for _, p := range chaosPlans {
+				cfg, ok := goldenConfig(label)
+				if !ok {
+					t.Fatalf("unknown config label %q", label)
+				}
+				cfg.Mem.Fault = p.plan
+				rows = append(rows, tableRow{
+					name: wl.Name + "/" + label + "/" + p.label,
+					key:  fmt.Sprintf("%q, %q, %q", wl.Name, label, p.label),
+					wl:   wl, cfg: cfg,
+				})
+			}
+		}
 	}
-	cfg, ok := goldenConfig(row.config)
-	if !ok {
-		t.Fatalf("unknown config label %q", row.config)
+	pins := make([]tableRow, len(chaosRows))
+	for i, r := range chaosRows {
+		pins[i] = tableRow{key: fmt.Sprintf("%q, %q, %q", r.workload, r.config, r.plan), cycles: r.cycles, flits: r.flits, hash: r.hash}
 	}
-	plan, ok := chaosPlan(row.plan)
-	if !ok {
-		t.Fatalf("unknown plan label %q", row.plan)
-	}
-	cfg.Mem.Fault = plan
-	return cfg, wl
+	return pinTable(t, "chaosRows", rows, pins)
 }
 
-// TestChaosFingerprintsBitIdentical runs every chaos row and compares
-// its cycles, flits and full stats fingerprint with the table.
+// TestChaosFingerprintsBitIdentical is TestOptimizedCycleLoopBitIdentical
+// over the chaos table.
 func TestChaosFingerprintsBitIdentical(t *testing.T) {
-	if len(chaosRows) != 108 {
-		t.Fatalf("chaos table has %d rows, want 108 (coherence six x 6 configs x 3 plans)", len(chaosRows))
-	}
-	for _, row := range chaosRows {
-		row := row
-		t.Run(row.workload+"/"+row.config+"/"+row.plan, func(t *testing.T) {
-			t.Parallel()
-			cfg, wl := chaosRowConfig(t, row)
-			run, err := wl.Build(1).Run(cfg)
-			if err != nil {
-				t.Fatalf("run failed: %v", err)
-			}
-			if run.Cycles != row.cycles {
-				t.Errorf("cycles = %d, golden %d", run.Cycles, row.cycles)
-			}
-			if got := run.NoC.TotalFlits(); got != row.flits {
-				t.Errorf("total flits = %d, golden %d", got, row.flits)
-			}
-			h := fnv.New64a()
-			fmt.Fprintf(h, "%+v", *run)
-			if got := h.Sum64(); got != row.hash {
-				t.Errorf("stats.Run fingerprint = %#x, golden %#x", got, row.hash)
-			}
-		})
-	}
-}
-
-// TestKillResumeChaosEquivalence is TestKillResumeGoldenEquivalence
-// for the chaos rows. Fault shims hold messages and keep their own
-// clocks, and the injector carries RNG streams and a rollover
-// schedule; all of that must survive a pause at an arbitrary cycle, a
-// round trip through the checkpoint codec, and a digest-verified
-// replay on a fresh machine, and the resumed run must finish on the
-// row's fingerprint.
-func TestKillResumeChaosEquivalence(t *testing.T) {
-	for _, row := range chaosRows {
-		row := row
-		t.Run(row.workload+"/"+row.config+"/"+row.plan, func(t *testing.T) {
-			t.Parallel()
-			cfg, wl := chaosRowConfig(t, row)
-			// Fuzzed but reproducible pause cycle inside the run.
-			pause := 1 + row.hash%row.cycles
-
-			e1 := checkpoint.NewExecution(cfg, wl.Build(1), row.workload, 1)
-			_, paused, err := e1.RunUntil(context.Background(), pause)
-			if err != nil {
-				t.Fatalf("run to pause cycle %d failed: %v", pause, err)
-			}
-			if !paused {
-				t.Fatalf("execution did not pause at cycle %d", pause)
-			}
-			var buf bytes.Buffer
-			if err := e1.Checkpoint().Encode(&buf); err != nil {
-				t.Fatalf("encode: %v", err)
-			}
-			ck, err := checkpoint.Decode(&buf)
-			if err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			e2, err := checkpoint.ResumeExecution(ck, cfg, wl.Build(1), row.workload, 1)
-			if err != nil {
-				t.Fatalf("resume (verified replay to cycle %d): %v", ck.Cycle, err)
-			}
-			run, err := e2.Run(context.Background())
-			if err != nil {
-				t.Fatalf("post-resume run failed: %v", err)
-			}
-			h := fnv.New64a()
-			fmt.Fprintf(h, "%+v", *run)
-			if got := h.Sum64(); got != row.hash {
-				t.Errorf("resumed-run fingerprint = %#x, golden %#x (pause at %d)", got, row.hash, pause)
-			}
-		})
-	}
+	checkTable(t, "chaosRows", chaosTable(t), 108) // coherence six x 6 configs x 3 plans
 }

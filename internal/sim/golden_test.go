@@ -3,6 +3,7 @@ package sim_test
 import (
 	"fmt"
 	"hash/fnv"
+	"strings"
 	"testing"
 
 	"github.com/gtsc-sim/gtsc/internal/dram"
@@ -18,8 +19,10 @@ import (
 // exact stats.Run it produced before the cycle-loop optimizations:
 // the kernel cycle count, total NoC flits, and an FNV-1a hash over
 // the full formatted stats.Run (every counter, including energy).
-// Regenerate with `go run ./internal/sim/goldengen` ONLY when the
-// simulated machine's intended behaviour changes.
+// The table lists every workload under every golden config
+// (goldenConfigs), in that order. Replace it ONLY when the simulated
+// machine's intended behaviour changes, with the table that a failing
+// TestOptimizedCycleLoopBitIdentical logs.
 type goldenRow struct {
 	workload string
 	config   string
@@ -139,6 +142,13 @@ var goldenRows = []goldenRow{
 	{"SGM", "gtsc-rc-ts8", 4279, 528, 0x96060b3ff98eb391},
 }
 
+// goldenConfigs are the golden table's machine configurations, in the
+// order it lists them for each workload (labels of goldenConfig).
+var goldenConfigs = []string{
+	"gtsc-rc", "gtsc-sc", "gtsc-tso", "tc-rc", "tc-sc", "bl-rc", "dir-rc",
+	"gtsc-rc-mesh-banked", "gtsc-rc-ts8",
+}
+
 // goldenConfig builds the benchmark machine for one golden row.
 func goldenConfig(label string) (sim.Config, bool) {
 	cfg := sim.DefaultConfig()
@@ -154,6 +164,8 @@ func goldenConfig(label string) (sim.Config, bool) {
 	case "tc-rc":
 		cfg.Mem.Protocol, cfg.SM.Consistency = memsys.TC, gpu.RC
 	case "tc-sc":
+		// TC under SC is TC-Strong: writes wait at the L2 for leases
+		// to expire, so the lease-wait path is pinned too.
 		cfg.Mem.Protocol, cfg.SM.Consistency = memsys.TC, gpu.SC
 	case "bl-rc":
 		cfg.Mem.Protocol, cfg.SM.Consistency = memsys.BL, gpu.RC
@@ -174,44 +186,63 @@ func goldenConfig(label string) (sim.Config, bool) {
 	return cfg, true
 }
 
-// tableRow is one row of the golden or the chaos fingerprint table in
-// the form the table tests consume: the subtest name
-// (workload/config, plus /plan for chaos rows), the workload, its
-// machine (fault plan included) and the pinned outcome.
+// tableRow is one machine of the golden or the chaos table's machine
+// list, in the form the table tests consume: the subtest name
+// (workload/config, plus /plan for chaos rows), the row's key as the
+// table spells it, the workload, its machine (fault plan included) and
+// the outcome the table pins for it.
 type tableRow struct {
-	name                string
+	name, key           string
 	wl                  *workload.Workload
 	cfg                 sim.Config
 	cycles, flits, hash uint64
+	pinned              bool // the table row at this position names this machine
 }
 
-// goldenTable resolves every golden row.
+// goldenTable walks the golden machine list — every workload under
+// every golden config — and pins each machine to the golden row at its
+// position.
 func goldenTable(t *testing.T) []tableRow {
 	t.Helper()
-	rows := make([]tableRow, 0, len(goldenRows))
-	for _, r := range goldenRows {
-		wl, ok := workload.ByName(r.workload)
-		if !ok {
-			t.Fatalf("unknown workload %q", r.workload)
+	var rows []tableRow
+	for _, wl := range workload.All() {
+		for _, label := range goldenConfigs {
+			cfg, ok := goldenConfig(label)
+			if !ok {
+				t.Fatalf("unknown config label %q", label)
+			}
+			rows = append(rows, tableRow{name: wl.Name + "/" + label, key: fmt.Sprintf("%q, %q", wl.Name, label), wl: wl, cfg: cfg})
 		}
-		cfg, ok := goldenConfig(r.config)
-		if !ok {
-			t.Fatalf("unknown config label %q", r.config)
-		}
-		rows = append(rows, tableRow{r.workload + "/" + r.config, wl, cfg, r.cycles, r.flits, r.hash})
 	}
-	return rows
+	pins := make([]tableRow, len(goldenRows))
+	for i, r := range goldenRows {
+		pins[i] = tableRow{key: fmt.Sprintf("%q, %q", r.workload, r.config), cycles: r.cycles, flits: r.flits, hash: r.hash}
+	}
+	return pinTable(t, "goldenRows", rows, pins)
 }
 
-// chaosTable resolves every chaos row.
-func chaosTable(t *testing.T) []tableRow {
+// pinTable copies each pinned outcome onto the machine at the same
+// position of the machine list. A table with a changed key, or a
+// missing, extra or out-of-order row, fails the test: the machines
+// from the first mismatch on stay unpinned.
+func pinTable(t *testing.T, table string, machines, pins []tableRow) []tableRow {
 	t.Helper()
-	rows := make([]tableRow, 0, len(chaosRows))
-	for _, r := range chaosRows {
-		cfg, wl := chaosRowConfig(t, r)
-		rows = append(rows, tableRow{r.workload + "/" + r.config + "/" + r.plan, wl, cfg, r.cycles, r.flits, r.hash})
+	if len(pins) != len(machines) {
+		t.Errorf("%s has %d rows; its machine list has %d machines", table, len(pins), len(machines))
 	}
-	return rows
+	for i := range machines {
+		m := &machines[i]
+		if i >= len(pins) || pins[i].key != m.key {
+			got := "nothing"
+			if i < len(pins) {
+				got = "{" + pins[i].key + "}"
+			}
+			t.Errorf("%s row %d is %s; the machine list puts {%s} there", table, i, got, m.key)
+			break
+		}
+		m.cycles, m.flits, m.hash, m.pinned = pins[i].cycles, pins[i].flits, pins[i].hash, true
+	}
+	return machines
 }
 
 // tableRows is both tables: every golden row, then every chaos row.
@@ -230,6 +261,10 @@ func fingerprint(run *stats.Run) uint64 {
 // checkRun compares a finished run with its table row.
 func checkRun(t *testing.T, run *stats.Run, row tableRow) {
 	t.Helper()
+	if !row.pinned {
+		t.Error("no table row pins this machine")
+		return
+	}
 	if run.Cycles != row.cycles {
 		t.Errorf("cycles = %d, table %d", run.Cycles, row.cycles)
 	}
@@ -241,20 +276,39 @@ func checkRun(t *testing.T, run *stats.Run, row tableRow) {
 	}
 }
 
+// checkTable runs every machine of one table's machine list, which
+// must hold want machines, and compares each run with its pinned row.
+// On any failure it logs the table regenerated from this build, row for
+// row, ready to paste over the committed one.
+func checkTable(t *testing.T, table string, rows []tableRow, want int) {
+	if len(rows) != want {
+		t.Errorf("%s machine list has %d machines, want %d", table, len(rows), want)
+	}
+	regen := make([]string, len(rows))
+	t.Cleanup(func() {
+		if t.Failed() {
+			t.Logf("%s regenerated from this build:\n%s", table, strings.Join(regen, "\n"))
+		}
+	})
+	for i, row := range rows {
+		i, row := i, row
+		t.Run(row.name, func(t *testing.T) {
+			t.Parallel()
+			run, err := row.wl.Build(1).Run(row.cfg)
+			if err != nil {
+				regen[i] = fmt.Sprintf("\t// {%s}: %v", row.key, err)
+				t.Fatalf("run failed: %v", err)
+			}
+			regen[i] = fmt.Sprintf("\t{%s, %d, %d, %#x},", row.key, run.Cycles, run.NoC.TotalFlits(), fingerprint(run))
+			checkRun(t, run, row)
+		})
+	}
+}
+
 // TestOptimizedCycleLoopBitIdentical proves the hot-path optimizations
 // are deterministically equivalent: every workload under every
 // protocol/consistency/topology combination must reproduce, bit for
 // bit, the stats.Run recorded before the optimizations landed.
 func TestOptimizedCycleLoopBitIdentical(t *testing.T) {
-	for _, row := range goldenTable(t) {
-		row := row
-		t.Run(row.name, func(t *testing.T) {
-			t.Parallel()
-			run, err := row.wl.Build(1).Run(row.cfg)
-			if err != nil {
-				t.Fatalf("run failed: %v", err)
-			}
-			checkRun(t, run, row)
-		})
-	}
+	checkTable(t, "goldenRows", goldenTable(t), 108) // 12 workloads x 9 configs
 }

@@ -15,11 +15,27 @@ import (
 // shared with the paused machine), and run to completion. The final
 // stats fingerprint must be bit-identical to the uninterrupted golden
 // — restore is the same run, not approximately the same run.
-func TestKillResumeGoldenEquivalence(t *testing.T) {
-	for _, row := range goldenTable(t) {
+func TestKillResumeGoldenEquivalence(t *testing.T) { checkKillResume(t, goldenTable(t)) }
+
+// TestKillResumeChaosEquivalence is TestKillResumeGoldenEquivalence
+// for the chaos rows. Fault shims hold messages and keep their own
+// clocks, and the injector carries RNG streams and a rollover
+// schedule; all of that must survive a pause at an arbitrary cycle, a
+// round trip through the checkpoint codec, and a digest-verified
+// replay on a fresh machine, and the resumed run must finish on the
+// row's fingerprint.
+func TestKillResumeChaosEquivalence(t *testing.T) { checkKillResume(t, chaosTable(t)) }
+
+// checkKillResume pauses every row of a table at a fuzzed cycle,
+// round-trips its checkpoint and finishes the run on a fresh machine.
+func checkKillResume(t *testing.T, rows []tableRow) {
+	for _, row := range rows {
 		row := row
 		t.Run(row.name, func(t *testing.T) {
 			t.Parallel()
+			if !row.pinned {
+				t.Fatal("no table row pins this machine")
+			}
 			// Fuzzed but reproducible pause cycle: derived from the
 			// golden hash, somewhere inside the run.
 			pause := 1 + row.hash%row.cycles

@@ -106,6 +106,9 @@ func TestPausedStateMatchesSerialTick(t *testing.T) {
 		row := row
 		t.Run(row.name, func(t *testing.T) {
 			t.Parallel()
+			if !row.pinned {
+				t.Fatal("no table row pins this machine")
+			}
 			// Fuzzed but reproducible pause cycle inside the run, drawn
 			// from other hash bits than the kill-resume tests use.
 			pause := 1 + (row.hash>>32)%row.cycles
