@@ -48,5 +48,4 @@ func (l *L1) storeIDs() []uint64 {
 func (l *L2) DigestState(w io.Writer) {
 	l.Bank.DigestState(w)
 	fmt.Fprintf(w, "memts=%d epoch=%d\n", l.memTS, l.epoch)
-	l.renewDist.DigestInto(w)
 }

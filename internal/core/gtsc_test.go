@@ -718,30 +718,6 @@ func TestAdaptiveLeaseGrowsAndShrinks(t *testing.T) {
 	}
 }
 
-func TestRenewalDistanceHistogram(t *testing.T) {
-	h := newHarness(t, 1, DefaultConfig(), coherence.BankGeometry{})
-	X, Z := mem.BlockAddr(1), mem.BlockAddr(2)
-	h.load(0, 0, X, 0)
-	h.pump()
-	// Push warp 0 far forward, then renew X: distance recorded.
-	for i := 0; i < 3; i++ {
-		h.storeWord(0, 0, Z, 0, uint32(i))
-		h.pump()
-	}
-	h.load(0, 0, X, 0)
-	h.pump()
-	hist := h.l2.RenewalDistances()
-	if hist.Count() == 0 {
-		t.Fatal("no renewal distances recorded")
-	}
-	if hist.Mean() <= 0 {
-		t.Fatal("mean distance must be positive")
-	}
-	if hist.Percentile(1.0) < DefaultConfig().Lease {
-		t.Fatalf("max distance %d should be at least one lease", hist.Percentile(1.0))
-	}
-}
-
 // TestMSHRFullRejects: when every MSHR entry is taken, further misses
 // are rejected and the LDST unit must retry.
 func TestMSHRFullRejects(t *testing.T) {

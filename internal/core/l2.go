@@ -7,7 +7,6 @@ import (
 	"github.com/gtsc-sim/gtsc/internal/coherence"
 	"github.com/gtsc-sim/gtsc/internal/diag"
 	"github.com/gtsc-sim/gtsc/internal/mem"
-	"github.com/gtsc-sim/gtsc/internal/stats"
 )
 
 // l2Meta is the per-line G-TSC metadata in the shared cache.
@@ -30,10 +29,6 @@ type L2 struct {
 	cfg   Config
 	memTS uint64
 
-	// renewDist records how far each renewal pushed a block's rts —
-	// the "lease extension distance" characterization (§VI-E flavour).
-	renewDist *stats.Histogram
-
 	resets *ResetController
 	epoch  uint64
 }
@@ -43,10 +38,9 @@ type L2 struct {
 func NewL2(cfg Config, bankID int, geo coherence.BankGeometry, sendNoC, sendDRAM coherence.Sender, obs coherence.Observer) *L2 {
 	cfg.fillDefaults()
 	return &L2{
-		Bank:      coherence.NewBank[l2Meta]("gtsc-l2", bankID, geo, sendNoC, sendDRAM, obs),
-		cfg:       cfg,
-		memTS:     cfg.startTS(),
-		renewDist: stats.NewHistogram(),
+		Bank:  coherence.NewBank[l2Meta]("gtsc-l2", bankID, geo, sendNoC, sendDRAM, obs),
+		cfg:   cfg,
+		memTS: cfg.startTS(),
 	}
 }
 
@@ -69,12 +63,6 @@ func (l *L2) Epoch() uint64 { return l.epoch }
 func (l *L2) ForEachLease(fn func(b mem.BlockAddr, wts, rts uint64)) {
 	l.Array.ForEach(func(c *cache.Line[l2Meta]) { fn(c.Addr, c.Meta.wts, c.Meta.rts) })
 }
-
-// RenewalDistances returns the histogram of rts extension distances —
-// how far each read pushed a block's lease forward. Large values mean
-// the reader's warp_ts had advanced far past the block (store-heavy
-// phases); values near the lease length mean steady renewal.
-func (l *L2) RenewalDistances() *stats.Histogram { return l.renewDist }
 
 // DumpState implements coherence.L2.
 func (l *L2) DumpState() diag.CacheState {
@@ -214,9 +202,6 @@ func (l *L2) processRead(msg *mem.Msg, line *cache.Line[l2Meta]) {
 	l.ensureRoom(l.reqWarpTS(msg) + lease)
 	warpTS := l.reqWarpTS(msg)
 	newRTS := maxu(line.Meta.rts, warpTS+lease)
-	if newRTS > line.Meta.rts {
-		l.renewDist.Observe(newRTS - line.Meta.rts)
-	}
 	line.Meta.rts = newRTS
 	l.Array.Touch(line, l.Now)
 

@@ -9,8 +9,6 @@ package stats
 
 import (
 	"fmt"
-	"io"
-	"sort"
 	"strings"
 )
 
@@ -250,78 +248,4 @@ func (r *Run) String() string {
 	fmt.Fprintf(&b, "  Energy: %.3g J (L1 %.3g, NoC %.3g, DRAM %.3g)\n",
 		r.EnergyJ.Total(), r.EnergyJ.L1, r.EnergyJ.NoC, r.EnergyJ.DRAM)
 	return b.String()
-}
-
-// Histogram is a simple integer histogram used by ancillary analyses
-// (e.g. lease-extension distance, MSHR occupancy).
-type Histogram struct {
-	buckets map[uint64]uint64
-	total   uint64
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{buckets: make(map[uint64]uint64)} }
-
-// Observe records one sample.
-func (h *Histogram) Observe(v uint64) {
-	h.buckets[v]++
-	h.total++
-}
-
-// Count returns the number of samples observed.
-func (h *Histogram) Count() uint64 { return h.total }
-
-// DigestInto writes the histogram's contents in ascending bucket
-// order — a canonical rendering for checkpoint state digests.
-func (h *Histogram) DigestInto(w io.Writer) {
-	if h.total == 0 {
-		return
-	}
-	keys := make([]uint64, 0, len(h.buckets))
-	for v := range h.buckets {
-		keys = append(keys, v)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	fmt.Fprintf(w, "hist n=%d", h.total)
-	for _, v := range keys {
-		fmt.Fprintf(w, " %d:%d", v, h.buckets[v])
-	}
-	fmt.Fprintln(w)
-}
-
-// Mean returns the sample mean (0 for an empty histogram).
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var sum float64
-	for v, n := range h.buckets {
-		sum += float64(v) * float64(n)
-	}
-	return sum / float64(h.total)
-}
-
-// Percentile returns the smallest value v such that at least p (0..1)
-// of the samples are <= v.
-func (h *Histogram) Percentile(p float64) uint64 {
-	if h.total == 0 {
-		return 0
-	}
-	keys := make([]uint64, 0, len(h.buckets))
-	for v := range h.buckets {
-		keys = append(keys, v)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	need := uint64(p * float64(h.total))
-	if need == 0 {
-		need = 1
-	}
-	var seen uint64
-	for _, v := range keys {
-		seen += h.buckets[v]
-		if seen >= need {
-			return v
-		}
-	}
-	return keys[len(keys)-1]
 }

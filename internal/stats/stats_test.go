@@ -42,28 +42,6 @@ func TestRunString(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram()
-	if h.Mean() != 0 || h.Percentile(0.5) != 0 || h.Count() != 0 {
-		t.Fatal("empty histogram behaviour")
-	}
-	for _, v := range []uint64{1, 2, 2, 3, 10} {
-		h.Observe(v)
-	}
-	if h.Count() != 5 {
-		t.Fatal("count")
-	}
-	if m := h.Mean(); m < 3.5 || m > 3.7 {
-		t.Fatalf("mean %f", m)
-	}
-	if p := h.Percentile(0.5); p != 2 {
-		t.Fatalf("p50 = %d", p)
-	}
-	if p := h.Percentile(1.0); p != 10 {
-		t.Fatalf("p100 = %d", p)
-	}
-}
-
 func TestSMAndL2Add(t *testing.T) {
 	s := SMStats{Cycles: 1, MemStallCycles: 2, InstrIssued: 3}
 	s.Add(&SMStats{Cycles: 10, MemStallCycles: 20, InstrIssued: 30, CTAsRetired: 1})
