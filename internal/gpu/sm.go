@@ -153,12 +153,17 @@ type SM struct {
 	pendingFill bool
 
 	// completions counts memory-completion callbacks delivered to this
-	// SM's warps, monotonically. Every change to warp readiness that can
-	// originate outside the SM's own tick flows through a Done callback
-	// (register writeback, pending-store retirement, GWCT advance), so
-	// the event engine uses "completions changed" as the exact wake
-	// signal for a stall-quiesced SM.
+	// SM's warps, monotonically: the wake signal of a sleeping SM (see
+	// Stirred).
 	completions uint64
+
+	// The sleep record (see quiesce.go): whether the last Tick issued,
+	// and, while asleep, the probe that justified the sleep and the
+	// completion count it was taken at.
+	issued  bool
+	asleep  bool
+	probe   StallProbe
+	sleptAt uint64
 
 	stats stats.SMStats
 }
@@ -192,7 +197,8 @@ func (s *SM) Launch(kernel *Kernel, disp *Dispatcher) {
 
 // FillOne pulls at most one CTA from the dispatcher, respecting warp
 // contexts and the kernel's per-SM CTA occupancy limit. It reports
-// whether a CTA was assigned.
+// whether a CTA was assigned; an assigned CTA voids the sleep record,
+// whose probe did not see its warps.
 func (s *SM) FillOne() bool {
 	if s.kernel == nil || len(s.freeIDs) < s.kernel.WarpsPerCTA {
 		return false
@@ -205,6 +211,7 @@ func (s *SM) FillOne() bool {
 		return false
 	}
 	s.residentCTAs++
+	s.asleep = false
 	for _, w := range cta.Warps {
 		id := s.freeIDs[len(s.freeIDs)-1]
 		s.freeIDs = s.freeIDs[:len(s.freeIDs)-1]
@@ -253,6 +260,7 @@ func (s *SM) DumpState() diag.SMState {
 func (s *SM) Tick(now uint64) {
 	s.now = now
 	s.stats.Cycles++
+	s.issued = false
 	if s.liveWarps == 0 && len(s.ldst) == 0 {
 		// Provably idle: no resident work and nothing streaming through
 		// the LDST unit. pumpLDST and issue would both no-op; skip them.
@@ -286,7 +294,7 @@ func (s *SM) pumpLDST() {
 }
 
 // noteCompletion records one memory completion landing on warp w. The
-// monotone counter is the event engine's wake signal; clearing
+// monotone counter is a sleeping SM's wake signal (Stirred); clearing
 // fetchStalled keeps the stall-probe contract honest: a warp's fetch
 // readiness (Program.Next) may only change when one of its accesses
 // completes, so fetchStalled==true always means "Next returned !ready
@@ -296,10 +304,6 @@ func (s *SM) noteCompletion(w *Warp) {
 	s.completions++
 	w.fetchStalled = false
 }
-
-// Completions returns the monotone count of memory-completion
-// callbacks delivered to this SM's warps.
-func (s *SM) Completions() uint64 { return s.completions }
 
 // dispatchAccess hands one coalesced access to the L1 through its
 // pooled request record; the record's prebound Done callback scatters
@@ -343,6 +347,8 @@ const (
 	blockedMem
 	blockedBarrier
 	blockedComp
+	blockedFence // a fence draining the warp's accesses (a memory stall)
+	blockedGWCT  // a drained fence waiting out the warp's GWCT (likewise)
 )
 
 // issue scans warps in scheduler order and issues the first ready
@@ -352,7 +358,6 @@ func (s *SM) issue() {
 	if s.liveWarps == 0 {
 		return
 	}
-	issued := false
 	sawMem, sawBarrier := false, false
 	for _, w := range s.scanOrder() {
 		if w.finished {
@@ -360,7 +365,7 @@ func (s *SM) issue() {
 		}
 		ok, reason := s.tryIssue(w)
 		if ok {
-			issued = true
+			s.issued = true
 			s.lastIssued = w
 			if s.cfg.Scheduler == LRR {
 				s.advanceRR(w)
@@ -375,7 +380,7 @@ func (s *SM) issue() {
 		}
 	}
 	s.reapFinished()
-	if issued {
+	if s.issued {
 		s.stats.ActiveCycles++
 		s.stats.InstrIssued++
 		return
@@ -430,20 +435,71 @@ func (s *SM) advanceRR(issued *Warp) {
 	}
 }
 
+// fetchBlock is tryIssue's first, pre-fetch check, shared with
+// Quiesce: why warp w cannot issue whatever it would fetch, or
+// notBlocked.
+func (s *SM) fetchBlock(w *Warp) blockReason {
+	switch {
+	case w.atBarrier:
+		return blockedBarrier
+	case s.now < w.busyUntil:
+		return blockedComp
+	case w.dispatching:
+		return blockedMem // resumes when the LDST stream restarts
+	case s.cfg.Consistency == SC && (w.pendingAcc > 0 || w.pendingStores > 0):
+		// One outstanding memory request per warp (§VI-B).
+		return blockedMem
+	}
+	return notBlocked
+}
+
+// instrBlock is tryIssue's second check, shared with Quiesce: why warp
+// w cannot issue its fetched instruction this cycle — an RC/TSO
+// operand or ordering interlock, LDST admission, or a fence still
+// draining — or notBlocked. It changes nothing.
+func (s *SM) instrBlock(w *Warp, instr *Instr) blockReason {
+	if s.cfg.Consistency == RC || s.cfg.Consistency == TSO {
+		if !w.RegsReady(instr.SrcRegs...) {
+			return blockedMem
+		}
+		if (instr.Op == OpLoad || instr.Op == OpAtomic) && w.pendingReg(instr.Dst) > 0 {
+			return blockedMem // WAW on the destination register
+		}
+	}
+	if s.cfg.Consistency == TSO {
+		// Program order within each stream: loads retire before the
+		// next load issues; stores acknowledge before the next store
+		// issues. Loads bypass older stores (the TSO relaxation).
+		if instr.Op != OpStore && w.pendingAcc > 0 {
+			return blockedMem
+		}
+		if instr.Op != OpLoad && w.pendingStores > 0 {
+			return blockedMem
+		}
+	}
+	switch instr.Op {
+	case OpLoad, OpStore, OpAtomic:
+		if len(s.ldst) >= ldstQueueDepth {
+			return blockedMem
+		}
+		if s.cfg.Consistency == RC && instr.Op != OpStore && w.pendingAcc >= maxPendingLoads {
+			return blockedMem
+		}
+	case OpFence:
+		if w.pendingAcc > 0 || w.pendingStores > 0 {
+			return blockedFence
+		}
+		if s.now < w.gwct {
+			return blockedGWCT
+		}
+	}
+	return notBlocked
+}
+
 // tryIssue attempts to issue one instruction from warp w.
 func (s *SM) tryIssue(w *Warp) (bool, blockReason) {
-	if w.atBarrier {
-		return false, blockedBarrier
-	}
-	if s.now < w.busyUntil {
-		return false, blockedComp
-	}
-	if w.dispatching {
-		return false, blockedMem
-	}
-	if s.cfg.Consistency == SC && (w.pendingAcc > 0 || w.pendingStores > 0) {
-		// One outstanding memory request per warp (§VI-B).
-		return false, blockedMem
+	if r := s.fetchBlock(w); r != notBlocked {
+		return false, r
 	}
 	if w.cur == nil {
 		instr, ready := w.prog.Next(w)
@@ -463,30 +519,18 @@ func (s *SM) tryIssue(w *Warp) (bool, blockReason) {
 		w.cur = instr
 	}
 	instr := w.cur
-	if s.cfg.Consistency == RC || s.cfg.Consistency == TSO {
-		if !w.RegsReady(instr.SrcRegs...) {
-			return false, blockedMem
-		}
-		if (instr.Op == OpLoad || instr.Op == OpAtomic) && w.pendingReg(instr.Dst) > 0 {
-			return false, blockedMem // WAW on the destination register
-		}
-	}
-	if s.cfg.Consistency == TSO {
-		// Program order within each stream: loads retire before the
-		// next load issues; stores acknowledge before the next store
-		// issues. Loads bypass older stores (the TSO relaxation).
-		if instr.Op != OpStore && w.pendingAcc > 0 {
-			return false, blockedMem
-		}
-		if instr.Op != OpLoad && w.pendingStores > 0 {
-			return false, blockedMem
-		}
+	switch r := s.instrBlock(w, instr); r {
+	case notBlocked:
+	case blockedFence, blockedGWCT:
+		s.stats.FenceStallCycles++
+		return false, blockedMem
+	default:
+		return false, r
 	}
 	switch instr.Op {
 	case OpComp:
 		w.busyUntil = s.now + uint64(instr.Cycles)
 		w.cur = nil
-		return true, notBlocked
 	case OpALU:
 		for lane := 0; lane < WarpWidth; lane++ {
 			if w.Threads[lane] != nil {
@@ -495,42 +539,32 @@ func (s *SM) tryIssue(w *Warp) (bool, blockReason) {
 		}
 		w.busyUntil = s.now + uint64(instr.Cycles)
 		w.cur = nil
-		return true, notBlocked
 	case OpLoad, OpStore, OpAtomic:
-		return s.issueMem(w, instr)
+		s.issueMem(w, instr)
 	case OpFence:
-		if w.pendingAcc > 0 || w.pendingStores > 0 || s.now < w.gwct {
-			s.stats.FenceStallCycles++
-			return false, blockedMem
-		}
 		w.cur = nil
 		s.stats.FencesIssued++
-		return true, notBlocked
 	case OpBarrier:
 		w.atBarrier = true
 		w.CTA.atBarrier++
 		w.CTA.barrierRelease()
 		// Reaching the barrier consumes an issue slot; the warp then
 		// waits (cur is cleared by barrierRelease).
-		return true, notBlocked
 	default:
 		panic(fmt.Sprintf("gpu: unknown opcode %d", instr.Op))
 	}
+	return true, notBlocked
 }
 
-func (s *SM) issueMem(w *Warp, instr *Instr) (bool, blockReason) {
-	if len(s.ldst) >= ldstQueueDepth {
-		return false, blockedMem
-	}
-	if s.cfg.Consistency == RC && instr.Op != OpStore && w.pendingAcc >= maxPendingLoads {
-		return false, blockedMem
-	}
+// issueMem coalesces an admitted memory instruction (see instrBlock)
+// and queues it on the LDST unit.
+func (s *SM) issueMem(w *Warp, instr *Instr) {
 	g := s.getGroup()
 	accs := coalesce(g, w, instr)
 	w.cur = nil
 	if len(accs) == 0 {
 		g.putGroup()
-		return true, notBlocked // fully divergent-off instruction
+		return // fully divergent-off instruction
 	}
 	n := len(accs)
 	switch instr.Op {
@@ -555,7 +589,6 @@ func (s *SM) issueMem(w *Warp, instr *Instr) (bool, blockReason) {
 	g.live = n + 1
 	g.job = memJob{warp: w, instr: instr, accs: accs, group: g}
 	s.ldst = append(s.ldst, &g.job)
-	return true, notBlocked
 }
 
 // finishWarp retires a warp; when its CTA fully retires, the SM pulls
@@ -692,19 +725,17 @@ func (d *Dispatcher) next(s *SM) *CTA {
 // deferFills field.
 func (s *SM) SetDeferFills(v bool) { s.deferFills = v }
 
-// PendingFill reports whether a deferred CTA refill is waiting for
-// CommitFill. The relaxed engine checks it at epoch barriers: a refill
-// gives a sleeping SM domain new work, invalidating its stall probe.
-func (s *SM) PendingFill() bool { return s.pendingFill }
-
 // CommitFill performs any CTA refill deferred during a relaxed epoch.
-// The simulator calls it in SM index order, so the dispatcher's draw
-// order is a function of machine state, never of goroutine
-// interleaving.
+// The simulator calls it in SM index order at epoch barriers, so the
+// dispatcher's draw order is a function of machine state, never of
+// goroutine interleaving. A deferred refill voids the sleep record
+// whether or not a CTA is left to assign, so the SM ticks again after
+// the barrier that committed it.
 func (s *SM) CommitFill() {
 	if !s.pendingFill {
 		return
 	}
 	s.pendingFill = false
+	s.asleep = false
 	s.fill()
 }

@@ -10,8 +10,8 @@
 //     every component;
 //   - SMs sleep INDIVIDUALLY: a stall-quiesced SM is simply not ticked
 //     while the rest of the machine executes, and its provably
-//     identical stall cycles are bulk-applied on wake-up
-//     (gpu.SkipCycles);
+//     identical stall cycles are bulk-applied on wake-up; the SM keeps
+//     its own sleep record (gpu.SM.Sleep and Wake);
 //   - hierarchy components sleep individually too: on each executed
 //     cycle, memsys.TickDue dispatches Tick only to the NoC, DRAM
 //     partitions, fault shims, L2 banks and L1s whose agenda wake is
@@ -32,75 +32,58 @@
 // same order. All sampling boundaries (watchdog, ctx poll, checkpoint
 // pauses, the (now|63)+1 cap) are preserved, so every check fires at
 // the same cycle with the same state, and no lazily-slept state ever
-// crosses a pause point: every exit path flushes sleeping SMs first.
-// The chaos and golden fingerprint tables pin the argument.
+// crosses a pause point: the loop flushes sleeping SMs on its way out,
+// whatever the exit. The chaos and golden fingerprint tables pin the
+// argument.
 package sim
 
 import (
 	"context"
 
-	"github.com/gtsc-sim/gtsc/internal/gpu"
 	"github.com/gtsc-sim/gtsc/internal/sched"
 )
 
-// eventState is the engine's per-simulator bookkeeping: one agenda slot
-// and one sleep record per SM. It is lazily allocated on the first
-// event-engine phase and reused across kernels.
+// eventState is the engine's per-simulator bookkeeping: the agenda
+// slots of the SMs (each SM keeps its own sleep record). It is lazily
+// allocated on the first event-engine phase and reused across kernels.
 type eventState struct {
-	smBase int // first SM slot in the shared agenda (SM i = smBase+i)
-
-	asleep []bool           // SM is sleeping (not ticked; stats applied lazily)
-	probes []gpu.StallProbe // the probe that justified the sleep
-	comps  []uint64         // sm.Completions() snapshot at sleep time
-	clocks []uint64         // last cycle each SM's stats actually cover
-	act    []uint64         // scratch: ActiveCycles before this cycle's tick
-	due    []int            // scratch: awake SM indices this cycle
+	smBase int   // first SM slot in the shared agenda (SM i = smBase+i)
+	due    []int // scratch: awake SM indices this cycle
 }
 
 func (s *Simulator) ensureEventState() *eventState {
 	if s.ev != nil {
 		return s.ev
 	}
-	n := len(s.SMs)
-	ev := &eventState{
-		asleep: make([]bool, n),
-		probes: make([]gpu.StallProbe, n),
-		comps:  make([]uint64, n),
-		clocks: make([]uint64, n),
-		act:    make([]uint64, n),
-		due:    make([]int, 0, n),
-	}
+	ev := &eventState{due: make([]int, 0, len(s.SMs))}
 	ev.smBase = s.Sys.AddSlot()
-	for i := 1; i < n; i++ {
+	for i := 1; i < len(s.SMs); i++ {
 		s.Sys.AddSlot()
 	}
 	s.ev = ev
 	return ev
 }
 
-// flushSMs applies every sleeping SM's deferred stall cycles up
-// through s.now and marks it awake (agenda slot Hot). It is called at
-// every point control can leave the event loop — pause, cancellation,
-// completion, error, deadlock — so that no lazily-deferred state is
-// observable from outside: stats, dumps, and checkpoint digests are
-// identical to the serial tick order's at the same cycle.
+// wakeSM wakes sleeping SM i, bulk-applying its deferred stall cycles
+// through cycle to, and marks its agenda slot Hot.
+func (s *Simulator) wakeSM(i int, to uint64) {
+	s.eng.SMSleepCycles += s.SMs[i].Wake(to)
+	s.eng.SMWakes++
+	s.Sys.Wakes.Schedule(s.ev.smBase+i, sched.Hot)
+}
+
+// flushSMs wakes every sleeping SM with its stall cycles applied up
+// through s.now. The run loop calls it on every way out — pause,
+// cancellation, completion, error, deadlock — so that no
+// lazily-deferred state is observable from outside: stats and
+// checkpoint digests are identical to the serial tick order's at the
+// same cycle. (A failure's dump is built first; it shows no SM
+// counters.)
 func (s *Simulator) flushSMs() {
-	ev := s.ev
-	if ev == nil {
-		return
-	}
 	for i, sm := range s.SMs {
-		if !ev.asleep[i] {
-			continue
+		if sm.Asleep() {
+			s.wakeSM(i, s.now)
 		}
-		if k := s.now - ev.clocks[i]; k > 0 {
-			sm.SkipCycles(s.now, k, ev.probes[i])
-			s.eng.SMSleepCycles += k
-		}
-		ev.asleep[i] = false
-		ev.clocks[i] = s.now
-		s.Sys.Wakes.Schedule(ev.smBase+i, sched.Hot)
-		s.eng.SMWakes++
 	}
 }
 
@@ -116,35 +99,31 @@ func (s *Simulator) runPhaseEvent(ctx context.Context, stopAt uint64) (bool, err
 	ev := s.ensureEventState()
 	s.eng.Workers = 1
 
-	// Phase entry: everything awake (slots Hot) with stats current
-	// through s.now, wakes re-registered from live component state.
-	// This also erases any slot state a previous phase left behind,
-	// which is what makes phases freely mixable across pause/resume.
-	// The full RefreshWakes scan (not the incremental RefreshDue) is
-	// required here: between-phase work — the kernel-boundary L1
-	// flush, a checkpoint restore — mutates components outside any
-	// dispatch.
-	s.flushSMs()
+	// Phase entry: every SM awake (slots Hot; every phase leaves its
+	// SMs awake but a paused relaxed one, which only a relaxed phase
+	// resumes), wakes re-registered from live component state. This
+	// also erases any slot state a previous phase left behind, which is
+	// what makes phases freely mixable across pause/resume. The full
+	// RefreshWakes scan (not the incremental RefreshDue) is required
+	// here: between-phase work — the kernel-boundary L1 flush, a
+	// checkpoint restore — mutates components outside any dispatch.
 	for i := range s.SMs {
-		ev.clocks[i] = s.now
 		s.Sys.Wakes.Schedule(ev.smBase+i, sched.Hot)
 	}
 	s.Sys.RefreshWakes(s.now, true)
+	defer s.flushSMs()
 	pl := s.newPhaseLabels()
 	defer pl.clear()
 
 	for {
 		if stopAt != 0 && s.now >= stopAt {
-			s.flushSMs()
 			return true, nil
 		}
 		if s.now&ctxPollMask == 0 && ctx.Err() != nil {
-			s.flushSMs()
-			return true, s.canceled(ctx, "run")
+			return true, s.canceled(ctx)
 		}
 		if s.budgetExhausted(s.now - st.start) {
-			s.flushSMs()
-			return false, s.deadlock(st.kernel.Name, "run", "max-cycles", s.now-st.lastProgress)
+			return false, s.deadlock("max-cycles")
 		}
 		pl.set(pl.agenda)
 		if !s.trySkipEvent(st.start+s.Cfg.MaxCycles, stopAt, true) {
@@ -163,24 +142,14 @@ func (s *Simulator) runPhaseEvent(ctx context.Context, stopAt uint64) (bool, err
 			s.eng.EventCycles++
 		}
 		if err := s.Sys.Err(); err != nil {
-			s.flushSMs()
 			return false, s.attachDump(err)
 		}
 		if s.done() {
-			s.flushSMs()
 			return false, nil
 		}
-		// Forward-progress watchdog: sample the monotone activity
-		// counters every 64 cycles; a window with no change anywhere in
-		// the machine is a deadlock, reported with a state dump long
-		// before the MaxCycles budget would expire.
-		if !s.Cfg.DisableWatchdog && s.now&63 == 0 {
-			if sig := s.progressSig(); sig != st.lastSig {
-				st.lastSig = sig
-				st.lastProgress = s.now
-			} else if s.now-st.lastProgress >= s.Cfg.WatchdogWindow {
-				s.flushSMs()
-				return false, s.deadlock(st.kernel.Name, "run", "no-forward-progress", s.now-st.lastProgress)
+		if s.now&63 == 0 {
+			if err := s.watchdog(); err != nil {
+				return false, err
 			}
 		}
 	}
@@ -220,31 +189,24 @@ func (s *Simulator) trySkipEvent(budgetCap, stopAt uint64, run bool) bool {
 	return true
 }
 
-// tickSMsEvent runs the SM side of one executed cycle. Sleeping SMs
-// wake when their probe's wake cycle arrives or a memory completion
-// landed on them (the hierarchy tick for this cycle already ran, so
-// this-cycle deliveries are visible); waking bulk-applies the deferred
-// stall cycles before the real tick. Awake SMs tick in canonical index
+// tickSMsEvent runs the SM side of one executed cycle. A sleeping SM
+// wakes when its own wake cycle arrives or a memory completion stirred
+// it (the hierarchy tick for this cycle already ran, so this-cycle
+// deliveries are visible); waking bulk-applies the deferred stall
+// cycles before the real tick. Awake SMs tick in canonical index
 // order. After ticking, any SM that issued nothing and probes
-// quiescent goes to sleep, registering its wake on the agenda.
+// quiescent falls asleep, registering its wake on the agenda.
 func (s *Simulator) tickSMsEvent() {
 	ev := s.ev
 	now := s.now
 	due := ev.due[:0]
 	for i, sm := range s.SMs {
-		if ev.asleep[i] {
-			if sm.Completions() == ev.comps[i] && now < ev.probes[i].Wake {
+		if sm.Asleep() {
+			if !sm.Stirred() && now < sm.WakeAt() {
 				continue // provably still the same pure stall
 			}
-			if k := now - 1 - ev.clocks[i]; k > 0 {
-				sm.SkipCycles(now-1, k, ev.probes[i])
-				s.eng.SMSleepCycles += k
-			}
-			ev.asleep[i] = false
-			s.Sys.Wakes.Schedule(ev.smBase+i, sched.Hot)
-			s.eng.SMWakes++
+			s.wakeSM(i, now-1)
 		}
-		ev.act[i] = sm.Stats().ActiveCycles
 		due = append(due, i)
 	}
 	ev.due = due
@@ -255,22 +217,11 @@ func (s *Simulator) tickSMsEvent() {
 		s.SMs[i].Tick(now)
 	}
 	s.eng.SMTicks += uint64(len(due))
-	// Stall-onset probe. A zero-issue tick means the scheduler scanned
-	// every non-skipped warp without issuing, so the probe's view is
-	// exactly this tick's.
 	for _, i := range due {
-		sm := s.SMs[i]
-		ev.clocks[i] = now
-		if sm.Stats().ActiveCycles != ev.act[i] {
-			continue
-		}
-		if p, ok := sm.Quiesce(); ok {
-			ev.asleep[i] = true
-			ev.probes[i] = p
-			ev.comps[i] = sm.Completions()
-			// p.Wake is NeverWake (== sched.Never) or a cycle > now;
+		if sm := s.SMs[i]; sm.Sleep() {
+			// WakeAt is NeverWake (== sched.Never) or a cycle > now;
 			// either way it is a valid agenda registration.
-			s.Sys.Wakes.Schedule(ev.smBase+i, p.Wake)
+			s.Sys.Wakes.Schedule(ev.smBase+i, sm.WakeAt())
 		}
 	}
 }
@@ -281,7 +232,6 @@ func (s *Simulator) tickSMsEvent() {
 func (s *Simulator) drainPhaseEvent(ctx context.Context, stopAt uint64) (bool, error) {
 	st := s.cur
 	ev := s.ensureEventState()
-	s.flushSMs()
 	for i := range s.SMs {
 		s.Sys.Wakes.Schedule(ev.smBase+i, sched.Never)
 	}
@@ -293,10 +243,10 @@ func (s *Simulator) drainPhaseEvent(ctx context.Context, stopAt uint64) (bool, e
 			return true, nil
 		}
 		if s.now&ctxPollMask == 0 && ctx.Err() != nil {
-			return true, s.canceled(ctx, "drain")
+			return true, s.canceled(ctx)
 		}
 		if s.budgetExhausted(st.guard) {
-			return false, s.deadlock(st.kernel.Name, "drain", "max-cycles", s.now-st.lastProgress)
+			return false, s.deadlock("max-cycles")
 		}
 		pl.set(pl.agenda)
 		if !s.trySkipEvent(s.now+(s.Cfg.MaxCycles-st.guard), stopAt, false) {
@@ -311,12 +261,9 @@ func (s *Simulator) drainPhaseEvent(ctx context.Context, stopAt uint64) (bool, e
 		if err := s.Sys.Err(); err != nil {
 			return false, s.attachDump(err)
 		}
-		if !s.Cfg.DisableWatchdog && s.now&63 == 0 {
-			if sig := s.progressSig(); sig != st.lastSig {
-				st.lastSig = sig
-				st.lastProgress = s.now
-			} else if s.now-st.lastProgress >= s.Cfg.WatchdogWindow {
-				return false, s.deadlock(st.kernel.Name, "drain", "no-forward-progress", s.now-st.lastProgress)
+		if s.now&63 == 0 {
+			if err := s.watchdog(); err != nil {
+				return false, err
 			}
 		}
 	}

@@ -31,6 +31,14 @@
 // deterministic at any worker count, including serial (GOMAXPROCS=1),
 // where the same epoch structure is executed inline.
 //
+// A domain skips its pure stalls with the SM's own sleep record, as
+// the exact engine does: after a zero-issue tick with a quiet L1 the
+// SM falls asleep and bulk-applies its stall cycles through its own
+// wake cycle or the epoch end. A sleep that reaches the epoch end
+// carries across the barrier unless the barrier wakes the domain, and
+// leaving the phase, except by a pause, wakes every SM, so a kernel
+// never starts on the previous kernel's probe.
+//
 // What slack perturbs, and what it cannot (DESIGN.md §7 carries the
 // full argument): an SM's outbound request is replayed at its true
 // cycle and its response comes back cycle-exactly, but the SM only
@@ -47,11 +55,7 @@
 // exact engine runs unchanged.
 package sim
 
-import (
-	"context"
-
-	"github.com/gtsc-sim/gtsc/internal/gpu"
-)
+import "context"
 
 // relaxFine is the delivery-horizon rounding grid: when a response is
 // in flight, epoch barriers land on multiples of this (phase-anchored)
@@ -75,9 +79,6 @@ type relaxedState struct {
 	// runs that domain this epoch.
 	smTicks   []uint64
 	smSkipped []uint64
-	asleep    []bool           // domain slept through its last epoch tail...
-	probes    []gpu.StallProbe // ...justified by this probe...
-	comps     []uint64         // ...taken at this sm.Completions() count
 
 	pl phaseLabels
 }
@@ -95,13 +96,7 @@ func (s *Simulator) ensureRelaxed() *relaxedState {
 		return s.rx
 	}
 	n := len(s.SMs)
-	s.rx = &relaxedState{
-		smTicks:   make([]uint64, n),
-		smSkipped: make([]uint64, n),
-		asleep:    make([]bool, n),
-		probes:    make([]gpu.StallProbe, n),
-		comps:     make([]uint64, n),
-	}
+	s.rx = &relaxedState{smTicks: make([]uint64, n), smSkipped: make([]uint64, n)}
 	return s.rx
 }
 
@@ -113,7 +108,7 @@ func (s *Simulator) ensureRelaxed() *relaxedState {
 // first barrier at or after stopAt, so pausing is pure suspension and
 // a resumed run follows the uninterrupted trajectory exactly
 // (TestRelaxedPauseBitIdentical).
-func (s *Simulator) runPhaseRelaxed(ctx context.Context, stopAt uint64) (bool, error) {
+func (s *Simulator) runPhaseRelaxed(ctx context.Context, stopAt uint64) (paused bool, err error) {
 	st := s.cur
 	rx := s.ensureRelaxed()
 	slack := s.Cfg.SlackCycles
@@ -133,6 +128,17 @@ func (s *Simulator) runPhaseRelaxed(ctx context.Context, stopAt uint64) (bool, e
 			s.eng.Relaxed.SMDomainCycles += rx.smTicks[i]
 			s.eng.Relaxed.SMDomainSkipped += rx.smSkipped[i]
 			rx.smTicks[i], rx.smSkipped[i] = 0, 0
+		}
+	}()
+	// A domain sleeps through an epoch with its stall cycles applied
+	// through the epoch end, so on leaving the phase, every SM wakes
+	// with nothing left to apply. A pause keeps the sleeps: only this
+	// phase resumes it, and the next epoch may still skip on them.
+	defer func() {
+		if !paused {
+			for _, sm := range s.SMs {
+				sm.Wake(s.now)
+			}
 		}
 	}()
 	// Phase entry, as in the event engine: between-phase work — the
@@ -160,10 +166,10 @@ func (s *Simulator) runPhaseRelaxed(ctx context.Context, stopAt uint64) (bool, e
 			return true, nil
 		}
 		if ctx.Err() != nil {
-			return true, s.canceled(ctx, "run")
+			return true, s.canceled(ctx)
 		}
 		if s.budgetExhausted(s.now - st.start) {
-			return false, s.deadlock(st.kernel.Name, "run", "max-cycles", s.now-st.lastProgress)
+			return false, s.deadlock("max-cycles")
 		}
 
 		// This epoch ends at the next grid barrier, clamped to the
@@ -217,12 +223,8 @@ func (s *Simulator) runPhaseRelaxed(ctx context.Context, stopAt uint64) (bool, e
 		s.eng.Relaxed.ExchangedMsgs += uint64(injected)
 		s.eng.Relaxed.HeldMsgs += uint64(held)
 		if grid {
-			for i, sm := range s.SMs {
-				if sm.PendingFill() {
-					// New CTAs invalidate the domain's stall probe.
-					rx.asleep[i] = false
-					sm.CommitFill()
-				}
+			for _, sm := range s.SMs {
+				sm.CommitFill() // voids the domain's sleep if it refills
 			}
 		}
 		s.Sys.RelaxedFlushObs()
@@ -233,12 +235,9 @@ func (s *Simulator) runPhaseRelaxed(ctx context.Context, stopAt uint64) (bool, e
 		if s.done() {
 			return false, nil
 		}
-		if grid && !s.Cfg.DisableWatchdog {
-			if sig := s.progressSig(); sig != st.lastSig {
-				st.lastSig = sig
-				st.lastProgress = s.now
-			} else if s.now-st.lastProgress >= s.Cfg.WatchdogWindow {
-				return false, s.deadlock(st.kernel.Name, "run", "no-forward-progress", s.now-st.lastProgress)
+		if grid {
+			if err := s.watchdog(); err != nil {
+				return false, err
 			}
 		}
 	}
@@ -253,80 +252,42 @@ func (s *Simulator) relaxedDomain(d int, to uint64) {
 }
 
 // relaxedRunSM free-runs SM domain i over (from, to]. Mid-epoch the
-// domain is closed — deliveries only land at barriers — so a stall
-// probe taken here stays valid until its wake cycle or the epoch end.
-// A probe that outlives the epoch (asleep) stays valid into the next
-// epoch unless the barrier woke the domain: a delivery completed an
-// SM access (L1 responses are processed synchronously at Deliver, so
-// the signal is sm.Completions() moving, exactly as in the event
-// engine), left the L1 with queued work (non-quiescent), or committed
-// a CTA refill (checked at the barrier itself).
+// domain is closed — deliveries only land at barriers — so an SM that
+// falls asleep here sleeps on until its own wake cycle or the epoch
+// end, with its L1 synced to match. A sleep that outlives the epoch
+// carries into the next one unless the barrier woke the domain: a
+// delivery completed an SM access (L1 responses are processed
+// synchronously at Deliver, so the SM is stirred, exactly as in the
+// event engine), left the L1 with queued work (non-quiescent), or
+// committed a CTA refill (which voids the sleep).
 func (s *Simulator) relaxedRunSM(i int, from, to uint64) {
 	rx := s.rx
 	sm, l1 := s.SMs[i], s.Sys.L1s[i]
-	c := from
-	if rx.asleep[i] {
-		rx.asleep[i] = false
-		if l1.Quiescent() && sm.Completions() == rx.comps[i] {
-			// The barrier delivered nothing: the carried probe still
-			// holds. Jump straight to its wake (or the epoch end).
-			p := rx.probes[i]
-			j := to
-			if p.Wake-1 < j {
-				j = p.Wake - 1
-			}
-			if j > c {
-				sm.SkipCycles(j, j-c, p)
+	if sm.Asleep() && (sm.Stirred() || !l1.Quiescent()) {
+		sm.Wake(from)
+	}
+	for c := from; c < to; {
+		if sm.Asleep() {
+			if j := min(to, sm.WakeAt()-1); j > c {
+				sm.SleepThrough(j)
 				l1.SyncClock(j)
 				rx.smSkipped[i] += j - c
 				c = j
 			}
-			if c >= to {
-				rx.asleep[i] = true // slept through the whole epoch
-				return
+			if c == to {
+				return // asleep through the epoch end
 			}
+			sm.Wake(c)
 		}
-	}
-	st := sm.Stats()
-	for c < to {
 		c++
 		s.Sys.RelaxedTickL1(i, c)
-		act := st.ActiveCycles
 		sm.Tick(c)
 		rx.smTicks[i]++
-		if c >= to {
-			break
+		// A zero-issue tick can begin a stall (the epoch's last leaves
+		// the probe to the next epoch), but a domain sleeps only with
+		// its L1 quiet too.
+		if c < to && sm.Sleep() && !l1.Quiescent() {
+			sm.Wake(c)
 		}
-		// Stall-onset gate, as in the event engine: only a zero-issue
-		// tick can begin a stall, so the warp-scanning probe is not
-		// worth attempting while the SM is issuing.
-		if st.ActiveCycles != act {
-			continue
-		}
-		if !l1.Quiescent() {
-			continue
-		}
-		p, ok := sm.Quiesce()
-		if !ok {
-			continue
-		}
-		j := to
-		if p.Wake-1 < j {
-			j = p.Wake - 1
-		}
-		if j <= c {
-			continue
-		}
-		sm.SkipCycles(j, j-c, p)
-		l1.SyncClock(j)
-		rx.smSkipped[i] += j - c
-		if j >= to {
-			// The probe outlives the epoch: carry the sleep across the
-			// barrier so the next epoch can fast-path.
-			rx.asleep[i] = true
-			rx.probes[i] = p
-			rx.comps[i] = sm.Completions()
-		}
-		c = j
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"github.com/gtsc-sim/gtsc/internal/check"
 	"github.com/gtsc-sim/gtsc/internal/checkpoint"
 	"github.com/gtsc-sim/gtsc/internal/fault"
+	"github.com/gtsc-sim/gtsc/internal/gpu"
 	"github.com/gtsc-sim/gtsc/internal/mem"
 	"github.com/gtsc-sim/gtsc/internal/sim"
 	"github.com/gtsc-sim/gtsc/internal/stats"
@@ -330,5 +331,69 @@ func TestRelaxedCheckpointHandoff(t *testing.T) {
 	blocks := touchedBlocks(orig.Sim(), resumed.Sim())
 	if got, want := architectedImage(resumed.Sim(), blocks), architectedImage(orig.Sim(), blocks); got != want {
 		t.Errorf("resumed architected memory diverged (%s vs %s)", got, want)
+	}
+}
+
+// TestRelaxedNextKernelWakesIdleDomain: an SM domain that runs out of
+// work early in one kernel sleeps on an idle stall probe, and the CTAs
+// the next kernel assigns it must void that sleep. In kernel 1, CTA 0
+// (on SM 0) runs a single ALU instruction while the other CTAs wait on
+// two loads, so SM 0's domain goes idle early; in kernel 2 every thread
+// stores GTID+5, SM 0's included. Both kernels must complete and every
+// word read back, at each slack and domain worker count. A domain that
+// kept its kernel-1 probe would skip every epoch of kernel 2 and trip
+// the short watchdog window.
+func TestRelaxedNextKernelWakesIdleDomain(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	if prev < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+	const loadBase, storeBase = mem.Addr(0x20000), mem.Addr(0x30000)
+	word := func(base mem.Addr) func(t *gpu.Thread) (mem.Addr, bool) {
+		return func(t *gpu.Thread) (mem.Addr, bool) { return base + mem.Addr(t.GTID*4), true }
+	}
+	inc := gpu.ALU(func(t *gpu.Thread) { t.Regs[1] = t.Regs[0] + 1 }, 0)
+	short := []*gpu.Instr{inc}
+	long := []*gpu.Instr{gpu.Load(0, word(loadBase)), inc, gpu.Load(0, word(loadBase+0x1000)), inc}
+	store := []*gpu.Instr{gpu.Store(word(storeBase), func(t *gpu.Thread) uint32 { return uint32(t.GTID) + 5 })}
+	const ctas = 4 // one per SM, so SM 0 gets no second CTA in kernel 1
+	idle := &gpu.Kernel{Name: "idle", CTAs: ctas, WarpsPerCTA: 1, Regs: 2,
+		ProgramFor: func(w *gpu.Warp) gpu.Program {
+			if w.CTA.ID == 0 {
+				return gpu.Seq(short...)
+			}
+			return gpu.Seq(long...)
+		}}
+	stores := &gpu.Kernel{Name: "store", CTAs: ctas, WarpsPerCTA: 1, Regs: 2,
+		ProgramFor: func(*gpu.Warp) gpu.Program { return gpu.Seq(store...) }}
+
+	for _, label := range []string{"gtsc-rc", "tc-rc"} {
+		for _, slack := range []uint64{8, 32} {
+			for _, workers := range []int{1, 2} {
+				label, slack, workers := label, slack, workers
+				t.Run(fmt.Sprintf("%s/slack%d/workers%d", label, slack, workers), func(t *testing.T) {
+					t.Parallel()
+					cfg, _ := goldenConfig(label)
+					cfg.SlackCycles = slack
+					cfg.SimWorkers = workers
+					cfg.WatchdogWindow = 5_000
+					s := sim.New(cfg)
+					for _, k := range []*gpu.Kernel{idle, stores} {
+						if _, err := s.Run(k); err != nil {
+							t.Fatalf("kernel %q: %v", k.Name, err)
+						}
+					}
+					if s.Engine().Relaxed.Epochs == 0 {
+						t.Fatal("relaxed engine never engaged")
+					}
+					for gtid := 0; gtid < ctas*gpu.WarpWidth; gtid++ {
+						if got, want := s.ReadWord(storeBase+mem.Addr(gtid*4)), uint32(gtid)+5; got != want {
+							t.Errorf("thread %d stored %d, want %d", gtid, got, want)
+						}
+					}
+				})
+			}
+		}
 	}
 }

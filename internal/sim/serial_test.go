@@ -30,12 +30,9 @@ func (s *Simulator) serialStep() error {
 	if st.phase == phaseRun && s.done() {
 		return s.endRunPhase()
 	}
-	if !s.Cfg.DisableWatchdog && s.now&63 == 0 {
-		if sig := s.progressSig(); sig != st.lastSig {
-			st.lastSig = sig
-			st.lastProgress = s.now
-		} else if s.now-st.lastProgress >= s.Cfg.WatchdogWindow {
-			return s.deadlock(st.kernel.Name, s.phaseName(), "no-forward-progress", s.now-st.lastProgress)
+	if s.now&63 == 0 {
+		if err := s.watchdog(); err != nil {
+			return err
 		}
 	}
 	if st.phase == phaseDrain {
