@@ -251,26 +251,17 @@ func realMain() int {
 			fmt.Printf("==== %s ====\n", wl.Name)
 		}
 		if res.err != nil {
-			// Structured failures carry a machine-state dump; print it so a
-			// wedged run is diagnosable from the terminal alone. An
-			// interruption is not a failure: report where the run stopped
-			// and exit with the distinct status below.
+			// An interruption is not a failure: report where the run
+			// stopped and exit with the distinct status below.
 			var ce *diag.CanceledError
-			var de *diag.DeadlockError
-			var pe *diag.ProtocolError
-			switch {
-			case errors.As(res.err, &ce):
+			if errors.As(res.err, &ce) {
 				fmt.Fprintf(os.Stderr, "gtscsim: %s interrupted at cycle %d (%s, kernel %s): %v\n",
 					wl.Name, ce.Cycle, ce.Phase, ce.Kernel, ce.Cause)
 				fmt.Fprintln(os.Stderr, "gtscsim: no -checkpoint given; partial state discarded")
 				interrupted = true
 				continue
-			case errors.As(res.err, &de):
-				fmt.Fprintln(os.Stderr, de.Dump.String())
-			case errors.As(res.err, &pe):
-				fmt.Fprintln(os.Stderr, pe.Dump.String())
 			}
-			fmt.Fprintf(os.Stderr, "gtscsim: %s failed: %v\n", wl.Name, res.err)
+			reportFailure(wl.Name, res.err)
 			failed = true
 			continue
 		}
@@ -349,15 +340,7 @@ func runCheckpointed(ctx context.Context, wl *workload.Workload, cfg sim.Config,
 			fmt.Fprintf(os.Stderr, "gtscsim: checkpoint written to %s; rerun with -resume to continue\n", path)
 			return exitInterrupted
 		}
-		var de *diag.DeadlockError
-		var pe *diag.ProtocolError
-		switch {
-		case errors.As(err, &de):
-			fmt.Fprintln(os.Stderr, de.Dump.String())
-		case errors.As(err, &pe):
-			fmt.Fprintln(os.Stderr, pe.Dump.String())
-		}
-		fmt.Fprintf(os.Stderr, "gtscsim: %s failed: %v\n", wl.Name, err)
+		reportFailure(wl.Name, err)
 		return exitFailure
 	}
 	fmt.Print(run)
@@ -366,6 +349,21 @@ func runCheckpointed(ctx context.Context, wl *workload.Workload, cfg sim.Config,
 	// finished execution on the next -resume.
 	os.Remove(path)
 	return exitOK
+}
+
+// reportFailure prints a failed run's machine-state dump, when the
+// failure carries one (a deadlock or a protocol error), so a wedged run
+// is diagnosable from the terminal alone, then its failed: line.
+func reportFailure(name string, err error) {
+	var de *diag.DeadlockError
+	var pe *diag.ProtocolError
+	switch {
+	case errors.As(err, &de):
+		fmt.Fprintln(os.Stderr, de.Dump.String())
+	case errors.As(err, &pe):
+		fmt.Fprintln(os.Stderr, pe.Dump.String())
+	}
+	fmt.Fprintf(os.Stderr, "gtscsim: %s failed: %v\n", name, err)
 }
 
 // printEngineLine reports the engine's scheduling counters for one run.
