@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -115,6 +117,56 @@ func TestStoreReadWrite(t *testing.T) {
 	}
 	if s.Blocks() != 1 {
 		t.Fatalf("blocks=%d", s.Blocks())
+	}
+}
+
+// TestStoreSemantics pins what the store reports, whatever it keeps
+// its blocks in: a block counts as written from its first write (even
+// one with an empty mask) and is listed in ascending order; a block
+// never written reads zero and is listed nowhere, even between written
+// neighbours.
+func TestStoreSemantics(t *testing.T) {
+	s := NewStore()
+	s.WriteWord(BlockAddr(1<<40).WordAddr(31), 0xffffffff)
+	s.WriteWord(BlockAddr(0x23).WordAddr(0), 0xabc)
+	s.WriteWord(BlockAddr(0x21).WordAddr(3), 7)
+	var blk Block
+	blk.Words[1] = 5
+	s.WriteBlock(0x2f, &blk, 0)
+	s.WriteBlock(0, &blk, WordMask(0).Set(1))
+
+	var out Block
+	for _, b := range []BlockAddr{0x20, 0x22, 0x24, 0x30, 1<<40 + 1} {
+		out.Words[0] = 1
+		s.ReadBlock(b, &out)
+		if out != (Block{}) || s.ReadWord(b.WordAddr(3)) != 0 {
+			t.Fatalf("unwritten block %v must read zero", b)
+		}
+	}
+	s.ReadBlock(0x2f, &out)
+	if out != (Block{}) {
+		t.Fatal("an empty-mask write must leave the block zero")
+	}
+	if got := s.ReadWord(BlockAddr(0x21).WordAddr(3)); got != 7 {
+		t.Fatalf("word read %d, want 7", got)
+	}
+
+	want := []BlockAddr{0, 0x21, 0x23, 0x2f, 1 << 40}
+	var got []BlockAddr
+	s.ForEachBlock(func(b BlockAddr) { got = append(got, b) })
+	if s.Blocks() != len(want) || !slices.Equal(got, want) {
+		t.Fatalf("Blocks()=%d ForEachBlock=%v, want %v", s.Blocks(), got, want)
+	}
+
+	var d strings.Builder
+	s.DigestInto(&d)
+	const digest = "blk 0x0 [0 5 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0]\n" +
+		"blk 0x21 [0 0 0 7 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0]\n" +
+		"blk 0x23 [abc 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0]\n" +
+		"blk 0x2f [0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0]\n" +
+		"blk 0x10000000000 [0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 ffffffff]\n"
+	if d.String() != digest {
+		t.Fatalf("digest:\n%s\nwant:\n%s", d.String(), digest)
 	}
 }
 
