@@ -60,7 +60,7 @@ type Bank[M any] struct {
 	outDRAM  mem.MsgQueue
 	pool     *mem.Pool
 
-	miss       map[mem.BlockAddr]*Miss
+	miss       mem.Table[mem.BlockAddr, *Miss]
 	freeMisses mem.FreeList[Miss] // retired entries, waiting capacity kept
 	// stalled lists, ascending, the blocks whose fill arrived but found
 	// no victim; RetryStalled re-offers them every tick in this order
@@ -78,7 +78,7 @@ func NewBank[M any](name string, id int, geo BankGeometry, sendNoC, sendDRAM Sen
 	return Bank[M]{
 		ID: id, Obs: obs, Array: cache.NewArray[M](geo.Sets, geo.Ways),
 		name: name, sendNoC: sendNoC, sendDRAM: sendDRAM,
-		pool: &mem.Pool{}, miss: make(map[mem.BlockAddr]*Miss),
+		pool: &mem.Pool{},
 	}
 }
 
@@ -127,9 +127,7 @@ func (b *Bank[M]) Peek(blk mem.BlockAddr) (*mem.Block, bool) {
 // requests waiting on it.
 func (b *Bank[M]) Pending() int {
 	n := b.inQ.Len() + b.outNoC.Len() + b.outDRAM.Len()
-	for _, m := range b.miss {
-		n += len(m.Waiting) + 1
-	}
+	b.miss.Each(func(_ mem.BlockAddr, m *Miss) { n += len(m.Waiting) + 1 })
 	return n
 }
 
@@ -152,13 +150,13 @@ func (b *Bank[M]) Wake(uint64) uint64 {
 }
 
 // Drained is the O(1) form of Pending() == 0.
-func (b *Bank[M]) Drained() bool { return !b.Busy() && len(b.miss) == 0 }
+func (b *Bank[M]) Drained() bool { return !b.Busy() && b.miss.Len() == 0 }
 
 // DumpState snapshots the bank's queues and misses for diagnostics.
 func (b *Bank[M]) DumpState() diag.CacheState {
 	return diag.CacheState{
 		Name: b.name, ID: b.ID, Pending: b.Pending(),
-		MSHRUsed: len(b.miss), Misses: len(b.miss),
+		MSHRUsed: b.miss.Len(), Misses: b.miss.Len(),
 		InQ: b.inQ.Len(), OutQ: b.outNoC.Len() + b.outDRAM.Len(),
 	}
 }
@@ -169,7 +167,7 @@ func (b *Bank[M]) DumpState() diag.CacheState {
 func (b *Bank[M]) DigestState(w io.Writer) {
 	fmt.Fprintf(w, "%s[%d] now=%d\n", b.name, b.ID, b.Now)
 	b.Array.DigestInto(w)
-	mem.DigestBlockMap(w, b.miss, func(w io.Writer, blk mem.BlockAddr, m *Miss) {
+	mem.DigestBlockMap(w, &b.miss, func(w io.Writer, blk mem.BlockAddr, m *Miss) {
 		fmt.Fprintf(w, "miss %#x", uint64(blk))
 		if m.Fill != nil {
 			fmt.Fprintf(w, " d%x", m.Fill.Data.Words)
@@ -187,7 +185,7 @@ func (b *Bank[M]) DigestState(w io.Writer) {
 func (b *Bank[M]) DebugString() string {
 	var s strings.Builder
 	fmt.Fprintf(&s, "inQ=%d outNoC=%d outDRAM=%d\n", b.inQ.Len(), b.outNoC.Len(), b.outDRAM.Len())
-	mem.DigestBlockMap(&s, b.miss, func(w io.Writer, blk mem.BlockAddr, m *Miss) {
+	mem.DigestBlockMap(&s, &b.miss, func(w io.Writer, blk mem.BlockAddr, m *Miss) {
 		fmt.Fprintf(w, "  miss %v waiting=%d\n", blk, len(m.Waiting))
 	})
 	return s.String()
@@ -256,12 +254,12 @@ func (b *Bank[M]) Free(msg *mem.Msg) { b.pool.PutMsg(msg) }
 // starting the read (a counted miss) when none is in flight. The
 // caller has found the block absent.
 func (b *Bank[M]) Fetch(msg *mem.Msg) {
-	m, ok := b.miss[msg.Block]
+	m, ok := b.miss.Get(msg.Block)
 	if !ok {
 		b.Counters.Misses++
 		m = b.freeMisses.Get()
 		m.Block = msg.Block
-		b.miss[msg.Block] = m
+		b.miss.Put(msg.Block, m)
 		rd := b.pool.Msg()
 		rd.Type, rd.Block, rd.Src, rd.Dst = mem.DRAMRd, msg.Block, b.ID, b.ID
 		b.outDRAM.Post(b.sendDRAM, rd)
@@ -276,7 +274,7 @@ func (b *Bank[M]) Landed(msg *mem.Msg) *Miss {
 	if b.fail != nil {
 		return nil
 	}
-	m, ok := b.miss[msg.Block]
+	m, ok := b.miss.Get(msg.Block)
 	if !ok {
 		b.Failf("orphan-dram-fill", "DRAM fill for %v without outstanding miss", msg.Block)
 		return nil
@@ -300,7 +298,7 @@ func (b *Bank[M]) RetryStalled(install func(m *Miss)) {
 	}
 	b.retry = append(b.retry[:0], b.stalled...)
 	for _, blk := range b.retry {
-		if m, ok := b.miss[blk]; ok && m.Fill != nil {
+		if m, ok := b.miss.Get(blk); ok && m.Fill != nil {
 			install(m)
 		}
 	}
@@ -311,7 +309,7 @@ func (b *Bank[M]) RetryStalled(install func(m *Miss)) {
 func (b *Bank[M]) Install(m *Miss, victim *cache.Line[M]) {
 	b.Array.Install(victim, m.Block, m.Fill.Data, b.Now)
 	b.Counters.DataAccesses++
-	delete(b.miss, m.Block)
+	b.miss.Delete(m.Block)
 	if i, found := slices.BinarySearch(b.stalled, m.Block); found {
 		b.stalled = slices.Delete(b.stalled, i, i+1)
 	}

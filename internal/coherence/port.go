@@ -47,9 +47,9 @@ type Port struct {
 	outQ    mem.MsgQueue
 	pool    mem.Pool // recycles the requests it sends and responses it consumes
 	nextID  uint64
-	pending int                 // accesses accepted whose Done has not fired
-	acks    map[uint64]*Request // accesses awaiting an ack, by request ID
-	loadOut mem.Block           // masked-word scratch handed to load completions
+	pending int                         // accesses accepted whose Done has not fired
+	acks    mem.Table[uint64, *Request] // accesses awaiting an ack, by request ID
+	loadOut mem.Block                   // masked-word scratch handed to load completions
 	fail    *diag.ProtocolError
 	failed  *atomic.Bool // raised with fail; see SetFailFlag
 }
@@ -58,7 +58,7 @@ type Port struct {
 // interleaving blocks over nBanks banks, with an MSHR of mshrs entries
 // (none when zero).
 func NewPort(name string, sm, nBanks, mshrs int, send Sender, obs Observer) Port {
-	p := Port{ID: sm, Obs: obs, name: name, nBanks: nBanks, send: send, acks: make(map[uint64]*Request)}
+	p := Port{ID: sm, Obs: obs, name: name, nBanks: nBanks, send: send}
 	if mshrs > 0 {
 		p.MSHR = cache.NewMSHR[*Request](mshrs)
 	}
@@ -131,7 +131,7 @@ func (p *Port) DigestState(w io.Writer) {
 		p.MSHR.DigestInto(w)
 	}
 	mem.DigestMsgs(w, "outq", p.outQ.Items())
-	mem.DigestIDTable(w, "ack", p.acks)
+	mem.DigestIDTable(w, "ack", &p.acks)
 }
 
 // Msg draws a message of type t about block b, addressed from this SM
@@ -183,19 +183,18 @@ func (p *Port) Owe() { p.pending++ }
 // Await files acc under msg's request ID until its ack arrives (Take),
 // and counts it owed.
 func (p *Port) Await(msg *mem.Msg, acc *Request) {
-	p.acks[msg.ReqID] = acc
+	p.acks.Put(msg.ReqID, acc)
 	p.pending++
 }
 
 // Take claims the access awaiting ack msg. An ack nothing awaits
 // latches the protocol error event and returns nil.
 func (p *Port) Take(msg *mem.Msg, event string) *Request {
-	acc, ok := p.acks[msg.ReqID]
+	acc, ok := p.acks.Delete(msg.ReqID)
 	if !ok {
 		p.Failf(event, "%v req=%d block=%v from bank %d has no pending access", msg.Type, msg.ReqID, msg.Block, msg.Src)
 		return nil
 	}
-	delete(p.acks, msg.ReqID)
 	return acc
 }
 

@@ -49,7 +49,7 @@ func (b *busyState) remaining() int { return bits.OnesCount64(b.targets &^ b.don
 type L2 struct {
 	coherence.Bank[dirMeta]
 	cfg  Config
-	busy map[mem.BlockAddr]*busyState
+	busy mem.Table[mem.BlockAddr, *busyState]
 	// freeBusy recycles retired transactions with their waiting lists'
 	// capacity.
 	freeBusy mem.FreeList[busyState]
@@ -61,7 +61,6 @@ func NewL2(cfg Config, bankID int, geo coherence.BankGeometry, sendNoC, sendDRAM
 	return &L2{
 		Bank: coherence.NewBank[dirMeta]("dir-l2", bankID, geo, sendNoC, sendDRAM, obs),
 		cfg:  cfg,
-		busy: make(map[mem.BlockAddr]*busyState),
 	}
 }
 
@@ -77,22 +76,18 @@ func (l *L2) ForEachLineState(fn func(b mem.BlockAddr, state string)) {
 // Pending implements coherence.L2.
 func (l *L2) Pending() int {
 	n := l.Bank.Pending()
-	for _, b := range l.busy {
-		n += len(b.waiting) + b.remaining() + 1
-	}
+	l.busy.Each(func(_ mem.BlockAddr, b *busyState) { n += len(b.waiting) + b.remaining() + 1 })
 	return n
 }
 
 // Drained implements coherence.L2: O(1) Pending() == 0.
-func (l *L2) Drained() bool { return l.Bank.Drained() && len(l.busy) == 0 }
+func (l *L2) Drained() bool { return l.Bank.Drained() && l.busy.Len() == 0 }
 
 // DumpState implements coherence.L2.
 func (l *L2) DumpState() diag.CacheState {
 	st := l.Bank.DumpState()
 	st.Pending = l.Pending()
-	for _, b := range l.busy {
-		st.Blocked += len(b.waiting) + b.remaining()
-	}
+	l.busy.Each(func(_ mem.BlockAddr, b *busyState) { st.Blocked += len(b.waiting) + b.remaining() })
 	return st
 }
 
@@ -111,7 +106,7 @@ func (l *L2) DRAMFill(msg *mem.Msg) {
 // first and the install retries.
 func (l *L2) tryInstall(m *coherence.Miss) {
 	victim := l.Array.Victim(m.Block, func(c *cache.Line[dirMeta]) bool {
-		return c.Meta.sharers == 0 && c.Meta.owner < 0 && l.busy[c.Addr] == nil
+		return c.Meta.sharers == 0 && c.Meta.owner < 0 && !l.busy.Has(c.Addr)
 	})
 	if victim == nil {
 		l.Counters.EvictStalls++
@@ -132,7 +127,7 @@ func (l *L2) tryInstall(m *coherence.Miss) {
 // stalled install can proceed — the §II-C recall traffic.
 func (l *L2) startRecall(forBlock mem.BlockAddr) {
 	victim := l.Array.Victim(forBlock, func(c *cache.Line[dirMeta]) bool {
-		return l.busy[c.Addr] == nil
+		return !l.busy.Has(c.Addr)
 	})
 	if victim == nil {
 		return // every way is mid-transaction; retry next tick
@@ -173,7 +168,7 @@ func (l *L2) beginBusy(block mem.BlockAddr, meta *dirMeta, exclude int, grant *m
 		l.Failf("busy-no-targets", "transaction on %v has no invalidation targets (sharers=%#x owner=%d)", block, meta.sharers, meta.owner)
 		return
 	}
-	l.busy[block] = b
+	l.busy.Put(block, b)
 }
 
 // freeBusyState retires a completed transaction whose grant and
@@ -186,8 +181,8 @@ func (l *L2) freeBusyState(b *busyState) {
 
 // onInvAck processes one acknowledgment.
 func (l *L2) onInvAck(msg *mem.Msg) {
-	b := l.busy[msg.Block]
-	if b == nil {
+	b, ok := l.busy.Get(msg.Block)
+	if !ok {
 		return // stale ack after a completed recall; harmless
 	}
 	t := uint64(1) << uint(msg.Src)
@@ -225,7 +220,7 @@ func (l *L2) onWB(msg *mem.Msg) {
 		}
 		l.Counters.DataAccesses++
 	}
-	if b := l.busy[msg.Block]; b != nil {
+	if b, ok := l.busy.Get(msg.Block); ok {
 		if t := uint64(1) << uint(msg.Src); b.targets&t != 0 && b.done&t == 0 {
 			b.done |= t
 			l.maybeFinishBusy(b)
@@ -240,7 +235,7 @@ func (l *L2) maybeFinishBusy(b *busyState) {
 	if b.remaining() != 0 {
 		return
 	}
-	delete(l.busy, b.block)
+	l.busy.Delete(b.block)
 	line := l.Array.Lookup(b.block)
 	if line == nil {
 		l.Failf("busy-line-vanished", "completed transaction on %v but the line is gone", b.block)
@@ -278,7 +273,7 @@ func (l *L2) runQueue(block mem.BlockAddr, msgs []*mem.Msg) {
 			continue
 		}
 		l.serve(msg, line)
-		if nb := l.busy[block]; nb != nil {
+		if nb, ok := l.busy.Get(block); ok {
 			nb.waiting = append(nb.waiting, msgs[i+1:]...)
 			return
 		}
@@ -378,7 +373,7 @@ func (l *L2) route(msg *mem.Msg) {
 		l.Free(msg)
 		return
 	}
-	if b, ok := l.busy[msg.Block]; ok {
+	if b, ok := l.busy.Get(msg.Block); ok {
 		b.waiting = append(b.waiting, msg)
 		return
 	}

@@ -16,7 +16,7 @@ func (l *L1) DigestState(w io.Writer) {
 // DigestState implements coherence.StateDigester for a TC L2 bank.
 func (l *L2) DigestState(w io.Writer) {
 	l.Bank.DigestState(w)
-	mem.DigestBlockMap(w, l.blocked, func(w io.Writer, b mem.BlockAddr, msgs []*mem.Msg) {
+	mem.DigestBlockMap(w, &l.blocked, func(w io.Writer, b mem.BlockAddr, msgs []*mem.Msg) {
 		fmt.Fprintf(w, "blocked %#x\n", uint64(b))
 		mem.DigestMsgs(w, "q", msgs)
 	})

@@ -28,7 +28,7 @@ type L2 struct {
 	// blocked holds, per block, a stalled TC-Strong write at the head
 	// and every request that arrived behind it, serviced in order once
 	// the block's leases expire.
-	blocked map[mem.BlockAddr][]*mem.Msg
+	blocked mem.Table[mem.BlockAddr, []*mem.Msg]
 	// waits lists the blocked blocks in (lease expiry, block) order.
 	// A blocked line's expiry cannot move: every request for the block
 	// queues behind the write, and a blocked line is never a victim.
@@ -61,25 +61,22 @@ func cmpWait(a, b blockWait) int {
 func NewL2(cfg Config, bankID int, geo coherence.BankGeometry, sendNoC, sendDRAM coherence.Sender, obs coherence.Observer) *L2 {
 	cfg.fillDefaults()
 	return &L2{
-		Bank:    coherence.NewBank[lease]("tc-l2", bankID, geo, sendNoC, sendDRAM, obs),
-		cfg:     cfg,
-		blocked: make(map[mem.BlockAddr][]*mem.Msg),
+		Bank: coherence.NewBank[lease]("tc-l2", bankID, geo, sendNoC, sendDRAM, obs),
+		cfg:  cfg,
 	}
 }
 
 // Pending implements coherence.L2.
 func (l *L2) Pending() int {
 	n := l.Bank.Pending()
-	for _, q := range l.blocked {
-		n += len(q)
-	}
+	l.blocked.Each(func(_ mem.BlockAddr, q []*mem.Msg) { n += len(q) })
 	return n
 }
 
 // Quiescent implements coherence.L2. Blocked write queues bar
 // quiescence because they resume on lease expiry (a time-based event,
 // counting WriteStalls every waiting cycle), as do stalled fills.
-func (l *L2) Quiescent() bool { return l.Bank.Quiescent() && len(l.blocked) == 0 }
+func (l *L2) Quiescent() bool { return l.Bank.Quiescent() && l.blocked.Len() == 0 }
 
 // Wake implements coherence.L2. A bank whose only work is blocked
 // writes wakes at the earliest expiry among them: until then a tick
@@ -109,15 +106,13 @@ func (l *L2) SyncClock(now uint64) {
 }
 
 // Drained implements coherence.L2: O(1) Pending() == 0.
-func (l *L2) Drained() bool { return l.Bank.Drained() && len(l.blocked) == 0 }
+func (l *L2) Drained() bool { return l.Bank.Drained() && l.blocked.Len() == 0 }
 
 // DumpState implements coherence.L2.
 func (l *L2) DumpState() diag.CacheState {
 	st := l.Bank.DumpState()
 	st.Pending = l.Pending()
-	for _, q := range l.blocked {
-		st.Blocked += len(q)
-	}
+	l.blocked.Each(func(_ mem.BlockAddr, q []*mem.Msg) { st.Blocked += len(q) })
 	return st
 }
 
@@ -137,7 +132,7 @@ func (l *L2) DRAMFill(msg *mem.Msg) {
 // cycles).
 func (l *L2) tryInstall(m *coherence.Miss) {
 	victim := l.Array.Victim(m.Block, func(c *cache.Line[lease]) bool {
-		return c.Meta.expiry <= l.Now && l.blocked[c.Addr] == nil
+		return c.Meta.expiry <= l.Now && !l.blocked.Has(c.Addr)
 	})
 	if victim == nil {
 		l.Counters.EvictStalls++
@@ -175,7 +170,7 @@ func (l *L2) mustStall(msg *mem.Msg, line *cache.Line[lease]) bool {
 // park appends msgs to block's blocked queue. A new queue starts on a
 // recycled slice and waits for expiry, the line's lease.
 func (l *L2) park(block mem.BlockAddr, expiry uint64, msgs ...*mem.Msg) {
-	q, ok := l.blocked[block]
+	q, ok := l.blocked.Get(block)
 	if !ok {
 		if n := len(l.freeQueues); n > 0 {
 			q = l.freeQueues[n-1]
@@ -185,7 +180,7 @@ func (l *L2) park(block mem.BlockAddr, expiry uint64, msgs ...*mem.Msg) {
 		i, _ := slices.BinarySearchFunc(l.waits, w, cmpWait)
 		l.waits = slices.Insert(l.waits, i, w)
 	}
-	l.blocked[block] = append(q, msgs...)
+	l.blocked.Put(block, append(q, msgs...))
 }
 
 // process serves one request against a present line and frees it: the
@@ -267,13 +262,12 @@ func (l *L2) resumeBlocked() {
 	l.waits = slices.Delete(l.waits, 0, n)
 	slices.Sort(due)
 	for _, block := range due {
-		q := l.blocked[block]
 		line := l.Array.Lookup(block)
 		if line == nil {
 			l.Failf("blocked-line-vanished", "blocked queue for %v lost its line", block)
 			return
 		}
-		delete(l.blocked, block)
+		q, _ := l.blocked.Delete(block)
 		l.runQueue(block, line, q)
 		clear(q)
 		l.freeQueues = append(l.freeQueues, q[:0])
@@ -284,9 +278,9 @@ func (l *L2) service(msg *mem.Msg) {
 	if !l.Accept(msg) {
 		return
 	}
-	if q, ok := l.blocked[msg.Block]; ok {
+	if q, ok := l.blocked.Get(msg.Block); ok {
 		// Order behind the stalled write.
-		l.blocked[msg.Block] = append(q, msg)
+		l.blocked.Put(msg.Block, append(q, msg))
 		return
 	}
 	line := l.Array.Lookup(msg.Block)

@@ -653,7 +653,7 @@ func TestResumedWriteBlocksServiceSameTick(t *testing.T) {
 	for now+1 < expiry {
 		tick()
 	}
-	if len(l2.blocked) != 1 {
+	if l2.blocked.Len() != 1 {
 		t.Fatal("the write must stall until the lease expires")
 	}
 
@@ -661,7 +661,7 @@ func TestResumedWriteBlocksServiceSameTick(t *testing.T) {
 	l2.Deliver(&mem.Msg{Type: mem.BusRd, Block: Y, Src: 0, ReqID: 2})
 	refuse = true
 	tick() // the write resumes; the port refuses its ack
-	if len(l2.blocked) != 0 || !l2.Blocked() {
+	if l2.blocked.Len() != 0 || !l2.Blocked() {
 		t.Fatal("the resumed write's refused ack must stay queued")
 	}
 	if got := l2.Stats().Reads; got != reads {
