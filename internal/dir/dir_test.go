@@ -424,3 +424,30 @@ func TestRetriedFillBlocksServiceSameTick(t *testing.T) {
 		t.Fatalf("the queued read must be serviced once the port accepts (reads %d -> %d)", reads, got)
 	}
 }
+
+// TestRejectedLoadCountsOneMiss pins that a load the full MSHR rejects
+// counts no miss until it is accepted: each reject counts an MSHR
+// stall, and the accepted retry counts its one miss.
+func TestRejectedLoadCountsOneMiss(t *testing.T) {
+	h := newHarness(t, 1, coherence.BankGeometry{})
+	h.l1s[0] = NewL1(0, 1, coherence.L1Geometry{Sets: 16, Ways: 4, MSHRs: 1},
+		coherence.SenderFunc(func(m *mem.Msg) bool { h.toL2 = append(h.toL2, m); return true }), nil)
+	A, B := mem.BlockAddr(0x10), mem.BlockAddr(0x20)
+	a := h.load(0, 0, A, 0)
+	for i := 0; i < 2; i++ {
+		if r := h.load(0, 1, B, 0); r.res != coherence.Reject {
+			t.Fatalf("load of B with A's miss in the only MSHR entry: %v, want Reject", r.res)
+		}
+	}
+	h.pump()
+	b := h.load(0, 1, B, 0)
+	h.pump()
+	if !a.done || !b.done {
+		t.Fatal("both loads must complete")
+	}
+	st := h.l1s[0].Stats()
+	if st.MSHRStalls != 2 || st.MissCold != 2 || st.MissLocked != 0 {
+		t.Fatalf("MSHRStalls=%d MissCold=%d MissLocked=%d, want 2, 2 (A and B once each), 0",
+			st.MSHRStalls, st.MissCold, st.MissLocked)
+	}
+}

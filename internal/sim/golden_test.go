@@ -128,7 +128,7 @@ var goldenRows = []goldenRow{
 	{"BP", "tc-rc", 4235, 10320, 0x6a039ca9d1c7f6c5},
 	{"BP", "tc-sc", 4928, 12018, 0x344979e0193dce71},
 	{"BP", "bl-rc", 14542, 63840, 0xa51fa276e851fc3},
-	{"BP", "dir-rc", 3656, 2426, 0xcca0bb32968253a0},
+	{"BP", "dir-rc", 3656, 2426, 0x2a98655bece627af},
 	{"BP", "gtsc-rc-mesh-banked", 4797, 2472, 0x5524cdeea69a9bc},
 	{"BP", "gtsc-rc-ts8", 3661, 2472, 0xa0f79597b8440c2a},
 	{"SGM", "gtsc-rc", 4279, 528, 0x96060b3ff98eb391},
