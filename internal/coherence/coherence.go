@@ -17,8 +17,9 @@
 // the clock, the observer and the first-failure latch), and every L2
 // bank embeds a Bank, generic over its line metadata (the tag array,
 // the input and output queues, the pool its DRAM partition shares, the
-// miss table with its sorted stalled-fill retry list, the L2 atomic
-// and store observation). L1Geometry and BankGeometry size them.
+// miss table, keyed by block in a mem.Table, with its sorted
+// stalled-fill retry list, the L2 atomic and store observation).
+// L1Geometry and BankGeometry size them.
 //
 // The GPU core is protocol-agnostic: it presents coalesced accesses and
 // receives completions; consistency (SC vs RC) is enforced above this
