@@ -25,12 +25,8 @@ modelcheck:
 
 # Kill-and-resume smoke: interrupt real binaries with real signals,
 # resume from checkpoint/journal, and diff against uninterrupted runs.
-# The sweep smoke does the same for the distributed sweep service:
-# SIGKILL a worker and the coordinator mid-sweep, diff the recovered
-# results against a serial local reference.
 smoke:
 	bash scripts/kill_resume_smoke.sh
-	bash scripts/sweep_smoke.sh
 
 # Net Go line counts per package since BASE (default: the previous
 # commit), code and tests apart, as every change reports them. Counts

@@ -23,7 +23,6 @@
 package checkpoint
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -203,25 +202,6 @@ func Decode(r io.Reader) (*Checkpoint, error) {
 		return nil, err
 	}
 	return ck, nil
-}
-
-// EncodeBytes renders the checkpoint in the versioned binary format —
-// the frame a sweep worker streams to the coordinator with each
-// heartbeat, so a reassigned lease can hand the successor the exact
-// resume coordinate.
-func (ck *Checkpoint) EncodeBytes() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := ck.Encode(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeBytes reads a checkpoint rendered by EncodeBytes, validating
-// magic, version and CRC — a truncated or bit-flipped frame reports
-// ErrCorrupt rather than a bogus coordinate.
-func DecodeBytes(b []byte) (*Checkpoint, error) {
-	return Decode(bytes.NewReader(b))
 }
 
 // SaveFile atomically writes the checkpoint to path (tmp + rename), so

@@ -1,11 +1,10 @@
 // Package cli holds the process-level conventions every gtsc binary
-// shares, so gtscsim, gtscbench, gtscd and gtscctl behave identically
-// under signals instead of carrying per-binary copies:
+// shares, so gtscsim and gtscbench behave identically under signals
+// instead of carrying per-binary copies:
 //
 //   - exit codes: 0 success, 1 failure, 3 graceful suspend (the run
-//     was interrupted but left resumable state — a checkpoint, a
-//     journal, a coordinator journal), 130 hard abort on a second
-//     signal;
+//     was interrupted but left resumable state — a checkpoint or a
+//     journal), 130 hard abort on a second signal;
 //   - SIGINT/SIGTERM handling: the first signal cancels the returned
 //     context (in-flight work suspends at its next poll point), the
 //     second exits immediately with ExitSecondSignal;

@@ -141,25 +141,6 @@ func (e *WorkerPanicError) Error() string {
 	return fmt.Sprintf("worker panic in %s: %s", e.Key, e.Value)
 }
 
-// RemoteError reports a sweep-service request the coordinator
-// REJECTED — a non-2xx response carrying a reason, as opposed to a
-// transport failure (which the client retries). Rejections are
-// terminal for the request: retrying an invalid submit or a stale
-// lease operation cannot succeed.
-type RemoteError struct {
-	// Op is the API path that was rejected (e.g. "/api/lease").
-	Op string
-	// Status is the HTTP status code of the rejection.
-	Status int
-	// Msg is the coordinator's reason line.
-	Msg string
-}
-
-// Error implements error.
-func (e *RemoteError) Error() string {
-	return fmt.Sprintf("sweep coordinator rejected %s (HTTP %d): %s", e.Op, e.Status, e.Msg)
-}
-
 // StateDump is a structured snapshot of the whole machine, assembled
 // when a run fails: per-SM warp states, per-controller occupancy, NoC
 // queue depths and the in-flight transaction table.

@@ -472,7 +472,7 @@ func (s *Session) runCell(c cell) (*stats.Run, error) {
 		var lastErr error
 		for attempt := 0; attempt <= s.Cfg.RetryTransient; attempt++ {
 			if attempt > 0 {
-				s.sleep(RetryBackoff(attempt))
+				s.sleep(retryBackoff(attempt))
 			}
 			cfg := s.simConfig(c.v, attempt)
 			if c.at.edit != nil {
@@ -515,7 +515,7 @@ func (s *Session) simConfig(v variant, attempt int) sim.Config {
 	cfg.Mem.GTSC.KeepOldCopy = v.oldCopy
 	cfg.Mem.GTSC.AdaptiveLease = v.adaptive
 	if s.Cfg.FaultSeed != 0 {
-		cfg.Mem.Fault = fault.Chaos(DeriveFaultSeed(s.Cfg.FaultSeed, attempt))
+		cfg.Mem.Fault = fault.Chaos(deriveFaultSeed(s.Cfg.FaultSeed, attempt))
 	}
 	return cfg
 }

@@ -345,7 +345,7 @@ func TestExtensionSweepsUseSessionConfig(t *testing.T) {
 		{"platform", func(s *Session) error { _, err := s.RunPlatform(); return err }},
 		{"cache", func(s *Session) error { _, err := s.RunCacheSweep(); return err }},
 	}
-	wantFault := fault.Chaos(DeriveFaultSeed(cfg.FaultSeed, 0))
+	wantFault := fault.Chaos(deriveFaultSeed(cfg.FaultSeed, 0))
 	for _, d := range drivers {
 		s := NewSession(cfg)
 		var got []sim.Config

@@ -237,11 +237,9 @@ func (s *Session) transient(err error) bool {
 	return errors.As(err, &de)
 }
 
-// RetryBackoff is the exponential backoff before retry attempt n
-// (n >= 1): 25ms, 50ms, 100ms, ... capped at 2s. Exported so the
-// distributed sweep coordinator (internal/sweep) retries transient
-// failures on exactly the session's schedule.
-func RetryBackoff(attempt int) time.Duration {
+// retryBackoff is the exponential backoff before retry attempt n
+// (n >= 1): 25ms, 50ms, 100ms, ... capped at 2s.
+func retryBackoff(attempt int) time.Duration {
 	d := 25 * time.Millisecond << (attempt - 1)
 	if d > 2*time.Second || d <= 0 {
 		d = 2 * time.Second
@@ -249,14 +247,12 @@ func RetryBackoff(attempt int) time.Duration {
 	return d
 }
 
-// DeriveFaultSeed maps (base seed, attempt) to the fault seed of one
+// deriveFaultSeed maps (base seed, attempt) to the fault seed of one
 // attempt. Attempt 0 uses the configured seed itself; retries walk a
 // deterministic sequence of fresh seeds, because replaying the same
 // seed in this deterministic engine would reproduce the identical
-// failure. Exported so sweep workers (internal/sweep) derive the same
-// per-attempt seeds a local session would, keeping a distributed retry
-// bit-compatible with a local one.
-func DeriveFaultSeed(seed int64, attempt int) int64 {
+// failure.
+func deriveFaultSeed(seed int64, attempt int) int64 {
 	if attempt == 0 {
 		return seed
 	}

@@ -37,7 +37,12 @@ func mp22Program() [][][]Op {
 // every reachable point (mp-forced), by natural timestamp exhaustion
 // (mp22-natural), and repeatedly against a 2-bit wire epoch tag
 // (narrow-epoch, which exercises the bound-decode in
-// core/tswrap.go through three back-to-back resets).
+// core/tswrap.go through three back-to-back resets). Two more mp22
+// rows check the selectable knobs ForwardAll and AdaptiveLease; at 6
+// bits the adaptive lease ceiling (30) clamps InitTS back to the
+// power-on value, so the adaptive row sees no reset. KeepOldCopy has
+// no row: mp22 never loads on the storing SM, so it explores exactly
+// the natural row's space.
 //
 // Each case pins its exact state, edge and final-state counts, so a
 // change that alters any reachable micro-state fails by name. A change
@@ -59,6 +64,12 @@ func TestExhaustive(t *testing.T) {
 		{"gtsc-mp22-natural", Config{Protocol: GTSC, NumBanks: 2, Program: mp22Program(),
 			GTSC: core.Config{TSBits: 6, Lease: 6, InitTS: ^uint64(0)}, MaxStates: 2_000_000},
 			1, 1, 13465, 37256, 54},
+		{"gtsc-mp22-forwardall", Config{Protocol: GTSC, NumBanks: 2, Program: mp22Program(),
+			GTSC: core.Config{TSBits: 6, Lease: 6, InitTS: ^uint64(0), ForwardAll: true}, MaxStates: 2_000_000},
+			1, 1, 18216, 49378, 226},
+		{"gtsc-mp22-adaptive", Config{Protocol: GTSC, NumBanks: 2, Program: mp22Program(),
+			GTSC: core.Config{TSBits: 6, Lease: 6, InitTS: ^uint64(0), AdaptiveLease: true}, MaxStates: 2_000_000},
+			0, 0, 8774, 25772, 15},
 		{"gtsc-narrow-epoch", Config{Protocol: GTSC, NumBanks: 2, Program: mpProgram(),
 			GTSC: core.Config{TSBits: 6, Lease: 4, EpochBits: 2}, ForcedResets: 3,
 			GateResets: true, MaxStates: 2_000_000},

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"reflect"
@@ -297,12 +298,12 @@ func TestRelaxedCheckpointHandoff(t *testing.T) {
 		}
 	}
 
-	// Hand off through the wire format, as the sweep worker does.
-	frame, err := orig.Checkpoint().EncodeBytes()
-	if err != nil {
+	// Hand off through the checkpoint file format.
+	var frame bytes.Buffer
+	if err := orig.Checkpoint().Encode(&frame); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	ck, err := checkpoint.DecodeBytes(frame)
+	ck, err := checkpoint.Decode(&frame)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
