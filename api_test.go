@@ -104,8 +104,8 @@ func TestPublicAPIWorkloadRun(t *testing.T) {
 func TestPublicAPIEvaluation(t *testing.T) {
 	cfg := gtsc.DefaultExperimentConfig()
 	cfg.Scale = 1
-	cfg.NumSMs = 4
-	cfg.NumBanks = 2
+	cfg.Machine.Mem.NumSMs = 4
+	cfg.Machine.Mem.NumBanks = 2
 	session := gtsc.NewExperimentSession(cfg)
 	var buf bytes.Buffer
 	if err := session.RunOne("fig12", &buf); err != nil {

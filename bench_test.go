@@ -17,8 +17,8 @@ import (
 func benchConfig() experiments.Config {
 	cfg := experiments.DefaultConfig()
 	cfg.Scale = 1
-	cfg.NumSMs = 4
-	cfg.NumBanks = 4
+	cfg.Machine.Mem.NumSMs = 4
+	cfg.Machine.Mem.NumBanks = 4
 	return cfg
 }
 

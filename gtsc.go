@@ -217,7 +217,9 @@ func CheckPhysical(ops []check.Record, max int) []Violation {
 
 // Experiments: the paper's evaluation.
 type (
-	// ExperimentConfig parameterizes an experiment session.
+	// ExperimentConfig parameterizes an experiment session: the
+	// workload scale, the worker count, and the Machine (a Config)
+	// every run starts from.
 	ExperimentConfig = experiments.Config
 	// ExperimentSession runs and caches the evaluation's simulations.
 	ExperimentSession = experiments.Session

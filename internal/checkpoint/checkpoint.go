@@ -54,28 +54,24 @@ type Checkpoint struct {
 	Digest uint64
 }
 
-// ConfigHash canonically hashes a simulator configuration. The
+// ConfigHash canonically hashes the result-affecting part of a
+// simulator configuration: the one rule, for checkpoints and for the
+// experiment journal alike, of which fields change results. The
 // Observer is excluded: it receives events but never feeds state back
 // into the simulation, so it does not affect the run's trajectory.
 // SimWorkers and ProfileLabels are excluded for the same reason — they
 // schedule how the engine spreads its work (or annotate profiles),
 // never what the machine computes, so a checkpoint taken at one worker
-// count restores under any other. Every other field of sim.Config is a
-// plain value, so the rendering is process-independent.
-//
-// SlackCycles is excluded as a scheduling knob too, with one caveat:
-// unlike the other excluded knobs, a nonzero slack changes the
-// machine's cycle-by-cycle trajectory (boundedly, functionally
-// equivalently — see sim/relaxed.go). A checkpoint records a state
-// digest, and restore replays from cycle 0 under the restoring
-// process's own config, so restoring a slack-N checkpoint under a
-// different slack fails with ErrDigestMismatch rather than silently
-// diverging. Restore under the same slack that took the checkpoint.
+// count restores under any other. SlackCycles is included: a nonzero
+// slack changes the machine's cycle-by-cycle trajectory (boundedly,
+// functionally equivalently — see sim/relaxed.go), so a checkpoint
+// restores only under the slack that took it. Every other field of
+// sim.Config is a plain value, so the rendering is
+// process-independent.
 func ConfigHash(cfg sim.Config) uint64 {
 	cfg.Observer = nil
 	cfg.SimWorkers = 0
 	cfg.ProfileLabels = false
-	cfg.SlackCycles = 0
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%+v", cfg)
 	return h.Sum64()

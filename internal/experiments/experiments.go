@@ -23,10 +23,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"text/tabwriter"
-	"time"
 
 	"github.com/gtsc-sim/gtsc/internal/checkpoint"
-	"github.com/gtsc-sim/gtsc/internal/fault"
 	"github.com/gtsc-sim/gtsc/internal/gpu"
 	"github.com/gtsc-sim/gtsc/internal/memsys"
 	"github.com/gtsc-sim/gtsc/internal/sim"
@@ -39,95 +37,32 @@ type Config struct {
 	// Scale is the workload scale factor (1 = test size; the default
 	// experiment scale is 2).
 	Scale int
-	// NumSMs/NumBanks describe the machine (paper: 16 and 8).
-	NumSMs   int
-	NumBanks int
-	// GTSCLease is G-TSC's logical lease (paper default 10).
-	GTSCLease uint64
-	// GTSCTSBits is G-TSC's timestamp counter width in bits (0 = the
-	// protocol default, 16). Narrow widths make the §V-D overflow
-	// reset a routine event instead of a once-per-billion-cycles one,
-	// so sweeps can characterize rollover cost. Result-affecting: part
-	// of the journal config signature.
-	GTSCTSBits int
-	// TCLease is TC's physical lease in cycles (default 400).
-	TCLease uint64
-	// MaxCycles guards against non-convergence.
-	MaxCycles uint64
+	// Machine is the machine every run starts from: a run sets only
+	// its variant's protocol, consistency and G-TSC options on a copy.
+	// Its SimWorkers multiplies with Workers, so keep the product near
+	// GOMAXPROCS (the CLIs clamp it; see EXPERIMENTS.md). The zero
+	// value means DefaultConfig's.
+	Machine sim.Config
 	// Workers bounds how many simulations the session runs
 	// concurrently when a driver fans out its grid (0 = GOMAXPROCS,
 	// 1 = fully serial). Every simulation is hermetic — fresh
 	// simulator, store, RNG and observer per run — so the results are
 	// bit-identical for any worker count; only wall-clock time changes.
 	Workers int
-	// SimWorkers is the INTRA-simulation parallelism handed to each
-	// run (sim.Config.SimWorkers): under a nonzero Slack, the SM
-	// domains of one simulation run concurrently on that many
-	// goroutines. Like Workers it is a pure scheduling knob — results
-	// and journals are identical at any setting — and it multiplies: a
-	// fan-out uses up to Workers x SimWorkers goroutines, so keep the
-	// product near GOMAXPROCS (the CLIs clamp it; see EXPERIMENTS.md).
-	SimWorkers int
-	// Slack is each run's relaxed-synchronization bound in cycles
-	// (sim.Config.SlackCycles; 0 = bit-exact execution). Unlike
-	// SimWorkers this is NOT a pure scheduling knob: nonzero slack
-	// perturbs cycle counts boundedly (functional results are
-	// preserved — see sim/relaxed.go), so it is part of the cache key
-	// and of the journal's config signature, and slack-0 results are
-	// never served for a slack-N request.
-	Slack uint64
-
-	// FaultSeed, when non-zero, runs every simulation under the chaos
-	// fault-injection plan with that seed (see internal/fault). Runs
-	// stay deterministic per seed; the seed is part of the cache key
-	// and of the journal's config signature.
-	FaultSeed int64
-	// RetryTransient bounds how many times a transient fault-injected
-	// failure (a deadlock while a fault plan is active) is retried.
-	// Each attempt derives a fresh fault seed — the simulator is
-	// deterministic, so retrying the same seed would reproduce the
-	// same failure — and waits exponentially longer before rerunning.
-	// 0 disables retry.
-	RetryTransient int
 	// KeepGoing makes a sweep survive individual run failures: a
 	// failed (workload, variant) cell no longer aborts its experiment;
 	// assembly leaves the cell out, and RunAll/RunOne print the
 	// experiment's manifest of the failed cells it read (see also
 	// Session.Missing).
 	KeepGoing bool
-	// WatchdogWindow overrides each simulation's forward-progress
-	// window in simulated cycles (0 = simulator default). The window
-	// counts simulated cycles only, so oversubscribed worker pools
-	// (Workers > GOMAXPROCS) cannot trip it; TestWatchdogOversubscribed
-	// pins that.
-	WatchdogWindow uint64
 }
 
-// DefaultConfig returns the paper-scale machine at scale 2.
+// DefaultConfig returns the paper-scale machine at scale 2, with a
+// cycle budget of 500 M cycles per kernel.
 func DefaultConfig() Config {
-	return Config{Scale: 2, NumSMs: 16, NumBanks: 8, GTSCLease: 10, TCLease: 400}
-}
-
-func (c *Config) fillDefaults() {
-	d := DefaultConfig()
-	if c.Scale == 0 {
-		c.Scale = d.Scale
-	}
-	if c.NumSMs == 0 {
-		c.NumSMs = d.NumSMs
-	}
-	if c.NumBanks == 0 {
-		c.NumBanks = d.NumBanks
-	}
-	if c.GTSCLease == 0 {
-		c.GTSCLease = d.GTSCLease
-	}
-	if c.TCLease == 0 {
-		c.TCLease = d.TCLease
-	}
-	if c.MaxCycles == 0 {
-		c.MaxCycles = 500_000_000
-	}
+	m := sim.DefaultConfig()
+	m.MaxCycles = 500_000_000
+	return Config{Scale: 2, Machine: m}
 }
 
 // variant identifies one simulated configuration of a workload.
@@ -188,9 +123,7 @@ type state struct {
 	journalErr error
 	dropped    bool
 
-	// Test seams: sleep backs the retry backoff; runSim executes one
-	// simulation. Both default to the real thing in NewSession.
-	sleep  func(time.Duration)
+	// runSim executes one simulation; tests replace it.
 	runSim func(ctx context.Context, inst *workload.Instance, cfg sim.Config) (*stats.Run, error)
 }
 
@@ -202,10 +135,17 @@ type cacheEntry struct {
 	err  error
 }
 
-// NewSession builds a session.
+// NewSession builds a session. A zero Scale or Machine takes
+// DefaultConfig's.
 func NewSession(cfg Config) *Session {
-	cfg.fillDefaults()
-	st := &state{cache: make(map[string]*cacheEntry), sleep: time.Sleep}
+	d := DefaultConfig()
+	if cfg.Scale == 0 {
+		cfg.Scale = d.Scale
+	}
+	if cfg.Machine == (sim.Config{}) {
+		cfg.Machine = d.Machine
+	}
+	st := &state{cache: make(map[string]*cacheEntry)}
 	st.runSim = func(ctx context.Context, inst *workload.Instance, cfg sim.Config) (*stats.Run, error) {
 		return inst.RunContext(ctx, cfg)
 	}
@@ -231,7 +171,8 @@ func (s *Session) context() context.Context {
 }
 
 func (s *Session) key(wl string, v variant) string {
-	return fmt.Sprintf("%s/%d/%d/%d/%t/%t/%t/%d/%d", wl, v.proto, v.cons, v.lease, v.forwardAll, v.oldCopy, v.adaptive, s.Cfg.FaultSeed, s.Cfg.Slack)
+	m := &s.Cfg.Machine
+	return fmt.Sprintf("%s/%d/%d/%d/%t/%t/%t/%d/%d", wl, v.proto, v.cons, v.lease, v.forwardAll, v.oldCopy, v.adaptive, m.Mem.Fault.Seed, m.SlackCycles)
 }
 
 // do returns the cached result for key, or runs exec exactly once to
@@ -462,61 +403,35 @@ func (s *Session) grid(blocks ...block) (*grid, error) {
 	return g, nil
 }
 
-// runCell simulates one cell (cached, single-flight). Transient
-// fault-injected failures are retried up to Cfg.RetryTransient times
-// with exponential backoff; each attempt derives a fresh fault seed,
-// because the deterministic engine would otherwise reproduce the
-// identical failure.
+// runCell simulates one cell (cached, single-flight).
 func (s *Session) runCell(c cell) (*stats.Run, error) {
 	return s.do(s.cellKey(c), func() (*stats.Run, error) {
-		var lastErr error
-		for attempt := 0; attempt <= s.Cfg.RetryTransient; attempt++ {
-			if attempt > 0 {
-				s.sleep(retryBackoff(attempt))
-			}
-			cfg := s.simConfig(c.v, attempt)
-			if c.at.edit != nil {
-				c.at.edit(&cfg)
-			}
-			run, err := s.runSim(s.context(), c.wl.Build(max(s.Cfg.Scale, c.at.scale)), cfg)
-			if err == nil {
-				return run, nil
-			}
-			lastErr = fmt.Errorf("%s under %s/%s (attempt %d): %w", c.wl.Name, c.v.proto, c.v.cons, attempt+1, err)
-			if !s.transient(err) {
-				break
-			}
+		cfg := s.simConfig(c.v)
+		if c.at.edit != nil {
+			c.at.edit(&cfg)
 		}
-		return nil, lastErr
+		run, err := s.runSim(s.context(), c.wl.Build(max(s.Cfg.Scale, c.at.scale)), cfg)
+		if err != nil {
+			return nil, fmt.Errorf("%s under %s/%s: %w", c.wl.Name, c.v.proto, c.v.cons, err)
+		}
+		return run, nil
 	})
 }
 
-// simConfig assembles the simulator configuration for one attempt of
-// one variant. The attempt index only varies the derived fault seed;
-// with fault injection off every attempt is identical (and there is
-// only ever one).
-func (s *Session) simConfig(v variant, attempt int) sim.Config {
-	cfg := sim.DefaultConfig()
+// simConfig is the session machine under variant v: its protocol,
+// consistency and G-TSC options. The observer is left nil, since an
+// observer belongs to exactly one run.
+func (s *Session) simConfig(v variant) sim.Config {
+	cfg := s.Cfg.Machine
+	cfg.Observer = nil
 	cfg.Mem.Protocol = v.proto
-	cfg.Mem.NumSMs = s.Cfg.NumSMs
-	cfg.Mem.NumBanks = s.Cfg.NumBanks
 	cfg.SM.Consistency = v.cons
-	cfg.MaxCycles = s.Cfg.MaxCycles
-	cfg.WatchdogWindow = s.Cfg.WatchdogWindow
-	cfg.SimWorkers = s.Cfg.SimWorkers
-	cfg.SlackCycles = s.Cfg.Slack
-	cfg.Mem.GTSC.Lease = s.Cfg.GTSCLease
-	cfg.Mem.GTSC.TSBits = s.Cfg.GTSCTSBits
-	cfg.Mem.TC.Lease = s.Cfg.TCLease
 	if v.lease != 0 {
 		cfg.Mem.GTSC.Lease = v.lease
 	}
 	cfg.Mem.GTSC.ForwardAll = v.forwardAll
 	cfg.Mem.GTSC.KeepOldCopy = v.oldCopy
 	cfg.Mem.GTSC.AdaptiveLease = v.adaptive
-	if s.Cfg.FaultSeed != 0 {
-		cfg.Mem.Fault = fault.Chaos(deriveFaultSeed(s.Cfg.FaultSeed, attempt))
-	}
 	return cfg
 }
 
@@ -559,8 +474,9 @@ var suite = []experiment{
 // RunAll executes every experiment and prints each in order — the
 // cmd/gtscbench entry point.
 func (s *Session) RunAll(w io.Writer) error {
+	m := &s.Cfg.Machine.Mem
 	fmt.Fprintf(w, "G-TSC experiment suite (scale %d, %d SMs, %d L2 banks, G-TSC lease %d, TC lease %d)\n\n",
-		s.Cfg.Scale, s.Cfg.NumSMs, s.Cfg.NumBanks, s.Cfg.GTSCLease, s.Cfg.TCLease)
+		s.Cfg.Scale, m.NumSMs, m.NumBanks, m.GTSC.Lease, m.TC.Lease)
 	for _, e := range suite {
 		if err := s.runExperiment(e, w); err != nil {
 			return fmt.Errorf("%s: %w", e.name, err)

@@ -10,8 +10,8 @@ import (
 func tinyConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Scale = 1
-	cfg.NumSMs = 4
-	cfg.NumBanks = 4
+	cfg.Machine.Mem.NumSMs = 4
+	cfg.Machine.Mem.NumBanks = 4
 	return cfg
 }
 
@@ -255,5 +255,15 @@ func TestRunAllTiny(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("suite output missing %q", want)
 		}
+	}
+}
+
+// TestZeroConfigIsPaperMachine: a zero Scale or Machine takes the
+// default's, so Config{Workers: 1} runs the paper machine at scale 2.
+func TestZeroConfigIsPaperMachine(t *testing.T) {
+	want := DefaultConfig()
+	want.Workers = 1
+	if got := NewSession(Config{Workers: 1}).Cfg; got != want {
+		t.Errorf("zero config became %+v, want %+v", got, want)
 	}
 }

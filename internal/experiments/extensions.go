@@ -469,7 +469,7 @@ func (s *Session) RunDirectoryCompare() (*DirectoryCompare, error) {
 		}
 		return sms + ownerBits + 1
 	}
-	out.DirBitsPerLine = dirBits(s.Cfg.NumSMs)
+	out.DirBitsPerLine = dirBits(s.Cfg.Machine.Mem.NumSMs)
 	out.GTSCBitsPerLine = 32
 
 	// Scaling sweep: the paper's argument is that invalidation costs

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-	"time"
 
 	"github.com/gtsc-sim/gtsc/internal/diag"
 	"github.com/gtsc-sim/gtsc/internal/fault"
@@ -20,7 +19,10 @@ import (
 // smallCfg is a fast machine for resilience tests: tiny inputs, tiny
 // geometry, serial by default so journal record order is stable.
 func smallCfg() Config {
-	return Config{Scale: 1, NumSMs: 2, NumBanks: 2, Workers: 1}
+	cfg := DefaultConfig()
+	cfg.Scale, cfg.Workers = 1, 1
+	cfg.Machine.Mem.NumSMs, cfg.Machine.Mem.NumBanks = 2, 2
+	return cfg
 }
 
 // smallGrid runs a 2-workload x 2-variant grid and returns an error
@@ -133,8 +135,9 @@ func TestJournalTornTailResume(t *testing.T) {
 }
 
 // TestJournalConfigSignature: a journal must only feed a session with
-// the same result-affecting configuration — but scheduling knobs
-// (Workers) are excluded, so -j can change between runs.
+// the same result-affecting configuration (machine geometry, slack)
+// — but scheduling knobs (Workers, Machine.SimWorkers) are excluded,
+// so -j and -simworkers can change between runs.
 func TestJournalConfigSignature(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.jrnl")
 	s1 := NewSession(smallCfg())
@@ -146,16 +149,22 @@ func TestJournalConfigSignature(t *testing.T) {
 	}
 
 	bad := smallCfg()
-	bad.NumSMs = 4
+	bad.Machine.Mem.NumSMs = 4
 	if _, err := NewSession(bad).AttachJournal(path); err == nil {
 		t.Error("journal accepted by a session with different machine geometry")
 	}
+	bad = smallCfg()
+	bad.Machine.SlackCycles = 8 // perturbs cycle counts
+	if _, err := NewSession(bad).AttachJournal(path); err == nil {
+		t.Error("journal accepted by a session with a different slack")
+	}
 
 	ok := smallCfg()
-	ok.Workers = 7 // scheduling only; results are identical at any -j
+	ok.Workers = 7            // scheduling only; results are identical at any -j
+	ok.Machine.SimWorkers = 2 // likewise at any -simworkers
 	s2 := NewSession(ok)
 	if _, err := s2.AttachJournal(path); err != nil {
-		t.Errorf("worker-count change rejected the journal: %v", err)
+		t.Errorf("scheduling-knob change rejected the journal: %v", err)
 	}
 	s2.CloseJournal()
 }
@@ -196,95 +205,6 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestRetryTransient: transient fault-injected failures (deadlocks
-// under an active fault plan) are retried with exponential backoff
-// and a fresh derived seed per attempt; success on a later attempt
-// yields the run, and the retry budget is bounded.
-func TestRetryTransient(t *testing.T) {
-	cfg := smallCfg()
-	cfg.FaultSeed = 7
-	cfg.RetryTransient = 3
-	s := NewSession(cfg)
-
-	var slept []time.Duration
-	s.sleep = func(d time.Duration) { slept = append(slept, d) }
-	var seeds []int64
-	s.runSim = func(ctx context.Context, inst *workload.Instance, c sim.Config) (*stats.Run, error) {
-		seeds = append(seeds, c.Mem.Fault.Seed)
-		if len(seeds) <= 2 {
-			return nil, &diag.DeadlockError{Kernel: "k", Cycle: 99, Reason: "injected"}
-		}
-		return &stats.Run{Cycles: 7}, nil
-	}
-
-	wl := workload.All()[0]
-	run, err := s.runCell(cell{wl: wl, v: vGTSCRC})
-	if err != nil || run.Cycles != 7 {
-		t.Fatalf("run after transient failures: run=%v err=%v", run, err)
-	}
-	if len(seeds) != 3 {
-		t.Fatalf("made %d attempts, want 3", len(seeds))
-	}
-	if seeds[0] != 7 || seeds[0] == seeds[1] || seeds[1] == seeds[2] {
-		t.Errorf("retries must derive fresh seeds (deterministic engine reproduces the same failure): %v", seeds)
-	}
-	if want := []time.Duration{25 * time.Millisecond, 50 * time.Millisecond}; !reflect.DeepEqual(slept, want) {
-		t.Errorf("backoff = %v, want %v", slept, want)
-	}
-
-	// Exhaustion: a cell that never recovers fails after 1+RetryTransient
-	// attempts with the last error.
-	attempts := 0
-	s2 := NewSession(cfg)
-	s2.sleep = func(time.Duration) {}
-	s2.runSim = func(ctx context.Context, inst *workload.Instance, c sim.Config) (*stats.Run, error) {
-		attempts++
-		return nil, &diag.DeadlockError{Kernel: "k", Cycle: 1, Reason: "stuck"}
-	}
-	if _, err := s2.runCell(cell{wl: wl, v: vGTSCRC}); err == nil {
-		t.Fatal("exhausted retries still reported success")
-	}
-	if attempts != 4 {
-		t.Errorf("made %d attempts, want 1 + RetryTransient = 4", attempts)
-	}
-}
-
-// TestRetryOnlyTransient: without a fault plan, or for non-deadlock
-// errors, there is exactly one attempt — retry must never mask a
-// genuine protocol bug.
-func TestRetryOnlyTransient(t *testing.T) {
-	wl := workload.All()[0]
-
-	// No fault plan: a deadlock is a real bug, not noise.
-	cfg := smallCfg()
-	cfg.RetryTransient = 3
-	s := NewSession(cfg)
-	s.sleep = func(time.Duration) { t.Error("backoff slept without a fault plan") }
-	attempts := 0
-	s.runSim = func(ctx context.Context, inst *workload.Instance, c sim.Config) (*stats.Run, error) {
-		attempts++
-		return nil, &diag.DeadlockError{Kernel: "k", Cycle: 1, Reason: "real"}
-	}
-	if _, err := s.runCell(cell{wl: wl, v: vGTSCRC}); err == nil || attempts != 1 {
-		t.Errorf("deadlock without fault plan: attempts=%d err=%v, want 1 attempt + error", attempts, err)
-	}
-
-	// Fault plan active, but a protocol violation: never retried.
-	cfg2 := smallCfg()
-	cfg2.FaultSeed = 7
-	cfg2.RetryTransient = 3
-	s2 := NewSession(cfg2)
-	s2.sleep = func(time.Duration) { t.Error("backoff slept for a non-transient error") }
-	attempts2 := 0
-	s2.runSim = func(ctx context.Context, inst *workload.Instance, c sim.Config) (*stats.Run, error) {
-		attempts2++
-		return nil, &diag.ProtocolError{Component: "l1[0]", Event: "stale-value", Detail: "injected"}
-	}
-	if _, err := s2.runCell(cell{wl: wl, v: vGTSCRC}); err == nil || attempts2 != 1 {
-		t.Errorf("protocol error under fault plan: attempts=%d err=%v, want 1 attempt + error", attempts2, err)
-	}
-}
-
 // TestSessionContextCancel: a canceled session context stops the
 // sweep with the cancellation cause instead of running anything.
 func TestSessionContextCancel(t *testing.T) {
@@ -308,7 +228,7 @@ func TestWatchdogOversubscribed(t *testing.T) {
 
 	cfg := smallCfg()
 	cfg.Workers = 8 // 8 workers on 1 OS thread: heavy descheduling
-	cfg.WatchdogWindow = 10_000
+	cfg.Machine.WatchdogWindow = 10_000
 	s := NewSession(cfg)
 	if err := prewarm(s, workload.All()[:4], vGTSCRC, vTCRC); err != nil {
 		t.Fatalf("oversubscribed sweep tripped: %v", err)
@@ -319,7 +239,8 @@ func TestWatchdogOversubscribed(t *testing.T) {
 
 	// Same machine, serial: bit-identical results prove the watchdog
 	// (and the oversubscription) fed nothing back into the simulations.
-	ref := NewSession(Config{Scale: 1, NumSMs: 2, NumBanks: 2, Workers: 1, WatchdogWindow: 10_000})
+	cfg.Workers = 1
+	ref := NewSession(cfg)
 	if err := prewarm(ref, workload.All()[:4], vGTSCRC, vTCRC); err != nil {
 		t.Fatalf("serial reference sweep failed: %v", err)
 	}
@@ -333,8 +254,10 @@ func TestWatchdogOversubscribed(t *testing.T) {
 // carries the session's slack, fault plan, watchdog, leases and
 // timestamp width on top of the sweep's own machine change.
 func TestExtensionSweepsUseSessionConfig(t *testing.T) {
-	cfg := Config{Scale: 1, NumSMs: 4, NumBanks: 2, Workers: 1, Slack: 8, FaultSeed: 7,
-		WatchdogWindow: 12345, GTSCLease: 12, TCLease: 300, GTSCTSBits: 12}
+	cfg := smallCfg()
+	m := &cfg.Machine
+	m.Mem.NumSMs, m.SlackCycles, m.Mem.Fault, m.WatchdogWindow = 4, 8, fault.Chaos(7), 12345
+	m.Mem.GTSC.Lease, m.Mem.TC.Lease, m.Mem.GTSC.TSBits = 12, 300, 12
 	drivers := []struct {
 		name string
 		run  func(s *Session) error
@@ -345,7 +268,6 @@ func TestExtensionSweepsUseSessionConfig(t *testing.T) {
 		{"platform", func(s *Session) error { _, err := s.RunPlatform(); return err }},
 		{"cache", func(s *Session) error { _, err := s.RunCacheSweep(); return err }},
 	}
-	wantFault := fault.Chaos(deriveFaultSeed(cfg.FaultSeed, 0))
 	for _, d := range drivers {
 		s := NewSession(cfg)
 		var got []sim.Config
@@ -360,8 +282,8 @@ func TestExtensionSweepsUseSessionConfig(t *testing.T) {
 			t.Fatalf("%s ran no simulations", d.name)
 		}
 		for _, c := range got {
-			if c.SlackCycles != cfg.Slack || c.Mem.Fault != wantFault || c.WatchdogWindow != cfg.WatchdogWindow ||
-				c.Mem.GTSC.Lease != cfg.GTSCLease || c.Mem.TC.Lease != cfg.TCLease || c.Mem.GTSC.TSBits != cfg.GTSCTSBits {
+			if c.SlackCycles != m.SlackCycles || c.Mem.Fault != m.Mem.Fault || c.WatchdogWindow != m.WatchdogWindow ||
+				c.Mem.GTSC.Lease != m.Mem.GTSC.Lease || c.Mem.TC.Lease != m.Mem.TC.Lease || c.Mem.GTSC.TSBits != m.Mem.GTSC.TSBits {
 				t.Fatalf("%s: a run lost the session config: slack=%d fault=%+v watchdog=%d leases=%d/%d tsbits=%d",
 					d.name, c.SlackCycles, c.Mem.Fault, c.WatchdogWindow, c.Mem.GTSC.Lease, c.Mem.TC.Lease, c.Mem.GTSC.TSBits)
 			}

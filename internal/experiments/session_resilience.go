@@ -1,6 +1,6 @@
 package experiments
 
-// Crash-safety, cancellation and fault-tolerance for experiment
+// Crash-safety, cancellation and failure containment for experiment
 // sessions:
 //
 //   - AttachJournal gives the session a durable append-only log of
@@ -12,22 +12,17 @@ package experiments
 //     "a completed run is never re-executed" is directly testable.
 //   - do() converts worker panics into *diag.WorkerPanicError, cached
 //     for the panicking key: one blown-up run fails its own cell.
-//   - runCell() retries transient fault-injected failures (deadlocks
-//     while a fault plan is active) with exponential backoff and a
-//     per-attempt derived fault seed.
 //   - Missing() is the explicit manifest of requested-but-failed runs
 //     that KeepGoing figure assembly leaves out, session-wide; each
 //     experiment's own manifest is printed by runExperiment.
 
 import (
 	"bytes"
-	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"runtime/debug"
-	"time"
 
 	"github.com/gtsc-sim/gtsc/internal/checkpoint"
 	"github.com/gtsc-sim/gtsc/internal/diag"
@@ -45,19 +40,15 @@ type journalRecord struct {
 	Run       *stats.Run
 }
 
-// configSig canonically hashes the result-affecting part of the
-// session configuration. Workers, SimWorkers, RetryTransient and
-// KeepGoing only change scheduling/error handling — results are
-// bit-identical across them — so they are excluded: a journal written
-// at -j 16 -simworkers 4 resumes cleanly at -j 1.
+// configSig hashes the result-affecting part of the session
+// configuration: the scale and the machine's checkpoint.ConfigHash,
+// the one rule for which simulator fields change results. Workers and
+// KeepGoing change only scheduling and error handling, and ConfigHash
+// leaves out the machine's scheduling knobs, so a journal written at
+// -j 16 -simworkers 4 resumes cleanly at -j 1.
 func (s *Session) configSig() uint64 {
-	cfg := s.Cfg
-	cfg.Workers = 0
-	cfg.SimWorkers = 0
-	cfg.RetryTransient = 0
-	cfg.KeepGoing = false
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", cfg)
+	fmt.Fprintf(h, "scale=%d machine=%#x", s.Cfg.Scale, checkpoint.ConfigHash(s.Cfg.Machine))
 	return h.Sum64()
 }
 
@@ -221,44 +212,4 @@ func (s *Session) protect(key string, exec func() (*stats.Run, error)) (run *sta
 		}
 	}()
 	return exec()
-}
-
-// transient classifies an error as a retryable fault-injected
-// failure: a deadlock/progress abort while a fault plan is active.
-// Cancellation and genuine protocol errors are never transient.
-func (s *Session) transient(err error) bool {
-	if s.Cfg.FaultSeed == 0 {
-		return false
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	var de *diag.DeadlockError
-	return errors.As(err, &de)
-}
-
-// retryBackoff is the exponential backoff before retry attempt n
-// (n >= 1): 25ms, 50ms, 100ms, ... capped at 2s.
-func retryBackoff(attempt int) time.Duration {
-	d := 25 * time.Millisecond << (attempt - 1)
-	if d > 2*time.Second || d <= 0 {
-		d = 2 * time.Second
-	}
-	return d
-}
-
-// deriveFaultSeed maps (base seed, attempt) to the fault seed of one
-// attempt. Attempt 0 uses the configured seed itself; retries walk a
-// deterministic sequence of fresh seeds, because replaying the same
-// seed in this deterministic engine would reproduce the identical
-// failure.
-func deriveFaultSeed(seed int64, attempt int) int64 {
-	if attempt == 0 {
-		return seed
-	}
-	d := seed + int64(attempt)*0x9E3779B9
-	if d == 0 {
-		d = 0x9E3779B9 // seed 0 means "fault injection off"
-	}
-	return d
 }
