@@ -32,19 +32,6 @@
 // experiment reports both.
 package dir
 
-// Config holds the directory protocol's (few) parameters.
-type Config struct {
-	// MaxSharers bounds the full-map width (default 64; must cover
-	// the machine's SM count).
-	MaxSharers int
-}
-
-func (c *Config) fillDefaults() {
-	if c.MaxSharers == 0 {
-		c.MaxSharers = 64
-	}
-}
-
 // Grant state codes carried in BusFill.WTS.
 const (
 	grantS = 1

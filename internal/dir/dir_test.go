@@ -23,11 +23,10 @@ type harness struct {
 
 func newHarness(t *testing.T, nSM int, l2geo coherence.BankGeometry) *harness {
 	h := &harness{t: t, store: mem.NewStore()}
-	cfg := Config{MaxSharers: nSM}
 	if l2geo.Sets == 0 {
 		l2geo = coherence.BankGeometry{Sets: 64, Ways: 8}
 	}
-	h.l2 = NewL2(cfg, 0, l2geo,
+	h.l2 = NewL2(0, l2geo,
 		coherence.SenderFunc(func(m *mem.Msg) bool { h.toL1 = append(h.toL1, m); h.log = append(h.log, m.Clone()); return true }),
 		coherence.SenderFunc(func(m *mem.Msg) bool { h.dram = append(h.dram, m); return true }),
 		nil)
@@ -384,7 +383,7 @@ func TestFlushWritesBackDirty(t *testing.T) {
 // queued must wait for the next cycle.
 func TestRetriedFillBlocksServiceSameTick(t *testing.T) {
 	refuseDRAM := false
-	l2 := NewL2(Config{MaxSharers: 2}, 0, coherence.BankGeometry{Sets: 1, Ways: 1},
+	l2 := NewL2(0, coherence.BankGeometry{Sets: 1, Ways: 1},
 		coherence.SenderFunc(func(*mem.Msg) bool { return true }),
 		coherence.SenderFunc(func(*mem.Msg) bool { return !refuseDRAM }), nil)
 	A, B, C := mem.BlockAddr(0), mem.BlockAddr(1), mem.BlockAddr(2)

@@ -14,8 +14,7 @@ import (
 // constantly under fuzzing.
 func newHarnessObs(t *testing.T, nSM int, obs coherence.Observer) *harness {
 	h := &harness{t: t, store: mem.NewStore()}
-	cfg := Config{MaxSharers: nSM}
-	h.l2 = NewL2(cfg, 0, coherence.BankGeometry{Sets: 2, Ways: 2},
+	h.l2 = NewL2(0, coherence.BankGeometry{Sets: 2, Ways: 2},
 		coherence.SenderFunc(func(m *mem.Msg) bool { h.toL1 = append(h.toL1, m); return true }),
 		coherence.SenderFunc(func(m *mem.Msg) bool { h.dram = append(h.dram, m); return true }),
 		obs)

@@ -48,7 +48,6 @@ func (b *busyState) remaining() int { return bits.OnesCount64(b.targets &^ b.don
 // when a message arrives.
 type L2 struct {
 	coherence.Bank[dirMeta]
-	cfg  Config
 	busy mem.Table[mem.BlockAddr, *busyState]
 	// freeBusy recycles retired transactions with their waiting lists'
 	// capacity.
@@ -56,12 +55,8 @@ type L2 struct {
 }
 
 // NewL2 builds directory bank bankID.
-func NewL2(cfg Config, bankID int, geo coherence.BankGeometry, sendNoC, sendDRAM coherence.Sender, obs coherence.Observer) *L2 {
-	cfg.fillDefaults()
-	return &L2{
-		Bank: coherence.NewBank[dirMeta]("dir-l2", bankID, geo, sendNoC, sendDRAM, obs),
-		cfg:  cfg,
-	}
+func NewL2(bankID int, geo coherence.BankGeometry, sendNoC, sendDRAM coherence.Sender, obs coherence.Observer) *L2 {
+	return &L2{Bank: coherence.NewBank[dirMeta]("dir-l2", bankID, geo, sendNoC, sendDRAM, obs)}
 }
 
 // ForEachLineState implements coherence.StateHolder, reporting each
@@ -150,15 +145,15 @@ func (l *L2) beginBusy(block mem.BlockAddr, meta *dirMeta, exclude int, grant *m
 	if downgrade {
 		subtype = invDowngrade
 	}
-	for sm := 0; sm < l.cfg.MaxSharers; sm++ {
-		if sm == exclude {
-			continue
-		}
-		hasCopy := meta.sharers&(1<<uint(sm)) != 0 || meta.owner == sm
-		if !hasCopy {
-			continue
-		}
-		b.targets |= 1 << uint(sm)
+	b.targets = meta.sharers
+	if meta.owner >= 0 {
+		b.targets |= 1 << uint(meta.owner)
+	}
+	if exclude >= 0 {
+		b.targets &^= 1 << uint(exclude)
+	}
+	for t := b.targets; t != 0; t &= t - 1 {
+		sm := bits.TrailingZeros64(t)
 		l.Counters.Invalidations++
 		inv := l.Pool().Msg()
 		inv.Type, inv.Block, inv.Src, inv.Dst, inv.WTS = mem.BusInv, block, l.ID, sm, subtype

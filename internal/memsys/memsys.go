@@ -96,7 +96,6 @@ type Config struct {
 
 	GTSC core.Config
 	TC   tc.Config
-	DIR  dir.Config
 
 	// Fault is the fault-injection plan; the zero value disables it.
 	Fault fault.Config
@@ -293,10 +292,8 @@ func New(cfg Config, store *mem.Store, obs coherence.Observer) *System {
 			s.L2s[i] = tc.NewL2(cfg.TC, i, bankGeo, sendToL1, s.dramSender(i), bankObs(i))
 		}
 	case DIR:
-		dcfg := cfg.DIR
-		dcfg.MaxSharers = cfg.NumSMs
 		for i := range s.L2s {
-			s.L2s[i] = dir.NewL2(dcfg, i, bankGeo, sendToL1, s.dramSender(i), bankObs(i))
+			s.L2s[i] = dir.NewL2(i, bankGeo, sendToL1, s.dramSender(i), bankObs(i))
 		}
 	case BL, L1NC:
 		for i := range s.L2s {

@@ -107,7 +107,6 @@ type Config struct {
 
 	GTSC core.Config
 	TC   tc.Config
-	DIR  dir.Config
 
 	// ForcedResets budgets the G-TSC reset transition: at any state
 	// where fewer than this many forced resets have fired, the checker
@@ -285,10 +284,8 @@ func build(cfg *Config) *machine {
 			m.l1s[i] = tc.NewL1(tcfg, i, nBank, l1Geo, l1NoC(i), obs)
 		}
 	case DIR:
-		dcfg := cfg.DIR
-		dcfg.MaxSharers = nSM
 		for b := 0; b < nBank; b++ {
-			m.l2s[b] = dir.NewL2(dcfg, b, bankGeo, l2NoC(b), l2DRAM(b), obs)
+			m.l2s[b] = dir.NewL2(b, bankGeo, l2NoC(b), l2DRAM(b), obs)
 		}
 		for i := 0; i < nSM; i++ {
 			l1 := dir.NewL1(i, nBank, l1Geo, l1NoC(i), obs)
