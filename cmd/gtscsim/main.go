@@ -30,6 +30,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -160,7 +161,9 @@ func realMain() int {
 
 	cfg.MaxCycles = *maxCycles
 	cfg.WatchdogWindow = *watchdog
-	cfg.DisableWatchdog = *wdOff
+	if *wdOff {
+		cfg.WatchdogWindow = math.MaxUint64
+	}
 	cfg.SlackCycles = *slack
 	if *faultSeed != 0 {
 		cfg.Mem.Fault = fault.Chaos(*faultSeed)

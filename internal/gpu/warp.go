@@ -76,9 +76,6 @@ func (w *Warp) addPendingReg(r, delta int) {
 	w.pendingRegs[r] += delta
 }
 
-// Finished reports whether the warp has retired.
-func (w *Warp) Finished() bool { return w.finished }
-
 // CTA is one resident thread block.
 type CTA struct {
 	ID        int

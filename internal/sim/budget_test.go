@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"github.com/gtsc-sim/gtsc/internal/diag"
@@ -36,13 +37,13 @@ func TestBudgetSemanticsUnified(t *testing.T) {
 }
 
 // TestRunPhaseBudgetAbortsExactlyAtMaxCycles wedges the machine (every
-// NoC injection rejected), disables the watchdog so only the hard
-// budget applies, and asserts the run phase aborts after executing
+// NoC injection rejected), sets a watchdog window that never fires so
+// only the hard budget applies, and asserts the run phase aborts after executing
 // exactly MaxCycles cycles — not MaxCycles+1.
 func TestRunPhaseBudgetAbortsExactlyAtMaxCycles(t *testing.T) {
 	cfg := smallConfig(memsys.GTSC, gpu.RC)
 	cfg.Mem.Fault = fault.Config{Seed: 7, RejectProb: 1.0}
-	cfg.DisableWatchdog = true
+	cfg.WatchdogWindow = math.MaxUint64
 	cfg.MaxCycles = 1_000
 	_, err := New(cfg).Run(writeReadKernel(0x50000))
 	if err == nil {
