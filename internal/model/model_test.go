@@ -30,6 +30,18 @@ func mp22Program() [][][]Op {
 	}
 }
 
+// renewal has SM0 reload block 0 between its own stores to block 1,
+// while SM1 writes block 0 once. A reload whose lease ran out with no
+// write in between renews the same version, the one event that grows
+// an adaptive lease. mp22 never renews a block without an intervening
+// write, so under AdaptiveLease it explores plain G-TSC's space.
+func renewalProgram() [][][]Op {
+	return [][][]Op{
+		{{Ld(0, 0), St(1, 0, 1), Ld(0, 0), St(1, 0, 2), Ld(0, 0)}},
+		{{St(0, 0, 5)}, {Ld(1, 0)}},
+	}
+}
+
 // TestExhaustive enumerates every reachable interleaving of the micro
 // machine for all four protocols, checking the full invariant set on
 // every edge. The G-TSC configs are sized so the §V-D overflow reset
@@ -37,12 +49,15 @@ func mp22Program() [][][]Op {
 // every reachable point (mp-forced), by natural timestamp exhaustion
 // (mp22-natural), and repeatedly against a 2-bit wire epoch tag
 // (narrow-epoch, which exercises the bound-decode in
-// core/tswrap.go through three back-to-back resets). Two more mp22
-// rows check the selectable knobs ForwardAll and AdaptiveLease; at 6
-// bits the adaptive lease ceiling (30) clamps InitTS back to the
-// power-on value, so the adaptive row sees no reset. KeepOldCopy has
-// no row: mp22 never loads on the storing SM, so it explores exactly
-// the natural row's space.
+// core/tswrap.go through three back-to-back resets). The selectable
+// knobs have rows of their own: ForwardAll on mp22, and AdaptiveLease
+// on renewal, with a MaxLease small enough to leave the stressed start
+// room for a reset. The mp22-adaptive row is the only mp22 row from
+// the power-on start: at 6 bits the default adaptive ceiling (30)
+// clamps InitTS back to the power-on value, so it sees no reset, and
+// it explores exactly plain G-TSC's space from that start. KeepOldCopy
+// has no row: mp22 never loads on the storing SM, so it explores
+// exactly the natural row's space.
 //
 // Each case pins its exact state, edge and final-state counts, so a
 // change that alters any reachable micro-state fails by name. A change
@@ -70,6 +85,9 @@ func TestExhaustive(t *testing.T) {
 		{"gtsc-mp22-adaptive", Config{Protocol: GTSC, NumBanks: 2, Program: mp22Program(),
 			GTSC: core.Config{TSBits: 6, Lease: 6, InitTS: ^uint64(0), AdaptiveLease: true}, MaxStates: 2_000_000},
 			0, 0, 8774, 25772, 15},
+		{"gtsc-renewal-adaptive", Config{Protocol: GTSC, NumBanks: 2, Program: renewalProgram(),
+			GTSC: core.Config{TSBits: 6, Lease: 4, MaxLease: 6, InitTS: ^uint64(0), AdaptiveLease: true}, MaxStates: 2_000_000},
+			1, 1, 2324, 5203, 22},
 		{"gtsc-narrow-epoch", Config{Protocol: GTSC, NumBanks: 2, Program: mpProgram(),
 			GTSC: core.Config{TSBits: 6, Lease: 4, EpochBits: 2}, ForcedResets: 3,
 			GateResets: true, MaxStates: 2_000_000},
