@@ -6,15 +6,16 @@ GO ?= go
 
 all: build test
 
-# Pre-merge gate: static checks, the race detector, a fixed-seed
-# fault-injection smoke run on every protocol, and the repo benchmark's
-# own module under the race detector (its layer map pins engine file
-# and function names, see CONTRIBUTING.md; its tracing test runs a
-# two-worker relaxed cell, so the instructions warps share and the
-# warp contexts SMs recycle are raced there).
+# Pre-merge gate: static checks, then the whole module under the race
+# detector (the fixed-seed fault-injection runs on every protocol, the
+# model checker's mutation suite and the relaxed engine's worker-count
+# tests included), then the repo benchmark's own module under the race
+# detector (its layer map pins engine file and function names, see
+# CONTRIBUTING.md; its tracing test runs a two-worker relaxed cell, so
+# the instructions warps share and the warp contexts SMs recycle are
+# raced there).
 check: vet
 	$(GO) test -race ./...
-	$(GO) test -run 'TestLitmusUnderFaults|TestWorkloadsUnderFaults' ./internal/sim ./internal/harness
 	cd benchmark && $(GO) vet ./... && $(GO) test -race ./...
 
 # Exhaustive small-state model check: enumerate every interleaving of

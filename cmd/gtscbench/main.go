@@ -10,7 +10,7 @@
 //	gtscbench -exp lease       # an extension (lease, tso, scale, micro, platform, cache, dir)
 //	gtscbench -scale 1 -sms 8  # smaller machine / inputs
 //	gtscbench -j 8             # fan simulations across 8 workers
-//	gtscbench -slack 32 -j 1 -simworkers 2  # relaxed sync, 2 SM-domain workers per simulation
+//	gtscbench -slack 32        # relaxed sync, 32-cycle epochs
 //	gtscbench -journal sweep.jrnl       # crash-safe: rerun with the same journal to resume
 //	gtscbench -timeout 10m              # bound wall-clock time (suspends gracefully)
 //	gtscbench -keep-going               # survive per-run failures; print partial figures
@@ -58,13 +58,11 @@ func realMain() int {
 	flag.BoolVar(&cfg.KeepGoing, "keep-going", cfg.KeepGoing, "survive individual run failures: assemble partial figures plus a missing-runs manifest")
 	var (
 		exp       = flag.String("exp", "all", "experiment: all, table2, fig12..fig17, expiry, vis, combine, lease, tso, scale, micro, platform, cache, dir")
-		simw      = flag.Int("simworkers", 1, "SM-domain workers inside each simulation under -slack (0 = GOMAXPROCS); goroutine budget is j*simworkers, clamped so it stays <= 2*GOMAXPROCS; results are identical at any setting")
 		journal   = flag.String("journal", "", "crash-safe run journal: completed simulations are persisted here and replayed on restart")
 		timeout   = flag.Duration("timeout", 0, "bound wall-clock time; on expiry the sweep suspends gracefully and exits 3")
 		faultSeed = flag.Int64("faultseed", 0, "run every simulation under the chaos fault-injection plan with this seed (0 = off)")
 	)
 	flag.Parse()
-	m.SimWorkers = cli.ClampSimWorkers(cfg.Workers, *simw)
 	if *faultSeed != 0 {
 		m.Mem.Fault = fault.Chaos(*faultSeed)
 	}

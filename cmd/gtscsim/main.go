@@ -7,7 +7,7 @@
 //	gtscsim -workload CC -protocol gtsc -consistency rc -sms 16 -banks 8
 //	gtscsim -workload BH,CC,STN -j 4     # several workloads in parallel
 //	gtscsim -workload all -j 0           # every workload, GOMAXPROCS workers
-//	gtscsim -workload CC -slack 32 -simworkers 2   # relaxed sync, 2 SM-domain workers
+//	gtscsim -workload CC -slack 32       # relaxed sync, 32-cycle epochs
 //	gtscsim -list
 //	gtscsim -workload BFS -protocol tc -check
 //	gtscsim -workload CC -cpuprofile cpu.pprof -memprofile mem.pprof
@@ -77,7 +77,6 @@ func realMain() int {
 		doCheck  = flag.Bool("check", false, "verify protocol invariants with the operation checker")
 		list     = flag.Bool("list", false, "list workloads and exit")
 		jobs     = flag.Int("j", 1, "workers for multi-workload runs (0 = GOMAXPROCS); each run is hermetic, so output is identical at any -j")
-		simw     = flag.Int("simworkers", 1, "SM-domain workers inside each simulation under -slack (0 = GOMAXPROCS); with multi-workload -j the goroutine budget is j*simworkers, clamped to 2*GOMAXPROCS; output is identical at any setting")
 		slack    = flag.Uint64("slack", 0, "relaxed-synchronization bound in cycles: domains free-run up to this many cycles between epoch barriers (0 = bit-exact). Nonzero slack perturbs cycle counts boundedly; functional results are preserved. Ignored under -faultseed")
 
 		maxCycles = flag.Uint64("maxcycles", 0, "hard per-kernel cycle budget (0 = default 200M)")
@@ -126,6 +125,9 @@ func realMain() int {
 			}
 			wls = append(wls, wl)
 		}
+	}
+	if *ckpt != "" && len(wls) != 1 {
+		fatalf("-checkpoint tracks a single execution; run one workload (got %d)", len(wls))
 	}
 
 	cfg := sim.DefaultConfig()
@@ -199,34 +201,24 @@ func realMain() int {
 		defer pprof.StopCPUProfile()
 	}
 
-	if *ckpt != "" {
-		if len(wls) != 1 {
-			fatalf("-checkpoint tracks a single execution; run one workload (got %d)", len(wls))
-		}
-		cfg.SimWorkers = cli.ClampSimWorkers(1, *simw)
-		return runCheckpointed(ctx, wls[0], cfg, *scale, *ckpt, *resume)
-	}
-
 	// Run the workloads, fanning out across -j workers when several were
 	// requested. Each run builds a fresh simulator from a copy of cfg
 	// and — when checking — its own check.Recorder: observers record
 	// per-run operation streams and must never be shared between
-	// concurrently running simulations.
+	// concurrently running simulations. Under -checkpoint (one
+	// workload) the run can resume from the checkpoint, whose replay
+	// the recorder observes too, and an interrupted run saves one.
 	type result struct {
-		run *stats.Run
-		rec *check.Recorder
-		eng *sim.EngineStats
-		err error
+		exec *checkpoint.Execution
+		run  *stats.Run
+		rec  *check.Recorder
+		err  error
 	}
 	results := make([]result, len(wls))
 	workers := *jobs
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(wls) {
-		workers = len(wls)
-	}
-	cfg.SimWorkers = cli.ClampSimWorkers(workers, *simw)
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for i, wl := range wls {
@@ -235,14 +227,16 @@ func realMain() int {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
+			res := &results[i]
 			runCfg := cfg
 			if *doCheck {
-				results[i].rec = check.NewRecorder()
-				runCfg.Observer = results[i].rec
+				res.rec = check.NewRecorder()
+				runCfg.Observer = res.rec
 			}
-			s := sim.New(runCfg)
-			results[i].run, results[i].err = wl.Build(*scale).RunOnContext(ctx, s)
-			results[i].eng = s.Engine()
+			res.exec, res.err = start(runCfg, wl, *scale, *ckpt, *resume)
+			if res.err == nil {
+				res.run, res.err = res.exec.Run(ctx)
+			}
 		}(i, wl)
 	}
 	wg.Wait()
@@ -260,8 +254,15 @@ func realMain() int {
 			if errors.As(res.err, &ce) {
 				fmt.Fprintf(os.Stderr, "gtscsim: %s interrupted at cycle %d (%s, kernel %s): %v\n",
 					wl.Name, ce.Cycle, ce.Phase, ce.Kernel, ce.Cause)
-				fmt.Fprintln(os.Stderr, "gtscsim: no -checkpoint given; partial state discarded")
 				interrupted = true
+				if *ckpt == "" {
+					fmt.Fprintln(os.Stderr, "gtscsim: no -checkpoint given; partial state discarded")
+				} else if err := res.exec.Checkpoint().SaveFile(*ckpt); err != nil {
+					fmt.Fprintf(os.Stderr, "gtscsim: checkpoint save failed: %v\n", err)
+					failed = true
+				} else {
+					fmt.Fprintf(os.Stderr, "gtscsim: checkpoint written to %s; rerun with -resume to continue\n", *ckpt)
+				}
 				continue
 			}
 			reportFailure(wl.Name, res.err)
@@ -269,11 +270,14 @@ func realMain() int {
 			continue
 		}
 		fmt.Print(res.run)
-		if eng := res.eng; eng != nil {
-			printEngineLine(eng)
-		}
+		printEngineLine(res.exec.Sim().Engine())
 		if res.rec != nil && !reportChecker(cfg, res.rec) {
 			failed = true
+		}
+		if *ckpt != "" {
+			// The run completed; a stale checkpoint would otherwise
+			// replay a finished execution on the next -resume.
+			os.Remove(*ckpt)
 		}
 	}
 
@@ -298,60 +302,32 @@ func realMain() int {
 	return exitOK
 }
 
-// runCheckpointed executes one workload through the checkpoint layer:
-// an interruption (signal or timeout) suspends the machine, writes its
-// resume coordinate to path and exits 3; a later -resume invocation
-// rebuilds the exact machine by verified deterministic replay and
-// continues. Results are bit-identical however many times the run is
-// killed and resumed.
-func runCheckpointed(ctx context.Context, wl *workload.Workload, cfg sim.Config, scale int, path string, resume bool) int {
+// start builds wl's execution on a fresh simulator for cfg. Under
+// -checkpoint -resume it first replays that simulator to the saved
+// coordinate and verifies the state digest, or starts from cycle 0 when
+// no checkpoint exists yet. Results are bit-identical however many
+// times a run is killed and resumed.
+func start(cfg sim.Config, wl *workload.Workload, scale int, path string, resume bool) (*checkpoint.Execution, error) {
 	inst := wl.Build(scale)
-	var e *checkpoint.Execution
-	if resume {
-		switch ck, err := checkpoint.LoadFile(path); {
-		case err == nil:
-			start := time.Now()
-			e, err = checkpoint.ResumeExecution(ck, cfg, inst, wl.Name, scale)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "gtscsim: resume: %v\n", err)
-				return exitFailure
-			}
-			fmt.Printf("resumed %s at cycle %d (%s, %d kernels done; replay digest verified in %v)\n",
-				wl.Name, ck.Cycle, ck.Phase, ck.KernelIndex, time.Since(start).Round(time.Millisecond))
-		case errors.Is(err, os.ErrNotExist):
-			fmt.Printf("no checkpoint at %s; starting %s from cycle 0\n", path, wl.Name)
-			e = checkpoint.NewExecution(cfg, inst, wl.Name, scale)
-		default:
-			fmt.Fprintf(os.Stderr, "gtscsim: resume: %v\n", err)
-			return exitFailure
-		}
-	} else {
-		e = checkpoint.NewExecution(cfg, inst, wl.Name, scale)
+	if path == "" || !resume {
+		return checkpoint.NewExecution(cfg, inst, wl.Name, scale), nil
 	}
-
-	run, err := e.Run(ctx)
+	ck, err := checkpoint.LoadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		fmt.Printf("no checkpoint at %s; starting %s from cycle 0\n", path, wl.Name)
+		return checkpoint.NewExecution(cfg, inst, wl.Name, scale), nil
+	}
 	if err != nil {
-		var ce *diag.CanceledError
-		if errors.As(err, &ce) {
-			ck := e.Checkpoint()
-			if serr := ck.SaveFile(path); serr != nil {
-				fmt.Fprintf(os.Stderr, "gtscsim: interrupted, but checkpoint save failed: %v\n", serr)
-				return exitFailure
-			}
-			fmt.Fprintf(os.Stderr, "gtscsim: %s interrupted at cycle %d (%s, kernel %s): %v\n",
-				wl.Name, ce.Cycle, ce.Phase, ce.Kernel, ce.Cause)
-			fmt.Fprintf(os.Stderr, "gtscsim: checkpoint written to %s; rerun with -resume to continue\n", path)
-			return exitInterrupted
-		}
-		reportFailure(wl.Name, err)
-		return exitFailure
+		return nil, fmt.Errorf("resume: %w", err)
 	}
-	fmt.Print(run)
-	printEngineLine(e.Sim().Engine())
-	// The run completed; a stale checkpoint would otherwise replay a
-	// finished execution on the next -resume.
-	os.Remove(path)
-	return exitOK
+	t0 := time.Now()
+	e, err := checkpoint.ResumeExecution(ck, cfg, inst, wl.Name, scale)
+	if err != nil {
+		return nil, fmt.Errorf("resume: %w", err)
+	}
+	fmt.Printf("resumed %s at cycle %d (%s, %d kernels done; replay digest verified in %v)\n",
+		wl.Name, ck.Cycle, ck.Phase, ck.KernelIndex, time.Since(t0).Round(time.Millisecond))
+	return e, nil
 }
 
 // reportFailure prints a failed run's machine-state dump, when the
@@ -370,17 +346,16 @@ func reportFailure(name string, err error) {
 }
 
 // printEngineLine reports the engine's scheduling counters for one run.
-// mode and simworkers are the EFFECTIVE values (fault injection
-// disengages -slack; -simworkers clamps to GOMAXPROCS and only applies
-// under -slack). executed/skipped split the simulated cycles by whether
-// the engine ticked them or fast-forwarded over them; dispatches break
-// the executed work into hierarchy and SM evaluations — sleeping SMs
-// are never dispatched, so sm_ticks stays far below executed*numSMs on
+// mode is the EFFECTIVE engine (fault injection disengages -slack).
+// executed/skipped split the simulated cycles by whether the engine
+// ticked them or fast-forwarded over them; dispatches break the
+// executed work into hierarchy and SM evaluations — sleeping SMs are
+// never dispatched, so sm_ticks stays far below executed*numSMs on
 // stall-heavy workloads.
 func printEngineLine(eng *sim.EngineStats) {
 	executed := eng.RunCycles + eng.DrainCycles
-	fmt.Printf("engine: mode=%s simworkers=%d executed=%d skipped=%d (windows %d, mean width %.1f) dispatches=%d (hierarchy %d + sm %d) sm_sleep_cycles=%d sm_wakes=%d\n",
-		eng.Mode(), eng.Workers, executed, eng.SkippedCycles(), eng.SkipWindows, eng.MeanSkipWidth(),
+	fmt.Printf("engine: mode=%s executed=%d skipped=%d (windows %d, mean width %.1f) dispatches=%d (hierarchy %d + sm %d) sm_sleep_cycles=%d sm_wakes=%d\n",
+		eng.Mode(), executed, eng.SkippedCycles(), eng.SkipWindows, eng.MeanSkipWidth(),
 		eng.Dispatches(), eng.EventCycles, eng.SMTicks, eng.SMSleepCycles, eng.SMWakes)
 	// Per-component dispatch breakdown: which component Ticks actually
 	// ran vs slept, on event cycles and in relaxed barrier replays.

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -86,7 +87,7 @@ func traceWorkload(cfg sim.Config, name string, limit int, opts []trace.Option) 
 	s := sim.New(cfg)
 	tr := trace.Attach(s.Sys, s.Now, append(opts, trace.WithLimit(limit))...)
 
-	run, err := wl.Build(1).RunOn(s)
+	run, err := wl.Build(1).Start(s).Run(context.Background())
 	if err != nil {
 		fatalf("%v", err)
 	}

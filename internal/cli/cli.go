@@ -7,9 +7,7 @@
 //     journal), 130 hard abort on a second signal;
 //   - SIGINT/SIGTERM handling: the first signal cancels the returned
 //     context (in-flight work suspends at its next poll point), the
-//     second exits immediately with ExitSecondSignal;
-//   - the goroutine budget of -j simulation workers times -simworkers
-//     domain workers each (ClampSimWorkers).
+//     second exits immediately with ExitSecondSignal.
 package cli
 
 import (
@@ -17,7 +15,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 )
 
@@ -59,26 +56,4 @@ func WithSignals(ctx context.Context, name string) (context.Context, func()) {
 		close(done)
 		cancel(nil)
 	}
-}
-
-// ClampSimWorkers resolves -simworkers against -j: each of the jobs
-// workers drives its own simulation, so the goroutine budget is
-// jobs*simw (0 means GOMAXPROCS for either). The product is clamped to
-// 2*GOMAXPROCS — results are identical at any setting, so the clamp
-// only bounds scheduler oversubscription, never changes output.
-func ClampSimWorkers(jobs, simw int) int {
-	maxprocs := runtime.GOMAXPROCS(0)
-	if jobs <= 0 {
-		jobs = maxprocs
-	}
-	if simw <= 0 {
-		simw = maxprocs
-	}
-	if budget := 2 * maxprocs; jobs*simw > budget {
-		simw = budget / jobs
-	}
-	if simw < 1 {
-		simw = 1
-	}
-	return simw
 }

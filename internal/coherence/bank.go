@@ -161,7 +161,7 @@ func (b *Bank[M]) DumpState() diag.CacheState {
 	}
 }
 
-// DigestState implements StateDigester for the bank: clock, tag array,
+// DigestState implements L2.DigestState for the bank: clock, tag array,
 // misses in block order (a stalled fill with its data), and the three
 // queues in FIFO order. A bank with more state renders it after this.
 func (b *Bank[M]) DigestState(w io.Writer) {

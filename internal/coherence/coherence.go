@@ -123,6 +123,15 @@ type L1 interface {
 	Err() error
 	// DumpState snapshots the controller's occupancy for diagnostics.
 	DumpState() diag.CacheState
+	// DigestState writes a canonical, process-independent rendering of
+	// the controller's complete microarchitectural state (tag arrays
+	// with protocol metadata, MSHRs, pending-transaction tables,
+	// backpressured queues). The rendering must contain no pointer
+	// values, func values, or unordered map iterations, so equal
+	// digests produced in different processes imply equal machine
+	// state. Checkpoint restore hashes it to verify that deterministic
+	// replay reproduced the suspended machine.
+	DigestState(w io.Writer)
 	// Stats exposes the controller's counters.
 	Stats() *stats.L1Stats
 	// Quiescent reports that Tick would be a pure no-op at any future
@@ -167,6 +176,9 @@ type L2 interface {
 	Err() error
 	// DumpState snapshots the bank's occupancy for diagnostics.
 	DumpState() diag.CacheState
+	// DigestState writes the bank's canonical state rendering (see
+	// L1.DigestState).
+	DigestState(w io.Writer)
 	// Stats exposes the bank's counters.
 	Stats() *stats.L2Stats
 	// Quiescent reports that Tick would be a pure no-op until new input
@@ -189,21 +201,6 @@ type L2 interface {
 	// equivalent of Pending() == 0, used by the drain loop every cycle
 	// where the full Pending scan would dominate short kernels.
 	Drained() bool
-}
-
-// StateDigester is implemented by controllers that can write a
-// canonical, process-independent rendering of their complete
-// microarchitectural state (tag arrays with protocol metadata, MSHRs,
-// pending-transaction tables, backpressured queues). The rendering
-// must contain no pointer values, func values, or unordered map
-// iterations, so equal digests produced in different processes imply
-// equal machine state. Checkpoint restore hashes this rendering to
-// verify that deterministic replay reproduced the suspended machine.
-//
-// All four protocol families implement it; the memsys layer falls
-// back to DumpState for any controller that does not.
-type StateDigester interface {
-	DigestState(w io.Writer)
 }
 
 // Sender abstracts the transport a controller injects messages into:

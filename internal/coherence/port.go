@@ -120,7 +120,7 @@ func (p *Port) DumpState() diag.CacheState {
 	return st
 }
 
-// DigestState implements StateDigester for the port: the clock, the
+// DigestState implements L1.DigestState for the port: the clock, the
 // request-ID counter, the owed callbacks, the MSHR, the queued output,
 // and the IDs of the accesses awaiting acks (their requests carry
 // callbacks; the messages carrying their content are digested wherever

@@ -7,7 +7,7 @@ import (
 	"github.com/gtsc-sim/gtsc/internal/mem"
 )
 
-// DigestState implements coherence.StateDigester: a canonical,
+// DigestState implements coherence.L1: a canonical,
 // process-independent rendering of the G-TSC L1's complete state.
 // Pending-store records carry the access's completion callback via
 // their *coherence.Request; the request pointer is skipped and every
@@ -33,7 +33,7 @@ func (l *L1) DigestState(w io.Writer) {
 	})
 }
 
-// DigestState implements coherence.StateDigester for a G-TSC L2 bank.
+// DigestState implements coherence.L2 for a G-TSC L2 bank.
 func (l *L2) DigestState(w io.Writer) {
 	l.Bank.DigestState(w)
 	fmt.Fprintf(w, "memts=%d epoch=%d\n", l.memTS, l.epoch)

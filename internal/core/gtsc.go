@@ -188,10 +188,3 @@ func (c *Config) tsMax() uint64 { return (uint64(1) << uint(c.TSBits)) - 1 }
 // initialTS is the power-on value of warp_ts and mem_ts (paper §III-B:
 // "All mem_ts and warp_ts are initially set to 1").
 const initialTS = 1
-
-func maxu(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -279,7 +279,7 @@ func (l *L1) accessStore(req *coherence.Request) coherence.AccessResult {
 // The load's logical timestamp is max(warp_ts, wts) (Tardis rule);
 // warp_ts advances to it.
 func (l *L1) completeLoad(req *coherence.Request, data *mem.Block, wts uint64) {
-	ts := maxu(l.warpTS[req.Warp], wts)
+	ts := max(l.warpTS[req.Warp], wts)
 	if ts != l.warpTS[req.Warp] {
 		l.Counters.TSUpdates++
 	}
@@ -574,7 +574,7 @@ func (l *L1) serviceWaitersBypass(msg *mem.Msg) {
 func (l *L1) maxWaiterTS(e *cache.MSHREntry[*coherence.Request]) uint64 {
 	var ts uint64
 	for _, w := range e.Waiters {
-		ts = maxu(ts, l.warpTS[w.Warp])
+		ts = max(ts, l.warpTS[w.Warp])
 	}
 	return ts
 }

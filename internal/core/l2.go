@@ -113,7 +113,7 @@ func (l *L2) installFill(m *coherence.Miss) *cache.Line[l2Meta] {
 // evict writes back a dirty victim and folds its rts into mem_ts so
 // future stores to the block order after every outstanding lease.
 func (l *L2) evict(victim *cache.Line[l2Meta]) {
-	l.memTS = maxu(l.memTS, victim.Meta.rts)
+	l.memTS = max(l.memTS, victim.Meta.rts)
 	l.Evict(victim)
 }
 
@@ -143,9 +143,9 @@ func (l *L2) processAtomic(msg *mem.Msg, line *cache.Line[l2Meta]) {
 		}
 	}
 	lease := l.lineLease(line)
-	l.ensureRoom(maxu(line.Meta.rts+1, l.reqWarpTS(msg)+1) + lease)
+	l.ensureRoom(max(line.Meta.rts+1, l.reqWarpTS(msg)+1) + lease)
 	warpTS := l.reqWarpTS(msg)
-	wts := l.checked(maxu(line.Meta.rts+1, warpTS+1))
+	wts := l.checked(max(line.Meta.rts+1, warpTS+1))
 	rts := l.checked(wts + lease)
 
 	// The read half observes the pre-update values, ordered just before
@@ -201,7 +201,7 @@ func (l *L2) processRead(msg *mem.Msg, line *cache.Line[l2Meta]) {
 	// new epoch (the request's warp_ts is discarded as stale).
 	l.ensureRoom(l.reqWarpTS(msg) + lease)
 	warpTS := l.reqWarpTS(msg)
-	newRTS := maxu(line.Meta.rts, warpTS+lease)
+	newRTS := max(line.Meta.rts, warpTS+lease)
 	line.Meta.rts = newRTS
 	l.Array.Touch(line, l.Now)
 
@@ -236,10 +236,10 @@ func (l *L2) processWrite(msg *mem.Msg, line *cache.Line[l2Meta]) {
 	lease := l.lineLease(line)
 	// Trigger the overflow reset before computing anything, then
 	// recompute all inputs in the (possibly new) epoch.
-	l.ensureRoom(maxu(line.Meta.rts+1, l.reqWarpTS(msg)+1) + lease)
+	l.ensureRoom(max(line.Meta.rts+1, l.reqWarpTS(msg)+1) + lease)
 	warpTS := l.reqWarpTS(msg)
 	prevWTS := line.Meta.wts
-	wts := l.checked(maxu(line.Meta.rts+1, warpTS+1))
+	wts := l.checked(max(line.Meta.rts+1, warpTS+1))
 	rts := l.checked(wts + lease)
 
 	mem.Merge(&line.Data, msg.Data, msg.Mask)

@@ -7,7 +7,7 @@ import (
 	"github.com/gtsc-sim/gtsc/internal/mem"
 )
 
-// DigestState implements coherence.StateDigester for a directory L1.
+// DigestState implements coherence.L1 for a directory L1.
 func (l *L1) DigestState(w io.Writer) {
 	l.Port.DigestState(w)
 	l.array.DigestInto(w)
@@ -21,7 +21,7 @@ func (l *L1) DigestState(w io.Writer) {
 	})
 }
 
-// DigestState implements coherence.StateDigester for a directory bank.
+// DigestState implements coherence.L2 for a directory bank.
 func (l *L2) DigestState(w io.Writer) {
 	l.Bank.DigestState(w)
 	mem.DigestBlockMap(w, &l.busy, func(w io.Writer, b mem.BlockAddr, bs *busyState) {

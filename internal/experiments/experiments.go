@@ -40,8 +40,7 @@ type Config struct {
 	// Machine is the machine every run starts from: a run sets only
 	// its variant's protocol, consistency and G-TSC options on a copy.
 	// Its SimWorkers multiplies with Workers, so keep the product near
-	// GOMAXPROCS (the CLIs clamp it; see EXPERIMENTS.md). The zero
-	// value means DefaultConfig's.
+	// GOMAXPROCS. The zero value means DefaultConfig's.
 	Machine sim.Config
 	// Workers bounds how many simulations the session runs
 	// concurrently when a driver fans out its grid (0 = GOMAXPROCS,
@@ -147,7 +146,7 @@ func NewSession(cfg Config) *Session {
 	}
 	st := &state{cache: make(map[string]*cacheEntry)}
 	st.runSim = func(ctx context.Context, inst *workload.Instance, cfg sim.Config) (*stats.Run, error) {
-		return inst.RunContext(ctx, cfg)
+		return inst.Start(sim.New(cfg)).Run(ctx)
 	}
 	return &Session{Cfg: cfg, state: st}
 }

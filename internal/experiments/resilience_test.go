@@ -137,7 +137,7 @@ func TestJournalTornTailResume(t *testing.T) {
 // TestJournalConfigSignature: a journal must only feed a session with
 // the same result-affecting configuration (machine geometry, slack)
 // — but scheduling knobs (Workers, Machine.SimWorkers) are excluded,
-// so -j and -simworkers can change between runs.
+// so they can change between runs.
 func TestJournalConfigSignature(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.jrnl")
 	s1 := NewSession(smallCfg())
@@ -161,7 +161,7 @@ func TestJournalConfigSignature(t *testing.T) {
 
 	ok := smallCfg()
 	ok.Workers = 7            // scheduling only; results are identical at any -j
-	ok.Machine.SimWorkers = 2 // likewise at any -simworkers
+	ok.Machine.SimWorkers = 2 // likewise at any domain-worker count
 	s2 := NewSession(ok)
 	if _, err := s2.AttachJournal(path); err != nil {
 		t.Errorf("scheduling-knob change rejected the journal: %v", err)

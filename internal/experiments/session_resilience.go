@@ -45,7 +45,7 @@ type journalRecord struct {
 // the one rule for which simulator fields change results. Workers and
 // KeepGoing change only scheduling and error handling, and ConfigHash
 // leaves out the machine's scheduling knobs, so a journal written at
-// -j 16 -simworkers 4 resumes cleanly at -j 1.
+// -j 16 resumes cleanly at -j 1.
 func (s *Session) configSig() uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "scale=%d machine=%#x", s.Cfg.Scale, checkpoint.ConfigHash(s.Cfg.Machine))

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"io"
 	"testing"
 
 	"github.com/gtsc-sim/gtsc/internal/coherence"
@@ -61,6 +62,7 @@ func (f *fakeL1) Quiescent() bool            { return true }
 func (f *fakeL1) Stats() *stats.L1Stats      { return &f.stats }
 func (f *fakeL1) Err() error                 { return nil }
 func (f *fakeL1) DumpState() diag.CacheState { return diag.CacheState{Name: "fake-l1"} }
+func (f *fakeL1) DigestState(io.Writer)      {}
 
 var _ coherence.L1 = (*fakeL1)(nil)
 

@@ -429,7 +429,7 @@ func (s *SM) scanOrder() []*Warp {
 func (s *SM) advanceRR(issued *Warp) {
 	for i, w := range s.warps {
 		if w == issued {
-			s.rr = (i + 1) % maxi(len(s.warps), 1)
+			s.rr = (i + 1) % max(len(s.warps), 1)
 			return
 		}
 	}
@@ -671,13 +671,6 @@ func (s *SM) warpContext(regs int) *Warp {
 		w.Threads[lane] = t
 	}
 	return w
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Dispatcher hands out the kernel's CTAs to SMs in launch order.

@@ -3,9 +3,6 @@ package memsys
 import (
 	"fmt"
 	"io"
-
-	"github.com/gtsc-sim/gtsc/internal/coherence"
-	"github.com/gtsc-sim/gtsc/internal/diag"
 )
 
 // DigestState writes a canonical, process-independent rendering of the
@@ -17,11 +14,11 @@ import (
 func (s *System) DigestState(w io.Writer) {
 	io.WriteString(w, "store\n")
 	s.Store.DigestInto(w)
-	for i, l1 := range s.L1s {
-		digestController(w, "l1", i, l1)
+	for _, l1 := range s.L1s {
+		l1.DigestState(w)
 	}
-	for i, l2 := range s.L2s {
-		digestController(w, "l2", i, l2)
+	for _, l2 := range s.L2s {
+		l2.DigestState(w)
 	}
 	s.Net.DigestState(w)
 	for _, p := range s.Parts {
@@ -36,17 +33,4 @@ func (s *System) DigestState(w io.Writer) {
 	for _, sh := range s.shims {
 		sh.DigestState(w)
 	}
-}
-
-// digestController renders one cache controller. Every controller in
-// this repository implements coherence.StateDigester; the DumpState
-// fallback keeps the digest total (if coarser) for out-of-tree ones.
-func digestController(w io.Writer, kind string, id int, c interface {
-	DumpState() diag.CacheState
-}) {
-	if d, ok := c.(coherence.StateDigester); ok {
-		d.DigestState(w)
-		return
-	}
-	fmt.Fprintf(w, "%s[%d] %+v\n", kind, id, c.DumpState())
 }

@@ -17,8 +17,8 @@ func sharedDigest(s *System) string {
 	for _, p := range s.Parts {
 		p.DigestState(&b)
 	}
-	for i, l2 := range s.L2s {
-		digestController(&b, "l2", i, l2)
+	for _, l2 := range s.L2s {
+		l2.DigestState(&b)
 	}
 	return b.String()
 }

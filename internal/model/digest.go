@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"github.com/gtsc-sim/gtsc/internal/check"
-	"github.com/gtsc-sim/gtsc/internal/coherence"
 	"github.com/gtsc-sim/gtsc/internal/mem"
 )
 
@@ -26,10 +25,10 @@ func (m *machine) digest() uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "proto=%d now=%d forced=%d\n", m.cfg.Protocol, m.now, m.forced)
 	for _, l1 := range m.l1s {
-		l1.(coherence.StateDigester).DigestState(h)
+		l1.DigestState(h)
 	}
 	for _, l2 := range m.l2s {
-		l2.(coherence.StateDigester).DigestState(h)
+		l2.DigestState(h)
 	}
 	for sm := range m.toL2 {
 		for bank := range m.toL2[sm] {

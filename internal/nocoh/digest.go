@@ -2,7 +2,7 @@ package nocoh
 
 import "io"
 
-// DigestState implements coherence.StateDigester for the non-coherent L1.
+// DigestState implements coherence.L1 for the non-coherent L1.
 func (l *L1Simple) DigestState(w io.Writer) {
 	l.Port.DigestState(w)
 	l.array.DigestInto(w)

@@ -16,8 +16,9 @@ import (
 // and the budget check fires before the cycle that would exceed it.
 // The run and drain loops historically used two different comparisons
 // (`s.now-start > MaxCycles` vs `guard > MaxCycles`) which both let a
-// phase run one cycle past the budget; both now route through
-// budgetExhausted with explicit >= semantics.
+// phase run one cycle past the budget; one loop now runs both phases
+// and checks elapsed cycles through budgetExhausted with explicit >=
+// semantics.
 func TestBudgetSemanticsUnified(t *testing.T) {
 	s := New(DefaultConfig())
 	max := s.Cfg.MaxCycles

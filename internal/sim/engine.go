@@ -15,11 +15,6 @@ import (
 // digests, because the same simulation reaches the same machine state
 // however the engine schedules it.
 type EngineStats struct {
-	// Workers is the SM-domain parallelism of the most recent run phase:
-	// the effective SimWorkers under relaxed sync, 1 on the exact
-	// engine.
-	Workers int
-
 	// RunCycles / DrainCycles count cycles the engine executed with a
 	// real tick; RunSkipped / DrainSkipped count cycles jumped over
 	// because every component was provably quiet. Executed + skipped =
@@ -124,9 +119,7 @@ func (s *Simulator) Engine() *EngineStats { return &s.eng }
 // clamped to GOMAXPROCS — workers beyond the schedulable CPUs cannot
 // run at once, so they only add a wake-up and a hand-off to every
 // epoch — and to one worker per SM, beyond which extra workers can
-// never have work. The resolved value lands in
-// EngineStats.Workers, which is what the CLIs report on their
-// `engine:` line; results are identical at any setting, so the clamp
+// never have work. Results are identical at any setting, so the clamp
 // is pure scheduling.
 func (s *Simulator) effectiveWorkers() int {
 	w := s.Cfg.SimWorkers

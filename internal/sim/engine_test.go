@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -28,7 +29,7 @@ func TestComponentDispatchAccounting(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			t.Parallel()
 			s := sim.New(row.cfg)
-			run, err := row.wl.Build(1).RunOn(s)
+			run, err := row.wl.Build(1).Start(s).Run(context.Background())
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -163,7 +164,7 @@ func TestEngineCallsOnlyActingControllers(t *testing.T) {
 				s.SMs[i] = gpu.NewSM(i, smCfg, s.Sys.L1s[i])
 			}
 			inst := row.wl.Build(1)
-			run, err := inst.RunOn(s)
+			run, err := inst.Start(s).Run(context.Background())
 			if err != nil {
 				t.Fatalf("wrapped run: %v", err)
 			}

@@ -87,35 +87,48 @@ func (s *Simulator) flushSMs() {
 	}
 }
 
-// runPhaseEvent is the event-driven main cycle loop. Per iteration it
-// either executes one cycle (due hierarchy components, awake SMs, the
-// rollover schedule, then the wake refresh) or jumps the clock to just
-// before the agenda horizon, capped at the watchdog/ctx-poll sampling
-// boundary (now|63)+1, the MaxCycles budget, and the pause point, so
-// every check below fires at the same cycles as under the serial tick
-// order.
+// runPhaseEvent is the event-driven cycle loop of both kernel phases.
+// Per iteration it either executes one cycle (due hierarchy components,
+// then, in the run phase, awake SMs and the rollover schedule, then the
+// wake refresh) or jumps the clock to just before the agenda horizon,
+// capped at the watchdog/ctx-poll sampling boundary (now|63)+1, the
+// MaxCycles budget, and the pause point, so every check below fires at
+// the same cycles as under the serial tick order. The run phase ends
+// once every warp has retired and the hierarchy is drained; the drain
+// phase, after the kernel-boundary L1 flush, ticks no SM (their warps
+// have all retired) and ends once the hierarchy is drained again.
 func (s *Simulator) runPhaseEvent(ctx context.Context, stopAt uint64) (bool, error) {
 	st := s.cur
 	ev := s.ensureEventState()
-	s.eng.Workers = 1
+	run := st.phase == phaseRun
 
-	// Phase entry: every SM awake (slots Hot; every phase leaves its
-	// SMs awake but a paused relaxed one, which only a relaxed phase
-	// resumes), wakes re-registered from live component state. This
-	// also erases any slot state a previous phase left behind, which is
-	// what makes phases freely mixable across pause/resume. The full
-	// RefreshWakes scan (not the incremental RefreshDue) is required
-	// here: between-phase work — the kernel-boundary L1 flush, a
-	// checkpoint restore — mutates components outside any dispatch.
-	for i := range s.SMs {
-		s.Sys.Wakes.Schedule(ev.smBase+i, sched.Hot)
+	// Phase entry: every SM awake and its slot Hot in the run phase
+	// (every phase leaves its SMs awake but a paused relaxed one, which
+	// only a relaxed phase resumes), parked at Never in the drain phase,
+	// where only the hierarchy drives the horizon; wakes re-registered
+	// from live component state. This also erases any slot state a
+	// previous phase left behind, which is what makes phases freely
+	// mixable across pause/resume. The full RefreshWakes scan (not the
+	// incremental RefreshDue) is required here: between-phase work — the
+	// kernel-boundary L1 flush, a checkpoint restore — mutates
+	// components outside any dispatch.
+	smWake := uint64(sched.Never)
+	if run {
+		smWake = sched.Hot
 	}
-	s.Sys.RefreshWakes(s.now, true)
+	for i := range s.SMs {
+		s.Sys.Wakes.Schedule(ev.smBase+i, smWake)
+	}
+	ev.due = ev.due[:0] // no SM has ticked yet; the drain phase ticks none
+	s.Sys.RefreshWakes(s.now, run)
 	defer s.flushSMs()
 	pl := s.newPhaseLabels()
 	defer pl.clear()
 
 	for {
+		if !run && s.Sys.Drained() {
+			return false, nil
+		}
 		if stopAt != 0 && s.now >= stopAt {
 			return true, nil
 		}
@@ -126,25 +139,29 @@ func (s *Simulator) runPhaseEvent(ctx context.Context, stopAt uint64) (bool, err
 			return false, s.deadlock("max-cycles")
 		}
 		pl.set(pl.agenda)
-		if !s.trySkipEvent(st.start+s.Cfg.MaxCycles, stopAt, true) {
+		if !s.trySkipEvent(st.start+s.Cfg.MaxCycles, stopAt, run) {
 			s.now++
 			pl.set(pl.hierarchy)
 			s.Sys.TickDue(s.now, &s.eng.Comp)
-			pl.set(pl.smTick)
-			s.tickSMsEvent()
-			// Forced mid-run §V-D rollovers (fault plans only), after
-			// the SM ticks; the agenda slot keeps the firing cycle from
-			// being skipped.
-			s.Sys.TickRollover(s.now)
+			if run {
+				pl.set(pl.smTick)
+				s.tickSMsEvent()
+				// Forced mid-run §V-D rollovers (fault plans only),
+				// after the SM ticks; the agenda slot keeps the firing
+				// cycle from being skipped.
+				s.Sys.TickRollover(s.now)
+				s.eng.RunCycles++
+			} else {
+				s.eng.DrainCycles++
+			}
 			pl.set(pl.agenda)
 			s.Sys.RefreshDue(s.now, ev.due)
-			s.eng.RunCycles++
 			s.eng.EventCycles++
 		}
 		if err := s.Sys.Err(); err != nil {
 			return false, s.attachDump(err)
 		}
-		if s.done() {
+		if run && s.done() {
 			return false, nil
 		}
 		if s.now&63 == 0 {
@@ -183,7 +200,6 @@ func (s *Simulator) trySkipEvent(budgetCap, stopAt uint64, run bool) bool {
 		s.eng.RunSkipped += k
 	} else {
 		s.eng.DrainSkipped += k
-		s.cur.guard += k - 1 // the drain loop's post-statement adds the last one
 	}
 	s.eng.SkipWindows++
 	return true
@@ -224,48 +240,4 @@ func (s *Simulator) tickSMsEvent() {
 			s.Sys.Wakes.Schedule(ev.smBase+i, sm.WakeAt())
 		}
 	}
-}
-
-// drainPhaseEvent is the event-driven kernel-boundary drain. SMs are
-// never ticked during drain (their warps have all retired), so their
-// slots are parked at Never and only the hierarchy drives the horizon.
-func (s *Simulator) drainPhaseEvent(ctx context.Context, stopAt uint64) (bool, error) {
-	st := s.cur
-	ev := s.ensureEventState()
-	for i := range s.SMs {
-		s.Sys.Wakes.Schedule(ev.smBase+i, sched.Never)
-	}
-	s.Sys.RefreshWakes(s.now, false)
-	pl := s.newPhaseLabels()
-	defer pl.clear()
-	for ; !s.Sys.Drained(); st.guard++ {
-		if stopAt != 0 && s.now >= stopAt {
-			return true, nil
-		}
-		if s.now&ctxPollMask == 0 && ctx.Err() != nil {
-			return true, s.canceled(ctx)
-		}
-		if s.budgetExhausted(st.guard) {
-			return false, s.deadlock("max-cycles")
-		}
-		pl.set(pl.agenda)
-		if !s.trySkipEvent(s.now+(s.Cfg.MaxCycles-st.guard), stopAt, false) {
-			s.now++
-			pl.set(pl.hierarchy)
-			s.Sys.TickDue(s.now, &s.eng.Comp)
-			pl.set(pl.agenda)
-			s.Sys.RefreshDue(s.now, nil)
-			s.eng.DrainCycles++
-			s.eng.EventCycles++
-		}
-		if err := s.Sys.Err(); err != nil {
-			return false, s.attachDump(err)
-		}
-		if s.now&63 == 0 {
-			if err := s.watchdog(); err != nil {
-				return false, err
-			}
-		}
-	}
-	return false, nil
 }

@@ -3,10 +3,10 @@ package sim
 import (
 	"bytes"
 	"hash/fnv"
+	"io"
 	"regexp"
 	"testing"
 
-	"github.com/gtsc-sim/gtsc/internal/coherence"
 	"github.com/gtsc-sim/gtsc/internal/fault"
 	"github.com/gtsc-sim/gtsc/internal/gpu"
 	"github.com/gtsc-sim/gtsc/internal/memsys"
@@ -180,7 +180,7 @@ func TestComponentWakeClaimsSound(t *testing.T) {
 			// SyncClock restores them, and the comparison strips them
 			// anyway (clocks are schedule, not state).
 			clocks := regexp.MustCompile(` now=\d+`)
-			digest := func(d coherence.StateDigester) uint64 {
+			digest := func(d interface{ DigestState(io.Writer) }) uint64 {
 				var buf bytes.Buffer
 				d.DigestState(&buf)
 				h := fnv.New64a()
@@ -203,11 +203,10 @@ func TestComponentWakeClaimsSound(t *testing.T) {
 					if !l1.Quiescent() {
 						continue
 					}
-					d := l1.(coherence.StateDigester)
-					before := digest(d)
+					before := digest(l1)
 					l1.Tick(probe)
 					l1.SyncClock(s.now)
-					if digest(d) != before {
+					if digest(l1) != before {
 						t.Fatalf("l1[%d] claimed Quiescent at cycle %d but Tick(%d) changed state", j, s.now, probe)
 					}
 					covered["l1"]++
@@ -217,12 +216,11 @@ func TestComponentWakeClaimsSound(t *testing.T) {
 					if w == sched.Hot {
 						continue
 					}
-					d := l2.(coherence.StateDigester)
-					before := digest(d)
+					before := digest(l2)
 					if w == sched.Never {
 						l2.Tick(probe)
 						l2.SyncClock(s.now)
-						if digest(d) != before {
+						if digest(l2) != before {
 							t.Fatalf("l2[%d] claimed Wake Never at cycle %d but Tick(%d) changed state", j, s.now, probe)
 						}
 						covered["l2"]++
@@ -256,7 +254,7 @@ func TestComponentWakeClaimsSound(t *testing.T) {
 							got := *st
 							l2.SyncClock(s.now)
 							*st = counters
-							if digest(d) != before {
+							if digest(l2) != before {
 								t.Fatalf("l2[%d] claimed Wake %d at cycle %d but %s(%d) changed state", j, w, s.now, op.name, c)
 							}
 							if got != want {

@@ -156,7 +156,6 @@ func (s *Simulator) runPhaseRelaxed(ctx context.Context, stopAt uint64) (paused 
 			rx.pool = nil
 		}()
 	}
-	s.eng.Workers = workers
 	s.eng.Relaxed.SlackCycles = slack
 	rx.pl = s.newPhaseLabels()
 	defer rx.pl.clear()

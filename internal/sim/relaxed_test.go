@@ -99,7 +99,7 @@ func TestRelaxedSlackFunctionalEquivalence(t *testing.T) {
 					rec := check.NewRecorder()
 					c.Observer = rec
 					s := sim.New(c)
-					if _, err := wl.Build(1).RunOn(s); err != nil {
+					if _, err := wl.Build(1).Start(s).Run(context.Background()); err != nil {
 						t.Fatalf("slack=%d: %v", slack, err)
 					}
 					checkOrdering(t, c, rec.Ops())
@@ -146,7 +146,7 @@ func TestRelaxedChaosForcesBitExact(t *testing.T) {
 		c := cfg
 		c.SlackCycles = slack
 		s := sim.New(c)
-		r, err := wl.Build(1).RunOn(s)
+		r, err := wl.Build(1).Start(s).Run(context.Background())
 		if err != nil {
 			t.Fatalf("slack=%d: %v", slack, err)
 		}
@@ -188,7 +188,7 @@ func TestRelaxedWorkerCountInvariant(t *testing.T) {
 				c := cfg
 				c.SimWorkers = workers
 				s := sim.New(c)
-				r, err := row.wl.Build(1).RunOn(s)
+				r, err := row.wl.Build(1).Start(s).Run(context.Background())
 				if err != nil {
 					t.Fatalf("simworkers=%d: %v", workers, err)
 				}

@@ -10,10 +10,10 @@ import (
 // (memsys.System.Tick), then every SM in index order, then the fault
 // plan's rollover schedule (run phase only) — no cycle skipped, no
 // component asleep. It then does the engine's per-cycle bookkeeping
-// (error check, end of the run phase, watchdog sampling, drain guard)
-// at the points the event engine does it, so the whole machine state,
-// the engine's coordinate included, matches the event engine's at
-// every cycle boundary.
+// (error check, end of the run phase, watchdog sampling) at the points
+// the event engine does it, so the whole machine state, the engine's
+// coordinate included, matches the event engine's at every cycle
+// boundary.
 func (s *Simulator) serialStep() error {
 	st := s.cur
 	s.now++
@@ -35,9 +35,6 @@ func (s *Simulator) serialStep() error {
 			return err
 		}
 	}
-	if st.phase == phaseDrain {
-		st.guard++
-	}
 	return nil
 }
 
@@ -52,7 +49,7 @@ func (s *Simulator) SerialRunUntil(kernel *gpu.Kernel, stopAt uint64) (*stats.Ru
 	}
 	for {
 		// A drained kernel completes before the stop check, as
-		// drainPhaseEvent's loop condition does.
+		// runPhaseEvent's drain phase does.
 		if s.cur.phase == phaseDrain && s.Sys.Drained() {
 			break
 		}

@@ -58,9 +58,9 @@ type Config struct {
 	// 1 or 0 = inline). Results are identical at any worker count: each
 	// domain runs against its own state and the epoch barrier merges
 	// their traffic in canonical order. The engine clamps the request
-	// to GOMAXPROCS and to the SM count; EngineStats.Workers reports the
-	// effective value. The exact engine ticks serially and ignores it.
-	// See DESIGN.md §7.
+	// to GOMAXPROCS and to the SM count. The exact engine ticks serially
+	// and ignores it. No CLI sets it: on two CPUs two workers ran slower
+	// than one (DESIGN.md §7).
 	SimWorkers int
 
 	// SlackCycles enables relaxed-synchronization (bounded-slack)
@@ -137,8 +137,7 @@ const ctxPollMask = 1023
 type runState struct {
 	kernel *gpu.Kernel
 	phase  int
-	start  uint64 // s.now when the run phase began
-	guard  uint64 // drain-phase budget counter
+	start  uint64 // s.now when the current phase began
 
 	// Forward-progress watchdog sampling state (simulated-cycle based).
 	lastSig      uint64
@@ -214,26 +213,8 @@ func (s *Simulator) ReadWord(a mem.Addr) uint32 { return s.Sys.ReadWord(a) }
 // Multiple kernels may be run back-to-back on the same simulator; the
 // paper's per-kernel L1 flush and timestamp reset happen between runs.
 func (s *Simulator) Run(kernel *gpu.Kernel) (*stats.Run, error) {
-	return s.RunContext(context.Background(), kernel)
-}
-
-// RunContext is Run with cancellation: when ctx is canceled (or its
-// deadline passes) the cycle loop stops within ctxPollMask+1 simulated
-// cycles and returns a *diag.CanceledError. The machine state is left
-// intact and paused — the caller may Snapshot() it for a checkpoint or
-// Resume() it with a fresh context. Cancellation never perturbs the
-// simulation itself: a run that completes under a canceled-too-late
-// context is bit-identical to one run without a context.
-func (s *Simulator) RunContext(ctx context.Context, kernel *gpu.Kernel) (*stats.Run, error) {
-	run, paused, err := s.RunUntil(ctx, kernel, 0)
-	if err != nil {
-		return nil, err
-	}
-	if paused {
-		// Unreachable with stopAt 0, but keep the invariant explicit.
-		return nil, errors.New("sim: run paused without a stop cycle")
-	}
-	return run, nil
+	run, _, err := s.RunUntil(context.Background(), kernel, 0) // no stop cycle: never paused
+	return run, err
 }
 
 // RunUntil executes kernel but pauses the machine once the global
@@ -245,6 +226,15 @@ func (s *Simulator) RunContext(ctx context.Context, kernel *gpu.Kernel) (*stats.
 // either engine — the eventual stats.Run of the kernel is
 // bit-identical however many times the execution is paused and
 // resumed, which is what makes checkpoint/restore exact.
+//
+// Cancellation works the same way: when ctx is canceled (or its
+// deadline passes) the cycle loop stops within ctxPollMask+1 simulated
+// cycles (at the next epoch barrier under relaxed sync) and returns a
+// *diag.CanceledError with the machine left intact and paused — the
+// caller may Snapshot() it for a checkpoint or Resume() it with a fresh
+// context. Polling never perturbs the simulation: a run that completes
+// under a canceled-too-late context is bit-identical to one run without
+// a context.
 func (s *Simulator) RunUntil(ctx context.Context, kernel *gpu.Kernel, stopAt uint64) (*stats.Run, bool, error) {
 	if s.cfgErr != nil {
 		return nil, false, s.cfgErr
@@ -307,9 +297,9 @@ func (s *Simulator) beginKernel(kernel *gpu.Kernel) {
 // machine state.
 func (s *Simulator) advance(ctx context.Context, stopAt uint64) (*stats.Run, bool, error) {
 	st := s.cur
-	if st.phase == phaseRun {
+	for {
 		run := s.runPhaseEvent
-		if s.useRelaxed() {
+		if st.phase == phaseRun && s.useRelaxed() {
 			run = s.runPhaseRelaxed
 		}
 		paused, err := run(ctx, stopAt)
@@ -322,22 +312,16 @@ func (s *Simulator) advance(ctx context.Context, stopAt uint64) (*stats.Run, boo
 		if paused {
 			return nil, true, nil
 		}
+		if st.phase == phaseDrain {
+			break
+		}
 		if err := s.endRunPhase(); err != nil {
 			return nil, false, err
 		}
 	}
-	paused, err := s.drainPhaseEvent(ctx, stopAt)
-	s.Sys.SyncControllers(s.now)
-	if err != nil {
-		return nil, false, err
-	}
-	if paused {
-		return nil, true, nil
-	}
-	run := st.run
 	s.cur = nil
 	s.kernelsDone++
-	return run, false, nil
+	return st.run, false, nil
 }
 
 // endRunPhase assembles the kernel's statistics and starts the
@@ -369,7 +353,7 @@ func (s *Simulator) endRunPhase() error {
 	}
 	st.run = run
 	st.phase = phaseDrain
-	st.guard = 0
+	st.start = s.now
 	st.lastSig = s.progressSig()
 	st.lastProgress = s.now
 	return nil
@@ -388,8 +372,8 @@ func (s *Simulator) canceled(ctx context.Context) error {
 }
 
 // budgetExhausted reports whether a phase that has already executed
-// elapsed cycles has used up the MaxCycles budget. Both the run phase
-// and the drain phase route their checks through here, so the budget
+// elapsed cycles has used up the MaxCycles budget. Both phases, on
+// either engine, route their checks through here, so the budget
 // semantics are identical by construction: each phase executes at most
 // MaxCycles cycles, and the check fires before the cycle that would
 // exceed the budget.
@@ -474,9 +458,4 @@ func (s *Simulator) done() bool {
 		}
 	}
 	return s.Sys.Drained()
-}
-
-// RunToCompletion builds a fresh simulator for cfg and runs kernel.
-func RunToCompletion(cfg Config, kernel *gpu.Kernel) (*stats.Run, error) {
-	return New(cfg).Run(kernel)
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 
 	"github.com/gtsc-sim/gtsc/internal/check"
@@ -203,15 +202,4 @@ func TestBackToBackKernels(t *testing.T) {
 			}
 		})
 	}
-}
-
-func ExampleRunToCompletion() {
-	cfg := smallConfig(memsys.GTSC, gpu.RC)
-	run, err := RunToCompletion(cfg, writeReadKernel(0x1000))
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Println(run.Kernel, run.Protocol, run.Consistency, run.Cycles > 0)
-	// Output: write-read G-TSC RC true
 }

@@ -29,7 +29,7 @@ type Snapshot struct {
 
 // Snapshot captures the simulator's current coordinate and state
 // digest. The machine must be quiescent or paused (never mid-Tick);
-// any point where RunUntil/RunContext has returned qualifies.
+// any point where RunUntil or Resume has returned qualifies.
 func (s *Simulator) Snapshot() Snapshot {
 	return Snapshot{
 		Cycle:       s.now,
@@ -63,13 +63,13 @@ func (s *Simulator) StateDigest() uint64 {
 }
 
 // DigestState writes the canonical state rendering: the engine's own
-// coordinate (clock, phase, drain guard, watchdog sampling state),
+// coordinate (clock, phase and its start, watchdog sampling state),
 // every SM, and the whole memory system.
 func (s *Simulator) DigestState(w io.Writer) {
 	fmt.Fprintf(w, "sim now=%d done=%d phase=%s\n", s.now, s.kernelsDone, s.phaseName())
 	if st := s.cur; st != nil {
-		fmt.Fprintf(w, "cur %s start=%d guard=%d sig=%d prog=%d\n",
-			st.kernel.Name, st.start, st.guard, st.lastSig, st.lastProgress)
+		fmt.Fprintf(w, "cur %s start=%d sig=%d prog=%d\n",
+			st.kernel.Name, st.start, st.lastSig, st.lastProgress)
 		if st.run != nil {
 			fmt.Fprintf(w, "run %+v\n", *st.run)
 		}

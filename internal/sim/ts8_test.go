@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"context"
 	"testing"
 
 	"github.com/gtsc-sim/gtsc/internal/check"
@@ -29,7 +30,7 @@ func TestCoherenceWorkloadsAtTSBits8(t *testing.T) {
 		cfg.SM.Consistency = gpu.RC
 		cfg.Observer = rec
 		s := sim.New(cfg)
-		if _, err := wl.Build(1).RunOn(s); err != nil {
+		if _, err := wl.Build(1).Start(s).Run(context.Background()); err != nil {
 			t.Fatalf("%s at TSBits=8: %v", wl.Name, err)
 		}
 		if vio := check.CheckTimestampOrder(rec.Ops(), 3); len(vio) > 0 {

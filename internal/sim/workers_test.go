@@ -3,9 +3,6 @@ package sim
 import (
 	"runtime"
 	"testing"
-
-	"github.com/gtsc-sim/gtsc/internal/gpu"
-	"github.com/gtsc-sim/gtsc/internal/memsys"
 )
 
 // TestEffectiveWorkersClamp pins the resolution chain of
@@ -36,36 +33,5 @@ func TestEffectiveWorkersClamp(t *testing.T) {
 			t.Errorf("SimWorkers=%d at GOMAXPROCS=%d: effectiveWorkers=%d, want %d",
 				tc.simWorkers, maxprocs, got, tc.want)
 		}
-	}
-}
-
-// TestEngineReportsEffectiveWorkers: the engine: line the CLIs print
-// reads EngineStats.Workers after a run, which must be the EFFECTIVE
-// value, not the requested one — a 1-CPU host asking for -simworkers
-// 64 must see simworkers=1 reported, and no host may report more than
-// GOMAXPROCS. The exact engine ticks serially and reports 1.
-func TestEngineReportsEffectiveWorkers(t *testing.T) {
-	cfg := smallConfig(memsys.GTSC, gpu.RC)
-	cfg.SimWorkers = 64 // far beyond any host
-	cfg.SlackCycles = 8
-	s := New(cfg)
-	want := s.effectiveWorkers()
-	if want > runtime.GOMAXPROCS(0) {
-		t.Fatalf("effectiveWorkers=%d exceeds GOMAXPROCS=%d", want, runtime.GOMAXPROCS(0))
-	}
-	if _, err := s.Run(writeReadKernel(0)); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if got := s.Engine().Workers; got != want {
-		t.Errorf("relaxed EngineStats.Workers = %d, want effective %d", got, want)
-	}
-
-	cfg.SlackCycles = 0
-	s = New(cfg)
-	if _, err := s.Run(writeReadKernel(0)); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if got := s.Engine().Workers; got != 1 {
-		t.Errorf("exact-engine EngineStats.Workers = %d, want 1", got)
 	}
 }

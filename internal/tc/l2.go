@@ -190,14 +190,14 @@ func (l *L2) park(block mem.BlockAddr, expiry uint64, msgs ...*mem.Msg) {
 // (when every private copy will have self-invalidated) in the ack.
 func (l *L2) process(msg *mem.Msg, line *cache.Line[lease]) {
 	defer l.Free(msg)
-	gwct := maxu(line.Meta.expiry, l.Now)
+	gwct := max(line.Meta.expiry, l.Now)
 	var ack *mem.Msg
 	switch msg.Type {
 	case mem.BusRd:
 		// Extend the block's lease and return data — TC responses always
 		// carry the block, unlike G-TSC's dataless renewals, which is
 		// one source of its extra NoC traffic (Fig 15).
-		line.Meta.expiry = maxu(line.Meta.expiry, l.Now+l.cfg.Lease)
+		line.Meta.expiry = max(line.Meta.expiry, l.Now+l.cfg.Lease)
 		l.Array.Touch(line, l.Now)
 		l.Counters.FillsSent++
 		l.Counters.DataAccesses++

@@ -48,13 +48,6 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-func maxu(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // lease is a TC line's metadata at either level, in global cycles: at
 // an L1 the self-invalidation deadline, at the L2 the latest expiry
 // granted to any L1.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -22,7 +23,7 @@ func traceRun(t *testing.T, opts ...Option) *Tracer {
 	s := sim.New(cfg)
 	tr := Attach(s.Sys, s.Now, opts...)
 	wl, _ := workload.ByName("CC")
-	if _, err := wl.Build(1).RunOn(s); err != nil {
+	if _, err := wl.Build(1).Start(s).Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	return tr

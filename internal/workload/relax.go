@@ -57,7 +57,7 @@ func relaxInstance(spec relaxSpec) *Instance {
 		// (Jacobi) round for coherent protocols; time-based staleness
 		// (TC leases outliving an iteration) gets 2x headroom + slack.
 		jrounds := jacobiRounds(g, spec.init, spec.weights, spec.useMax)
-		iters = maxi(rounds*2, jrounds*2) + 6
+		iters = max(rounds*2, jrounds*2) + 6
 	}
 
 	totalThreads := spec.ctas * spec.warpsPerCTA * gpu.WarpWidth
@@ -141,15 +141,15 @@ func relaxBody(spec relaxSpec, g *paddedGraph, valBase, adjBase, wBase mem.Addr,
 				// Inactive lanes compute junk into r0 but never store
 				// it (their Store lane is inactive too).
 				body = append(body, gpu.ALU(func(t *gpu.Thread) {
-					t.Regs[0] = minu32(t.Regs[0], t.Regs[2]+t.Regs[3])
+					t.Regs[0] = min(t.Regs[0], t.Regs[2]+t.Regs[3])
 				}, 0, 2, 3))
 			} else if spec.useMax {
 				body = append(body, gpu.ALU(func(t *gpu.Thread) {
-					t.Regs[0] = maxu32(t.Regs[0], t.Regs[2])
+					t.Regs[0] = max(t.Regs[0], t.Regs[2])
 				}, 0, 2))
 			} else {
 				body = append(body, gpu.ALU(func(t *gpu.Thread) {
-					t.Regs[0] = minu32(t.Regs[0], t.Regs[2])
+					t.Regs[0] = min(t.Regs[0], t.Regs[2])
 				}, 0, 2))
 			}
 		}

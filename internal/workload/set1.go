@@ -195,7 +195,7 @@ func stencilInstance(h, w, ctas, warpsPerCTA int) *Instance {
 	}
 	// Deterministic seeds sprinkled over the grid.
 	r := newRNG(97)
-	for s := 0; s < maxi(1, n/64); s++ {
+	for s := 0; s < max(1, n/64); s++ {
 		init[r.intn(n)] = 0
 	}
 
@@ -226,7 +226,7 @@ func stencilInstance(h, w, ctas, warpsPerCTA int) *Instance {
 	}
 	fix, rounds := minRelaxFixpoint(grid, init, weights)
 	jrounds := jacobiRounds(grid, init, weights, false)
-	iters := maxi(rounds*2, jrounds*2) + 6
+	iters := max(rounds*2, jrounds*2) + 6
 
 	totalThreads := ctas * warpsPerCTA * gpu.WarpWidth
 	maxOwned := (n + totalThreads - 1) / totalThreads
@@ -285,7 +285,7 @@ func stencilInstance(h, w, ctas, warpsPerCTA int) *Instance {
 						return wordAddr(valBase, v), true
 					}))
 					body = append(body, gpu.ALU(func(t *gpu.Thread) {
-						t.Regs[0] = minu32(t.Regs[0], t.Regs[1]+1)
+						t.Regs[0] = min(t.Regs[0], t.Regs[1]+1)
 					}, 0, 1))
 				}
 				body = append(body, gpu.Store(own, func(t *gpu.Thread) uint32 { return t.Regs[0] }, 0))
@@ -304,11 +304,4 @@ func stencilInstance(h, w, ctas, warpsPerCTA int) *Instance {
 			return nil
 		},
 	}
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

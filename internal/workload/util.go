@@ -258,38 +258,10 @@ func maxRelaxFixpoint(g *paddedGraph, init []uint32) (fix []uint32, rounds int) 
 	}
 }
 
-// gridStride returns the vertices owned by a thread: gtid, gtid+T,
-// gtid+2T, ... below n.
-func ownedVertices(gtid, totalThreads, n int) []int {
-	var out []int
-	for v := gtid; v < n; v += totalThreads {
-		out = append(out, v)
-	}
-	return out
-}
-
 // ctaScale grows the grid with the workload scale so larger machines
 // stay fully occupied (capped at 32 CTAs).
 func ctaScale(scale int) int {
-	c := 8 * scale
-	if c > 32 {
-		c = 32
-	}
-	return c
-}
-
-func minu32(a, b uint32) uint32 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxu32(a, b uint32) uint32 {
-	if a > b {
-		return a
-	}
-	return b
+	return min(8*scale, 32)
 }
 
 // always adapts a plain address function to the (addr, active) form.

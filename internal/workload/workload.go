@@ -23,6 +23,7 @@ import (
 	"context"
 	"fmt"
 
+	"github.com/gtsc-sim/gtsc/internal/diag"
 	"github.com/gtsc-sim/gtsc/internal/gpu"
 	"github.com/gtsc-sim/gtsc/internal/mem"
 	"github.com/gtsc-sim/gtsc/internal/memsys"
@@ -53,42 +54,98 @@ type Instance struct {
 // Run executes the instance on a fresh simulator for cfg, verifies the
 // result, and returns the aggregated statistics of all its kernels.
 func (inst *Instance) Run(cfg sim.Config) (*stats.Run, error) {
-	return inst.RunContext(context.Background(), cfg)
+	return inst.Start(sim.New(cfg)).Run(context.Background())
 }
 
-// RunContext is Run honoring a context: cancellation or deadline
-// expiry suspends the simulation and surfaces a *diag.CanceledError.
-func (inst *Instance) RunContext(ctx context.Context, cfg sim.Config) (*stats.Run, error) {
-	s := sim.New(cfg)
-	return inst.RunOnContext(ctx, s)
+// Execution drives one instance's kernels, in order, on one simulator
+// and verifies the final memory image once the last one completes: the
+// one multi-kernel driver every run goes through. It is pausable at any
+// global cycle and cancelable through its context, and it carries the
+// cross-kernel bookkeeping a checkpoint coordinate needs: which kernel
+// is in flight (the simulator's KernelsDone) and the aggregate stats of
+// the kernels completed so far.
+type Execution struct {
+	inst     *Instance
+	sim      *sim.Simulator
+	agg      *stats.Run
+	finished bool
 }
 
-// RunOn executes the instance on an existing simulator.
-func (inst *Instance) RunOn(s *sim.Simulator) (*stats.Run, error) {
-	return inst.RunOnContext(context.Background(), s)
+// Start begins an execution of the instance on s, a simulator that has
+// run no kernel yet. Nothing runs until Run or RunUntil.
+func (inst *Instance) Start(s *sim.Simulator) *Execution {
+	return &Execution{inst: inst, sim: s}
 }
 
-// RunOnContext executes the instance on an existing simulator,
-// honoring ctx between and within kernels.
-func (inst *Instance) RunOnContext(ctx context.Context, s *sim.Simulator) (*stats.Run, error) {
-	var agg *stats.Run
-	for _, k := range inst.Kernels {
-		run, err := s.RunContext(ctx, k)
-		if err != nil {
-			return nil, err
+// Sim exposes the underlying simulator (for Snapshot, ReadWord).
+func (e *Execution) Sim() *sim.Simulator { return e.sim }
+
+// Run executes the remaining work to completion, honoring ctx. On
+// cancellation it returns a *diag.CanceledError with the machine
+// suspended; a later Run or RunUntil continues it. A failed
+// verification returns the aggregate stats with its error.
+func (e *Execution) Run(ctx context.Context) (*stats.Run, error) {
+	run, _, err := e.RunUntil(ctx, 0) // no stop cycle: only ctx suspends
+	return run, err
+}
+
+// RunUntil advances the execution until it completes or the global
+// clock reaches stopAt (0 = run to completion); under relaxed sync
+// (SlackCycles > 0) the pause lands on the first epoch barrier at or
+// after stopAt (see sim.Simulator.RunUntil). Pausing is pure
+// suspension on either engine: resuming — in this process, or in
+// another one by replaying a fresh execution to the same cycle —
+// continues a trajectory identical to an unpaused run's.
+func (e *Execution) RunUntil(ctx context.Context, stopAt uint64) (*stats.Run, bool, error) {
+	if e.finished {
+		return e.agg, false, nil
+	}
+	for {
+		if !e.sim.Paused() && e.sim.KernelsDone() == len(e.inst.Kernels) {
+			if e.inst.Verify != nil {
+				if err := e.inst.Verify(e.sim.ReadWord); err != nil {
+					return e.agg, false, fmt.Errorf("workload verification failed: %w", err)
+				}
+			}
+			e.finished = true
+			return e.agg, false, nil
 		}
-		if agg == nil {
-			agg = run
+		if stopAt != 0 && e.sim.Now() >= stopAt {
+			return nil, true, nil // suspended at a kernel boundary
+		}
+		if !e.sim.Paused() && ctx.Err() != nil {
+			// Canceled between kernels: suspend before launching the
+			// next one, with the same typed error in-kernel pauses use.
+			return nil, false, &diag.CanceledError{
+				Kernel:      e.inst.Kernels[e.sim.KernelsDone()].Name,
+				Phase:       "idle",
+				Cycle:       e.sim.Now(),
+				KernelIndex: e.sim.KernelsDone(),
+				Cause:       context.Cause(ctx),
+			}
+		}
+		var (
+			run    *stats.Run
+			paused bool
+			err    error
+		)
+		if e.sim.Paused() {
+			run, paused, err = e.sim.Resume(ctx, stopAt)
 		} else {
-			agg.Accumulate(run)
+			run, paused, err = e.sim.RunUntil(ctx, e.inst.Kernels[e.sim.KernelsDone()], stopAt)
+		}
+		if err != nil {
+			return nil, false, err
+		}
+		if paused {
+			return nil, true, nil
+		}
+		if e.agg == nil {
+			e.agg = run
+		} else {
+			e.agg.Accumulate(run)
 		}
 	}
-	if inst.Verify != nil {
-		if err := inst.Verify(s.ReadWord); err != nil {
-			return agg, fmt.Errorf("workload verification failed: %w", err)
-		}
-	}
-	return agg, nil
 }
 
 // All returns the full suite in the paper's presentation order:

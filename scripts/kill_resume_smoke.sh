@@ -6,9 +6,11 @@
 #
 #   1. gtscsim: a single run is interrupted (-timeout), must exit 3
 #      and write a checkpoint; -resume must complete it with output
-#      bit-identical to an uninterrupted reference run. This runs once
-#      on the exact engine and once under -slack 32, where the
-#      interrupt lands on an epoch barrier.
+#      bit-identical to an uninterrupted reference run. This runs on
+#      the exact engine, under -slack 32, where the interrupt lands on
+#      an epoch barrier, and under -check, whose resumed run must print
+#      the reference run's checker verdict. A checkpointed run must
+#      also write its -memprofile.
 #   2. gtscbench: a sweep with a journal is killed by SIGTERM, must
 #      exit 3; rerunning with the same journal must replay the
 #      completed simulations, finish the rest, and print the same
@@ -62,7 +64,17 @@ sim_smoke exact 400ms -workload CC -scale 64
 # barrier; the run takes several seconds, so one second lands it
 # mid-run.
 echo "== gtscsim -slack 32: interrupt at an epoch barrier, checkpoint, resume =="
-sim_smoke relaxed 1s -workload CC -scale 64 -slack 32 -simworkers 2
+sim_smoke relaxed 1s -workload CC -scale 64 -slack 32
+
+# A checkpointed run is an ordinary run: the checker records the
+# replay's operations too, so the resumed run's checker: lines match
+# the uninterrupted run's, and -memprofile writes its profile.
+echo "== gtscsim -check -memprofile: checkpointed runs keep every flag =="
+sim_smoke check 400ms -workload CC -scale 16 -check
+"$workdir/gtscsim" -workload CC -checkpoint "$workdir/mem.ckpt" -memprofile "$workdir/mem.pprof" >/dev/null \
+  || fail "memprofile: checkpointed run failed"
+[ -s "$workdir/mem.pprof" ] || fail "memprofile: no heap profile written under -checkpoint"
+echo "   OK: -memprofile written under -checkpoint"
 
 echo "== gtscbench: SIGTERM mid-sweep, journal resume =="
 bench_flags=(-exp table2 -scale 4 -sms 8 -banks 4 -j 4)
