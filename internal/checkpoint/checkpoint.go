@@ -7,7 +7,7 @@
 // disk literally. What CAN be relied on is the engine's determinism:
 // the same configuration and workload replayed in a fresh process
 // passes through bit-identical machine states at every cycle (the
-// property the 108-row golden-fingerprint table pins). A checkpoint
+// property the 144-row golden-fingerprint table pins). A checkpoint
 // therefore records a *coordinate* — workload identity, configuration
 // hash, completed-kernel count and the global cycle — plus an FNV-1a
 // digest of the complete machine state at that coordinate. Restore

@@ -41,6 +41,9 @@ var goldenRows = []goldenRow{
 	{"BH", "dir-rc", 7401, 5048, 0x6305156f7f0f0f6e},
 	{"BH", "gtsc-rc-mesh-banked", 5809, 5306, 0x6da0a333f429a1c3},
 	{"BH", "gtsc-rc-ts8", 7019, 7054, 0x7dc0ab7126e8ae34},
+	{"BH", "gtsc-rc-mshr2", 9954, 5558, 0x6039b92ccd590ac0},
+	{"BH", "tc-sc-mshr2", 18713, 7936, 0x6ec9b34c223c91ba},
+	{"BH", "dir-rc-mshr2", 8101, 4892, 0xc1dbd29db3506a76},
 	{"CC", "gtsc-rc", 7802, 7686, 0x4bc32a5670c84930},
 	{"CC", "gtsc-sc", 9483, 8716, 0x94abb28b87adfd74},
 	{"CC", "gtsc-tso", 9483, 8716, 0x305b4b1790ee6f9f},
@@ -50,6 +53,9 @@ var goldenRows = []goldenRow{
 	{"CC", "dir-rc", 8370, 7332, 0x1fabaf9cd68cd46b},
 	{"CC", "gtsc-rc-mesh-banked", 7249, 8300, 0x98df71c459bf5e48},
 	{"CC", "gtsc-rc-ts8", 8743, 13346, 0x60a2b1379c527bd6},
+	{"CC", "gtsc-rc-mshr2", 16397, 9012, 0xb5276b33f42fec6a},
+	{"CC", "tc-sc-mshr2", 17822, 10876, 0x8deb5f13a12fe26b},
+	{"CC", "dir-rc-mshr2", 11650, 7320, 0x15eba24d927ebc67},
 	{"DLP", "gtsc-rc", 11333, 11064, 0x5e26c33d670acaca},
 	{"DLP", "gtsc-sc", 14352, 11930, 0x30c93daee2acf2c1},
 	{"DLP", "gtsc-tso", 14352, 11930, 0x3a4e61a88cc157c9},
@@ -59,6 +65,9 @@ var goldenRows = []goldenRow{
 	{"DLP", "dir-rc", 13082, 10098, 0x477fddb453c28542},
 	{"DLP", "gtsc-rc-mesh-banked", 10264, 11222, 0xb9430ac7a33e1979},
 	{"DLP", "gtsc-rc-ts8", 12923, 20772, 0xb55fdcdf7472d132},
+	{"DLP", "gtsc-rc-mshr2", 24078, 13036, 0x9e7e9b254e817457},
+	{"DLP", "tc-sc-mshr2", 30040, 18760, 0xdd5e1bbfc49bd0c2},
+	{"DLP", "dir-rc-mshr2", 17003, 10620, 0xdfcf4dcb7a7c2c35},
 	{"VPR", "gtsc-rc", 7463, 6692, 0x465b60893b41c502},
 	{"VPR", "gtsc-sc", 8644, 6978, 0x3cfae48369f860be},
 	{"VPR", "gtsc-tso", 8644, 6978, 0xb2ab0f26fe84dff3},
@@ -68,6 +77,9 @@ var goldenRows = []goldenRow{
 	{"VPR", "dir-rc", 8971, 6252, 0x52fb3d6722bf2016},
 	{"VPR", "gtsc-rc-mesh-banked", 6946, 7176, 0xa970bf8051046253},
 	{"VPR", "gtsc-rc-ts8", 7988, 10754, 0x217d0ec80de66571},
+	{"VPR", "gtsc-rc-mshr2", 14023, 7516, 0xfe23e957e13ff654},
+	{"VPR", "tc-sc-mshr2", 19857, 10966, 0x85b089a4fa086dbb},
+	{"VPR", "dir-rc-mshr2", 10790, 5438, 0x7c9fbba2f26c5ebb},
 	{"STN", "gtsc-rc", 9970, 9192, 0x483387e10a4014e9},
 	{"STN", "gtsc-sc", 11168, 9624, 0xaffde62c14468f89},
 	{"STN", "gtsc-tso", 11168, 9624, 0x98a43cad3a2d4e70},
@@ -77,6 +89,9 @@ var goldenRows = []goldenRow{
 	{"STN", "dir-rc", 10238, 10674, 0xb373f23c69254fa0},
 	{"STN", "gtsc-rc-mesh-banked", 8226, 9502, 0x283855ae09d6fdec},
 	{"STN", "gtsc-rc-ts8", 9811, 11180, 0xfb88be878885e392},
+	{"STN", "gtsc-rc-mshr2", 11836, 9110, 0xcbd94ff2feb5baa2},
+	{"STN", "tc-sc-mshr2", 25462, 11502, 0x9a638c184a052ee0},
+	{"STN", "dir-rc-mshr2", 12171, 8950, 0xd55d30f195986d36},
 	{"BFS", "gtsc-rc", 7908, 9246, 0xb6e2f2d0540159ee},
 	{"BFS", "gtsc-sc", 9672, 9736, 0xacdb07e9f2b79f0},
 	{"BFS", "gtsc-tso", 9672, 9736, 0x8e1e71f9b4de2f71},
@@ -86,6 +101,9 @@ var goldenRows = []goldenRow{
 	{"BFS", "dir-rc", 7306, 6592, 0xe9515e7f0a69dc87},
 	{"BFS", "gtsc-rc-mesh-banked", 8207, 9966, 0x81a18f276ce85076},
 	{"BFS", "gtsc-rc-ts8", 8358, 16428, 0xee9af758b327aea3},
+	{"BFS", "gtsc-rc-mshr2", 22877, 10690, 0xcc1e31a553a4323a},
+	{"BFS", "tc-sc-mshr2", 47493, 33252, 0xdfa6a1c7fb6913f4},
+	{"BFS", "dir-rc-mshr2", 12183, 6974, 0x9a1c82766d77f42d},
 	{"CCP", "gtsc-rc", 778, 480, 0x853696a830e03eb6},
 	{"CCP", "gtsc-sc", 790, 480, 0x6d39919ae8a042e6},
 	{"CCP", "gtsc-tso", 790, 480, 0x2e7afad54b0b4e22},
@@ -95,6 +113,9 @@ var goldenRows = []goldenRow{
 	{"CCP", "dir-rc", 804, 512, 0x86ef910648b2d3d4},
 	{"CCP", "gtsc-rc-mesh-banked", 1407, 480, 0xfb360e015d0bf480},
 	{"CCP", "gtsc-rc-ts8", 778, 480, 0x853696a830e03eb6},
+	{"CCP", "gtsc-rc-mshr2", 1787, 480, 0x9d8d237d4b74166f},
+	{"CCP", "tc-sc-mshr2", 2106, 906, 0x4acdaaeba2d59fc},
+	{"CCP", "dir-rc-mshr2", 1823, 512, 0x2f60f0d5417d9786},
 	{"GE", "gtsc-rc", 3602, 2720, 0x4bf7383440306b44},
 	{"GE", "gtsc-sc", 4930, 2480, 0x40aa047658e62c7},
 	{"GE", "gtsc-tso", 4819, 2752, 0x43f149a6b54aab79},
@@ -104,6 +125,9 @@ var goldenRows = []goldenRow{
 	{"GE", "dir-rc", 1966, 384, 0x9546be059a1897c5},
 	{"GE", "gtsc-rc-mesh-banked", 2953, 2412, 0xefdc2c4e1e757afe},
 	{"GE", "gtsc-rc-ts8", 3614, 2880, 0x1756577b221e1e72},
+	{"GE", "gtsc-rc-mshr2", 4264, 2608, 0x2ebb19185aeacde1},
+	{"GE", "tc-sc-mshr2", 13679, 4032, 0xd2be5a3da6e9a328},
+	{"GE", "dir-rc-mshr2", 2205, 384, 0x274c9a9a3bedea59},
 	{"HS", "gtsc-rc", 1064, 1024, 0x9f5e8f3cb594614a},
 	{"HS", "gtsc-sc", 1064, 1024, 0x31c9254073469ee4},
 	{"HS", "gtsc-tso", 1064, 1024, 0xf8a2f9c86c02908c},
@@ -113,6 +137,9 @@ var goldenRows = []goldenRow{
 	{"HS", "dir-rc", 932, 384, 0xa45a9f19b52aa508},
 	{"HS", "gtsc-rc-mesh-banked", 1545, 1024, 0x623b63c0efe4be83},
 	{"HS", "gtsc-rc-ts8", 1064, 1024, 0x9f5e8f3cb594614a},
+	{"HS", "gtsc-rc-mshr2", 1766, 1024, 0xdcb7fd5a13415ae9},
+	{"HS", "tc-sc-mshr2", 2129, 1424, 0x15e49a5553769b62},
+	{"HS", "dir-rc-mshr2", 1450, 384, 0x17658426bc55684e},
 	{"KM", "gtsc-rc", 4578, 9312, 0x4d6f58dbf08b273f},
 	{"KM", "gtsc-sc", 4578, 9312, 0x48a06eda7d74629c},
 	{"KM", "gtsc-tso", 4578, 9312, 0xdec1d2ffbe93ef4c},
@@ -122,6 +149,9 @@ var goldenRows = []goldenRow{
 	{"KM", "dir-rc", 4909, 11360, 0x247b4f6f6cdd72f9},
 	{"KM", "gtsc-rc-mesh-banked", 8489, 9312, 0x80130c3a252ebeb7},
 	{"KM", "gtsc-rc-ts8", 4578, 9312, 0x4d6f58dbf08b273f},
+	{"KM", "gtsc-rc-mshr2", 46598, 9312, 0x82b54b2f39cb3161},
+	{"KM", "tc-sc-mshr2", 100294, 73824, 0x5d555a4e4225ecd7},
+	{"KM", "dir-rc-mshr2", 47207, 11360, 0x84b237deed1e9598},
 	{"BP", "gtsc-rc", 3661, 2472, 0xa0f79597b8440c2a},
 	{"BP", "gtsc-sc", 3960, 2472, 0xe3180b4283e4036d},
 	{"BP", "gtsc-tso", 3960, 2472, 0x74df5c3d779aa738},
@@ -131,6 +161,9 @@ var goldenRows = []goldenRow{
 	{"BP", "dir-rc", 3656, 2426, 0x2a98655bece627af},
 	{"BP", "gtsc-rc-mesh-banked", 4797, 2472, 0x5524cdeea69a9bc},
 	{"BP", "gtsc-rc-ts8", 3661, 2472, 0xa0f79597b8440c2a},
+	{"BP", "gtsc-rc-mshr2", 14239, 2472, 0xde46362050a9bade},
+	{"BP", "tc-sc-mshr2", 63526, 63456, 0xc3f322c1d129c16b},
+	{"BP", "dir-rc-mshr2", 14198, 2426, 0x7f802cfeb053123f},
 	{"SGM", "gtsc-rc", 4279, 528, 0x96060b3ff98eb391},
 	{"SGM", "gtsc-sc", 4575, 528, 0xbe8b893c7d9fd1e},
 	{"SGM", "gtsc-tso", 4575, 528, 0x906c12ae91774b7a},
@@ -140,6 +173,9 @@ var goldenRows = []goldenRow{
 	{"SGM", "dir-rc", 4306, 560, 0x3efea784ffaf36d1},
 	{"SGM", "gtsc-rc-mesh-banked", 3793, 528, 0x788fa2aaaae58fd6},
 	{"SGM", "gtsc-rc-ts8", 4279, 528, 0x96060b3ff98eb391},
+	{"SGM", "gtsc-rc-mshr2", 4510, 528, 0x140350450f7e6f81},
+	{"SGM", "tc-sc-mshr2", 4834, 864, 0x65a8bfbed2373218},
+	{"SGM", "dir-rc-mshr2", 4537, 560, 0x18b3129a7b0bfbf6},
 }
 
 // goldenConfigs are the golden table's machine configurations, in the
@@ -147,6 +183,7 @@ var goldenRows = []goldenRow{
 var goldenConfigs = []string{
 	"gtsc-rc", "gtsc-sc", "gtsc-tso", "tc-rc", "tc-sc", "bl-rc", "dir-rc",
 	"gtsc-rc-mesh-banked", "gtsc-rc-ts8",
+	"gtsc-rc-mshr2", "tc-sc-mshr2", "dir-rc-mshr2",
 }
 
 // goldenConfig builds the benchmark machine for one golden row.
@@ -180,6 +217,12 @@ func goldenConfig(label string) (sim.Config, bool) {
 		// routinely, pinning the epoch-crossing paths bit-for-bit.
 		cfg.Mem.Protocol, cfg.SM.Consistency = memsys.GTSC, gpu.RC
 		cfg.Mem.GTSC.TSBits = 8
+	case "gtsc-rc-mshr2", "tc-sc-mshr2", "dir-rc-mshr2":
+		// Two L1 MSHRs: every workload fills them, so the L1 rejects
+		// accesses and the LDST unit's reject path is pinned too.
+		base, _ := goldenConfig(strings.TrimSuffix(label, "-mshr2"))
+		cfg = base
+		cfg.Mem.L1MSHRs = 2
 	default:
 		return cfg, false
 	}
@@ -310,5 +353,5 @@ func checkTable(t *testing.T, table string, rows []tableRow, want int) {
 // protocol/consistency/topology combination must reproduce, bit for
 // bit, the stats.Run recorded before the optimizations landed.
 func TestOptimizedCycleLoopBitIdentical(t *testing.T) {
-	checkTable(t, "goldenRows", goldenTable(t), 108) // 12 workloads x 9 configs
+	checkTable(t, "goldenRows", goldenTable(t), 144) // 12 workloads x 12 configs
 }
