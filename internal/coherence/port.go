@@ -29,9 +29,10 @@ type L1Geometry struct {
 //
 // Every L1 embeds one and keeps only its coherence decisions. Port
 // supplies the accessors of the L1 interface (Stats, Pending,
-// Quiescent, SyncClock, Err, DumpState) and the output drain (Tick):
-// a port's Tick only retries backpressured sends, so an empty output
-// queue makes it quiescent.
+// Quiescent, SyncClock, Err, DumpState, Deliveries), the output drain
+// (Tick) and the reject credit of an L1 that rejects only loads the
+// MSHR turns away (CreditRejects): a port's Tick only retries
+// backpressured sends, so an empty output queue makes it quiescent.
 type Port struct {
 	ID       int    // SM index
 	Now      uint64 // local clock; see L1.SyncClock
@@ -47,6 +48,7 @@ type Port struct {
 	outQ    mem.MsgQueue
 	pool    mem.Pool // recycles the requests it sends and responses it consumes
 	nextID  uint64
+	arrived uint64                      // messages handed to Deliver; see Receive
 	pending int                         // accesses accepted whose Done has not fired
 	acks    mem.Table[uint64, *Request] // accesses awaiting an ack, by request ID
 	loadOut mem.Block                   // masked-word scratch handed to load completions
@@ -77,6 +79,26 @@ func (p *Port) Quiescent() bool { return p.outQ.Empty() }
 // SyncClock implements L1.
 func (p *Port) SyncClock(now uint64) { p.Now = now }
 
+// Deliveries implements L1.
+func (p *Port) Deliveries() uint64 { return p.arrived }
+
+// Receive counts a message handed to the controller's Deliver and
+// reports whether the controller may process it: a failed controller
+// drops further input. Every L1's Deliver starts with it.
+func (p *Port) Receive() bool {
+	p.arrived++
+	return p.fail == nil
+}
+
+// CreditRejects implements L1 for a controller whose only rejected
+// access is a load that Park turns away: each presentation counts the
+// load and its tag probe, then the MSHR stall.
+func (p *Port) CreditRejects(_ *Request, k uint64) {
+	p.Counters.Loads += k
+	p.Counters.TagProbes += k
+	p.Counters.MSHRStalls += k
+}
+
 // Tick implements L1: retry backpressured sends in order.
 func (p *Port) Tick(now uint64) {
 	p.Now = now
@@ -99,9 +121,6 @@ func (p *Port) Failf(event, format string, args ...any) {
 // controller's Err. The flag is atomic because an SM-domain L1 can
 // latch on a relaxed-engine worker goroutine.
 func (p *Port) SetFailFlag(flag *atomic.Bool) { p.failed = flag }
-
-// Failed reports whether a protocol violation has been recorded.
-func (p *Port) Failed() bool { return p.fail != nil }
 
 // Err implements L1.
 func (p *Port) Err() error {

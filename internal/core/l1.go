@@ -293,7 +293,7 @@ func (l *L1) unrolled(ts uint64) uint64 { return l.epoch*(l.cfg.tsMax()+1) + ts 
 
 // Deliver implements coherence.L1.
 func (l *L1) Deliver(msg *mem.Msg) {
-	if l.Failed() {
+	if !l.Receive() {
 		return
 	}
 	// Decode the response's epoch tag against the epoch this L1 held

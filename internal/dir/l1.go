@@ -160,7 +160,7 @@ func (l *L1) observeStore(req *coherence.Request) {
 // acknowledged, atomic acks complete their Done callbacks), so the
 // message recycles here.
 func (l *L1) Deliver(msg *mem.Msg) {
-	if l.Failed() {
+	if !l.Receive() {
 		return
 	}
 	switch msg.Type {

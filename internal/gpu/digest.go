@@ -3,6 +3,8 @@ package gpu
 import (
 	"fmt"
 	"io"
+
+	"github.com/gtsc-sim/gtsc/internal/mem"
 )
 
 // DigestState writes a canonical, process-independent rendering of the
@@ -28,9 +30,14 @@ func (s *SM) DigestState(w io.Writer) {
 	}
 	for _, job := range s.ldst {
 		fmt.Fprintf(w, "ldst wp=%d op=%d next=%d\n", job.warp.ID, job.instr.Op, job.next)
-		for _, acc := range job.accs {
+		for i := range job.accs {
+			acc := &job.accs[i]
+			var words [mem.WordsPerBlock]uint32 // a load's access carries none
+			if acc.data != nil {
+				words = acc.data.Words
+			}
 			fmt.Fprintf(w, "acc %#x m=%#x n=%d %x\n",
-				uint64(acc.block), uint32(acc.mask), len(acc.lanes), acc.data.Words)
+				uint64(acc.block), uint32(acc.mask), acc.n, words)
 		}
 	}
 	fmt.Fprintf(w, "smstats %+v\n", s.stats)

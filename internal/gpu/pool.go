@@ -7,8 +7,9 @@ import (
 
 // accGroup owns every allocation of one memory instruction's trip
 // through the LDST unit: the coalesced accesses, their shared
-// lane-target backing, the request records handed to the L1, and the
-// memJob that streams them. Groups are pooled per SM and recycled once
+// lane-target backing (loads and atomics) and data blocks (stores and
+// atomics), the request records handed to the L1, and the memJob that
+// streams them. Groups are pooled per SM and recycled once
 // the instruction has fully dispatched AND every access has completed,
 // so steady-state memory issue is allocation-free.
 //
@@ -28,8 +29,8 @@ type accGroup struct {
 	sm    *SM
 	job   memJob
 	accs  []coalesced
-	out   []*coalesced
 	lanes []laneTarget
+	data  []mem.Block
 	recs  []*reqRec
 	live  int
 }
@@ -63,7 +64,8 @@ func (s *SM) getGroup() *accGroup {
 // putGroup clears the group's per-instruction references (so a pooled
 // group never pins a retired warp's memory) and returns it to the
 // pool. The coalesced array itself holds no foreign pointers — its
-// lane lists alias the group's own backing — so it needs no clearing.
+// lane lists and data blocks alias the group's own backing — so it
+// needs no clearing.
 func (g *accGroup) putGroup() {
 	for _, r := range g.recs {
 		r.w = nil

@@ -85,7 +85,7 @@ func (l *L1Simple) accessLoad(req *coherence.Request, line *cache.Line[struct{}]
 // Deliver implements coherence.L1. Every response is consumed before
 // the handler returns, so the message recycles here.
 func (l *L1Simple) Deliver(msg *mem.Msg) {
-	if l.Failed() {
+	if !l.Receive() {
 		return
 	}
 	switch msg.Type {

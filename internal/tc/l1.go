@@ -91,7 +91,7 @@ func (l *L1) accessLoad(req *coherence.Request) coherence.AccessResult {
 // the handler returns (fills install their payload, acks complete
 // their Done callbacks), so the message recycles here.
 func (l *L1) Deliver(msg *mem.Msg) {
-	if l.Failed() {
+	if !l.Receive() {
 		return
 	}
 	switch msg.Type {
