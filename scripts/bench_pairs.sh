@@ -2,29 +2,39 @@
 # Paired benchmark comparison of the working tree against a base
 # revision, as "Comparing two commits" in benchmark/README.md asks:
 #
-#   bash scripts/bench_pairs.sh --base HEAD --workload fig12 --pairs 10 --seed 23 --seconds 20
+#   bash scripts/bench_pairs.sh --base HEAD --workload fig12 --pairs 10 --seed 23 --seconds 20 [--layers]
 #
-# The base is checked out in a temporary git worktree and the working
-# tree's benchmark/ is copied over it, so both sides are measured by
-# the same benchmark code. Pairs alternate which side runs first. Every
-# run must report correct with no failed simulation. For each
-# end-to-end metric (all lower-is-better, see BENCHMARK.json) the
-# script prints each side's median and quartiles, the change/base
-# ratio of the medians, and in how many pairs the change read better
-# (ties count for neither side). Raw results stay in the printed
-# directory. Nothing is written under benchmark/.
+# The base revision is extracted into a temporary directory (git
+# archive) and the working tree's benchmark/ is copied over it, so both
+# sides are measured by the same benchmark code. Pairs alternate which
+# side runs first. Every run must report correct with no failed
+# simulation. For each end-to-end metric (all lower-is-better, see
+# BENCHMARK.json) the script prints each side's median and quartiles,
+# the change/base ratio of the medians, and in how many pairs the change
+# read better (ties count for neither side).
+#
+# --layers then runs one traced run (--trace 1) per side and prints
+# every per-layer metric of both side by side with their ratio: where
+# a saving appeared. The simulated machine must be the same on both
+# sides, so the script fails if any model.* metric differs.
+#
+# Raw results stay in the printed directory (mktemp -d, so under
+# $TMPDIR when it is set). Nothing is written under benchmark/.
 set -euo pipefail
 
-base=HEAD workload=fig12 pairs=10 seed=1 seconds=20
+base=HEAD workload=fig12 pairs=10 seed=1 seconds=20 layers=0
+usage="usage: $0 [--base REV] [--workload NAME] [--pairs N] [--seed S] [--seconds S] [--layers]"
 while [ $# -gt 0 ]; do
   case $1 in
+    --layers) layers=1; shift; continue ;;
     --base) base=$2 ;;
     --workload) workload=$2 ;;
     --pairs) pairs=$2 ;;
     --seed) seed=$2 ;;
     --seconds) seconds=$2 ;;
-    *) echo "usage: $0 [--base REV] [--workload NAME] [--pairs N] [--seed S] [--seconds S]" >&2; exit 2 ;;
+    *) echo "$usage" >&2; exit 2 ;;
   esac
+  [ $# -ge 2 ] || { echo "$usage" >&2; exit 2; }
   shift 2
 done
 
@@ -32,19 +42,20 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 cd "$root"
 out=$(mktemp -d)
 wt="$out/base"
-git worktree add --quiet --detach "$wt" "$base"
-trap 'git -C "$root" worktree remove --force "$wt"' EXIT
+mkdir "$wt"
+trap 'rm -rf "$wt"' EXIT
+git archive "$base" | tar -x -C "$wt"
 rm -rf "$wt/benchmark"
 cp -R benchmark "$wt/benchmark"
 
 fail() { echo "bench_pairs: FAIL: $*" >&2; exit 1; }
 
-# measure SIDE DIR PAIR: one benchmark run of the checkout in DIR; its
-# last stdout line is the result object.
+# measure SIDE DIR PAIR [TRACE]: one benchmark run of the checkout in
+# DIR; its last stdout line is the result object.
 measure() {
   local side=$1 dir=$2 i=$3 res="$out/$1-$3.json"
   (cd "$dir" && bash benchmark/run.sh --workload "$workload" --seed "$seed" \
-    --seconds "$seconds" --trace 0) 2>"$out/$side-$i.log" | tail -n 1 >"$res"
+    --seconds "$seconds" --trace "${4:-0}") 2>"$out/$side-$i.log" | tail -n 1 >"$res"
   grep -q '"correct":true' "$res" || fail "$side run $i not correct: $(cat "$res")"
   grep -q '"failed":0,' "$res" || fail "$side run $i failed simulations: $(cat "$res")"
 }
@@ -91,3 +102,28 @@ for m in setup_s cpu_s cpu_ns_per_cycle.p50 cpu_ns_per_cycle.p90 alloc_mb peak_h
         (bm > 0 ? cm / bm : 0), wins, n
     }'
 done
+
+[ "$layers" = 1 ] || exit 0
+measure base "$wt" trace 1
+measure change "$root" trace 1
+
+# metrics SIDE: "name value" for every metric of SIDE's traced run,
+# sorted by name.
+metrics() {
+  grep -o '"[a-z0-9_.]*":{"value":[^,}]*' "$out/$1-trace.json" |
+    sed 's/^"\([^"]*\)":{"value":\(.*\)$/\1 \2/' | LC_ALL=C sort
+}
+
+echo
+echo "$workload, seed $seed, one traced run per side"
+printf '%-32s %16s %16s %12s\n' metric base change change/base
+LC_ALL=C join -a 1 -a 2 -e - -o 0,1.2,2.2 <(metrics base) <(metrics change) | awk '
+  function f(v) { return v == "-" ? v : sprintf("%.6g", v) }
+  {
+    r = ($2 != "-" && $3 != "-" && $2 + 0 != 0) ? sprintf("%.4f", $3 / $2) : "-"
+    printf "%-32s %16s %16s %12s\n", $1, f($2), f($3), r
+    if ($1 ~ /^model\./ && $2 != $3) { moved = moved " " $1 }
+  }
+  END {
+    if (moved != "") { print "bench_pairs: FAIL: the simulated machine moved:" moved > "/dev/stderr"; exit 1 }
+  }'
