@@ -71,22 +71,40 @@ func TestComponentDispatchAccounting(t *testing.T) {
 // ctrlCalls counts the calls one controller class receives, and for
 // the banks the ticks that came before the wake the bank named at its
 // last tick with no delivery or DRAM fill in between (early) and those
-// that came exactly on a timed wake (timed).
+// that came exactly on a timed wake (timed). For the L1s it counts the
+// rejected accesses, and among them the re-rejects: a request rejected
+// again with no delivery into its L1 since its last rejection.
 type ctrlCalls struct {
 	ticks, syncs, delivers, fills, errs uint64
 	early, timed                        uint64
+	rejects, rerejects                  uint64
 }
 
 // countingL1 and countingL2 count the calls the engine, the transports
 // and the SMs make into a controller, forwarding every call unchanged.
 type countingL1 struct {
 	coherence.L1
-	c *ctrlCalls
+	c        *ctrlCalls
+	rejected *coherence.Request // the last request rejected, until one is accepted
+	fed      bool               // a delivery reached the L1 since that rejection
 }
 
+func (w *countingL1) Access(req *coherence.Request) coherence.AccessResult {
+	r := w.L1.Access(req)
+	if r != coherence.Reject {
+		w.rejected = nil
+		return r
+	}
+	w.c.rejects++
+	if req == w.rejected && !w.fed {
+		w.c.rerejects++
+	}
+	w.rejected, w.fed = req, false
+	return r
+}
 func (w *countingL1) Tick(now uint64)      { w.c.ticks++; w.L1.Tick(now) }
 func (w *countingL1) SyncClock(now uint64) { w.c.syncs++; w.L1.SyncClock(now) }
-func (w *countingL1) Deliver(m *mem.Msg)   { w.c.delivers++; w.L1.Deliver(m) }
+func (w *countingL1) Deliver(m *mem.Msg)   { w.c.delivers++; w.fed = true; w.L1.Deliver(m) }
 func (w *countingL1) Err() error           { w.c.errs++; return w.L1.Err() }
 
 type countingL2 struct {
@@ -121,12 +139,16 @@ func (w *countingL2) Err() error           { w.c.errs++; return w.L2.Err() }
 // phase exit — instead of on every executed cycle. No bank ticks
 // before the wake it named at its last tick unless a delivery or DRAM
 // fill reached it: a TC-Strong bank waiting out leases sleeps until the
-// earliest expiry. Wrapping every controller must not change the
-// simulated run.
+// earliest expiry. No L1 sees a request rejected twice without a
+// delivery into it in between: the LDST unit parks a rejected head
+// until its L1 takes a delivery, and on the -mshr2 rows, whose L1s
+// reject, the parked heads are what the run exercises. Wrapping every
+// controller must not change the simulated run.
 func TestEngineCallsOnlyActingControllers(t *testing.T) {
 	want := map[string]bool{}
 	for _, wl := range []string{"CC", "BH"} {
-		for _, c := range []string{"gtsc-rc", "tc-rc", "tc-sc", "bl-rc", "gtsc-rc-mesh-banked"} {
+		for _, c := range []string{"gtsc-rc", "tc-rc", "tc-sc", "bl-rc", "gtsc-rc-mesh-banked",
+			"gtsc-rc-mshr2", "tc-sc-mshr2", "dir-rc-mshr2"} {
 			want[wl+"/"+c] = true
 		}
 	}
@@ -152,7 +174,7 @@ func TestEngineCallsOnlyActingControllers(t *testing.T) {
 			s := sim.New(row.cfg)
 			var l1, l2 ctrlCalls
 			for i, c := range s.Sys.L1s {
-				s.Sys.L1s[i] = &countingL1{c, &l1}
+				s.Sys.L1s[i] = &countingL1{L1: c, c: &l1}
 			}
 			for i, c := range s.Sys.L2s {
 				s.Sys.L2s[i] = &countingL2{L2: c, c: &l2}
@@ -185,6 +207,12 @@ func TestEngineCallsOnlyActingControllers(t *testing.T) {
 			}
 			if strings.HasSuffix(row.name, "/tc-sc") && l2.timed == 0 {
 				t.Error("no TC-Strong bank ever slept until a lease expiry")
+			}
+			if l1.rerejects != 0 {
+				t.Errorf("%d of %d rejected accesses were rejected again with no delivery into their L1 since", l1.rerejects, l1.rejects)
+			}
+			if strings.HasSuffix(row.name, "-mshr2") && l1.rejects == 0 {
+				t.Error("no L1 rejected an access; the parked-head check is vacuous")
 			}
 			// Each kernel exits a run phase and a drain phase.
 			exits := 2 * uint64(len(inst.Kernels))

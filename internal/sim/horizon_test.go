@@ -9,6 +9,7 @@ import (
 
 	"github.com/gtsc-sim/gtsc/internal/fault"
 	"github.com/gtsc-sim/gtsc/internal/gpu"
+	"github.com/gtsc-sim/gtsc/internal/mem"
 	"github.com/gtsc-sim/gtsc/internal/memsys"
 	"github.com/gtsc-sim/gtsc/internal/sched"
 )
@@ -29,21 +30,50 @@ func stepSerial(t *testing.T, s *Simulator) bool {
 // conflict and write-read kernels on three protocols, TC-Strong (TC
 // under SC) on the conflict kernel, whose stores wait at the L2 for
 // leases to expire while their banks sleep until the earliest expiry,
-// and a G-TSC run under a chaos plan with forced rollovers, whose
-// fault shims and rollover schedule are agenda components too.
+// a G-TSC run under a chaos plan with forced rollovers, whose fault
+// shims and rollover schedule are agenda components too, and a G-TSC
+// run on two L1 MSHRs, whose scattered loads park the SMs' LDST heads
+// (mshrs 0 keeps smallConfig's MSHRs).
 var wakeCases = []struct {
 	name   string
 	proto  memsys.Protocol
 	cons   gpu.Consistency
 	kernel *gpu.Kernel
 	plan   fault.Config
+	mshrs  int
 }{
-	{"gtsc-conflict", memsys.GTSC, gpu.RC, conflictKernel(0x60000, 4, 8), fault.Config{}},
-	{"gtsc-writeread", memsys.GTSC, gpu.RC, writeReadKernel(0x50000), fault.Config{}},
-	{"dir-conflict", memsys.DIR, gpu.RC, conflictKernel(0x61000, 4, 8), fault.Config{}},
-	{"tc-writeread", memsys.TC, gpu.RC, writeReadKernel(0x52000), fault.Config{}},
-	{"tc-sc-conflict", memsys.TC, gpu.SC, conflictKernel(0x62000, 4, 8), fault.Config{}},
-	{"gtsc-chaos-rollover", memsys.GTSC, gpu.RC, conflictKernel(0x60000, 16, 8), fault.ChaosRollover(1)},
+	{"gtsc-conflict", memsys.GTSC, gpu.RC, conflictKernel(0x60000, 4, 8), fault.Config{}, 0},
+	{"gtsc-writeread", memsys.GTSC, gpu.RC, writeReadKernel(0x50000), fault.Config{}, 0},
+	{"dir-conflict", memsys.DIR, gpu.RC, conflictKernel(0x61000, 4, 8), fault.Config{}, 0},
+	{"tc-writeread", memsys.TC, gpu.RC, writeReadKernel(0x52000), fault.Config{}, 0},
+	{"tc-sc-conflict", memsys.TC, gpu.SC, conflictKernel(0x62000, 4, 8), fault.Config{}, 0},
+	{"gtsc-chaos-rollover", memsys.GTSC, gpu.RC, conflictKernel(0x60000, 16, 8), fault.ChaosRollover(1), 0},
+	{"gtsc-mshr2-scatter", memsys.GTSC, gpu.RC, scatterKernel(0x80000), fault.Config{}, 2},
+}
+
+// scatterKernel has eight lanes of every warp load a word of a block
+// of their own, so each warp load is eight accesses and a two-entry L1
+// MSHR rejects most of them.
+func scatterKernel(base mem.Addr) *gpu.Kernel {
+	addr := func(t *gpu.Thread) (mem.Addr, bool) {
+		return base + mem.Addr(t.GTID*mem.BlockBytes), t.Lane < 8
+	}
+	return &gpu.Kernel{
+		Name: "scatter", CTAs: 4, WarpsPerCTA: 2, Regs: 4,
+		ProgramFor: func(*gpu.Warp) gpu.Program {
+			return gpu.Seq(gpu.Load(0, addr), gpu.Comp(2))
+		},
+	}
+}
+
+// wakeConfig is the machine a wake case runs on.
+func wakeConfig(proto memsys.Protocol, cons gpu.Consistency, plan fault.Config, mshrs int) Config {
+	cfg := smallConfig(proto, cons)
+	cfg.Mem.Fault = plan
+	if mshrs > 0 {
+		cfg.Mem.L1MSHRs = mshrs
+	}
+	return cfg
 }
 
 // TestHorizonClaimsSound is the property test behind every fast-forward
@@ -64,9 +94,7 @@ func TestHorizonClaimsSound(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			cfg := smallConfig(tc.proto, tc.cons)
-			cfg.Mem.Fault = tc.plan
-			s := New(cfg)
+			s := New(wakeConfig(tc.proto, tc.cons, tc.plan, tc.mshrs))
 			s.beginKernel(tc.kernel)
 
 			// The state digest includes each component's local clock,
@@ -89,7 +117,7 @@ func TestHorizonClaimsSound(t *testing.T) {
 				hier  uint64 // hierarchy digest at claim time
 			}
 			var c *claim
-			windows := 0
+			windows, parked := 0, 0
 
 			for i := 0; ; i++ {
 				if i > 100_000 {
@@ -115,6 +143,7 @@ func TestHorizonClaimsSound(t *testing.T) {
 				c = nil
 				horizon := s.Sys.NextEvent(s.now)
 				m := horizon
+				rejects := false
 				if s.cur.phase == phaseRun {
 					// SMs tick in this phase, so a machine-wide claim also
 					// needs every SM provably stalled until the window ends.
@@ -125,15 +154,22 @@ func TestHorizonClaimsSound(t *testing.T) {
 							break
 						}
 						m = min(m, p.Wake)
+						rejects = rejects || p.Rejects
 					}
 				}
 				if m > s.now+1 {
 					c = &claim{at: s.now, until: m, sig: s.progressSig(), hier: digest()}
 					windows++
+					if rejects {
+						parked++
+					}
 				}
 			}
 			if windows == 0 {
 				t.Fatal("no quiet window was ever claimed; the property test is vacuous")
+			}
+			if tc.mshrs > 0 && parked == 0 {
+				t.Fatal("no window was claimed while an SM's LDST head was parked")
 			}
 		})
 	}
@@ -171,9 +207,7 @@ func TestComponentWakeClaimsSound(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			cfg := smallConfig(tc.proto, tc.cons)
-			cfg.Mem.Fault = tc.plan
-			s := New(cfg)
+			s := New(wakeConfig(tc.proto, tc.cons, tc.plan, tc.mshrs))
 			s.beginKernel(tc.kernel)
 
 			// Component clocks advance on the probe tick by design;

@@ -216,10 +216,11 @@ func TestRelaxedWorkerCountInvariant(t *testing.T) {
 // Pausing every 37 cycles — off the slack-8 grid, so most stops fall
 // mid-epoch — through checkpoint.Execution must finish with stats and
 // architected memory bit-identical to the uninterrupted run, for the
-// coherence six under G-TSC-RC and TC-RC.
+// coherence six under G-TSC-RC and TC-RC, and under G-TSC-RC on two L1
+// MSHRs, where pauses land while SM domains sleep on parked LDST heads.
 func TestRelaxedPauseBitIdentical(t *testing.T) {
 	for _, wl := range workload.CoherenceSet() {
-		for _, label := range []string{"gtsc-rc", "tc-rc"} {
+		for _, label := range []string{"gtsc-rc", "tc-rc", "gtsc-rc-mshr2"} {
 			wl, label := wl, label
 			t.Run(wl.Name+"/"+label, func(t *testing.T) {
 				t.Parallel()
