@@ -25,7 +25,8 @@ modelcheck:
 	$(GO) test -v -run 'TestExhaustive|TestMutation' ./internal/model
 
 # Kill-and-resume smoke: interrupt real binaries with real signals,
-# resume from checkpoint/journal, and diff against uninterrupted runs.
+# check that gtscsim reports its stop cycle, resume a gtscbench sweep
+# from its journal, and diff against an uninterrupted sweep.
 smoke:
 	bash scripts/kill_resume_smoke.sh
 

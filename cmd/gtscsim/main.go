@@ -11,9 +11,7 @@
 //	gtscsim -list
 //	gtscsim -workload BFS -protocol tc -check
 //	gtscsim -workload CC -cpuprofile cpu.pprof -memprofile mem.pprof
-//	gtscsim -workload CC -checkpoint CC.ckpt            # killable: ^C writes a checkpoint
-//	gtscsim -workload CC -checkpoint CC.ckpt -resume    # continue a killed run
-//	gtscsim -workload CC -timeout 30s                   # bound wall-clock time
+//	gtscsim -workload CC -timeout 30s    # bound wall-clock time
 //
 // Protocols: gtsc (the paper's contribution), tc (Temporal Coherence;
 // TC-Weak under rc, TC-Strong under sc), bl (no L1 — the paper's
@@ -21,8 +19,9 @@
 // benchmark set).
 //
 // Exit status: 0 on success, 1 on failure, 3 when the run was
-// interrupted (signal or -timeout) and suspended gracefully, 130 when
-// a second signal forced an immediate abort.
+// interrupted (signal or -timeout) and stopped gracefully, 130 when a
+// second signal forced an immediate abort. An interrupted run is not
+// resumable: rerun it.
 package main
 
 import (
@@ -36,10 +35,8 @@ import (
 	"runtime/pprof"
 	"strings"
 	"sync"
-	"time"
 
 	"github.com/gtsc-sim/gtsc/internal/check"
-	"github.com/gtsc-sim/gtsc/internal/checkpoint"
 	"github.com/gtsc-sim/gtsc/internal/cli"
 	"github.com/gtsc-sim/gtsc/internal/diag"
 	"github.com/gtsc-sim/gtsc/internal/fault"
@@ -52,8 +49,7 @@ import (
 
 // Exit codes (shared across binaries; see internal/cli). A graceful
 // interruption (signal or timeout) is distinguishable from a failure,
-// so wrappers and CI can tell "killed mid-run, resumable" apart from
-// "broken".
+// so wrappers and CI can tell "killed mid-run" apart from "broken".
 const (
 	exitOK          = cli.ExitOK
 	exitFailure     = cli.ExitFailure
@@ -84,9 +80,7 @@ func realMain() int {
 		wdOff     = flag.Bool("watchdog-off", false, "disable the forward-progress watchdog (MaxCycles still applies)")
 		faultSeed = flag.Int64("faultseed", 0, "enable the chaos fault-injection plan with this seed (0 = off)")
 
-		timeout = flag.Duration("timeout", 0, "bound wall-clock time; on expiry the run suspends gracefully and exits 3")
-		ckpt    = flag.String("checkpoint", "", "checkpoint file: an interrupted run writes its resume coordinate here (single workload only)")
-		resume  = flag.Bool("resume", false, "resume from -checkpoint if it exists (verified deterministic replay)")
+		timeout = flag.Duration("timeout", 0, "bound wall-clock time; on expiry the run stops gracefully and exits 3")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the simulation(s) to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile taken after the simulation(s) to this file")
@@ -125,9 +119,6 @@ func realMain() int {
 			}
 			wls = append(wls, wl)
 		}
-	}
-	if *ckpt != "" && len(wls) != 1 {
-		fatalf("-checkpoint tracks a single execution; run one workload (got %d)", len(wls))
 	}
 
 	cfg := sim.DefaultConfig()
@@ -173,9 +164,8 @@ func realMain() int {
 	}
 
 	// Cancellation: -timeout bounds wall-clock time; the first
-	// SIGINT/SIGTERM suspends the run gracefully (stats flushed, the
-	// checkpoint written) and exits 3; a second signal aborts
-	// immediately with 130.
+	// SIGINT/SIGTERM stops the run gracefully (it reports the cycle it
+	// reached) and exits 3; a second signal aborts immediately with 130.
 	ctx := context.Background()
 	if *timeout > 0 {
 		var tcancel context.CancelFunc
@@ -205,11 +195,9 @@ func realMain() int {
 	// requested. Each run builds a fresh simulator from a copy of cfg
 	// and — when checking — its own check.Recorder: observers record
 	// per-run operation streams and must never be shared between
-	// concurrently running simulations. Under -checkpoint (one
-	// workload) the run can resume from the checkpoint, whose replay
-	// the recorder observes too, and an interrupted run saves one.
+	// concurrently running simulations.
 	type result struct {
-		exec *checkpoint.Execution
+		exec *workload.Execution
 		run  *stats.Run
 		rec  *check.Recorder
 		err  error
@@ -233,10 +221,8 @@ func realMain() int {
 				res.rec = check.NewRecorder()
 				runCfg.Observer = res.rec
 			}
-			res.exec, res.err = start(runCfg, wl, *scale, *ckpt, *resume)
-			if res.err == nil {
-				res.run, res.err = res.exec.Run(ctx)
-			}
+			res.exec = wl.Build(*scale).Start(sim.New(runCfg))
+			res.run, res.err = res.exec.Run(ctx)
 		}(i, wl)
 	}
 	wg.Wait()
@@ -255,14 +241,6 @@ func realMain() int {
 				fmt.Fprintf(os.Stderr, "gtscsim: %s interrupted at cycle %d (%s, kernel %s): %v\n",
 					wl.Name, ce.Cycle, ce.Phase, ce.Kernel, ce.Cause)
 				interrupted = true
-				if *ckpt == "" {
-					fmt.Fprintln(os.Stderr, "gtscsim: no -checkpoint given; partial state discarded")
-				} else if err := res.exec.Checkpoint().SaveFile(*ckpt); err != nil {
-					fmt.Fprintf(os.Stderr, "gtscsim: checkpoint save failed: %v\n", err)
-					failed = true
-				} else {
-					fmt.Fprintf(os.Stderr, "gtscsim: checkpoint written to %s; rerun with -resume to continue\n", *ckpt)
-				}
 				continue
 			}
 			reportFailure(wl.Name, res.err)
@@ -273,11 +251,6 @@ func realMain() int {
 		printEngineLine(res.exec.Sim().Engine())
 		if res.rec != nil && !reportChecker(cfg, res.rec) {
 			failed = true
-		}
-		if *ckpt != "" {
-			// The run completed; a stale checkpoint would otherwise
-			// replay a finished execution on the next -resume.
-			os.Remove(*ckpt)
 		}
 	}
 
@@ -300,34 +273,6 @@ func realMain() int {
 		return exitInterrupted
 	}
 	return exitOK
-}
-
-// start builds wl's execution on a fresh simulator for cfg. Under
-// -checkpoint -resume it first replays that simulator to the saved
-// coordinate and verifies the state digest, or starts from cycle 0 when
-// no checkpoint exists yet. Results are bit-identical however many
-// times a run is killed and resumed.
-func start(cfg sim.Config, wl *workload.Workload, scale int, path string, resume bool) (*checkpoint.Execution, error) {
-	inst := wl.Build(scale)
-	if path == "" || !resume {
-		return checkpoint.NewExecution(cfg, inst, wl.Name, scale), nil
-	}
-	ck, err := checkpoint.LoadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		fmt.Printf("no checkpoint at %s; starting %s from cycle 0\n", path, wl.Name)
-		return checkpoint.NewExecution(cfg, inst, wl.Name, scale), nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("resume: %w", err)
-	}
-	t0 := time.Now()
-	e, err := checkpoint.ResumeExecution(ck, cfg, inst, wl.Name, scale)
-	if err != nil {
-		return nil, fmt.Errorf("resume: %w", err)
-	}
-	fmt.Printf("resumed %s at cycle %d (%s, %d kernels done; replay digest verified in %v)\n",
-		wl.Name, ck.Cycle, ck.Phase, ck.KernelIndex, time.Since(t0).Round(time.Millisecond))
-	return e, nil
 }
 
 // reportFailure prints a failed run's machine-state dump, when the

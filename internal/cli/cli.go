@@ -2,9 +2,10 @@
 // shares, so gtscsim and gtscbench behave identically under signals
 // instead of carrying per-binary copies:
 //
-//   - exit codes: 0 success, 1 failure, 3 graceful suspend (the run
-//     was interrupted but left resumable state — a checkpoint or a
-//     journal), 130 hard abort on a second signal;
+//   - exit codes: 0 success, 1 failure, 3 graceful stop (the run was
+//     interrupted and reported where it stopped; gtscbench's journal
+//     keeps its completed runs, a gtscsim run is rerun), 130 hard
+//     abort on a second signal;
 //   - SIGINT/SIGTERM handling: the first signal cancels the returned
 //     context (in-flight work suspends at its next poll point), the
 //     second exits immediately with ExitSecondSignal.
@@ -19,8 +20,8 @@ import (
 )
 
 // Exit codes shared by every binary. CI and wrappers rely on the
-// distinction: ExitInterrupted means "killed mid-run, resumable",
-// ExitFailure means "broken".
+// distinction: ExitInterrupted means "killed mid-run", ExitFailure
+// means "broken".
 const (
 	ExitOK           = 0
 	ExitFailure      = 1

@@ -148,8 +148,9 @@ type L1 interface {
 	// backpressured queues). The rendering must contain no pointer
 	// values, func values, or unordered map iterations, so equal
 	// digests produced in different processes imply equal machine
-	// state. Checkpoint restore hashes it to verify that deterministic
-	// replay reproduced the suspended machine.
+	// state. The simulator's state digest hashes it, so a test can check
+	// that the event engine pauses in the state serial tick order
+	// reaches.
 	DigestState(w io.Writer)
 	// Stats exposes the controller's counters.
 	Stats() *stats.L1Stats

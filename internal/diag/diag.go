@@ -96,8 +96,8 @@ func (e *DeadlockError) Error() string {
 // CanceledError reports that a run was suspended by context
 // cancellation (Ctrl-C, -timeout deadline, or a session shutdown)
 // rather than by a failure. The machine state behind it is intact and
-// paused: the cycle coordinate it carries, replayed deterministically,
-// reproduces the exact machine state — which is what checkpoints store.
+// paused at the cycle it carries, so the caller can report where the
+// run stopped or resume it in the same process.
 type CanceledError struct {
 	Kernel string
 	// Phase is "run" or "drain", as for DeadlockError.

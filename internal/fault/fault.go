@@ -261,9 +261,9 @@ func (in *Injector) drawRolloverGap() uint64 {
 }
 
 // RNGState exposes the injector's current RNG position — the main
-// stream folded with every per-lane stream — for checkpoint state
-// digests: two machines with equal state must also agree on every
-// future perturbation draw on every path.
+// stream folded with every per-lane stream — for state digests: two
+// machines with equal state must also agree on every future
+// perturbation draw on every path.
 func (in *Injector) RNGState() uint64 {
 	s := in.rng.s
 	for i, l := range in.lanes {

@@ -142,8 +142,8 @@ func (d *DelayShim) Pending() int { return d.count }
 func (d *DelayShim) Name() string { return d.name }
 
 // DigestState writes a canonical rendering of the shim's held
-// messages, in sorted pair order and per-pair FIFO order, for
-// checkpoint state digests.
+// messages, in sorted pair order and per-pair FIFO order, for state
+// digests.
 func (d *DelayShim) DigestState(w io.Writer) {
 	if d.count == 0 {
 		return

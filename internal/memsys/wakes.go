@@ -326,9 +326,8 @@ func (s *System) markL1(i int, hot bool) {
 //   - the rollover schedule is live only in the run phase (run).
 //
 // This full scan runs only at phase entry: between-phase work — the
-// kernel-boundary L1 flush, a checkpoint restore — mutates components
-// outside any dispatch. Steady-state cycles use the incremental
-// RefreshDue.
+// kernel-boundary L1 flush — mutates components outside any dispatch.
+// Steady-state cycles use the incremental RefreshDue.
 func (s *System) RefreshWakes(now uint64, run bool) {
 	s.Wakes.Schedule(s.slotNet, s.Net.NextWork(now))
 	for i, p := range s.Parts {

@@ -12,7 +12,7 @@ import (
 
 // digest canonicalizes the machine state into one 64-bit hash. It
 // reuses the controllers' DigestState renderings (the same canonical
-// form the checkpoint system verifies restores against), and adds the
+// form the simulator's paused-state oracle compares), and adds the
 // model-owned state: transport FIFOs, warp program counters, the
 // architected store, the logical clock, and a summary of the operation
 // log sufficient to decide every future invariant verdict.

@@ -22,7 +22,7 @@
 //     the fault package's rollover plan)
 //
 // States are canonicalized with the same DigestState renderings the
-// checkpoint system uses, so the visited set deduplicates states
+// simulator's state digest uses, so the visited set deduplicates states
 // reached by different histories; the per-word operation-log summary
 // is folded into the digest, which makes that deduplication sound for
 // the log-based invariants too (two states merge only if no future
@@ -36,7 +36,7 @@
 // configuration and re-applies the recorded transition sequence.
 // Everything a controller does is a deterministic function of its
 // delivered inputs, so replay is exact — the same property that makes
-// the simulator's checkpoint/restore exact.
+// a paused simulator resume bit-identically.
 package model
 
 import (

@@ -5,8 +5,8 @@ import (
 	"errors"
 	"testing"
 
-	"github.com/gtsc-sim/gtsc/internal/checkpoint"
 	"github.com/gtsc-sim/gtsc/internal/diag"
+	"github.com/gtsc-sim/gtsc/internal/sim"
 )
 
 // TestCancellationSuspendsAndResumes pins the graceful-shutdown
@@ -23,7 +23,7 @@ func TestCancellationSuspendsAndResumes(t *testing.T) {
 	// already-canceled context: the engine must suspend at its next
 	// poll point instead of completing.
 	pause := 1 + row.cycles/2
-	e := checkpoint.NewExecution(row.cfg, row.wl.Build(1), row.wl.Name, 1)
+	e := row.wl.Build(1).Start(sim.New(row.cfg))
 	if _, paused, err := e.RunUntil(context.Background(), pause); err != nil || !paused {
 		t.Fatalf("run to pause cycle %d: paused=%v err=%v", pause, paused, err)
 	}
@@ -48,9 +48,9 @@ func TestCancellationSuspendsAndResumes(t *testing.T) {
 		t.Error("machine torn down by cancellation instead of suspended")
 	}
 
-	// The suspension is checkpointable like any other pause.
-	if ck := e.Checkpoint(); ck.Cycle != ce.Cycle {
-		t.Errorf("checkpoint cycle %d != suspension cycle %d", ck.Cycle, ce.Cycle)
+	// The error names the cycle the machine actually stopped at.
+	if now := e.Sim().Now(); now != ce.Cycle {
+		t.Errorf("machine clock %d != suspension cycle %d", now, ce.Cycle)
 	}
 
 	// Resume with a live context: the run completes as if never touched.

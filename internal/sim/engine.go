@@ -11,9 +11,9 @@ import (
 // fast-forwarded over provably quiet windows, and how the relaxed
 // engine's domains ran. These are scheduling observability counters —
 // they deliberately live outside stats.Run, whose exact rendering is
-// pinned by the golden fingerprints, and outside the checkpoint
-// digests, because the same simulation reaches the same machine state
-// however the engine schedules it.
+// pinned by the golden fingerprints, and outside the state digest,
+// because the same simulation reaches the same machine state however
+// the engine schedules it.
 type EngineStats struct {
 	// RunCycles / DrainCycles count cycles the engine executed with a
 	// real tick; RunSkipped / DrainSkipped count cycles jumped over

@@ -29,7 +29,7 @@
 // bulk-applied pure stall whose per-cycle effects the Quiesce probe
 // proved constant. Every fault RNG draw happens inside a component
 // that really ticks, so the perturbation stream is consumed in the
-// same order. All sampling boundaries (watchdog, ctx poll, checkpoint
+// same order. All sampling boundaries (watchdog, ctx poll, RunUntil
 // pauses, the (now|63)+1 cap) are preserved, so every check fires at
 // the same cycle with the same state, and no lazily-slept state ever
 // crosses a pause point: the loop flushes sleeping SMs on its way out,
@@ -75,10 +75,9 @@ func (s *Simulator) wakeSM(i int, to uint64) {
 // flushSMs wakes every sleeping SM with its stall cycles applied up
 // through s.now. The run loop calls it on every way out — pause,
 // cancellation, completion, error, deadlock — so that no
-// lazily-deferred state is observable from outside: stats and
-// checkpoint digests are identical to the serial tick order's at the
-// same cycle. (A failure's dump is built first; it shows no SM
-// counters.)
+// lazily-deferred state is observable from outside: stats and state
+// digests are identical to the serial tick order's at the same cycle.
+// (A failure's dump is built first; it shows no SM counters.)
 func (s *Simulator) flushSMs() {
 	for i, sm := range s.SMs {
 		if sm.Asleep() {
@@ -110,8 +109,8 @@ func (s *Simulator) runPhaseEvent(ctx context.Context, stopAt uint64) (bool, err
 	// previous phase left behind, which is what makes phases freely
 	// mixable across pause/resume. The full RefreshWakes scan (not the
 	// incremental RefreshDue) is required here: between-phase work — the
-	// kernel-boundary L1 flush, a checkpoint restore — mutates
-	// components outside any dispatch.
+	// kernel-boundary L1 flush — mutates components outside any
+	// dispatch.
 	smWake := uint64(sched.Never)
 	if run {
 		smWake = sched.Hot

@@ -142,8 +142,8 @@ func (s *Simulator) runPhaseRelaxed(ctx context.Context, stopAt uint64) (paused 
 		}
 	}()
 	// Phase entry, as in the event engine: between-phase work — the
-	// kernel-boundary L1 flush, a checkpoint restore — mutates
-	// components outside any dispatch, so every wake is re-registered
+	// kernel-boundary L1 flush — mutates components outside any
+	// dispatch, so every wake is re-registered
 	// from live state before the first exchange reads the shared slots.
 	s.Sys.RefreshWakes(s.now, true)
 

@@ -75,9 +75,9 @@ type Config struct {
 	// only at the next barrier; see DESIGN.md §7). Fault injection
 	// disengages relaxed mode: its perturbation schedules are defined
 	// over the exact per-cycle interleaving. EngineStats.Relaxed
-	// reports what the mode did. The knob is result-affecting, so
-	// checkpoint.ConfigHash includes it: a checkpoint (which pauses at
-	// an epoch barrier) restores only under the slack that took it.
+	// reports what the mode did. The knob is result-affecting, so the
+	// experiment journal's config hash includes it: a sweep journaled
+	// under one slack replays only under that slack.
 	SlackCycles uint64
 
 	// ProfileLabels annotates the engine's hot phases with pprof
@@ -225,13 +225,14 @@ func (s *Simulator) Run(kernel *gpu.Kernel) (*stats.Run, error) {
 // later, so Now() may exceed stopAt. A pause is a pure suspension on
 // either engine — the eventual stats.Run of the kernel is
 // bit-identical however many times the execution is paused and
-// resumed, which is what makes checkpoint/restore exact.
+// resumed, so a paused machine can be inspected (StateDigest) and
+// then finished without changing its result.
 //
 // Cancellation works the same way: when ctx is canceled (or its
 // deadline passes) the cycle loop stops within ctxPollMask+1 simulated
 // cycles (at the next epoch barrier under relaxed sync) and returns a
 // *diag.CanceledError with the machine left intact and paused — the
-// caller may Snapshot() it for a checkpoint or Resume() it with a fresh
+// caller may inspect it (Now, StateDigest) or Resume() it with a fresh
 // context. Polling never perturbs the simulation: a run that completes
 // under a canceled-too-late context is bit-identical to one run without
 // a context.
@@ -360,7 +361,7 @@ func (s *Simulator) endRunPhase() error {
 }
 
 // canceled builds the structured cancellation error. The machine stays
-// paused: s.cur is retained so the caller can Snapshot() or Resume().
+// paused: s.cur is retained so the caller can inspect it or Resume().
 func (s *Simulator) canceled(ctx context.Context) error {
 	return &diag.CanceledError{
 		Kernel:      s.cur.kernel.Name,

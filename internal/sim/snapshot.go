@@ -6,39 +6,8 @@ import (
 	"io"
 )
 
-// Snapshot is the checkpoint coordinate of a simulator: where the
-// machine stands (cycle, completed kernels, execution phase) and an
-// FNV-1a digest of its complete state. The digest is canonical and
-// process-independent, so a fresh process that deterministically
-// replays the same workload to the same cycle computes the same
-// digest — which is exactly how checkpoint restore verifies itself
-// (see internal/checkpoint).
-type Snapshot struct {
-	// Cycle is the global clock: the machine has executed exactly this
-	// many cycles since construction.
-	Cycle uint64
-	// KernelsDone counts kernels run to completion.
-	KernelsDone int
-	// Phase is "idle" between kernels, or "run"/"drain" while a kernel
-	// is paused mid-execution.
-	Phase string
-	// Digest is the FNV-1a hash of the machine's canonical state
-	// rendering.
-	Digest uint64
-}
-
-// Snapshot captures the simulator's current coordinate and state
-// digest. The machine must be quiescent or paused (never mid-Tick);
-// any point where RunUntil or Resume has returned qualifies.
-func (s *Simulator) Snapshot() Snapshot {
-	return Snapshot{
-		Cycle:       s.now,
-		KernelsDone: s.kernelsDone,
-		Phase:       s.phaseName(),
-		Digest:      s.StateDigest(),
-	}
-}
-
+// phaseName names the execution phase: "idle" between kernels, or
+// "run"/"drain" while a kernel is in flight or paused.
 func (s *Simulator) phaseName() string {
 	if s.cur == nil {
 		return "idle"
@@ -55,7 +24,11 @@ func (s *Simulator) phaseName() string {
 // influences future behavior — warp registers, cache lines with
 // timestamp/lease metadata, MSHRs, queues, event queues, RNG position —
 // feeds the hash through a rendering that contains no pointer or
-// func values and no unordered map iteration.
+// func values and no unordered map iteration. It is the engine
+// equivalence oracle: a machine paused on the event engine must digest
+// equal to the same machine paused in serial tick order. The machine must be
+// quiescent or paused (never mid-Tick); any point where RunUntil or
+// Resume has returned qualifies.
 func (s *Simulator) StateDigest() uint64 {
 	h := fnv.New64a()
 	s.DigestState(h)

@@ -61,9 +61,9 @@ func (inst *Instance) Run(cfg sim.Config) (*stats.Run, error) {
 // and verifies the final memory image once the last one completes: the
 // one multi-kernel driver every run goes through. It is pausable at any
 // global cycle and cancelable through its context, and it carries the
-// cross-kernel bookkeeping a checkpoint coordinate needs: which kernel
-// is in flight (the simulator's KernelsDone) and the aggregate stats of
-// the kernels completed so far.
+// cross-kernel bookkeeping a pause must keep: which kernel is in
+// flight (the simulator's KernelsDone) and the aggregate stats of the
+// kernels completed so far.
 type Execution struct {
 	inst     *Instance
 	sim      *sim.Simulator
@@ -77,7 +77,7 @@ func (inst *Instance) Start(s *sim.Simulator) *Execution {
 	return &Execution{inst: inst, sim: s}
 }
 
-// Sim exposes the underlying simulator (for Snapshot, ReadWord).
+// Sim exposes the underlying simulator (for StateDigest, ReadWord).
 func (e *Execution) Sim() *sim.Simulator { return e.sim }
 
 // Run executes the remaining work to completion, honoring ctx. On
@@ -93,9 +93,8 @@ func (e *Execution) Run(ctx context.Context) (*stats.Run, error) {
 // clock reaches stopAt (0 = run to completion); under relaxed sync
 // (SlackCycles > 0) the pause lands on the first epoch barrier at or
 // after stopAt (see sim.Simulator.RunUntil). Pausing is pure
-// suspension on either engine: resuming — in this process, or in
-// another one by replaying a fresh execution to the same cycle —
-// continues a trajectory identical to an unpaused run's.
+// suspension on either engine: resuming continues a trajectory
+// identical to an unpaused run's.
 func (e *Execution) RunUntil(ctx context.Context, stopAt uint64) (*stats.Run, bool, error) {
 	if e.finished {
 		return e.agg, false, nil

@@ -4,13 +4,9 @@
 # Exercises the resilience surface end to end, outside the Go test
 # harness (real binaries, real signals, real files):
 #
-#   1. gtscsim: a single run is interrupted (-timeout), must exit 3
-#      and write a checkpoint; -resume must complete it with output
-#      bit-identical to an uninterrupted reference run. This runs on
-#      the exact engine, under -slack 32, where the interrupt lands on
-#      an epoch barrier, and under -check, whose resumed run must print
-#      the reference run's checker verdict. A checkpointed run must
-#      also write its -memprofile.
+#   1. gtscsim: a single run is interrupted (-timeout) and must exit 3,
+#      reporting the cycle it stopped at. A single run is not resumed;
+#      it is rerun.
 #   2. gtscbench: a sweep with a journal is killed by SIGTERM, must
 #      exit 3; rerunning with the same journal must replay the
 #      completed simulations, finish the rest, and print the same
@@ -26,55 +22,15 @@ go build -o "$workdir/gtscbench" ./cmd/gtscbench
 
 fail() { echo "kill_resume_smoke: FAIL: $*" >&2; exit 1; }
 
-# sim_smoke NAME TIMEOUT FLAGS...: interrupt a gtscsim run after
-# TIMEOUT, resume it from its checkpoint, and diff its stats against an
-# uninterrupted run with the same flags.
-sim_smoke() {
-  local name=$1 timeout=$2
-  shift 2
-  local ckpt="$workdir/$name.ckpt" out="$workdir/sim_$name"
-
-  set +e
-  "$workdir/gtscsim" "$@" -checkpoint "$ckpt" -timeout "$timeout" >"$out.interrupted" 2>&1
-  rc=$?
-  set -e
-  [ "$rc" -eq 3 ] || fail "$name: interrupted gtscsim exited $rc, want 3 (output: $(cat "$out.interrupted"))"
-  [ -f "$ckpt" ] || fail "$name: no checkpoint written on interrupt"
-
-  "$workdir/gtscsim" "$@" -checkpoint "$ckpt" -resume >"$out.resumed" 2>&1 \
-    || fail "$name: resume failed: $(cat "$out.resumed")"
-  grep -q "replay digest verified" "$out.resumed" || fail "$name: resume did not verify the replay digest"
-  [ ! -f "$ckpt" ] || fail "$name: checkpoint not cleaned up after completion"
-
-  "$workdir/gtscsim" "$@" >"$out.reference" 2>&1
-  # Drop the resume banner and the engine scheduling counters (a resumed
-  # run legitimately splits a cycle-skip window at the pause cycle);
-  # everything else (all stats) must match the uninterrupted run exactly.
-  grep -v "^resumed \|^engine: " "$out.resumed" >"$out.resumed_stats"
-  grep -v "^engine: " "$out.reference" >"$out.reference_stats"
-  diff -u "$out.reference_stats" "$out.resumed_stats" \
-    || fail "$name: resumed run differs from uninterrupted reference"
-  echo "   OK: exit 3 on interrupt, verified resume, bit-identical stats"
-}
-
-echo "== gtscsim: interrupt, checkpoint, resume =="
-sim_smoke exact 400ms -workload CC -scale 64
-
-# Under relaxed sync the interrupt takes effect at the next epoch
-# barrier; the run takes several seconds, so one second lands it
-# mid-run.
-echo "== gtscsim -slack 32: interrupt at an epoch barrier, checkpoint, resume =="
-sim_smoke relaxed 1s -workload CC -scale 64 -slack 32
-
-# A checkpointed run is an ordinary run: the checker records the
-# replay's operations too, so the resumed run's checker: lines match
-# the uninterrupted run's, and -memprofile writes its profile.
-echo "== gtscsim -check -memprofile: checkpointed runs keep every flag =="
-sim_smoke check 400ms -workload CC -scale 16 -check
-"$workdir/gtscsim" -workload CC -checkpoint "$workdir/mem.ckpt" -memprofile "$workdir/mem.pprof" >/dev/null \
-  || fail "memprofile: checkpointed run failed"
-[ -s "$workdir/mem.pprof" ] || fail "memprofile: no heap profile written under -checkpoint"
-echo "   OK: -memprofile written under -checkpoint"
+echo "== gtscsim: interrupt =="
+set +e
+"$workdir/gtscsim" -workload CC -scale 64 -timeout 400ms >"$workdir/sim_interrupted.out" 2>&1
+rc=$?
+set -e
+[ "$rc" -eq 3 ] || fail "interrupted gtscsim exited $rc, want 3 (output: $(cat "$workdir/sim_interrupted.out"))"
+grep -q "interrupted at cycle" "$workdir/sim_interrupted.out" \
+  || fail "interrupted gtscsim did not report its stop cycle (output: $(cat "$workdir/sim_interrupted.out"))"
+echo "   OK: exit 3 on interrupt, stop cycle reported"
 
 echo "== gtscbench: SIGTERM mid-sweep, journal resume =="
 bench_flags=(-exp table2 -scale 4 -sms 8 -banks 4 -j 4)
