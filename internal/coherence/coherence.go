@@ -83,14 +83,16 @@ const (
 	Pending
 	// Reject: the controller is out of resources (MSHR full, port
 	// busy); the LDST unit must present the same access again. A
-	// rejected presentation changes only the controller's counters,
-	// and only a Deliver can turn it into an accepted one: a delivery
-	// is what releases an MSHR entry or an outstanding-access slot,
-	// lands a fill or an ack, grants a pending GetM or moves a warp's
-	// timestamp, while the passage of time alone (TC lease expiry)
-	// only turns hits into misses. So until Deliveries moves, every
-	// presentation of a rejected access is rejected again, with the
-	// same counter effects (see CreditRejects).
+	// rejected presentation counts one MSHRStalls and changes no other
+	// counter and no state: the access counts as a load, a store or a
+	// tag probe only once accepted. Only a Deliver can turn it into an
+	// accepted one: a delivery is what releases an MSHR entry or an
+	// outstanding-access slot, lands a fill or an ack, grants a
+	// pending GetM or moves a warp's timestamp, while the passage of
+	// time alone (TC lease expiry) only turns hits into misses. So
+	// until Deliveries moves, every presentation of a rejected access
+	// is rejected again, and the LDST unit presents it again only
+	// after a delivery.
 	Reject
 )
 
@@ -98,14 +100,6 @@ const (
 type L1 interface {
 	// Access presents one coalesced access. See AccessResult.
 	Access(req *Request) AccessResult
-	// CreditRejects applies, in O(1), the counter effects of k more
-	// presentations of req that the controller rejects: exactly what
-	// k calls of Access(req) returning Reject would add. The caller
-	// guarantees the outcome: req was just rejected and no Deliver has
-	// happened since (see Reject). The LDST unit calls it for every
-	// cycle it would have presented its rejected head, awake or
-	// asleep, instead of presenting it.
-	CreditRejects(req *Request, k uint64)
 	// Deliver hands the controller a message that arrived from the NoC.
 	// The controller owns msg from then on and frees it to its pool
 	// once consumed (see mem.Pool); the caller must not touch it again.

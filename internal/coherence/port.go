@@ -29,10 +29,9 @@ type L1Geometry struct {
 //
 // Every L1 embeds one and keeps only its coherence decisions. Port
 // supplies the accessors of the L1 interface (Stats, Pending,
-// Quiescent, SyncClock, Err, DumpState, Deliveries), the output drain
-// (Tick) and the reject credit of an L1 that rejects only loads the
-// MSHR turns away (CreditRejects): a port's Tick only retries
-// backpressured sends, so an empty output queue makes it quiescent.
+// Quiescent, SyncClock, Err, DumpState, Deliveries) and the output
+// drain (Tick): a port's Tick only retries backpressured sends, so an
+// empty output queue makes it quiescent.
 type Port struct {
 	ID       int    // SM index
 	Now      uint64 // local clock; see L1.SyncClock
@@ -88,15 +87,6 @@ func (p *Port) Deliveries() uint64 { return p.arrived }
 func (p *Port) Receive() bool {
 	p.arrived++
 	return p.fail == nil
-}
-
-// CreditRejects implements L1 for a controller whose only rejected
-// access is a load that Park turns away: each presentation counts the
-// load and its tag probe, then the MSHR stall.
-func (p *Port) CreditRejects(_ *Request, k uint64) {
-	p.Counters.Loads += k
-	p.Counters.TagProbes += k
-	p.Counters.MSHRStalls += k
 }
 
 // Tick implements L1: retry backpressured sends in order.
@@ -245,6 +235,17 @@ func (p *Port) CompleteLoad(req *Request, data *mem.Block, ts, opTS uint64) {
 		})
 	}
 	p.Complete(req, Completion{Data: out, TS: ts})
+}
+
+// CountLoad counts a load presentation with outcome r once the L1 has
+// accepted it, as a hit or parked: the load and its tag probe. A
+// rejected presentation counts only its MSHR stall (Park).
+func (p *Port) CountLoad(r AccessResult) AccessResult {
+	if r != Reject {
+		p.Counters.Loads++
+		p.Counters.TagProbes++
+	}
+	return r
 }
 
 // Park files load req in the MSHR behind its block's outstanding read,

@@ -131,7 +131,7 @@ func (l *L1) Access(req *coherence.Request) coherence.AccessResult {
 	if req.Store {
 		return l.accessStore(req)
 	}
-	return l.accessLoad(req)
+	return l.CountLoad(l.accessLoad(req))
 }
 
 // accessAtomic forwards a read-modify-write to the L2, where it is
@@ -149,8 +149,6 @@ func (l *L1) accessAtomic(req *coherence.Request) coherence.AccessResult {
 }
 
 func (l *L1) accessLoad(req *coherence.Request) coherence.AccessResult {
-	l.Counters.Loads++
-	l.Counters.TagProbes++
 	line := l.array.Lookup(req.Block)
 	wts := l.warpTS[req.Warp]
 

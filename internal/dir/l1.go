@@ -77,13 +77,11 @@ func (l *L1) Access(req *coherence.Request) coherence.AccessResult {
 	case req.Store:
 		return l.accessStore(req)
 	default:
-		return l.accessLoad(req)
+		return l.CountLoad(l.accessLoad(req))
 	}
 }
 
 func (l *L1) accessLoad(req *coherence.Request) coherence.AccessResult {
-	l.Counters.Loads++
-	l.Counters.TagProbes++
 	line := l.array.Lookup(req.Block)
 	if line != nil && !l.getm.Has(req.Block) {
 		// Any valid state serves loads (single-writer holds: if some

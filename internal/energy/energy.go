@@ -11,6 +11,12 @@
 // ratios are driven by the event counts and the cycle count, which the
 // simulator measures, not by the absolute constants. See DESIGN.md
 // ("Substitutions").
+//
+// The L1 events are those of accesses the L1 accepted. A presentation
+// the L1 rejects for want of an MSHR entry is modelled as probing no
+// tag, and charges nothing (coherence.Reject): the LDST unit presents
+// it again only after a delivery, and the cycles it waits cost static
+// energy only.
 package energy
 
 import "github.com/gtsc-sim/gtsc/internal/stats"
@@ -90,8 +96,8 @@ func (m Model) Apply(run *stats.Run) {
 		NoC:  noc,
 		DRAM: dramE,
 		Core: core,
-		// Static is folded into each component above; the Static field
-		// reports the total static share for breakdown displays.
+		// Static power is folded into each component above, so Static
+		// stays 0: nothing reports the static share on its own yet.
 		Static: 0,
 	}
 }

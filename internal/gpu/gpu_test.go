@@ -65,10 +65,7 @@ func (f *fakeL1) Stats() *stats.L1Stats      { return &f.stats }
 func (f *fakeL1) Err() error                 { return nil }
 func (f *fakeL1) DumpState() diag.CacheState { return diag.CacheState{Name: "fake-l1"} }
 func (f *fakeL1) DigestState(io.Writer)      {}
-
-// The fake never rejects, so it has no rejects to credit.
-func (f *fakeL1) CreditRejects(*coherence.Request, uint64) {}
-func (f *fakeL1) Deliveries() uint64                       { return 0 }
+func (f *fakeL1) Deliveries() uint64         { return 0 }
 
 var _ coherence.L1 = (*fakeL1)(nil)
 
@@ -503,16 +500,14 @@ func TestSchedulerString(t *testing.T) {
 	}
 }
 
-// rejectingL1 rejects every access while full, and completes it
-// instantly otherwise. As the coherence.L1 contract requires, only a
-// delivery changes its decision: Deliver empties it. It counts the
-// presentations it saw and the rejects it was credited with.
+// rejectingL1 rejects every access while full and completes it at
+// once otherwise. As coherence.Reject requires, only a delivery
+// changes its decision (Deliver empties it). It counts presentations.
 type rejectingL1 struct {
 	fakeL1
 	full      bool
 	arrived   uint64
 	presented int
-	credited  uint64
 }
 
 func (r *rejectingL1) Access(req *coherence.Request) coherence.AccessResult {
@@ -524,15 +519,13 @@ func (r *rejectingL1) Access(req *coherence.Request) coherence.AccessResult {
 	return coherence.Hit
 }
 
-func (r *rejectingL1) CreditRejects(_ *coherence.Request, k uint64) { r.credited += k }
-func (r *rejectingL1) Deliver(*mem.Msg)                             { r.arrived++; r.full = false }
-func (r *rejectingL1) Deliveries() uint64                           { return r.arrived }
+func (r *rejectingL1) Deliver(*mem.Msg)   { r.arrived++; r.full = false }
+func (r *rejectingL1) Deliveries() uint64 { return r.arrived }
 
-// TestLDSTRetriesRejectedAccesses: a rejected LDST head is parked. It
-// is presented again only after a Deliver reaches the L1; until then
-// every cycle credits the L1 with one rejected presentation, awake or
-// asleep, and the SM sleeps on it once its warps all stall. After the
-// delivery the SM is stirred, the head is presented again and the
+// TestLDSTRetriesRejectedAccesses: a rejected LDST head is parked.
+// Awake or asleep, the SM presents it again only after a Deliver
+// reaches the L1, and it sleeps on it once its warps all stall. After
+// the delivery the SM is stirred, the head is presented again and the
 // kernel completes.
 func TestLDSTRetriesRejectedAccesses(t *testing.T) {
 	l1 := &rejectingL1{full: true}
@@ -550,12 +543,12 @@ func TestLDSTRetriesRejectedAccesses(t *testing.T) {
 	sm.Launch(k, disp)
 	for sm.FillOne() {
 	}
-	// Cycle 1 issues the load, cycle 2 presents it, cycles 3-6 credit.
+	// Cycle 1 issues the load, cycle 2 presents it, cycles 3-6 do not.
 	for c := uint64(1); c <= 6; c++ {
 		sm.Tick(c)
 	}
-	if l1.presented != 1 || l1.credited != 4 {
-		t.Fatalf("parked head: %d presentations, %d credited; want 1 and 4", l1.presented, l1.credited)
+	if l1.presented != 1 {
+		t.Fatalf("parked head: %d presentations, want 1", l1.presented)
 	}
 	if !sm.Sleep() {
 		t.Fatal("an SM whose only warp waits on a parked head must sleep")
@@ -563,8 +556,8 @@ func TestLDSTRetriesRejectedAccesses(t *testing.T) {
 	if sm.Stirred() {
 		t.Fatal("stirred with no delivery")
 	}
-	if got := sm.SleepThrough(10); got != 4 || l1.credited != 8 {
-		t.Fatalf("SleepThrough(10) applied %d cycles, %d credited; want 4 and 8", got, l1.credited)
+	if got := sm.SleepThrough(10); got != 4 || l1.presented != 1 {
+		t.Fatalf("SleepThrough(10) applied %d cycles, %d presentations; want 4 and 1", got, l1.presented)
 	}
 	l1.Deliver(nil)
 	if !sm.Stirred() {
@@ -577,8 +570,8 @@ func TestLDSTRetriesRejectedAccesses(t *testing.T) {
 	if !sm.Done() {
 		t.Fatal("kernel must complete once the L1 takes a delivery")
 	}
-	if l1.presented != 3 || l1.credited != 8 {
-		t.Fatalf("after the delivery: %d presentations, %d credited; want 3 (load twice, store) and 8", l1.presented, l1.credited)
+	if l1.presented != 3 {
+		t.Fatalf("after the delivery: %d presentations, want 3 (load twice, store)", l1.presented)
 	}
 }
 

@@ -18,21 +18,18 @@ package gpu
 //
 // A parked head is inert. When the L1 rejected the LDST head's last
 // presentation and no Deliver has reached the L1 since, every further
-// presentation would be rejected too, changing nothing but L1
-// counters: only a delivery can turn a reject into an accept
-// (coherence.Reject). So the LDST unit never presents a parked head;
-// an awake SM credits the L1 with each cycle's rejected presentation
-// (coherence.L1.CreditRejects), and an SM whose head is parked and
-// whose warps all stall sleeps until a Deliver into its own L1
-// (Stirred) or its own wake cycle (WakeAt), crediting the skipped
-// presentations with the stall cycles. The LDST unit pays per
-// accepted access, not per cycle of a full MSHR.
+// presentation would be rejected too: only a delivery can turn a
+// reject into an accept (coherence.Reject). So the LDST unit does not
+// present a parked head again until a delivery: the stall costs the
+// L1 one rejected presentation, not one per cycle of a full MSHR. An
+// SM whose head is parked and whose warps all stall sleeps until a
+// Deliver into its own L1 (Stirred) or its own wake cycle (WakeAt).
 //
 // The SM keeps its own sleep record: whether its last Tick issued, and,
 // once it falls asleep, the probe and the completion count it was taken
 // at. Both engines drive it through Sleep, Asleep, Stirred, WakeAt,
 // SleepThrough and Wake, which bulk-apply the probe's identical stall
-// cycles and rejected presentations in O(1). Assigning CTAs voids the
+// cycles to the SM's own counters in O(1). Assigning CTAs voids the
 // record (FillOne, CommitFill): new warps end any stall the probe
 // proved.
 
@@ -53,21 +50,14 @@ type StallProbe struct {
 	Mem, Barrier bool
 	// FenceStalls is how many warps count FenceStallCycles each cycle.
 	FenceStalls uint64
-	// Rejects records that the LDST head is parked: each cycle credits
-	// the L1 with one rejected presentation of it.
-	Rejects bool
 }
 
 // Quiesce reports whether ticking this SM is provably a pure stall
 // (or pure idle) with constant per-cycle effects, and if so which.
 func (s *SM) Quiesce() (StallProbe, bool) {
 	p := StallProbe{Wake: NeverWake}
-	if len(s.ldst) > 0 {
-		// pumpLDST presents the head: inert only while it is parked.
-		if !s.parked() {
-			return p, false
-		}
-		p.Rejects = true
+	if len(s.ldst) > 0 && !s.parked() {
+		return p, false // pumpLDST would present the head
 	}
 	if s.liveWarps == 0 {
 		return p, true // the idle fast path: Cycles++ only
@@ -136,9 +126,10 @@ func (s *SM) Asleep() bool { return s.asleep }
 // originate outside the SM's own tick flows through a completion
 // callback (register writeback, pending-store retirement, GWCT
 // advance), and only a delivery can make the L1 accept the parked
-// head, so a stirred SM must tick again.
+// head, so a stirred SM must tick again. An asleep SM with a queued
+// LDST head fell asleep with it parked (Quiesce).
 func (s *SM) Stirred() bool {
-	return s.completions != s.sleptAt || s.probe.Rejects && !s.parked()
+	return s.completions != s.sleptAt || len(s.ldst) > 0 && !s.parked()
 }
 
 // WakeAt is the sleeping SM's own wake cycle (a compute or GWCT wake-up
@@ -147,15 +138,12 @@ func (s *SM) WakeAt() uint64 { return s.probe.Wake }
 
 // SleepThrough bulk-applies the sleeping SM's stall cycles through
 // cycle to, which must lie before WakeAt and before any cycle that
-// stirs it, with one rejected presentation of its parked head each,
-// and leaves it asleep. It returns the number of cycles applied.
+// stirs it, and leaves it asleep. It touches only the SM's own
+// counters. It returns the number of cycles applied.
 func (s *SM) SleepThrough(to uint64) uint64 {
 	k := to - s.now
 	s.now = to
 	s.stats.Cycles += k
-	if s.probe.Rejects && k > 0 {
-		s.l1.CreditRejects(s.rejected, k)
-	}
 	// issue() classifies each zero-issue cycle: Mem wins over Barrier.
 	if s.probe.Mem {
 		s.stats.MemStallCycles += k

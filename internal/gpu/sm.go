@@ -145,11 +145,10 @@ type SM struct {
 	spare      []*Warp     // retired warp contexts for the next CTAs (see retire)
 	reap       bool        // a warp finished since the last reapFinished
 
-	// rejected is the LDST head's request while its last presentation
-	// was rejected (nil otherwise), and rejectedAt its L1's Deliveries
-	// count then: until that count moves, the head is parked (see
-	// parked).
-	rejected   *coherence.Request
+	// rejected records that the LDST head's last presentation was
+	// rejected, and rejectedAt its L1's Deliveries count then: until
+	// that count moves, the head is parked (see parked).
+	rejected   bool
 	rejectedAt uint64
 
 	// deferFills redirects CTA refills (which draw from the dispatcher
@@ -278,23 +277,17 @@ func (s *SM) Tick(now uint64) {
 }
 
 // pumpLDST presents the head job's next coalesced access to the L1. A
-// parked head is not presented: the L1 would reject it again, so the
-// L1 is credited with the rejected presentation instead.
+// parked head is not presented: the L1 would reject it again.
 func (s *SM) pumpLDST() {
-	if len(s.ldst) == 0 {
-		return
-	}
-	if s.parked() {
-		s.l1.CreditRejects(s.rejected, 1)
+	if len(s.ldst) == 0 || s.parked() {
 		return
 	}
 	job := s.ldst[0]
-	req := s.request(job)
-	if s.l1.Access(req) == coherence.Reject {
-		s.rejected, s.rejectedAt = req, s.l1.Deliveries()
+	if s.l1.Access(s.request(job)) == coherence.Reject {
+		s.rejected, s.rejectedAt = true, s.l1.Deliveries()
 		return
 	}
-	s.rejected = nil
+	s.rejected = false
 	job.next++
 	if job.next == len(job.accs) {
 		job.warp.dispatching = false
@@ -309,10 +302,9 @@ func (s *SM) pumpLDST() {
 
 // parked reports whether the LDST head is parked: the L1 rejected its
 // last presentation and no Deliver has reached the L1 since, so every
-// presentation until one does is rejected again, changing nothing but
-// the L1's counters (coherence.Reject).
+// presentation until one does is rejected again (coherence.Reject).
 func (s *SM) parked() bool {
-	return s.rejected != nil && s.l1.Deliveries() == s.rejectedAt
+	return s.rejected && s.l1.Deliveries() == s.rejectedAt
 }
 
 // noteCompletion records one memory completion landing on warp w. The

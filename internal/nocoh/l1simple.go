@@ -27,7 +27,6 @@ func NewL1Simple(smID, nBanks int, geo coherence.L1Geometry, send coherence.Send
 
 // Access implements coherence.L1.
 func (l *L1Simple) Access(req *coherence.Request) coherence.AccessResult {
-	l.Counters.TagProbes++
 	line := l.array.Lookup(req.Block)
 	switch {
 	case req.Atomic:
@@ -55,13 +54,13 @@ func (l *L1Simple) Access(req *coherence.Request) coherence.AccessResult {
 		}
 		l.Issue(mem.BusWr, req)
 	default:
-		return l.accessLoad(req, line)
+		return l.CountLoad(l.accessLoad(req, line))
 	}
+	l.Counters.TagProbes++ // a load counts its probe once accepted
 	return coherence.Pending
 }
 
 func (l *L1Simple) accessLoad(req *coherence.Request, line *cache.Line[struct{}]) coherence.AccessResult {
-	l.Counters.Loads++
 	if line != nil {
 		l.Counters.Hits++
 		l.Counters.DataAccesses++

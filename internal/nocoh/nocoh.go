@@ -61,10 +61,6 @@ func (l *L1Bypass) Access(req *coherence.Request) coherence.AccessResult {
 	return coherence.Pending
 }
 
-// CreditRejects implements coherence.L1: a rejected access of any
-// kind counts only its stall, before the shim looks at it (Access).
-func (l *L1Bypass) CreditRejects(_ *coherence.Request, k uint64) { l.Counters.MSHRStalls += k }
-
 // Deliver implements coherence.L1. The response is consumed once the
 // access's Done callback returns, so the message recycles here.
 func (l *L1Bypass) Deliver(msg *mem.Msg) {

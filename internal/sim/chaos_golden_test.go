@@ -66,12 +66,12 @@ var chaosRows = []chaosRow{
 	{"BH", "dir-rc", "chaos1", 9379, 5136, 0xa7632a89c4b6f9e7},
 	{"BH", "dir-rc", "chaos2", 8924, 5080, 0x15e95254d53136dc},
 	{"BH", "dir-rc", "rollover3", 9327, 5222, 0xa3d224c650595fcf},
-	{"BH", "gtsc-rc-mshr2", "chaos1", 11615, 5628, 0x8543a69b566051da},
-	{"BH", "gtsc-rc-mshr2", "chaos2", 12051, 5714, 0x4f7e26544068b76b},
-	{"BH", "gtsc-rc-mshr2", "rollover3", 12366, 6268, 0x178f062722379fff},
-	{"BH", "tc-sc-mshr2", "chaos1", 14326, 7768, 0x2a0964c3b8dfca60},
-	{"BH", "tc-sc-mshr2", "chaos2", 13765, 7614, 0xa8fcd0600c785aae},
-	{"BH", "tc-sc-mshr2", "rollover3", 13680, 7588, 0xd42e1b8eed67e92a},
+	{"BH", "gtsc-rc-mshr2", "chaos1", 11615, 5628, 0x4f609c2c999d0f50},
+	{"BH", "gtsc-rc-mshr2", "chaos2", 12051, 5714, 0x45b596c75673a986},
+	{"BH", "gtsc-rc-mshr2", "rollover3", 12366, 6268, 0x78361102ba540e85},
+	{"BH", "tc-sc-mshr2", "chaos1", 14326, 7768, 0x11129828e271e29f},
+	{"BH", "tc-sc-mshr2", "chaos2", 13765, 7614, 0x683f202a6a17ae99},
+	{"BH", "tc-sc-mshr2", "rollover3", 13680, 7588, 0x9e7a7781f086f761},
 	{"CC", "gtsc-rc", "chaos1", 11282, 8820, 0x4bc9bd7f4d00a9c2},
 	{"CC", "gtsc-rc", "chaos2", 10558, 8350, 0x5b5b2879c64e30eb},
 	{"CC", "gtsc-rc", "rollover3", 10728, 9362, 0xe014363909249ca1},
@@ -90,12 +90,12 @@ var chaosRows = []chaosRow{
 	{"CC", "dir-rc", "chaos1", 10468, 7382, 0xaf80c0aed1e0bf05},
 	{"CC", "dir-rc", "chaos2", 10348, 7264, 0xb9c208532d8b4f1f},
 	{"CC", "dir-rc", "rollover3", 10826, 7470, 0x2bd88cf60d1cb69c},
-	{"CC", "gtsc-rc-mshr2", "chaos1", 20506, 9528, 0x56e6e81bd255cdec},
-	{"CC", "gtsc-rc-mshr2", "chaos2", 18838, 9022, 0xe6fbd6ae40571341},
-	{"CC", "gtsc-rc-mshr2", "rollover3", 19858, 11048, 0xf7b3174f9a170d81},
-	{"CC", "tc-sc-mshr2", "chaos1", 34586, 30612, 0x156bf01fe9a1eb5d},
-	{"CC", "tc-sc-mshr2", "chaos2", 34880, 30698, 0x4f516cc32838df7},
-	{"CC", "tc-sc-mshr2", "rollover3", 34312, 30326, 0xa041e28322c06225},
+	{"CC", "gtsc-rc-mshr2", "chaos1", 20506, 9528, 0xbb43ca6af2a6830b},
+	{"CC", "gtsc-rc-mshr2", "chaos2", 18838, 9022, 0xa0dfdc51f472a90b},
+	{"CC", "gtsc-rc-mshr2", "rollover3", 19858, 11048, 0xe66f5d8b541f80ed},
+	{"CC", "tc-sc-mshr2", "chaos1", 34586, 30612, 0xc3ad7f82ead736c1},
+	{"CC", "tc-sc-mshr2", "chaos2", 34880, 30698, 0x74a700727cde27c4},
+	{"CC", "tc-sc-mshr2", "rollover3", 34312, 30326, 0x48225a71470a56bf},
 	{"DLP", "gtsc-rc", "chaos1", 16016, 11792, 0xda4388f0a1ca015d},
 	{"DLP", "gtsc-rc", "chaos2", 15551, 11804, 0xb77cda765bcb19bf},
 	{"DLP", "gtsc-rc", "rollover3", 16123, 14494, 0xb86c4010f0ca6d5f},
@@ -114,12 +114,12 @@ var chaosRows = []chaosRow{
 	{"DLP", "dir-rc", "chaos1", 16130, 10294, 0xfaa0b2e580d40c72},
 	{"DLP", "dir-rc", "chaos2", 16041, 10144, 0x47ad8e8fa10dd373},
 	{"DLP", "dir-rc", "rollover3", 15340, 10106, 0xb74702403eb972af},
-	{"DLP", "gtsc-rc-mshr2", "chaos1", 29187, 13408, 0xa77c143cf912d527},
-	{"DLP", "gtsc-rc-mshr2", "chaos2", 28809, 13264, 0x1dc060f437e10591},
-	{"DLP", "gtsc-rc-mshr2", "rollover3", 30554, 16674, 0x447432ef31f588df},
-	{"DLP", "tc-sc-mshr2", "chaos1", 48258, 40884, 0x5e4aee63d4eff30f},
-	{"DLP", "tc-sc-mshr2", "chaos2", 50204, 41838, 0x790b9f52c34962e1},
-	{"DLP", "tc-sc-mshr2", "rollover3", 48554, 41098, 0x2c07b02742b28b1d},
+	{"DLP", "gtsc-rc-mshr2", "chaos1", 29187, 13408, 0xadbad04a096e413b},
+	{"DLP", "gtsc-rc-mshr2", "chaos2", 28809, 13264, 0xa66dee5730a6eb41},
+	{"DLP", "gtsc-rc-mshr2", "rollover3", 30554, 16674, 0x1be7f64731db6741},
+	{"DLP", "tc-sc-mshr2", "chaos1", 48258, 40884, 0xd4b4650e9120bf25},
+	{"DLP", "tc-sc-mshr2", "chaos2", 50204, 41838, 0x58704119dc0980b3},
+	{"DLP", "tc-sc-mshr2", "rollover3", 48554, 41098, 0xb778fcf89579476},
 	{"VPR", "gtsc-rc", "chaos1", 10384, 7208, 0x54615f792645c489},
 	{"VPR", "gtsc-rc", "chaos2", 10430, 7262, 0x9c620100156ac8e5},
 	{"VPR", "gtsc-rc", "rollover3", 10646, 8172, 0x3ba888eaab527911},
@@ -138,12 +138,12 @@ var chaosRows = []chaosRow{
 	{"VPR", "dir-rc", "chaos1", 10991, 6192, 0xa6348d7d6578b346},
 	{"VPR", "dir-rc", "chaos2", 10037, 5432, 0x3a1047f6b6d70473},
 	{"VPR", "dir-rc", "rollover3", 10644, 6002, 0x658e4619f1a6bacf},
-	{"VPR", "gtsc-rc-mshr2", "chaos1", 16737, 7806, 0x75f7017a48a4cd9f},
-	{"VPR", "gtsc-rc-mshr2", "chaos2", 16427, 7566, 0x6186289dbf2f5e2e},
-	{"VPR", "gtsc-rc-mshr2", "rollover3", 18061, 9280, 0x2b1ed5f168157a40},
-	{"VPR", "tc-sc-mshr2", "chaos1", 30029, 21972, 0xab16dcac56ff80f3},
-	{"VPR", "tc-sc-mshr2", "chaos2", 29860, 21772, 0xfab0d2ac5848113e},
-	{"VPR", "tc-sc-mshr2", "rollover3", 30456, 21942, 0x7383a91fa6b353d1},
+	{"VPR", "gtsc-rc-mshr2", "chaos1", 16737, 7806, 0x38bbb52177c8417a},
+	{"VPR", "gtsc-rc-mshr2", "chaos2", 16427, 7566, 0xe2d2cc215315b6f7},
+	{"VPR", "gtsc-rc-mshr2", "rollover3", 18061, 9280, 0xcc23566ef5661f88},
+	{"VPR", "tc-sc-mshr2", "chaos1", 30029, 21972, 0x784cbdd0477cbbb1},
+	{"VPR", "tc-sc-mshr2", "chaos2", 29860, 21772, 0x3994f773628dc09b},
+	{"VPR", "tc-sc-mshr2", "rollover3", 30456, 21942, 0x8c62b3ecf71c9272},
 	{"STN", "gtsc-rc", "chaos1", 12484, 9444, 0xe32edf85b025001f},
 	{"STN", "gtsc-rc", "chaos2", 12629, 9422, 0x153a5562198261e2},
 	{"STN", "gtsc-rc", "rollover3", 12470, 9932, 0x7c4e67e9467ceaf2},
@@ -162,12 +162,12 @@ var chaosRows = []chaosRow{
 	{"STN", "dir-rc", "chaos1", 13889, 9482, 0xb97dc24f3349c0da},
 	{"STN", "dir-rc", "chaos2", 13828, 10140, 0x1f6c448133ffca7c},
 	{"STN", "dir-rc", "rollover3", 13235, 9064, 0xa68c91249be5931c},
-	{"STN", "gtsc-rc-mshr2", "chaos1", 14816, 9426, 0x19a9714db22513a4},
-	{"STN", "gtsc-rc-mshr2", "chaos2", 14596, 9418, 0x3ed7102ca9552f6d},
-	{"STN", "gtsc-rc-mshr2", "rollover3", 15374, 10000, 0x56c7c0e8a40d1693},
-	{"STN", "tc-sc-mshr2", "chaos1", 18301, 11908, 0xfe583a1dc564bc1e},
-	{"STN", "tc-sc-mshr2", "chaos2", 18726, 12016, 0x6308f2349e4afca9},
-	{"STN", "tc-sc-mshr2", "rollover3", 17981, 11780, 0x7b3092da2bb86299},
+	{"STN", "gtsc-rc-mshr2", "chaos1", 14816, 9426, 0x7df6f2f5147a909b},
+	{"STN", "gtsc-rc-mshr2", "chaos2", 14596, 9418, 0x98b991a0c8b016e9},
+	{"STN", "gtsc-rc-mshr2", "rollover3", 15374, 10000, 0x269e1842fb114f12},
+	{"STN", "tc-sc-mshr2", "chaos1", 18301, 11908, 0x6715ae81edb7c8b5},
+	{"STN", "tc-sc-mshr2", "chaos2", 18726, 12016, 0xcf096908b6249936},
+	{"STN", "tc-sc-mshr2", "rollover3", 17981, 11780, 0x454ca79b7f6613aa},
 	{"BFS", "gtsc-rc", "chaos1", 10205, 9226, 0x624d5c02ef3dd026},
 	{"BFS", "gtsc-rc", "chaos2", 10638, 9628, 0x93169dd0166ea1c0},
 	{"BFS", "gtsc-rc", "rollover3", 10371, 11224, 0x4d7c300aa1da03d9},
@@ -186,12 +186,12 @@ var chaosRows = []chaosRow{
 	{"BFS", "dir-rc", "chaos1", 9861, 6846, 0x23845de2141e3cfa},
 	{"BFS", "dir-rc", "chaos2", 9683, 6812, 0x48b36a02fa52aa87},
 	{"BFS", "dir-rc", "rollover3", 9486, 6764, 0x69f68e987ea2ec6c},
-	{"BFS", "gtsc-rc-mshr2", "chaos1", 27913, 11354, 0x156aafef4dde0ef9},
-	{"BFS", "gtsc-rc-mshr2", "chaos2", 28596, 11216, 0x994178d8bb647e40},
-	{"BFS", "gtsc-rc-mshr2", "rollover3", 31448, 17318, 0x1ea56a456f9eef8e},
-	{"BFS", "tc-sc-mshr2", "chaos1", 57087, 45984, 0x5d45c399d7a2c535},
-	{"BFS", "tc-sc-mshr2", "chaos2", 57392, 45920, 0x8f54dbbb00cc5a74},
-	{"BFS", "tc-sc-mshr2", "rollover3", 59279, 46766, 0x7242e1f76cd19c3a},
+	{"BFS", "gtsc-rc-mshr2", "chaos1", 27913, 11354, 0x9ce8def49e4fee81},
+	{"BFS", "gtsc-rc-mshr2", "chaos2", 28596, 11216, 0xdeb300f35a3c2b8d},
+	{"BFS", "gtsc-rc-mshr2", "rollover3", 31448, 17318, 0x49d92a8fceea77c0},
+	{"BFS", "tc-sc-mshr2", "chaos1", 57087, 45984, 0x2c250d542d4f26b},
+	{"BFS", "tc-sc-mshr2", "chaos2", 57392, 45920, 0xfe642b78f67538fe},
+	{"BFS", "tc-sc-mshr2", "rollover3", 59279, 46766, 0xc98f56782a031412},
 }
 
 // chaosTable walks the chaos machine list — every coherence workload

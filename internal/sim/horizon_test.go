@@ -143,7 +143,7 @@ func TestHorizonClaimsSound(t *testing.T) {
 				c = nil
 				horizon := s.Sys.NextEvent(s.now)
 				m := horizon
-				rejects := false
+				headParked := false // a quiescent SM's queued LDST head is parked
 				if s.cur.phase == phaseRun {
 					// SMs tick in this phase, so a machine-wide claim also
 					// needs every SM provably stalled until the window ends.
@@ -154,13 +154,13 @@ func TestHorizonClaimsSound(t *testing.T) {
 							break
 						}
 						m = min(m, p.Wake)
-						rejects = rejects || p.Rejects
+						headParked = headParked || sm.DumpState().LDSTQueue > 0
 					}
 				}
 				if m > s.now+1 {
 					c = &claim{at: s.now, until: m, sig: s.progressSig(), hier: digest()}
 					windows++
-					if rejects {
+					if headParked {
 						parked++
 					}
 				}

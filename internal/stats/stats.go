@@ -14,15 +14,21 @@ import (
 
 // L1Stats counts events at one private (per-SM) L1 cache.
 type L1Stats struct {
-	Loads  uint64 // coalesced load accesses presented by the LDST unit
-	Stores uint64 // coalesced store accesses presented by the LDST unit
+	// Loads and Stores count the coalesced accesses the L1 accepted; a
+	// presentation it rejects counts only MSHRStalls.
+	Loads  uint64
+	Stores uint64
 
 	Hits        uint64 // load hits serviced locally
 	MissCold    uint64 // tag miss (block absent)
 	MissExpired uint64 // tag hit, lease/timestamp check failed (coherence miss)
 	MissLocked  uint64 // tag hit, block locked by a pending store (update visibility)
 	MSHRMerges  uint64 // loads merged into an existing MSHR entry
-	MSHRStalls  uint64 // accesses rejected because the MSHR table was full
+	// MSHRStalls counts presentations the L1 turned away for want of an
+	// MSHR entry (BL: an outstanding-access slot). The LDST unit
+	// presents a rejected access again only after a Deliver into the
+	// L1, so this counts rejected presentations, not stalled cycles.
+	MSHRStalls uint64
 
 	Atomics      uint64 // atomic read-modify-writes forwarded to L2
 	Renewals     uint64 // renewal requests sent (G-TSC)
@@ -33,7 +39,7 @@ type L1Stats struct {
 	InvsReceived uint64 // invalidations received (directory baseline)
 	Writebacks   uint64 // dirty blocks written back (directory baseline)
 	Flushes      uint64 // whole-cache flushes (kernel boundary, timestamp reset)
-	TagProbes    uint64 // tag array lookups (energy)
+	TagProbes    uint64 // tag array lookups of accepted accesses (energy)
 	DataAccesses uint64 // data array reads/writes (energy)
 	TSUpdates    uint64 // timestamp metadata updates (energy; G-TSC only)
 }

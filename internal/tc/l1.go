@@ -50,14 +50,12 @@ func (l *L1) Access(req *coherence.Request) coherence.AccessResult {
 		l.Counters.TagProbes++
 		l.Issue(mem.BusWr, req)
 	default:
-		return l.accessLoad(req)
+		return l.CountLoad(l.accessLoad(req))
 	}
 	return coherence.Pending
 }
 
 func (l *L1) accessLoad(req *coherence.Request) coherence.AccessResult {
-	l.Counters.Loads++
-	l.Counters.TagProbes++
 	line := l.array.Lookup(req.Block)
 	if line != nil && l.Now < line.Meta.expiry {
 		l.Counters.Hits++
